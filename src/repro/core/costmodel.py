@@ -14,9 +14,14 @@ An interval intersects ``[l, u]`` iff ``lower <= u`` and ``upper >= l``, so
     r(l, u)  =  n - #{lower > u} - #{upper < l}
 
 which needs only the two marginal cumulative distributions of the bounds.
-The model keeps equi-depth histograms of both, refreshed either from the
-base relation or from the leftmost bound columns of the two composite
-indexes (:meth:`RITreeCostModel.refresh` with ``source="indexes"``).
+The model keeps equi-depth histograms of both, refreshed by
+:meth:`RITreeCostModel.refresh` from the backend's *statistics
+provider*: a ``backbone``, ``summarize(buckets)`` returning the
+:class:`BoundSummary` and ``geometry(count)`` returning the
+:class:`StoreGeometry`.  There are three: the engine RI-tree reads the
+bound columns of its two composite indexes, the sqlite RI-tree
+aggregates them in SQL, and :class:`RecordStatistics` summarises any
+record source (in-memory stores and the engine-free planner).
 
 The I/O model follows Section 4.4: each of the O(h) transient entries costs
 one index descent of ``ceil(log_b n)`` block reads, and the result blocks
@@ -36,15 +41,17 @@ histograms,
 (the per-probe identity above, averaged over the outer side's bound
 distributions), and per-strategy cost formulas predict logical reads,
 physical reads, and Python-frame work for the index-nested-loop join
-against an RI-tree versus the sort-based plane sweep.  The planner entry
-points -- :meth:`RITreeCostModel.estimate_join` on a loaded tree and the
-engine-free :func:`choose_join_strategy` on raw record sequences -- feed
-the ``auto`` strategy of :mod:`repro.core.join`, which dispatches to the
-predicted-cheaper strategy.  The physical model for repeated index probes
-is a two-regime LRU approximation in the spirit of Mackert & Lohman's
-buffer model: leaf sets that fit the cache are read at most once, larger
-leaf sets pay a steady-state miss rate damped by a calibrated locality
-factor (probe locality on bulk-loaded indexes is far better than uniform).
+against an RI-tree versus the sort-based plane sweep.  All pricing runs
+through :meth:`RITreeCostModel.estimate_join`; the engine-free
+:func:`choose_join_strategy` is that method over a
+:class:`RecordStatistics` provider with :func:`analytic_geometry`.  Both
+feed the ``auto`` strategy of :mod:`repro.core.join`, which dispatches
+to the predicted-cheaper strategy.  The physical model for repeated
+index probes is a two-regime LRU approximation in the spirit of Mackert
+& Lohman's buffer model: leaf sets that fit the cache are read at most
+once, larger leaf sets pay a steady-state miss rate damped by a
+calibrated locality factor (probe locality on bulk-loaded indexes is far
+better than uniform).
 """
 
 from __future__ import annotations
@@ -130,20 +137,28 @@ def heap_scan_blocks(
     return -(-rows // per_page)
 
 
-def index_geometry(
-    entries: int, key_columns: int, block_size: int = DEFAULT_BLOCK_SIZE
-) -> tuple[int, int]:
-    """``(height, leaf_capacity)`` of a B+-tree index without building it.
+def _page_capacities(key_columns: int, block_size: int) -> tuple[int, int]:
+    """Entries per leaf page and per internal page of a B+-tree index.
 
     Mirrors :class:`repro.engine.bptree.BPlusTree`'s page layout (key
     columns plus rowid per entry, internal pages with 8-byte child
-    pointers), so the engine-free planner prices descents with the same
-    geometry the engine would realise.
+    pointers).
     """
     entry_bytes = _INT_BYTES * (key_columns + 1)
     leaf_capacity = max(4, (block_size - PAGE_HEADER_SIZE) // entry_bytes)
     internal_capacity = max(
         4, (block_size - PAGE_HEADER_SIZE - 8) // (entry_bytes + 8))
+    return leaf_capacity, internal_capacity
+
+
+def index_geometry(
+    entries: int, key_columns: int, block_size: int = DEFAULT_BLOCK_SIZE
+) -> tuple[int, int]:
+    """``(height, leaf_capacity)`` of a B+-tree index without building it,
+    so the engine-free planner prices descents with the same geometry the
+    engine would realise."""
+    leaf_capacity, internal_capacity = _page_capacities(
+        key_columns, block_size)
     height = 1
     pages = -(-max(entries, 1) // leaf_capacity)
     while pages > 1:
@@ -775,10 +790,58 @@ def memory_resident_geometry(
     )
 
 
-class _EngineTreeStatistics:
-    """Statistics source over an engine-backed :class:`RITree`."""
+def analytic_geometry(
+    count: int,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    cache_blocks: int = DEFAULT_CACHE_BLOCKS,
+) -> StoreGeometry:
+    """The shape an RI-tree *would* realise over ``count`` rows.
 
-    sources = ("table", "indexes")
+    Two composite indexes of three key columns each plus the four-column
+    base relation, laid out analytically under ``block_size`` -- the
+    engine-free planner's geometry, and the sqlite provider's where
+    ``dbstat`` cannot report real page counts.
+    """
+    height, leaf_capacity = index_geometry(count, 3, block_size)
+    _, internal_capacity = _page_capacities(3, block_size)
+    return StoreGeometry(
+        height=height,
+        leaf_capacity=leaf_capacity,
+        leaf_blocks=2.0 * math.ceil(max(count, 1) / leaf_capacity),
+        internal_blocks=2.0 * index_internal_blocks(
+            count, leaf_capacity, internal_capacity),
+        cache_blocks=cache_blocks,
+        block_size=block_size,
+        table_blocks=heap_scan_blocks(count, 4, block_size),
+    )
+
+
+class RecordStatistics:
+    """Statistics provider over a record source -- the minimal one.
+
+    ``records`` is called on every ANALYZE and returns the stored
+    ``(lower, upper, id)`` records (temporal rows on effective bounds);
+    ``backbone`` is the store's virtual backbone and ``geometry(count)``
+    its :class:`StoreGeometry`.  In-memory stores and the engine-free
+    planner plan through this provider.
+    """
+
+    def __init__(
+        self,
+        records: Callable[[], Sequence[IntervalRecord]],
+        backbone: VirtualBackbone,
+        geometry: Callable[[int], StoreGeometry],
+    ) -> None:
+        self.records = records
+        self.backbone = backbone
+        self.geometry = geometry
+
+    def summarize(self, buckets: int) -> BoundSummary:
+        return BoundSummary.from_records(self.records(), buckets)
+
+
+class _EngineTreeStatistics:
+    """Statistics provider over an engine-backed :class:`RITree`."""
 
     def __init__(self, tree: RITree) -> None:
         self.tree = tree
@@ -787,50 +850,29 @@ class _EngineTreeStatistics:
     def backbone(self) -> VirtualBackbone:
         return self.tree.backbone
 
-    def summarize(self, source: str, buckets: int) -> BoundSummary:
-        """Collect both bound distributions from the chosen source.
+    def summarize(self, buckets: int) -> BoundSummary:
+        """Collect both bound distributions from the composite indexes.
 
-        ``"table"`` scans the stored relation once; ``"indexes"`` scans
-        the two composite indexes instead and collects their bound
-        columns (entries are ``(node, bound, id)``, so the bound sits at
-        position 1).
+        Entries are ``(node, bound, id, rowid)``: the bound columns
+        re-sort into the two global distributions, and the rowid pairs
+        the two bounds of one row back up for the duration histogram
+        (ids may repeat).  Now-relative sentinel rows contribute their
+        *effective* duration; infinite rows keep the sentinel.
         """
         now = getattr(self.tree, "_now", None)
-
-        def effective(upper: int) -> int:
-            # Now-relative sentinel rows contribute their *effective*
-            # duration; infinite rows keep the sentinel (open-ended).
-            if now is not None and upper == UPPER_NOW:
-                return now
-            return upper
-
-        if source == "indexes" and self.tree.table.indexes:
-            # Index entries arrive in (node, bound, id) order; the bound
-            # columns re-sort into the two global distributions, and the
-            # id column pairs them back up for the duration histogram.
-            lower_entries = list(
-                self.tree.table.index("lowerIndex").tree.scan_all())
-            upper_entries = list(
-                self.tree.table.index("upperIndex").tree.scan_all())
-            lowers = [entry[1] for entry in lower_entries]
-            uppers = [entry[1] for entry in upper_entries]
-            lower_of = {entry[2]: entry[1] for entry in lower_entries}
-            durations = sorted(
-                effective(entry[1]) - lower_of[entry[2]]
-                for entry in upper_entries if entry[2] in lower_of)
-        else:
-            lowers = []
-            uppers = []
-            durations = []
-            for _rowid, row in self.tree.table.scan():
-                lowers.append(row[1])
-                uppers.append(row[2])
-                durations.append(effective(row[2]) - row[1])
-            durations.sort()
-        lowers.sort()
-        uppers.sort()
-        return BoundSummary(lowers, uppers, buckets,
-                            sorted_durations=durations)
+        lower_entries = list(
+            self.tree.table.index("lowerIndex").tree.scan_all())
+        upper_entries = list(
+            self.tree.table.index("upperIndex").tree.scan_all())
+        lower_of = {entry[-1]: entry[1] for entry in lower_entries}
+        durations = sorted(
+            (now if now is not None and entry[1] == UPPER_NOW
+             else entry[1]) - lower_of[entry[-1]]
+            for entry in upper_entries)
+        return BoundSummary(
+            sorted(entry[1] for entry in lower_entries),
+            sorted(entry[1] for entry in upper_entries),
+            buckets, sorted_durations=durations)
 
     def geometry(self, count: int) -> StoreGeometry:
         """Read the realised index shape off the live B+-trees."""
@@ -862,8 +904,6 @@ class _SQLStoreStatistics:
     excluded from the statistics.
     """
 
-    sources = ("table", "indexes")
-
     def __init__(self, store) -> None:
         self.store = store
 
@@ -876,10 +916,7 @@ class _SQLStoreStatistics:
         from .temporal import FORK_INF, FORK_NOW
         return f'"node" NOT IN ({FORK_INF}, {FORK_NOW})'
 
-    def summarize(self, source: str, buckets: int) -> BoundSummary:
-        # Both sources read the same persistent rows on this backend
-        # (sqlite's indexes are covering); the distinction only matters
-        # on the simulated engine.
+    def summarize(self, buckets: int) -> BoundSummary:
         conn, name = self.store.conn, self.store.name
         count = conn.execute(
             f'SELECT COUNT(*) FROM {name} WHERE {self._where}'
@@ -929,14 +966,12 @@ class _SQLStoreStatistics:
     def geometry(self, count: int) -> StoreGeometry:
         conn, name = self.store.conn, self.store.name
         page_size = conn.execute("PRAGMA page_size").fetchone()[0]
-        height, leaf_capacity = index_geometry(count, 3, page_size)
-        entry_bytes = _INT_BYTES * 4
-        internal_capacity = max(
-            4, (page_size - PAGE_HEADER_SIZE - 8) // (entry_bytes + 8))
-        internal_blocks = 2.0 * index_internal_blocks(
-            count, leaf_capacity, internal_capacity)
-        leaf_blocks = 2.0 * math.ceil(max(count, 1) / leaf_capacity)
-        table_blocks = heap_scan_blocks(count, 4, page_size)
+        cache = conn.execute("PRAGMA cache_size").fetchone()[0]
+        if cache >= 0:
+            cache_blocks = cache
+        else:
+            cache_blocks = max(1, (-cache * 1024) // page_size)
+        geometry = analytic_geometry(count, page_size, cache_blocks)
         try:
             pages = dict(conn.execute(
                 "SELECT name, COUNT(*) FROM dbstat "
@@ -947,23 +982,11 @@ class _SQLStoreStatistics:
         index_pages = (pages.get(f"{name}_lowerIndex", 0)
                        + pages.get(f"{name}_upperIndex", 0))
         if index_pages:
-            leaf_blocks = max(float(index_pages) - internal_blocks, 2.0)
+            geometry.leaf_blocks = max(
+                float(index_pages) - geometry.internal_blocks, 2.0)
         if pages.get(name):
-            table_blocks = pages[name]
-        cache = conn.execute("PRAGMA cache_size").fetchone()[0]
-        if cache >= 0:
-            cache_blocks = cache
-        else:
-            cache_blocks = max(1, (-cache * 1024) // page_size)
-        return StoreGeometry(
-            height=height,
-            leaf_capacity=leaf_capacity,
-            leaf_blocks=leaf_blocks,
-            internal_blocks=internal_blocks,
-            cache_blocks=cache_blocks,
-            block_size=page_size,
-            table_blocks=table_blocks,
-        )
+            geometry.table_blocks = pages[name]
+        return geometry
 
 
 class RITreeCostModel:
@@ -979,11 +1002,10 @@ class RITreeCostModel:
         Fraction of non-leaf index reads expected to hit the buffer cache
         (0 = cold, 1 = fully cached upper levels).  The harness's
         batch-with-warm-cache protocol sits near 0.9.
-    source:
-        Where :meth:`refresh` reads the bounds from: ``"table"`` scans the
-        base relation, ``"indexes"`` reads the bound columns out of the
-        already-loaded composite indexes (lowerIndex/upperIndex) -- the
-        planner's choice, since a served tree always has them in place.
+    statistics:
+        The statistics provider (``backbone``, ``summarize(buckets)``,
+        ``geometry(count)``); defaults to the composite-index provider
+        over ``tree``.
     """
 
     def __init__(
@@ -991,31 +1013,20 @@ class RITreeCostModel:
         tree: Optional[RITree] = None,
         buckets: int = DEFAULT_BUCKETS,
         cache_residency: float = 0.9,
-        source: str = "table",
         statistics=None,
     ) -> None:
         if statistics is None:
             if tree is None:
                 raise ValueError("need a tree or an explicit statistics "
-                                 "source")
+                                 "provider")
             statistics = _EngineTreeStatistics(tree)
         if buckets < 2:
             raise ValueError(f"need at least 2 buckets, got {buckets}")
         if not 0.0 <= cache_residency <= 1.0:
             raise ValueError(f"cache residency {cache_residency} not in [0,1]")
-        if source not in statistics.sources:
-            raise ValueError(f"unknown statistics source {source!r}")
         self.stats = statistics
-        self.tree = getattr(statistics, "tree", None)
-        #: The modelled store, whichever backend it lives on.
-        if self.tree is not None:
-            self.store = self.tree
-        else:
-            self.store = getattr(statistics, "store", None)
         self.buckets = buckets
         self.cache_residency = cache_residency
-        self.source = source
-        self.summary: BoundSummary = BoundSummary([], [], buckets)
         self.refresh()
 
     @classmethod
@@ -1030,10 +1041,9 @@ class RITreeCostModel:
         aggregation (``NTILE`` equi-depth quantiles), index geometry and
         cache size from sqlite's page counts (``dbstat`` /
         ``PRAGMA``).  The returned model exposes the identical planning
-        surface (:meth:`estimate`, :meth:`estimate_join`,
-        :meth:`choose_join_strategy`), so the ``auto`` join strategy
-        plans on the sqlite backend exactly as it does on the simulated
-        engine.
+        surface (:meth:`estimate`, :meth:`estimate_join`), so the
+        ``auto`` join strategy plans on the sqlite backend exactly as it
+        does on the simulated engine.
         """
         return cls(buckets=buckets, cache_residency=cache_residency,
                    statistics=_SQLStoreStatistics(store))
@@ -1041,24 +1051,12 @@ class RITreeCostModel:
     # ------------------------------------------------------------------
     # statistics maintenance (ANALYZE)
     # ------------------------------------------------------------------
-    def refresh(self, source: Optional[str] = None) -> None:
-        """Rebuild both bound histograms -- the engine's ``ANALYZE`` pass.
+    def refresh(self) -> None:
+        """Rebuild the bound histograms -- the engine's ``ANALYZE`` pass.
 
-        On the simulated engine, ``source="table"`` scans the stored
-        relation once while ``source="indexes"`` reads the bound columns
-        out of the two composite indexes; the sqlite backend aggregates
-        in SQL either way.  Run after bulk loads or heavy update
-        batches; omitting ``source`` keeps the constructor's.
+        Run after bulk loads or heavy update batches.
         """
-        chosen = source or self.source
-        if chosen not in self.stats.sources:
-            raise ValueError(f"unknown statistics source {chosen!r}")
-        self.summary = self.stats.summarize(chosen, self.buckets)
-
-    @property
-    def _count(self) -> int:
-        """Summarised interval count (kept for extension-hook stability)."""
-        return self.summary.count
+        self.summary: BoundSummary = self.stats.summarize(self.buckets)
 
     # ------------------------------------------------------------------
     # estimation
@@ -1228,30 +1226,6 @@ class RITreeCostModel:
             sweep=sweep_cost,
         )
 
-    def choose_join_strategy(
-        self,
-        outer: Sequence[IntervalRecord],
-        inner: Optional[Sequence[IntervalRecord]] = None,
-        predicate=None,
-    ) -> JoinEstimate:
-        """Plan the join of ``outer`` against ``inner`` (or the tree).
-
-        With ``inner`` omitted the modelled tree's stored relation is the
-        inner side (:meth:`estimate_join`); passing explicit ``inner``
-        records plans an ad-hoc join with the engine-free estimator
-        instead, sharing this model's resolution and residency settings.
-        """
-        if inner is None:
-            return self.estimate_join(outer, predicate=predicate)
-        geometry = self.stats.geometry(self.summary.count)
-        return choose_join_strategy(
-            outer, inner, buckets=self.buckets,
-            cache_residency=self.cache_residency,
-            block_size=geometry.block_size,
-            cache_blocks=geometry.cache_blocks,
-            predicate=predicate,
-        )
-
     @property
     def table_blocks(self) -> int:
         """Base-relation size in blocks (the full-scan alternative cost)."""
@@ -1269,72 +1243,23 @@ def choose_join_strategy(
 ) -> JoinEstimate:
     """Plan an interval join from raw records, without touching an engine.
 
-    The engine-free planner: both sides are summarised into bound
-    histograms, a virtual backbone is populated by registering the inner
-    records (pure arithmetic -- no relation, no I/O), and the index
-    geometry an RI-tree *would* realise under the given block size is
-    computed analytically.  Used by the ``auto`` join strategy before it
-    decides whether building/probing an index is worth it at all.  A
-    join ``predicate`` plans the predicate join per relation, exactly as
-    :meth:`RITreeCostModel.estimate_join` does on a loaded tree.
+    The engine-free planner: a virtual backbone is populated by
+    registering the inner records (pure arithmetic -- no relation, no
+    I/O), and :meth:`RITreeCostModel.estimate_join` prices the join over
+    a :class:`RecordStatistics` provider on ``inner`` with the
+    :func:`analytic_geometry` an RI-tree *would* realise under the given
+    block size.  Used by the ``auto`` join strategy before it decides
+    whether building/probing an index is worth it at all.
     """
-    pred = resolve_join_predicate(predicate)
     for lower, upper, _ in outer:
         validate_interval(lower, upper)
-    for lower, upper, _ in inner:
-        validate_interval(lower, upper)
-    outer_summary = BoundSummary.from_records(outer, buckets)
-    inner_summary = BoundSummary.from_records(inner, buckets)
     backbone = VirtualBackbone()
     for lower, upper, _ in inner:
+        validate_interval(lower, upper)
         backbone.register(lower, upper)
-    height, leaf_capacity = index_geometry(len(inner), 3, block_size)
-    entry_bytes = _INT_BYTES * 4
-    internal_capacity = max(
-        4, (block_size - PAGE_HEADER_SIZE - 8) // (entry_bytes + 8))
-    leaf_blocks = 2.0 * math.ceil(max(len(inner), 1) / leaf_capacity)
-    internal_blocks = 2.0 * index_internal_blocks(
-        len(inner), leaf_capacity, internal_capacity)
-    if pred is None:
-        pairs = expected_join_pairs(outer_summary, inner_summary)
-        avg_transient = average_transient_entries(backbone, outer)
-        index_cost = _index_join_cost(
-            probes=len(outer),
-            avg_transient=avg_transient,
-            pairs=pairs,
-            height=height,
-            leaf_capacity=leaf_capacity,
-            leaf_blocks=leaf_blocks,
-            internal_blocks=internal_blocks,
-            cache_blocks=cache_blocks,
-            cache_residency=cache_residency,
-        )
-    else:
-        pairs = expected_predicate_pairs(outer, inner_summary, pred)
-        avg_transient, candidate_rows = predicate_probe_statistics(
-            outer, inner_summary, backbone, pred.inverse)
-        index_cost = _index_predicate_join_cost(
-            probes=len(outer),
-            avg_transient=avg_transient,
-            candidate_rows=candidate_rows,
-            height=height,
-            leaf_capacity=leaf_capacity,
-            leaf_blocks=leaf_blocks,
-            internal_blocks=internal_blocks,
-            cache_blocks=cache_blocks,
-            cache_residency=cache_residency,
-            table_blocks=heap_scan_blocks(len(inner), 4, block_size),
-        )
-    sweep_cost = _sweep_join_cost(
-        outer_n=len(outer),
-        inner_n=len(inner),
-        pairs=pairs,
-        block_size=block_size,
-    )
-    return JoinEstimate(
-        outer_n=len(outer),
-        inner_n=len(inner),
-        result_count=pairs,
-        index=index_cost,
-        sweep=sweep_cost,
-    )
+    statistics = RecordStatistics(
+        lambda: inner, backbone,
+        lambda count: analytic_geometry(count, block_size, cache_blocks))
+    model = RITreeCostModel(buckets=buckets, cache_residency=cache_residency,
+                            statistics=statistics)
+    return model.estimate_join(outer, predicate=predicate)

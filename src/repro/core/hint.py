@@ -31,7 +31,7 @@ the PR-5 inverse-candidate-range convention, ``join_pairs`` /
 ``join_count``, temporal sentinel handling (``[s, oo)`` and ``[s, now]``
 rows live in dedicated side lists, mirroring the reserved fork nodes of
 :class:`~repro.core.temporal.TemporalRITree`), and a structured
-``verify()``.  It also ships the third cost-model statistics provider:
+``verify()``.  It plans over the cost model's records provider:
 :class:`HintCostModel` prices joins with a zero-physical-read term so
 :class:`~repro.core.join.AutoJoin` can plan memory-vs-disk, not just
 index-vs-sweep.
@@ -49,8 +49,8 @@ from .access import IntervalRecord, IntervalStore
 from .backbone import VirtualBackbone
 from .costmodel import (
     DEFAULT_BUCKETS,
-    BoundSummary,
     JoinEstimate,
+    RecordStatistics,
     RITreeCostModel,
     memory_resident_geometry,
 )
@@ -224,8 +224,10 @@ class HintStore(IntervalStore):
         self._now_ids: list[int] = []
         # Virtual backbone fed to the planner's transient-entry sampler.
         self._backbone = VirtualBackbone()
+        # Bumped by every mutator; keys the cached cost model.
+        self._mutations = 0
         self._cost_model: Optional[HintCostModel] = None
-        self._cost_model_version: Optional[tuple] = None
+        self._cost_model_version: Optional[int] = None
 
     # ------------------------------------------------------------------
     # domain mapping
@@ -332,6 +334,7 @@ class HintStore(IntervalStore):
             self.insert_until_now(lower, interval_id)
             return
         validate_interval(lower, upper)
+        self._mutations += 1
         self._ensure_domain(lower, upper)
         self._place(lower, upper, interval_id)
         self._finite[(lower, upper, interval_id)] += 1
@@ -371,6 +374,7 @@ class HintStore(IntervalStore):
                     hi = upper
         if not finite:
             return
+        self._mutations += 1
         self._ensure_domain(lo, hi)
         dirty: dict[int, _Bucket] = {}
         for lower, upper, interval_id in finite:
@@ -407,6 +411,7 @@ class HintStore(IntervalStore):
         record = (lower, upper, interval_id)
         if self._finite.get(record, 0) <= 0:
             raise KeyError(record)
+        self._mutations += 1
         self._displace(lower, upper, interval_id)
         self._finite[record] -= 1
         if not self._finite[record]:
@@ -434,11 +439,13 @@ class HintStore(IntervalStore):
         if now < self._now:
             raise ValueError(
                 f"clock moves forward only: {now} < now={self._now}")
+        self._mutations += 1
         self._now = now
 
     def insert_infinite(self, lower: int, interval_id: int) -> None:
         """Insert the open-ended interval ``[lower, infinity)``."""
         validate_interval(lower, lower)
+        self._mutations += 1
         i = bisect_right(self._inf_lowers, lower)
         self._inf_lowers.insert(i, lower)
         self._inf_ids.insert(i, interval_id)
@@ -455,6 +462,7 @@ class HintStore(IntervalStore):
             raise ValueError(
                 f"now-relative interval starts at {lower}, after now="
                 f"{self._now}")
+        self._mutations += 1
         i = bisect_right(self._now_lowers, lower)
         self._now_lowers.insert(i, lower)
         self._now_ids.insert(i, interval_id)
@@ -464,11 +472,13 @@ class HintStore(IntervalStore):
         """Delete an infinite interval by its lower bound and id."""
         self._remove_side(self._inf_lowers, self._inf_ids,
                           lower, interval_id)
+        self._mutations += 1
 
     def delete_until_now(self, lower: int, interval_id: int) -> None:
         """Delete a now-relative interval by its lower bound and id."""
         self._remove_side(self._now_lowers, self._now_ids,
                           lower, interval_id)
+        self._mutations += 1
 
     def close_now_interval(self, lower: int, interval_id: int,
                            upper: int) -> None:
@@ -778,31 +788,11 @@ class HintStore(IntervalStore):
     # cost model
     # ------------------------------------------------------------------
     def cost_model(self, refresh: bool = False) -> "HintCostModel":
-        version = (self._finite_count, self._finite_entries,
-                   len(self._inf_ids), len(self._now_ids), self._now)
         if (self._cost_model is None or refresh
-                or self._cost_model_version != version):
+                or self._cost_model_version != self._mutations):
             self._cost_model = HintCostModel(self)
-            self._cost_model_version = version
+            self._cost_model_version = self._mutations
         return self._cost_model
-
-    def _bound_histograms(self) -> tuple[list[int], list[int]]:
-        """Sorted lower/upper bound lists assembled from the partition
-        arrays (originals only -- one entry per stored record) plus the
-        temporal side lists with their effective upper bounds."""
-        lowers: list[int] = []
-        uppers: list[int] = []
-        for parts in self._levels:
-            for part in parts.values():
-                lowers.extend(part[0].s_lowers)
-                uppers.extend(part[0].s_uppers)
-        lowers.extend(self._inf_lowers)
-        uppers.extend(repeat(UPPER_INF, len(self._inf_ids)))
-        lowers.extend(self._now_lowers)
-        uppers.extend(repeat(self._now, len(self._now_ids)))
-        lowers.sort()
-        uppers.sort()
-        return lowers, uppers
 
     # ------------------------------------------------------------------
     # verification
@@ -944,39 +934,6 @@ class HintStore(IntervalStore):
                 {"side": "now"})
 
 
-class _HintStatistics:
-    """Statistics source over a :class:`HintStore` for the cost model.
-
-    The third provider next to the engine and sqlite ones: bound
-    histograms come straight from the partition arrays (each record's
-    original entry, already sorted per partition), and the geometry is
-    the memory-resident shape -- no descent, everything cached.
-    """
-
-    sources = ("partitions",)
-
-    def __init__(self, store: HintStore) -> None:
-        self.store = store
-
-    @property
-    def backbone(self) -> VirtualBackbone:
-        return self.store._backbone
-
-    def summarize(self, source: str, buckets: int) -> BoundSummary:
-        lowers, uppers = self.store._bound_histograms()
-        # Durations need paired bounds, which the per-bound partition
-        # arrays cannot recover; one enumeration pass pairs them on
-        # *effective* bounds (now materialised, infinity kept symbolic).
-        durations = sorted(upper - lower for lower, upper, _
-                           in self.store.stored_records())
-        return BoundSummary(lowers, uppers, buckets,
-                            sorted_durations=durations)
-
-    def geometry(self, count: int):
-        return memory_resident_geometry(
-            count, max(1, self.store.partition_count))
-
-
 class HintCostModel(RITreeCostModel):
     """Join planner over a main-memory HINT store.
 
@@ -992,9 +949,13 @@ class HintCostModel(RITreeCostModel):
 
     def __init__(self, store: HintStore,
                  buckets: int = DEFAULT_BUCKETS) -> None:
-        super().__init__(statistics=_HintStatistics(store),
-                         buckets=buckets, cache_residency=1.0,
-                         source="partitions")
+        self.store = store
+        statistics = RecordStatistics(
+            store.stored_records, store._backbone,
+            lambda count: memory_resident_geometry(
+                count, store.partition_count))
+        super().__init__(statistics=statistics, buckets=buckets,
+                         cache_residency=1.0)
 
     def estimate_join(self, outer: Sequence[IntervalRecord],
                       predicate=None) -> JoinEstimate:

@@ -535,15 +535,14 @@ class RITree(AccessMethod):
         """The tree's optimizer cost model, built lazily and cached.
 
         Histograms are read from the already-loaded composite indexes
-        (``source="indexes"`` -- the bound columns are right there in
-        lowerIndex/upperIndex, no base-table scan needed).  The cached
-        model goes stale under updates; pass ``refresh=True`` to re-run
-        the ANALYZE pass, the engine equivalent of refreshed optimizer
-        statistics.
+        (the bound columns are right there in lowerIndex/upperIndex, no
+        base-table scan needed).  The cached model goes stale under
+        updates; pass ``refresh=True`` to re-run the ANALYZE pass, the
+        engine equivalent of refreshed optimizer statistics.
         """
         from .costmodel import RITreeCostModel
         if self._cost_model is None:
-            self._cost_model = RITreeCostModel(self, source="indexes")
+            self._cost_model = RITreeCostModel(self)
         elif refresh:
             self._cost_model.refresh()
         return self._cost_model

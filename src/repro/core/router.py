@@ -50,7 +50,13 @@ from typing import Optional, Sequence
 
 from .access import IntervalRecord, IntervalStore
 from .backbone import VirtualBackbone
-from .costmodel import DEFAULT_BUCKETS, BoundSummary, RITreeCostModel
+from .costmodel import (
+    DEFAULT_BUCKETS,
+    BoundSummary,
+    RecordStatistics,
+    RITreeCostModel,
+    memory_resident_geometry,
+)
 from .interval import validate_interval
 from .predicates import (
     resolve_join_predicate,
@@ -675,11 +681,10 @@ class ShardedStore(IntervalStore):
     def cost_model(self):
         """A router-level :class:`RITreeCostModel` over the logical
         (deduplicated) record population."""
-        return RITreeCostModel(
-            statistics=_RouterStatistics(self),
-            source="records",
-            cache_residency=1.0,
-        )
+        statistics = RecordStatistics(
+            self.stored_records, self._backbone,
+            lambda count: memory_resident_geometry(count, self.shard_count))
+        return RITreeCostModel(statistics=statistics, cache_residency=1.0)
 
     # ------------------------------------------------------------------
     # accounting / observability
@@ -748,31 +753,3 @@ class ShardedStore(IntervalStore):
                     f"[shard {t}] {issue.message}",
                     issue.context,
                 )
-
-
-class _RouterStatistics:
-    """Statistics source over a :class:`ShardedStore` for the cost model.
-
-    Histograms come from the deduplicated logical records, the backbone
-    from the router's registration mirror, and the geometry is the
-    memory-resident shape with one partition per shard.
-    """
-
-    sources = ("records",)
-
-    def __init__(self, store: ShardedStore) -> None:
-        self.store = store
-
-    @property
-    def backbone(self) -> VirtualBackbone:
-        return self.store._backbone
-
-    def summarize(self, source: str, buckets: int) -> BoundSummary:
-        return BoundSummary.from_records(
-            self.store.stored_records(), buckets)
-
-    def geometry(self, count: int):
-        from .costmodel import memory_resident_geometry
-
-        return memory_resident_geometry(
-            count, max(1, self.store.shard_count))

@@ -315,6 +315,20 @@ def test_cost_model_zeroes_physical_reads(rng):
     assert store.cost_model() is not model
 
 
+def test_cost_model_refreshes_after_delete_then_insert():
+    """Deleting one record and inserting another leaves every count (and
+    the clock) unchanged; the cached model must still be rebuilt."""
+    store = HintStore()
+    store.bulk_load([(i * 100, i * 100, i) for i in range(1000)])
+    model = store.cost_model()
+    assert model.summary.upper_bounds[-1] == 99_900
+    store.delete(99_900, 99_900, 999)
+    store.insert(99_950, 99_950, 999)
+    refreshed = store.cost_model()
+    assert refreshed is not model
+    assert refreshed.summary.upper_bounds[-1] == 99_950
+
+
 def test_cost_model_prices_memory_below_disk(rng):
     """Same workload, same formulas: the HINT plan must carry strictly
     less physical I/O than the disk tree's plan -- the signal AutoJoin
