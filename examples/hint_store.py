@@ -4,18 +4,32 @@ Loads the same interval relation into the simulated-disk RI-tree, the
 sqlite3-backed RI-tree and the main-memory HINT store, shows that
 queries, predicate queries and joins agree across all three, and lets
 the auto join planner explain why it treats the memory-resident backend
-differently from the disk-resident ones.
+differently from the disk-resident ones.  The SQL RI-tree is opened on a
+temporary database file so that it stays disk-resident: an in-memory
+sqlite database would be priced like HINT, with no physical reads.
 
 Run:  python examples/hint_store.py
 """
 
 import random
+import sqlite3
+import tempfile
+from pathlib import Path
 
 from repro.core import AutoJoin, HintStore, RITree
 from repro.sql import SQLRITree
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        connection = sqlite3.connect(Path(workdir) / "intervals.db")
+        try:
+            run(connection)
+        finally:
+            connection.close()
+
+
+def run(connection: sqlite3.Connection) -> None:
     rng = random.Random(7)
     records = [
         (lower, lower + rng.randrange(1, 400), interval_id)
@@ -32,7 +46,7 @@ def main() -> None:
 
     stores = {
         "RI-tree     ": RITree(),
-        "SQL-RI-tree ": SQLRITree(),
+        "SQL-RI-tree ": SQLRITree(connection),
         "HINT        ": HintStore(),
     }
     for store in stores.values():
@@ -85,6 +99,8 @@ def main() -> None:
 
     hint = stores["HINT        "]
     assert hint.cost_model().estimate_join(probes).index.physical_reads == 0.0
+    on_disk = stores["SQL-RI-tree "].cost_model().estimate_join(probes)
+    assert on_disk.sweep.physical_reads > 0.0
     assert hint.verify().ok
     print("OK")
 

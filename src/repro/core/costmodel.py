@@ -553,7 +553,13 @@ class JoinEstimate:
 
     @property
     def choice(self) -> str:
-        """Name of the predicted-cheaper strategy."""
+        """Name of the predicted-cheaper strategy.
+
+        Fewer physical reads wins; equal reads fall to the frame cost.  A
+        memory-resident store (:attr:`StoreGeometry.memory_resident`)
+        prices zero physical reads on both strategies, so its choice is
+        always the frame comparison.
+        """
         if self.index.physical_reads != self.sweep.physical_reads:
             if self.index.physical_reads < self.sweep.physical_reads:
                 return self.index.strategy
@@ -749,6 +755,11 @@ class StoreGeometry:
     a statistics provider realises them either from the live B+-trees of
     the simulated engine or from sqlite's page counts, so the identical
     :class:`RITreeCostModel` plans over either backend.
+
+    ``memory_resident`` is a fact the provider reads off the store, not
+    an option: a store whose pages never leave memory (an in-memory
+    sqlite database, a HINT store) has no physical reads to price, so
+    :meth:`RITreeCostModel.estimate_join` prices zero on both strategies.
     """
 
     height: int
@@ -758,6 +769,7 @@ class StoreGeometry:
     cache_blocks: int
     block_size: int
     table_blocks: int
+    memory_resident: bool = False
 
 
 #: Cache size handed to fully memory-resident geometries: larger than
@@ -773,10 +785,10 @@ def memory_resident_geometry(
 
     Partitions stand in for leaves (one "descent" reaches them -- there
     is no tree to walk), the cache is effectively unbounded, and the
-    virtual table-block count only feeds relative refinement terms.  A
-    memory store's cost model still zeroes the resulting physical reads
-    (see :class:`repro.core.hint.HintCostModel`); this geometry merely
-    keeps the shared formulas well-defined and comparable.
+    virtual table-block count only feeds relative refinement terms.  The
+    geometry keeps the shared formulas well-defined and comparable; a
+    store that prices zero physical reads sets ``memory_resident`` on it
+    (see :class:`repro.core.hint.HintCostModel`).
     """
     per_partition = max(1, -(-max(count, 1) // max(1, partitions)))
     return StoreGeometry(
@@ -897,11 +909,19 @@ class _SQLStoreStatistics:
     Histograms come from SQL aggregation (one ``NTILE`` window pass per
     bound column -- the quantile computation runs inside the engine, not
     in Python), geometry from sqlite's page counts: ``PRAGMA page_size``
-    and ``PRAGMA cache_size`` fix the block model, and the ``dbstat``
+    and ``PRAGMA cache_size`` fix the block model, the ``dbstat``
     virtual table supplies real per-index page counts where the build
-    ships it (falling back to the analytic B+-tree layout otherwise).
-    Reserved Section 4.6 fork rows carry sentinel bounds and are
-    excluded from the statistics.
+    ships it (falling back to the analytic B+-tree layout otherwise),
+    and ``PRAGMA database_list`` tells whether the ``main`` database is
+    memory-resident (an empty file name), in which case the planner
+    prices no physical reads.  Reserved Section 4.6 fork rows carry
+    sentinel bounds and are excluded from the statistics.
+
+    Every one of these facts is ANALYZE-time statistics: :meth:`summarize`
+    reads them once (at construction and on ``refresh()``) and
+    :meth:`geometry` is arithmetic over the snapshot, so estimates issue
+    no SQL.  Like the histograms, the geometry goes stale under updates
+    until the next ``refresh()``.
     """
 
     def __init__(self, store) -> None:
@@ -918,6 +938,7 @@ class _SQLStoreStatistics:
 
     def summarize(self, buckets: int) -> BoundSummary:
         conn, name = self.store.conn, self.store.name
+        self._read_geometry(conn, name)
         count = conn.execute(
             f'SELECT COUNT(*) FROM {name} WHERE {self._where}'
         ).fetchone()[0]
@@ -963,15 +984,17 @@ class _SQLStoreStatistics:
             (buckets,))
         return [floor] + [row[0] for row in tiles]
 
-    def geometry(self, count: int) -> StoreGeometry:
-        conn, name = self.store.conn, self.store.name
-        page_size = conn.execute("PRAGMA page_size").fetchone()[0]
+    def _read_geometry(self, conn, name: str) -> None:
+        """Snapshot the physical facts :meth:`geometry` prices from."""
+        self._page_size = conn.execute("PRAGMA page_size").fetchone()[0]
         cache = conn.execute("PRAGMA cache_size").fetchone()[0]
         if cache >= 0:
-            cache_blocks = cache
+            self._cache_blocks = cache
         else:
-            cache_blocks = max(1, (-cache * 1024) // page_size)
-        geometry = analytic_geometry(count, page_size, cache_blocks)
+            self._cache_blocks = max(1, (-cache * 1024) // self._page_size)
+        self._memory_resident = any(
+            db == "main" and not path
+            for _, db, path in conn.execute("PRAGMA database_list"))
         try:
             pages = dict(conn.execute(
                 "SELECT name, COUNT(*) FROM dbstat "
@@ -979,13 +1002,19 @@ class _SQLStoreStatistics:
                 (name, f"{name}_lowerIndex", f"{name}_upperIndex")))
         except sqlite3.Error:
             pages = {}
-        index_pages = (pages.get(f"{name}_lowerIndex", 0)
-                       + pages.get(f"{name}_upperIndex", 0))
-        if index_pages:
+        self._index_pages = (pages.get(f"{name}_lowerIndex", 0)
+                             + pages.get(f"{name}_upperIndex", 0))
+        self._table_pages = pages.get(name, 0)
+
+    def geometry(self, count: int) -> StoreGeometry:
+        geometry = analytic_geometry(count, self._page_size,
+                                     self._cache_blocks)
+        geometry.memory_resident = self._memory_resident
+        if self._index_pages:
             geometry.leaf_blocks = max(
-                float(index_pages) - geometry.internal_blocks, 2.0)
-        if pages.get(name):
-            geometry.table_blocks = pages[name]
+                float(self._index_pages) - geometry.internal_blocks, 2.0)
+        if self._table_pages:
+            geometry.table_blocks = self._table_pages
         return geometry
 
 
@@ -1038,9 +1067,10 @@ class RITreeCostModel:
 
         The cost model is engine-generic in its inputs; this constructor
         realises them from sqlite: bound histograms through SQL
-        aggregation (``NTILE`` equi-depth quantiles), index geometry and
-        cache size from sqlite's page counts (``dbstat`` /
-        ``PRAGMA``).  The returned model exposes the identical planning
+        aggregation (``NTILE`` equi-depth quantiles), index geometry,
+        cache size and memory residency from sqlite's page counts and
+        pragmas (``dbstat`` / ``PRAGMA``), all read once per ANALYZE.
+        The returned model exposes the identical planning
         surface (:meth:`estimate`, :meth:`estimate_join`), so the
         ``auto`` join strategy plans on the sqlite backend exactly as it
         does on the simulated engine.
@@ -1218,6 +1248,10 @@ class RITreeCostModel:
             pairs=pairs,
             block_size=geometry.block_size,
         )
+        if geometry.memory_resident:
+            # No page ever leaves memory: neither strategy reads a block
+            # from disk, so the choice falls to interpreter work.
+            index_cost.physical_reads = sweep_cost.physical_reads = 0.0
         return JoinEstimate(
             outer_n=len(outer),
             inner_n=self.summary.count,

@@ -938,13 +938,14 @@ class HintCostModel(RITreeCostModel):
     """Join planner over a main-memory HINT store.
 
     Reuses the RI-tree model's selectivity machinery (histogram
-    convolution, expected pair counts) but prices both strategies with
-    **zero physical reads** -- the store lives in memory, so the LRU
-    buffer model's cold-miss terms do not apply -- and replaces the
-    index path's frame term with the HINT walk's O(levels)-per-probe
-    shape.  With physical reads tied at zero, :class:`JoinEstimate`'s
-    choice falls through to the Python-frame comparison: exactly the
-    memory-vs-disk planning axis ``AutoJoin`` needs.
+    convolution, expected pair counts).  Its geometry is
+    ``memory_resident`` -- the store lives in memory, so the shared
+    model prices **zero physical reads** on both strategies -- and the
+    index path's frame term is replaced with the HINT walk's
+    O(levels)-per-probe shape.  With physical reads tied at zero,
+    :class:`JoinEstimate`'s choice falls through to the Python-frame
+    comparison: exactly the memory-vs-disk planning axis ``AutoJoin``
+    needs.
     """
 
     def __init__(self, store: HintStore,
@@ -952,23 +953,21 @@ class HintCostModel(RITreeCostModel):
         self.store = store
         statistics = RecordStatistics(
             store.stored_records, store._backbone,
-            lambda count: memory_resident_geometry(
-                count, store.partition_count))
+            lambda count: replace(
+                memory_resident_geometry(count, store.partition_count),
+                memory_resident=True))
         super().__init__(statistics=statistics, buckets=buckets,
                          cache_residency=1.0)
 
     def estimate_join(self, outer: Sequence[IntervalRecord],
                       predicate=None) -> JoinEstimate:
         estimate = super().estimate_join(outer, predicate=predicate)
-        index = replace(
+        estimate.index = replace(
             estimate.index,
             logical_reads=0.0,
-            physical_reads=0.0,
             frame_cost=self._hint_frames(
                 len(outer), estimate.result_count, predicate))
-        sweep = replace(estimate.sweep, physical_reads=0.0)
-        return JoinEstimate(estimate.outer_n, estimate.inner_n,
-                            estimate.result_count, index, sweep)
+        return estimate
 
     def _hint_frames(self, probes: int, pairs: float,
                      predicate) -> float:

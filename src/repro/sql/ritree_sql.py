@@ -28,9 +28,9 @@ unchanged on sqlite:
   the literal Figure 9 form in ONE statement, so sqlite's own optimizer
   drives the nested-loop plan over the whole batch;
 * ``cost_model`` exposes :meth:`repro.core.costmodel.RITreeCostModel.
-  from_sql_tree` statistics (NTILE histograms, page-count geometry), so
-  the ``auto`` join strategy plans here exactly as on the simulated
-  engine;
+  from_sql_tree` statistics (NTILE histograms, page-count geometry,
+  memory residency), so the ``auto`` join strategy plans here exactly as
+  on the simulated engine;
 * :meth:`query` compiles the shared interval predicates (``intersects``,
   ``stab``, Allen's thirteen relations) to a WHERE-clause rewrite of the
   Figure 9 statement over the predicate's candidate range.
@@ -801,8 +801,14 @@ class SQLRITree(IntervalStore):
 
         A :meth:`~repro.core.costmodel.RITreeCostModel.from_sql_tree`
         model: histograms by SQL aggregation, geometry from sqlite page
-        counts.  The cached model goes stale under updates; pass
-        ``refresh=True`` to re-run the ANALYZE pass.
+        counts and pragmas.  An in-memory database (``:memory:``, an
+        empty ``main`` file name) is memory-resident, so joins are priced
+        with zero physical reads and the planner compares interpreter
+        work; a file-backed one is priced against its page cache.  All of
+        these statistics are read once per ANALYZE, so estimating issues
+        no SQL.  The cached model -- histograms and geometry alike -- goes
+        stale under updates; pass ``refresh=True`` to re-run the ANALYZE
+        pass.
         """
         from ..core.costmodel import RITreeCostModel
 

@@ -7,8 +7,12 @@ to the simulated-engine strategies and the counting oracle, with the
 ``auto`` dispatch consistent with ``RITreeCostModel.from_sql_tree``
 estimates; plus the update-path economies (dirty-flag parameter
 persistence, the empty-backbone fast path) observed at the statement
-level through sqlite's trace hook.
+level through sqlite's trace hook, and the planner's view of the store:
+an in-memory database prices no physical reads, a file-backed one keeps
+its disk pricing, and estimates read only ANALYZE-time statistics.
 """
+
+import json
 
 import pytest
 
@@ -19,11 +23,13 @@ from repro.workloads import join_workload
 from repro.workloads.joins import expected_pair_count
 
 from ..conftest import make_intervals
+from ..core.test_planner_golden import GOLDEN, INNER_N, PROBE_SIZES, _join, _predicates
 
 
 def two_sided(seed, outer_n=120, inner_n=900, outer_d=4000, inner_d=700):
-    workload = join_workload(outer_n=outer_n, inner_n=inner_n,
-                             outer_d=outer_d, inner_d=inner_d, seed=seed)
+    workload = join_workload(
+        outer_n=outer_n, inner_n=inner_n, outer_d=outer_d, inner_d=inner_d, seed=seed
+    )
     return workload.outer.records, workload.inner.records
 
 
@@ -59,15 +65,12 @@ def test_auto_on_sql_backend_is_consistent_with_the_planner(seed):
 
 def test_planner_decisions_across_regimes():
     """Pinned workloads on either side of the index/sweep crossover."""
-    outer, inner = two_sided(3, outer_n=5, inner_n=8000,
-                             outer_d=2000, inner_d=1000)
+    outer, inner = two_sided(3, outer_n=5, inner_n=8000, outer_d=2000, inner_d=1000)
     few_probes = SQLRITree()
     few_probes.bulk_load(inner)
-    assert few_probes.cost_model().estimate_join(outer).choice == \
-        "index-nested-loop"
+    assert few_probes.cost_model().estimate_join(outer).choice == "index-nested-loop"
 
-    outer, inner = two_sided(0, outer_n=200, inner_n=2000,
-                             outer_d=2000, inner_d=2000)
+    outer, inner = two_sided(0, outer_n=200, inner_n=2000, outer_d=2000, inner_d=2000)
     many_probes = SQLRITree()
     many_probes.bulk_load(inner)
     assert many_probes.cost_model().estimate_join(outer).choice == "sweep"
@@ -208,8 +211,7 @@ def test_stored_records_materialise_temporal_bounds():
     probes = [(150, 160, 9), (10, 20, 8)]
     reference = sorted(sql_tree.join_pairs(probes))
     assert reference == [(8, 1), (8, 3), (9, 2)]
-    assert sorted(SweepJoin().pairs(probes, sql_tree.stored_records())) == \
-        reference
+    assert sorted(SweepJoin().pairs(probes, sql_tree.stored_records())) == reference
     records = {i: (s, e) for s, e, i in sql_tree.stored_records()}
     assert records[1] == (5, 100)  # effective upper = now
 
@@ -219,10 +221,8 @@ def test_stored_records_materialise_temporal_bounds():
     engine_tree.insert(0, 30, 3)
     engine_tree.insert_until_now(5, 1)
     engine_tree.insert_infinite(50, 2)
-    assert sorted(engine_tree.stored_records()) == \
-        sorted(sql_tree.stored_records())
-    assert sorted(SweepJoin().pairs(probes, engine_tree.stored_records())) \
-        == reference
+    assert sorted(engine_tree.stored_records()) == sorted(sql_tree.stored_records())
+    assert sorted(SweepJoin().pairs(probes, engine_tree.stored_records())) == reference
 
 
 def test_reserved_fork_rows_still_reach_queries():
@@ -283,21 +283,16 @@ def test_sql_predicate_join_matches_engine_and_oracle(rng):
 
     records = make_intervals(rng, 400, domain=20_000, mean_length=400)
     inner = records[:300]
-    probes = [(s, e, 50_000 + i)
-              for i, (s, e, _) in enumerate(records[300:])]
+    probes = [(s, e, 50_000 + i) for i, (s, e, _) in enumerate(records[300:])]
     sql_tree = SQLRITree()
     sql_tree.bulk_load(inner)
     engine_tree = RITree()
     engine_tree.bulk_load(inner)
     for name in JOIN_PREDICATES:
-        expected = sorted(
-            NestedLoopJoin(predicate=name).pairs(probes, inner))
-        assert sorted(sql_tree.join_pairs(probes, predicate=name)) == \
-            expected, name
-        assert sql_tree.join_count(probes, predicate=name) == \
-            len(expected), name
-        assert sorted(engine_tree.join_pairs(probes, predicate=name)) == \
-            expected, name
+        expected = sorted(NestedLoopJoin(predicate=name).pairs(probes, inner))
+        assert sorted(sql_tree.join_pairs(probes, predicate=name)) == expected, name
+        assert sql_tree.join_count(probes, predicate=name) == len(expected), name
+        assert sorted(engine_tree.join_pairs(probes, predicate=name)) == expected, name
 
 
 def test_sql_predicate_join_is_one_statement(rng):
@@ -306,8 +301,7 @@ def test_sql_predicate_join_is_one_statement(rng):
     (no AUTOMATIC index, no base-table scan)."""
     records = make_intervals(rng, 500, domain=30_000, mean_length=400)
     inner = records[:400]
-    probes = [(s, e, 60_000 + i)
-              for i, (s, e, _) in enumerate(records[400:])]
+    probes = [(s, e, 60_000 + i) for i, (s, e, _) in enumerate(records[400:])]
     sql_tree = SQLRITree()
     sql_tree.bulk_load(inner)
     for name in ("before", "during", "equals", "met_by"):
@@ -315,8 +309,7 @@ def test_sql_predicate_join_is_one_statement(rng):
         sql_tree.conn.set_trace_callback(statements.append)
         sql_tree.join_pairs(probes, predicate=name)
         sql_tree.conn.set_trace_callback(None)
-        selects = [s for s in statements
-                   if s.lstrip().startswith("SELECT")]
+        selects = [s for s in statements if s.lstrip().startswith("SELECT")]
         # The probe batch is answered by exactly ONE statement (the one
         # joining the probe relation); before/after additionally read
         # the stored extent (a MIN/MAX aggregate) to bound their
@@ -338,8 +331,7 @@ def test_sql_predicate_join_is_one_statement(rng):
 def test_sql_predicate_join_count_is_one_statement(rng):
     records = make_intervals(rng, 300, domain=20_000, mean_length=300)
     inner = records[:250]
-    probes = [(s, e, 70_000 + i)
-              for i, (s, e, _) in enumerate(records[250:])]
+    probes = [(s, e, 70_000 + i) for i, (s, e, _) in enumerate(records[250:])]
     sql_tree = SQLRITree()
     sql_tree.bulk_load(inner)
     statements = []
@@ -369,22 +361,18 @@ def test_sql_predicate_join_handles_reserved_rows():
     probes = [(31, 39, 700), (0, 200, 701), (0, 40, 702), (101, 150, 703)]
     effective = sql_tree.stored_records()
     for name in JOIN_PREDICATES:
-        expected = sorted(
-            NestedLoopJoin(predicate=name).pairs(probes, effective))
-        assert sorted(sql_tree.join_pairs(probes, predicate=name)) == \
-            expected, name
-        assert sorted(
-            SweepJoin(predicate=name).pairs(probes, effective)
-        ) == expected, name
+        expected = sorted(NestedLoopJoin(predicate=name).pairs(probes, effective))
+        assert sorted(sql_tree.join_pairs(probes, predicate=name)) == expected, name
+        assert (
+            sorted(SweepJoin(predicate=name).pairs(probes, effective)) == expected
+        ), name
     # The reviewer regression: 'before' must reach the infinite row
     # whatever strategy the planner picks.
-    assert sorted(sql_tree.join_pairs([(0, 40, 700)], predicate="before")) \
-        == [(700, 9)]
+    assert sorted(sql_tree.join_pairs([(0, 40, 700)], predicate="before")) == [(700, 9)]
     auto = AutoJoin(method=sql_tree, predicate="before")
     assert sorted(auto.pairs([(0, 40, 700)], inner=[])) == [(700, 9)]
     # The default (intersection) join reaches the reserved rows too.
-    assert sorted(sql_tree.join_pairs([(90, 95, 702)])) == \
-        [(702, 8), (702, 9)]
+    assert sorted(sql_tree.join_pairs([(90, 95, 702)])) == [(702, 8), (702, 9)]
 
 
 def test_sql_predicate_query_matches_engine_on_temporal_rows():
@@ -406,8 +394,7 @@ def test_sql_predicate_query_matches_engine_on_temporal_rows():
         if name == "stab":
             continue
         for lower, upper in [(0, 35), (31, 39), (90, 120), (150, 200)]:
-            expected = sorted(PREDICATES[name].filter(
-                effective, lower, upper))
+            expected = sorted(PREDICATES[name].filter(effective, lower, upper))
             got_sql = sorted(sql_tree.query(lower, upper, predicate=name))
             got_engine = sorted(engine_tree.query(lower, upper, predicate=name))
             assert got_sql == expected, (name, lower, upper)
@@ -420,16 +407,138 @@ def test_auto_predicate_join_plans_on_the_sql_backend(rng):
 
     records = make_intervals(rng, 400, domain=25_000, mean_length=400)
     inner = records[:320]
-    probes = [(s, e, 80_000 + i)
-              for i, (s, e, _) in enumerate(records[320:])]
+    probes = [(s, e, 80_000 + i) for i, (s, e, _) in enumerate(records[320:])]
     sql_tree = SQLRITree()
     sql_tree.bulk_load(inner)
     for name in ("before", "during"):
-        planned = sql_tree.cost_model().estimate_join(
-            probes, predicate=name)
+        planned = sql_tree.cost_model().estimate_join(probes, predicate=name)
         auto = AutoJoin(method=sql_tree, predicate=name)
         pairs = auto.pairs(probes, inner=[])
         assert auto.last_decision.choice == planned.choice
         assert auto.last_dispatch == auto.last_decision.choice
         assert sorted(pairs) == sorted(
-            NestedLoopJoin(predicate=name).pairs(probes, inner)), name
+            NestedLoopJoin(predicate=name).pairs(probes, inner)
+        ), name
+
+
+# ----------------------------------------------------------------------
+# memory residency and ANALYZE-time geometry
+# ----------------------------------------------------------------------
+#: ``(index, sweep)`` physical reads a file-backed store prices on the
+#: golden workload: the disk numbers the planner fixture held for the
+#: sqlite RI-tree before in-memory stores were priced as memory-resident.
+FILE_BACKED_PHYSICAL_READS = {
+    "join/12/none": (26.524840282250292, 25.0),
+    "join/12/during": (39.861136666226834, 25.0),
+    "join/12/before": (40.92945888620229, 25.0),
+    "join/12/range_duration": (28.350688115874945, 25.0),
+    "join/600/none": (30.0, 29.0),
+    "join/600/during": (40.93463468931302, 29.0),
+    "join/600/before": (40.93463468931302, 29.0),
+    "join/600/range_duration": (40.93463468931302, 29.0),
+}
+
+
+def golden_sql_tree(connection=None):
+    """The planner fixture's workload: 3,000 stored rows, 600 probes."""
+    workload = join_workload(max(PROBE_SIZES), INNER_N, seed=13)
+    tree = SQLRITree(connection)
+    tree.bulk_load(workload.inner.records)
+    return workload.outer.records, workload.inner.records, tree
+
+
+def test_in_memory_store_prices_no_physical_reads():
+    outer, _inner, tree = golden_sql_tree()
+    model = tree.cost_model()
+    for size in PROBE_SIZES:
+        for label, pred in _predicates().items():
+            estimate = model.estimate_join(outer[:size], predicate=pred)
+            assert estimate.index.physical_reads == 0.0, (size, label)
+            assert estimate.sweep.physical_reads == 0.0, (size, label)
+            assert estimate.index.logical_reads > 0.0, (size, label)
+
+
+def test_file_backed_store_keeps_its_disk_pricing(tmp_path):
+    import sqlite3
+
+    golden = json.loads(GOLDEN.read_text())["sql-ritree"]
+    outer, _inner, tree = golden_sql_tree(sqlite3.connect(tmp_path / "golden.db"))
+    model = tree.cost_model()
+    for size in PROBE_SIZES:
+        for label, pred in _predicates().items():
+            key = f"join/{size}/{label}"
+            expected = golden[key]
+            index_reads, sweep_reads = FILE_BACKED_PHYSICAL_READS[key]
+            expected["index"]["physical_reads"] = index_reads
+            expected["sweep"]["physical_reads"] = sweep_reads
+            estimate = model.estimate_join(outer[:size], predicate=pred)
+            assert _join(estimate) == expected, key
+
+
+def test_auto_dispatches_the_index_join_on_a_small_in_memory_batch():
+    """12 probes against 3,000 rows: the sweep would read every stored
+    row, the index join touches a few leaves, and nothing is on disk."""
+    outer, inner, tree = golden_sql_tree()
+    probes = outer[:12]
+    auto = AutoJoin(method=tree)
+    pairs = auto.pairs(probes, inner)
+    assert auto.last_decision.choice == "index-nested-loop"
+    assert auto.last_dispatch == "index-nested-loop"
+    assert sorted(pairs) == sorted(SweepJoin().pairs(probes, inner))
+
+
+def test_estimates_issue_no_statements_between_analyze_passes():
+    outer, _inner, tree = golden_sql_tree()
+    model = tree.cost_model()
+    statements = []
+    tree.conn.set_trace_callback(statements.append)
+    for size in PROBE_SIZES:
+        for pred in _predicates().values():
+            model.estimate_join(outer[:size], predicate=pred)
+    model.estimate(0, 100_000)
+    model.estimate_query("during", 0, 100_000)
+    assert model.table_blocks > 0
+    assert statements == []
+    assert tree.cost_model(refresh=True) is model
+    tree.conn.set_trace_callback(None)
+    pragmas = [s for s in statements if s.startswith("PRAGMA")]
+    assert pragmas == [
+        "PRAGMA page_size",
+        "PRAGMA cache_size",
+        "PRAGMA database_list",
+    ]
+    assert len([s for s in statements if "dbstat" in s]) == 1
+
+
+def test_missing_dbstat_is_paid_once_per_analyze():
+    """A build without ``dbstat`` prices the analytic B+-tree layout and
+    pays its failed lookup once per ANALYZE, not once per estimate."""
+    import sqlite3
+    from types import SimpleNamespace
+
+    from repro.core.costmodel import analytic_geometry
+
+    outer, _inner, tree = golden_sql_tree()
+    failures = []
+
+    class WithoutDbstat:
+        def execute(self, sql, *args):
+            if "dbstat" in sql:
+                failures.append(sql)
+                raise sqlite3.OperationalError("no such table: dbstat")
+            return tree.conn.execute(sql, *args)
+
+    store = SimpleNamespace(
+        conn=WithoutDbstat(), name=tree.name, backbone=tree.backbone
+    )
+    model = RITreeCostModel.from_sql_tree(store)
+    for size in PROBE_SIZES:
+        model.estimate_join(outer[:size])
+    assert len(failures) == 1
+    geometry = model.stats.geometry(INNER_N)
+    analytic = analytic_geometry(INNER_N, geometry.block_size, geometry.cache_blocks)
+    assert geometry.leaf_blocks == analytic.leaf_blocks
+    assert geometry.table_blocks == analytic.table_blocks
+    assert geometry.memory_resident
+    model.refresh()
+    assert len(failures) == 2
