@@ -26,7 +26,7 @@ Two layers live here:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..engine.database import Database
 from .interval import validate_interval
@@ -366,6 +366,27 @@ class IntervalStore(ABC):
             self.intersection_count(lower, upper)
             for lower, upper, _probe_id in probes
         )
+
+    # ------------------------------------------------------------------
+    # scatter-gather
+    # ------------------------------------------------------------------
+    def submit(self, method: str, *args, **kwargs) -> Callable[[], Any]:
+        """Start ``method(*args, **kwargs)``; the returned callable
+        yields its result.
+
+        The hook :class:`~repro.core.router.ShardedStore` fans out
+        through: it submits to every shard a call touches before it
+        reads any result, so stores that do their work elsewhere can
+        work in parallel.  This default runs the call now (an exception
+        propagates from here) and returns a callable that hands back
+        the result, so in-process stores evaluate eagerly and need not
+        implement anything.  :class:`~repro.service.client.RemoteStore`
+        overrides it to write the request frame and return the reader
+        of the response; a caller must run every callable it was handed
+        exactly once, even after another one raised.
+        """
+        result = getattr(self, method)(*args, **kwargs)
+        return lambda: result
 
     # ------------------------------------------------------------------
     # verification

@@ -24,6 +24,10 @@ Why this answers queries almost comparison-free:
   level) are deduplicated by the *first occurrence* rule: replicas are
   only reported from the first partition of a level's walk, which is
   the unique assigned partition containing the query's start cell.
+* The open-ended relations ``before``/``after`` walk the range their
+  matches' lower bounds can take and read one ``bisect`` slice per
+  partition (a head of the upper-sorted view, a tail of the
+  lower-sorted view), so they too run without per-record comparisons.
 
 The store implements the full :class:`~repro.core.access.IntervalStore`
 protocol -- updates, the intersection family, predicate ``query`` via
@@ -74,6 +78,10 @@ DEFAULT_LEVELS = 10
 HINT_FRAMES_PER_PROBE = 4.0
 HINT_FRAMES_PER_LEVEL = 1.5
 HINT_FRAMES_PER_PAIR = 0.05
+
+#: The relations whose candidate window runs to the stored extent; the
+#: store answers them with bisect slices instead of a refine.
+_OPEN_ENDED = ("before", "after")
 
 #: Frames per candidate record of a predicate join's refinement: one
 #: ``holds`` activation each, same regime as the RI-tree's leaf slices.
@@ -652,7 +660,8 @@ class HintStore(IntervalStore):
         """``(lower, upper, id)`` triples intersecting ``[lower, upper]``,
         with *effective* upper bounds for sentinel rows (``UPPER_INF``
         stays symbolic; now-relative rows materialise the clock).  Same
-        walk as :meth:`_finite_ids`, carrying bounds for refinement."""
+        walk as :meth:`_finite_ids`, carrying bounds for the refine of
+        every relation but ``before``/``after``."""
         out: list = []
         if self._offset is not None:
             pl = self._pos(lower)
@@ -704,17 +713,65 @@ class HintStore(IntervalStore):
 
     def _candidate_window(self, pred, lower: int, upper: int):
         floor = ceiling = None
-        if (pred.name in ("before", "after")
+        if (pred.name in _OPEN_ENDED
                 or getattr(pred, "needs_extent", False)):
             floor, ceiling = self._candidate_extent()
             if floor is None:
                 return None
         return pred.candidates(lower, upper, floor, ceiling)
 
+    def _open_ended_ids(self, name: str, lower: int, upper: int,
+                        window: tuple[int, int]) -> list[int]:
+        """Ids of records standing ``before``/``after`` ``[lower,
+        upper]``, given the relation's candidate ``window``.
+
+        The window spans every stored lower bound a match can have, so
+        each match's *original* partition lies on the level walk over
+        it, and reading only originals reports every match exactly once
+        (replicas start left of the window and never match).  Each
+        touched partition contributes one ``bisect`` slice: a head of
+        its upper-sorted view for ``before`` (``e < lower``), a tail of
+        its lower-sorted view for ``after`` (``s > upper``); no
+        candidate tuple is built and no ``holds`` runs.  Sentinel rows
+        come from the side lists: ``[s, oo)`` rows are never before
+        anything, ``[s, now]`` rows are before ``[lower, upper]`` iff
+        the clock is.
+        """
+        before = name == "before"
+        out: list[int] = []
+        if self._offset is not None:
+            pl = self._pos(window[0])
+            pu = self._pos(window[1])
+            m = self.levels
+            for level in range(m, -1, -1):
+                parts = self._levels[level]
+                if not parts:
+                    continue
+                shift = m - level
+                for pid in range(pl >> shift, (pu >> shift) + 1):
+                    part = parts.get(pid)
+                    if part is not None:
+                        b = part[0]
+                        if before:
+                            out.extend(
+                                b.e_ids[:bisect_left(b.e_uppers, lower)])
+                        else:
+                            out.extend(
+                                b.s_ids[bisect_right(b.s_lowers, upper):])
+        if before:
+            if self._now < lower:
+                out.extend(self._now_ids)
+        else:
+            out.extend(self._inf_ids[bisect_right(self._inf_lowers, upper):])
+            out.extend(self._now_ids[bisect_right(self._now_lowers, upper):])
+        return out
+
     def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
         window = self._candidate_window(pred, lower, upper)
         if window is None:
             return []
+        if pred.name in _OPEN_ENDED:
+            return self._open_ended_ids(pred.name, lower, upper, window)
         holds = pred.holds
         return [i for s, e, i in self._candidate_records(*window)
                 if holds(s, e, lower, upper)]
@@ -743,7 +800,8 @@ class HintStore(IntervalStore):
         inverse = pred.inverse
         holds = pred.holds
         floor = ceiling = None
-        if inverse.name in ("before", "after"):
+        open_ended = inverse.name in _OPEN_ENDED
+        if open_ended:
             floor, ceiling = self._candidate_extent()
             if floor is None:
                 return []
@@ -751,6 +809,10 @@ class HintStore(IntervalStore):
             validate_interval(lower, upper)
             window = inverse.candidates(lower, upper, floor, ceiling)
             if window is None:
+                continue
+            if open_ended:
+                ids = self._open_ended_ids(inverse.name, lower, upper, window)
+                pairs.extend(zip(repeat(probe_id), ids))
                 continue
             pairs.extend([
                 (probe_id, interval_id)

@@ -25,7 +25,9 @@ left-crossing replicas -- each of which provably matches any clipped
 window handed to that shard, because the clip starts exactly at the
 slice start ``slo_t`` and a left replica has ``lower < slo_t <= upper``
 (infinite replicas always match; ``now``-relative replicas match iff
-the shared clock has reached ``slo_t``).  Counts subtract the same
+the shared clock has reached ``slo_t``).  The id multiset a shard's
+results drop is cached per shard and rebuilt only after a replica
+changes or the clock crosses the slice start.  Counts subtract the same
 per-shard replica totals without materialising ids, which is what keeps
 ``intersection_count``/``join_count`` replication-blind.
 
@@ -40,6 +42,15 @@ Predicate queries evaluate on *full* record bounds (replicas are whole
 copies, never truncated), so every replica-holding shard reports the
 same verdict as the home shard; the router refines its replica
 multisets with the same pure predicate to subtract the extras.
+
+Scatter-gather
+--------------
+Every call that reaches more than one shard goes through
+:meth:`~repro.core.access.IntervalStore.submit`: the router submits to
+each touched shard in ascending shard order before it reads any result,
+then drains every submitted call (see :meth:`ShardedStore._fan_out`).
+In-process shards evaluate at submit time; remote shards write their
+request frames first, so the shard servers work in parallel.
 """
 
 from __future__ import annotations
@@ -145,16 +156,16 @@ class ShardedStore(IntervalStore):
             f"sharded[{len(self.shards)}]({self.shards[0].method_name})")
         self._now = now
         self._count = 0
-        # Per-shard left-crossing replica multisets: full triples for
-        # predicate refinement and stored_records(), id Counters for
-        # intersection-result stripping, plain totals for count paths.
+        # Per-shard left-crossing replica multisets: full records for
+        # predicate refinement and stored_records(), plain totals for
+        # count paths, and the cached id multiset every clipped read
+        # strips (None until the next read rebuilds it; replica changes
+        # and clock moves across the slice start reset it).
         n = len(self.shards)
         self._rep_fin: list[Counter] = [Counter() for _ in range(n)]
         self._rep_inf: list[Counter] = [Counter() for _ in range(n)]
         self._rep_now: list[Counter] = [Counter() for _ in range(n)]
-        self._rep_fin_ids: list[Counter] = [Counter() for _ in range(n)]
-        self._rep_inf_ids: list[Counter] = [Counter() for _ in range(n)]
-        self._rep_now_ids: list[Counter] = [Counter() for _ in range(n)]
+        self._strips: list[Optional[Counter]] = [None] * n
         self._rep_fin_n = [0] * n
         self._rep_inf_n = [0] * n
         self._rep_now_n = [0] * n
@@ -255,9 +266,8 @@ class ShardedStore(IntervalStore):
             self.shards[t].insert(lower, upper, interval_id)
             self._stat_inserts[t] += 1
             if t > first:
-                self._rep_fin[t][(lower, upper, interval_id)] += 1
-                self._rep_fin_ids[t][interval_id] += 1
-                self._rep_fin_n[t] += 1
+                self._note_replica(self._rep_fin, self._rep_fin_n, t,
+                                   (lower, upper, interval_id))
         self._count += 1
         self._backbone.register(lower, upper)
 
@@ -277,19 +287,21 @@ class ShardedStore(IntervalStore):
         for t in range(first, last + 1):
             self.shards[t].delete(lower, upper, interval_id)
             if t > first:
-                self._drop_replica(self._rep_fin, self._rep_fin_ids, t,
-                                   (lower, upper, interval_id), interval_id)
-                self._rep_fin_n[t] -= 1
+                self._drop_replica(self._rep_fin, self._rep_fin_n, t,
+                                   (lower, upper, interval_id))
         self._count -= 1
 
-    @staticmethod
-    def _drop_replica(triples, ids, t, triple, interval_id) -> None:
-        triples[t][triple] -= 1
-        if not triples[t][triple]:
-            del triples[t][triple]
-        ids[t][interval_id] -= 1
-        if not ids[t][interval_id]:
-            del ids[t][interval_id]
+    def _note_replica(self, replicas, totals, t: int, key) -> None:
+        replicas[t][key] += 1
+        totals[t] += 1
+        self._strips[t] = None
+
+    def _drop_replica(self, replicas, totals, t: int, key) -> None:
+        replicas[t][key] -= 1
+        if not replicas[t][key]:
+            del replicas[t][key]
+        totals[t] -= 1
+        self._strips[t] = None
 
     def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
         """Batch per shard: one backend ``bulk_load`` per slice."""
@@ -306,14 +318,12 @@ class ShardedStore(IntervalStore):
                 batches[t].append((lower, upper, interval_id))
                 self._stat_inserts[t] += 1
                 if t > first:
-                    self._rep_fin[t][(lower, upper, interval_id)] += 1
-                    self._rep_fin_ids[t][interval_id] += 1
-                    self._rep_fin_n[t] += 1
+                    self._note_replica(self._rep_fin, self._rep_fin_n, t,
+                                       (lower, upper, interval_id))
             self._count += 1
             self._backbone.register(lower, upper)
-        for shard, batch in zip(self.shards, batches):
-            if batch:
-                shard.bulk_load(batch)
+        self._fan_out([(t, "bulk_load", batch)
+                       for t, batch in enumerate(batches) if batch])
         for lower, upper, interval_id in sentinels:
             self.insert(lower, upper, interval_id)
 
@@ -340,9 +350,8 @@ class ShardedStore(IntervalStore):
                     batches[t].append((lower, UPPER_INF, interval_id))
                     self._stat_appends[t] += 1
                     if t > home:
-                        self._rep_inf[t][(lower, interval_id)] += 1
-                        self._rep_inf_ids[t][interval_id] += 1
-                        self._rep_inf_n[t] += 1
+                        self._note_replica(self._rep_inf, self._rep_inf_n,
+                                           t, (lower, interval_id))
                         self._stat_append_replicas[t] += 1
                 self._count += 1
                 self._backbone.register(lower, lower)
@@ -357,9 +366,8 @@ class ShardedStore(IntervalStore):
                     batches[t].append((lower, UPPER_NOW, interval_id))
                     self._stat_appends[t] += 1
                     if t > home:
-                        self._rep_now[t][(lower, interval_id)] += 1
-                        self._rep_now_ids[t][interval_id] += 1
-                        self._rep_now_n[t] += 1
+                        self._note_replica(self._rep_now, self._rep_now_n,
+                                           t, (lower, interval_id))
                         self._stat_append_replicas[t] += 1
                 self._count += 1
                 self._backbone.register(lower, lower)
@@ -371,15 +379,13 @@ class ShardedStore(IntervalStore):
                     batches[t].append((lower, upper, interval_id))
                     self._stat_appends[t] += 1
                     if t > first:
-                        self._rep_fin[t][(lower, upper, interval_id)] += 1
-                        self._rep_fin_ids[t][interval_id] += 1
-                        self._rep_fin_n[t] += 1
+                        self._note_replica(self._rep_fin, self._rep_fin_n,
+                                           t, (lower, upper, interval_id))
                         self._stat_append_replicas[t] += 1
                 self._count += 1
                 self._backbone.register(lower, upper)
-        for shard, batch in zip(self.shards, batches):
-            if batch:
-                shard.append_batch(batch)
+        self._fan_out([(t, "append_batch", batch)
+                       for t, batch in enumerate(batches) if batch])
 
     # ------------------------------------------------------------------
     # temporal rows (shared clock, replicate-right placement)
@@ -397,9 +403,13 @@ class ShardedStore(IntervalStore):
             raise ValueError(
                 f"clock moves forward only: {now} < now={self._now}")
         self._require_temporal("advance_to")
-        for shard in self.shards:
-            shard.advance_to(now)
+        self._fan_out([(t, "advance_to", now)
+                       for t in range(len(self.shards))])
+        passed = self._now
         self._now = now
+        for t in range(1, len(self.shards)):
+            if passed < self._slice_lo(t) <= now:
+                self._strips[t] = None
 
     def _require_temporal(self, op: str) -> None:
         shard = self.shards[0]
@@ -416,9 +426,8 @@ class ShardedStore(IntervalStore):
             self.shards[t].insert_infinite(lower, interval_id)
             self._stat_inserts[t] += 1
             if t > home:
-                self._rep_inf[t][(lower, interval_id)] += 1
-                self._rep_inf_ids[t][interval_id] += 1
-                self._rep_inf_n[t] += 1
+                self._note_replica(self._rep_inf, self._rep_inf_n, t,
+                                   (lower, interval_id))
         self._count += 1
         self._backbone.register(lower, lower)
 
@@ -434,9 +443,8 @@ class ShardedStore(IntervalStore):
             self.shards[t].insert_until_now(lower, interval_id)
             self._stat_inserts[t] += 1
             if t > home:
-                self._rep_now[t][(lower, interval_id)] += 1
-                self._rep_now_ids[t][interval_id] += 1
-                self._rep_now_n[t] += 1
+                self._note_replica(self._rep_now, self._rep_now_n, t,
+                                   (lower, interval_id))
         self._count += 1
         self._backbone.register(lower, lower)
 
@@ -447,9 +455,8 @@ class ShardedStore(IntervalStore):
         for t in range(home, len(self.shards)):
             self.shards[t].delete_infinite(lower, interval_id)
             if t > home:
-                self._drop_replica(self._rep_inf, self._rep_inf_ids, t,
-                                   (lower, interval_id), interval_id)
-                self._rep_inf_n[t] -= 1
+                self._drop_replica(self._rep_inf, self._rep_inf_n, t,
+                                   (lower, interval_id))
         self._count -= 1
 
     def delete_until_now(self, lower: int, interval_id: int) -> None:
@@ -459,9 +466,8 @@ class ShardedStore(IntervalStore):
         for t in range(home, len(self.shards)):
             self.shards[t].delete_until_now(lower, interval_id)
             if t > home:
-                self._drop_replica(self._rep_now, self._rep_now_ids, t,
-                                   (lower, interval_id), interval_id)
-                self._rep_now_n[t] -= 1
+                self._drop_replica(self._rep_now, self._rep_now_n, t,
+                                   (lower, interval_id))
         self._count -= 1
 
     def close_now_interval(self, lower: int, interval_id: int,
@@ -474,6 +480,45 @@ class ShardedStore(IntervalStore):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _clip(self, t: int, lower: int, upper: int) -> tuple[int, int]:
+        """``[lower, upper]`` clipped to slice ``t``."""
+        lo = self._slice_lo(t)
+        hi = self._slice_hi(t)
+        return (lower if lo is None else max(lower, lo),
+                upper if hi is None else min(upper, hi))
+
+    def _fan_out(self, calls, **kwargs) -> list:
+        """Run ``(shard, method, *args)`` calls scatter-gather.
+
+        Every call is submitted through :meth:`IntervalStore.submit`, in
+        the order given, before any result is read; callers list each
+        shard at most once and in ascending order, the global lock order
+        of shard connections.  Every submitted call is then collected,
+        also after one raised, so no connection is left locked or with
+        an unread response, and the first exception is re-raised after
+        the drain.  A submit that raises ends the scatter: in-process
+        shards run at submit time, so a failing shard stops the fan-out
+        where a sequential loop would.
+        """
+        waits = []
+        error = None
+        for t, method, *args in calls:
+            try:
+                waits.append(self.shards[t].submit(method, *args, **kwargs))
+            except Exception as exc:
+                error = exc
+                break
+        results = []
+        for wait in waits:
+            try:
+                results.append(wait())
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
+        return results
+
     def intersection(self, lower: int, upper: int) -> list[int]:
         validate_interval(lower, upper)
         first = self._shard_of(lower)
@@ -481,14 +526,12 @@ class ShardedStore(IntervalStore):
         self._stat_queries[first] += 1
         if first == last:
             return self.shards[first].intersection(lower, upper)
-        hi = self._slice_hi(first)
-        out = self.shards[first].intersection(lower, min(upper, hi))
         for t in range(first + 1, last + 1):
             self._stat_queries[t] += 1
-            lo = self._slice_lo(t)
-            hi = self._slice_hi(t)
-            ids = self.shards[t].intersection(
-                lo, upper if hi is None else min(upper, hi))
+        out, *rest = self._fan_out(
+            [(t, "intersection", *self._clip(t, lower, upper))
+             for t in range(first, last + 1)])
+        for t, ids in enumerate(rest, first + 1):
             out.extend(self._strip(ids, self._replica_ids(t)))
         return out
 
@@ -497,13 +540,21 @@ class ShardedStore(IntervalStore):
 
         Every left-crossing replica of shard ``t`` matches any window
         clipped to start at the slice start; ``now``-relative replicas
-        only once the clock has reached it.
+        only once the clock has reached it.  Cached per shard; callers
+        must not modify the result.
         """
-        remove = self._rep_fin_ids[t] + self._rep_inf_ids[t]
-        lo = self._slice_lo(t)
-        if self._rep_now_n[t] and self._now >= lo:
-            remove = remove + self._rep_now_ids[t]
-        return remove
+        strip = self._strips[t]
+        if strip is None:
+            strip = Counter()
+            for (_, _, interval_id), n in self._rep_fin[t].items():
+                strip[interval_id] += n
+            for (_, interval_id), n in self._rep_inf[t].items():
+                strip[interval_id] += n
+            if self._rep_now_n[t] and self._now >= self._slice_lo(t):
+                for (_, interval_id), n in self._rep_now[t].items():
+                    strip[interval_id] += n
+            self._strips[t] = strip
+        return strip
 
     def _replica_total(self, t: int) -> int:
         """Count analogue of :meth:`_replica_ids`."""
@@ -535,16 +586,13 @@ class ShardedStore(IntervalStore):
         self._stat_queries[first] += 1
         if first == last:
             return self.shards[first].intersection_count(lower, upper)
-        hi = self._slice_hi(first)
-        total = self.shards[first].intersection_count(lower, min(upper, hi))
         for t in range(first + 1, last + 1):
             self._stat_queries[t] += 1
-            lo = self._slice_lo(t)
-            hi = self._slice_hi(t)
-            total += self.shards[t].intersection_count(
-                lo, upper if hi is None else min(upper, hi))
-            total -= self._replica_total(t)
-        return total
+        counts = self._fan_out(
+            [(t, "intersection_count", *self._clip(t, lower, upper))
+             for t in range(first, last + 1)])
+        return sum(counts) - sum(self._replica_total(t)
+                                 for t in range(first + 1, last + 1))
 
     def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
         """Fan a relation predicate out; refine replicas with the same
@@ -557,10 +605,13 @@ class ShardedStore(IntervalStore):
         """
         out: list[int] = []
         holds = pred.holds
-        for t, shard in enumerate(self.shards):
+        for t in range(len(self.shards)):
             self._stat_queries[t] += 1
             self._stat_predicate_queries[t] += 1
-            ids = shard.query(lower, upper, predicate=pred)
+        results = self._fan_out(
+            [(t, "query", lower, upper) for t in range(len(self.shards))],
+            predicate=pred)
+        for t, ids in enumerate(results):
             remove: Counter = Counter()
             for (s, e, interval_id), n in self._rep_fin[t].items():
                 if holds(s, e, lower, upper):
@@ -580,36 +631,28 @@ class ShardedStore(IntervalStore):
     def _clipped_probes(self, probes):
         """Clip every probe to each touched shard's slice.
 
-        Returns per-shard probe batches plus, per shard, the pair strip
-        Counter and the count correction: a probe entering shard ``t``
-        as a non-first shard matches every left-crossing replica of
-        ``t`` (same argument as single queries), so each such probe
-        drops the full replica id multiset from its pairs.
+        Returns the touched shards in ascending order, their probe
+        batches, and per shard the ids of the probes that entered it as
+        a non-first shard: such a probe matches every left-crossing
+        replica of that shard (same argument as single queries), so its
+        pairs drop the replica id multiset and its count the replica
+        total.
         """
         batches: list[list[IntervalRecord]] = [[] for _ in self.shards]
-        strips: list[Counter] = [Counter() for _ in self.shards]
-        corrections = [0] * len(self.shards)
-        replica_ids = [self._replica_ids(t) for t in range(len(self.shards))]
-        replica_totals = [self._replica_total(t)
-                          for t in range(len(self.shards))]
+        entered: list[list[int]] = [[] for _ in self.shards]
         for lower, upper, probe_id in probes:
             validate_interval(lower, upper)
             first = self._shard_of(lower)
             last = self._shard_of(upper)
             self._stat_join_probes[first] += 1
-            hi = self._slice_hi(first)
             batches[first].append(
-                (lower, upper if hi is None else min(upper, hi), probe_id))
+                (*self._clip(first, lower, upper), probe_id))
             for t in range(first + 1, last + 1):
                 self._stat_join_probes[t] += 1
-                lo = self._slice_lo(t)
-                hi = self._slice_hi(t)
-                batches[t].append(
-                    (lo, upper if hi is None else min(upper, hi), probe_id))
-                for interval_id, n in replica_ids[t].items():
-                    strips[t][(probe_id, interval_id)] += n
-                corrections[t] += replica_totals[t]
-        return batches, strips, corrections
+                batches[t].append((*self._clip(t, lower, upper), probe_id))
+                entered[t].append(probe_id)
+        touched = [t for t, batch in enumerate(batches) if batch]
+        return touched, batches, entered
 
     def join_pairs(
         self, probes: Sequence[IntervalRecord], *legacy, predicate=None
@@ -624,13 +667,19 @@ class ShardedStore(IntervalStore):
         pred = resolve_join_predicate(predicate)
         if pred is not None:
             return super().join_pairs(probes, predicate=pred)
-        batches, strips, _ = self._clipped_probes(probes)
+        touched, batches, entered = self._clipped_probes(probes)
+        results = self._fan_out(
+            [(t, "join_pairs", batches[t]) for t in touched])
         pairs: list[tuple[int, int]] = []
-        for shard, batch, strip in zip(self.shards, batches, strips):
-            if not batch:
-                continue
-            got = shard.join_pairs(batch)
-            pairs.extend(self._strip(got, strip) if strip else got)
+        for t, got in zip(touched, results):
+            replicas = self._replica_ids(t) if entered[t] else None
+            if replicas:
+                strip: Counter = Counter()
+                for probe_id in entered[t]:
+                    for interval_id, n in replicas.items():
+                        strip[(probe_id, interval_id)] += n
+                got = self._strip(got, strip)
+            pairs.extend(got)
         return pairs
 
     def join_count(
@@ -641,13 +690,11 @@ class ShardedStore(IntervalStore):
         pred = resolve_join_predicate(predicate)
         if pred is not None:
             return len(self.join_pairs(probes, predicate=pred))
-        batches, _, corrections = self._clipped_probes(probes)
-        total = 0
-        for shard, batch, correction in zip(
-                self.shards, batches, corrections):
-            if batch:
-                total += shard.join_count(batch) - correction
-        return total
+        touched, batches, entered = self._clipped_probes(probes)
+        counts = self._fan_out(
+            [(t, "join_count", batches[t]) for t in touched])
+        return sum(counts) - sum(len(entered[t]) * self._replica_total(t)
+                                 for t in touched)
 
     # ------------------------------------------------------------------
     # enumeration / planning
@@ -655,8 +702,9 @@ class ShardedStore(IntervalStore):
     def stored_records(self) -> list[IntervalRecord]:
         """The logical record multiset: shard contents minus replicas."""
         out: list[IntervalRecord] = []
-        for t, shard in enumerate(self.shards):
-            records = shard.stored_records()
+        results = self._fan_out(
+            [(t, "stored_records") for t in range(len(self.shards))])
+        for t, records in enumerate(results):
             replicas = self._materialized_replicas(t)
             if not replicas:
                 out.extend(records)
@@ -745,8 +793,8 @@ class ShardedStore(IntervalStore):
                 f"logical + {self.replica_count} replicas were routed",
             )
         report.add_check("shard-verify")
-        for t, shard in enumerate(self.shards):
-            sub = shard.verify()
+        subs = self._fan_out([(t, "verify") for t in range(len(self.shards))])
+        for t, sub in enumerate(subs):
             for issue in sub.issues:
                 report.add_issue(
                     f"shard{t}-{issue.code}",

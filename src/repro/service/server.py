@@ -27,12 +27,16 @@ Topology (the ``python -m repro.service`` CLI)
   histogram.  All routing, replication and first-occurrence
   deduplication logic is the router's own -- the service adds processes,
   not semantics.  Each shard process evaluates on its own interpreter
-  (its own GIL), so concurrent requests scale across cores; the proxies
-  release the GIL during socket waits, which is what lets one router
-  process keep ``K`` shard processes busy.  Single-shard reads (stabs,
-  and intersections whose window fits one slice) additionally skip the
-  proxies: the router relays the raw request frame to the owning shard
-  server and streams the response frame back byte for byte (see
+  (its own GIL), so work scales across cores in two ways: one
+  multi-shard request is scattered (the router writes every touched
+  shard's request frame through :meth:`~repro.core.access.
+  IntervalStore.submit` before it reads any response, so the shards
+  evaluate it in parallel), and concurrent requests run on the router's
+  thread pool, whose proxies release the GIL during socket waits.
+  Single-shard reads (stabs, and intersections whose window fits one
+  slice) additionally skip the proxies: the router relays the raw
+  request frame to the owning shard server and streams the response
+  frame back byte for byte (see
   :meth:`IntervalService._fast_shard` for why that is exact), still
   under the service read lock, so relayed reads observe every completed
   router-level write.
@@ -565,13 +569,29 @@ def load_dataset(path: str) -> tuple[list[tuple[int, int, int]], int]:
 
 def _build_single(args, records: Sequence[tuple[int, int, int]],
                   now: int):
+    """One backend holding ``records``.
+
+    Finite rows go through ``bulk_load`` and sentinel rows through
+    ``append_batch``, the temporal backends' batch path for them (as
+    :meth:`~repro.core.router.ShardedStore.bulk_load` keeps them out of
+    its shards' bulk loads), so a disk backend's bottom-up build never
+    sees a sentinel upper.  A backend without temporal rows refuses a
+    dataset that has them before loading anything.
+    """
     from ..core.stores import create_store
+    from ..core.temporal import UPPER_INF, UPPER_NOW
 
     store = create_store(args.backend, **json.loads(args.backend_opts))
+    sentinels = [r for r in records if r[1] in (UPPER_INF, UPPER_NOW)]
+    if sentinels:
+        _temporal(store, "insert_infinite")
     if now:
         _temporal(store, "advance_to")(now)
-    if records:
-        store.bulk_load(records)
+    finite = [r for r in records if r[1] not in (UPPER_INF, UPPER_NOW)]
+    if finite:
+        store.bulk_load(finite)
+    if sentinels:
+        store.append_batch(sentinels)
     return store, lambda: None
 
 

@@ -8,11 +8,13 @@ dedup flag, domain refits, the temporal side lists, corruption
 detection through ``verify()``, and the zero-physical-read cost model.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import UPPER_INF, AutoJoin, HintStore, RITree
+from repro.core import UPPER_INF, UPPER_NOW, AutoJoin, HintStore, RITree
 from repro.core.hint import HintCostModel
 from repro.core.predicates import PREDICATES
 from repro.methods.memory import BruteForceIntervals
@@ -188,6 +190,94 @@ def test_temporal_rows_behave_like_the_temporal_tree(rng):
     with pytest.raises(KeyError):
         store.delete_infinite(3_000, 90_002)
     assert store.verify().ok
+
+
+# ----------------------------------------------------------------------
+# before/after: bisect slices of the level walk, no candidate refine
+# ----------------------------------------------------------------------
+span = st.tuples(st.integers(-300, 3_000), st.integers(0, 400))
+
+
+def _check_open_ended(store, rows, windows):
+    """``before``/``after`` queries and joins against brute force over
+    the effective ``rows``, with the candidate refine path disabled."""
+    probes = [(lower, upper, 50_000 + k)
+              for k, (lower, upper) in enumerate(windows)]
+    with mock.patch.object(store, "_candidate_records",
+                           side_effect=AssertionError("refine path used")):
+        for name in ("before", "after"):
+            pred = PREDICATES[name]
+            for lower, upper in windows:
+                assert sorted(store.query(lower, upper, predicate=name)) == (
+                    sorted(pred.filter(rows, lower, upper))), (name, lower)
+            expected = sorted(
+                (probe_id, i) for lower, upper, probe_id in probes
+                for s, e, i in rows if pred.holds(lower, upper, s, e))
+            assert sorted(store.join_pairs(probes, predicate=name)) == (
+                expected), name
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    finite=st.lists(span, max_size=40),
+    sentinels=st.lists(st.tuples(st.booleans(), st.integers(-300, 3_000)),
+                       max_size=6),
+    copies=st.integers(1, 2),
+    levels=st.integers(1, 10),
+    appended=st.booleans(),
+    deletes=st.integers(0, 12),
+    clock=st.tuples(st.integers(-300, 3_200), st.integers(0, 600)),
+    windows=st.lists(span, max_size=4),
+)
+def test_open_ended_relations_match_brute_force(
+        finite, sentinels, copies, levels, appended, deletes, clock,
+        windows):
+    now, advance = clock
+    records = [(lower, lower + length, k)
+               for k, (lower, length) in enumerate(finite)] * copies
+    records += [(lower, UPPER_INF, 9_000 + k) if infinite
+                else (min(lower, now), UPPER_NOW, 9_000 + k)
+                for k, (infinite, lower) in enumerate(sentinels)]
+    store = HintStore(levels=levels, now=now)
+    if appended:
+        store.append_batch(records)  # the raw-append + resort path
+    else:
+        store.bulk_load(records)
+    for record in records[:deletes]:
+        store.delete(*record)
+    live = records[deletes:]
+    store.advance_to(now + advance)
+    now = store.now
+    rows = [(s, now if e == UPPER_NOW else e, i) for s, e, i in live]
+    queries = [(lower, lower + length) for lower, length in windows]
+    # Exact record bounds, beyond the stored extent on both sides, and
+    # the clock before, inside and after the window.
+    for s, e, _ in rows[:3]:
+        queries += [(s, min(e, s + 500)), (e, e), (s - 1, s), (e, e + 1)]
+    queries += [(-5_000, -4_000), (10_000, 11_000), (now + 1, now + 50),
+                (now - 50, now + 50), (now - 50, now - 1)]
+    _check_open_ended(store, rows, queries)
+    assert store.verify().ok
+
+
+def test_open_ended_relations_on_empty_stores():
+    windows = [(0, 0), (-10, 10), (5, 500)]
+    _check_open_ended(HintStore(), [], windows)
+    emptied = HintStore()
+    emptied.append_batch([(3, 9, 1), (40, 60, 2), (7, UPPER_INF, 3)])
+    for record in [(3, 9, 1), (40, 60, 2), (7, UPPER_INF, 3)]:
+        emptied.delete(*record)
+    _check_open_ended(emptied, [], windows)
+    # Sentinel rows only: no finite domain fitted yet.
+    temporal = HintStore(now=20)
+    temporal.insert_infinite(5, 1)
+    temporal.insert_until_now(8, 2)
+    _check_open_ended(temporal, [(5, UPPER_INF, 1), (8, 20, 2)],
+                      windows + [(21, 30), (6, 7)])
 
 
 def test_temporal_join_parity(rng):

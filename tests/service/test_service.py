@@ -15,6 +15,7 @@ import pytest
 from repro.core.predicates import range_duration
 from repro.core.stores import create_store
 from repro.core.temporal import UPPER_INF, UPPER_NOW
+from repro.service import client as client_module
 from repro.service.client import RemoteStore, ServiceClient
 from repro.service.loadgen import (
     build_dataset,
@@ -54,6 +55,8 @@ def served(store, **service_kwargs):
         loop.call_soon_threadsafe(service.shutdown_requested.set)
         thread.join(10)
         service.close()
+        if not thread.is_alive():
+            loop.close()
 
 
 @contextmanager
@@ -120,6 +123,20 @@ def test_remote_store_mutations_roundtrip():
         assert sorted(proxy.intersection(8, 10)) == [1]
         assert proxy.interval_count == 2
         assert proxy.method_name == "remote(HINT)"
+
+
+def test_remote_batches_chunk_into_frames(monkeypatch):
+    monkeypatch.setattr(client_module, "BULK_CHUNK", 3)
+    records = [(i, i + 4, i) for i in range(8)]
+    appended = [(i, i + 2, 100 + i) for i in range(6)]
+    with remote(seeded_store()) as proxy:
+        proxy.bulk_load(records)
+        proxy.append_batch(appended)
+        proxy.append_batch([])
+        ops = proxy.stats()["ops"]
+        assert sorted(proxy.stored_records()) == sorted(records + appended)
+    assert ops["bulk_load"]["count"] == 3  # 3 + 3 + 2 records
+    assert ops["ingest_batch"]["count"] == 2  # 3 + 3, no empty frame
 
 
 def test_remote_temporal_entry_points():
@@ -343,6 +360,42 @@ def test_cli_roles_match_the_local_oracle(tmp_path, shards):
         except subprocess.TimeoutExpired:  # pragma: no cover
             proc.kill()
             raise
+
+
+@pytest.mark.parametrize("backend", ["temporal-ritree", "sql-ritree"])
+def test_single_backend_cli_loads_sentinel_rows(tmp_path, backend):
+    records, now = build_dataset(seed=8, n=300, domain=8_000, max_len=300)
+    assert {UPPER_INF, UPPER_NOW} <= {upper for _, upper, _ in records}
+    ops = build_ops(seed=9, count=120, domain=8_000, max_len=300, now=now)
+    expected = evaluate_ops(seeded_store(records, now=now), ops)
+    proc, host, port = spawn_cli(tmp_path, records, now,
+                                 ["--backend", backend])
+    try:
+        assert run_load(host, port, ops, concurrency=2).results == expected
+        with ServiceClient(host, port) as client:
+            assert client.call("info")["records"] == len(records)
+            client.call("shutdown")
+    finally:
+        proc.stdout.close()
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            proc.kill()
+            raise
+
+
+def test_single_backend_cli_refuses_sentinel_rows_without_temporal(tmp_path):
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(
+        {"records": [[1, 5, 1], [3, UPPER_INF, 2]], "now": 4}))
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.service", "--port", "0",
+         "--backend", "ritree", "--dataset", str(dataset)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode != 0
+    assert "LISTENING" not in done.stdout
+    assert "NotImplementedError: backend 'RI-tree'" in done.stderr
 
 
 def test_router_cli_serves_writes_and_temporal_rows(tmp_path):
