@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..engine.database import Database
 from .interval import validate_interval
+from .predicates import compile_query, resolve_join_predicate
 from .verify import VerificationReport
 
 #: An interval record handed to interval stores: (lower, upper, id).
@@ -179,7 +180,7 @@ class IntervalStore(ABC):
         return self.intersection(point, point)
 
     def query(
-        self, lower, upper: Optional[int] = None, *legacy,
+        self, lower: int, upper: Optional[int] = None, *,
         predicate="intersects",
     ) -> list[int]:
         """Ids of stored intervals standing in ``predicate`` to the query.
@@ -194,46 +195,14 @@ class IntervalStore(ABC):
         point query.  ``intersects`` and ``stab`` run every backend's
         native intersection machinery directly; relational predicates
         and parameterized families go through :meth:`_query_relation`,
-        the per-backend compilation hook.
-
-        The pre-v8 predicate-first form ``query(predicate, lower[,
-        upper])`` still works behind a :class:`DeprecationWarning` shim
-        (detected by the predicate landing in the ``lower`` slot), so
-        every caller -- including the service layer, which dispatches
-        generically -- should spell the bounds first and the predicate
-        as ``predicate=``.
+        the per-backend compilation hook.  The bounds are validated
+        here, once, before that dispatch, so every backend refuses
+        reversed or non-integer bounds alike.
         """
-        from .predicates import IntervalPredicate, compile_query
-
-        if isinstance(lower, (str, IntervalPredicate)):
-            # Legacy query(predicate, lower[, upper]): shift arguments.
-            if len(legacy) > 1:
-                raise TypeError(
-                    "query() takes at most a predicate and two bounds")
-            if predicate != "intersects":
-                raise TypeError(
-                    "query() got the predicate both positionally and as "
-                    "predicate=")
-            import warnings
-
-            warnings.warn(
-                "query(predicate, lower, upper) is deprecated; use "
-                "query(lower, upper, predicate=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            predicate, lower, upper = (
-                lower, upper, legacy[0] if legacy else None)
-            if lower is None:
-                raise TypeError("query() is missing the query bounds")
-        elif legacy:
-            raise TypeError(
-                f"query() takes two positional bounds, got "
-                f"{2 + len(legacy)} positional arguments; pass the "
-                f"predicate as predicate=")
         pred = compile_query(predicate)
         if upper is None:
             upper = lower
+        validate_interval(lower, upper)
         if pred.name == "intersects":
             return self.intersection(lower, upper)
         if pred.name == "stab":
@@ -285,7 +254,7 @@ class IntervalStore(ABC):
     # joins (probe side of the index-nested-loop interval join)
     # ------------------------------------------------------------------
     def join_pairs(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> list[tuple[int, int]]:
         """``(probe_id, stored_id)`` pairs standing in the join predicate.
 
@@ -306,12 +275,6 @@ class IntervalStore(ABC):
         pins the boundary conventions of degenerate (point) intervals to
         the nested-loop oracle's.
         """
-        from .predicates import (
-            resolve_join_predicate,
-            shim_positional_predicate,
-        )
-
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
         pred = resolve_join_predicate(predicate)
         pairs: list[tuple[int, int]] = []
         if pred is None:
@@ -342,7 +305,7 @@ class IntervalStore(ABC):
         return pairs
 
     def join_count(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> int:
         """Size of :meth:`join_pairs` without materialising the pair list.
 
@@ -353,12 +316,6 @@ class IntervalStore(ABC):
         count-only query path.  Predicate joins count through the same
         evaluation as :meth:`join_pairs`.
         """
-        from .predicates import (
-            resolve_join_predicate,
-            shim_positional_predicate,
-        )
-
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
         pred = resolve_join_predicate(predicate)
         if pred is not None:
             return len(self.join_pairs(probes, predicate=pred))

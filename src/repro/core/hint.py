@@ -59,11 +59,8 @@ from .costmodel import (
     memory_resident_geometry,
 )
 from .interval import validate_interval
-from .predicates import (
-    resolve_join_predicate,
-    shim_positional_predicate,
-)
-from .temporal import UPPER_INF, UPPER_NOW, resolve_clock_argument
+from .predicates import resolve_join_predicate
+from .temporal import UPPER_INF, UPPER_NOW
 from .verify import VerificationReport
 
 #: Default partitioning depth: ``levels = m`` gives ``2**m`` cells at the
@@ -440,10 +437,8 @@ class HintStore(IntervalStore):
         """Current clock value used for now-relative semantics."""
         return self._now
 
-    def advance_to(self, now: Optional[int] = None, *,
-                   timestamp: Optional[int] = None) -> None:
+    def advance_to(self, now: int) -> None:
         """Move the clock forward; time never runs backwards."""
-        now = resolve_clock_argument(now, timestamp)
         if now < self._now:
             raise ValueError(
                 f"clock moves forward only: {now} < now={self._now}")
@@ -779,9 +774,8 @@ class HintStore(IntervalStore):
     # ------------------------------------------------------------------
     # joins
     # ------------------------------------------------------------------
-    def join_pairs(self, probes: Sequence[IntervalRecord], *legacy,
+    def join_pairs(self, probes: Sequence[IntervalRecord], *,
                    predicate=None) -> list[tuple[int, int]]:
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
         pred = resolve_join_predicate(predicate)
         pairs: list[tuple[int, int]] = []
         if pred is None:
@@ -820,9 +814,8 @@ class HintStore(IntervalStore):
                 if holds(lower, upper, s, e)])
         return pairs
 
-    def join_count(self, probes: Sequence[IntervalRecord], *legacy,
+    def join_count(self, probes: Sequence[IntervalRecord], *,
                    predicate=None) -> int:
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
         pred = resolve_join_predicate(predicate)
         if pred is None:
             total = 0

@@ -64,7 +64,6 @@ families alike.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -534,33 +533,3 @@ def resolve_join_predicate(predicate) -> Optional[IntervalPredicate]:
         return None
     return pred
 
-
-def shim_positional_predicate(legacy, predicate, method: str):
-    """Resolve the deprecated positional ``predicate`` argument.
-
-    The query/join surface is keyword-only for everything past the
-    probe relation (``join_pairs(probes, predicate="before")``); older
-    call sites passed the predicate positionally.  Entry points absorb
-    stray positionals into a ``*legacy`` tuple and route them through
-    this shim, which warns once per call site and returns the effective
-    predicate, so the service layer can dispatch generically on
-    ``predicate=`` while old code keeps working for one deprecation
-    cycle.
-    """
-    if not legacy:
-        return predicate
-    if len(legacy) > 1:
-        raise TypeError(
-            f"{method}() takes one predicate, got {len(legacy)} extra "
-            f"positional arguments")
-    if predicate is not None:
-        raise TypeError(
-            f"{method}() got the predicate both positionally and as "
-            f"predicate=")
-    warnings.warn(
-        f"passing the predicate to {method}() positionally is "
-        f"deprecated; use {method}(..., predicate=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return legacy[0]

@@ -29,10 +29,7 @@ from ..engine.serial import pad_high, pad_low
 from .access import AccessMethod, IntervalRecord
 from .backbone import MAX_ABS_BOUND, VirtualBackbone
 from .interval import validate_interval
-from .predicates import (
-    resolve_join_predicate,
-    shim_positional_predicate,
-)
+from .predicates import resolve_join_predicate
 from .transient import QueryNodes, collect_query_nodes
 from .verify import VerificationReport, verify_engine_tree
 
@@ -406,7 +403,7 @@ class RITree(AccessMethod):
                 yield entry[2]
 
     def join_pairs(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> list[tuple[int, int]]:
         """Batched index-nested-loop join probe (overrides the base loop).
 
@@ -424,7 +421,6 @@ class RITree(AccessMethod):
         frames-per-pair economics of the batched pipeline, extended to
         every Allen relation.
         """
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
         pred = resolve_join_predicate(predicate)
         pairs: list[tuple[int, int]] = []
         extend = pairs.extend
@@ -445,10 +441,9 @@ class RITree(AccessMethod):
         return pairs
 
     def join_count(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> int:
         """Size of :meth:`join_pairs`; predicate counts refine per slice."""
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
         pred = resolve_join_predicate(predicate)
         if pred is None:
             return super().join_count(probes)

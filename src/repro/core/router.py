@@ -69,11 +69,8 @@ from .costmodel import (
     memory_resident_geometry,
 )
 from .interval import validate_interval
-from .predicates import (
-    resolve_join_predicate,
-    shim_positional_predicate,
-)
-from .temporal import UPPER_INF, UPPER_NOW, resolve_clock_argument
+from .predicates import resolve_join_predicate
+from .temporal import UPPER_INF, UPPER_NOW
 from .verify import VerificationReport
 
 
@@ -395,10 +392,8 @@ class ShardedStore(IntervalStore):
         """Current clock value, shared by every shard."""
         return self._now
 
-    def advance_to(self, now: Optional[int] = None, *,
-                   timestamp: Optional[int] = None) -> None:
+    def advance_to(self, now: int) -> None:
         """Move the shared clock forward on every shard."""
-        now = resolve_clock_argument(now, timestamp)
         if now < self._now:
             raise ValueError(
                 f"clock moves forward only: {now} < now={self._now}")
@@ -655,7 +650,7 @@ class ShardedStore(IntervalStore):
         return touched, batches, entered
 
     def join_pairs(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> list[tuple[int, int]]:
         """Batched overlap join: one backend probe batch per shard.
 
@@ -663,7 +658,6 @@ class ShardedStore(IntervalStore):
         already deduplicates) through the base-class path -- correct on
         every predicate, at nested-loop cost.
         """
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
         pred = resolve_join_predicate(predicate)
         if pred is not None:
             return super().join_pairs(probes, predicate=pred)
@@ -683,10 +677,9 @@ class ShardedStore(IntervalStore):
         return pairs
 
     def join_count(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> int:
         """Replication-blind join cardinality (the no-double-count rule)."""
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
         pred = resolve_join_predicate(predicate)
         if pred is not None:
             return len(self.join_pairs(probes, predicate=pred))

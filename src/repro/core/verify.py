@@ -109,6 +109,16 @@ class VerificationReport:
             "issues": [issue.as_dict() for issue in self.issues],
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "VerificationReport":
+        """Rebuild a report from its :meth:`as_dict` form."""
+        report = cls(store=data["store"], backend=data["backend"])
+        report.checks = list(data["checks"])
+        report.issues = [
+            VerificationIssue(issue["code"], issue["message"], issue.get("context"))
+            for issue in data["issues"]]
+        return report
+
     def __repr__(self) -> str:
         status = "ok" if self.ok else f"{len(self.issues)} issue(s)"
         return (

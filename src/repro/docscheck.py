@@ -1,6 +1,6 @@
-"""Documentation lints: relative links resolve, benchmarks are listed.
+"""Documentation lints: links resolve, benchmarks and wire ops are listed.
 
-Two checks keep ``docs/`` honest as the code moves:
+Three checks keep ``docs/`` honest as the code moves:
 
 * every relative markdown link in ``docs/*.md`` and ``README.md`` must
   point at a file or directory that exists (external ``http(s)``,
@@ -8,7 +8,10 @@ Two checks keep ``docs/`` honest as the code moves:
   network, and anchors are a rendering concern);
 * every benchmark script ``benchmarks/bench_*.py`` must be mentioned by
   name in ``docs/benchmarks.md``, so a new benchmark cannot land
-  without its documentation row.
+  without its documentation row;
+* every op of the wire-op table (:data:`repro.service.ops.OPS`) must be
+  named, in backticks, in ``docs/serving.md``, so a new op cannot land
+  undocumented either.
 
 Run it locally or from CI as::
 
@@ -74,11 +77,23 @@ def check_benchmarks_listed(root: Path) -> list[str]:
     return problems
 
 
+def check_ops_listed(root: Path) -> list[str]:
+    """Wire ops missing from ``docs/serving.md``."""
+    from .service.ops import OPS
+
+    listing = root / "docs" / "serving.md"
+    if not listing.exists():
+        return ["docs/serving.md does not exist"]
+    text = listing.read_text()
+    return [f"docs/serving.md: missing entry for wire op `{name}`"
+            for name in sorted(OPS) if f"`{name}`" not in text]
+
+
 def run(root: Path) -> list[str]:
     """All documentation problems under ``root`` (empty when clean)."""
     if not (root / "docs").is_dir():
         return [f"no docs/ directory under {root}"]
-    return check_links(root) + check_benchmarks_listed(root)
+    return check_links(root) + check_benchmarks_listed(root) + check_ops_listed(root)
 
 
 def main(argv: list[str] | None = None) -> int:

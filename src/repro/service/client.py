@@ -10,10 +10,11 @@ many shard processes busy.
 
 :class:`RemoteStore` adapts a served store back into the
 :class:`~repro.core.access.IntervalStore` contract: every method is one
-RPC (bulk loads chunked), the router's fan-out methods also have a
-``submit`` form that returns before the response arrives, contract
-exceptions round-trip by type, and temporal entry points appear *only
-when the remote backend has them* --
+:meth:`RemoteStore.submit` of the wire-op table in
+:mod:`repro.service.ops` (bulk loads chunked), which writes the request
+frame and returns before the response arrives, contract exceptions
+round-trip by type, and temporal entry points appear *only when the
+remote backend has them* --
 ``hasattr(remote, "insert_infinite")`` answers like the local store
 would, so :class:`~repro.core.router.ShardedStore` can front remote
 shards with unchanged temporal guards.
@@ -24,12 +25,11 @@ from __future__ import annotations
 import socket
 import threading
 from functools import partial
-from types import MethodType
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..core.access import IntervalRecord, IntervalStore
-from ..core.temporal import resolve_clock_argument
 from ..core.verify import VerificationReport
+from .ops import METHODS
 from .protocol import (
     ProtocolError,
     ServiceError,
@@ -40,22 +40,6 @@ from .protocol import (
 
 #: Records per bulk_load frame -- keeps frames around a megabyte.
 BULK_CHUNK = 20_000
-
-
-def _wire_predicate(predicate) -> dict:
-    """A predicate's wire form: ``predicate`` name plus family params.
-
-    Classic relations travel by name; a compiled query family
-    (:class:`~repro.core.predicates.CompiledQuery`) travels as its
-    ``family_name`` with the parameter bundle in a ``params`` field, so
-    the server can rebuild the compiled predicate with
-    :func:`~repro.core.predicates.compile_query`.
-    """
-    family = getattr(predicate, "family_name", "")
-    if family:
-        return {"predicate": family,
-                "params": dict(getattr(predicate, "param_dict", {}))}
-    return {"predicate": getattr(predicate, "name", predicate)}
 
 
 class ServiceClient:
@@ -127,44 +111,6 @@ class ServiceClient:
         self.close()
 
 
-# Temporal forwards, attached through __getattr__ so that a RemoteStore
-# over a non-temporal backend fails hasattr() like the local store does.
-def _rpc_insert_infinite(self, lower: int, interval_id: int) -> None:
-    self.call("insert_infinite", lower=lower, interval_id=interval_id)
-
-
-def _rpc_insert_until_now(self, lower: int, interval_id: int) -> None:
-    self.call("insert_until_now", lower=lower, interval_id=interval_id)
-
-
-def _rpc_delete_infinite(self, lower: int, interval_id: int) -> None:
-    self.call("delete_infinite", lower=lower, interval_id=interval_id)
-
-
-def _rpc_delete_until_now(self, lower: int, interval_id: int) -> None:
-    self.call("delete_until_now", lower=lower, interval_id=interval_id)
-
-
-def _rpc_close_now_interval(self, lower: int, interval_id: int,
-                            upper: int) -> None:
-    self.call("close_now_interval", lower=lower, interval_id=interval_id, upper=upper)
-
-
-def _rpc_advance_to(self, now: Optional[int] = None, *,
-                    timestamp: Optional[int] = None) -> None:
-    self._send_advance_to(now, timestamp=timestamp)()
-
-
-_TEMPORAL_FORWARDS = {
-    "insert_infinite": _rpc_insert_infinite,
-    "insert_until_now": _rpc_insert_until_now,
-    "delete_infinite": _rpc_delete_infinite,
-    "delete_until_now": _rpc_delete_until_now,
-    "close_now_interval": _rpc_close_now_interval,
-    "advance_to": _rpc_advance_to,
-}
-
-
 class RemoteStore(IntervalStore):
     """A served store, driven through the ``IntervalStore`` contract."""
 
@@ -188,23 +134,34 @@ class RemoteStore(IntervalStore):
         return self._client.call(op, **params)
 
     def submit(self, method: str, *args, **kwargs) -> Callable[[], Any]:
-        """Write ``method``'s request frame now; the returned callable
-        reads the response.
+        """Write ``method``'s request frame, encoded from the wire-op
+        table, now; the returned callable reads the response.
 
-        The scatter half of the router's fan-out: the connection stays
-        locked until the callable has run (see
-        :meth:`ServiceClient.send`).  Methods without a ``_send_*`` form
-        run eagerly through the base default.
+        A chunked op's records go out in :data:`BULK_CHUNK` frames, all
+        but the last as round trips.  The connection stays locked until
+        the callable has run (see :meth:`ServiceClient.send`).
         """
-        send = getattr(self, f"_send_{method}", None)
-        if send is None:
+        op = METHODS.get(method)
+        if op is None:
             return super().submit(method, *args, **kwargs)
-        return send(*args, **kwargs)
+        fields = op.request(args, kwargs)
+        if op.chunked:
+            [(field, rows)] = fields.items()
+            if not rows:
+                return lambda: None
+            last = (len(rows) - 1) // BULK_CHUNK * BULK_CHUNK
+            for start in range(0, last, BULK_CHUNK):
+                self.call(op.name, **{field: rows[start:start + BULK_CHUNK]})
+            fields[field] = rows[last:]
+        receive = self._client.send(op.name, **fields)
+        if op.decode is None:
+            return receive
+        return lambda: op.decode(receive())
 
     def __getattr__(self, name: str):
-        forward = _TEMPORAL_FORWARDS.get(name)
-        if forward is not None and self.__dict__.get("_temporal"):
-            return MethodType(forward, self)
+        op = METHODS.get(name)
+        if op is not None and op.temporal and self.__dict__.get("_temporal"):
+            return lambda *args, **kwargs: self.submit(name, *args, **kwargs)()
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -212,16 +169,13 @@ class RemoteStore(IntervalStore):
     # updates
     # ------------------------------------------------------------------
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
-        self.call("insert", lower=lower, upper=upper, interval_id=interval_id)
+        self.submit("insert", lower, upper, interval_id)()
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
-        self.call("delete", lower=lower, upper=upper, interval_id=interval_id)
+        self.submit("delete", lower, upper, interval_id)()
 
     def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
-        self._send_bulk_load(intervals)()
-
-    def _send_bulk_load(self, intervals):
-        return self._send_chunked("bulk_load", intervals)
+        self.submit("bulk_load", intervals)()
 
     def append_batch(self, intervals: Sequence[IntervalRecord]) -> None:
         """Forward a streaming append batch as ``ingest_batch`` frames.
@@ -230,20 +184,7 @@ class RemoteStore(IntervalStore):
         on WAL-backed backends) server-side; oversized batches chunk at
         the same frame bound as :meth:`bulk_load`.
         """
-        self._send_append_batch(intervals)()
-
-    def _send_append_batch(self, intervals):
-        return self._send_chunked("ingest_batch", intervals)
-
-    def _send_chunked(self, op: str, intervals):
-        """Every chunk but the last as a round trip, the last one sent."""
-        intervals = list(intervals)
-        if not intervals:
-            return lambda: None
-        last = (len(intervals) - 1) // BULK_CHUNK * BULK_CHUNK
-        for start in range(0, last, BULK_CHUNK):
-            self.call(op, records=intervals[start:start + BULK_CHUNK])
-        return self._client.send(op, records=intervals[last:])
+        self.submit("append_batch", intervals)()
 
     def extend(self, intervals: Iterable[IntervalRecord]) -> None:
         self.bulk_load(list(intervals))
@@ -252,89 +193,42 @@ class RemoteStore(IntervalStore):
     # queries
     # ------------------------------------------------------------------
     def intersection(self, lower: int, upper: int) -> list[int]:
-        return self._send_intersection(lower, upper)()
-
-    def _send_intersection(self, lower, upper):
-        return self._client.send("intersection", lower=lower, upper=upper)
+        return self.submit("intersection", lower, upper)()
 
     def intersection_count(self, lower: int, upper: int) -> int:
-        return self._send_intersection_count(lower, upper)()
-
-    def _send_intersection_count(self, lower, upper):
-        return self._client.send(
-            "intersection_count", lower=lower, upper=upper)
+        return self.submit("intersection_count", lower, upper)()
 
     def intersection_many(
         self, queries: Sequence[tuple[int, int]]
     ) -> list[list[int]]:
-        return self.call("intersection_many", queries=list(queries))
+        return self.submit("intersection_many", queries)()
 
     def stab(self, point: int) -> list[int]:
-        return self.call("stab", value=point)
+        return self.submit("stab", point)()
 
     def query(self, lower, upper=None, *, predicate="intersects"):
-        return self._send_query(lower, upper, predicate=predicate)()
-
-    def _send_query(self, lower, upper=None, *, predicate="intersects"):
-        return self._client.send("query", lower=lower, upper=upper,
-                                 **_wire_predicate(predicate))
+        return self.submit("query", lower, upper, predicate=predicate)()
 
     # ------------------------------------------------------------------
     # joins
     # ------------------------------------------------------------------
     def join_pairs(self, probes: Sequence[IntervalRecord], *,
                    predicate=None) -> list[tuple[int, int]]:
-        return self._send_join_pairs(probes, predicate=predicate)()
-
-    def _send_join_pairs(self, probes, *, predicate=None):
-        receive = self._client.send("join_pairs", probes=list(probes),
-                                    **_wire_predicate(predicate))
-        return lambda: [(probe_id, interval_id)
-                        for probe_id, interval_id in receive()]
+        return self.submit("join_pairs", probes, predicate=predicate)()
 
     def join_count(self, probes: Sequence[IntervalRecord], *,
                    predicate=None) -> int:
-        return self._send_join_count(probes, predicate=predicate)()
-
-    def _send_join_count(self, probes, *, predicate=None):
-        return self._client.send("join_count", probes=list(probes),
-                                 **_wire_predicate(predicate))
+        return self.submit("join_count", probes, predicate=predicate)()
 
     # ------------------------------------------------------------------
     # enumeration / verification / accounting
     # ------------------------------------------------------------------
     def stored_records(self) -> list[IntervalRecord]:
-        return self._send_stored_records()()
-
-    def _send_stored_records(self):
-        receive = self._client.send("stored_records")
-        return lambda: [(lower, upper, interval_id)
-                        for lower, upper, interval_id in receive()]
+        return self.submit("stored_records")()
 
     def verify(self) -> VerificationReport:
         """The *served* store's own verification, rebuilt client-side."""
-        return self._send_verify()()
-
-    def _send_verify(self):
-        receive = self._client.send("verify")
-
-        def report() -> VerificationReport:
-            data = receive()
-            rebuilt = VerificationReport(
-                store=data["store"], backend=data["backend"])
-            for check in data["checks"]:
-                rebuilt.add_check(check)
-            for issue in data["issues"]:
-                rebuilt.add_issue(issue["code"], issue["message"],
-                                  issue.get("context"))
-            return rebuilt
-
-        return report
-
-    def _send_advance_to(self, now: Optional[int] = None, *,
-                         timestamp: Optional[int] = None):
-        return self._client.send(
-            "advance_to", now=resolve_clock_argument(now, timestamp))
+        return self.submit("verify")()
 
     @property
     def interval_count(self) -> int:

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from ..core.access import IntervalRecord
 from ..core.predicates import PREDICATES
 from ..core.temporal import UPPER_INF, UPPER_NOW
+from .ops import apply
 from .protocol import raise_for_response, read_frame_async, write_frame_async
 
 #: Allen relations drawn by the ``query`` op class (no intersects/stab:
@@ -149,29 +150,9 @@ def canonical(cls: str, result):
 
 
 def evaluate_ops(store, ops: Sequence[dict]) -> list:
-    """Run the op list directly against a local store (the oracle)."""
-    out = []
-    for op in ops:
-        kind = op["op"]
-        if kind == "stab":
-            result = store.stab(op["value"])
-        elif kind == "intersection":
-            result = store.intersection(op["lower"], op["upper"])
-        elif kind == "intersection_count":
-            result = store.intersection_count(op["lower"], op["upper"])
-        elif kind == "query":
-            result = store.query(op["lower"], op["upper"],
-                                 predicate=op["predicate"])
-        elif kind == "join_pairs":
-            result = store.join_pairs(
-                [tuple(probe) for probe in op["probes"]])
-        elif kind == "join_count":
-            result = store.join_count(
-                [tuple(probe) for probe in op["probes"]])
-        else:
-            raise ValueError(f"oracle cannot evaluate op {kind!r}")
-        out.append(canonical(op["cls"], result))
-    return out
+    """Run the op list against a local store (the oracle), through the
+    server's own :func:`~repro.service.ops.apply`."""
+    return [canonical(op["cls"], apply(store, op)) for op in ops]
 
 
 def percentile(values: Sequence[float], q: float) -> float:

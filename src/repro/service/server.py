@@ -6,7 +6,9 @@ exposing the full query surface -- updates, stabs and intersections,
 Allen-predicate ``query``, ``join_count``/``join_pairs``, the temporal
 ``now`` entry points -- plus ``stats`` (request counters, latency
 histograms, and the router's shard routing stats) and a cooperative
-``shutdown``.
+``shutdown``.  Every store op is one entry of the wire-op table in
+:mod:`repro.service.ops`; the service itself answers only ``info``,
+``ping``, ``stats`` and ``shutdown``.
 
 Store calls run under a readers-writer lock: queries share the store,
 mutations get it exclusively.  Writes always go through a thread pool;
@@ -60,7 +62,8 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from ..core.access import IntervalStore
-from ..core.predicates import compile_query
+from .ops import OPS, integer
+from .ops import records as wire_records
 from .protocol import (
     HEADER,
     ProtocolError,
@@ -226,129 +229,7 @@ class ServiceStats:
         }
 
 
-def _need(params: dict, *keys: str):
-    """Required request fields; a missing one is a contract ValueError."""
-    try:
-        return [params[key] for key in keys]
-    except KeyError as exc:
-        raise ValueError(f"request is missing field {exc.args[0]!r}") from None
-
-
-def _records(value) -> list[tuple[int, int, int]]:
-    return [(int(lo), int(up), int(rid)) for lo, up, rid in value]
-
-
-def _temporal(store: IntervalStore, op: str) -> Callable:
-    fn = getattr(store, op, None)
-    if fn is None:
-        raise NotImplementedError(
-            f"backend {store.method_name!r} has no temporal support ({op})")
-    return fn
-
-
-# ----------------------------------------------------------------------
-# op table: name -> (mutates_store, handler(store, params))
-# ----------------------------------------------------------------------
-def _op_insert(store, p):
-    lower, upper, rid = _need(p, "lower", "upper", "interval_id")
-    store.insert(lower, upper, rid)
-
-
-def _op_delete(store, p):
-    lower, upper, rid = _need(p, "lower", "upper", "interval_id")
-    store.delete(lower, upper, rid)
-
-
-def _op_bulk_load(store, p):
-    store.bulk_load(_records(_need(p, "records")[0]))
-
-
-def _op_ingest_batch(store, p):
-    store.append_batch(_records(_need(p, "records")[0]))
-
-
-def _op_insert_infinite(store, p):
-    lower, rid = _need(p, "lower", "interval_id")
-    _temporal(store, "insert_infinite")(lower, rid)
-
-
-def _op_insert_until_now(store, p):
-    lower, rid = _need(p, "lower", "interval_id")
-    _temporal(store, "insert_until_now")(lower, rid)
-
-
-def _op_delete_infinite(store, p):
-    lower, rid = _need(p, "lower", "interval_id")
-    _temporal(store, "delete_infinite")(lower, rid)
-
-
-def _op_delete_until_now(store, p):
-    lower, rid = _need(p, "lower", "interval_id")
-    _temporal(store, "delete_until_now")(lower, rid)
-
-
-def _op_close_now_interval(store, p):
-    lower, rid, upper = _need(p, "lower", "interval_id", "upper")
-    _temporal(store, "close_now_interval")(lower, rid, upper)
-
-
-def _op_advance_to(store, p):
-    _temporal(store, "advance_to")(_need(p, "now")[0])
-
-
-def _op_stab(store, p):
-    return store.stab(_need(p, "value")[0])
-
-
-def _op_intersection(store, p):
-    lower, upper = _need(p, "lower", "upper")
-    return store.intersection(lower, upper)
-
-
-def _op_intersection_count(store, p):
-    lower, upper = _need(p, "lower", "upper")
-    return store.intersection_count(lower, upper)
-
-
-def _op_intersection_many(store, p):
-    queries = [(int(lo), int(up)) for lo, up in _need(p, "queries")[0]]
-    return store.intersection_many(queries)
-
-
-def _wire_predicate(p, default):
-    """Rebuild the request's predicate: a name, or family + params."""
-    predicate = p.get("predicate", default)
-    params = p.get("params")
-    if predicate is None or not params:
-        return predicate
-    return compile_query(predicate, params)
-
-
-def _op_query(store, p):
-    lower = _need(p, "lower")[0]
-    return store.query(lower, p.get("upper"),
-                       predicate=_wire_predicate(p, "intersects"))
-
-
-def _op_join_pairs(store, p):
-    return store.join_pairs(_records(_need(p, "probes")[0]),
-                            predicate=_wire_predicate(p, None))
-
-
-def _op_join_count(store, p):
-    return store.join_count(_records(_need(p, "probes")[0]),
-                            predicate=_wire_predicate(p, None))
-
-
-def _op_stored_records(store, p):
-    return store.stored_records()
-
-
-def _op_verify(store, p):
-    return store.verify().as_dict()
-
-
-def _op_info(store, p):
+def _info(store: IntervalStore, message: dict) -> dict:
     return {
         "method_name": store.method_name,
         "records": store.interval_count,
@@ -356,32 +237,6 @@ def _op_info(store, p):
         "now": getattr(store, "now", None),
         "temporal": hasattr(store, "insert_infinite"),
     }
-
-
-#: Op name -> (mutates store, handler).  ``ping``/``stats``/``shutdown``
-#: are service-level and handled outside this table.
-OPS: dict[str, tuple[bool, Callable]] = {
-    "insert": (True, _op_insert),
-    "delete": (True, _op_delete),
-    "bulk_load": (True, _op_bulk_load),
-    "ingest_batch": (True, _op_ingest_batch),
-    "insert_infinite": (True, _op_insert_infinite),
-    "insert_until_now": (True, _op_insert_until_now),
-    "delete_infinite": (True, _op_delete_infinite),
-    "delete_until_now": (True, _op_delete_until_now),
-    "close_now_interval": (True, _op_close_now_interval),
-    "advance_to": (True, _op_advance_to),
-    "stab": (False, _op_stab),
-    "intersection": (False, _op_intersection),
-    "intersection_count": (False, _op_intersection_count),
-    "intersection_many": (False, _op_intersection_many),
-    "query": (False, _op_query),
-    "join_pairs": (False, _op_join_pairs),
-    "join_count": (False, _op_join_count),
-    "stored_records": (False, _op_stored_records),
-    "verify": (False, _op_verify),
-    "info": (False, _op_info),
-}
 
 
 class IntervalService:
@@ -516,12 +371,15 @@ class IntervalService:
                 self.shutdown_requested.set()
                 result = True
             else:
+                # Store ops come from the wire-op table; ``info`` reads
+                # the store under the read lock like any of them.
                 spec = OPS.get(op)
-                if spec is None:
+                if spec is None and op != "info":
                     raise ValueError(
                         f"unknown op {op!r}; expected one of "
-                        f"{sorted(OPS) + ['ping', 'stats', 'shutdown']}")
-                writes, handler = spec
+                        f"{sorted([*OPS, 'info', 'ping', 'stats', 'shutdown'])}")
+                writes = spec is not None and spec.mutates
+                handler = _info if spec is None else spec.run
                 if (not writes and self._inline_reads
                         and self._lock.try_read()):
                     try:
@@ -564,7 +422,7 @@ class IntervalService:
 def load_dataset(path: str) -> tuple[list[tuple[int, int, int]], int]:
     """Read a dataset file: ``{"records": [[l, u, id], ...], "now": N}``."""
     data = json.loads(Path(path).read_text())
-    return _records(data.get("records", [])), int(data.get("now", 0))
+    return wire_records(data.get("records", [])), integer(data.get("now", 0))
 
 
 def _build_single(args, records: Sequence[tuple[int, int, int]],
@@ -583,10 +441,11 @@ def _build_single(args, records: Sequence[tuple[int, int, int]],
 
     store = create_store(args.backend, **json.loads(args.backend_opts))
     sentinels = [r for r in records if r[1] in (UPPER_INF, UPPER_NOW)]
-    if sentinels:
-        _temporal(store, "insert_infinite")
+    if (sentinels or now) and not hasattr(store, "insert_infinite"):
+        raise NotImplementedError(
+            f"backend {store.method_name!r} has no temporal support")
     if now:
-        _temporal(store, "advance_to")(now)
+        store.advance_to(now)
     finite = [r for r in records if r[1] not in (UPPER_INF, UPPER_NOW)]
     if finite:
         store.bulk_load(finite)

@@ -48,16 +48,12 @@ from typing import Iterable, Optional, Sequence
 from ..core.access import IntervalRecord, IntervalStore
 from ..core.backbone import VirtualBackbone
 from ..core.interval import validate_interval
-from ..core.predicates import (
-    resolve_join_predicate,
-    shim_positional_predicate,
-)
+from ..core.predicates import resolve_join_predicate
 from ..core.temporal import (
     FORK_INF,
     FORK_NOW,
     UPPER_INF,
     UPPER_NOW,
-    resolve_clock_argument,
 )
 from ..core.verify import VerificationReport
 from ..engine.retry import RetryPolicy
@@ -364,10 +360,8 @@ class SQLRITree(IntervalStore):
         """The clock for now-relative semantics."""
         return self._now
 
-    def advance_to(self, now: Optional[int] = None, *,
-                   timestamp: Optional[int] = None) -> None:
+    def advance_to(self, now: int) -> None:
         """Move the clock forward."""
-        now = resolve_clock_argument(now, timestamp)
         if now < self._now:
             raise ValueError("clock moves forward only")
         self._now = now
@@ -633,7 +627,7 @@ class SQLRITree(IntervalStore):
     # joins (set-at-a-time, Section 5 meets the join subsystem)
     # ------------------------------------------------------------------
     def join_pairs(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> list[tuple[int, int]]:
         """The index-nested-loop interval join as ONE SQL statement.
 
@@ -651,7 +645,6 @@ class SQLRITree(IntervalStore):
         participate with their effective bounds, as in predicate
         queries.
         """
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
         pred = resolve_join_predicate(predicate)
         if not probes:
             return []
@@ -679,14 +672,13 @@ class SQLRITree(IntervalStore):
         return [(ids[qid], interval_id) for qid, interval_id in rows]
 
     def join_count(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> int:
         """Size of :meth:`join_pairs`, aggregated by the engine.
 
         Identical fill cycle and statement, wrapped in ``COUNT(*)`` --
         the pair list never leaves sqlite.
         """
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
         pred = resolve_join_predicate(predicate)
         if not probes:
             return 0
@@ -748,7 +740,6 @@ class SQLRITree(IntervalStore):
         rows against the clock, infinite rows via the ``UPPER_INF``
         sentinel), exactly as the simulated engine materialises them.
         """
-        validate_interval(lower, upper)
         floor = ceiling = None
         if (pred.name in ("before", "after")
                 or getattr(pred, "needs_extent", False)):

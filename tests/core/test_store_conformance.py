@@ -29,6 +29,7 @@ from repro.core import (
 from repro.core.costmodel import JoinEstimate
 from repro.core.predicates import (
     DURATION_UNBOUNDED,
+    PREDICATES,
     compile_query,
     range_duration,
 )
@@ -211,6 +212,18 @@ def test_stab_is_degenerate_intersection(store, rng):
         assert sorted(store.stab(point)) == sorted(
             store.intersection(point, point)
         )
+
+
+def test_query_rejects_reversed_and_non_integer_bounds(store):
+    """Every predicate validates its bounds once, before the relation
+    dispatch, so all backends (and the router) refuse the same input."""
+    store.bulk_load([(1, 4, 1), (6, 9, 2), (2, 12, 3)])
+    for predicate in [*PREDICATES, range_duration(0, 5)]:
+        with pytest.raises(ValueError):
+            store.query(5, 3, predicate=predicate)
+        for lower, upper in ((1.5, 3), (1, 3.0), ("1", 3), (1, "3")):
+            with pytest.raises(TypeError):
+                store.query(lower, upper, predicate=predicate)
 
 
 def test_join_pairs_and_count_match_oracle(store, rng):

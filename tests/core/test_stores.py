@@ -1,4 +1,4 @@
-"""The store factory/registry and the keyword-only signature shims."""
+"""The store factory/registry and the keyword-only store signatures."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.core.stores import backend_description, register_backend
 from repro.bench.harness import run_join_batch
-from repro.engine import Database
+from repro.core.join import interval_join
 
 
 def test_registry_lists_every_builtin_backend():
@@ -103,52 +103,69 @@ def test_run_join_batch_forwards_store_opts():
 
 
 # ----------------------------------------------------------------------
-# keyword-only signatures with one-cycle positional shims
+# keyword-only predicates, positional-or-keyword clock
 # ----------------------------------------------------------------------
-def loaded(name="hint", **opts):
-    store = create_store(name, **opts)
+BACKENDS = ("hint", "sharded", "sql-ritree", "temporal-ritree")
+PROBES = [(100, 200, 7)]
+
+
+def loaded(name):
+    store = create_store(name)
     store.bulk_load(make_records())
     return store
 
 
 def test_query_predicate_is_keyword_only_with_shim():
-    store = loaded()
-    expected = store.query(100, 200, predicate="during")
-    # The pre-v8 predicate-first form warns once and still answers.
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        assert store.query("during", 100, 200) == expected
-    # A trailing positional predicate was never valid and stays a
-    # TypeError pointing at the keyword spelling.
-    with pytest.raises(TypeError, match="predicate as predicate="):
-        store.query(100, 200, "during")
+    """The predicate-first shim is gone: only ``predicate=`` answers and
+    every positional predicate is a ``TypeError`` on each backend."""
+    for name in BACKENDS:
+        store = loaded(name)
+        expected = store.query(100, 200, predicate="during")
+        with pytest.raises(TypeError):
+            store.query("during", 100, 200)
+        with pytest.raises(TypeError):
+            store.query("during", 100)
+        with pytest.raises(TypeError):
+            store.query(100, 200, "during")
+        assert store.query(100, 200, predicate="during") == expected
 
 
 def test_join_predicate_is_keyword_only_with_shim():
-    store = loaded()
-    probes = [(100, 200, 7)]
-    expected = store.join_pairs(probes, predicate="overlaps")
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        assert store.join_pairs(probes, "overlaps") == expected
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        assert store.join_count(probes, "overlaps") == len(expected)
+    """Joins take the predicate by keyword only, and ``interval_join``
+    takes its strategy by keyword only."""
+    for name in BACKENDS:
+        store = loaded(name)
+        expected = store.join_pairs(PROBES, predicate="overlaps")
+        with pytest.raises(TypeError):
+            store.join_pairs(PROBES, "overlaps")
+        with pytest.raises(TypeError):
+            store.join_count(PROBES, "overlaps")
+        assert store.join_count(PROBES, predicate="overlaps") == len(expected)
+    with pytest.raises(TypeError):
+        interval_join(PROBES, make_records(), "index")
 
 
 def test_shim_rejects_doubled_predicates():
-    store = loaded()
-    with pytest.raises(TypeError, match="both positionally"):
-        store.query("during", 1, 2, predicate="during")
-    with pytest.raises(TypeError, match="both positionally"):
-        store.join_pairs([(1, 2, 3)], "during", predicate="overlaps")
-    with pytest.raises(TypeError, match="extra positional"):
-        store.join_count([(1, 2, 3)], "during", "overlaps")
+    for name in BACKENDS:
+        store = loaded(name)
+        with pytest.raises(TypeError):
+            store.query("during", 1, 2, predicate="during")
+        with pytest.raises(TypeError):
+            store.join_pairs([(1, 2, 3)], "during", predicate="overlaps")
+        with pytest.raises(TypeError):
+            store.join_count([(1, 2, 3)], "during", "overlaps")
 
 
-def test_advance_to_timestamp_alias_still_works():
-    store = create_store("temporal-ritree", db=Database())
-    with pytest.warns(DeprecationWarning, match="timestamp"):
-        store.advance_to(timestamp=40)
-    assert store.now == 40
-    store.advance_to(now=50)
-    assert store.now == 50
-    with pytest.raises(TypeError, match="both"):
-        store.advance_to(60, timestamp=70)
+def test_advance_to_takes_only_now():
+    """``advance_to`` takes ``now`` by position or keyword; the old
+    ``timestamp=`` spelling is a ``TypeError``."""
+    for name in BACKENDS:
+        store = loaded(name)
+        with pytest.raises(TypeError):
+            store.advance_to(timestamp=40)
+        store.advance_to(now=40)
+        assert store.now == 40
+        store.advance_to(50)
+        assert store.now == 50
+        with pytest.raises(TypeError):
+            store.advance_to(60, timestamp=70)

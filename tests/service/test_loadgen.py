@@ -74,7 +74,7 @@ def test_evaluate_ops_matches_store_answers():
     ]
     assert evaluate_ops(store, ops) == [
         [1, 2], 3, [2], [(1, 1), (1, 2), (1, 3)]]
-    with pytest.raises(ValueError, match="cannot evaluate"):
+    with pytest.raises(ValueError, match="unknown op"):
         evaluate_ops(store, [{"op": "nope", "cls": "nope"}])
 
 

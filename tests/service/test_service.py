@@ -4,6 +4,7 @@ import asyncio
 import json
 import os
 import pathlib
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -23,7 +24,7 @@ from repro.service.loadgen import (
     evaluate_ops,
     run_load,
 )
-from repro.service.server import IntervalService, _ReadWriteLock
+from repro.service.server import IntervalService, _ReadWriteLock, load_dataset
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -203,6 +204,58 @@ def test_errors_do_not_poison_the_connection():
                 client.call("insert", lower=9, upper=3, interval_id=1)
             client.call("insert", lower=3, upper=9, interval_id=1)
             assert client.call("intersection", lower=4, upper=5) == [1]
+
+
+def _calls_with_bad_integer(bad):
+    """``(method, args)`` calls with one integer field replaced by ``bad``."""
+    calls = [("stab", (bad,)), ("advance_to", (bad,)),
+             ("close_now_interval", (3, 60, bad))]
+    for i in range(3):
+        row = tuple(bad if j == i else v for j, v in enumerate((2, 6, 50)))
+        calls += [(method, row) for method in ("insert", "delete")]
+        calls += [(method, ([row],)) for method in (
+            "bulk_load", "append_batch", "join_pairs", "join_count")]
+    for i in range(2):
+        window = tuple(bad if j == i else v for j, v in enumerate((1, 8)))
+        calls += [(method, window) for method in (
+            "intersection", "intersection_count", "query")]
+        calls.append(("intersection_many", ([window],)))
+        calls += [(method, window) for method in (
+            "insert_infinite", "insert_until_now", "delete_infinite",
+            "delete_until_now")]
+        calls.append(("close_now_interval", (*window, 9)))
+    return calls
+
+
+@pytest.mark.parametrize("backend", [
+    "hint", "ritree", "sharded", "sql-ritree", "temporal-ritree"])
+def test_wire_refuses_non_integer_fields(backend):
+    # The served sqlite store is driven from the service's threads.
+    opts = ({"connection": sqlite3.connect(":memory:",
+                                           check_same_thread=False)}
+            if backend == "sql-ritree" else {})
+    store = create_store(backend, **opts)
+    store.bulk_load([(1, 4, 1), (3, 9, 2)])
+    with remote(store) as proxy:
+        before = sorted(proxy.stored_records())
+        for bad in (1.5, "7", True):
+            for method, args in _calls_with_bad_integer(bad):
+                if not hasattr(proxy, method):
+                    continue  # a temporal op on a plain backend
+                with pytest.raises(TypeError):
+                    getattr(proxy, method)(*args)
+        assert sorted(proxy.stored_records()) == before
+        assert proxy.verify().ok
+
+
+def test_dataset_file_refuses_non_integers(tmp_path):
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps({"records": [[1.7, 3.2, 1]]}))
+    with pytest.raises(TypeError):
+        load_dataset(str(dataset))
+    dataset.write_text(json.dumps({"records": [[1, 3, 1]], "now": "5"}))
+    with pytest.raises(TypeError):
+        load_dataset(str(dataset))
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The documentation lints of :mod:`repro.docscheck`, run as a test.
 
 The same checks CI's docs-check job performs: every relative link in
-``docs/`` and ``README.md`` resolves, and every benchmark script has an
-entry in ``docs/benchmarks.md``.
+``docs/`` and ``README.md`` resolves, every benchmark script has an
+entry in ``docs/benchmarks.md``, and every wire op is named in
+``docs/serving.md``.
 """
 
 import pathlib
@@ -24,6 +25,19 @@ def test_relative_links_resolve():
 
 def test_every_benchmark_is_documented():
     assert docscheck.check_benchmarks_listed(ROOT) == []
+
+
+def test_every_wire_op_is_documented(tmp_path):
+    assert docscheck.check_ops_listed(ROOT) == []
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    assert docscheck.check_ops_listed(tmp_path) == [
+        "docs/serving.md does not exist"]
+    (docs / "serving.md").write_text("`insert` and `insert_infinite`")
+    problems = docscheck.check_ops_listed(tmp_path)
+    assert not any("`insert`" in p for p in problems)
+    assert any("`delete`" in p for p in problems)
+    assert any("`ingest_batch`" in p for p in problems)
 
 
 def test_checker_reports_problems(tmp_path):
