@@ -8,7 +8,7 @@ simulated-disk RI-tree, the SQL RI-tree, and the main-memory HINT store
 * **Parity** -- every query must return the identical sorted id list on
   all three backends, ``intersection_count`` must agree with the
   materialised lists, and a join leg must produce the identical pair
-  set.  Any divergence is a hard failure (exit 1).
+  set.  Any divergence aborts the run.
 * **Frame economics** -- Python-level work measured with a profile hook
   counting frame activations (function calls and generator resumes).
   The HINT store answers from sorted in-memory partitions with
@@ -19,20 +19,13 @@ simulated-disk RI-tree, the SQL RI-tree, and the main-memory HINT store
   RI-tree measured *warm* (buffer cache populated) so the comparison is
   pure CPU work, not I/O.
 
-Usage::
-
-    python benchmarks/bench_hint.py                # small scale
-    python benchmarks/bench_hint.py --scale tiny   # CI smoke
-    python benchmarks/bench_hint.py --output out.json
+The ``hint`` entry of ``benchmarks/bench_trajectory.py``, which runs
+it and checks its gates.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
 from benchlib import count_frame_activations
 from repro.bench.experiments import get_scale
@@ -163,55 +156,23 @@ def run(scale_name: str | None, seed: int) -> dict:
 
     worst_ids = min(f["ids"]["ratio"] for f in report["frames"])
     worst_count = min(f["count"]["ratio"] for f in report["frames"])
-    report["summary"] = {
+    report["join_probes"] = len(probes)
+    report["metrics"] = {
         "results_total": results_total,
         "parity_queries": parity_queries,
-        "join_probes": len(probes),
         "pairs": len(reference_pairs),
-        "worst_ops_ratio": worst_ids,
-        "count_worst_ops_ratio": worst_count,
+        "worst_ops_ratio": round(worst_ids, 3),
+        "count_worst_ops_ratio": round(worst_count, 3),
+    }
+    report["gates"] = {
         "frame_target_met": (
             worst_ids >= FRAME_RATIO_TARGET and worst_count >= FRAME_RATIO_TARGET
         ),
+        "parity_queries_run": parity_queries > 0,
+        "join_pairs_found": len(reference_pairs) > 0,
+        "three_backends_compared": (
+            {row["method"] for row in report["rows"]}
+            == {"RI-tree", "SQL-RI-tree", "HINT"}
+        ),
     }
     return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="HINT backend parity and frame-economics benchmark"
-    )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=None, help="path for the JSON report")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale, args.seed)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    print(
-        f"parity: {summary['parity_queries']} queries and "
-        f"{summary['pairs']} join pairs identical across "
-        f"RI-tree / SQL-RI-tree / HINT"
-    )
-    print(
-        f"frames per result, HINT vs warm simulated disk: "
-        f"{summary['worst_ops_ratio']:.1f}x fewer (ids path), "
-        f"{summary['count_worst_ops_ratio']:.1f}x fewer (count path); "
-        f"target {report['frame_ratio_target']}x"
-    )
-    if not summary["frame_target_met"]:
-        print("FAIL: frame ratio below target", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

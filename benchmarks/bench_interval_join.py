@@ -20,24 +20,18 @@ report:
   per-strategy costs) is recorded, and its row carries the measured cost
   of the strategy it dispatched to.
 
-The script fails loudly unless all four strategies -- plus the
+The benchmark fails loudly unless all four strategies -- plus the
 independent ``searchsorted`` counting oracle -- agree on the pair count,
 and unless the index and sweep *pair sets* are identical.  Python-level
 work is measured as profile-hook frame activations per emitted pair.
 
-Usage::
-
-    python benchmarks/bench_interval_join.py                # small scale
-    python benchmarks/bench_interval_join.py --scale tiny   # CI smoke
-    python benchmarks/bench_interval_join.py --output out.json
+The ``interval-join`` entry of ``benchmarks/bench_trajectory.py``,
+which runs it and checks its gates.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from pathlib import Path
 
 from benchlib import best_of, count_frame_activations
 from repro.bench.experiments import get_scale
@@ -50,11 +44,14 @@ from repro.workloads import joins as join_gen
 #: the numpy-vectorised brute force (same nested-loop semantics) is used.
 PURE_ORACLE_LIMIT = 30_000_000
 
+#: Cold-cache repetitions per measured strategy (best time kept).
+REPEAT = 3
+
 #: Counter keys that must reproduce exactly across repeated runs.
 DETERMINISTIC_KEYS = ("pairs", "logical_reads", "physical_reads")
 
 
-def _measure_index_join(tree, probes, repeat):
+def _measure_index_join(tree, probes):
     """Cold-cache ``join_count`` runs via the harness, plus one
     ``join_pairs`` run to check the two paths' I/O parity."""
 
@@ -67,7 +64,7 @@ def _measure_index_join(tree, probes, repeat):
             "time_s": batch.response_time,
         }
 
-    count_row = best_of(repeat, run_count, keys=DETERMINISTIC_KEYS)
+    count_row = best_of(REPEAT, run_count, keys=DETERMINISTIC_KEYS)
     pairs_batch = run_join_batch(tree, probes, count_only=False)
     for key, got in (
         ("pairs", pairs_batch.pairs),
@@ -104,7 +101,7 @@ def _check_figure13_accounting(tree, probes, count_row):
     return {"status": "bit-identical", **reference}
 
 
-def _measure_sweep(workload, repeat):
+def _measure_sweep(workload):
     """Sweep runs reading both inputs from heap tables on the engine.
 
     The sweep's engine I/O is one sequential scan per relation -- the
@@ -134,10 +131,10 @@ def _measure_sweep(workload, repeat):
             "time_s": elapsed,
         }
 
-    return best_of(repeat, run_once, keys=DETERMINISTIC_KEYS)
+    return best_of(REPEAT, run_once, keys=DETERMINISTIC_KEYS)
 
 
-def run(scale_name, seed, repeat):
+def run(scale_name, seed):
     scale = get_scale(scale_name)
     workload = join_gen.join_workload(
         outer_n=scale["join_outer_n"],
@@ -167,7 +164,7 @@ def run(scale_name, seed, repeat):
     # dispatches on), recorded before any measurement.
     planner = tree.cost_model().estimate_join(outer).as_dict()
     report["planner"] = planner
-    index_row = _measure_index_join(tree, outer, repeat)
+    index_row = _measure_index_join(tree, outer)
     report["figure13_accounting"] = _check_figure13_accounting(
         tree, outer, index_row
     )
@@ -182,7 +179,7 @@ def run(scale_name, seed, repeat):
     )
 
     # Sweep join: inputs scanned from heap tables, merge in memory.
-    sweep_row = _measure_sweep(workload, repeat)
+    sweep_row = _measure_sweep(workload)
     sweep = SweepJoin()
     sweep_frames, _ = count_frame_activations(lambda: sweep.count(outer, inner))
     report["rows"].append(
@@ -268,55 +265,27 @@ def run(scale_name, seed, repeat):
         "index_time_s": index_row["time_s"],
         "sweep_time_s": sweep_row["time_s"],
     }
+
+    rows = {row["strategy"]: row for row in report["rows"]}
+    auto_row = rows["auto"]
+    strategies = ("index-nested-loop", "sweep")
+    report["metrics"] = {
+        "pairs": counting_oracle,
+        "index_physical_reads": index_io,
+        "index_logical_reads": index_row["logical_reads"],
+        "sweep_physical_reads": sweep_io,
+        "sweep_logical_reads": sweep_row["logical_reads"],
+        "auto_physical_reads": auto_row["physical_reads"],
+    }
+    report["gates"] = {
+        "four_strategies_reported": len(rows) == 4,
+        "auto_row_reported": "auto" in rows,
+        "strategy_pair_counts_agree": len({r["pairs"] for r in rows.values()}) == 1,
+        "pair_sets_identical": report["parity"]["status"] == "identical",
+        "auto_dispatch_valid": auto_row["dispatched_to"] in strategies,
+        "auto_follows_its_estimate": (
+            auto_row["predicted"]["choice"] == auto_row["dispatched_to"]
+        ),
+        "planner_choice_valid": planner["choice"] in strategies,
+    }
     return report
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Interval equi-overlap join benchmark"
-    )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="cold-cache repetitions per measured strategy",
-    )
-    parser.add_argument("--output", default=None, help="path for the JSON report")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale, args.seed, args.repeat)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    print(
-        f"{report['workload']}: {summary['pairs']} pairs "
-        f"(selectivity {summary['join_selectivity']:.2e})"
-    )
-    print(
-        f"physical I/O: index-nested-loop {summary['index_physical_io']} "
-        f"vs sweep input scan {summary['sweep_physical_io']} "
-        f"({summary['index_over_sweep_io']:.2f}x)"
-    )
-    print(
-        f"wall time: index {summary['index_time_s']:.3f}s, "
-        f"sweep {summary['sweep_time_s']:.3f}s"
-    )
-    print(
-        f"parity: {report['parity']['status']} across "
-        f"{len(report['parity']['strategies_compared'])} strategies "
-        f"+ counting oracle"
-    )
-    print(f"figure-13 I/O accounting: {report['figure13_accounting']['status']}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

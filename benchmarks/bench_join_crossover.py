@@ -15,7 +15,7 @@ trade-off -- per-side cardinality and inner duration, the knobs of
 * records predicted-vs-measured cost for both strategies, plus which
   strategy was *empirically* cheaper by measured physical reads.
 
-The script exits non-zero unless ``auto`` picks the measured-cheaper
+The gate fails unless ``auto`` picks the measured-cheaper
 strategy on at least :data:`ACCURACY_FLOOR` of the grid (ties count as
 correct -- either pick is right when the measurements agree), or if the
 ``auto`` dispatch disagrees with the counting oracle's pair count
@@ -23,18 +23,11 @@ anywhere.  The JSON report doubles as the planner's calibration record:
 per-point prediction errors are the data the cost-model constants
 (``LEAF_MISS_LOCALITY``, ``SCAN_LEAF_DISTINCT``) were fitted against.
 
-Usage::
-
-    python benchmarks/bench_join_crossover.py                # small scale
-    python benchmarks/bench_join_crossover.py --scale tiny   # CI smoke
-    python benchmarks/bench_join_crossover.py --output out.json
+The ``join-crossover`` entry of ``benchmarks/bench_trajectory.py``,
+which runs it and checks its gates.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-from pathlib import Path
 
 from repro.bench.experiments import get_scale
 from repro.bench.harness import paper_database, run_join_batch
@@ -143,6 +136,7 @@ def run(scale_name, seed):
         / max(row["measured"]["index-nested-loop"]["physical_reads"], 1)
         for row in rows
     ]
+    accuracy = correct / max(len(rows), 1)
     return {
         "workload": "join-crossover",
         "scale": scale["name"],
@@ -152,57 +146,22 @@ def run(scale_name, seed):
         "summary": {
             "grid_points": len(rows),
             "correct_choices": correct,
-            "auto_accuracy": correct / max(len(rows), 1),
+            "auto_accuracy": accuracy,
             "accuracy_floor": ACCURACY_FLOOR,
             "choices": by_choice,
             "index_prediction_ratio_min": round(min(index_err), 3),
             "index_prediction_ratio_max": round(max(index_err), 3),
         },
+        "metrics": {
+            "grid_points": len(rows),
+            "correct_choices": correct,
+            "auto_accuracy": round(accuracy, 3),
+            "index_physical_reads": sum(
+                r["measured"]["index-nested-loop"]["physical_reads"] for r in rows
+            ),
+            "sweep_physical_reads": sum(
+                r["measured"]["sweep"]["physical_reads"] for r in rows
+            ),
+        },
+        "gates": {"auto_accuracy_at_floor": accuracy >= ACCURACY_FLOOR},
     }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Join-planner crossover benchmark (auto-strategy gate)"
-    )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=None, help="path for the JSON report")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale, args.seed)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    print(
-        f"crossover grid ({report['scale']}): {summary['correct_choices']}"
-        f"/{summary['grid_points']} correct auto choices "
-        f"({summary['auto_accuracy']:.0%}, floor {ACCURACY_FLOOR:.0%})"
-    )
-    print(f"choices: {summary['choices']}")
-    print(
-        f"index physical-I/O prediction ratio (pred/meas): "
-        f"{summary['index_prediction_ratio_min']} .. "
-        f"{summary['index_prediction_ratio_max']}"
-    )
-    for row in report["rows"]:
-        if not row["correct"]:
-            print(
-                f"  missed: outer={row['outer_n']} inner={row['inner_n']} "
-                f"d={row['inner_d']}: chose {row['choice']}, measured "
-                f"cheaper {row['measured_cheaper']}"
-            )
-    if summary["auto_accuracy"] < ACCURACY_FLOOR:
-        print("FAIL: auto strategy accuracy below floor")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

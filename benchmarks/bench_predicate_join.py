@@ -17,23 +17,14 @@ The acceptance gate of the predicate-join tentpole, in three legs:
   and the calibration record for ``PREDICATE_SCAN_LEAF_DISTINCT`` and
   the heap-fetch Yao term in ``repro.core.costmodel``.
 
-The script exits non-zero on any parity, plan-shape, or accuracy
-failure, making it a CI gate; its JSON report feeds the
-``predicate-join`` row of the bench-trajectory pipeline.
-
-Usage::
-
-    python benchmarks/bench_predicate_join.py                # small scale
-    python benchmarks/bench_predicate_join.py --scale tiny   # CI smoke
-    python benchmarks/bench_predicate_join.py --output out.json
+A parity or plan-shape failure aborts the run; the plan shape and the
+planner accuracy are also gates of the ``predicate-join`` entry of
+``benchmarks/bench_trajectory.py``, which runs it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from pathlib import Path
 
 from repro.bench.experiments import get_scale
 from repro.bench.harness import paper_database, run_join_batch
@@ -234,6 +225,21 @@ def run(scale_name, seed):
     by_choice = {}
     for row in grid_rows:
         by_choice[row["choice"]] = by_choice.get(row["choice"], 0) + 1
+    accuracy = correct / max(len(grid_rows), 1)
+    metrics = {
+        "predicates": len(JOIN_PREDICATES),
+        "pairs_total": sum(row["pairs"] for row in parity_rows),
+        "grid_points": len(grid_rows),
+        "correct_choices": correct,
+        "auto_accuracy": round(accuracy, 3),
+        "index_physical_reads": sum(
+            r["measured"]["index-nested-loop"]["physical_reads"] for r in grid_rows
+        ),
+        "sweep_physical_reads": sum(
+            r["measured"]["sweep"]["physical_reads"] for r in grid_rows
+        ),
+        "sql_one_statement": int(sql_summary["one_statement"]),
+    }
     return {
         "workload": workload.name,
         "scale": scale["name"],
@@ -241,72 +247,22 @@ def run(scale_name, seed):
         "parity_rows": parity_rows,
         "grid_rows": grid_rows,
         "summary": {
-            "predicates": len(JOIN_PREDICATES),
-            "pairs_total": sum(row["pairs"] for row in parity_rows),
             "strategies_compared": ["sweep", "index", "auto", "nested-loop"],
-            "grid_points": len(grid_rows),
-            "correct_choices": correct,
-            "auto_accuracy": correct / max(len(grid_rows), 1),
+            "auto_accuracy": accuracy,
             "accuracy_floor": ACCURACY_FLOOR,
             "choices": by_choice,
-            "index_physical_reads": sum(
-                r["measured"]["index-nested-loop"]["physical_reads"]
-                for r in grid_rows),
-            "sweep_physical_reads": sum(
-                r["measured"]["sweep"]["physical_reads"]
-                for r in grid_rows),
-            "sql_one_statement": sql_summary["one_statement"],
             "sql_plans_clean": sql_summary["plans_clean"],
         },
+        "metrics": metrics,
+        "gates": {
+            "fourteen_predicates": metrics["predicates"] == 14,
+            "fourteen_parity_rows": len(parity_rows) == 14,
+            "sql_one_statement": sql_summary["one_statement"] is True,
+            "sql_plans_clean": sql_summary["plans_clean"] is True,
+            "auto_accuracy_at_floor": accuracy >= ACCURACY_FLOOR,
+            "auto_dispatch_valid": all(
+                row["auto_dispatched_to"] in ("index-nested-loop", "sweep")
+                for row in parity_rows
+            ),
+        },
     }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Predicate-join parity + planner-grading benchmark"
-    )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=None, help="path for the JSON report")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale, args.seed)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    print(
-        f"{report['workload']}: {summary['predicates']} predicates x 4 "
-        f"strategies, {summary['pairs_total']} pairs total -- parity OK"
-    )
-    print(
-        f"sqlite: one statement per probe batch "
-        f"({summary['sql_one_statement']}), plans clean "
-        f"({summary['sql_plans_clean']})"
-    )
-    print(
-        f"planner grid: {summary['correct_choices']}/"
-        f"{summary['grid_points']} correct auto choices "
-        f"({summary['auto_accuracy']:.0%}, floor {ACCURACY_FLOOR:.0%}); "
-        f"choices {summary['choices']}"
-    )
-    for row in report["grid_rows"]:
-        if not row["correct"]:
-            print(
-                f"  missed: outer={row['outer_n']} {row['predicate']}: "
-                f"chose {row['choice']}, measured cheaper "
-                f"{row['measured_cheaper']}"
-            )
-    if summary["auto_accuracy"] < ACCURACY_FLOOR:
-        print("FAIL: auto strategy accuracy below floor")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -26,23 +26,15 @@ legs:
   least :data:`ACCURACY_FLOOR` of the grid -- the calibration record for
   the duration histogram of ``repro.core.costmodel.BoundSummary``.
 
-The script exits non-zero on any parity, plan-shape, or accuracy
-failure, making it a CI gate; its JSON report feeds the
-``range-duration`` row of the bench-trajectory pipeline.
-
-Usage::
-
-    python benchmarks/bench_range_duration.py                # small scale
-    python benchmarks/bench_range_duration.py --scale tiny   # CI smoke
-    python benchmarks/bench_range_duration.py --output out.json
+A parity or plan-shape failure aborts the run; the plan shape, the
+leg sizes and the planner accuracy are also gates of the
+``range-duration`` entry of ``benchmarks/bench_trajectory.py``, which
+runs it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from pathlib import Path
 
 from repro.bench.experiments import get_scale
 from repro.bench.harness import paper_database, run_join_batch
@@ -364,6 +356,33 @@ def run(scale_name, seed):
     for row in grid_rows:
         by_choice[row["choice"]] = by_choice.get(row["choice"], 0) + 1
     backends = sorted({row["backend"] for row in parity_rows})
+    accuracy = correct / max(len(grid_rows), 1)
+    temporal_rows = temporal_summary["now_rows"] + temporal_summary["infinite_rows"]
+    metrics = {
+        "bands": len(bands),
+        "backends": len(backends),
+        "parity_queries": sum(row["queries"] for row in parity_rows),
+        "results_total": sum(
+            row["results_total"]
+            for row in parity_rows
+            if row["backend"] == "ritree"
+        ),
+        "pairs_total": pairs_total,
+        "temporal_rows": temporal_rows,
+        "temporal_results": temporal_summary["results_total"],
+        "grid_points": len(grid_rows),
+        "correct_choices": correct,
+        "auto_accuracy": round(accuracy, 3),
+        "index_physical_reads": sum(
+            r["measured"]["index-nested-loop"]["physical_reads"]
+            for r in grid_rows
+        ),
+        "sweep_physical_reads": sum(
+            r["measured"]["sweep"]["physical_reads"] for r in grid_rows
+        ),
+        "sql_one_statement": int(sql_summary["one_statement"]),
+        "sql_plans_clean": int(sql_summary["plans_clean"]),
+    }
     return {
         "workload": workload.name,
         "scale": scale["name"],
@@ -371,90 +390,19 @@ def run(scale_name, seed):
         "parity_rows": parity_rows,
         "grid_rows": grid_rows,
         "summary": {
-            "bands": len(bands),
             "backends": backends,
-            "parity_queries": sum(
-                row["queries"] for row in parity_rows
-            ),
-            "results_total": sum(
-                row["results_total"]
-                for row in parity_rows
-                if row["backend"] == "ritree"
-            ),
             "join_probes": probe_n,
-            "pairs_total": pairs_total,
-            "temporal_rows": (
-                temporal_summary["now_rows"]
-                + temporal_summary["infinite_rows"]
-            ),
-            "temporal_results": temporal_summary["results_total"],
-            "grid_points": len(grid_rows),
-            "correct_choices": correct,
-            "auto_accuracy": correct / max(len(grid_rows), 1),
+            "auto_accuracy": accuracy,
             "accuracy_floor": ACCURACY_FLOOR,
             "choices": by_choice,
-            "index_physical_reads": sum(
-                r["measured"]["index-nested-loop"]["physical_reads"]
-                for r in grid_rows
-            ),
-            "sweep_physical_reads": sum(
-                r["measured"]["sweep"]["physical_reads"] for r in grid_rows
-            ),
-            "sql_one_statement": sql_summary["one_statement"],
-            "sql_plans_clean": sql_summary["plans_clean"],
+        },
+        "metrics": metrics,
+        "gates": {
+            "at_least_three_bands": len(bands) >= 3,
+            "at_least_five_backends": len(backends) >= 5,
+            "sql_one_statement": sql_summary["one_statement"] is True,
+            "sql_plans_clean": sql_summary["plans_clean"] is True,
+            "temporal_rows_loaded": temporal_rows > 0,
+            "auto_accuracy_at_floor": accuracy >= ACCURACY_FLOOR,
         },
     }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Range-duration family parity + planner-grading benchmark"
-    )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=None, help="path for the JSON report")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale, args.seed)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    print(
-        f"{report['workload']}: {summary['bands']} duration bands x "
-        f"{len(summary['backends'])} backends, "
-        f"{summary['results_total']} results and "
-        f"{summary['pairs_total']} join pairs -- parity OK "
-        f"(+{summary['temporal_rows']} temporal rows)"
-    )
-    print(
-        f"sqlite: one statement per family query "
-        f"({summary['sql_one_statement']}), plans clean "
-        f"({summary['sql_plans_clean']})"
-    )
-    print(
-        f"planner grid: {summary['correct_choices']}/"
-        f"{summary['grid_points']} correct auto choices "
-        f"({summary['auto_accuracy']:.0%}, floor {ACCURACY_FLOOR:.0%}); "
-        f"choices {summary['choices']}"
-    )
-    for row in report["grid_rows"]:
-        if not row["correct"]:
-            print(
-                f"  missed: outer={row['outer_n']} band={row['band']}: "
-                f"chose {row['choice']}, measured cheaper "
-                f"{row['measured_cheaper']}"
-            )
-    if summary["auto_accuracy"] < ACCURACY_FLOOR:
-        print("FAIL: auto strategy accuracy below floor")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

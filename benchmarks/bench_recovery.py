@@ -2,11 +2,11 @@
 
 Exercises the durability subsystem end to end on the simulated engine:
 for the plain RI-tree and the temporal RI-tree, a WAL-enabled workload
-(bulk load, extend, single inserts/deletes, temporal updates) is first
-run passively under a :class:`~repro.engine.faults.FaultInjector` to
-count its write points, then re-run once per point with a
-:class:`~repro.engine.errors.SimulatedCrash` injected exactly there.
-After every crash the database is rebuilt with
+(bulk load, extend, single inserts/deletes, temporal updates) is swept
+by :func:`benchlib.crash_sweep`: run passively to count its write
+points and record every committed state, then re-run once per point
+with a :class:`~repro.engine.errors.SimulatedCrash` injected exactly
+there.  After every crash the database is rebuilt with
 :meth:`~repro.engine.database.Database.recover`, the store re-attached,
 and the result must
 
@@ -16,30 +16,23 @@ and the result must
 * answer intersection queries identically to a brute-force oracle over
   its recovered records.
 
-Any violation exits non-zero, making the script a CI gate.  The report
-carries only deterministic metrics (crash points, clean recoveries,
-replayed operations, WAL block traffic, record counts) -- never wall
-time -- so the bench-trajectory pipeline can demand bit-identical
-reproduction.
+Any violation aborts the run.  The report carries only deterministic
+metrics (crash points, clean recoveries, replayed operations, WAL block
+traffic, record counts) -- never wall time -- so the bench-trajectory
+pipeline can demand bit-identical reproduction.  The workload is a
+fixed arithmetic sequence, so the seed is unused.
 
-Usage::
-
-    python benchmarks/bench_recovery.py                # small scale
-    python benchmarks/bench_recovery.py --scale tiny   # CI smoke
-    python benchmarks/bench_recovery.py --output recovery.json
+The ``recovery`` entry of ``benchmarks/bench_trajectory.py``, which
+runs it and checks its gates.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from pathlib import Path
 
+from benchlib import crash_sweep
 from repro.bench.experiments import get_scale
 from repro.core import RITree, TemporalRITree
-from repro.engine import Database, FaultInjector, SimulatedCrash
-from repro.methods.memory import BruteForceIntervals
 
 #: Interval rows per workload, by scale preset.
 ROWS_BY_SCALE = {"tiny": 30, "small": 120, "paper": 400}
@@ -88,90 +81,25 @@ def probe_queries(rows):
     return [(lower, lower + 400) for lower in lowers[::step]] + [(0, 10_000)]
 
 
-def oracle_parity(store, queries):
-    oracle = BruteForceIntervals(store.stored_records())
-    for lower, upper in queries:
-        if sorted(store.intersection(lower, upper)) != sorted(
-            oracle.intersection(lower, upper)
-        ):
-            return False
-    return True
-
-
 def run_case(kind, rows):
     factory, store_cls, steps_for = CASES[kind]
-    queries = probe_queries(rows)
 
-    # Passive run: count write points, snapshot each committed state,
-    # and record the WAL traffic of building the store.
-    passive = FaultInjector()
-    db = Database(wal=True, injector=passive)
-    tree = factory(db)
-    allowed_states = [sorted(tree.stored_records())]
-    for step in steps_for(tree, rows):
-        step()
-        allowed_states.append(sorted(tree.stored_records()))
-    db.flush()
-    points = passive.write_points
-    wal_writes = db.stats.wal_writes
+    def steps(db):
+        tree = factory(db)
+        yield tree
+        for step in steps_for(tree, rows):
+            step()
+            yield tree
 
-    # One clean recovery measures the replay read traffic.
-    clean = db.recover()
-    wal_reads = clean.stats.wal_reads
-    clean_store = store_cls.attach(clean)
-    if not clean_store.verify().ok:
-        raise SystemExit(f"{kind}: clean recovery fails verify()")
-    if sorted(clean_store.stored_records()) != allowed_states[-1]:
-        raise SystemExit(f"{kind}: clean recovery lost committed records")
-
-    recovered_clean = 0
-    replayed_total = 0
-    for n in range(1, points + 1):
-        injector = FaultInjector().crash_at_write_point(n)
-        db = Database(wal=True, injector=injector)
-        crashed = False
-        try:
-            tree = factory(db)
-            for step in steps_for(tree, rows):
-                step()
-            db.flush()
-        except SimulatedCrash:
-            crashed = True
-        recovered_db = db.recover()
-        replayed_total += recovered_db.replayed_ops
-        if not recovered_db.has_table("Intervals"):
-            if not crashed:
-                raise SystemExit(f"{kind}: point {n} lost the table silently")
-            recovered_clean += 1
-            continue
-        recovered = store_cls.attach(recovered_db)
-        report = recovered.verify()
-        if not report.ok:
-            raise SystemExit(
-                f"{kind}: point {n} recovery fails verify(): "
-                f"{[i.as_dict() for i in report.issues]}"
-            )
-        state = sorted(recovered.stored_records())
-        if state not in allowed_states:
-            raise SystemExit(f"{kind}: point {n} is not a committed prefix")
-        if not crashed and state != allowed_states[-1]:
-            raise SystemExit(f"{kind}: point {n} dropped a committed batch")
-        if not oracle_parity(recovered, queries):
-            raise SystemExit(f"{kind}: point {n} breaks query parity")
-        recovered_clean += 1
-
-    return {
-        "store": kind,
-        "crash_points": points,
-        "recovered_clean": recovered_clean,
-        "replayed_ops": replayed_total,
-        "wal_writes": wal_writes,
-        "wal_reads": wal_reads,
-        "records": len(allowed_states[-1]),
-    }
+    sweep = crash_sweep(steps, store_cls, probe_queries(rows))
+    if sweep["failures"]:
+        point, reason = sweep["failures"][0]
+        raise SystemExit(f"{kind}: point {point} {reason}")
+    del sweep["failures"]
+    return {"store": kind, **sweep}
 
 
-def run(scale_name):
+def run(scale_name, seed):
     scale = get_scale(scale_name)
     count = ROWS_BY_SCALE.get(scale["name"], 120)
     rows = workload_rows(count)
@@ -194,42 +122,10 @@ def run(scale_name):
     totals["all_recovered"] = int(
         totals["recovered_clean"] == totals["crash_points"]
     )
-    totals["time_s"] = elapsed
-    report["summary"] = totals
+    report["time_s"] = elapsed
+    report["metrics"] = totals
+    report["gates"] = {
+        "all_recovered": totals["all_recovered"] == 1,
+        "crash_points_found": totals["crash_points"] > 0,
+    }
     return report
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Crash-at-every-write-point recovery benchmark"
-    )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
-    )
-    parser.add_argument("--output", default=None, help="path for the JSON report")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    for row in report["rows"]:
-        print(
-            f"{row['store']}: {row['recovered_clean']}/{row['crash_points']} "
-            f"crash points recovered clean ({row['records']} records, "
-            f"{row['replayed_ops']} ops replayed)"
-        )
-    print(
-        f"total: {summary['recovered_clean']}/{summary['crash_points']} "
-        f"recoveries verify()-clean and oracle-consistent "
-        f"in {summary['time_s']:.2f}s"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

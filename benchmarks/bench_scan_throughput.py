@@ -13,25 +13,20 @@ selectivity sweep) through three execution paths and emits a JSON report:
   now: leaf-slice lengths summed, no id lists).
 
 For every path the report records wall time plus *exact* logical and
-physical I/O totals, and the script fails loudly unless all paths --
-and, when present, the committed pre-change baseline in
+physical I/O totals, and the benchmark fails loudly unless all paths --
+and, at the scale and seed it was recorded at, the committed baseline in
 ``benchmarks/baselines/fig13_scan_throughput_seed.json`` -- agree
 bit-for-bit on I/O.  Python-level work is measured with a profile hook
 counting frame activations (function calls and generator resumes), the
 operations the batching removes.
 
-Usage::
-
-    python benchmarks/bench_scan_throughput.py                # small scale
-    python benchmarks/bench_scan_throughput.py --scale tiny   # CI smoke
-    python benchmarks/bench_scan_throughput.py --output out.json
+The ``scan-throughput`` entry of ``benchmarks/bench_trajectory.py``,
+which runs it and checks its gates.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -54,7 +49,7 @@ BASELINE_PATH = Path(__file__).parent / "baselines" \
 #: per returned id for the harness path vs the per-entry reference.
 #: It holds at small/full scale; at tiny scale the handful of results per
 #: query is dominated by fixed per-query work (plan build, two B+-tree
-#: descents), so the CI smoke gate only demands that batching never lose.
+#: descents), so the tiny-scale gate only demands that batching never lose.
 OPS_RATIO_TARGET = 3.0
 OPS_RATIO_TARGETS_BY_SCALE = {"tiny": 1.0}
 
@@ -97,7 +92,7 @@ def _paths_for(method) -> dict:
     return paths
 
 
-def run(scale_name: str | None, seed: int, check_baseline: bool) -> dict:
+def run(scale_name: str | None, seed: int) -> dict:
     scale = get_scale(scale_name)
     n = scale["fig13_n"]
     workload = distributions.d1(n, 2000, seed=seed)
@@ -171,11 +166,16 @@ def run(scale_name: str | None, seed: int, check_baseline: bool) -> dict:
     report["summary"] = {
         "ritree_time_speedup": legacy_time / max(count_time, 1e-12),
         "ritree_worst_ops_ratio": worst_ops_ratio,
-        "ops_target_met": worst_ops_ratio >= ops_target,
     }
+    report["baseline_check"] = _check_baseline(report)
 
-    if check_baseline:
-        report["baseline_check"] = _check_baseline(report)
+    count_rows = [r for r in report["rows"] if r["path"] == "count"]
+    report["metrics"] = {
+        key: sum(r[key] for r in count_rows)
+        for key in ("results_total", "logical_reads", "physical_reads")
+    }
+    report["metrics"]["worst_ops_ratio"] = round(worst_ops_ratio, 3)
+    report["gates"] = {"ops_ratio_target_met": worst_ops_ratio >= ops_target}
     return report
 
 
@@ -205,40 +205,3 @@ def _check_baseline(report: dict) -> dict:
         compared += 1
     return {"status": "bit-identical", "rows_compared": compared,
             "baseline": "benchmarks/baselines/" + BASELINE_PATH.name}
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Batched scan pipeline throughput benchmark (Fig. 13)")
-    parser.add_argument("--scale", default=None,
-                        help="scale preset (default: REPRO_BENCH_SCALE or "
-                             "'small')")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=None,
-                        help="path for the JSON report")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="skip the committed-baseline I/O comparison")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale, args.seed, check_baseline=not args.no_baseline)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    print(f"RI-tree harness-path speedup vs per-entry reference: "
-          f"{summary['ritree_time_speedup']:.2f}x wall time")
-    print(f"worst-case Python-ops ratio (per-entry / batched): "
-          f"{summary['ritree_worst_ops_ratio']:.1f}x "
-          f"(target {report['ops_ratio_target']}x at scale "
-          f"{report['scale']})")
-    if "baseline_check" in report:
-        print(f"baseline I/O check: {report['baseline_check']['status']}")
-    if not summary["ops_target_met"]:
-        print("FAIL: ops ratio below target", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

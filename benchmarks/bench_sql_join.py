@@ -13,24 +13,19 @@ same join:
   statistics (its dispatch must match the planner's published choice),
 * the independent ``searchsorted`` counting oracle.
 
-The script also asserts that sqlite's own optimizer drives the join's
+The benchmark also asserts that sqlite's own optimizer drives the join's
 nested-loop plan through both Figure 2 indexes (``EXPLAIN QUERY PLAN``
-must SEARCH lowerIndex and upperIndex), and exits non-zero on any
-parity or planner-consistency failure, making it a CI gate.
+must SEARCH lowerIndex and upperIndex), and aborts on any parity or
+planner-consistency failure.  Its gate: the in-memory database is
+priced memory-resident, zero physical reads on both strategies.
 
-Usage::
-
-    python benchmarks/bench_sql_join.py                # small scale
-    python benchmarks/bench_sql_join.py --scale tiny   # CI smoke
-    python benchmarks/bench_sql_join.py --output out.json
+The ``sql-join`` entry of ``benchmarks/bench_trajectory.py``, which
+runs it and checks its gates.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import time
-from pathlib import Path
 
 from repro.bench.experiments import get_scale
 from repro.bench.harness import paper_database, run_join_batch
@@ -181,47 +176,16 @@ def run(scale_name, seed):
         "sql_pairs_time_s": pairs_elapsed,
         "sweep_time_s": sweep_elapsed,
     }
+    report["metrics"] = {
+        "pairs": counting_oracle,
+        "planner_choice": planner.choice,
+        "decision_consistent": int(decision_consistent),
+        "plan_uses_both_indexes": int(uses_both),
+    }
+    report["gates"] = {
+        "planner_memory_resident": all(
+            report["planner"][strategy]["physical_reads"] == 0
+            for strategy in ("index", "sweep")
+        ),
+    }
     return report
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="SQL-backend (sqlite3) interval-join parity benchmark"
-    )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=None, help="path for the JSON report")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale, args.seed)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    print(
-        f"{report['workload']}: {summary['pairs']} pairs "
-        f"(selectivity {summary['join_selectivity']:.2e})"
-    )
-    print(
-        f"parity: {report['parity']['status']} across "
-        f"{report['parity']['strategies_compared']}"
-    )
-    print(
-        f"planner choice: {summary['planner_choice']} "
-        f"(auto dispatch consistent: {summary['decision_consistent']})"
-    )
-    print(
-        f"wall time: sql count {summary['sql_count_time_s']:.3f}s, "
-        f"sql pairs {summary['sql_pairs_time_s']:.3f}s, "
-        f"sweep {summary['sweep_time_s']:.3f}s"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

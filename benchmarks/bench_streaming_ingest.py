@@ -1,7 +1,7 @@
 """Streaming-ingest benchmark: parity, group commit, crash, serving.
 
 Exercises the ingest subsystem (:mod:`repro.ingest`) end to end through
-four gates, all hard failures (exit 1):
+four gates:
 
 * **Checkpoint parity** -- a seeded stream (open now-relative rows and
   later closures included) is driven through a
@@ -18,8 +18,9 @@ four gates, all hard failures (exit 1):
   empty one), asserted against the engine's ``wal.forces`` counter on
   a dedicated run with no clock advances or closures in the way.
 
-* **Crash during ingest** -- the recovery benchmark's
-  crash-at-every-write-point protocol replayed over a streaming run:
+* **Crash during ingest** -- :func:`benchlib.crash_sweep`, the
+  recovery benchmark's crash-at-every-write-point protocol, replayed
+  over a streaming run:
   whatever write point dies, :meth:`~repro.engine.database.Database.
   recover` must yield a verify()-clean store holding a committed batch
   prefix that answers queries like a brute-force oracle.
@@ -32,35 +33,27 @@ four gates, all hard failures (exit 1):
   records.  Sustained writer records/s and reader ops/s ride along as
   informational metrics.
 
-Usage::
-
-    python benchmarks/bench_streaming_ingest.py               # small
-    python benchmarks/bench_streaming_ingest.py --scale tiny  # CI smoke
-    python benchmarks/bench_streaming_ingest.py --output out.json
+The ``ingest`` entry of ``benchmarks/bench_trajectory.py``, which runs
+it and checks its gates.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import random
-import subprocess
-import sys
-import tempfile
 import threading
 import time
-from pathlib import Path
 
+from benchlib import crash_sweep, router
 from repro.bench.experiments import get_scale
 from repro.core import RITree, TemporalRITree
 from repro.core.stores import create_store
-from repro.core.temporal import UPPER_INF, UPPER_NOW
-from repro.engine import Database, FaultInjector, SimulatedCrash
+from repro.core.temporal import UPPER_NOW
+from repro.engine import Database
 from repro.ingest import IngestOracle, StreamIngestor, StreamWorkload, replay_records
 from repro.methods.memory import BruteForceIntervals
 from repro.service.client import ServiceClient
 from repro.service.loadgen import build_dataset, build_ops, evaluate_ops, run_load
+from repro.workloads.joins import expected_pair_count
 
 #: Parity legs: backend x arrival discipline.
 PARITY_BACKENDS = ("temporal-ritree", "hint")
@@ -84,15 +77,6 @@ def probe_windows(rng, clock, mean_length, count=4):
     return out
 
 
-def brute_join_count(reference, probes):
-    return sum(
-        1
-        for _pl, _pu, _pid in probes
-        for lower, upper, _i in reference
-        if lower <= _pu and _pl <= upper
-    )
-
-
 def check_boundary(store, oracle, workload, upto, rng, mismatches):
     """One parity check: ingested store vs committed-prefix oracles."""
     prefix, clock = replay_records(workload, upto=upto)
@@ -111,7 +95,7 @@ def check_boundary(store, oracle, workload, upto, rng, mismatches):
             probe_windows(rng, clock, workload.mean_length, count=3), start=1
         )
     ]
-    if store.join_count(probes) != brute_join_count(reference, probes):
+    if store.join_count(probes) != expected_pair_count(probes, reference):
         mismatches.append(("join_count", upto, len(probes), 0))
 
 
@@ -218,27 +202,19 @@ def run_crash(scale, seed):
         open_fraction=0.0,
     )
 
-    def ingest_run(db):
+    def steps(db):
         tree = RITree(db)
         ingestor = StreamIngestor(
             tree,
             flush_records=scale["ingest_crash_flush"],
             checkpoint_batches=2,
         )
-        return tree, ingestor
-
-    # Passive run: count write points, snapshot every committed state.
-    passive = FaultInjector()
-    db = Database(wal=True, injector=passive)
-    tree, ingestor = ingest_run(db)
-    allowed_states = [sorted(tree.stored_records())]
-    for batch in workload:
-        ingestor.submit(batch)
-        allowed_states.append(sorted(tree.stored_records()))
-    ingestor.drain()
-    allowed_states.append(sorted(tree.stored_records()))
-    db.flush()
-    points = passive.write_points
+        yield tree
+        for batch in workload:
+            ingestor.submit(batch)
+            yield tree
+        ingestor.drain()
+        yield tree
 
     queries = probe_windows(
         random.Random(seed + 47),
@@ -246,84 +222,14 @@ def run_crash(scale, seed):
         workload.mean_length,
         count=6,
     )
-    recovered_clean = 0
-    failures = []
-    for n in range(1, points + 1):
-        injector = FaultInjector().crash_at_write_point(n)
-        db = Database(wal=True, injector=injector)
-        crashed = False
-        try:
-            tree, ingestor = ingest_run(db)
-            for batch in workload:
-                ingestor.submit(batch)
-            ingestor.drain()
-            db.flush()
-        except SimulatedCrash:
-            crashed = True
-        recovered_db = db.recover()
-        if not recovered_db.has_table("Intervals"):
-            if not crashed:
-                failures.append((n, "lost the table silently"))
-            else:
-                recovered_clean += 1
-            continue
-        recovered = RITree.attach(recovered_db)
-        if not recovered.verify().ok:
-            failures.append((n, "fails verify()"))
-            continue
-        state = sorted(recovered.stored_records())
-        if state not in allowed_states:
-            failures.append((n, "not a committed batch prefix"))
-            continue
-        if not crashed and state != allowed_states[-1]:
-            failures.append((n, "dropped a committed batch"))
-            continue
-        brute = BruteForceIntervals(recovered.stored_records())
-        if any(
-            sorted(recovered.intersection(ql, qu))
-            != sorted(brute.intersection(ql, qu))
-            for ql, qu in queries
-        ):
-            failures.append((n, "breaks query parity"))
-            continue
-        recovered_clean += 1
+    sweep = crash_sweep(steps, RITree, queries)
     return {
         "gate": "crash",
-        "crash_points": points,
-        "recovered_clean": recovered_clean,
-        "records": len(allowed_states[-1]),
-        "failures": failures[:5],
+        "crash_points": sweep["crash_points"],
+        "recovered_clean": sweep["recovered_clean"],
+        "records": sweep["records"],
+        "failures": sweep["failures"][:5],
     }
-
-
-def spawn_router(dataset_path, shards):
-    """Start the router topology; returns (process, host, port)."""
-    src_dir = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    extra = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env["PYTHONPATH"] = os.pathsep.join([str(src_dir), *extra])
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service",
-            "--port",
-            "0",
-            "--shards",
-            str(shards),
-            "--dataset",
-            dataset_path,
-        ],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    line = proc.stdout.readline().strip()
-    if not line.startswith("LISTENING "):
-        proc.kill()
-        raise SystemExit(f"service failed to start: {line!r}")
-    _, host, port = line.split()
-    return proc, host, int(port)
 
 
 def run_serving(scale, seed):
@@ -346,13 +252,8 @@ def run_serving(scale, seed):
     )
     id_base = n + 1000  # streamed ids must not collide with the dataset's
 
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as handle:
-        json.dump({"records": records, "now": now}, handle)
-        dataset_path = handle.name
-
-    proc, host, port = spawn_router(dataset_path, shards)
     reader_result = []
-    try:
+    with router(records, now, shards) as (host, port):
         reader = threading.Thread(
             target=lambda: reader_result.append(
                 run_load(host, port, ops, scale["ingest_serve_concurrency"])
@@ -380,12 +281,6 @@ def run_serving(scale, seed):
         with ServiceClient(host, port) as client:
             routing = client.call("stats").get("routing") or {}
             client.call("shutdown")
-    finally:
-        Path(dataset_path).unlink()
-        try:
-            proc.wait(timeout=20)
-        except subprocess.TimeoutExpired:
-            proc.kill()
 
     concurrent = reader_result[0] if reader_result else None
     return {
@@ -423,80 +318,29 @@ def run(scale_name, seed):
     serving = run_serving(scale, seed)
     report["rows"].append(serving)
     elapsed = time.perf_counter() - started
-    report["summary"] = {
-        "parity_ok": mismatches == 0,
+    report["time_s"] = elapsed
+    report["metrics"] = {
+        "parity_ok": int(mismatches == 0),
         "parity_checks": checks,
         "records": sum(r["records"] for r in parity_rows),
         "flushes": sum(r["flushes"] for r in parity_rows),
         "closes": sum(r["closes"] for r in parity_rows),
         "checkpoints": sum(r["checkpoints"] for r in parity_rows),
         "wal_force_batches": trace["batches"],
-        "wal_force_per_batch_ok": trace["per_batch_ok"],
+        "wal_force_per_batch_ok": int(trace["per_batch_ok"]),
         "crash_points": crash["crash_points"],
         "recovered_clean": crash["recovered_clean"],
+        "all_recovered": int(crash["recovered_clean"] == crash["crash_points"]),
+        "serving_parity_ok": int(serving["parity_ok"]),
+        "ingest_ops_s": round(serving["ingest_ops_s"], 1),
+        "reader_ops_s": round(serving["reader_ops_s"], 1),
+    }
+    report["gates"] = {
+        "parity_ok": mismatches == 0,
+        "parity_checks_made": checks > 0,
+        "wal_force_per_batch_ok": trace["per_batch_ok"] is True,
         "all_recovered": crash["recovered_clean"] == crash["crash_points"],
-        "serving_parity_ok": serving["parity_ok"],
-        "streamed_records": serving["streamed_records"],
-        "ingest_ops_s": serving["ingest_ops_s"],
-        "reader_ops_s": serving["reader_ops_s"],
-        "time_s": elapsed,
+        "crash_points_found": crash["crash_points"] > 0,
+        "serving_parity_ok": serving["parity_ok"] is True,
     }
     return report
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Streaming ingest benchmark: parity, group commit, "
-        "crash recovery, ingest-while-serving"
-    )
-    parser.add_argument(
-        "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=None, help="path for the JSON report")
-    args = parser.parse_args(argv)
-
-    report = run(args.scale, args.seed)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"report written to {args.output}")
-    summary = report["summary"]
-    print(
-        f"parity: {summary['parity_checks']} checkpoint checks across "
-        f"{len(PARITY_BACKENDS) * 2} backend/mode legs, "
-        f"{summary['records']} records in {summary['flushes']} group "
-        f"commits ({summary['closes']} closures, "
-        f"{summary['checkpoints']} checkpoints)"
-        + ("" if summary["parity_ok"] else " -- FAILED")
-    )
-    print(
-        f"group commit: {summary['wal_force_batches']} batches, one WAL "
-        f"force each: {'ok' if summary['wal_force_per_batch_ok'] else 'FAILED'}"
-    )
-    print(
-        f"crash: {summary['recovered_clean']}/{summary['crash_points']} "
-        f"write points recover to a committed batch prefix"
-    )
-    print(
-        f"serving: {summary['streamed_records']} records ingested at "
-        f"{summary['ingest_ops_s']:.0f} rec/s while the reader ran at "
-        f"{summary['reader_ops_s']:.0f} ops/s; final parity "
-        f"{'ok' if summary['serving_parity_ok'] else 'FAILED'} "
-        f"in {summary['time_s']:.2f}s total"
-    )
-    failed = not (
-        summary["parity_ok"]
-        and summary["wal_force_per_batch_ok"]
-        and summary["all_recovered"]
-        and summary["serving_parity_ok"]
-    )
-    if failed:
-        print("FAIL: streaming ingest gate violated", file=sys.stderr)
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,14 +1,14 @@
 """The bench-trajectory pipeline: merge reports, diff committed baselines.
 
-CI runs the benchmark scripts at tiny scale and hands their JSON reports
-to this module, which
+``benchmarks/bench_trajectory.py`` runs the benchmark registry at tiny
+scale in one process and hands the reports to this module, which
 
-* extracts each benchmark's *deterministic* metrics (I/O counters, result
+* merges each benchmark's *deterministic* metrics (I/O counters, result
   sizes, decision accuracy -- never wall time, which CI runners cannot
-  reproduce),
-* merges them into one ``BENCH_PR.json`` whose rows follow the schema
-  ``{bench, scale, metrics, git_sha}`` -- the perf-trajectory record a PR
-  leaves behind as an artifact, and
+  reproduce; each report carries its row as ``report["metrics"]``) into
+  one ``BENCH_PR.json`` whose rows follow the schema
+  ``{bench, scale, metrics, git_sha}`` -- the perf-trajectory record a
+  PR leaves behind as an artifact, and
 * diffs the rows against the committed baselines under
   ``benchmarks/baselines/`` so a regression fails the job with a
   readable delta table.
@@ -24,17 +24,15 @@ Three comparison rules cover every metric:
 * ``informational`` -- wall-clock-derived observations (the service
   bench's latency percentiles and throughput) that CI runners cannot
   reproduce bit for bit.  They ride in the trajectory rows for trend
-  reading but never fail the diff; their *gates* live in the benchmark
-  scripts themselves, which exit non-zero before the merge job runs.
-  Names ending in ``_ms`` or ``_ops_s`` (and ``scaling_ratio``) get
-  this rule implicitly.
-
-The CLI wrapper is ``benchmarks/bench_trajectory.py``.
+  reading but never fail the diff; their *gates* live in each report's
+  ``gates``, which the CLI checks before the diff.  Names ending in
+  ``_ms`` or ``_ops_s`` (and ``scaling_ratio``) get this rule
+  implicitly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 #: Comparison rules.
 EXACT = "exact"
@@ -65,197 +63,20 @@ def metric_rule(name: str) -> str:
 AT_LEAST_SLACK = 1e-9
 
 
-def _scan_throughput_metrics(report: dict) -> dict:
-    count_rows = [r for r in report["rows"] if r["path"] == "count"]
-    return {
-        "results_total": sum(r["results_total"] for r in count_rows),
-        "logical_reads": sum(r["logical_reads"] for r in count_rows),
-        "physical_reads": sum(r["physical_reads"] for r in count_rows),
-        "worst_ops_ratio": round(report["summary"]["ritree_worst_ops_ratio"], 3),
-    }
-
-
-def _interval_join_metrics(report: dict) -> dict:
-    rows = {r["strategy"]: r for r in report["rows"]}
-    return {
-        "pairs": report["summary"]["pairs"],
-        "index_physical_reads": rows["index-nested-loop"]["physical_reads"],
-        "index_logical_reads": rows["index-nested-loop"]["logical_reads"],
-        "sweep_physical_reads": rows["sweep"]["physical_reads"],
-        "sweep_logical_reads": rows["sweep"]["logical_reads"],
-        "auto_physical_reads": rows["auto"]["physical_reads"],
-    }
-
-
-def _sql_join_metrics(report: dict) -> dict:
-    summary = report["summary"]
-    return {
-        "pairs": summary["pairs"],
-        "planner_choice": summary["planner_choice"],
-        "decision_consistent": int(summary["decision_consistent"]),
-        "plan_uses_both_indexes": int(summary["plan_uses_both_indexes"]),
-    }
-
-
-def _predicate_join_metrics(report: dict) -> dict:
-    summary = report["summary"]
-    return {
-        "predicates": summary["predicates"],
-        "pairs_total": summary["pairs_total"],
-        "grid_points": summary["grid_points"],
-        "correct_choices": summary["correct_choices"],
-        "auto_accuracy": round(summary["auto_accuracy"], 3),
-        "index_physical_reads": summary["index_physical_reads"],
-        "sweep_physical_reads": summary["sweep_physical_reads"],
-        "sql_one_statement": int(summary["sql_one_statement"]),
-    }
-
-
-def _range_duration_metrics(report: dict) -> dict:
-    summary = report["summary"]
-    return {
-        "bands": summary["bands"],
-        "backends": len(summary["backends"]),
-        "parity_queries": summary["parity_queries"],
-        "results_total": summary["results_total"],
-        "pairs_total": summary["pairs_total"],
-        "temporal_rows": summary["temporal_rows"],
-        "temporal_results": summary["temporal_results"],
-        "grid_points": summary["grid_points"],
-        "correct_choices": summary["correct_choices"],
-        "auto_accuracy": round(summary["auto_accuracy"], 3),
-        "index_physical_reads": summary["index_physical_reads"],
-        "sweep_physical_reads": summary["sweep_physical_reads"],
-        "sql_one_statement": int(summary["sql_one_statement"]),
-        "sql_plans_clean": int(summary["sql_plans_clean"]),
-    }
-
-
-def _join_crossover_metrics(report: dict) -> dict:
-    summary = report["summary"]
-    measured_index = sum(
-        r["measured"]["index-nested-loop"]["physical_reads"] for r in report["rows"]
-    )
-    measured_sweep = sum(
-        r["measured"]["sweep"]["physical_reads"] for r in report["rows"]
-    )
-    return {
-        "grid_points": summary["grid_points"],
-        "correct_choices": summary["correct_choices"],
-        "auto_accuracy": round(summary["auto_accuracy"], 3),
-        "index_physical_reads": measured_index,
-        "sweep_physical_reads": measured_sweep,
-    }
-
-
-def _hint_metrics(report: dict) -> dict:
-    summary = report["summary"]
-    return {
-        "results_total": summary["results_total"],
-        "parity_queries": summary["parity_queries"],
-        "pairs": summary["pairs"],
-        "worst_ops_ratio": round(summary["worst_ops_ratio"], 3),
-        "count_worst_ops_ratio": round(summary["count_worst_ops_ratio"], 3),
-    }
-
-
-def _recovery_metrics(report: dict) -> dict:
-    summary = report["summary"]
-    return {
-        "crash_points": summary["crash_points"],
-        "recovered_clean": summary["recovered_clean"],
-        "all_recovered": summary["all_recovered"],
-        "replayed_ops": summary["replayed_ops"],
-        "wal_writes": summary["wal_writes"],
-        "wal_reads": summary["wal_reads"],
-        "records": summary["records"],
-    }
-
-
-def _service_metrics(report: dict) -> dict:
-    summary = report["summary"]
-    metrics = {
-        # Deterministic routing facts: seeded dataset + derived cuts.
-        "parity_ok": int(summary["parity_ok"]),
-        "parity_runs": summary["parity_runs"],
-        "ops": summary["ops"],
-        "records": summary["records"],
-        "shards": summary["shards"],
-        "replicas": summary["replicas"],
-        "scaling_target_met": int(summary["scaling_target_met"]),
-        # Wall-clock observations (INFO rule: recorded, never diffed).
-        "throughput_c1_ops_s": round(summary["throughput_low"], 1),
-        "throughput_cmax_ops_s": round(summary["throughput_high"], 1),
-        "scaling_ratio": round(summary["scaling_ratio"], 3),
-    }
-    for cls, stats in sorted(report["latency"].items()):
-        metrics[f"{cls}_p50_ms"] = stats["p50_ms"]
-        metrics[f"{cls}_p99_ms"] = stats["p99_ms"]
-    return metrics
-
-
-def _ingest_metrics(report: dict) -> dict:
-    summary = report["summary"]
-    return {
-        # Deterministic: seeded streams, counted flushes/closes, crash
-        # points from the injector's write-point axis.
-        "parity_ok": int(summary["parity_ok"]),
-        "parity_checks": summary["parity_checks"],
-        "records": summary["records"],
-        "flushes": summary["flushes"],
-        "closes": summary["closes"],
-        "checkpoints": summary["checkpoints"],
-        "wal_force_batches": summary["wal_force_batches"],
-        "wal_force_per_batch_ok": int(summary["wal_force_per_batch_ok"]),
-        "crash_points": summary["crash_points"],
-        "recovered_clean": summary["recovered_clean"],
-        "all_recovered": int(summary["all_recovered"]),
-        "serving_parity_ok": int(summary["serving_parity_ok"]),
-        # Wall-clock observations (INFO rule: recorded, never diffed).
-        "ingest_ops_s": round(summary["ingest_ops_s"], 1),
-        "reader_ops_s": round(summary["reader_ops_s"], 1),
-    }
-
-
-#: Benchmark name -> metrics extractor over its JSON report.
-BENCH_EXTRACTORS: dict[str, Callable[[dict], dict]] = {
-    "scan-throughput": _scan_throughput_metrics,
-    "interval-join": _interval_join_metrics,
-    "join-crossover": _join_crossover_metrics,
-    "sql-join": _sql_join_metrics,
-    "predicate-join": _predicate_join_metrics,
-    "range-duration": _range_duration_metrics,
-    "recovery": _recovery_metrics,
-    "hint": _hint_metrics,
-    "service": _service_metrics,
-    "ingest": _ingest_metrics,
-}
-
-
-def extract_metrics(bench: str, report: dict) -> dict:
-    """Deterministic metrics of one benchmark report."""
-    try:
-        extractor = BENCH_EXTRACTORS[bench]
-    except KeyError:
-        raise ValueError(
-            f"unknown benchmark {bench!r}; expected one of "
-            f"{sorted(BENCH_EXTRACTORS)}"
-        ) from None
-    return extractor(report)
-
-
 def merge_reports(named_reports: dict[str, dict], git_sha: str = "unknown") -> dict:
-    """Merge benchmark reports into the BENCH_PR row schema."""
-    rows = []
-    for bench, report in sorted(named_reports.items()):
-        rows.append(
-            {
-                "bench": bench,
-                "scale": report.get("scale", "unknown"),
-                "metrics": extract_metrics(bench, report),
-                "git_sha": git_sha,
-            }
-        )
+    """Merge benchmark reports into the BENCH_PR row schema.
+
+    Each report carries its own trajectory row as ``report["metrics"]``.
+    """
+    rows = [
+        {
+            "bench": bench,
+            "scale": report.get("scale", "unknown"),
+            "metrics": report["metrics"],
+            "git_sha": git_sha,
+        }
+        for bench, report in sorted(named_reports.items())
+    ]
     return {"schema": "bench-trajectory/v1", "git_sha": git_sha, "rows": rows}
 
 

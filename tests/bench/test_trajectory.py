@@ -1,58 +1,52 @@
-"""The bench-trajectory pipeline: metric extraction, merge, baseline diff."""
+"""The bench-trajectory pipeline: registry CLI, merge, baseline diff."""
+
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench import trajectory
 
+BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
+sys.path.insert(0, str(BENCH_DIR))
+
+import bench_trajectory  # noqa: E402
+
+BASELINE = json.loads(bench_trajectory.DEFAULT_BASELINE.read_text())
+BASELINE_ROWS = {row["bench"]: row for row in BASELINE["rows"]}
+
 SCAN_REPORT = {
     "scale": "tiny",
-    "rows": [
-        {"path": "count", "results_total": 10, "logical_reads": 100,
-         "physical_reads": 40},
-        {"path": "count", "results_total": 5, "logical_reads": 50,
-         "physical_reads": 20},
-        {"path": "per_entry", "results_total": 10, "logical_reads": 100,
-         "physical_reads": 40},
-    ],
-    "summary": {"ritree_worst_ops_ratio": 2.5},
+    "metrics": {
+        "results_total": 15,
+        "logical_reads": 150,
+        "physical_reads": 60,
+        "worst_ops_ratio": 2.5,
+    },
 }
 
 JOIN_REPORT = {
     "scale": "tiny",
-    "rows": [
-        {"strategy": "index-nested-loop", "pairs": 7, "logical_reads": 30,
-         "physical_reads": 12},
-        {"strategy": "sweep", "pairs": 7, "logical_reads": 8,
-         "physical_reads": 8},
-        {"strategy": "auto", "pairs": 7, "logical_reads": 8,
-         "physical_reads": 8},
-        {"strategy": "nested-loop", "pairs": 7, "logical_reads": 0,
-         "physical_reads": 0},
-    ],
-    "summary": {"pairs": 7},
+    "metrics": {
+        "pairs": 7,
+        "index_physical_reads": 12,
+        "index_logical_reads": 30,
+        "sweep_physical_reads": 8,
+        "sweep_logical_reads": 8,
+        "auto_physical_reads": 8,
+    },
 }
 
 CROSSOVER_REPORT = {
     "scale": "tiny",
-    "rows": [
-        {"measured": {"index-nested-loop": {"physical_reads": 5},
-                      "sweep": {"physical_reads": 9}}},
-        {"measured": {"index-nested-loop": {"physical_reads": 50},
-                      "sweep": {"physical_reads": 9}}},
-    ],
-    "summary": {"grid_points": 2, "correct_choices": 2,
-                "auto_accuracy": 1.0},
-}
-
-PREDICATE_REPORT = {
-    "scale": "tiny",
-    "parity_rows": [],
-    "grid_rows": [],
-    "summary": {
-        "predicates": 14, "pairs_total": 321, "grid_points": 6,
-        "correct_choices": 6, "auto_accuracy": 1.0,
-        "index_physical_reads": 100, "sweep_physical_reads": 40,
-        "sql_one_statement": True, "sql_plans_clean": True,
+    "metrics": {
+        "grid_points": 2,
+        "correct_choices": 2,
+        "auto_accuracy": 1.0,
+        "index_physical_reads": 55,
+        "sweep_physical_reads": 18,
     },
 }
 
@@ -62,113 +56,25 @@ ALL_REPORTS = {
     "join-crossover": CROSSOVER_REPORT,
 }
 
-
-def test_extract_metrics_scan_throughput_sums_count_path_only():
-    metrics = trajectory.extract_metrics("scan-throughput", SCAN_REPORT)
-    assert metrics == {
-        "results_total": 15,
-        "logical_reads": 150,
-        "physical_reads": 60,
-        "worst_ops_ratio": 2.5,
-    }
-
-
-def test_extract_metrics_interval_join_covers_all_strategies():
-    metrics = trajectory.extract_metrics("interval-join", JOIN_REPORT)
-    assert metrics["pairs"] == 7
-    assert metrics["index_physical_reads"] == 12
-    assert metrics["sweep_physical_reads"] == 8
-    assert metrics["auto_physical_reads"] == 8
-
-
-def test_extract_metrics_crossover():
-    metrics = trajectory.extract_metrics("join-crossover", CROSSOVER_REPORT)
-    assert metrics == {
-        "grid_points": 2,
-        "correct_choices": 2,
-        "auto_accuracy": 1.0,
-        "index_physical_reads": 55,
-        "sweep_physical_reads": 18,
-    }
-
-
-def test_extract_metrics_predicate_join():
-    metrics = trajectory.extract_metrics("predicate-join", PREDICATE_REPORT)
-    assert metrics == {
-        "predicates": 14,
-        "pairs_total": 321,
-        "grid_points": 6,
-        "correct_choices": 6,
-        "auto_accuracy": 1.0,
-        "index_physical_reads": 100,
-        "sweep_physical_reads": 40,
-        "sql_one_statement": 1,
-    }
-    # accuracy metrics ratchet (AT_LEAST), counters stay exact
-    assert trajectory.METRIC_RULES["auto_accuracy"] == trajectory.AT_LEAST
-    assert "pairs_total" not in trajectory.METRIC_RULES
-
-
-def test_extract_metrics_hint():
-    report = {
-        "summary": {
-            "results_total": 1071,
-            "parity_queries": 30,
-            "join_probes": 100,
-            "pairs": 739,
-            "worst_ops_ratio": 18.4532,
-            "count_worst_ops_ratio": 20.2091,
-            "frame_target_met": True,
-        }
-    }
-    metrics = trajectory.extract_metrics("hint", report)
-    assert metrics == {
-        "results_total": 1071,
-        "parity_queries": 30,
-        "pairs": 739,
-        "worst_ops_ratio": 18.453,
-        "count_worst_ops_ratio": 20.209,
-    }
-    # frame ratios ratchet (AT_LEAST), parity counters stay exact
-    assert trajectory.METRIC_RULES["worst_ops_ratio"] == trajectory.AT_LEAST
-    assert (trajectory.METRIC_RULES["count_worst_ops_ratio"]
-            == trajectory.AT_LEAST)
-    assert "parity_queries" not in trajectory.METRIC_RULES
-
-
 SERVICE_REPORT = {
     "scale": "tiny",
-    "summary": {
-        "parity_ok": True,
+    "metrics": {
+        "parity_ok": 1,
         "parity_runs": 4,
         "ops": 500,
         "records": 1500,
         "shards": 2,
         "replicas": 162,
-        "throughput_low": 777.51,
-        "throughput_high": 930.04,
-        "scaling_ratio": 1.1962,
-        "scaling_target_met": True,
-    },
-    "latency": {
-        "stab": {"p50_ms": 8.7, "p99_ms": 22.2, "count": 60},
-        "intersection": {"p50_ms": 8.8, "p99_ms": 38.9, "count": 80},
+        "scaling_target_met": 1,
+        "throughput_c1_ops_s": 777.5,
+        "throughput_cmax_ops_s": 930.0,
+        "scaling_ratio": 1.196,
+        "stab_p50_ms": 8.7,
+        "stab_p99_ms": 22.2,
+        "intersection_p50_ms": 8.8,
+        "intersection_p99_ms": 38.9,
     },
 }
-
-
-def test_extract_metrics_service():
-    metrics = trajectory.extract_metrics("service", SERVICE_REPORT)
-    assert metrics["parity_ok"] == 1
-    assert metrics["parity_runs"] == 4
-    assert metrics["shards"] == 2
-    assert metrics["replicas"] == 162
-    assert metrics["scaling_target_met"] == 1
-    assert metrics["throughput_c1_ops_s"] == 777.5
-    assert metrics["throughput_cmax_ops_s"] == 930.0
-    assert metrics["scaling_ratio"] == 1.196
-    assert metrics["stab_p50_ms"] == 8.7
-    assert metrics["intersection_p99_ms"] == 38.9
 
 
 def test_info_rule_covers_wall_clock_names():
@@ -178,6 +84,8 @@ def test_info_rule_covers_wall_clock_names():
     assert trajectory.metric_rule("parity_runs") == trajectory.EXACT
     assert trajectory.metric_rule("replicas") == trajectory.EXACT
     assert trajectory.metric_rule("auto_accuracy") == trajectory.AT_LEAST
+    assert trajectory.metric_rule("worst_ops_ratio") == trajectory.AT_LEAST
+    assert trajectory.metric_rule("count_worst_ops_ratio") == trajectory.AT_LEAST
 
 
 def test_info_metrics_never_fail_the_diff():
@@ -201,11 +109,6 @@ def test_info_metrics_never_fail_the_diff():
     failures = trajectory.regressions(
         trajectory.compare_to_baseline(current, baseline))
     assert [f["metric"] for f in failures] == ["replicas"]
-
-
-def test_extract_metrics_unknown_bench():
-    with pytest.raises(ValueError, match="unknown benchmark"):
-        trajectory.extract_metrics("frisbee", {})
 
 
 def test_merge_reports_schema():
@@ -303,3 +206,76 @@ def test_render_delta_table_is_readable():
     assert set(lines[1]) <= {"-", " ", "|"}
     assert any("auto_accuracy" in line for line in lines)
     assert all(len(line) == len(lines[0]) for line in lines[1:])
+
+def test_registry_rows_match_baseline():
+    """Two cheap benches run through the registry reproduce their rows."""
+    names = ["recovery", "sql-join"]
+    reports = bench_trajectory.run_benches(names, "tiny", 0)
+    merged = trajectory.merge_reports(reports)
+    assert trajectory.strip_baseline(merged)["rows"] == [
+        BASELINE_ROWS[name] for name in sorted(names)
+    ]
+    assert all(all(report["gates"].values()) for report in reports.values())
+
+
+def test_registry_names_exactly_the_baseline_benches():
+    assert sorted(bench_trajectory.BENCHES) == sorted(BASELINE_ROWS)
+    for module in bench_trajectory.BENCHES.values():
+        assert callable(module.run)
+
+
+def fake_bench(name, **gates):
+    """A registry entry replaying ``name``'s baseline row with ``gates``."""
+    row = BASELINE_ROWS[name]
+    report = {"scale": row["scale"], "metrics": row["metrics"], "gates": gates}
+    return SimpleNamespace(run=lambda scale, seed: report)
+
+
+def run_cli(tmp_path, *args):
+    return bench_trajectory.main(
+        [*args, "--out", str(tmp_path / "BENCH_PR.json"), "--sha", "abc"]
+    )
+
+
+def test_false_gate_fails_the_cli_and_names_the_gate(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(
+        bench_trajectory.BENCHES,
+        "recovery",
+        fake_bench("recovery", all_recovered=False, crash_points_found=True),
+    )
+    assert run_cli(tmp_path, "recovery") == 1
+    out = capsys.readouterr().out
+    assert "FAIL all_recovered" in out
+    assert "ok   crash_points_found" in out
+    assert "gate(s) false: recovery.all_recovered" in out
+    written = json.loads((tmp_path / "BENCH_PR.json").read_text())
+    assert written["reports"]["recovery"]["gates"]["all_recovered"] is False
+
+
+def test_missing_baseline_file_is_a_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(
+        bench_trajectory.BENCHES, "recovery", fake_bench("recovery", ok=True)
+    )
+    assert run_cli(tmp_path, "recovery") == 0
+    missing = str(tmp_path / "no_such_baseline.json")
+    assert run_cli(tmp_path, "recovery", "--baseline", missing) == 1
+    assert f"no baseline at {missing}" in capsys.readouterr().out
+
+
+def test_write_baseline_refuses_a_subset(tmp_path, monkeypatch):
+    for name in bench_trajectory.BENCHES:
+        monkeypatch.setitem(bench_trajectory.BENCHES, name, fake_bench(name, ok=True))
+    target = tmp_path / "baseline.json"
+    with pytest.raises(SystemExit) as refused:
+        run_cli(tmp_path, "recovery", "--write-baseline", str(target))
+    assert refused.value.code == 2
+    assert not target.exists()
+    assert run_cli(tmp_path, "--write-baseline", str(target)) == 0
+    assert json.loads(target.read_text()) == BASELINE
+
+
+def test_unknown_bench_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as rejected:
+        run_cli(tmp_path, "frisbee")
+    assert rejected.value.code == 2
+    assert "unknown benchmark(s) ['frisbee']" in capsys.readouterr().err
