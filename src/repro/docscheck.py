@@ -1,6 +1,6 @@
 """Documentation lints: links resolve, benchmarks and wire ops are listed.
 
-Three checks keep ``docs/`` honest as the code moves:
+Four checks keep ``docs/`` honest as the code moves:
 
 * every relative markdown link in ``docs/*.md`` and ``README.md`` must
   point at a file or directory that exists (external ``http(s)``,
@@ -11,7 +11,11 @@ Three checks keep ``docs/`` honest as the code moves:
   without its documentation row;
 * every op of the wire-op table (:data:`repro.service.ops.OPS`) must be
   named, in backticks, in ``docs/serving.md``, so a new op cannot land
-  undocumented either.
+  undocumented either;
+* every op whose result travels as an int64 block (a nonzero
+  ``width``) must be named, in backticks, in the ``**Frame layout.**``
+  paragraph of ``docs/serving.md``, so the frame description lists
+  every block op.
 
 Run it locally or from CI as::
 
@@ -89,11 +93,33 @@ def check_ops_listed(root: Path) -> list[str]:
             for name in sorted(OPS) if f"`{name}`" not in text]
 
 
+#: The ``docs/serving.md`` paragraph that describes the frame layout.
+FRAME_LAYOUT = "**Frame layout.**"
+
+
+def check_block_ops_listed(root: Path) -> list[str]:
+    """Block-result wire ops missing from the frame-layout paragraph
+    of ``docs/serving.md``."""
+    from .service.ops import OPS
+
+    listing = root / "docs" / "serving.md"
+    if not listing.exists():
+        return ["docs/serving.md does not exist"]
+    paragraphs = [p for p in listing.read_text().split("\n\n")
+                  if p.startswith(FRAME_LAYOUT)]
+    if not paragraphs:
+        return [f"docs/serving.md: no {FRAME_LAYOUT} paragraph"]
+    return [f"docs/serving.md: frame layout does not name block op `{name}`"
+            for name, op in sorted(OPS.items())
+            if op.width and f"`{name}`" not in paragraphs[0]]
+
+
 def run(root: Path) -> list[str]:
     """All documentation problems under ``root`` (empty when clean)."""
     if not (root / "docs").is_dir():
         return [f"no docs/ directory under {root}"]
-    return check_links(root) + check_benchmarks_listed(root) + check_ops_listed(root)
+    return (check_links(root) + check_benchmarks_listed(root)
+            + check_ops_listed(root) + check_block_ops_listed(root))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,10 +6,11 @@ asyncio server (:mod:`~repro.service.server`) fronts any registered
 backend -- most interestingly the domain-sharding router of
 :mod:`repro.core.router`, whose shards may themselves be shard-server
 subprocesses reached through :class:`~repro.service.client.RemoteStore`
-proxies.  Framing is length-prefixed JSON
-(:mod:`~repro.service.protocol`), and :mod:`~repro.service.loadgen`
-replays seeded mixed workloads against a running service at configurable
-concurrency, reporting throughput and per-op-class latency percentiles.
+proxies.  Framing is length-prefixed compact JSON, with integer
+results as packed int64 blocks (:mod:`~repro.service.protocol`), and
+:mod:`~repro.service.loadgen` replays seeded mixed workloads against a
+running service at configurable concurrency, reporting throughput and
+per-op-class latency percentiles.
 
 Start a four-shard service and drive it::
 

@@ -38,7 +38,10 @@ from .protocol import (
     write_frame,
 )
 
-#: Records per bulk_load frame -- keeps frames around a megabyte.
+#: Records per ``bulk_load``/``ingest_batch`` request frame.  Request
+#: record lists travel as JSON (only results are int64 blocks), about
+#: 20-35 bytes a record, so a chunk stays under a megabyte, far below
+#: ``MAX_FRAME_BYTES``.
 BULK_CHUNK = 20_000
 
 

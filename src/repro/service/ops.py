@@ -6,7 +6,10 @@ call with :meth:`WireOp.request`, and the loadgen oracle evaluates
 through :func:`apply` (the table lookup plus ``run``) -- so adding an
 op is one entry in :data:`OPS`.  Bound, id and clock fields decode
 through :func:`integer`, which refuses floats, numeric strings and
-bools with :class:`TypeError` before the store is touched.
+bools with :class:`TypeError` and integers outside int64 with
+:class:`ValueError` before the store is touched -- so every id and
+bound a served store holds fits a result block
+(:mod:`repro.service.protocol`).
 """
 
 from __future__ import annotations
@@ -19,10 +22,22 @@ from ..core.predicates import compile_query
 from ..core.verify import VerificationReport
 
 
+#: The wire's integer range: one int64 block value.
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+def _out_of_range(value: int) -> ValueError:
+    return ValueError(f"integer {value} does not fit the wire's int64 "
+                      f"range [-2**63, 2**63)")
+
+
 def integer(value) -> int:
-    """A wire integer: exactly ``int``, never a float, string or bool."""
+    """A wire integer: exactly ``int`` within int64, never a float,
+    string or bool."""
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise _out_of_range(value)
     return value
 
 
@@ -32,10 +47,15 @@ def optional_integer(value) -> Optional[int]:
 
 
 def _integer_rows(rows: list) -> list:
-    kinds = set(map(type, chain.from_iterable(rows))) - {int}
+    values = list(chain.from_iterable(rows))
+    kinds = set(map(type, values)) - {int}
     if kinds:
         raise TypeError(f"expected rows of integers, got "
                         f"{sorted(kind.__name__ for kind in kinds)}")
+    if values:
+        low, high = min(values), max(values)
+        if low < INT64_MIN or high > INT64_MAX:
+            raise _out_of_range(low if low < INT64_MIN else high)
     return rows
 
 
@@ -89,6 +109,9 @@ class WireOp:
     temporal: bool = False
     #: Its one record-list field travels in ``BULK_CHUNK`` frames.
     chunked: bool = False
+    #: Integers per result row when the result travels as an int64
+    #: block (ids 1, join pairs 2, records 3); 0 keeps it JSON.
+    width: int = 0
     #: Result to wire form (server side) and back (client side).
     encode: Optional[Callable] = None
     decode: Optional[Callable] = None
@@ -157,15 +180,16 @@ OPS: dict[str, WireOp] = {op.name: op for op in (
     WireOp("close_now_interval", True, _OPEN + (("upper", integer),),
            temporal=True),
     WireOp("advance_to", True, (("now", integer),), temporal=True),
-    WireOp("stab", False, (("value", integer),)),
-    WireOp("intersection", False, _WINDOW),
+    WireOp("stab", False, (("value", integer),), width=1),
+    WireOp("intersection", False, _WINDOW, width=1),
     WireOp("intersection_count", False, _WINDOW),
     WireOp("intersection_many", False, (("queries", windows),)),
     WireOp("query", False, (("lower", integer), ("upper", optional_integer)),
-           predicate="intersects"),
-    WireOp("join_pairs", False, _PROBES, predicate=None, decode=_tuples),
+           predicate="intersects", width=1),
+    WireOp("join_pairs", False, _PROBES, predicate=None, width=2,
+           decode=_tuples),
     WireOp("join_count", False, _PROBES, predicate=None),
-    WireOp("stored_records", False, decode=_tuples),
+    WireOp("stored_records", False, width=3, decode=_tuples),
     WireOp("verify", False, encode=VerificationReport.as_dict,
            decode=VerificationReport.from_dict),
 )}

@@ -1,10 +1,12 @@
-"""Wire protocol of the interval query service: length-prefixed JSON.
+"""Wire protocol of the interval query service: length-prefixed frames
+of compact JSON, with integer results as one packed int64 block.
 
 One frame is a 4-byte big-endian payload length followed by that many
-bytes of UTF-8 JSON -- the simplest self-delimiting framing that both
+bytes of payload -- the simplest self-delimiting framing that both
 :mod:`asyncio` streams (the server, the load driver) and blocking
 sockets (the router's shard proxies) can speak without a parser state
-machine.  Requests and responses are JSON objects:
+machine.  A payload is a compact UTF-8 JSON object, optionally followed
+by ``\\n`` and a block (see below).  Messages are:
 
 * request: ``{"id": <int>, "op": <str>, ...params}`` -- ``id`` is a
   client-chosen correlation token echoed back verbatim, so a client may
@@ -13,21 +15,35 @@ machine.  Requests and responses are JSON objects:
 * failure: ``{"id": <int>, "ok": false, "error": <message>,
   "error_type": <exception class name>}``.
 
+**Blocks.**  A message carrying ``"width": <w>`` holds as ``result`` a
+list of integers (``w == 1``) or of ``w``-integer rows, and travels as
+the JSON header -- the message with ``result`` replaced by its row
+count -- then ``\\n``, then the rows as ``count * w`` little-endian
+int64 values.  Compact JSON never contains a raw newline byte, so the
+first ``\\n`` of a payload ends the header.  :func:`decode_payload`
+keeps ``width`` in the decoded message, so re-encoding a decoded frame
+reproduces it byte for byte.  The wire-op table
+(:data:`repro.service.ops.OPS`) decides which results are blocks;
+requests are always plain JSON.
+
 The failure's ``error_type`` round-trips the store-contract exceptions
 (:class:`KeyError` from a fuzzy delete, :class:`ValueError` from a
 malformed interval, ...) so a remote store misbehaves exactly like a
 local one; unknown types surface as :class:`ServiceError`.
 
-Integer bounds pass through JSON unmodified -- Python's ``json`` keeps
-arbitrary-precision integers, so the temporal sentinels
-:data:`~repro.core.temporal.UPPER_INF` / ``UPPER_NOW`` (``2**60``-sized)
-survive the wire bit for bit.
+Integers travel unmodified: JSON fields as decimal text, block values
+as int64 -- the temporal sentinels :data:`~repro.core.temporal.
+UPPER_INF` / ``UPPER_NOW`` (``2**60``-sized) fit either bit for bit,
+and the wire-op table refuses any id or bound outside int64.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
+from array import array
+from itertools import chain
 from typing import BinaryIO, Optional
 
 #: Frame header: one unsigned 32-bit big-endian payload length.
@@ -36,6 +52,12 @@ HEADER = struct.Struct(">I")
 #: Upper bound on one frame's payload -- a malformed or hostile header
 #: must not allocate unbounded memory.  Bulk loads chunk under this.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Bytes per block value: one int64.
+BLOCK_ITEM = 8
+
+#: ``array("q")`` packs in native order; blocks are little-endian.
+_SWAP = sys.byteorder != "little"
 
 #: Exception types allowed to round-trip the wire by name.  Anything
 #: else degrades to :class:`ServiceError` -- the protocol restores the
@@ -53,29 +75,94 @@ class ServiceError(RuntimeError):
 
 
 class ProtocolError(RuntimeError):
-    """A malformed frame (bad header, oversized payload, non-JSON)."""
+    """A malformed or unencodable frame (bad header, oversized payload,
+    non-JSON, a block that does not match its header)."""
+
+
+def _json(message: dict) -> bytes:
+    try:
+        return json.dumps(message, separators=(",", ":")).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"unencodable message: {exc}") from exc
+
+
+def _check_size(size: int) -> None:
+    if size > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame payload of {size} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte frame limit")
+
+
+def _check_width(width) -> int:
+    if type(width) is not int or width < 1:
+        raise ProtocolError(
+            f"block width must be a positive integer, got {width!r}")
+    return width
 
 
 def encode_frame(message: dict) -> bytes:
-    """One wire frame: header plus compact JSON payload."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame limit")
-    return HEADER.pack(len(payload)) + payload
+    """One wire frame: header plus compact JSON payload, and the
+    ``result`` rows as an int64 block when the message has a ``width``.
+
+    Raises :class:`ProtocolError` for a message that does not encode or
+    whose payload would exceed :data:`MAX_FRAME_BYTES`; an oversized
+    block is refused before it is packed.
+    """
+    if "width" not in message:
+        payload = _json(message)
+        _check_size(len(payload))
+        return HEADER.pack(len(payload)) + payload
+    width = _check_width(message["width"])
+    rows = message["result"]
+    head = _json({**message, "result": len(rows)}) + b"\n"
+    _check_size(len(head) + len(rows) * width * BLOCK_ITEM)
+    if width > 1 and set(map(len, rows)) - {width}:
+        raise ProtocolError(f"block rows must all have width {width}")
+    try:
+        block = array("q", rows if width == 1 else chain.from_iterable(rows))
+    except (TypeError, OverflowError) as exc:
+        raise ProtocolError(f"unencodable block value: {exc}") from exc
+    if _SWAP:
+        block.byteswap()
+    return b"".join(
+        (HEADER.pack(len(head) + len(block) * BLOCK_ITEM), head, block))
 
 
 def decode_payload(payload: bytes) -> dict:
-    """Parse one frame payload back into a message object."""
+    """Parse one frame payload back into a message object; a block
+    becomes the ``result`` list (of ``width``-long lists when
+    ``width > 1``)."""
+    end = payload.find(b"\n")
+    head = payload if end < 0 else payload[:end]
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(
             f"frame payload must be a JSON object, got "
             f"{type(message).__name__}")
+    if end < 0:
+        if "width" in message:
+            raise ProtocolError("frame declares a width but has no block")
+        return message
+    width = _check_width(message.get("width"))
+    count = message.get("result")
+    if type(count) is not int or count < 0:
+        raise ProtocolError(
+            f"block row count must be a non-negative integer, got {count!r}")
+    block = memoryview(payload)[end + 1:]
+    if len(block) != count * width * BLOCK_ITEM:
+        raise ProtocolError(
+            f"block of {len(block)} bytes does not hold {count} rows of "
+            f"width {width} ({count * width * BLOCK_ITEM} bytes)")
+    values = array("q")
+    values.frombytes(block)
+    if _SWAP:
+        values.byteswap()
+    flat = values.tolist()
+    message["result"] = (flat if width == 1
+                         else list(map(list, zip(*[iter(flat)] * width))))
     return message
 
 

@@ -69,6 +69,7 @@ from .protocol import (
     ProtocolError,
     _check_length,
     decode_payload,
+    encode_frame,
     error_response,
     read_raw_frame_async,
     write_frame_async,
@@ -136,7 +137,7 @@ class _ShardRelay:
     The router's fast path for single-shard reads: the client's frame
     is forwarded verbatim to the owning shard server (same correlation
     id, so no re-framing) and the shard's response frame is relayed
-    byte for byte -- the result payload is never JSON-decoded in the
+    byte for byte -- the result payload is never decoded in the
     router process.  One lazily-opened connection per shard per client
     connection; frames on it are strictly request/response (the client
     handler is sequential), so no multiplexing is needed.
@@ -160,9 +161,12 @@ class _ShardRelay:
             (length,) = HEADER.unpack(header)
             _check_length(length)
             return header + await reader.readexactly(length)
-        except (OSError, asyncio.IncompleteReadError):
-            # A broken link must not be reused; the caller retries the
-            # request on the slow path through the store's own proxies.
+        except BaseException:
+            # A failed exchange may leave a request or response half on
+            # the link (an over-limit header's payload stays unread), so
+            # the link is never reused, also after a cancellation; the
+            # caller retries on the slow path through the store's own
+            # proxies.
             self._links.pop(shard, None)
             writer.close()
             raise
@@ -290,7 +294,15 @@ class IntervalService:
                         if self.shutdown_requested.is_set():
                             break
                         continue
-                await write_frame_async(writer, await self.dispatch(message))
+                response = await self.dispatch(message)
+                try:
+                    frame = encode_frame(response)
+                except ProtocolError as exc:
+                    # An over-limit or unencodable result fails its
+                    # request, not the connection.
+                    frame = encode_frame(error_response(response["id"], exc))
+                writer.write(frame)
+                await writer.drain()
                 if self.shutdown_requested.is_set():
                     break
         except (ConnectionResetError, BrokenPipeError):
@@ -362,6 +374,7 @@ class IntervalService:
         request_id = message.get("id")
         started = time.perf_counter()
         ok = True
+        spec = None
         try:
             if op == "ping":
                 result = "pong"
@@ -391,6 +404,8 @@ class IntervalService:
                         .run_in_executor(self._pool, self._execute,
                                          writes, handler, message)
             response = {"id": request_id, "ok": True, "result": result}
+            if spec is not None and spec.width:
+                response["width"] = spec.width
         except Exception as exc:  # noqa: BLE001 - every failure becomes a frame
             ok = False
             response = error_response(request_id, exc)

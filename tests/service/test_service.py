@@ -4,19 +4,22 @@ import asyncio
 import json
 import os
 import pathlib
+import socket
 import sqlite3
 import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import pytest
 
 from repro.core.predicates import range_duration
+from repro.core.router import ShardedStore
 from repro.core.stores import create_store
 from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.service import client as client_module
+from repro.service import protocol
 from repro.service.client import RemoteStore, ServiceClient
 from repro.service.loadgen import (
     build_dataset,
@@ -24,7 +27,19 @@ from repro.service.loadgen import (
     evaluate_ops,
     run_load,
 )
-from repro.service.server import IntervalService, _ReadWriteLock, load_dataset
+from repro.service.ops import INT64_MAX, INT64_MIN
+from repro.service.protocol import (
+    HEADER,
+    MAX_FRAME_BYTES,
+    ServiceError,
+    encode_frame,
+)
+from repro.service.server import (
+    IntervalService,
+    _ReadWriteLock,
+    _ShardRelay,
+    load_dataset,
+)
 
 SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -227,9 +242,9 @@ def _calls_with_bad_integer(bad):
     return calls
 
 
-@pytest.mark.parametrize("backend", [
-    "hint", "ritree", "sharded", "sql-ritree", "temporal-ritree"])
-def test_wire_refuses_non_integer_fields(backend):
+def _assert_wire_refuses(backend, bads, error):
+    """Every integer field of every op refuses each of ``bads`` with
+    ``error``, leaving the served store untouched."""
     # The served sqlite store is driven from the service's threads.
     opts = ({"connection": sqlite3.connect(":memory:",
                                            check_same_thread=False)}
@@ -238,14 +253,69 @@ def test_wire_refuses_non_integer_fields(backend):
     store.bulk_load([(1, 4, 1), (3, 9, 2)])
     with remote(store) as proxy:
         before = sorted(proxy.stored_records())
-        for bad in (1.5, "7", True):
+        for bad in bads:
             for method, args in _calls_with_bad_integer(bad):
                 if not hasattr(proxy, method):
                     continue  # a temporal op on a plain backend
-                with pytest.raises(TypeError):
+                with pytest.raises(error):
                     getattr(proxy, method)(*args)
         assert sorted(proxy.stored_records()) == before
         assert proxy.verify().ok
+
+
+BACKENDS = ["hint", "ritree", "sharded", "sql-ritree", "temporal-ritree"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_wire_refuses_non_integer_fields(backend):
+    _assert_wire_refuses(backend, (1.5, "7", True), TypeError)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_wire_refuses_integers_outside_int64(backend):
+    _assert_wire_refuses(backend, (INT64_MAX + 1, INT64_MIN - 1), ValueError)
+
+
+def test_int64_edge_ids_and_sentinels_cross_the_wire():
+    rows = [(0, 5, INT64_MAX), (-7, 5, INT64_MIN), (2, 3, 4)]
+    local = seeded_store(now=10)
+    with remote(seeded_store(now=10)) as proxy:
+        for store in (local, proxy):
+            store.insert(*rows[0])
+            store.bulk_load(rows[1:])
+            store.append_batch([(5, UPPER_INF, 7), (6, UPPER_NOW, 8)])
+        assert sorted(proxy.stab(3)) == [INT64_MIN, 4, INT64_MAX]
+        assert sorted(proxy.query(4, 6, predicate="overlaps")) == sorted(
+            local.query(4, 6, predicate="overlaps"))
+        probes = [(0, 10, INT64_MIN), (4, 40, INT64_MAX)]
+        assert sorted(proxy.join_pairs(probes)) == sorted(
+            local.join_pairs(probes))
+        assert sorted(proxy.stored_records()) == sorted(
+            local.stored_records())
+        assert {UPPER_INF} <= {up for _, up, _ in proxy.stored_records()}
+
+
+def test_over_limit_response_fails_the_request_not_the_connection(
+        monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 20_000)
+    records = [(i, i + 3, i) for i in range(2_000)]
+    with served(seeded_store(records)) as (host, port):
+        with ServiceClient(host, port) as client:
+            with pytest.raises(ServiceError,
+                               match="ProtocolError.*20000-byte frame limit"):
+                client.call("stored_records")
+            assert client.call("ping") == "pong"
+            assert sorted(client.call("stab", value=2)) == [0, 1, 2]
+
+
+def test_unencodable_response_fails_the_request_not_the_connection():
+    store = seeded_store([(1, 5, 1)])
+    store.stab = lambda value: [1.5]
+    with served(store) as (host, port):
+        with ServiceClient(host, port) as client:
+            with pytest.raises(ServiceError, match="ProtocolError"):
+                client.call("stab", value=3)
+            assert client.call("ping") == "pong"
 
 
 def test_dataset_file_refuses_non_integers(tmp_path):
@@ -360,6 +430,98 @@ def test_concurrent_readers_and_writers_stay_consistent():
         assert not errors
         with ServiceClient(host, port) as client:
             assert client.call("info")["records"] == 50
+
+
+# ----------------------------------------------------------------------
+# the router's single-shard byte relay
+# ----------------------------------------------------------------------
+@contextmanager
+def flaky_shard(target):
+    """A relay target in front of the shard server at ``target``.
+
+    Its very first request gets a header announcing a frame over the
+    limit, followed by a well-formed but wrong response frame for the
+    *next* request id; every other request is relayed to ``target``.
+    A link reused after the refused header would read that wrong frame.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    refused = []
+
+    def serve(conn):
+        with conn, socket.create_connection(target) as upstream:
+            down, up = conn.makefile("rb"), upstream.makefile("rb")
+            while len(header := down.read(HEADER.size)) == HEADER.size:
+                payload = down.read(HEADER.unpack(header)[0])
+                if not refused:
+                    refused.append(payload)
+                    wrong = encode_frame({
+                        "id": json.loads(payload)["id"] + 1, "ok": True,
+                        "result": [-1], "width": 1})
+                    conn.sendall(HEADER.pack(MAX_FRAME_BYTES + 1) + wrong)
+                    continue
+                upstream.sendall(header + payload)
+                head = up.read(HEADER.size)
+                conn.sendall(head + up.read(HEADER.unpack(head)[0]))
+
+    def accept():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    threading.Thread(target=accept, daemon=True).start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        listener.close()
+
+
+def test_relay_drops_its_link_after_an_over_limit_header():
+    records = [(10, 20, 1), (15, 30, 2), (150, 160, 3)]
+    with ExitStack() as stack:
+        shards = [stack.enter_context(served(seeded_store()))
+                  for _ in range(2)]
+        proxies = [RemoteStore.connect(*address) for address in shards]
+        for proxy in proxies:
+            stack.callback(proxy.close)
+        router = ShardedStore(proxies, [100])
+        router.bulk_load(records)
+        relay_targets = [stack.enter_context(flaky_shard(shards[0])),
+                         shards[1]]
+        host, port = stack.enter_context(served(
+            router, inline_reads=False, relay_targets=relay_targets))
+        with ServiceClient(host, port) as client:
+            # Refused by the relay, answered by the proxies instead.
+            assert sorted(client.call("stab", value=17)) == [1, 2]
+            # Relayed over a fresh link, not the one left mid-frame.
+            assert sorted(client.call("stab", value=17)) == [1, 2]
+            assert client.call("intersection", lower=0, upper=12) == [1]
+
+
+def test_relay_drops_its_link_when_cancelled():
+    async def scenario():
+        release = asyncio.Event()
+
+        async def silent(reader, writer):
+            try:
+                await release.wait()
+            finally:
+                writer.close()
+
+        server = await asyncio.start_server(silent, "127.0.0.1", 0)
+        relay = _ShardRelay([server.sockets[0].getsockname()[:2]])
+        request = b'{"id":1,"op":"stab","value":3}'
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(relay.forward(0, request), 0.2)
+        assert relay._links == {}
+        release.set()
+        await relay.close()
+        server.close()
+        await server.wait_closed()
+
+    asyncio.run(asyncio.wait_for(scenario(), 10))
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The same checks CI's docs-check job performs: every relative link in
 ``docs/`` and ``README.md`` resolves, every benchmark script has an
-entry in ``docs/benchmarks.md``, and every wire op is named in
-``docs/serving.md``.
+entry in ``docs/benchmarks.md``, every wire op is named in
+``docs/serving.md``, and every block-result op in its frame-layout
+paragraph.
 """
 
 import pathlib
@@ -38,6 +39,23 @@ def test_every_wire_op_is_documented(tmp_path):
     assert not any("`insert`" in p for p in problems)
     assert any("`delete`" in p for p in problems)
     assert any("`ingest_batch`" in p for p in problems)
+
+
+def test_every_block_op_is_in_the_frame_layout(tmp_path):
+    assert docscheck.check_block_ops_listed(ROOT) == []
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    serving = docs / "serving.md"
+    serving.write_text("`stab`, `intersection`, `query`, `join_pairs` "
+                       "and `stored_records` are blocks.")
+    assert docscheck.check_block_ops_listed(tmp_path) == [
+        "docs/serving.md: no **Frame layout.** paragraph"]
+    serving.write_text(
+        "**Frame layout.**  Blocks: `stab`, `intersection`, `query`\n"
+        "and `join_pairs`.\n\n`stored_records` is named elsewhere.")
+    assert docscheck.check_block_ops_listed(tmp_path) == [
+        "docs/serving.md: frame layout does not name block op "
+        "`stored_records`"]
 
 
 def test_checker_reports_problems(tmp_path):
