@@ -14,8 +14,8 @@ legs:
   agree with ``join_pairs`` everywhere.
 * **Temporal** -- the three temporal-capable backends load now-relative
   and open-ended rows on top of the finite records; every band must
-  match the oracle evaluated on *effective* bounds (now-rows at the
-  clock, infinite rows only inside unbounded bands).
+  match the oracle loaded with the same rows (now-rows end at the
+  clock, infinite rows match only unbounded bands).
 * **SQL one-statement** -- the sqlite backend must answer each family
   query with ONE rewritten Figure 9 statement (verified by the trace
   hook) whose ``EXPLAIN`` SEARCHes both Figure 2 indexes and builds no
@@ -39,10 +39,10 @@ import time
 from repro.bench.experiments import get_scale
 from repro.bench.harness import paper_database, run_join_batch
 from repro.core import HintStore, RITree, TemporalRITree
-from repro.core.join import AutoJoin, NestedLoopJoin, SweepJoin
+from repro.core.join import AutoJoin, SweepJoin
 from repro.core.predicates import range_duration
 from repro.core.router import ShardedStore
-from repro.core.temporal import UPPER_INF
+from repro.methods.memory import BruteForceIntervals
 from repro.sql import SQLRITree
 from repro.workloads import (
     OUTER_ID_OFFSET,
@@ -61,14 +61,9 @@ ACCURACY_FLOOR = 0.9
 TEMPORAL_NOW = 500_000
 
 
-def _oracle(records, pred, lower, upper):
-    """Sorted ids of records standing in ``pred`` to ``[lower, upper]``."""
-    holds = pred.holds
-    return sorted(
-        interval_id
-        for s, e, interval_id in records
-        if holds(s, e, lower, upper)
-    )
+def _expected(oracle, pred, windows):
+    """The oracle's sorted ids per query window."""
+    return [sorted(oracle.query(lo, up, predicate=pred)) for lo, up in windows]
 
 
 def _band_predicates(records, fractions):
@@ -111,10 +106,11 @@ def _parity_leg(workload, bands, scale, seed):
     windows = query_gen.range_queries(
         workload, 0.01, scale["range_duration_queries"], seed=seed + 7
     )
+    oracle = BruteForceIntervals(records)
     rows = []
     for band in bands:
         pred = band["query"]
-        expected = [_oracle(records, pred, lo, up) for lo, up in windows]
+        expected = _expected(oracle, pred, windows)
         for label, store in stores.items():
             started = time.perf_counter()
             answers = [
@@ -148,9 +144,7 @@ def _parity_leg(workload, bands, scale, seed):
     pairs_total = 0
     for band in bands:
         pred = band["query"]
-        expected_pairs = sorted(
-            NestedLoopJoin(predicate=pred).pairs(probes, records)
-        )
+        expected_pairs = sorted(oracle.join_pairs(probes, predicate=pred))
         pairs_total += len(expected_pairs)
         for label, store in stores.items():
             pairs = sorted(store.join_pairs(probes, predicate=pred))
@@ -168,7 +162,7 @@ def _parity_leg(workload, bands, scale, seed):
 
 
 def _temporal_leg(workload, bands, scale, seed):
-    """Sentinel rows on the temporal backends, oracle on effective bounds."""
+    """Sentinel rows on the temporal backends and the oracle."""
     records = workload.records
     temporal_n = scale["range_duration_temporal_rows"]
     sentinel_source = genomic(2 * temporal_n, seed=seed + 29).records
@@ -185,27 +179,21 @@ def _temporal_leg(workload, bands, scale, seed):
         "sql-ritree": SQLRITree(),
         "hint": HintStore(),
     }
-    effective = list(records)
-    for store in stores.values():
+    oracle = BruteForceIntervals()
+    for store in (*stores.values(), oracle):
         store.bulk_load(records)
         store.advance_to(TEMPORAL_NOW)
         for lower, interval_id in now_rows:
             store.insert_until_now(lower, interval_id)
         for lower, interval_id in infinite_rows:
             store.insert_infinite(lower, interval_id)
-    effective.extend(
-        (lower, TEMPORAL_NOW, interval_id) for lower, interval_id in now_rows
-    )
-    effective.extend(
-        (lower, UPPER_INF, interval_id) for lower, interval_id in infinite_rows
-    )
     windows = query_gen.range_queries(
         workload, 0.01, scale["range_duration_queries"], seed=seed + 31
     )
     results_total = 0
     for band in bands:
         pred = band["query"]
-        expected = [_oracle(effective, pred, lo, up) for lo, up in windows]
+        expected = _expected(oracle, pred, windows)
         results_total += sum(len(ids) for ids in expected)
         for label, store in stores.items():
             answers = [

@@ -8,10 +8,8 @@ four gates:
   :class:`~repro.ingest.ingestor.StreamIngestor` into the temporal
   RI-tree and the HINT store, in both arrival disciplines.  At every
   checkpoint boundary the ingested store must answer intersection,
-  count and join probes bit-identically to a brute-force oracle over
-  the committed prefix (and to the searchsorted
-  :class:`~repro.ingest.workload.IngestOracle`), and finish
-  record-for-record equal to a bulk load of the stream's net image.
+  count and join probes bit-identically to the brute-force oracle fed
+  the same batches, and finish record-for-record equal to it.
 
 * **Group commit** -- ``append_batch`` on the WAL-backed trees must
   force the log exactly once per non-empty batch (and never for an
@@ -47,25 +45,14 @@ from benchlib import crash_sweep, router
 from repro.bench.experiments import get_scale
 from repro.core import RITree, TemporalRITree
 from repro.core.stores import create_store
-from repro.core.temporal import UPPER_NOW
 from repro.engine import Database
-from repro.ingest import IngestOracle, StreamIngestor, StreamWorkload, replay_records
+from repro.ingest import StreamIngestor, StreamWorkload
 from repro.methods.memory import BruteForceIntervals
 from repro.service.client import ServiceClient
 from repro.service.loadgen import build_dataset, build_ops, evaluate_ops, run_load
-from repro.workloads.joins import expected_pair_count
 
 #: Parity legs: backend x arrival discipline.
 PARITY_BACKENDS = ("temporal-ritree", "hint")
-
-
-def materialise(records, clock):
-    """Net stream records with effective uppers, the stores' convention:
-    now-relative rows at the clock, infinite rows keep the sentinel."""
-    return [
-        (lower, clock if upper == UPPER_NOW else upper, interval_id)
-        for lower, upper, interval_id in records
-    ]
 
 
 def probe_windows(rng, clock, mean_length, count=4):
@@ -78,24 +65,21 @@ def probe_windows(rng, clock, mean_length, count=4):
 
 
 def check_boundary(store, oracle, workload, upto, rng, mismatches):
-    """One parity check: ingested store vs committed-prefix oracles."""
-    prefix, clock = replay_records(workload, upto=upto)
-    reference = materialise(prefix, clock)
-    brute = BruteForceIntervals(reference)
-    for ql, qu in probe_windows(rng, clock, workload.mean_length):
-        expected_ids = sorted(brute.intersection(ql, qu))
+    """One parity check: ingested store vs the oracle at the same prefix."""
+    for ql, qu in probe_windows(rng, oracle.now, workload.mean_length):
+        expected_ids = sorted(oracle.intersection(ql, qu))
         if sorted(store.intersection(ql, qu)) != expected_ids:
             mismatches.append(("intersection", upto, ql, qu))
-        count = store.intersection_count(ql, qu)
-        if count != len(expected_ids) or count != oracle.expected_count(ql, qu):
+        if store.intersection_count(ql, qu) != len(expected_ids):
             mismatches.append(("count", upto, ql, qu))
     probes = [
         (ql, qu, probe_id)
         for probe_id, (ql, qu) in enumerate(
-            probe_windows(rng, clock, workload.mean_length, count=3), start=1
+            probe_windows(rng, oracle.now, workload.mean_length, count=3),
+            start=1,
         )
     ]
-    if store.join_count(probes) != expected_pair_count(probes, reference):
+    if store.join_count(probes) != oracle.join_count(probes):
         mismatches.append(("join_count", upto, len(probes), 0))
 
 
@@ -126,13 +110,13 @@ def run_parity(scale, seed):
                 flush_records=scale["ingest_flush"],
                 checkpoint_batches=checkpoint_batches,
             )
-            oracle = IngestOracle()
+            oracle = BruteForceIntervals()
             rng = random.Random(seed + 23)
             mismatches = []
             checks = 0
             for batch in workload:
                 ingestor.submit(batch)
-                oracle.observe(batch)
+                batch.apply_to(oracle)
                 if (batch.seq + 1) % scale["ingest_check_every"] == 0:
                     ingestor.flush()
                     check_boundary(
@@ -142,8 +126,7 @@ def run_parity(scale, seed):
             stats = ingestor.drain()
             check_boundary(store, oracle, workload, None, rng, mismatches)
             checks += 1
-            final, clock = replay_records(workload)
-            if sorted(store.stored_records()) != sorted(materialise(final, clock)):
+            if sorted(store.stored_records()) != sorted(oracle.stored_records()):
                 mismatches.append(("stored_records", None, 0, 0))
             if not store.verify().ok:
                 mismatches.append(("verify", None, 0, 0))
@@ -157,7 +140,7 @@ def run_parity(scale, seed):
                     "parity_checks": checks,
                     "mismatches": len(mismatches),
                     "mismatch_detail": mismatches[:5],
-                    "final_records": len(final),
+                    "final_records": oracle.interval_count,
                     **stats.as_dict(),
                 }
             )

@@ -2,7 +2,7 @@
 
 Joins two interval relations through the strategies of
 ``repro.core.join`` -- the RI-tree index-nested-loop join, the
-Piatov-style plane sweep, the brute-force oracle, and the cost-model
+Piatov-style plane sweep, a pure-Python nested loop, and the cost-model
 ``auto`` planner -- and shows that the identical pair set comes back from
 both engines (the simulated storage engine and the sqlite3 backend,
 where the join runs as ONE set-at-a-time SQL statement) and under

@@ -11,8 +11,8 @@ Public surface:
   (``range_duration``), compiled per backend through
   :meth:`~repro.core.access.IntervalStore.query`;
 * :mod:`~repro.core.join` -- interval equi-overlap joins: index-nested-loop
-  over the batched scan plan, a Piatov-style plane sweep, and the
-  brute-force oracle, all behind one :class:`~repro.core.join.JoinStrategy`
+  over the batched scan plan, a Piatov-style plane sweep, and a
+  pure-Python nested loop, all behind one :class:`~repro.core.join.JoinStrategy`
   API;
 * :class:`~repro.core.backbone.VirtualBackbone` and
   :func:`~repro.core.transient.collect_query_nodes` -- the virtual primary

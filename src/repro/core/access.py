@@ -273,7 +273,7 @@ class IntervalStore(ABC):
         predicates.IntervalPredicate.inverse`; stores that can enumerate
         their records refine with the direct formula instead, which also
         pins the boundary conventions of degenerate (point) intervals to
-        the nested-loop oracle's.
+        the oracle's.
         """
         pred = resolve_join_predicate(predicate)
         pairs: list[tuple[int, int]] = []

@@ -597,6 +597,7 @@ def _index_join_cost(
     internal_blocks: float,
     cache_blocks: int,
     cache_residency: float,
+    leaf_distinct: float = SCAN_LEAF_DISTINCT,
 ) -> JoinStrategyCost:
     """Price the index-nested-loop join against an RI-tree.
 
@@ -606,6 +607,8 @@ def _index_join_cost(
     handful of non-leaf pages is LRU-resident for the whole batch) and
     its leaves (two-regime LRU: leaf sets within the cache are read at
     most once, larger ones pay a locality-damped steady-state miss rate).
+    ``leaf_distinct`` is the distinct leaves one range scan touches in
+    the cold phase; ``pairs`` are the rows the scans read.
     """
     descent = max(1, height)
     per_leaf = max(1, leaf_capacity)
@@ -616,7 +619,7 @@ def _index_join_cost(
     internal = min(scans * (descent - 1) * cold_fraction, internal_blocks)
     leaf_misses = _lru_block_misses(
         touches=scans + result_leaves,
-        yao_accesses=scans * SCAN_LEAF_DISTINCT + result_leaves,
+        yao_accesses=scans * leaf_distinct + result_leaves,
         blocks=leaf_blocks,
         cache_blocks=cache_blocks,
     )
@@ -665,44 +668,33 @@ def _index_predicate_join_cost(
 ) -> JoinStrategyCost:
     """Price the index path of a predicate join against an RI-tree.
 
-    The same descent/leaf model as :func:`_index_join_cost`, applied to
-    the *inverse* relation's candidate ranges, plus the refinement's
-    table access by rowid: the candidate rows of one probe are few and
-    scattered (sparse candidate sets pay roughly one heap page per row)
-    or span whole ranges (dense sets saturate the heap) -- a Yao
-    distinct-block estimate over the base relation covers both regimes.
+    :func:`_index_join_cost` over the *inverse* relation's candidate
+    ranges, plus the refinement's table access by rowid: the candidate
+    rows of one probe are few and scattered (sparse candidate sets pay
+    roughly one heap page per row) or span whole ranges (dense sets
+    saturate the heap) -- a Yao distinct-block estimate over the base
+    relation covers both regimes.
     """
-    descent = max(1, height)
-    per_leaf = max(1, leaf_capacity)
-    scans = probes * avg_transient
-    candidate_leaves = candidate_rows / per_leaf
+    index = _index_join_cost(
+        probes, avg_transient, candidate_rows, height, leaf_capacity,
+        leaf_blocks, internal_blocks, cache_blocks, cache_residency,
+        leaf_distinct=PREDICATE_SCAN_LEAF_DISTINCT,
+    )
     blocks_t = float(max(table_blocks, 1))
     heap_touches = blocks_t * (
         1.0 - (1.0 - 1.0 / blocks_t) ** max(candidate_rows, 0.0))
-    logical = scans * descent + candidate_leaves + heap_touches
-    cold_fraction = 1.0 - cache_residency
-    internal = min(scans * (descent - 1) * cold_fraction, internal_blocks)
-    leaf_misses = _lru_block_misses(
-        touches=scans + candidate_leaves,
-        yao_accesses=scans * PREDICATE_SCAN_LEAF_DISTINCT + candidate_leaves,
-        blocks=leaf_blocks,
-        cache_blocks=cache_blocks,
-    )
     heap_misses = _lru_block_misses(
         touches=heap_touches,
         yao_accesses=heap_touches,
         blocks=blocks_t,
         cache_blocks=cache_blocks,
     )
-    frames = (probes * INDEX_FRAMES_PER_PROBE
-              + scans * INDEX_FRAMES_PER_SCAN
-              + candidate_leaves * INDEX_FRAMES_PER_LEAF
-              + candidate_rows * INDEX_FRAMES_PER_CANDIDATE)
     return JoinStrategyCost(
         strategy="index-nested-loop",
-        logical_reads=logical,
-        physical_reads=internal + leaf_misses + heap_misses,
-        frame_cost=frames,
+        logical_reads=index.logical_reads + heap_touches,
+        physical_reads=index.physical_reads + heap_misses,
+        frame_cost=(index.frame_cost
+                    + candidate_rows * INDEX_FRAMES_PER_CANDIDATE),
     )
 
 

@@ -17,8 +17,9 @@ interchangeable strategies:
   active list per side (arrays compacted by swap-with-last removal, never
   leaving holes).  It is the index-free competitor: O(n log n) sort plus
   O(output + purges) merge work, but it must consume both inputs in full.
-* :class:`NestedLoopJoin` -- the quadratic brute-force oracle, kept only
-  to falsify the other two (tests and the benchmark's parity check).
+* :class:`NestedLoopJoin` -- the quadratic pure-Python nested loop, a
+  public strategy checked against the oracle store
+  (:class:`~repro.methods.memory.BruteForceIntervals`) like the others.
 * :class:`AutoJoin` -- the planner: consults the Section 5 cost model
   (:mod:`repro.core.costmodel`) to predict per-strategy physical I/O and
   Python-frame work, then dispatches to the predicted-cheaper executable

@@ -1,7 +1,7 @@
 """Streaming ingest: seeded arrival streams and the group-commit driver.
 
 See :mod:`repro.ingest.workload` for the arrival model and the
-searchsorted parity oracle, :mod:`repro.ingest.ingestor` for the
+committed-prefix replay, :mod:`repro.ingest.ingestor` for the
 buffered driver, and ``docs/ingest.md`` for the append contract the
 stores implement underneath.
 """
@@ -9,7 +9,6 @@ stores implement underneath.
 from .ingestor import IngestStats, StreamIngestor
 from .workload import (
     MODES,
-    IngestOracle,
     StreamBatch,
     StreamWorkload,
     replay_records,
@@ -17,7 +16,6 @@ from .workload import (
 
 __all__ = [
     "MODES",
-    "IngestOracle",
     "IngestStats",
     "StreamBatch",
     "StreamIngestor",

@@ -24,21 +24,18 @@ rows commits as now-relative ``[lower, now]`` sentinel records
 ``close_now_interval`` -- the session/transaction-time lifecycle the
 paper's ``now`` discussion describes.
 
-Every batch is reproducible from the seed alone, and the module ships
-a searchsorted :class:`IngestOracle` that answers intersection counts
-over the committed prefix in O(log n), so benchmark gates can check
-query parity at every checkpoint without a quadratic reference scan.
+Every batch is reproducible from the seed alone; :func:`replay_records`
+rebuilds the net record image of any committed prefix.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..core.access import IntervalRecord
-from ..core.temporal import UPPER_INF, UPPER_NOW
+from ..core.temporal import UPPER_NOW
 
 #: Supported arrival disciplines.
 MODES = ("increasing-end", "general")
@@ -72,6 +69,14 @@ class StreamBatch:
     @property
     def record_count(self) -> int:
         return len(self.records)
+
+    def apply_to(self, store) -> None:
+        """Apply the whole batch to ``store`` in the ingestor's order:
+        clock first, then the appends, then the closures."""
+        store.advance_to(self.timestamp)
+        store.append_batch(self.records)
+        for lower, interval_id, upper in self.closes:
+            store.close_now_interval(lower, interval_id, upper)
 
 
 class StreamWorkload:
@@ -176,73 +181,6 @@ class StreamWorkload:
             if self.mode == "increasing-end":
                 end_floor = max(end_floor, clock)
             yield StreamBatch(seq, clock, tuple(records), closes)
-
-
-@dataclass
-class IngestOracle:
-    """Searchsorted reference for the committed prefix of a stream.
-
-    Mirrors HINT's decomposition one level up: finite bounds live in
-    two independently sorted arrays, sentinel rows in lower-sorted side
-    lists -- so an intersection count is four ``bisect`` probes, never
-    a scan.  For the closed query window ``[ql, qu]``::
-
-        finite hits = |lower <= qu| - |upper < ql|
-
-    (the subtraction nests: ``upper < ql`` implies ``lower <= qu``),
-    infinite rows hit iff ``lower <= qu``, and now-relative rows hit
-    iff ``lower <= qu`` and the clock has reached ``ql``.
-    """
-
-    now: int = 0
-    lowers: list[int] = field(default_factory=list)
-    uppers: list[int] = field(default_factory=list)
-    inf_lowers: list[int] = field(default_factory=list)
-    now_rows: dict[tuple[int, int], int] = field(default_factory=dict)
-    count: int = 0
-
-    def observe(self, batch: StreamBatch) -> None:
-        """Fold one committed batch (clock, appends, closures) in."""
-        if batch.timestamp > self.now:
-            self.now = batch.timestamp
-        for lower, upper, interval_id in batch.records:
-            self.add(lower, upper, interval_id)
-        for lower, interval_id, upper in batch.closes:
-            self.close(lower, interval_id, upper)
-
-    def add(self, lower: int, upper: int, interval_id: int) -> None:
-        if upper == UPPER_INF:
-            insort(self.inf_lowers, lower)
-        elif upper == UPPER_NOW:
-            key = (lower, interval_id)
-            self.now_rows[key] = self.now_rows.get(key, 0) + 1
-        else:
-            insort(self.lowers, lower)
-            insort(self.uppers, upper)
-        self.count += 1
-
-    def close(self, lower: int, interval_id: int, upper: int) -> None:
-        """Re-file a now-relative row under its fixed upper bound."""
-        key = (lower, interval_id)
-        remaining = self.now_rows.get(key, 0)
-        if remaining <= 0:
-            raise KeyError(key)
-        if remaining == 1:
-            del self.now_rows[key]
-        else:
-            self.now_rows[key] = remaining - 1
-        insort(self.lowers, lower)
-        insort(self.uppers, upper)
-
-    def expected_count(self, ql: int, qu: int) -> int:
-        """Intersection count over the committed prefix."""
-        total = bisect_right(self.lowers, qu) - bisect_left(self.uppers, ql)
-        total += bisect_right(self.inf_lowers, qu)
-        if self.now >= ql:
-            total += sum(
-                n for (lower, _id), n in self.now_rows.items() if lower <= qu
-            )
-        return total
 
 
 def replay_records(

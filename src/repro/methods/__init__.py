@@ -10,10 +10,11 @@ Relational competitors (paper Section 2.3 / Section 6):
   static length partitions;
 * :class:`~repro.methods.windowlist.WindowList` -- the static Window-List.
 
-Main-memory structures (paper Section 2.1), used as substrates and test
-oracles: :class:`~repro.methods.memory.IntervalTree` (Edelsbrunner),
-:class:`~repro.methods.memory.SegmentTree` (Bentley) and
-:class:`~repro.methods.memory.BruteForceIntervals`.
+Main-memory structures (paper Section 2.1), used as substrates and
+independent cross-checks: :class:`~repro.methods.memory.IntervalTree`
+(Edelsbrunner) and :class:`~repro.methods.memory.SegmentTree` (Bentley).
+:class:`~repro.methods.memory.BruteForceIntervals` is the one oracle
+store every test and benchmark compares against.
 """
 
 from .islist import IntervalSkipList, build_interval_skip_list

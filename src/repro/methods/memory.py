@@ -3,8 +3,9 @@
 These are the classical computational-geometry structures the paper builds
 on and virtualises:
 
-* :class:`BruteForceIntervals` -- the trivial O(n) scanner; ground truth for
-  every test in the suite.
+* :class:`BruteForceIntervals` -- the trivial O(n) scanner behind the full
+  :class:`~repro.core.access.IntervalStore` contract, temporal rows
+  included; ground truth for every test and benchmark.
 * :class:`IntervalTree` -- Edelsbrunner's interval tree [Ede 80] in its
   original three-fold form (materialised balanced backbone over the bounding
   points, sorted L(w)/U(w) secondary lists).  The RI-tree is exactly this
@@ -27,54 +28,112 @@ precisely what motivates the paper.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
+from ..core.access import IntervalRecord, IntervalStore
 from ..core.interval import validate_interval
+from ..core.temporal import UPPER_INF, UPPER_NOW
+from ..engine.serial import INT_MIN
 
-IntervalRecord = tuple[int, int, int]
 
+class BruteForceIntervals(IntervalStore):
+    """Ground-truth oracle: a multiset of raw records and a clock, scanned.
 
-class BruteForceIntervals:
-    """Ground-truth oracle: a dictionary of intervals, scanned linearly."""
+    The reference store every test and benchmark feeds the operations of
+    the store under test.  Rows are kept raw, now-relative rows under
+    :data:`~repro.core.temporal.UPPER_NOW` and infinite rows under
+    :data:`~repro.core.temporal.UPPER_INF` (sentinel uppers passed to
+    :meth:`insert` / :meth:`delete` route there, as on HINT), repeated
+    records with their multiplicity.  Only the abstract core,
+    :meth:`stored_records` and the Section 4.6 temporal entry points live
+    here; queries, joins, counts and ``append_batch`` are the
+    :class:`~repro.core.access.IntervalStore` defaults, which filter
+    :meth:`stored_records` with the predicate formula.  The clock starts
+    below every bound, so the first :meth:`advance_to` may set any value.
+    """
+
+    method_name = "brute-force"
 
     def __init__(self, intervals: Iterable[IntervalRecord] = ()) -> None:
-        self._data: dict[int, tuple[int, int]] = {}
+        self._rows: Counter[IntervalRecord] = Counter()
+        self._now = INT_MIN
         for lower, upper, interval_id in intervals:
             self.insert(lower, upper, interval_id)
 
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
-        """Add an interval (ids must be unique)."""
-        validate_interval(lower, upper)
-        if interval_id in self._data:
-            raise KeyError(f"duplicate id {interval_id}")
-        self._data[interval_id] = (lower, upper)
+        if upper == UPPER_INF:
+            self.insert_infinite(lower, interval_id)
+        elif upper == UPPER_NOW:
+            self.insert_until_now(lower, interval_id)
+        else:
+            validate_interval(lower, upper)
+            self._rows[(lower, upper, interval_id)] += 1
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
-        """Remove an interval previously inserted."""
-        stored = self._data.get(interval_id)
-        if stored != (lower, upper):
-            raise KeyError((lower, upper, interval_id))
-        del self._data[interval_id]
+        row = (lower, upper, interval_id)
+        if self._rows[row] <= 0:
+            raise KeyError(row)
+        self._rows[row] -= 1  # zero counts drop out of elements()/total()
 
     def intersection(self, lower: int, upper: int) -> list[int]:
-        """All ids whose interval intersects ``[lower, upper]`` (O(n))."""
         validate_interval(lower, upper)
-        return [
-            interval_id
-            for interval_id, (s, e) in self._data.items()
-            if s <= upper and e >= lower
-        ]
+        return [i for s, e, i in self.stored_records()
+                if s <= upper and e >= lower]
 
-    def stab(self, point: int) -> list[int]:
-        """Ids containing ``point``."""
-        return self.intersection(point, point)
+    def stored_records(self) -> list[IntervalRecord]:
+        """Every row; now-relative rows report the clock as their upper,
+        infinite rows keep the ``UPPER_INF`` sentinel."""
+        now = self._now
+        return [(s, now if e == UPPER_NOW else e, i)
+                for s, e, i in self._rows.elements()]
 
-    def __len__(self) -> int:
-        return len(self._data)
+    @property
+    def interval_count(self) -> int:
+        return self._rows.total()
 
-    def records(self) -> list[IntervalRecord]:
-        """All stored (lower, upper, id) records."""
-        return [(s, e, i) for i, (s, e) in self._data.items()]
+    index_entry_count = interval_count
+
+    # ------------------------------------------------------------------
+    # temporal rows (paper Section 4.6)
+    # ------------------------------------------------------------------
+    @property
+    def now(self) -> int:
+        """Current clock value used for now-relative semantics."""
+        return self._now
+
+    def advance_to(self, now: int) -> None:
+        """Move the clock forward; time never runs backwards."""
+        if now < self._now:
+            raise ValueError(f"clock moves forward only: {now} < now={self._now}")
+        self._now = now
+
+    def insert_infinite(self, lower: int, interval_id: int) -> None:
+        """Insert the open-ended interval ``[lower, infinity)``."""
+        validate_interval(lower, lower)
+        self._rows[(lower, UPPER_INF, interval_id)] += 1
+
+    def insert_until_now(self, lower: int, interval_id: int) -> None:
+        """Insert the now-relative interval ``[lower, now]``."""
+        validate_interval(lower, lower)
+        if lower > self._now:
+            raise ValueError(
+                f"now-relative interval starts at {lower}, after now={self._now}")
+        self._rows[(lower, UPPER_NOW, interval_id)] += 1
+
+    def delete_infinite(self, lower: int, interval_id: int) -> None:
+        """Delete an infinite interval by its lower bound and id."""
+        self.delete(lower, UPPER_INF, interval_id)
+
+    def delete_until_now(self, lower: int, interval_id: int) -> None:
+        """Delete a now-relative interval by its lower bound and id."""
+        self.delete(lower, UPPER_NOW, interval_id)
+
+    def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
+        """Terminate ``[lower, now]`` at a fixed ``upper``."""
+        validate_interval(lower, upper)
+        self.delete_until_now(lower, interval_id)
+        self.insert(lower, upper, interval_id)
 
 
 class _ITNode:

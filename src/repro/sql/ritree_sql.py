@@ -212,7 +212,11 @@ class SQLRITree(IntervalStore):
         validate_interval(lower, upper)
         if self.backbone.is_empty:
             raise KeyError((lower, upper, interval_id))
-        node = self.backbone.fork_node(lower, upper)
+        self._delete_row(self.backbone.fork_node(lower, upper), lower, upper,
+                         interval_id)
+
+    def _delete_row(self, node: int, lower: int, upper: int,
+                    interval_id: int) -> None:
         cursor = self.conn.execute(
             schema.DELETE_SQL.format(name=self.name),
             {"node": node, "lower": lower, "upper": upper, "id": interval_id},
@@ -354,6 +358,26 @@ class SQLRITree(IntervalStore):
         )
         self._has_now = True
         self._save_params()
+
+    def delete_infinite(self, lower: int, interval_id: int) -> None:
+        """Delete ``[lower, infinity)`` by its lower bound and id."""
+        self._delete_row(FORK_INF, lower, UPPER_INF, interval_id)
+
+    def delete_until_now(self, lower: int, interval_id: int) -> None:
+        """Delete ``[lower, now]`` by its lower bound and id."""
+        self._delete_row(FORK_NOW, lower, UPPER_NOW, interval_id)
+
+    def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
+        """Terminate ``[lower, now]`` at a fixed ``upper``: the row is
+        re-inserted as an ordinary finite interval.  Delete and insert
+        commit as one transaction, so a failure keeps the open row."""
+        validate_interval(lower, upper)
+
+        def body() -> None:
+            self.delete_until_now(lower, interval_id)
+            self.insert(lower, upper, interval_id)
+
+        self._transact(body)
 
     @property
     def now(self) -> int:

@@ -142,9 +142,11 @@ INSERT_SQL = (
 )
 
 #: Single-statement deletion (Section 3.3: deletion mirrors insertion).
+#: It removes one copy of a record stored more than once.
 DELETE_SQL = (
-    'DELETE FROM {name} WHERE "node" = :node AND "lower" = :lower '
-    'AND "upper" = :upper AND "id" = :id'
+    'DELETE FROM {name} WHERE rowid = (SELECT rowid FROM {name} '
+    'WHERE "node" = :node AND "lower" = :lower '
+    'AND "upper" = :upper AND "id" = :id LIMIT 1)'
 )
 
 #: IST range query -- paper Figure 11.
@@ -163,7 +165,7 @@ def join_refine_fragment(refine: str) -> str:
     original bounds (``q."plower"`` / ``q."pupper"``) take the stored
     columns' places and the stored columns take the parameters' --
     yielding the predicate's *direct* formula over the pair, which keeps
-    degenerate (point) intervals on the nested-loop oracle's boundary
+    degenerate (point) intervals on the oracle's boundary
     conventions (the inverse formula may disagree there).
 
     Every swapped column reference is wrapped in sqlite's unary ``+`` so

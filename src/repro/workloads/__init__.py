@@ -32,7 +32,6 @@ from .joins import (
     join_workload,
 )
 from .queries import (
-    brute_force_results,
     measured_selectivity,
     point_queries,
     range_queries,
@@ -54,7 +53,6 @@ __all__ = [
     "OUTER_ID_OFFSET",
     "Workload",
     "brute_force_pairs",
-    "brute_force_results",
     "d1",
     "d2",
     "d3",

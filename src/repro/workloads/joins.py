@@ -161,8 +161,10 @@ def brute_force_pairs(
 
     Nested-loop semantics -- every outer record is compared against every
     inner record -- with the inner loop as one boolean mask, so paper-size
-    workloads stay feasible as oracles.  Pure-Python brute force lives in
-    :class:`repro.core.join.NestedLoopJoin`.
+    workloads stay feasible as oracles.  The pure-Python reference is the
+    oracle store :class:`repro.methods.memory.BruteForceIntervals`
+    (``join_pairs``); :class:`repro.core.join.NestedLoopJoin` is a join
+    strategy checked against it.
     """
     if not outer or not inner:
         return []

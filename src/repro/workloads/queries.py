@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import DOMAIN_MAX, IntervalRecord, Workload
+from .distributions import DOMAIN_MAX, Workload
 
 QueryInterval = tuple[int, int]
 
@@ -81,21 +81,3 @@ def measured_selectivity(result_sizes: Sequence[int], n: int) -> float:
     if n <= 0 or not result_sizes:
         return 0.0
     return float(np.mean(result_sizes)) / n
-
-
-def brute_force_results(
-    records: Sequence[IntervalRecord], queries: Sequence[QueryInterval]
-) -> list[int]:
-    """Result sizes of ``queries`` against ``records`` (O(n) per query).
-
-    Used by the harness to report realised selectivities and by tests to
-    validate calibration, without touching any index under test.
-    """
-    if not records:
-        return [0] * len(queries)
-    lowers = np.array([lower for lower, _, __ in records], dtype=np.int64)
-    uppers = np.array([upper for _, upper, __ in records], dtype=np.int64)
-    sizes = []
-    for q_lower, q_upper in queries:
-        sizes.append(int(np.count_nonzero((lowers <= q_upper) & (uppers >= q_lower))))
-    return sizes

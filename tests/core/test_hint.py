@@ -77,18 +77,16 @@ def test_assignment_invariants(records, levels):
 def test_mutations_preserve_structure_and_answers(records, data):
     store = HintStore(levels=6)
     store.bulk_load(records)
+    oracle = BruteForceIntervals(records)
     assert store.verify().ok
-    remaining = list(records)
-    deletions = data.draw(
-        st.integers(0, len(remaining))) if remaining else 0
-    for _ in range(deletions):
-        rec = remaining.pop()
+    deletions = data.draw(st.integers(0, len(records))) if records else 0
+    for rec in reversed(records[len(records) - deletions:]):
         store.delete(*rec)
+        oracle.delete(*rec)
         assert store.verify().ok
     for lower, upper in ((0, 2**21), (1000, 5000), (2**19, 2**19)):
-        expected = sorted(
-            i for s, e, i in remaining if s <= upper and lower <= e)
-        assert sorted(store.intersection(lower, upper)) == expected
+        assert sorted(store.intersection(lower, upper)) == sorted(
+            oracle.intersection(lower, upper))
 
 
 def test_domain_refit_preserves_answers(rng):
@@ -142,31 +140,27 @@ def test_structure_summary(rng):
 def test_temporal_rows_behave_like_the_temporal_tree(rng):
     now = 5_000
     store = HintStore(now=now)
+    oracle = BruteForceIntervals()
+    oracle.advance_to(now)
     finite = make_intervals(rng, 120, domain=9_000, mean_length=300)
-    store.bulk_load(finite)
-    store.insert_infinite(2_000, 90_001)
-    store.insert(3_000, UPPER_INF, 90_002)  # sentinel routing via insert
-    store.insert_until_now(1_000, 90_003)
+    for target in (store, oracle):
+        target.bulk_load(finite)
+        target.insert_infinite(2_000, 90_001)
+        target.insert(3_000, UPPER_INF, 90_002)  # sentinel routing via insert
+        target.insert_until_now(1_000, 90_003)
     assert store.infinite_count == 2
     assert store.now_relative_count == 1
     assert store.verify().ok
 
-    def effective():
-        rows = list(finite)
-        rows += [(2_000, UPPER_INF, 90_001), (3_000, UPPER_INF, 90_002)]
-        rows += [(1_000, store.now, 90_003)]
-        return rows
-
-    oracle = BruteForceIntervals(effective())
     for _ in range(50):
         lower = rng.randrange(0, 12_000)
         upper = lower + rng.randrange(0, 2_000)
         assert sorted(store.intersection(lower, upper)) == sorted(
             oracle.intersection(lower, upper))
-    assert sorted(store.stored_records()) == sorted(effective())
+    assert sorted(store.stored_records()) == sorted(oracle.stored_records())
 
     store.advance_to(8_000)
-    oracle = BruteForceIntervals(effective())
+    oracle.advance_to(8_000)
     assert sorted(store.intersection(7_000, 7_500)) == sorted(
         oracle.intersection(7_000, 7_500))
     with pytest.raises(ValueError):
@@ -177,8 +171,7 @@ def test_temporal_rows_behave_like_the_temporal_tree(rng):
     for name in sorted(PREDICATES):
         if name == "stab":
             continue
-        pred = PREDICATES[name]
-        expected = sorted(pred.filter(effective(), 2_500, 4_000))
+        expected = sorted(oracle.query(2_500, 4_000, predicate=name))
         assert sorted(store.query(2_500, 4_000, predicate=name)) == expected, name
 
     store.close_now_interval(1_000, 90_003, 6_000)
@@ -198,23 +191,20 @@ def test_temporal_rows_behave_like_the_temporal_tree(rng):
 span = st.tuples(st.integers(-300, 3_000), st.integers(0, 400))
 
 
-def _check_open_ended(store, rows, windows):
-    """``before``/``after`` queries and joins against brute force over
-    the effective ``rows``, with the candidate refine path disabled."""
+def _check_open_ended(store, oracle, windows):
+    """``before``/``after`` queries and joins against the oracle, with
+    the candidate refine path disabled."""
     probes = [(lower, upper, 50_000 + k)
               for k, (lower, upper) in enumerate(windows)]
     with mock.patch.object(store, "_candidate_records",
                            side_effect=AssertionError("refine path used")):
         for name in ("before", "after"):
-            pred = PREDICATES[name]
             for lower, upper in windows:
                 assert sorted(store.query(lower, upper, predicate=name)) == (
-                    sorted(pred.filter(rows, lower, upper))), (name, lower)
-            expected = sorted(
-                (probe_id, i) for lower, upper, probe_id in probes
-                for s, e, i in rows if pred.holds(lower, upper, s, e))
+                    sorted(oracle.query(lower, upper, predicate=name))), (
+                        name, lower)
             assert sorted(store.join_pairs(probes, predicate=name)) == (
-                expected), name
+                sorted(oracle.join_pairs(probes, predicate=name))), name
 
 
 @settings(
@@ -243,58 +233,62 @@ def test_open_ended_relations_match_brute_force(
                 else (min(lower, now), UPPER_NOW, 9_000 + k)
                 for k, (infinite, lower) in enumerate(sentinels)]
     store = HintStore(levels=levels, now=now)
+    oracle = BruteForceIntervals()
+    oracle.advance_to(now)
+    oracle.bulk_load(records)
     if appended:
         store.append_batch(records)  # the raw-append + resort path
     else:
         store.bulk_load(records)
-    for record in records[:deletes]:
-        store.delete(*record)
-    live = records[deletes:]
-    store.advance_to(now + advance)
+    for target in (store, oracle):
+        for record in records[:deletes]:
+            target.delete(*record)
+        target.advance_to(now + advance)
     now = store.now
-    rows = [(s, now if e == UPPER_NOW else e, i) for s, e, i in live]
     queries = [(lower, lower + length) for lower, length in windows]
     # Exact record bounds, beyond the stored extent on both sides, and
     # the clock before, inside and after the window.
-    for s, e, _ in rows[:3]:
+    for s, e, _ in oracle.stored_records()[:3]:
         queries += [(s, min(e, s + 500)), (e, e), (s - 1, s), (e, e + 1)]
     queries += [(-5_000, -4_000), (10_000, 11_000), (now + 1, now + 50),
                 (now - 50, now + 50), (now - 50, now - 1)]
-    _check_open_ended(store, rows, queries)
+    _check_open_ended(store, oracle, queries)
     assert store.verify().ok
 
 
 def test_open_ended_relations_on_empty_stores():
     windows = [(0, 0), (-10, 10), (5, 500)]
-    _check_open_ended(HintStore(), [], windows)
+    empty = BruteForceIntervals()
+    _check_open_ended(HintStore(), empty, windows)
     emptied = HintStore()
     emptied.append_batch([(3, 9, 1), (40, 60, 2), (7, UPPER_INF, 3)])
     for record in [(3, 9, 1), (40, 60, 2), (7, UPPER_INF, 3)]:
         emptied.delete(*record)
-    _check_open_ended(emptied, [], windows)
+    _check_open_ended(emptied, empty, windows)
     # Sentinel rows only: no finite domain fitted yet.
     temporal = HintStore(now=20)
-    temporal.insert_infinite(5, 1)
-    temporal.insert_until_now(8, 2)
-    _check_open_ended(temporal, [(5, UPPER_INF, 1), (8, 20, 2)],
-                      windows + [(21, 30), (6, 7)])
+    oracle = BruteForceIntervals()
+    oracle.advance_to(20)
+    for target in (temporal, oracle):
+        target.insert_infinite(5, 1)
+        target.insert_until_now(8, 2)
+    _check_open_ended(temporal, oracle, windows + [(21, 30), (6, 7)])
 
 
 def test_temporal_join_parity(rng):
     now = 400
     store = HintStore(now=now)
+    oracle = BruteForceIntervals()
+    oracle.advance_to(now)
     finite = make_intervals(rng, 80, domain=800, mean_length=60)
-    store.bulk_load(finite)
-    store.insert_infinite(100, 70_001)
-    store.insert_until_now(50, 70_002)
-    rows = finite + [(100, UPPER_INF, 70_001), (50, now, 70_002)]
+    for target in (store, oracle):
+        target.bulk_load(finite)
+        target.insert_infinite(100, 70_001)
+        target.insert_until_now(50, 70_002)
     probes = [(rng.randrange(0, 900), 0, 80_000 + k) for k in range(40)]
     probes = [(lo, lo + rng.randrange(0, 200), i) for lo, _, i in probes]
     for name in ("intersects", "before", "after", "during", "overlaps"):
-        pred = PREDICATES[name]
-        expected = sorted(
-            (pid, i) for pl, pu, pid in probes
-            for s, e, i in rows if pred.holds(pl, pu, s, e))
+        expected = sorted(oracle.join_pairs(probes, predicate=name))
         got = sorted(store.join_pairs(
             probes, predicate=None if name == "intersects" else name))
         assert got == expected, name
@@ -442,10 +436,7 @@ def test_auto_join_dispatches_on_the_hint_store(rng):
     store.bulk_load(records)
     auto = AutoJoin(method=store)
     pairs = sorted(auto.pairs(probes, []))
-    expected = sorted(
-        (pid, i) for pl, pu, pid in probes
-        for s, e, i in records if pl <= e and s <= pu)
-    assert pairs == expected
+    assert pairs == sorted(BruteForceIntervals(records).join_pairs(probes))
     assert auto.last_dispatch in ("index-nested-loop", "sweep")
     assert auto.last_decision.index.physical_reads == 0.0
     assert auto.last_decision.choice == auto.last_dispatch

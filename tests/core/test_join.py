@@ -12,7 +12,7 @@ from repro.core.join import (
     SweepJoin,
     interval_join,
 )
-from repro.methods import WindowList
+from repro.methods import BruteForceIntervals, WindowList
 
 from ..conftest import make_intervals
 
@@ -88,7 +88,8 @@ def test_random_parity_across_strategies(rng):
             make_intervals(rng, 150, domain=20_000, mean_length=700)
         )
     ]
-    expected = sorted(NestedLoopJoin().pairs(outer, inner))
+    expected = sorted(BruteForceIntervals(inner).join_pairs(outer))
+    assert sorted(NestedLoopJoin().pairs(outer, inner)) == expected
     assert sorted(SweepJoin().pairs(outer, inner)) == expected
     assert sorted(IndexNestedLoopJoin().pairs(outer, inner)) == expected
 
@@ -216,7 +217,7 @@ def test_auto_join_records_its_decision(rng):
     assert auto.last_decision is not None
     decision = auto.last_decision
     assert decision.choice in ("index-nested-loop", "sweep")
-    assert sorted(pairs) == sorted(NestedLoopJoin().pairs(outer, inner))
+    assert sorted(pairs) == sorted(BruteForceIntervals(inner).join_pairs(outer))
     # Counting re-plans (inputs may have changed between calls).
     assert auto.count(outer, inner) == len(pairs)
 
@@ -339,7 +340,7 @@ def test_auto_join_sweep_choice_recovers_stored_records(rng):
         assert isinstance(strategy, IndexNestedLoopJoin)
     # Either way the evaluated join is exact.
     assert sorted(auto.pairs(probes, inner=[])) == sorted(
-        NestedLoopJoin().pairs(probes, inner)
+        BruteForceIntervals(inner).join_pairs(probes)
     )
 
 
@@ -357,7 +358,7 @@ def test_auto_join_prebuilt_method_ignores_inner_argument(rng):
     tree = RITree()
     tree.bulk_load(inner)
     auto = AutoJoin(method=tree)
-    expected = sorted(NestedLoopJoin().pairs(probes, inner))
+    expected = sorted(BruteForceIntervals(inner).join_pairs(probes))
     assert sorted(auto.pairs(probes, inner=decoy)) == expected
     assert auto.count(probes, inner=decoy) == len(expected)
 
@@ -394,7 +395,7 @@ def test_run_join_batch_reports_join_measurements(rng):
     batch = run_join_batch(tree, probes)
     assert batch.method == "RI-tree"
     assert batch.probes == len(probes)
-    assert batch.pairs == len(NestedLoopJoin().pairs(probes, inner))
+    assert batch.pairs == BruteForceIntervals(inner).join_count(probes)
     assert batch.logical_io > 0
     assert batch.physical_io >= 0
     assert batch.decision is None
@@ -432,7 +433,7 @@ def test_run_join_batch_with_planner_decision(rng):
 
 def test_run_join_batch_plan_without_model_is_noop(rng):
     """Methods without a cost model run planless (decision stays None)."""
-    from repro.methods import WindowList
+    from repro.methods import BruteForceIntervals, WindowList
 
     records = make_intervals(rng, 100, domain=20_000, mean_length=400)
     wl = WindowList()
@@ -444,8 +445,6 @@ def test_run_join_batch_plan_without_model_is_noop(rng):
 
 def test_run_join_batch_runs_predicate_joins(rng):
     """The harness drives predicate joins and surfaces plan + dispatch."""
-    from repro.core.join import NestedLoopJoin as Oracle
-
     inner = make_intervals(rng, 200, domain=30_000, mean_length=500)
     probes = [
         (lo, up, 6000 + i)
@@ -457,8 +456,8 @@ def test_run_join_batch_runs_predicate_joins(rng):
     tree.bulk_load(inner)
     tree.db.flush()
     batch = run_join_batch(tree, probes, predicate="during", plan=True)
-    assert batch.pairs == len(
-        Oracle(predicate="during").pairs(probes, inner)
+    assert batch.pairs == BruteForceIntervals(inner).join_count(
+        probes, predicate="during"
     )
     assert batch.predicate == "during"
     assert batch.logical_io > 0

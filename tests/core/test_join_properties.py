@@ -1,9 +1,10 @@
-"""Property tests: index and sweep joins always match the brute oracle.
+"""Property tests: every join strategy always matches the brute oracle.
 
 Random workloads include degenerate (point) intervals, empty sides, and
 -- through :class:`~repro.core.temporal.TemporalRITree` -- the Section
 4.6 ``now``/``infinity`` intervals, joined via the index strategy against
-an oracle running on the materialised effective bounds.
+a :class:`~repro.methods.memory.BruteForceIntervals` oracle fed the same
+temporal rows.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +19,7 @@ from repro.core.join import (
     SweepJoin,
 )
 from repro.core.predicates import JOIN_PREDICATES
-from repro.core.temporal import UPPER_INF
+from repro.methods.memory import BruteForceIntervals
 from repro.workloads.joins import expected_pair_count, join_workload
 
 DOMAIN_MAX = 2**20 - 1
@@ -45,6 +46,21 @@ def _with_ids(intervals, offset):
     ]
 
 
+def _temporal_pair(inner_raw, infinite_lowers, now_lowers, now):
+    """A TemporalRITree and the oracle, fed the same finite, ``[s, oo)``
+    and ``[s, now]`` rows at clock ``now``."""
+    tree = TemporalRITree(now=now)
+    oracle = BruteForceIntervals()
+    oracle.advance_to(now)
+    rows = [("insert", lower, upper) for lower, upper in inner_raw]
+    rows += [("insert_infinite", lower) for lower in infinite_lowers]
+    rows += [("insert_until_now", lower) for lower in now_lowers]
+    for interval_id, (method, *bounds) in enumerate(rows, start=9000):
+        for store in (tree, oracle):
+            getattr(store, method)(*bounds, interval_id)
+    return tree, oracle
+
+
 @settings(
     max_examples=25,
     deadline=None,
@@ -54,7 +70,8 @@ def _with_ids(intervals, offset):
 def test_index_and_sweep_match_oracle(outer_raw, inner_raw):
     outer = _with_ids(outer_raw, 1000)
     inner = _with_ids(inner_raw, 9000)
-    expected = sorted(NestedLoopJoin().pairs(outer, inner))
+    expected = sorted(BruteForceIntervals(inner).join_pairs(outer))
+    assert sorted(NestedLoopJoin().pairs(outer, inner)) == expected
     assert sorted(SweepJoin().pairs(outer, inner)) == expected
     assert sorted(IndexNestedLoopJoin().pairs(outer, inner)) == expected
     assert SweepJoin().count(outer, inner) == len(expected)
@@ -79,29 +96,16 @@ def test_temporal_join_matches_oracle_on_effective_bounds(
     """now/infinity intervals join correctly through the reserved nodes.
 
     The inner side is a TemporalRITree holding finite, ``[s, oo)`` and
-    ``[s, now]`` intervals; the oracle (and the sweep) run on the same
-    relation with bounds materialised -- ``now`` as the clock value,
-    infinity as a bound beyond every probe.  All three must agree.
+    ``[s, now]`` intervals; the oracle holds the same rows, and the
+    nested loop and the sweep run on its effective-bound relation.  All
+    must agree.
     """
-    tree = TemporalRITree(now=now)
-    effective = []
-    next_id = 9000
-    for lower, upper in inner_raw:
-        tree.insert(lower, upper, interval_id=next_id)
-        effective.append((lower, upper, next_id))
-        next_id += 1
-    for lower in infinite_lowers:
-        tree.insert_infinite(lower, interval_id=next_id)
-        # Any bound beyond the probe domain behaves as +infinity.
-        effective.append((lower, 2**40, next_id))
-        next_id += 1
-    for lower in now_lowers:
-        tree.insert_until_now(lower, interval_id=next_id)
-        effective.append((lower, now, next_id))
-        next_id += 1
+    tree, oracle = _temporal_pair(inner_raw, infinite_lowers, now_lowers, now)
 
     outer = _with_ids(outer_raw, 1000)
-    expected = sorted(NestedLoopJoin().pairs(outer, effective))
+    effective = oracle.stored_records()
+    expected = sorted(oracle.join_pairs(outer))
+    assert sorted(NestedLoopJoin().pairs(outer, effective)) == expected
     assert sorted(SweepJoin().pairs(outer, effective)) == expected
     index_join = IndexNestedLoopJoin(method=tree)
     assert sorted(index_join.pairs(outer, inner=[])) == expected
@@ -120,16 +124,19 @@ def test_all_strategies_match_oracle_on_every_join_predicate(
     """Tentpole property: 4 strategies x 14 predicates, identical sets.
 
     Random workloads with point intervals and shared endpoints; the
-    nested-loop oracle (direct formula, outer subject) is ground truth.
-    One RI-tree serves every predicate's index probes; auto plans with
-    the tree's own cost model.
+    oracle (direct formula, outer subject) is ground truth.  One RI-tree
+    serves every predicate's index probes; auto plans with the tree's
+    own cost model.
     """
     outer = _with_ids(outer_raw, 1000)
     inner = _with_ids(inner_raw, 9000)
+    oracle = BruteForceIntervals(inner)
     tree = RITree()
     tree.bulk_load(inner)
     for name in JOIN_PREDICATES:
-        expected = sorted(NestedLoopJoin(predicate=name).pairs(outer, inner))
+        expected = sorted(oracle.join_pairs(outer, predicate=name))
+        assert sorted(NestedLoopJoin(predicate=name).pairs(outer, inner)) == \
+            expected, name
         assert sorted(SweepJoin(predicate=name).pairs(outer, inner)) == \
             expected, name
         assert sorted(tree.join_pairs(outer, predicate=name)) == \
@@ -158,33 +165,17 @@ def test_predicate_joins_handle_temporal_sentinels(
     """now/infinity rows join correctly under every predicate.
 
     The inner side is a TemporalRITree holding finite, ``[s, oo)`` and
-    ``[s, now]`` intervals; the oracle and the sweep run on the
-    effective-bound relation (``now`` materialised to the clock,
-    infinity as the ``UPPER_INF`` sentinel -- exactly what
-    ``stored_records`` reports).  The index path must agree through the
+    ``[s, now]`` intervals; the oracle holds the same rows (``now``
+    materialised to the clock, infinity as the ``UPPER_INF`` sentinel in
+    ``stored_records``).  The index path must agree through the
     reserved-node scans and the leaf-slice refinement.
     """
-    tree = TemporalRITree(now=now)
-    effective = []
-    next_id = 9000
-    for lower, upper in inner_raw:
-        tree.insert(lower, upper, interval_id=next_id)
-        effective.append((lower, upper, next_id))
-        next_id += 1
-    for lower in infinite_lowers:
-        tree.insert_infinite(lower, interval_id=next_id)
-        effective.append((lower, UPPER_INF, next_id))
-        next_id += 1
-    for lower in now_lowers:
-        tree.insert_until_now(lower, interval_id=next_id)
-        effective.append((lower, now, next_id))
-        next_id += 1
+    tree, oracle = _temporal_pair(inner_raw, infinite_lowers, now_lowers, now)
 
     outer = _with_ids(outer_raw, 1000)
-    assert sorted(tree.stored_records()) == sorted(effective)
+    assert sorted(tree.stored_records()) == sorted(oracle.stored_records())
     for name in JOIN_PREDICATES:
-        expected = sorted(
-            NestedLoopJoin(predicate=name).pairs(outer, effective))
+        expected = sorted(oracle.join_pairs(outer, predicate=name))
         assert sorted(
             SweepJoin(predicate=name).pairs(outer, tree.stored_records())
         ) == expected, name
@@ -256,7 +247,7 @@ def test_auto_join_matches_oracle(outer_raw, inner_raw):
     """Whatever the planner picks, auto returns the exact pair set."""
     outer = _with_ids(outer_raw, 1000)
     inner = _with_ids(inner_raw, 9000)
-    expected = sorted(NestedLoopJoin().pairs(outer, inner))
+    expected = sorted(BruteForceIntervals(inner).join_pairs(outer))
     auto = AutoJoin()
     assert sorted(auto.pairs(outer, inner)) == expected
     assert auto.count(outer, inner) == len(expected)

@@ -2,7 +2,8 @@
 
 Every predicate must produce the identical id (or pair) set through
 
-* the pure endpoint formula over raw records (the oracle),
+* the brute-force oracle, which filters its records with the pure
+  endpoint formula,
 * the simulated engine's scan-plan compilation (``RITree.query`` via
   :mod:`repro.core.topology`),
 * the sqlite backend's WHERE-clause rewrite (``SQLRITree.query``),
@@ -23,6 +24,7 @@ from repro.core import (
 )
 from repro.core.join import SweepJoin, interval_join
 from repro.core.topology import ALLEN_RELATIONS, relate
+from repro.methods.memory import BruteForceIntervals
 from repro.methods.windowlist import WindowList
 from repro.sql import SQLRITree
 
@@ -133,21 +135,18 @@ def test_matches_and_filter():
 @pytest.mark.parametrize("name", sorted(PREDICATES))
 def test_backends_match_the_oracle(name, rng):
     anchors, records = shared_endpoint_records(rng)
+    oracle = BruteForceIntervals(records)
     backends = [RITree(), SQLRITree(), HintStore()]
     for backend in backends:
         backend.bulk_load(records)
-    pred = PREDICATES[name]
     for _ in range(40):
         lower = rng.choice(anchors)
         upper = lower + rng.choice([1, 2, 5, rng.randrange(1, 60)])
         if name == "stab":
-            expected = sorted(pred.filter(records, lower, lower))
-            for backend in backends:
-                assert sorted(backend.query(lower, predicate=name)) == expected
-        else:
-            expected = sorted(pred.filter(records, lower, upper))
-            for backend in backends:
-                assert sorted(backend.query(lower, upper, predicate=name)) == expected
+            upper = None
+        expected = sorted(oracle.query(lower, upper, predicate=name))
+        for backend in backends:
+            assert sorted(backend.query(lower, upper, predicate=name)) == expected
 
 
 def test_query_intersects_delegates_to_intersection(rng):
@@ -178,35 +177,11 @@ def test_generic_store_falls_back_to_stored_records(rng):
 
 
 def test_minimal_store_gets_predicates_for_free(rng):
-    """A bare-bones IntervalStore inherits a working predicate compile."""
-    from repro.core import IntervalStore
-
-    class ListStore(IntervalStore):
-        def __init__(self):
-            self.records = []
-
-        def insert(self, lower, upper, interval_id):
-            self.records.append((lower, upper, interval_id))
-
-        def delete(self, lower, upper, interval_id):
-            self.records.remove((lower, upper, interval_id))
-
-        def intersection(self, lower, upper):
-            return [i for s, e, i in self.records if s <= upper and e >= lower]
-
-        def stored_records(self):
-            return list(self.records)
-
-        @property
-        def interval_count(self):
-            return len(self.records)
-
-        @property
-        def index_entry_count(self):
-            return len(self.records)
-
+    """A bare-bones IntervalStore -- the oracle, which implements only
+    the abstract core and enumeration -- inherits a working predicate
+    compile."""
     _anchors, records = shared_endpoint_records(rng, count=120)
-    store = ListStore()
+    store = BruteForceIntervals()
     store.bulk_load(records)
     reference = RITree()
     reference.bulk_load(records)
@@ -222,13 +197,7 @@ def test_join_strategies_match_the_oracle(name, rng):
     _anchors, records = shared_endpoint_records(rng, count=260)
     outer = records[:120]
     inner = [(s, e, 10_000 + i) for s, e, i in records[120:]]
-    pred = PREDICATES[name]
-    expected = sorted(
-        (r[2], s[2])
-        for r in outer
-        for s in inner
-        if pred.holds(r[0], r[1], s[0], s[1])
-    )
+    expected = sorted(BruteForceIntervals(inner).join_pairs(outer, predicate=name))
     for strategy in ("sweep", "nested-loop", "index", "auto"):
         got = sorted(interval_join(outer, inner, strategy=strategy, predicate=name))
         assert got == expected, (strategy, name)
@@ -240,51 +209,11 @@ def test_store_join_hooks_take_predicates(name, rng):
     _anchors, records = shared_endpoint_records(rng, count=220)
     inner = records[:140]
     probes = [(s, e, 20_000 + i) for s, e, i in records[140:]]
-    pred = PREDICATES[name]
-    expected = sorted(
-        (r[2], s[2])
-        for r in probes
-        for s in inner
-        if pred.holds(r[0], r[1], s[0], s[1])
-    )
+    expected = sorted(BruteForceIntervals(inner).join_pairs(probes, predicate=name))
     for store in (RITree(), SQLRITree(), HintStore()):
         store.bulk_load(inner)
         assert sorted(store.join_pairs(probes, predicate=name)) == expected
         assert store.join_count(probes, predicate=name) == len(expected)
-
-
-class _ListStore:
-    """Minimal enumerable IntervalStore for default-path tests."""
-
-    def __new__(cls):
-        from repro.core import IntervalStore
-
-        class ListStore(IntervalStore):
-            def __init__(self):
-                self.records = []
-
-            def insert(self, lower, upper, interval_id):
-                self.records.append((lower, upper, interval_id))
-
-            def delete(self, lower, upper, interval_id):
-                self.records.remove((lower, upper, interval_id))
-
-            def intersection(self, lower, upper):
-                return [i for s, e, i in self.records
-                        if s <= upper and e >= lower]
-
-            def stored_records(self):
-                return list(self.records)
-
-            @property
-            def interval_count(self):
-                return len(self.records)
-
-            @property
-            def index_entry_count(self):
-                return len(self.records)
-
-        return ListStore()
 
 
 def test_generic_store_predicate_join_refines_enumerated_records(rng):
@@ -297,8 +226,7 @@ def test_generic_store_predicate_join_refines_enumerated_records(rng):
     inner = records[:100] + [(7, 7, 900), (50, 50, 901)]
     probes = [(s, e, 30_000 + i) for s, e, i in records[100:]]
     probes += [(0, 7, 31_000), (50, 50, 31_001)]
-    store = _ListStore()
-    store.bulk_load(inner)
+    store = BruteForceIntervals(inner)
     for name in ("before", "during", "meets", "equals", "met_by"):
         pred = PREDICATES[name]
         expected = sorted(
@@ -316,13 +244,11 @@ def test_opaque_store_predicate_join_loops_inverse_queries(rng):
     _anchors, records = shared_endpoint_records(rng, count=140)
     inner = records[:90]
     probes = [(s, e, 40_000 + i) for s, e, i in records[90:]]
-    store = _ListStore()
-    store.bulk_load(inner)
-    hidden = store.stored_records()
+    hidden = BruteForceIntervals(inner).stored_records()
 
     queried = []
 
-    class Opaque(type(store)):
+    class Opaque(BruteForceIntervals):
         def stored_records(self):
             return None
 

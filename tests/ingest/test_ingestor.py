@@ -10,6 +10,8 @@ from repro.core.temporal import TemporalRITree
 from repro.engine import Database, FaultInjector, SimulatedCrash
 from repro.ingest import StreamIngestor, StreamWorkload
 from repro.ingest.workload import StreamBatch
+from repro.methods.memory import BruteForceIntervals
+from repro.sql import SQLRITree
 
 
 class RecordingStore:
@@ -140,6 +142,27 @@ def test_submit_forces_the_wal_once():
         # Advance, flush and closures commit together; a submit that only
         # buffers writes nothing.
         assert db.wal.forces - before <= 1
+    assert ingestor.stats.closes > 0
+
+
+def test_sql_ritree_ingest_with_closures_matches_the_oracle():
+    store = SQLRITree(now=0)
+    ingestor = StreamIngestor(store, flush_records=8)
+    oracle = BruteForceIntervals()
+    workload = StreamWorkload(
+        seed=5, batches=12, batch_size=6, open_fraction=0.4, close_lag=2
+    )
+    for item in workload:
+        ingestor.submit(item)
+        ingestor.flush()
+        item.apply_to(oracle)
+        assert sorted(store.stored_records()) == sorted(oracle.stored_records())
+        for lower in range(0, item.timestamp + 1, 150):
+            assert sorted(store.intersection(lower, lower + 100)) == sorted(
+                oracle.intersection(lower, lower + 100)
+            )
+        report = store.verify()
+        assert report.ok, [i.as_dict() for i in report.issues]
     assert ingestor.stats.closes > 0
 
 

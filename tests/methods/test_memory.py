@@ -12,14 +12,18 @@ def test_brute_force_basic():
     assert sorted(brute.intersection(8, 9)) == [1, 2]
     assert brute.intersection(11, 12) == [2]
     assert brute.stab(0) == [1]
-    assert len(brute) == 2
+    assert brute.interval_count == 2
 
 
-def test_brute_force_duplicate_id_rejected():
+def test_brute_force_keeps_repeated_records_with_multiplicity():
     brute = BruteForceIntervals()
     brute.insert(0, 1, 7)
-    with pytest.raises(KeyError):
-        brute.insert(5, 6, 7)
+    brute.insert(5, 6, 7)
+    brute.insert(5, 6, 7)
+    assert sorted(brute.intersection(0, 10)) == [7, 7, 7]
+    assert brute.interval_count == 3
+    brute.delete(5, 6, 7)
+    assert sorted(brute.stored_records()) == [(0, 1, 7), (5, 6, 7)]
 
 
 def test_brute_force_delete_checks_bounds():
@@ -27,7 +31,7 @@ def test_brute_force_delete_checks_bounds():
     with pytest.raises(KeyError):
         brute.delete(0, 11, 1)
     brute.delete(0, 10, 1)
-    assert len(brute) == 0
+    assert brute.interval_count == 0
 
 
 def test_interval_tree_matches_brute_force(rng):

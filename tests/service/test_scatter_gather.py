@@ -17,6 +17,7 @@ from repro.core.hint import HintStore
 from repro.core.router import ShardedStore
 from repro.core.stores import create_store
 from repro.core.temporal import UPPER_INF
+from repro.methods.memory import BruteForceIntervals
 from repro.service.client import RemoteStore, ServiceClient
 from repro.service.loadgen import build_dataset, build_ops, canonical, evaluate_ops
 
@@ -72,7 +73,8 @@ def _serve_shards(stack, stores, log):
 
 
 def _oracle():
-    oracle = create_store("hint", now=1_200)
+    oracle = BruteForceIntervals()
+    oracle.advance_to(1_200)
     oracle.bulk_load(RECORDS)
     return oracle
 

@@ -18,6 +18,7 @@ from repro.core.predicates import range_duration
 from repro.core.router import ShardedStore
 from repro.core.stores import create_store
 from repro.core.temporal import UPPER_INF, UPPER_NOW
+from repro.methods.memory import BruteForceIntervals
 from repro.service import client as client_module
 from repro.service import protocol
 from repro.service.client import RemoteStore, ServiceClient
@@ -83,6 +84,14 @@ def remote(store, **service_kwargs):
             yield proxy
         finally:
             proxy.close()
+
+
+def oracle_store(records, now):
+    """The brute-force oracle at clock ``now``, loaded with ``records``."""
+    oracle = BruteForceIntervals()
+    oracle.advance_to(now)
+    oracle.bulk_load(records)
+    return oracle
 
 
 def seeded_store(records=(), now=0):
@@ -169,6 +178,23 @@ def test_remote_temporal_entry_points():
         assert proxy.intersection(130, 200) == []
         assert sorted(
             upper for _, upper, _ in proxy.stored_records()) == [120]
+
+
+def test_sql_ritree_server_closes_and_deletes_temporal_rows():
+    store = create_store(
+        "sql-ritree", now=10,
+        connection=sqlite3.connect(":memory:", check_same_thread=False))
+    with remote(store) as proxy:
+        proxy.insert_until_now(8, interval_id=2)
+        proxy.insert_infinite(5, interval_id=1)
+        proxy.advance_to(150)
+        proxy.close_now_interval(8, interval_id=2, upper=120)
+        assert sorted(proxy.intersection(130, 200)) == [1]
+        proxy.delete_infinite(5, interval_id=1)
+        with pytest.raises(KeyError):
+            proxy.delete_until_now(8, interval_id=2)
+        assert proxy.stored_records() == [(8, 120, 2)]
+        assert proxy.verify().ok
 
 
 def test_remote_sentinels_bulk_load_through_the_wire():
@@ -548,8 +574,7 @@ def spawn_cli(tmp_path, records, now, extra):
 def test_cli_roles_match_the_local_oracle(tmp_path, shards):
     records, now = build_dataset(seed=5, n=400, domain=8_000, max_len=300)
     ops = build_ops(seed=6, count=150, domain=8_000, max_len=300, now=now)
-    oracle = seeded_store(records, now=now)
-    expected = evaluate_ops(oracle, ops)
+    expected = evaluate_ops(oracle_store(records, now), ops)
     proc, host, port = spawn_cli(
         tmp_path, records, now, ["--shards", str(shards)])
     try:
@@ -582,7 +607,7 @@ def test_single_backend_cli_loads_sentinel_rows(tmp_path, backend):
     records, now = build_dataset(seed=8, n=300, domain=8_000, max_len=300)
     assert {UPPER_INF, UPPER_NOW} <= {upper for _, upper, _ in records}
     ops = build_ops(seed=9, count=120, domain=8_000, max_len=300, now=now)
-    expected = evaluate_ops(seeded_store(records, now=now), ops)
+    expected = evaluate_ops(oracle_store(records, now), ops)
     proc, host, port = spawn_cli(tmp_path, records, now,
                                  ["--backend", backend])
     try:

@@ -17,7 +17,10 @@ import json
 import pytest
 
 from repro.core import RITree, RITreeCostModel
-from repro.core.join import AutoJoin, SweepJoin
+from repro.core import TemporalRITree
+from repro.core.join import AutoJoin, NestedLoopJoin, SweepJoin
+from repro.core.predicates import JOIN_PREDICATES, PREDICATES
+from repro.methods.memory import BruteForceIntervals
 from repro.sql import SQLRITree
 from repro.workloads import join_workload
 from repro.workloads.joins import expected_pair_count
@@ -42,8 +45,9 @@ def test_sql_join_matches_engine_and_oracles(seed):
     engine_tree.bulk_load(inner)
 
     sql_pairs = sql_tree.join_pairs(outer)
-    reference = sorted(sql_pairs)
+    reference = sorted(BruteForceIntervals(inner).join_pairs(outer))
     assert len(sql_pairs) == len(set(sql_pairs))
+    assert reference == sorted(sql_pairs)
     assert reference == sorted(engine_tree.join_pairs(outer))
     assert reference == sorted(SweepJoin().pairs(outer, inner))
     assert len(reference) == expected_pair_count(outer, inner)
@@ -205,24 +209,27 @@ def test_stored_records_materialise_temporal_bounds():
     """Sweep over stored_records must join the same pairs as the
     reserved-node scans, also for now-relative and infinite rows."""
     sql_tree = SQLRITree(now=100)
-    sql_tree.insert(0, 30, 3)
-    sql_tree.insert_until_now(5, 1)
-    sql_tree.insert_infinite(50, 2)
+    engine_tree = TemporalRITree(now=100)
+    oracle = _temporal_oracle(100)
+    for store in (sql_tree, engine_tree, oracle):
+        store.insert(0, 30, 3)
+        store.insert_until_now(5, 1)
+        store.insert_infinite(50, 2)
     probes = [(150, 160, 9), (10, 20, 8)]
-    reference = sorted(sql_tree.join_pairs(probes))
+    reference = sorted(oracle.join_pairs(probes))
     assert reference == [(8, 1), (8, 3), (9, 2)]
-    assert sorted(SweepJoin().pairs(probes, sql_tree.stored_records())) == reference
+    assert sorted(sql_tree.join_pairs(probes)) == reference
     records = {i: (s, e) for s, e, i in sql_tree.stored_records()}
     assert records[1] == (5, 100)  # effective upper = now
+    for store in (sql_tree, engine_tree):
+        assert sorted(store.stored_records()) == sorted(oracle.stored_records())
+        assert sorted(SweepJoin().pairs(probes, store.stored_records())) == reference
 
-    from repro.core import TemporalRITree
 
-    engine_tree = TemporalRITree(now=100)
-    engine_tree.insert(0, 30, 3)
-    engine_tree.insert_until_now(5, 1)
-    engine_tree.insert_infinite(50, 2)
-    assert sorted(engine_tree.stored_records()) == sorted(sql_tree.stored_records())
-    assert sorted(SweepJoin().pairs(probes, engine_tree.stored_records())) == reference
+def _temporal_oracle(now):
+    oracle = BruteForceIntervals()
+    oracle.advance_to(now)
+    return oracle
 
 
 def test_reserved_fork_rows_still_reach_queries():
@@ -278,9 +285,6 @@ def test_batch_join_plan_searches_both_indexes(rng):
 # predicate joins (one statement, both indexes, engine parity)
 # ----------------------------------------------------------------------
 def test_sql_predicate_join_matches_engine_and_oracle(rng):
-    from repro.core.join import NestedLoopJoin
-    from repro.core.predicates import JOIN_PREDICATES
-
     records = make_intervals(rng, 400, domain=20_000, mean_length=400)
     inner = records[:300]
     probes = [(s, e, 50_000 + i) for i, (s, e, _) in enumerate(records[300:])]
@@ -288,8 +292,9 @@ def test_sql_predicate_join_matches_engine_and_oracle(rng):
     sql_tree.bulk_load(inner)
     engine_tree = RITree()
     engine_tree.bulk_load(inner)
+    oracle = BruteForceIntervals(inner)
     for name in JOIN_PREDICATES:
-        expected = sorted(NestedLoopJoin(predicate=name).pairs(probes, inner))
+        expected = sorted(oracle.join_pairs(probes, predicate=name))
         assert sorted(sql_tree.join_pairs(probes, predicate=name)) == expected, name
         assert sql_tree.join_count(probes, predicate=name) == len(expected), name
         assert sorted(engine_tree.join_pairs(probes, predicate=name)) == expected, name
@@ -350,19 +355,21 @@ def test_sql_predicate_join_handles_reserved_rows():
     +infinity sentinel), matching the engine and the sweep over
     stored_records -- so the auto planner's result set cannot depend on
     which strategy it dispatches."""
-    from repro.core.join import NestedLoopJoin
-    from repro.core.predicates import JOIN_PREDICATES
-
     sql_tree = SQLRITree(now=100)
-    sql_tree.insert(0, 30, 1)
-    sql_tree.insert(40, 60, 2)
-    sql_tree.insert_until_now(5, 8)
-    sql_tree.insert_infinite(50, 9)
+    oracle = _temporal_oracle(100)
+    for store in (sql_tree, oracle):
+        store.insert(0, 30, 1)
+        store.insert(40, 60, 2)
+        store.insert_until_now(5, 8)
+        store.insert_infinite(50, 9)
     probes = [(31, 39, 700), (0, 200, 701), (0, 40, 702), (101, 150, 703)]
-    effective = sql_tree.stored_records()
+    effective = oracle.stored_records()
     for name in JOIN_PREDICATES:
-        expected = sorted(NestedLoopJoin(predicate=name).pairs(probes, effective))
+        expected = sorted(oracle.join_pairs(probes, predicate=name))
         assert sorted(sql_tree.join_pairs(probes, predicate=name)) == expected, name
+        assert (
+            sorted(NestedLoopJoin(predicate=name).pairs(probes, effective)) == expected
+        ), name
         assert (
             sorted(SweepJoin(predicate=name).pairs(probes, effective)) == expected
         ), name
@@ -379,22 +386,19 @@ def test_sql_predicate_query_matches_engine_on_temporal_rows():
     """query('after', ...) et al. agree across backends with temporal
     rows present -- incl. the engine's clamped candidate ceiling (no
     duplicate ids from the reserved-node scans)."""
-    from repro.core import TemporalRITree
-    from repro.core.predicates import PREDICATES
-
     sql_tree = SQLRITree(now=100)
     engine_tree = TemporalRITree(now=100)
-    for store in (sql_tree, engine_tree):
+    oracle = _temporal_oracle(100)
+    for store in (sql_tree, engine_tree, oracle):
         store.insert(0, 30, 1)
         store.insert(40, 60, 2)
         store.insert_until_now(5, 8)
         store.insert_infinite(50, 9)
-    effective = sql_tree.stored_records()
     for name in sorted(PREDICATES):
         if name == "stab":
             continue
         for lower, upper in [(0, 35), (31, 39), (90, 120), (150, 200)]:
-            expected = sorted(PREDICATES[name].filter(effective, lower, upper))
+            expected = sorted(oracle.query(lower, upper, predicate=name))
             got_sql = sorted(sql_tree.query(lower, upper, predicate=name))
             got_engine = sorted(engine_tree.query(lower, upper, predicate=name))
             assert got_sql == expected, (name, lower, upper)
@@ -403,8 +407,6 @@ def test_sql_predicate_query_matches_engine_on_temporal_rows():
 
 
 def test_auto_predicate_join_plans_on_the_sql_backend(rng):
-    from repro.core.join import NestedLoopJoin
-
     records = make_intervals(rng, 400, domain=25_000, mean_length=400)
     inner = records[:320]
     probes = [(s, e, 80_000 + i) for i, (s, e, _) in enumerate(records[320:])]
@@ -417,7 +419,7 @@ def test_auto_predicate_join_plans_on_the_sql_backend(rng):
         assert auto.last_decision.choice == planned.choice
         assert auto.last_dispatch == auto.last_decision.choice
         assert sorted(pairs) == sorted(
-            NestedLoopJoin(predicate=name).pairs(probes, inner)
+            BruteForceIntervals(inner).join_pairs(probes, predicate=name)
         ), name
 
 

@@ -5,6 +5,8 @@ import sqlite3
 import pytest
 
 from repro.core.predicates import range_duration
+from repro.core.temporal import UPPER_INF
+from repro.methods.memory import BruteForceIntervals
 from repro.sql import SQLRITree
 
 from ..conftest import make_intervals
@@ -154,7 +156,8 @@ def test_multiple_trees_share_connection():
 
 def test_explain_query_families_use_both_indexes():
     tree = SQLRITree()
-    tree.bulk_load([(i * 30, i * 30 + 20 + i % 40, i) for i in range(300)])
+    records = [(i * 30, i * 30 + 20 + i % 40, i) for i in range(300)]
+    tree.bulk_load(records)
     plan = "\n".join(
         tree.explain_query(100, 4_000,
                            predicate=range_duration(0, 35)))
@@ -162,11 +165,9 @@ def test_explain_query_families_use_both_indexes():
     assert "upperIndex" in plan
     assert "AUTOMATIC" not in plan
     # Results match the refinement run for real.
-    expected = sorted(
-        i for s, e, i in tree.stored_records()
-        if s <= 4_000 and e >= 100 and e - s <= 35)
-    assert sorted(tree.query(100, 4_000,
-                             predicate=range_duration(0, 35))) == expected
+    oracle = BruteForceIntervals(records)
+    assert sorted(tree.query(100, 4_000, predicate=range_duration(0, 35))) == (
+        sorted(oracle.query(100, 4_000, predicate=range_duration(0, 35))))
 
 
 def test_explain_query_delegates_and_gates():
@@ -177,3 +178,38 @@ def test_explain_query_delegates_and_gates():
     # An empty candidate range (before with nothing on the left) makes
     # the plan trivially empty.
     assert tree.explain_query(0, 5, predicate="before") == []
+
+
+def test_temporal_rows_delete_close_and_reattach(tmp_path):
+    """Now-relative rows close and both sentinel kinds delete; a missing
+    row is a KeyError that changes nothing, and the reopened database
+    holds the same records."""
+    path = str(tmp_path / "temporal.db")
+    tree = SQLRITree(sqlite3.connect(path), now=100)
+    oracle = BruteForceIntervals()
+    oracle.advance_to(100)
+    for store in (tree, oracle):
+        store.insert(0, 30, 1)
+        store.insert_until_now(10, 7)
+        store.insert_until_now(20, 8)
+        store.insert_infinite(30, 9)
+        store.close_now_interval(10, 7, 50)
+        store.delete_until_now(20, 8)
+    expected = sorted(oracle.stored_records())
+    assert sorted(tree.stored_records()) == expected
+    assert expected == [(0, 30, 1), (10, 50, 7), (30, UPPER_INF, 9)]
+    assert tree.verify().ok
+    with pytest.raises(KeyError):
+        tree.close_now_interval(10, 7, 60)  # already closed
+    with pytest.raises(KeyError):
+        tree.delete_until_now(20, 8)
+    with pytest.raises(KeyError):
+        tree.delete_infinite(31, 9)
+    assert sorted(tree.stored_records()) == expected
+    tree.conn.commit()
+    tree.conn.close()
+    reopened = SQLRITree(sqlite3.connect(path), attach=True, now=100)
+    assert sorted(reopened.stored_records()) == expected
+    assert reopened.verify().ok
+    reopened.delete_infinite(30, 9)
+    assert sorted(reopened.intersection(0, 1_000)) == [1, 7]

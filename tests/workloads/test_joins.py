@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.join import NestedLoopJoin
+from repro.methods.memory import BruteForceIntervals
 from repro.workloads import joins
 
 
@@ -46,8 +46,8 @@ def test_distribution_mix():
 
 def test_expected_pair_count_matches_pure_oracle():
     workload = joins.join_workload(45, 90, outer_d=3000, seed=7)
-    pure = len(
-        NestedLoopJoin().pairs(workload.outer.records, workload.inner.records)
+    pure = BruteForceIntervals(workload.inner.records).join_count(
+        workload.outer.records
     )
     assert workload.expected_pairs() == pure
     assert workload.selectivity() == pytest.approx(pure / workload.pair_domain)
@@ -57,7 +57,7 @@ def test_brute_force_pairs_matches_pure_oracle():
     workload = joins.join_workload(35, 60, seed=9)
     outer, inner = workload.outer.records, workload.inner.records
     assert sorted(joins.brute_force_pairs(outer, inner)) == sorted(
-        NestedLoopJoin().pairs(outer, inner)
+        BruteForceIntervals(inner).join_pairs(outer)
     )
 
 

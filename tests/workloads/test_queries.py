@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.methods.memory import BruteForceIntervals
 from repro.workloads import (
     DOMAIN_MAX,
-    brute_force_results,
     d1,
     d4,
     measured_selectivity,
@@ -48,9 +48,10 @@ def test_range_query_count_validation():
 def test_selectivity_calibration_within_tolerance():
     """Realised selectivity lands within 25% of the target (paper protocol)."""
     workload = d4(20_000, 2000, seed=5)
+    oracle = BruteForceIntervals(workload.records)
     for target in (0.005, 0.01, 0.03):
         queries = range_queries(workload, target, 60, seed=9)
-        sizes = brute_force_results(workload.records, queries)
+        sizes = [oracle.intersection_count(*query) for query in queries]
         realised = measured_selectivity(sizes, workload.n)
         assert abs(realised - target) / target < 0.25, (target, realised)
 
@@ -72,13 +73,6 @@ def test_sweeping_point_queries():
         sweeping_point_queries([DOMAIN_MAX + 1])
 
 
-def test_brute_force_results_empty_cases():
-    assert brute_force_results([], [(0, 1), (2, 3)]) == [0, 0]
+def test_measured_selectivity_empty_cases():
     assert measured_selectivity([], 100) == 0.0
     assert measured_selectivity([5], 0) == 0.0
-
-
-def test_brute_force_results_counts():
-    records = [(0, 10, 1), (5, 15, 2), (20, 30, 3)]
-    sizes = brute_force_results(records, [(8, 9), (16, 19), (0, 30)])
-    assert sizes == [2, 0, 3]
