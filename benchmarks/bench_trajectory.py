@@ -16,8 +16,8 @@ all) in one process, then
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_trajectory.py --scale tiny
-    PYTHONPATH=src python benchmarks/bench_trajectory.py --scale tiny recovery
+    PYTHONPATH=src python benchmarks/bench_trajectory.py
+    PYTHONPATH=src python benchmarks/bench_trajectory.py recovery
 
     # refresh the committed baseline after a deliberate change
     # (every benchmark; a subset is refused):
@@ -41,6 +41,7 @@ import bench_predicate_join
 import bench_range_duration
 import bench_recovery
 import bench_scan_throughput
+import bench_section6
 import bench_service
 import bench_sql_join
 import bench_streaming_ingest
@@ -58,6 +59,7 @@ BENCHES = {
     "hint": bench_hint,
     "service": bench_service,
     "ingest": bench_streaming_ingest,
+    "section6": bench_section6,
 }
 
 DEFAULT_BASELINE = Path(__file__).parent / "baselines" / "bench_trajectory_tiny.json"
@@ -109,8 +111,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--scale",
-        default=None,
-        help="scale preset (default: REPRO_BENCH_SCALE or 'small')",
+        default="tiny",
+        help="scale preset (default: tiny, the scale of the committed baseline)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(

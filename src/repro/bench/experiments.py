@@ -4,11 +4,11 @@ Every experiment returns an :class:`~repro.bench.harness.ExperimentResult`
 whose rows are the series the paper plots.  Absolute numbers differ from the
 paper (Python substrate vs. PL/SQL on a Pentium Pro/180); the *shapes* --
 who wins, by what factor, where trends bend -- are the reproduction target.
-See EXPERIMENTS.md for paper-vs-measured notes.
+See the "Paper vs measured" section of docs/benchmarks.md.
 
-Scaling: experiments accept a scale preset (``tiny`` for CI, ``small`` for
-developer machines -- the default, ``full`` for paper-size runs), selected
-by argument or the ``REPRO_BENCH_SCALE`` environment variable.
+Scaling: experiments accept a scale preset (``tiny`` for smoke tests,
+``small`` -- the default and the smallest that separates the methods --
+and ``full`` for paper-size runs).
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ TINDEX_ENTRY_LIMIT = int(os.environ.get("REPRO_TINDEX_LIMIT", 6_000_000))
 
 
 def get_scale(name: Optional[str] = None) -> dict:
-    """Resolve a scale preset from argument or REPRO_BENCH_SCALE."""
-    chosen = name or os.environ.get("REPRO_BENCH_SCALE", "small")
+    """Resolve a scale preset by name (default ``small``)."""
+    chosen = name or "small"
     try:
         return dict(SCALES[chosen], name=chosen)
     except KeyError:

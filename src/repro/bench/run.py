@@ -30,8 +30,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         choices=sorted(SCALES),
-        default=None,
-        help="size preset (default: REPRO_BENCH_SCALE or 'small')",
+        default="small",
+        help="size preset (default: small)",
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
     parser.add_argument(

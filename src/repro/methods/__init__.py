@@ -17,7 +17,6 @@ independent cross-checks: :class:`~repro.methods.memory.IntervalTree`
 store every test and benchmark compares against.
 """
 
-from .islist import IntervalSkipList, build_interval_skip_list
 from .ist import ORDERINGS, ISTree
 from .map21 import Map21
 from .memory import (
@@ -33,10 +32,8 @@ __all__ = [
     "BruteForceIntervals",
     "DEFAULT_DOMAIN_BITS",
     "ISTree",
-    "IntervalSkipList",
     "IntervalTree",
     "Map21",
-    "build_interval_skip_list",
     "ORDERINGS",
     "PrioritySearchTree",
     "SegmentTree",

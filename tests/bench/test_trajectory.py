@@ -279,3 +279,11 @@ def test_unknown_bench_is_rejected(tmp_path, capsys):
         run_cli(tmp_path, "frisbee")
     assert rejected.value.code == 2
     assert "unknown benchmark(s) ['frisbee']" in capsys.readouterr().err
+
+
+def test_cli_default_scale_matches_the_committed_baseline(tmp_path, capsys):
+    """Without ``--scale`` the CLI diffs against the baseline it defaults to."""
+    assert run_cli(tmp_path, "recovery", "sql-join") == 0
+    out = capsys.readouterr().out
+    assert "baseline check OK" in out
+    assert "missing" not in out
