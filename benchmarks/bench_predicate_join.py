@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 
+from benchlib import figure10_plan
 from repro.bench.experiments import get_scale
 from repro.bench.harness import paper_database, run_join_batch
 from repro.core.join import AutoJoin, NestedLoopJoin, SweepJoin
@@ -128,16 +129,16 @@ def _sql_leg(workload):
         selects = [s for s in statements if s.lstrip().startswith("SELECT")]
         if len(batch_selects) != 1 or len(selects) > 1 + extra_allowed:
             one_statement = False
-        plan = "\n".join(sql_tree.explain_join(outer[:16], predicate=name))
-        if ("lowerIndex" not in plan or "upperIndex" not in plan
-                or "AUTOMATIC" in plan):
+        if not figure10_plan(sql_tree.explain_join(outer[:16], predicate=name)):
             plans_clean = False
     if not one_statement:
         raise SystemExit("sqlite predicate join issued more than ONE "
                          "probe-batch statement")
     if not plans_clean:
-        raise SystemExit("sqlite predicate-join plan skips a Figure 2 index "
-                         "or builds an automatic index")
+        raise SystemExit(
+            "sqlite predicate-join plan skips the (node, upper) seek or a "
+            "Figure 2 index, or builds an automatic index"
+        )
     return {"one_statement": one_statement, "plans_clean": plans_clean}
 
 

@@ -44,6 +44,22 @@ def count_frame_activations(runner):
     return counter, result
 
 
+def figure10_plan(plan_lines) -> bool:
+    """Whether an sqlite ``EXPLAIN QUERY PLAN`` runs the Figure 10 scans.
+
+    Single left nodes seek ``upperIndex`` from ``(node, lower)``, right
+    nodes search ``lowerIndex``, and the optimizer builds no AUTOMATIC
+    index and scans no interval table.
+    """
+    plan = "\n".join(plan_lines)
+    return (
+        "upperIndex (node=? AND upper>?)" in plan
+        and "lowerIndex" in plan
+        and "AUTOMATIC" not in plan
+        and "SCAN i" not in plan
+    )
+
+
 def best_of(repeat, runner, keys):
     """Repeat ``runner``, demand deterministic ``keys``, keep best time.
 

@@ -772,9 +772,11 @@ def fig17_sweep(scale_name: Optional[str] = None, seed: int = 0) -> ExperimentRe
 def ablation_query_forms(
     scale_name: Optional[str] = None, seed: int = 0
 ) -> ExperimentResult:
-    """A1: Figure 9 two-branch UNION ALL vs Figure 8 three-branch OR.
+    """A1: Figure 9 UNION ALL vs Figure 8 three-branch OR.
 
-    Runs on sqlite3, where both literal statements execute unchanged.
+    Runs on sqlite3.  Figure 8 executes verbatim; Figure 9 splits its
+    ``leftNodes`` branch by row shape so sqlite seeks ``(node, upper)``
+    as Figure 10 does (:func:`repro.sql.schema.figure9_sql`).
     """
     scale = get_scale(scale_name)
     n = scale["ablation_n"]
@@ -807,7 +809,7 @@ def ablation_query_forms(
             }
         )
     result.note(
-        "Both forms return identical results; the two-branch form "
+        "Both forms return identical results; the UNION ALL form "
         "lets the optimizer drive each branch from the matching "
         "composite index (paper Section 4.3)."
     )

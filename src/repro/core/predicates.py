@@ -12,10 +12,10 @@ plan --
 * the simulated engine transforms the scan plan through the algorithms
   of :mod:`repro.core.topology` (path scans for bound-equality
   relations, candidate-range refinement for the rest);
-* the sqlite backend rewrites the WHERE clause of the literal Figure 9
+* the sqlite backend rewrites the WHERE clause of the Figure 9
   statement: the transient tables are filled for the predicate's
   *candidate range* and the defining endpoint predicate is appended to
-  both branches (:data:`IntervalPredicate.sql_refine`);
+  every branch (:data:`IntervalPredicate.sql_refine`);
 * any other store falls back to refining its enumerated records with
   the pure predicate (:meth:`IntervalPredicate.filter`), the oracle the
   compiled plans are tested against.

@@ -8,7 +8,9 @@ the claim on stdlib :mod:`sqlite3`:
 * insertion executes the single SQL statement of Figure 5 after the
   arithmetic-only fork computation of Figure 6;
 * an intersection query fills the two transient (TEMP) tables and runs the
-  literal two-branch ``UNION ALL`` statement of Figure 9;
+  ``UNION ALL`` statement of Figure 9, its ``leftNodes`` branch split by
+  row shape so sqlite seeks ``(node, upper)`` for single left nodes as
+  the Figure 10 plan does (:func:`repro.sql.schema.figure9_sql`);
 * the O(1) parameter set persists in a data-dictionary table and survives
   re-opening the database;
 * optionally, an updatable *view* with an ``INSTEAD OF`` trigger and a
@@ -24,9 +26,10 @@ unchanged on sqlite:
 
 * ``intersection_many`` and the interval-join entry points
   (``join_pairs`` / ``join_count``) evaluate *set-at-a-time*: the probe
-  relation is loaded into a TEMP table once per batch and joined against
-  the literal Figure 9 form in ONE statement, so sqlite's own optimizer
-  drives the nested-loop plan over the whole batch;
+  relation is loaded into a TEMP table once per batch, with multi-row
+  ``INSERT`` statements, and joined against the Figure 9 form in ONE
+  statement, so sqlite's own optimizer drives the nested-loop plan over
+  the whole batch;
 * ``cost_model`` exposes :meth:`repro.core.costmodel.RITreeCostModel.
   from_sql_tree` statistics (NTILE histograms, page-count geometry,
   memory residency), so the ``auto`` join strategy plans here exactly as
@@ -65,6 +68,9 @@ _NULL = None
 
 #: The batch transient tables one fill cycle populates (and must clear).
 _BATCH_TABLES = ("batchProbes", "batchLeftNodes", "batchRightNodes")
+
+#: Rows per multi-row ``INSERT`` of a transient-table fill (``_insert_rows``).
+_INSERT_CHUNK = 100
 
 
 def sqlite_transient_classify(exc: BaseException) -> bool:
@@ -415,7 +421,7 @@ class SQLRITree(IntervalStore):
     def intersection_count(self, lower: int, upper: int) -> int:
         """Result count of :meth:`intersection`, aggregated in-engine.
 
-        Same transient fill, same two-branch statement, wrapped in
+        Same transient fill, same Figure 9 statement, wrapped in
         ``COUNT(*)`` so no id list crosses the DB-API boundary.
         """
         validate_interval(lower, upper)
@@ -518,48 +524,79 @@ class SQLRITree(IntervalStore):
         """(Re)populate the single-query transient tables."""
         self.conn.execute("DELETE FROM leftNodes")
         self.conn.execute("DELETE FROM rightNodes")
-        self.conn.executemany(
-            'INSERT INTO leftNodes ("min", "max") VALUES (?, ?)', left
-        )
-        self.conn.executemany(
-            'INSERT INTO rightNodes ("node") VALUES (?)',
-            [(node,) for node in right],
-        )
+        self._insert_rows("leftNodes", ("min", "max"), left)
+        self._insert_rows("rightNodes", ("node",), [(node,) for node in right])
 
-    def _fill_batch_tables(self, queries: Sequence[tuple[int, int]]) -> int:
+    def _fill_batch_tables(self, probes: Sequence, inverse=None) -> int:
         """One fill cycle of the batch transient tables for a probe batch.
+
+        ``probes`` are ``(lower, upper)`` or ``(lower, upper, id)`` rows.
+        Each loads one ``(qid, lower, upper, plower, pupper)`` probe row.
+        The plain join scans the probe itself and leaves ``plower`` /
+        ``pupper`` NULL.  A predicate join scans the *inverse*
+        relation's candidate range (probing asks the stored-subject
+        question) and keeps the probe's own bounds for the refinement
+        fragment; a probe with no candidate range loads nothing.
+        Reserved Section 4.6 fork rows ride along their rightNodes
+        entries, as in the single-query path.
 
         Returns the total number of transient node rows; zero means every
         probe's result is provably empty and the batch statement can be
-        skipped entirely.
+        skipped entirely.  The tables start empty: :meth:`_batch_cycle`
+        clears them or rolls back.
         """
-        probe_rows: list[tuple[int, int, int]] = []
+        floor = ceiling = None
+        if inverse is not None and inverse.name in ("before", "after"):
+            floor, ceiling = self._candidate_extent()
+        probe_rows: list[tuple] = []
         left_rows: list[tuple[int, int, int]] = []
         right_rows: list[tuple[int, int]] = []
-        for qid, (lower, upper) in enumerate(queries):
+        for qid, probe in enumerate(probes):
+            lower, upper = probe[0], probe[1]
             validate_interval(lower, upper)
-            probe_rows.append((qid, lower, upper))
-            left, right = self._transient_rows(lower, upper)
+            if inverse is None:
+                probe_rows.append((qid, lower, upper, None, None))
+                clower, cupper = lower, upper
+            else:
+                candidate = inverse.candidates(lower, upper, floor, ceiling)
+                if candidate is None:
+                    continue
+                clower, cupper = candidate
+                probe_rows.append((qid, clower, cupper, lower, upper))
+            left, right = self._transient_rows(clower, cupper)
             left_rows.extend((qid, mn, mx) for mn, mx in left)
             right_rows.extend((qid, node) for node in right)
         if not left_rows and not right_rows:
             return 0
-        self.conn.execute("DELETE FROM batchProbes")
-        self.conn.execute("DELETE FROM batchLeftNodes")
-        self.conn.execute("DELETE FROM batchRightNodes")
-        self.conn.executemany(
-            'INSERT INTO batchProbes ("qid", "lower", "upper") VALUES (?, ?, ?)',
-            probe_rows,
+        self._insert_rows(
+            "batchProbes", ("qid", "lower", "upper", "plower", "pupper"), probe_rows
         )
-        self.conn.executemany(
-            'INSERT INTO batchLeftNodes ("qid", "min", "max") VALUES (?, ?, ?)',
-            left_rows,
-        )
-        self.conn.executemany(
-            'INSERT INTO batchRightNodes ("qid", "node") VALUES (?, ?)',
-            right_rows,
-        )
+        self._insert_rows("batchLeftNodes", ("qid", "min", "max"), left_rows)
+        self._insert_rows("batchRightNodes", ("qid", "node"), right_rows)
         return len(left_rows) + len(right_rows)
+
+    def _insert_rows(
+        self, table: str, columns: Sequence[str], rows: Sequence[tuple]
+    ) -> None:
+        """Load ``rows`` with multi-row ``INSERT ... VALUES`` statements.
+
+        Each statement carries up to :data:`_INSERT_CHUNK` rows, so ``n``
+        rows cost ``ceil(n / 100)`` statements instead of ``n``; 100 rows
+        of at most 5 columns stay under the 999 host parameters older
+        sqlite builds allow.
+        """
+        head = (
+            f"INSERT INTO {table} ("
+            + ", ".join(f'"{column}"' for column in columns)
+            + ") VALUES "
+        )
+        values = "(" + ", ".join("?" * len(columns)) + ")"
+        for start in range(0, len(rows), _INSERT_CHUNK):
+            chunk = rows[start : start + _INSERT_CHUNK]
+            self.conn.execute(
+                head + ", ".join([values] * len(chunk)),
+                [value for row in chunk for value in row],
+            )
 
     def _clear_batch_tables(self) -> None:
         """Empty every batch transient table (end of one fill cycle)."""
@@ -596,57 +633,6 @@ class SQLRITree(IntervalStore):
 
         return self.retry.call(attempt, classify=sqlite_transient_classify)
 
-    def _fill_predicate_batch_tables(
-        self, probes: Sequence[IntervalRecord], inverse
-    ) -> int:
-        """Fill cycle for a predicate-join probe batch.
-
-        Per probe, the transient node collections are computed for the
-        *inverse* relation's candidate range (probing asks the
-        stored-subject question) and the probe row carries both the
-        candidate bounds (scanned by the Figure 9 branches) and the
-        original probe bounds (consumed by the refinement fragment).
-        Reserved Section 4.6 fork rows ride along their rightNodes
-        entries and are refined on *effective* bounds, exactly as in the
-        single-query predicate path.  Returns the total transient row
-        count; zero means every probe's result is provably empty.
-        """
-        floor = ceiling = None
-        if inverse.name in ("before", "after"):
-            floor, ceiling = self._candidate_extent()
-        probe_rows: list[tuple] = []
-        left_rows: list[tuple[int, int, int]] = []
-        right_rows: list[tuple[int, int]] = []
-        for qid, (lower, upper, _probe_id) in enumerate(probes):
-            validate_interval(lower, upper)
-            candidate = inverse.candidates(lower, upper, floor, ceiling)
-            if candidate is None:
-                continue
-            clower, cupper = candidate
-            probe_rows.append((qid, clower, cupper, lower, upper))
-            left, right = self._transient_rows(clower, cupper)
-            left_rows.extend((qid, mn, mx) for mn, mx in left)
-            right_rows.extend((qid, node) for node in right)
-        if not left_rows and not right_rows:
-            return 0
-        self.conn.execute("DELETE FROM batchProbes")
-        self.conn.execute("DELETE FROM batchLeftNodes")
-        self.conn.execute("DELETE FROM batchRightNodes")
-        self.conn.executemany(
-            'INSERT INTO batchProbes ("qid", "lower", "upper", "plower", '
-            '"pupper") VALUES (?, ?, ?, ?, ?)',
-            probe_rows,
-        )
-        self.conn.executemany(
-            'INSERT INTO batchLeftNodes ("qid", "min", "max") VALUES (?, ?, ?)',
-            left_rows,
-        )
-        self.conn.executemany(
-            'INSERT INTO batchRightNodes ("qid", "node") VALUES (?, ?)',
-            right_rows,
-        )
-        return len(left_rows) + len(right_rows)
-
     # ------------------------------------------------------------------
     # joins (set-at-a-time, Section 5 meets the join subsystem)
     # ------------------------------------------------------------------
@@ -656,7 +642,7 @@ class SQLRITree(IntervalStore):
         """The index-nested-loop interval join as ONE SQL statement.
 
         The probe relation is loaded into a TEMP table and joined against
-        the literal Figure 9 form; sqlite's optimizer drives the
+        the Figure 9 form; sqlite's optimizer drives the
         nested-loop plan (probe relation outer, the two Figure 2 indexes
         inner), so the join is evaluated set-at-a-time instead of one
         statement per probe.
@@ -664,7 +650,7 @@ class SQLRITree(IntervalStore):
         A join ``predicate`` keeps the one-statement shape: the per-probe
         candidate ranges of the *inverse* relation fill the transient
         tables and the subject-swapped refinement fragment rides along in
-        both branches (:func:`repro.sql.schema.
+        every branch (:func:`repro.sql.schema.
         predicate_batch_intersection_sql`).  Reserved Section 4.6 rows
         participate with their effective bounds, as in predicate
         queries.
@@ -675,7 +661,7 @@ class SQLRITree(IntervalStore):
         ids = [probe_id for _lower, _upper, probe_id in probes]
         if pred is None:
             rows = self._batch_cycle(
-                lambda: self._fill_batch_tables([(l, u) for l, u, _ in probes]),
+                lambda: self._fill_batch_tables(probes),
                 lambda: list(
                     self.conn.execute(
                         schema.BATCH_INTERSECTION_SQL.format(name=self.name)
@@ -689,7 +675,7 @@ class SQLRITree(IntervalStore):
             )
             binds = {"now": self._now, **getattr(pred, "sql_binds", {})}
             rows = self._batch_cycle(
-                lambda: self._fill_predicate_batch_tables(probes, pred.inverse),
+                lambda: self._fill_batch_tables(probes, pred.inverse),
                 lambda: list(self.conn.execute(statement, binds)),
                 empty=[],
             )
@@ -708,7 +694,7 @@ class SQLRITree(IntervalStore):
             return 0
         if pred is None:
             return self._batch_cycle(
-                lambda: self._fill_batch_tables([(l, u) for l, u, _ in probes]),
+                lambda: self._fill_batch_tables(probes),
                 lambda: self.conn.execute(
                     schema.BATCH_COUNT_SQL.format(name=self.name)
                 ).fetchone()[0],
@@ -717,7 +703,7 @@ class SQLRITree(IntervalStore):
         statement = schema.predicate_batch_count_sql(self.name, pred.sql_refine)
         binds = {"now": self._now, **getattr(pred, "sql_binds", {})}
         return self._batch_cycle(
-            lambda: self._fill_predicate_batch_tables(probes, pred.inverse),
+            lambda: self._fill_batch_tables(probes, pred.inverse),
             lambda: self.conn.execute(statement, binds).fetchone()[0],
             empty=0,
         )
@@ -729,11 +715,11 @@ class SQLRITree(IntervalStore):
         pred = resolve_join_predicate(predicate)
         try:
             if pred is None:
-                self._fill_batch_tables([(l, u) for l, u, _ in probes])
+                self._fill_batch_tables(probes)
                 statement = schema.BATCH_INTERSECTION_SQL.format(name=self.name)
                 params = {}
             else:
-                self._fill_predicate_batch_tables(probes, pred.inverse)
+                self._fill_batch_tables(probes, pred.inverse)
                 statement = schema.predicate_batch_intersection_sql(
                     self.name, pred.sql_refine
                 )
@@ -751,12 +737,12 @@ class SQLRITree(IntervalStore):
 
         The transient tables are filled for the predicate's *candidate
         range* and the predicate's defining endpoint formula is appended
-        to the WHERE clause of both branches -- the sqlite compilation of
+        to the WHERE clause of every branch -- the sqlite compilation of
         the shared predicate layer of :mod:`repro.core.predicates`.
         Parameterized query families ride the same statement: their
         extra named binds (``CompiledQuery.sql_binds``, e.g. the
         ``:dmin``/``:dmax`` duration band of ``range_duration``) merge
-        into the bind set, so the duration fragment in both branches
+        into the bind set, so the duration fragment in every branch
         stays one statement with the same two-index plan.
         Reserved Section 4.6 fork rows participate with their
         *effective* bounds: the refinement reads the stored upper
@@ -1043,8 +1029,16 @@ class SQLRITree(IntervalStore):
         return 2 * self.interval_count
 
     def explain_intersection(self, lower: int, upper: int) -> list[str]:
-        """The engine's query plan for Figure 9 (cf. the paper's Figure 10)."""
+        """The engine's query plan for Figure 9 (cf. the paper's Figure 10).
+
+        Explains exactly what :meth:`intersection` runs: an invalid
+        interval raises ``ValueError``, and when the transient
+        collections are empty no statement runs, so the plan is ``[]``.
+        """
+        validate_interval(lower, upper)
         left, right = self._transient_rows(lower, upper)
+        if not left and not right:
+            return []
         self._write_transient(left, right)
         cursor = self.conn.execute(
             "EXPLAIN QUERY PLAN " + schema.INTERSECTION_SQL.format(name=self.name),
@@ -1060,8 +1054,8 @@ class SQLRITree(IntervalStore):
         fill, the same rewritten Figure 9 statement, the same bind set
         (family binds such as ``range_duration``'s ``:dmin``/``:dmax``
         included), so the reported plan is exactly what the query path
-        executes.  An empty candidate range explains nothing and
-        returns ``[]``.
+        executes.  An empty candidate range or empty transient
+        collections explain nothing and return ``[]``.
         """
         from ..core.predicates import compile_query
 
@@ -1078,6 +1072,8 @@ class SQLRITree(IntervalStore):
             return []
         clower, cupper = candidate
         left, right = self._transient_rows(clower, cupper)
+        if not left and not right:
+            return []
         self._write_transient(left, right)
         cursor = self.conn.execute(
             "EXPLAIN QUERY PLAN "

@@ -1,4 +1,4 @@
-"""SQL DDL for the RI-tree, verbatim from the paper.
+"""SQL for the RI-tree: the paper's DDL verbatim, its queries as sqlite plans them.
 
 Figure 2 of the paper::
 
@@ -11,11 +11,18 @@ indexes", which the index definitions below do.  Section 5 calls for "a
 persistent data dictionary ... to store index specific system parameters
 such as root or minstep"; that is the ``{name}_params`` table.
 
+The final intersection query is Figure 9 with its ``leftNodes`` branch
+split by row shape (:func:`figure9_sql`): sqlite plans the Figure 10
+seek ``upperIndex (node=? AND upper>?)`` only for an equality on
+``node``, not behind the folded ``BETWEEN``.  Single-node rows take the
+equality, the Section 4.3 fold row keeps the ``BETWEEN``, and the
+relations and results stay the paper's.
+
 Beyond the paper's single-query statements, this module carries the
 *set-at-a-time* variants used by the unified store API: the transient
 node tables gain batch twins keyed by a probe id, so a whole probe
 relation (an ``intersection_many`` batch, the outer side of an interval
-join) is answered by ONE statement -- the literal Figure 9 form joined
+join) is answered by ONE statement -- the same Figure 9 form joined
 against the probe relation, leaving the nested-loop plan to the
 engine's own optimizer.
 
@@ -92,15 +99,57 @@ def create_batch_transient_tables() -> list[str]:
     ]
 
 
-#: The final intersection query -- paper Figure 9, verbatim modulo quoting.
-INTERSECTION_SQL = """
-SELECT "id" FROM {name} i, leftNodes l
-WHERE i."node" BETWEEN l."min" AND l."max"
-  AND i."upper" >= :lower
-UNION ALL
-SELECT "id" FROM {name} i, rightNodes r
-WHERE i."node" = r."node" AND i."lower" <= :upper
-"""
+def figure9_sql(
+    name: str, *, batch: bool, lower: str, upper: str, refine: str = ""
+) -> str:
+    """The final intersection query of Figure 9 in sqlite's plannable form.
+
+    Figure 9 has two branches: ``leftNodes`` rows scan ``upperIndex`` for
+    ``upper >= :lower`` and ``rightNodes`` rows scan ``lowerIndex`` for
+    ``lower <= :upper``.  Figure 10's plan runs one range scan per
+    ``leftNodes`` row *starting at* ``(node, :lower)``.  sqlite cannot
+    plan that seek behind ``i."node" BETWEEN l."min" AND l."max"``: it
+    seeks ``node>? AND node<?`` only and tests ``upper`` row by row, so a
+    single-node row reads its whole node.  The left branch is therefore
+    split by row shape.  Rows with ``min = max`` join on ``i."node" =
+    l."min"``, planned as ``upperIndex (node=? AND upper>?)``; the Section
+    4.3 fold row (``min < max``) keeps the ``BETWEEN``.  Every row matches
+    exactly one branch, so the result is Figure 9's.
+
+    ``batch`` joins the probe relation (``batchProbes``, keyed by
+    ``qid``) against its own transient rows and selects ``(qid, id)``.
+    ``lower`` / ``upper`` are the SQL expressions the branches scan from;
+    ``refine``, when given, is ANDed into every branch.
+    """
+    if batch:
+        columns = 'q."qid", i."id"'
+        left = "batchLeftNodes l, batchProbes q"
+        right = "batchRightNodes r, batchProbes q"
+        left_key = 'l."qid" = q."qid" AND '
+        right_key = 'r."qid" = q."qid" AND '
+    else:
+        columns = 'i."id"'
+        left, right = "leftNodes l", "rightNodes r"
+        left_key = right_key = ""
+    extra = f"\n  AND {refine}" if refine else ""
+    return (
+        f"\nSELECT {columns} FROM {name} i, {left}\n"
+        f'WHERE {left_key}l."min" = l."max"\n'
+        f'  AND i."node" = l."min" AND i."upper" >= {lower}{extra}\n'
+        "UNION ALL\n"
+        f"SELECT {columns} FROM {name} i, {left}\n"
+        f'WHERE {left_key}l."min" < l."max"\n'
+        f'  AND i."node" BETWEEN l."min" AND l."max" AND i."upper" >= {lower}'
+        f"{extra}\n"
+        "UNION ALL\n"
+        f"SELECT {columns} FROM {name} i, {right}\n"
+        f'WHERE {right_key}i."node" = r."node" AND i."lower" <= {upper}{extra}\n'
+    )
+
+
+#: The final intersection query -- paper Figure 9, its left branch split
+#: by row shape so sqlite seeks ``(node, upper)`` (see :func:`figure9_sql`).
+INTERSECTION_SQL = figure9_sql("{name}", batch=False, lower=":lower", upper=":upper")
 
 #: Count-only form of the final query (same plan, aggregated in-engine).
 INTERSECTION_COUNT_SQL = "SELECT COUNT(*) FROM (" + INTERSECTION_SQL + ")"
@@ -109,16 +158,9 @@ INTERSECTION_COUNT_SQL = "SELECT COUNT(*) FROM (" + INTERSECTION_SQL + ")"
 #: relation.  Each branch pairs a probe's own transient entries with the
 #: probe's bounds, so the engine's optimizer drives one nested-loop plan
 #: over the whole batch instead of Python looping statements.
-BATCH_INTERSECTION_SQL = """
-SELECT q."qid", i."id" FROM {name} i, batchLeftNodes l, batchProbes q
-WHERE l."qid" = q."qid"
-  AND i."node" BETWEEN l."min" AND l."max"
-  AND i."upper" >= q."lower"
-UNION ALL
-SELECT q."qid", i."id" FROM {name} i, batchRightNodes r, batchProbes q
-WHERE r."qid" = q."qid"
-  AND i."node" = r."node" AND i."lower" <= q."upper"
-"""
+BATCH_INTERSECTION_SQL = figure9_sql(
+    "{name}", batch=True, lower='q."lower"', upper='q."upper"'
+)
 
 #: Count-only form of the batch query (the join's ``COUNT(*)``).
 BATCH_COUNT_SQL = "SELECT COUNT(*) FROM (" + BATCH_INTERSECTION_SQL + ")"
@@ -192,28 +234,19 @@ def join_refine_fragment(refine: str) -> str:
 def predicate_batch_intersection_sql(name: str, refine: str) -> str:
     """The set-at-a-time batch statement for a predicate join.
 
-    The literal Figure 9 form joined against the probe relation, exactly
-    as :data:`BATCH_INTERSECTION_SQL`, except that the per-probe
-    ``lower``/``upper`` columns now hold the inverse relation's
-    *candidate range* and the subject-swapped refinement fragment
-    (:func:`join_refine_fragment`) is appended to both branches.  Still
-    ONE statement for the whole probe batch, still driven through both
-    Figure 2 indexes by the engine's own optimizer.
+    The batch Figure 9 form of :data:`BATCH_INTERSECTION_SQL`, except
+    that the per-probe ``lower``/``upper`` columns now hold the inverse
+    relation's *candidate range* and the subject-swapped refinement
+    fragment (:func:`join_refine_fragment`) is appended to every branch.
+    Still ONE statement for the whole probe batch, still driven through
+    both Figure 2 indexes by the engine's own optimizer.
     """
-    extra = f"  AND {join_refine_fragment(refine)}\n"
-    return (
-        f'SELECT q."qid", i."id" FROM {name} i, batchLeftNodes l, '
-        f"batchProbes q\n"
-        f'WHERE l."qid" = q."qid"\n'
-        f'  AND i."node" BETWEEN l."min" AND l."max"\n'
-        f'  AND i."upper" >= q."lower"\n'
-        f"{extra}"
-        f"UNION ALL\n"
-        f'SELECT q."qid", i."id" FROM {name} i, batchRightNodes r, '
-        f"batchProbes q\n"
-        f'WHERE r."qid" = q."qid"\n'
-        f'  AND i."node" = r."node" AND i."lower" <= q."upper"\n'
-        f"{extra}"
+    return figure9_sql(
+        name,
+        batch=True,
+        lower='q."lower"',
+        upper='q."upper"',
+        refine=join_refine_fragment(refine),
     )
 
 
@@ -232,23 +265,15 @@ def predicate_intersection_sql(name: str, refine: str | None) -> str:
     The transient tables are filled for the predicate's *candidate
     range* (bound as ``:clower`` / ``:cupper``) and the predicate's
     defining endpoint formula -- referencing the original query bounds
-    ``:lower`` / ``:upper`` -- is appended to the WHERE clause of both
-    branches, with the stored upper bound read through
+    ``:lower`` / ``:upper`` -- is appended to the WHERE clause of every
+    branch, with the stored upper bound read through
     :data:`EFFECTIVE_UPPER` so reserved Section 4.6 rows participate
     with their effective bounds.  ``refine=None`` means the candidates
     are exact (the ``intersects`` / ``stab`` predicates) and the
-    statement degenerates to the literal Figure 9 form.
+    statement degenerates to the plain Figure 9 form.
     """
     if refine:
         refine = refine.replace('i."upper"', EFFECTIVE_UPPER)
-    extra = f"  AND {refine}\n" if refine else ""
-    return (
-        f'SELECT "id" FROM {name} i, leftNodes l\n'
-        f'WHERE i."node" BETWEEN l."min" AND l."max"\n'
-        f'  AND i."upper" >= :clower\n'
-        f"{extra}"
-        f"UNION ALL\n"
-        f'SELECT "id" FROM {name} i, rightNodes r\n'
-        f'WHERE i."node" = r."node" AND i."lower" <= :cupper\n'
-        f"{extra}"
+    return figure9_sql(
+        name, batch=False, lower=":clower", upper=":cupper", refine=refine or ""
     )

@@ -278,7 +278,9 @@ def test_batch_join_plan_searches_both_indexes(rng):
     sql_tree.bulk_load(records)
     plan = "\n".join(sql_tree.explain_join([(100, 2000, 1), (5000, 9000, 2)]))
     assert "lowerIndex" in plan
-    assert "upperIndex" in plan
+    assert "upperIndex (node=? AND upper>?)" in plan
+    assert "AUTOMATIC" not in plan
+    assert "SCAN i" not in plan
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +330,7 @@ def test_sql_predicate_join_is_one_statement(rng):
             assert len(selects) == 1, (name, selects)
         plan = "\n".join(sql_tree.explain_join(probes, predicate=name))
         assert "lowerIndex" in plan, (name, plan)
-        assert "upperIndex" in plan, (name, plan)
+        assert "upperIndex (node=? AND upper>?)" in plan, (name, plan)
         assert "AUTOMATIC" not in plan, (name, plan)
         assert "SCAN i" not in plan, (name, plan)
 

@@ -140,8 +140,10 @@ def test_query_plan_uses_both_indexes():
     tree = SQLRITree()
     tree.bulk_load([(i, i + 10, i) for i in range(100)])
     plan = "\n".join(tree.explain_intersection(20, 40))
-    assert "upperIndex" in plan
+    assert "upperIndex (node=? AND upper>?)" in plan
     assert "lowerIndex" in plan
+    assert "AUTOMATIC" not in plan
+    assert "SCAN i" not in plan
 
 
 def test_multiple_trees_share_connection():
@@ -162,8 +164,9 @@ def test_explain_query_families_use_both_indexes():
         tree.explain_query(100, 4_000,
                            predicate=range_duration(0, 35)))
     assert "lowerIndex" in plan
-    assert "upperIndex" in plan
+    assert "upperIndex (node=? AND upper>?)" in plan
     assert "AUTOMATIC" not in plan
+    assert "SCAN i" not in plan
     # Results match the refinement run for real.
     oracle = BruteForceIntervals(records)
     assert sorted(tree.query(100, 4_000, predicate=range_duration(0, 35))) == (
@@ -178,6 +181,34 @@ def test_explain_query_delegates_and_gates():
     # An empty candidate range (before with nothing on the left) makes
     # the plan trivially empty.
     assert tree.explain_query(0, 5, predicate="before") == []
+
+
+def test_explain_rejects_what_intersection_rejects():
+    tree = SQLRITree()
+    tree.bulk_load([(10, 50, 1), (40, 90, 2)])
+    for explain in (
+        tree.explain_intersection,
+        tree.explain_query,
+        lambda lower, upper: tree.explain_query(lower, upper, predicate="during"),
+    ):
+        with pytest.raises(ValueError):
+            explain(60, 20)
+    with pytest.raises(ValueError):
+        tree.intersection(60, 20)
+
+
+def test_explain_on_empty_store_runs_no_statement():
+    """Like ``intersection``, the EXPLAIN twins skip a provably empty
+    statement: no plan and not one statement reaches the connection."""
+    tree = SQLRITree()
+    statements = []
+    tree.conn.set_trace_callback(statements.append)
+    assert tree.explain_intersection(20, 60) == []
+    assert tree.explain_query(20, 60) == []
+    assert tree.explain_query(20, 60, predicate="during") == []
+    tree.conn.set_trace_callback(None)
+    assert tree.intersection(20, 60) == []
+    assert statements == []
 
 
 def test_temporal_rows_delete_close_and_reattach(tmp_path):
