@@ -1,8 +1,9 @@
 """A miniature rerun of the paper's Section 6 comparison.
 
-Builds the RI-tree, Tile Index, IST, MAP21 and Window-List over one
-D1-style workload and prints physical I/O and response time per query --
-a condensed, single-screen version of Figures 13/14.  For the real
+Builds the RI-tree and the three competitors Section 6 measures -- the
+Tile Index, the D-order IST and the Window-List -- over one D1-style
+workload and prints physical I/O and response time per query -- a
+condensed, single-screen version of Figures 13/14.  For the real
 experiment suite use ``python -m repro.bench.run``.
 
 Run:  python examples/method_comparison.py
@@ -10,7 +11,7 @@ Run:  python examples/method_comparison.py
 
 from repro.bench.harness import build_method, run_query_batch
 from repro.core import RITree
-from repro.methods import ISTree, Map21, TileIndex, WindowList
+from repro.methods import ISTree, TileIndex, WindowList
 from repro.workloads import d1, range_queries
 
 
@@ -23,8 +24,7 @@ def main() -> None:
     factories = {
         "RI-tree": lambda db: RITree(db),
         "T-index (level 10)": lambda db: TileIndex(db, fixed_level=10),
-        "IST (D-order)": lambda db: ISTree(db, ordering="D"),
-        "MAP21": lambda db: Map21(db),
+        "IST (D-order)": lambda db: ISTree(db),
         "Window-List": lambda db: WindowList(db),
     }
     print(f"{'method':20s} {'physical I/O':>12s} {'time [ms]':>10s} "

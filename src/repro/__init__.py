@@ -5,8 +5,8 @@ Package map:
 * :mod:`repro.core` -- the RI-tree and its extensions (the paper's
   contribution);
 * :mod:`repro.engine` -- the block-level relational storage substrate;
-* :mod:`repro.methods` -- competitor access methods and main-memory
-  reference structures;
+* :mod:`repro.methods` -- the Section 6 competitor access methods and
+  the oracle store;
 * :mod:`repro.sql` -- the object-relational wrapping on sqlite3;
 * :mod:`repro.workloads` -- the Table 1 data and query generators;
 * :mod:`repro.bench` -- the experiment harness regenerating every table

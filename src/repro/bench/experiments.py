@@ -280,7 +280,7 @@ def ritree_factory(db: Database) -> RITree:
 
 def ist_factory(db: Database) -> ISTree:
     """IST with the D-ordering used by the paper's evaluation."""
-    return ISTree(db, ordering="D")
+    return ISTree(db)
 
 
 def tindex_factory(fixed_level: int) -> Callable[[Database], TileIndex]:
@@ -767,7 +767,7 @@ def fig17_sweep(scale_name: Optional[str] = None, seed: int = 0) -> ExperimentRe
 
 
 # ----------------------------------------------------------------------
-# Ablations (design choices called out in DESIGN.md)
+# Ablations (design choices; their gates are in docs/benchmarks.md)
 # ----------------------------------------------------------------------
 def ablation_query_forms(
     scale_name: Optional[str] = None, seed: int = 0

@@ -17,7 +17,7 @@ Two layers live here:
   form.
 * :class:`AccessMethod` -- the simulated-engine base.  Every access
   method over :mod:`repro.engine` -- the RI-tree itself and the
-  competitors of Section 2 (Tile Index, IST, MAP21, Window-List) --
+  competitors Section 6 measures (Tile Index, IST, Window-List) --
   extends this class, which owns the :class:`~repro.engine.database.
   Database` instance so the harness can swap methods freely and account
   their I/O on identical counters.

@@ -1,6 +1,6 @@
 """Documentation lints: links resolve, benchmarks and wire ops are listed.
 
-Four checks keep ``docs/`` honest as the code moves:
+Five checks keep ``docs/`` honest as the code moves:
 
 * every relative markdown link in ``docs/*.md`` and ``README.md`` must
   point at a file or directory that exists (external ``http(s)``,
@@ -15,7 +15,10 @@ Four checks keep ``docs/`` honest as the code moves:
 * every op whose result travels as an int64 block (a nonzero
   ``width``) must be named, in backticks, in the ``**Frame layout.**``
   paragraph of ``docs/serving.md``, so the frame description lists
-  every block op.
+  every block op;
+* every markdown file a source module names (any ``*.md`` file name in a
+  ``src/**/*.py`` file) must exist at the repo root or under ``docs/``,
+  so a docstring cannot cite a document that is gone.
 
 Run it locally or from CI as::
 
@@ -36,6 +39,9 @@ from pathlib import Path
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
 _EXTERNAL = ("http://", "https://", "mailto:")
+#: A markdown file name as source code cites it: ``PAPERS.md``,
+#: ``docs/serving.md``; glob patterns such as ``docs/*.md`` do not match.
+_MD_NAME = re.compile(r"(?<![\w./*-])\w[\w./-]*\.md\b")
 
 
 def _doc_files(root: Path) -> list[Path]:
@@ -114,12 +120,28 @@ def check_block_ops_listed(root: Path) -> list[str]:
             if op.width and f"`{name}`" not in paragraphs[0]]
 
 
+def check_source_mentions(root: Path) -> list[str]:
+    """Markdown files named in ``src/**/*.py`` that exist neither at the
+    repo root nor under ``docs/``, one ``file:line: name`` line each."""
+    problems = []
+    for source in sorted((root / "src").rglob("*.py")):
+        lines = source.read_text().splitlines()
+        for number, line in enumerate(lines, 1):
+            for name in _MD_NAME.findall(line):
+                if not ((root / name).is_file()
+                        or (root / "docs" / name).is_file()):
+                    problems.append(f"{source.relative_to(root)}:{number}: "
+                                    f"names missing document {name}")
+    return problems
+
+
 def run(root: Path) -> list[str]:
     """All documentation problems under ``root`` (empty when clean)."""
     if not (root / "docs").is_dir():
         return [f"no docs/ directory under {root}"]
     return (check_links(root) + check_benchmarks_listed(root)
-            + check_ops_listed(root) + check_block_ops_listed(root))
+            + check_ops_listed(root) + check_block_ops_listed(root)
+            + check_source_mentions(root))
 
 
 def main(argv: list[str] | None = None) -> int:

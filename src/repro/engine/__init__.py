@@ -2,8 +2,8 @@
 
 This package simulates the parts of an Oracle8i-class RDBMS that the paper's
 experiments depend on: a block device with physical-I/O accounting, an LRU
-buffer cache, composite-key B+-tree indexes and heap tables.  See DESIGN.md
-section 3.1 for the substitution rationale.
+buffer cache, composite-key B+-tree indexes and heap tables.  The storage
+engine section of docs/architecture.md lists what it simulates and counts.
 
 Typical use::
 

@@ -9,7 +9,8 @@ simulates an index on (upper - lower, lower)."
 The experimental comparison (Section 6.1) uses the D-order: "For integer
 interval bounds, the D-order index is equivalent to a composite index on the
 attributes (upper, lower) and therefore has identical performance
-characteristics", with the Figure 11 single-statement range query.
+characteristics", with the Figure 11 single-statement range query.  Only
+the D-order is built here: it is the one ordering Section 6 measures.
 
 The decisive weakness the paper demonstrates (Figure 17): an intersection
 query must scan the full index tail on the *primary* attribute -- for the
@@ -25,46 +26,18 @@ from ..core.access import AccessMethod, IntervalRecord
 from ..core.interval import validate_interval
 from ..engine.database import Database
 
-#: The three orderings of [GLOT 96] and their composite-index equivalents.
-ORDERINGS = ("D", "V", "H")
-
 
 class ISTree(AccessMethod):
-    """IST as a single composite B+-tree index (one per ordering).
+    """IST in the D-order: one composite B+-tree index on (upper, lower)."""
 
-    Parameters
-    ----------
-    ordering:
-        ``"D"`` -> index (upper, lower); ``"V"`` -> index (lower, upper);
-        ``"H"`` -> index (upper - lower, lower).  The evaluation uses ``"D"``.
-    """
+    method_name = "IST(D-order)"
 
     def __init__(
-        self,
-        db: Optional[Database] = None,
-        ordering: str = "D",
-        name: str = "ISTIntervals",
+        self, db: Optional[Database] = None, name: str = "ISTIntervals"
     ) -> None:
         super().__init__(db)
-        if ordering not in ORDERINGS:
-            raise ValueError(
-                f"unknown ordering {ordering!r}; expected one of {ORDERINGS}"
-            )
-        self.ordering = ordering
-        self.method_name = f"IST({ordering}-order)"
-        if ordering == "H":
-            # H-order keys on the derived length column; store it explicitly.
-            columns = ["length", "lower", "upper", "id"]
-            key = ["length", "lower", "id"]
-        else:
-            columns = ["lower", "upper", "id"]
-            key = (
-                ["upper", "lower", "id"]
-                if ordering == "D"
-                else ["lower", "upper", "id"]
-            )
-        self.table = self.db.create_table(name, columns)
-        self.table.create_index("istIndex", key)
+        self.table = self.db.create_table(name, ["lower", "upper", "id"])
+        self.table.create_index("istIndex", ["upper", "lower", "id"])
 
     # ------------------------------------------------------------------
     # updates
@@ -72,24 +45,20 @@ class ISTree(AccessMethod):
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
         """One index entry per interval -- the IST produces no redundancy."""
         validate_interval(lower, upper)
-        self.table.insert(self._row(lower, upper, interval_id))
+        self.table.insert((lower, upper, interval_id))
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
         """Locate the entry through the composite index and remove the row."""
         validate_interval(lower, upper)
-        key = self._index_key(lower, upper, interval_id)
+        key = (upper, lower, interval_id)
         for entry in self.table.index_scan("istIndex", key, key):
-            self.table.delete(entry[len(key)])
+            self.table.delete(entry[3])
             return
         raise KeyError((lower, upper, interval_id))
 
     def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
         """Bulk load in ordering-clustered sequence (as in the paper)."""
-        rows = [
-            self._row(lower, upper, interval_id)
-            for lower, upper, interval_id in intervals
-        ]
-        self.table.bulk_load(rows)
+        self.table.bulk_load(intervals)
 
     # ------------------------------------------------------------------
     # queries
@@ -97,26 +66,22 @@ class ISTree(AccessMethod):
     def intersection(self, lower: int, upper: int) -> list[int]:
         """The Figure 11 query: ``upper >= :lower AND lower <= :upper``.
 
-        * D-order: index range scan on ``upper >= :lower``; the residual
-          ``lower <= :upper`` filters inside the scan.  Cost grows with the
-          number of intervals ending at or after the query -- the
-          degeneration of Figure 17.
-        * V-order: symmetric scan on ``lower <= :upper``.
-        * H-order: no bound is a prefix of the key; the scan visits every
-          length class (worst-case O(n/b), as the paper notes for
-          length-agnostic predicates).
+        An index range scan on ``upper >= :lower``; the residual
+        ``lower <= :upper`` filters inside the scan.  Cost grows with the
+        number of intervals ending at or after the query -- the
+        degeneration of Figure 17.
         """
         validate_interval(lower, upper)
         results: list[int] = []
         for batch in self._intersection_batches(lower, upper):
-            results.extend(self._refine(batch, lower, upper))
+            results.extend(self._refine(batch, upper))
         return results
 
     def intersection_count(self, lower: int, upper: int) -> int:
         """Count via the same scan; only the residual filter is per-entry."""
         validate_interval(lower, upper)
         return sum(
-            len(self._refine(batch, lower, upper))
+            len(self._refine(batch, upper))
             for batch in self._intersection_batches(lower, upper)
         )
 
@@ -124,39 +89,13 @@ class ISTree(AccessMethod):
         self, lower: int, upper: int
     ) -> Iterator[list[tuple[int, ...]]]:
         """The single index range scan of Figure 11, as leaf slices."""
-        if self.ordering == "D":
-            return self.table.index_scan_batches("istIndex", (lower,), ())
-        if self.ordering == "V":
-            return self.table.index_scan_batches("istIndex", (), (upper,))
-        return self.table.index_scan_batches("istIndex", (), ())
+        return self.table.index_scan_batches("istIndex", (lower,), ())
 
-    def _refine(
-        self, batch: list[tuple[int, ...]], lower: int, upper: int
-    ) -> list[int]:
-        """Apply the ordering's residual predicate to one leaf slice."""
-        if self.ordering == "D":
-            # entries: (upper, lower, id, rowid)
-            return [entry[2] for entry in batch if entry[1] <= upper]
-        if self.ordering == "V":
-            # entries: (lower, upper, id, rowid)
-            return [entry[2] for entry in batch if entry[1] >= lower]
-        # entries: (length, lower, id, rowid); refine on both bounds.
-        return [
-            entry[2]
-            for entry in batch
-            if entry[1] <= upper and entry[1] + entry[0] >= lower
-        ]
-
-    def length_query(self, min_length: int, max_length: int) -> list[int]:
-        """H-order's signature capability: report by interval length."""
-        if self.ordering != "H":
-            raise ValueError("length_query requires the H-ordering")
-        return [
-            entry[2]
-            for entry in self.table.index_scan(
-                "istIndex", (min_length,), (max_length,)
-            )
-        ]
+    @staticmethod
+    def _refine(batch: list[tuple[int, ...]], upper: int) -> list[int]:
+        """Apply the residual ``lower <= :upper`` to one leaf slice of
+        ``(upper, lower, id, rowid)`` entries."""
+        return [entry[2] for entry in batch if entry[1] <= upper]
 
     # ------------------------------------------------------------------
     # accounting
@@ -170,18 +109,3 @@ class ISTree(AccessMethod):
     def index_entry_count(self) -> int:
         """Exactly ``n`` -- "the IST technique produces no redundancy"."""
         return len(self.table.index("istIndex").tree)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _row(self, lower: int, upper: int, interval_id: int) -> tuple[int, ...]:
-        if self.ordering == "H":
-            return (upper - lower, lower, upper, interval_id)
-        return (lower, upper, interval_id)
-
-    def _index_key(self, lower: int, upper: int, interval_id: int) -> tuple[int, ...]:
-        if self.ordering == "D":
-            return (upper, lower, interval_id)
-        if self.ordering == "V":
-            return (lower, upper, interval_id)
-        return (upper - lower, lower, interval_id)

@@ -10,9 +10,9 @@ this module does the same.
 
 Model
 -----
-The domain ``[0, 2**domain_bits - 1]`` is partitioned into fixed tiles of
-size ``2**(domain_bits - fixed_level)``.  Storage is the classical two-layer
-spatial-index layout:
+The paper's domain ``[0, 2**DOMAIN_BITS - 1]`` is partitioned into fixed
+tiles of size ``2**(DOMAIN_BITS - fixed_level)``.  Storage is the classical
+two-layer spatial-index layout:
 
 * a *geometry table* holding one ``(lower, upper, id)`` row per interval,
   with a B+-tree on ``id`` (the GID index of the Oracle layout);
@@ -53,9 +53,12 @@ from typing import Optional, Sequence
 from ..core.access import AccessMethod, IntervalRecord
 from ..core.interval import validate_interval
 from ..engine.database import Database
+from ..workloads import DOMAIN_BITS
 
-#: Domain size used throughout the paper's evaluation: [0, 2^20 - 1].
-DEFAULT_DOMAIN_BITS = 20
+#: Engine geometry of the throwaway indexes :func:`tune_fixed_level`
+#: builds: 2 KB blocks and a cache that holds any 1,000-interval sample.
+TUNING_BLOCK_SIZE = 2048
+TUNING_CACHE_BLOCKS = 64
 
 
 class TileIndex(AccessMethod):
@@ -65,11 +68,10 @@ class TileIndex(AccessMethod):
     ----------
     fixed_level:
         Subdivision depth: the domain splits into ``2**fixed_level`` tiles.
-        Must be in ``[0, domain_bits]``.
-    domain_bits:
-        The data space is ``[0, 2**domain_bits - 1]``; intervals outside it
-        are rejected (the Tile Index, unlike the RI-tree, cannot expand its
-        data space dynamically -- Section 2.3).
+        Must be in ``[0, DOMAIN_BITS]``.  The data space is the paper's
+        ``[0, 2**DOMAIN_BITS - 1]``; intervals outside it are rejected (the
+        Tile Index, unlike the RI-tree, cannot expand its data space
+        dynamically -- Section 2.3).
     """
 
     method_name = "T-index"
@@ -78,15 +80,13 @@ class TileIndex(AccessMethod):
         self,
         db: Optional[Database] = None,
         fixed_level: int = 8,
-        domain_bits: int = DEFAULT_DOMAIN_BITS,
         name: str = "Tile",
     ) -> None:
         super().__init__(db)
-        if not 0 <= fixed_level <= domain_bits:
-            raise ValueError(f"fixed_level {fixed_level} outside [0, {domain_bits}]")
+        if not 0 <= fixed_level <= DOMAIN_BITS:
+            raise ValueError(f"fixed_level {fixed_level} outside [0, {DOMAIN_BITS}]")
         self.fixed_level = fixed_level
-        self.domain_bits = domain_bits
-        self.tile_size = 2 ** (domain_bits - fixed_level)
+        self.tile_size = 2 ** (DOMAIN_BITS - fixed_level)
         self.geometry = self.db.create_table(
             f"{name}Geometry", ["lower", "upper", "id"]
         )
@@ -102,10 +102,10 @@ class TileIndex(AccessMethod):
         return range(lower // self.tile_size, upper // self.tile_size + 1)
 
     def _check_domain(self, lower: int, upper: int) -> None:
-        if lower < 0 or upper >= 2**self.domain_bits:
+        if lower < 0 or upper >= 2**DOMAIN_BITS:
             raise ValueError(
                 f"interval ({lower}, {upper}) outside the tile index domain "
-                f"[0, 2^{self.domain_bits} - 1]"
+                f"[0, 2^{DOMAIN_BITS} - 1]"
             )
 
     # ------------------------------------------------------------------
@@ -165,7 +165,7 @@ class TileIndex(AccessMethod):
         """
         validate_interval(lower, upper)
         lower_clip = max(lower, 0)
-        upper_clip = min(upper, 2**self.domain_bits - 1)
+        upper_clip = min(upper, 2**DOMAIN_BITS - 1)
         if lower_clip > upper_clip:
             return []
         first = lower_clip // self.tile_size
@@ -218,10 +218,7 @@ class TileIndex(AccessMethod):
 def tune_fixed_level(
     sample: Sequence[IntervalRecord],
     queries: Sequence[tuple[int, int]],
-    domain_bits: int = DEFAULT_DOMAIN_BITS,
     levels: Optional[Sequence[int]] = None,
-    block_size: int = 2048,
-    cache_blocks: int = 64,
 ) -> int:
     """The paper's tuning protocol (Section 6.1).
 
@@ -238,12 +235,12 @@ def tune_fixed_level(
     if not sample:
         raise ValueError("tuning needs a non-empty sample")
     if levels is None:
-        levels = range(0, domain_bits + 1)
+        levels = range(0, DOMAIN_BITS + 1)
     best_level = None
     best_cost = None
     for level in levels:
-        db = Database(block_size=block_size, cache_blocks=cache_blocks)
-        index = TileIndex(db, fixed_level=level, domain_bits=domain_bits)
+        db = Database(block_size=TUNING_BLOCK_SIZE, cache_blocks=TUNING_CACHE_BLOCKS)
+        index = TileIndex(db, fixed_level=level)
         index.bulk_load(sample)
         db.clear_cache()
         with db.measure() as delta:

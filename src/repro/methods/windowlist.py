@@ -7,8 +7,8 @@ stabbing queries is achieved.  Unfortunately, updates do not seem to have
 non-trivial upper bounds ..."; experimentally, "queries on Window-Lists
 produced twice as many I/O operations than on the dynamic RI-tree".
 
-Reconstruction (documented substitution, DESIGN.md section 2)
--------------------------------------------------------------
+Reconstruction (a substitution for Ramaswamy's original)
+--------------------------------------------------------
 The original windowing scheme's details are not reproducible from the
 paper; this implementation keeps the three properties the comparison rests
 on:

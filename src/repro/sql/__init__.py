@@ -5,12 +5,9 @@ package demonstrates it on stdlib :mod:`sqlite3` with the paper's literal
 DDL and its query statements in a form sqlite plans as Figure 10.
 :class:`SQLRITree` implements the full backend-neutral
 :class:`~repro.core.access.IntervalStore` contract -- set-at-a-time
-joins, batched queries, predicate compilation, planner statistics --
-and two SQL competitors ride along for cross-validation.
+joins, batched queries, predicate compilation, planner statistics.
 """
 
-from .ist_sql import SQLISTree
 from .ritree_sql import SQLRITree
-from .tindex_sql import SQLTileIndex
 
-__all__ = ["SQLISTree", "SQLRITree", "SQLTileIndex"]
+__all__ = ["SQLRITree"]

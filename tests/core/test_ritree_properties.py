@@ -1,10 +1,10 @@
-"""Property-based tests: the RI-tree against two independent oracles."""
+"""Property-based tests: the RI-tree against the brute-force oracle."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RITree
-from repro.methods import BruteForceIntervals, IntervalTree
+from repro.methods import BruteForceIntervals
 
 interval = st.tuples(st.integers(-5000, 5000), st.integers(0, 3000)).map(
     lambda t: (t[0], t[0] + t[1]))
@@ -25,36 +25,22 @@ def unique_ids(records):
 
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(record, max_size=120), st.lists(interval, max_size=10))
-def test_intersection_equals_brute_force(records, queries):
+@given(st.lists(record, max_size=120), st.lists(interval, max_size=10),
+       st.booleans())
+def test_intersection_equals_brute_force(records, queries, bulk):
+    """Both build paths -- an ``insert`` loop and ``bulk_load`` -- over
+    negative and positive bounds."""
     records = unique_ids(records)
     tree = RITree()
-    brute = BruteForceIntervals()
-    for rec in records:
-        tree.insert(*rec)
-        brute.insert(*rec)
+    if bulk:
+        tree.bulk_load(records)
+    else:
+        for rec in records:
+            tree.insert(*rec)
+    brute = BruteForceIntervals(records)
     for lower, upper in queries:
         assert sorted(tree.intersection(lower, upper)) == \
             sorted(brute.intersection(lower, upper))
-
-
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(record, min_size=1, max_size=100), st.lists(interval,
-                                                            max_size=8))
-def test_intersection_equals_edelsbrunner_tree(records, queries):
-    """Cross-check against the materialised interval tree, whose code path
-    shares nothing with the RI-tree's."""
-    records = unique_ids(records)
-    tree = RITree()
-    tree.bulk_load(records)
-    points = [b for rec in records for b in (rec[0], rec[1])]
-    oracle = IntervalTree(points)
-    for rec in records:
-        oracle.insert(*rec)
-    for lower, upper in queries:
-        assert sorted(tree.intersection(lower, upper)) == \
-            sorted(oracle.intersection(lower, upper))
 
 
 @settings(max_examples=40, deadline=None,

@@ -8,23 +8,21 @@ from repro.methods.memory import BruteForceIntervals
 from ..conftest import make_intervals
 
 
-@pytest.mark.parametrize("ordering", ["D", "V", "H"])
-def test_matches_brute_force(ordering, rng):
+def test_matches_brute_force(rng):
     records = make_intervals(rng, 800, domain=50_000, mean_length=600)
-    ist = ISTree(ordering=ordering)
+    ist = ISTree()
     ist.bulk_load(sorted(records))
     brute = BruteForceIntervals(records)
     for _ in range(100):
         lower = rng.randrange(0, 55_000)
         upper = lower + rng.randrange(0, 3000)
         assert sorted(ist.intersection(lower, upper)) == \
-            sorted(brute.intersection(lower, upper)), (ordering, lower, upper)
+            sorted(brute.intersection(lower, upper)), (lower, upper)
 
 
-@pytest.mark.parametrize("ordering", ["D", "V", "H"])
-def test_dynamic_insert_delete(ordering, rng):
+def test_dynamic_insert_delete(rng):
     records = make_intervals(rng, 300, domain=10_000, mean_length=200)
-    ist = ISTree(ordering=ordering)
+    ist = ISTree()
     for record in records:
         ist.insert(*record)
     for record in records[::3]:
@@ -41,7 +39,7 @@ def test_dynamic_insert_delete(ordering, rng):
 
 
 def test_no_redundancy():
-    ist = ISTree(ordering="D")
+    ist = ISTree()
     for i in range(100):
         ist.insert(i, i + 50, i)
     assert ist.index_entry_count == 100
@@ -49,26 +47,9 @@ def test_no_redundancy():
     assert ist.redundancy == 1.0
 
 
-def test_unknown_ordering_rejected():
-    with pytest.raises(ValueError):
-        ISTree(ordering="X")
-
-
-def test_length_query_h_order_only():
-    ist = ISTree(ordering="H")
-    ist.insert(0, 10, 1)      # length 10
-    ist.insert(0, 100, 2)     # length 100
-    ist.insert(50, 60, 3)     # length 10
-    assert sorted(ist.length_query(5, 20)) == [1, 3]
-    assert ist.length_query(90, 200) == [2]
-    d_order = ISTree(ordering="D", name="Other")
-    with pytest.raises(ValueError):
-        d_order.length_query(0, 10)
-
-
 def test_d_order_scan_grows_with_distance_from_upper_bound(rng):
     """The Figure 17 mechanism, observable at unit-test scale."""
-    ist = ISTree(ordering="D")
+    ist = ISTree()
     records = make_intervals(rng, 3000, domain=100_000, mean_length=100)
     ist.bulk_load(sorted(records))
     ist.db.clear_cache()

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RITree
-from repro.methods import ISTree, Map21, TileIndex, WindowList
+from repro.methods import ISTree, TileIndex, WindowList
 from repro.methods.memory import BruteForceIntervals
 
 # Bounded to the tile index's domain [0, 2^20).
@@ -33,9 +33,7 @@ def test_all_methods_agree_with_oracle(records, queries):
     brute = BruteForceIntervals(records)
     methods = [
         RITree(),
-        ISTree(ordering="D"),
-        ISTree(ordering="V", name="V"),
-        Map21(),
+        ISTree(),
         TileIndex(fixed_level=9),
         WindowList(),
     ]
@@ -58,8 +56,7 @@ def test_dynamic_methods_agree_after_deletes(records, data):
                                 max_size=len(records) // 2))
     alive = [rec for i, rec in enumerate(records) if i not in victims]
     brute = BruteForceIntervals(alive)
-    methods = [RITree(), ISTree(ordering="D"), Map21(),
-               TileIndex(fixed_level=10)]
+    methods = [RITree(), ISTree(), TileIndex(fixed_level=10)]
     for method in methods:
         for rec in records:
             method.insert(*rec)

@@ -3,8 +3,8 @@
 The same checks CI's docs-check job performs: every relative link in
 ``docs/`` and ``README.md`` resolves, every benchmark script has an
 entry in ``docs/benchmarks.md``, every wire op is named in
-``docs/serving.md``, and every block-result op in its frame-layout
-paragraph.
+``docs/serving.md``, every block-result op in its frame-layout
+paragraph, and every markdown file a source module names exists.
 """
 
 import pathlib
@@ -56,6 +56,20 @@ def test_every_block_op_is_in_the_frame_layout(tmp_path):
     assert docscheck.check_block_ops_listed(tmp_path) == [
         "docs/serving.md: frame layout does not name block op "
         "`stored_records`"]
+
+
+def test_every_document_named_in_source_exists(tmp_path):
+    assert docscheck.check_source_mentions(ROOT) == []
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text("")
+    (tmp_path / "NOTES.md").write_text("")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""See NOTES.md, guide.md and docs/guide.md; lints docs/*.md.\n\n'
+        'The rationale is in DESIGN.md section 2."""\n')
+    assert docscheck.check_source_mentions(tmp_path) == [
+        "src/pkg/mod.py:3: names missing document DESIGN.md"]
 
 
 def test_checker_reports_problems(tmp_path):
