@@ -12,9 +12,11 @@ four gates:
   the same batches, and finish record-for-record equal to it.
 
 * **Group commit** -- ``append_batch`` on the WAL-backed trees must
-  force the log exactly once per non-empty batch (and never for an
-  empty one), asserted against the engine's ``wal.forces`` counter on
-  a dedicated run with no clock advances or closures in the way.
+  force the log exactly once per non-empty batch and log its rows as
+  exactly one ``insert`` record (and do neither for an empty batch),
+  asserted against the engine's ``wal.forces`` counter and the durable
+  records on a dedicated run with no clock advances or closures in the
+  way.
 
 * **Crash during ingest** -- :func:`benchlib.crash_sweep`, the
   recovery benchmark's crash-at-every-write-point protocol, replayed
@@ -147,8 +149,14 @@ def run_parity(scale, seed):
     return rows, check_total, mismatch_total
 
 
+def insert_records(wal, since):
+    """The ``insert`` records made durable after the first ``since``."""
+    return sum(1 for record in wal.records()[since:] if record["t"] == "insert")
+
+
 def run_trace(scale, seed):
-    """Gate 2: one WAL force per non-empty append_batch, none when empty."""
+    """Gate 2: one WAL force and one ``insert`` record per non-empty
+    append_batch, neither for an empty one."""
     workload = StreamWorkload(
         seed=seed + 31,
         batches=scale["ingest_batches"],
@@ -157,20 +165,35 @@ def run_trace(scale, seed):
         mean_length=scale["ingest_mean_length"],
         open_fraction=0.0,
     )
-    row = {"gate": "trace", "batches": 0, "extra_forces": 0, "empty_forces": 0}
+    row = {
+        "gate": "trace",
+        "batches": 0,
+        "extra_forces": 0,
+        "empty_forces": 0,
+        "bad_insert_records": 0,
+        "empty_insert_records": 0,
+    }
     for store in (
         RITree(Database(wal=True)),
         TemporalRITree(Database(wal=True), now=0),
     ):
+        wal = store.db.wal
         for batch in workload:
-            before = store.db.wal.forces
+            before, logged = wal.forces, wal.durable_records
             store.append_batch(batch.records)
             row["batches"] += 1
-            row["extra_forces"] += store.db.wal.forces - before - 1
-        before = store.db.wal.forces
+            row["extra_forces"] += wal.forces - before - 1
+            row["bad_insert_records"] += insert_records(wal, logged) != 1
+        before, logged = wal.forces, wal.durable_records
         store.append_batch([])
-        row["empty_forces"] += store.db.wal.forces - before
-    row["per_batch_ok"] = row["extra_forces"] == 0 and row["empty_forces"] == 0
+        row["empty_forces"] += wal.forces - before
+        row["empty_insert_records"] += insert_records(wal, logged)
+    row["per_batch_ok"] = (
+        row["extra_forces"] == 0
+        and row["empty_forces"] == 0
+        and row["bad_insert_records"] == 0
+        and row["empty_insert_records"] == 0
+    )
     return row
 
 

@@ -240,7 +240,10 @@ class RITree(AccessMethod):
         a single ``db.atomic()`` batch closed by *one* ``_log_meta()``.
         Compared to :meth:`extend` this defers the metadata persistence
         across the batch: one WAL force and one ``meta`` record per
-        batch instead of one ``meta`` record per inserted row.
+        batch instead of one ``meta`` record per inserted row.  The rows
+        are one :meth:`~repro.engine.table.Table.insert_many` statement:
+        one ``insert`` record, one heap pass and one sorted leaf merge
+        per index.
         """
         rows = []
         for lower, upper, interval_id in intervals:
@@ -249,8 +252,8 @@ class RITree(AccessMethod):
         if not rows:
             return
         with self.db.atomic():
-            for node, lower, upper, interval_id in rows:
-                self.table.insert((node, lower, upper, interval_id))
+            self.table.insert_many(rows)
+            for _node, lower, upper, _interval_id in rows:
                 self._note_bounds(lower, upper)
             self._log_meta()
 

@@ -212,8 +212,8 @@ class TemporalRITree(RITree):
         if not rows:
             return
         with self.db.atomic():
-            for node, lower, upper, interval_id in rows:
-                self.table.insert((node, lower, upper, interval_id))
+            self.table.insert_many(rows)
+            for node, lower, upper, _interval_id in rows:
                 if node == FORK_INF:
                     self._note_bounds(lower, UPPER_INF)
                 elif node == FORK_NOW:

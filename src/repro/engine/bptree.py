@@ -4,7 +4,9 @@ This is the engine's stand-in for the "robust and highly tuned" built-in
 B+-tree indexes that the RI-tree relies on (paper, Section 3.2).  It provides
 exactly the operations the paper's access methods need:
 
-* point insertion and deletion in O(log_b n) block accesses,
+* insertion of a sorted batch with one root-to-leaf descent per leaf run
+  (a lone insert is a batch of one: O(log_b n) block accesses), and point
+  deletion in O(log_b n),
 * inclusive range scans over linked leaves (the ``INDEX RANGE SCAN`` of the
   paper's Figure 10 execution plan) costing O(log_b n + r/b),
 * bottom-up bulk loading, used where the paper bulk-loads competitor indexes
@@ -275,14 +277,30 @@ class BPlusTree:
         Each element is ``(block_id, child_index_in_parent)``; the root's
         child index is ``-1``.
         """
+        return self._descend_fenced(key)[0]
+
+    def _descend_fenced(
+        self, key: tuple[int, ...]
+    ) -> tuple[list[tuple[int, int]], Optional[tuple[int, ...]]]:
+        """:meth:`_descend` plus the leaf's upper fence.
+
+        The fence is the separator right of the path at the deepest level
+        that has one: the leaf holds exactly the entries ``e`` with
+        ``key``'s lower fence ``<= e < fence`` (``None``: no upper bound,
+        the rightmost leaf).  Same page requests as :meth:`_descend`.
+        """
         path = [(self.root_id, -1)]
+        fence = None
         node = self._get(self.root_id)
         while isinstance(node, InternalPage):
-            idx = bisect_right(node.keys, key)
+            keys = node.keys
+            idx = bisect_right(keys, key)
+            if idx < len(keys):
+                fence = keys[idx]
             child_id = node.children[idx]
             path.append((child_id, idx))
             node = self._get(child_id)
-        return path
+        return path, fence
 
     def contains(self, entry: tuple[int, ...]) -> bool:
         """Exact-match membership test."""
@@ -520,20 +538,81 @@ class BPlusTree:
     # insertion
     # ------------------------------------------------------------------
     def insert(self, entry: tuple[int, ...]) -> None:
-        """Insert a unique entry (O(log_b n) block accesses)."""
-        self._check_arity(entry)
-        path = self._descend(entry)
-        leaf_id = path[-1][0]
-        leaf = self._get(leaf_id)
-        idx = bisect_left(leaf.entries, entry)
-        if idx < len(leaf.entries) and leaf.entries[idx] == entry:
-            raise DuplicateEntryError(f"{self.name}: duplicate entry {entry}")
-        leaf.entries.insert(idx, entry)
-        self.entry_count += 1
-        if len(leaf.entries) <= self.leaf_capacity:
-            self.pool.mark_dirty(leaf_id)
-            return
-        # Leaf overflow: split and propagate separators upward.
+        """Insert a unique entry (O(log_b n) block accesses).
+
+        :meth:`insert_many` of one entry: the same page requests as a
+        lone descent, leaf read and (on overflow) split.
+        """
+        self.insert_many([entry])
+
+    def insert_many(self, entries: Sequence[tuple[int, ...]]) -> None:
+        """Insert sorted unique entries with one descent per leaf run.
+
+        The tree's only insertion path.  Entries go in in ascending
+        order; after each descent every following entry below the
+        leaf's upper fence joins the same leaf without another descent.
+        A leaf that overflows splits at the same mid point as a lone
+        insert, and the entry after a split descends afresh, so the
+        resulting pages -- and the order blocks are allocated in -- are
+        those of inserting the entries one at a time in sorted order.
+
+        Raises :class:`~repro.engine.errors.SchemaError` on a wrong
+        arity or unsorted input before touching the tree, and
+        :class:`DuplicateEntryError` on an entry repeated in the batch
+        (also before touching the tree) or already stored (after the
+        entries before it went in, as in the one-at-a-time loop).
+        """
+        arity = self.arity
+        previous = None
+        for entry in entries:
+            if len(entry) != arity:
+                self._check_arity(entry)
+            if previous is not None and entry <= previous:
+                if entry == previous:
+                    raise DuplicateEntryError(
+                        f"{self.name}: duplicate entry {entry}"
+                    )
+                raise SchemaError(
+                    f"{self.name}: insert_many input not sorted at {entry}"
+                )
+            previous = entry
+        total = len(entries)
+        capacity = self.leaf_capacity
+        position = 0
+        while position < total:
+            entry = entries[position]
+            path, fence = self._descend_fenced(entry)
+            leaf_id = path[-1][0]
+            leaf = self._get(leaf_id)
+            leaf_entries = leaf.entries
+            idx = 0
+            run = 0
+            while True:
+                idx = bisect_left(leaf_entries, entry, idx)
+                if idx < len(leaf_entries) and leaf_entries[idx] == entry:
+                    if run:
+                        self.pool.mark_dirty(leaf_id)
+                    raise DuplicateEntryError(f"{self.name}: duplicate entry {entry}")
+                leaf_entries.insert(idx, entry)
+                self.entry_count += 1
+                position += 1
+                run += 1
+                if len(leaf_entries) > capacity:
+                    self._split_leaf(path, leaf_id, leaf)
+                    break
+                if position == total:
+                    self.pool.mark_dirty(leaf_id)
+                    break
+                entry = entries[position]
+                if fence is not None and entry >= fence:
+                    self.pool.mark_dirty(leaf_id)
+                    break
+                idx += 1
+
+    def _split_leaf(
+        self, path: list[tuple[int, int]], leaf_id: int, leaf: LeafPage
+    ) -> None:
+        """Split an overfull leaf and propagate the separator upward."""
         mid = len(leaf.entries) // 2
         right = LeafPage(leaf.entries[mid:], leaf.next_leaf)
         leaf.entries = leaf.entries[:mid]

@@ -307,9 +307,9 @@ class Database:
                         record["index"], record["key"]
                     )
                 elif kind == "insert":
-                    row = tuple(record["row"])
-                    rowid = self.table(record["table"]).insert(row)
-                    content.setdefault((record["table"], row), []).append(rowid)
+                    rows = [tuple(row) for row in record["rows"]]
+                    rowids = self.table(record["table"]).insert_many(rows)
+                    _note_rows(content, record["table"], rows, rowids)
                 elif kind == "bulk":
                     self._replay_bulk(record, content)
                 elif kind == "delete":
@@ -339,9 +339,7 @@ class Database:
                 table.create_index(index["name"], index["key"])
             rows = [tuple(row) for row in spec["rows"]]
             if rows:
-                rowids = table.bulk_load(rows)
-                for row, rowid in zip(rows, rowids):
-                    content.setdefault((spec["name"], row), []).append(rowid)
+                _note_rows(content, spec["name"], rows, table.bulk_load(rows))
         self._wal_meta.update(record.get("meta", {}))
 
     def _replay_bulk(
@@ -352,9 +350,19 @@ class Database:
         if table.row_count == 0:
             rowids = table.bulk_load(rows, fill=record.get("fill", 0.9))
         else:  # pragma: no cover - bulk is only logged on empty tables
-            rowids = [table.insert(row) for row in rows]
-        for row, rowid in zip(rows, rowids):
-            content.setdefault((record["table"], row), []).append(rowid)
+            rowids = table.insert_many(rows)
+        _note_rows(content, record["table"], rows, rowids)
+
+
+def _note_rows(
+    content: dict[tuple[str, tuple], list[int]],
+    table: str,
+    rows: list[tuple],
+    rowids: list[int],
+) -> None:
+    """Remember where replay stored each row, for later deletes."""
+    for row, rowid in zip(rows, rowids):
+        content.setdefault((table, row), []).append(rowid)
 
 
 def _committed_records(records: list[dict]) -> list[dict]:

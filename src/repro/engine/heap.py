@@ -10,9 +10,9 @@ the simulated disk does not outlive the process; this matches how the engine
 is used by the benchmarks (build, query, discard).
 
 From its first checkpoint on (:meth:`HeapFile.mark_clean`), a heap also
-remembers which pages ``insert``, ``delete`` and ``bulk_append`` changed since
-the last one, so a checkpoint re-encodes only those pages.  A heap that is
-never checkpointed tracks nothing.
+remembers which pages ``insert_many``, ``delete`` and ``bulk_append``
+changed since the last one, so a checkpoint re-encodes only those pages.
+A heap that is never checkpointed tracks nothing.
 """
 
 from __future__ import annotations
@@ -80,9 +80,10 @@ class _BoundHeap:
 class HeapFile:
     """An append-friendly collection of rows with delete-in-place.
 
-    Change tracking for checkpoints starts with the first
-    :meth:`mark_clean`; until then :meth:`changed_pages` reports every
-    page.
+    Rows go in through :meth:`insert_many` (:meth:`insert` is one row of
+    it) or, into new pages only, :meth:`bulk_append`.  Change tracking
+    for checkpoints starts with the first :meth:`mark_clean`; until then
+    :meth:`changed_pages` reports every page.
 
     Parameters
     ----------
@@ -142,35 +143,61 @@ class HeapFile:
     # operations
     # ------------------------------------------------------------------
     def insert(self, row: tuple[int, ...]) -> int:
-        """Store a row; return its row id."""
-        self._check_arity(row)
-        if self._pages_with_space:
+        """Store a row; return its row id (:meth:`insert_many` of one)."""
+        return self.insert_many([row])[0]
+
+    def insert_many(self, rows: Sequence[tuple[int, ...]]) -> list[int]:
+        """Store rows in order; return their row ids.
+
+        The heap's only insertion path.  Rows fill dead and unused slots
+        of the pages with space, lowest page first and lowest slot first,
+        then go to whole new pages appended at the end -- the row ids and
+        page contents of storing the rows one at a time, with one page
+        request per page touched.  Every row's arity is checked before
+        any is stored.
+        """
+        for row in rows:
+            self._check_arity(row)
+        rowids: list[int] = []
+        total = len(rows)
+        position = 0
+        slots_per_page = self.slots_per_page
+        while position < total and self._pages_with_space:
             page_index = min(self._pages_with_space)
             page = self._get_page(page_index)
-            block_id = self._page_ids[page_index]
-            for slot, existing in enumerate(page.slots):
-                if existing is None:
-                    page.slots[slot] = tuple(row)
-                    self.pool.mark_dirty(block_id)
-                    self._note_change(page_index, page)
-                    self.row_count += 1
-                    return self._make_rowid(page_index, slot)
-            if len(page.slots) < self.slots_per_page:
-                page.slots.append(tuple(row))
-                self.pool.mark_dirty(block_id)
+            slots = page.slots
+            base = page_index * slots_per_page
+            start = position
+            if None in slots:
+                for slot, existing in enumerate(slots):
+                    if existing is None:
+                        slots[slot] = tuple(rows[position])
+                        rowids.append(base + slot)
+                        position += 1
+                        if position == total:
+                            break
+            while position < total and len(slots) < slots_per_page:
+                slots.append(tuple(rows[position]))
+                rowids.append(base + len(slots) - 1)
+                position += 1
+            if position > start:
+                self.pool.mark_dirty(self._page_ids[page_index])
                 self._note_change(page_index, page)
-                self.row_count += 1
-                return self._make_rowid(page_index, len(page.slots) - 1)
-            # Directory was stale; fall through to allocate a fresh page.
-            self._pages_with_space.discard(page_index)
-        block_id = self.pool.disk.allocate()
-        page = HeapPage([tuple(row)])
-        self.pool.put_new(block_id, _BoundHeap(page, self.codec))
-        self._page_ids.append(block_id)
-        page_index = len(self._page_ids) - 1
-        self._note_change(page_index, page)
-        self.row_count += 1
-        return self._make_rowid(page_index, 0)
+            else:  # stale directory entry: the page was already full
+                self._pages_with_space.discard(page_index)
+        while position < total:
+            chunk = [tuple(row) for row in rows[position : position + slots_per_page]]
+            block_id = self.pool.disk.allocate()
+            page = HeapPage(chunk)
+            self.pool.put_new(block_id, _BoundHeap(page, self.codec))
+            self._page_ids.append(block_id)
+            page_index = len(self._page_ids) - 1
+            base = page_index * slots_per_page
+            rowids.extend(range(base, base + len(chunk)))
+            self._note_change(page_index, page)
+            position += len(chunk)
+        self.row_count += total
+        return rowids
 
     def fetch(self, rowid: int) -> tuple[int, ...]:
         """Return the live row stored under ``rowid``."""
@@ -307,9 +334,7 @@ class HeapFile:
     def _note_change(self, page_index: int, page: HeapPage) -> None:
         if self._changed is not None:
             self._changed.add(page_index)
-        full = len(page.slots) >= self.slots_per_page and all(
-            slot is not None for slot in page.slots
-        )
+        full = len(page.slots) >= self.slots_per_page and None not in page.slots
         if full:
             self._pages_with_space.discard(page_index)
         else:

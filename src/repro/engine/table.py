@@ -21,6 +21,7 @@ needs: replaying the logical records rebuilds heap and indexes.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .bptree import BPlusTree
@@ -29,10 +30,21 @@ from .errors import SchemaError
 from .heap import HeapFile
 
 
+def _key_getter(column_indexes: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """A function from a row to the tuple of its ``column_indexes`` values."""
+    if len(column_indexes) == 1:
+        # itemgetter of one column returns the bare value, not a tuple.
+        (column,) = column_indexes
+        return lambda row: (row[column],)
+    if column_indexes:
+        return itemgetter(*column_indexes)
+    return lambda row: ()
+
+
 class IndexDef:
     """A named index over a subset of a table's columns."""
 
-    __slots__ = ("name", "columns", "column_indexes", "tree")
+    __slots__ = ("name", "columns", "column_indexes", "tree", "_key_of")
 
     def __init__(
         self,
@@ -45,15 +57,26 @@ class IndexDef:
         self.columns = columns
         self.column_indexes = column_indexes
         self.tree = tree
+        self._key_of = _key_getter(column_indexes)
 
     def entry_for(self, row: tuple[int, ...], rowid: int) -> tuple[int, ...]:
         """Build the index entry (key columns + rowid) for a row."""
-        return tuple(row[i] for i in self.column_indexes) + (rowid,)
+        return self._key_of(row) + (rowid,)
+
+    def sorted_entries(
+        self, rows: Sequence[tuple[int, ...]], rowids: Sequence[int]
+    ) -> list[tuple[int, ...]]:
+        """The entries of ``rows`` stored under ``rowids``, in index order."""
+        key_of = self._key_of
+        return sorted([key_of(row) + (rowid,) for row, rowid in zip(rows, rowids)])
 
 
 class Table:
     """A relational table of 64-bit integer columns.
 
+    Rows go in through :meth:`insert_many` -- one logged statement, one
+    heap pass, one sorted batch per index -- of which :meth:`insert` is
+    the one-row case, or through :meth:`bulk_load` into an empty table.
     Create through :meth:`repro.engine.database.Database.create_table`.
     """
 
@@ -113,13 +136,41 @@ class Table:
     # ------------------------------------------------------------------
     def insert(self, row: Sequence[int]) -> int:
         """Insert a row, maintaining all indexes; return the row id."""
-        row_tuple = tuple(row)
+        return self.insert_many([row])[0]
+
+    def insert_many(self, rows: Sequence[Sequence[int]]) -> list[int]:
+        """Insert rows as one statement; return their row ids.
+
+        The table's only insert path.  Every row is checked against the
+        schema before anything is logged, so a rejected statement leaves
+        neither a WAL record nor a row behind.  Then one ``insert``
+        record carries all rows, the heap stores them in one pass
+        (:meth:`HeapFile.insert_many`, the row ids of a per-row loop),
+        and each index takes its entries in one sorted
+        :meth:`BPlusTree.insert_many` -- one descent per leaf run instead
+        of one per row.
+        """
+        row_tuples = [tuple(row) for row in rows]
+        arity = len(self.columns)
+        for row in row_tuples:
+            if len(row) != arity:
+                raise SchemaError(
+                    f"table {self.name}: row arity {len(row)} != {arity}"
+                )
+        if not row_tuples:
+            return []
         if self._log is not None:
-            self._log({"t": "insert", "table": self.name, "row": list(row_tuple)})
-        rowid = self.heap.insert(row_tuple)
+            self._log(
+                {
+                    "t": "insert",
+                    "table": self.name,
+                    "rows": [list(row) for row in row_tuples],
+                }
+            )
+        rowids = self.heap.insert_many(row_tuples)
         for index in self.indexes.values():
-            index.tree.insert(index.entry_for(row_tuple, rowid))
-        return rowid
+            index.tree.insert_many(index.sorted_entries(row_tuples, rowids))
+        return rowids
 
     def delete(self, rowid: int) -> tuple[int, ...]:
         """Delete a row by id, maintaining all indexes; return the old row."""
@@ -150,10 +201,7 @@ class Table:
             )
         rowids = self.heap.bulk_append(row_tuples)
         for index in self.indexes.values():
-            entries = sorted(
-                index.entry_for(row, rowid) for row, rowid in zip(row_tuples, rowids)
-            )
-            index.tree.bulk_load(entries, fill=fill)
+            index.tree.bulk_load(index.sorted_entries(row_tuples, rowids), fill=fill)
         return rowids
 
     # ------------------------------------------------------------------

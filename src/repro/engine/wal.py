@@ -5,7 +5,9 @@ The simulated engine keeps its catalog and page directories in memory, so a
 Durability therefore follows the classic logical-redo recipe:
 
 * every mutation appends a **logical record** (insert / delete / bulk /
-  DDL / store metadata) to the log tail;
+  DDL / store metadata) to the log tail.  An insert statement is one
+  record however many rows it carries:
+  ``{"t": "insert", "table": name, "rows": [[col, ...], ...]}``;
 * a batch commits by appending a ``commit`` record and **forcing** the
   tail (group commit -- one force per batch, accounted in whole blocks as
   ``wal_writes``);

@@ -107,3 +107,38 @@ def test_page_count_linear_in_rows():
         heap.insert((i, i, i))
     per_page = heap.slots_per_page
     assert heap.page_count == -(-400 // per_page)
+
+
+def heap_with_holes() -> HeapFile:
+    heap = make_heap()  # 7 slots per page
+    rowids = [heap.insert((i, i, i)) for i in range(60)]
+    for rowid in rowids[3:40:4] + rowids[41:43]:
+        heap.delete(rowid)
+    heap.mark_clean()
+    return heap
+
+
+def test_insert_many_matches_the_per_row_loop_over_holes():
+    rows = [(100 + i, i, -i) for i in range(40)]
+    looped, batched = heap_with_holes(), heap_with_holes()
+    holes = list(range(3, 40, 4)) + [41, 42]
+    expected = [looped.insert(row) for row in rows]
+    # Holes first, lowest page and slot first, then the unused slots of
+    # the last page and whole new pages.
+    assert expected == holes + list(range(60, 60 + len(rows) - len(holes)))
+    assert batched.insert_many(rows) == expected
+    assert batched.page_count == looped.page_count
+    assert batched.row_count == looped.row_count == 60 - len(holes) + len(rows)
+    for page_index in range(looped.page_count):
+        assert batched.live_rows(page_index) == looped.live_rows(page_index)
+    assert list(batched.changed_pages()) == list(looped.changed_pages())
+    # Both directories agree: the next row lands in the same slot.
+    assert batched.insert((0, 0, 0)) == looped.insert((0, 0, 0))
+
+
+def test_insert_many_checks_every_row_before_storing_any():
+    heap = heap_with_holes()
+    with pytest.raises(SchemaError):
+        heap.insert_many([(1, 2, 3), (1, 2)])
+    assert heap.row_count == 60 - 12
+    assert list(heap.changed_pages()) == []

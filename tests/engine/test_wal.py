@@ -10,6 +10,7 @@ from repro.engine import (
     Database,
     FaultInjector,
     RecoveryError,
+    SchemaError,
     SimulatedCrash,
     WalError,
     WriteAheadLog,
@@ -26,7 +27,7 @@ from repro.engine.wal import (
 # record framing
 # ----------------------------------------------------------------------
 def test_record_roundtrip_with_crc():
-    record = {"t": "insert", "table": "T", "row": [1, 2, 3]}
+    record = {"t": "insert", "table": "T", "rows": [[1, 2, 3], [4, 5, 6]]}
     line = encode_record(record)
     assert decode_record(line) == record
 
@@ -194,13 +195,62 @@ def test_recover_replays_committed_prefix():
     assert recovered.replayed_ops > 0
 
 
+def test_insert_many_logs_one_record():
+    db = Database(wal=True)
+    table = db.create_table("T", ["a", "b"])
+    table.insert_many([(3, 1), (1, 2)])
+    table.insert_many([])  # logs nothing
+    records = db.wal.records()
+    assert [r["t"] for r in records] == [
+        "begin", "create_table", "commit", "begin", "insert", "commit"
+    ]
+    assert records[4] == {"t": "insert", "table": "T", "rows": [[3, 1], [1, 2]]}
+
+
+def test_multi_row_insert_record_replays():
+    db = Database(wal=True)
+    table = db.create_table("T", ["a", "b"])
+    table.create_index("ia", ["a"])
+    table.insert((7, 7))
+    db.wal.append({"t": "begin", "b": 99})
+    db.wal.append(
+        {"t": "insert", "table": "T", "rows": [[5, 0], [2, 1], [5, 0], [9, 3]]}
+    )
+    db.wal.append({"t": "delete", "table": "T", "row": [5, 0]})
+    db.wal.append({"t": "commit", "b": 99})
+    db.wal.force()
+    recovered = db.recover()
+    # Rows keep their order and row ids; the delete resolves to one copy.
+    restored = recovered.table("T")
+    assert sorted(row for _, row in restored.scan()) == [(2, 1), (5, 0), (7, 7), (9, 3)]
+    assert restored.fetch(2) == (2, 1) and restored.fetch(4) == (9, 3)
+    assert [e[0] for e in restored.index_scan("ia")] == [2, 5, 7, 9]
+    assert restored.index("ia").tree.violations() == []
+
+
+def test_rejected_row_leaves_no_record():
+    db = Database(wal=True)
+    table = db.create_table("T", ["a", "b"])
+    with pytest.raises(SchemaError):
+        table.insert((1, 2, 3))
+    with pytest.raises(SchemaError):
+        table.insert_many([(1, 2), (1, 2, 3)])
+    assert [r["t"] for r in db.wal.records()] == ["begin", "create_table", "commit"]
+    assert table.row_count == 0
+    recovered = db.recover()
+    assert list(recovered.table("T").scan()) == []
+    recovered.table("T").insert((1, 2))
+    again = recovered.recover()
+    assert [row for _, row in again.table("T").scan()] == [(1, 2)]
+
+
 def test_recover_drops_unforced_tail():
     db = Database(wal=True)
     table = db.create_table("T", ["a"])
     table.insert((1,))
     # Simulate a crash mid-batch: records buffered but never forced.
     db.wal.append({"t": "begin", "b": 999})
-    db.wal.append({"t": "insert", "table": "T", "row": [2]})
+    db.wal.append({"t": "insert", "table": "T", "rows": [[2]]})
     recovered = db.recover()
     assert [row for _, row in recovered.table("T").scan()] == [(1,)]
 
@@ -264,7 +314,7 @@ def test_replay_rejects_commit_without_begin():
     with pytest.raises(RecoveryError):
         _committed_records([{"t": "commit", "b": 1}])
     with pytest.raises(RecoveryError):
-        _committed_records([{"t": "insert", "table": "T", "row": [1]}])
+        _committed_records([{"t": "insert", "table": "T", "rows": [[1]]}])
 
 
 def test_wal_io_is_accounted_in_stats():
