@@ -17,7 +17,7 @@ constraints are affected.
 Run:  python examples/constraint_domains.py
 """
 
-from repro.core import RITree, topology
+from repro.core import RITree
 
 # Constraints over a shared variable "start time of task T" (minutes).
 CONSTRAINTS = {
@@ -49,8 +49,8 @@ def main() -> None:
 
     # Constraints strictly inside the restriction survive unchanged;
     # constraints strictly containing it impose no further pruning.
-    inside = topology.during(index, *restriction)
-    around = topology.contains(index, *restriction)
+    inside = index.query(*restriction, predicate="during")
+    around = index.query(*restriction, predicate="contains")
     print("  subsumed by the restriction   :", names(inside))
     print("  subsuming the restriction     :", names(around))
 

@@ -11,7 +11,7 @@ Also demonstrates the fine-grained Allen relations of Section 4.5.
 Run:  python examples/temporal_validtime.py
 """
 
-from repro.core import TemporalRITree, topology
+from repro.core import TemporalRITree
 
 ASSIGNMENTS = {
     1: "Ada    - compiler team (2010-2015)",
@@ -52,13 +52,16 @@ def main() -> None:
 
     # Fine-grained temporal relationships (Section 4.5).
     print("\nAllen relations against the period [2014, 2016]:")
+    relations = {}
     for relation in ("overlaps", "during", "finishes", "met_by"):
-        ids = topology.query_relation(table, relation, 2014, 2016)
+        ids = relations[relation] = table.query(2014, 2016, predicate=relation)
         names = [ASSIGNMENTS[i].split("-")[0].strip() for i in sorted(ids)]
         print(f"    {relation:13s} -> {names}")
 
     assert sorted(table.stab(2025)) == [2, 5]
     assert sorted(table.intersection(2014, 2015)) == [1, 2, 3, 4]
+    # Alan's [2016, now] starts where the period ends.
+    assert relations["met_by"] == [5]
     print("\nOK")
 
 

@@ -5,10 +5,9 @@ Public surface:
 * :class:`~repro.core.ritree.RITree` -- the access method (Sections 3-4);
 * :class:`~repro.core.temporal.TemporalRITree` -- ``now``/``infinity``
   support (Section 4.6);
-* :mod:`~repro.core.topology` -- Allen's 13 relation queries (Section 4.5);
-* :mod:`~repro.core.predicates` -- ``intersects``/``stab``/Allen predicates
-  as first-class objects plus parameterized query families
-  (``range_duration``), compiled per backend through
+* :mod:`~repro.core.predicates` -- ``intersects``/``stab`` and Allen's 13
+  relations (Section 4.5) as first-class objects plus parameterized query
+  families (``range_duration``), compiled per backend through
   :meth:`~repro.core.access.IntervalStore.query`;
 * :mod:`~repro.core.join` -- interval equi-overlap joins: index-nested-loop
   over the batched scan plan, a Piatov-style plane sweep, and a

@@ -708,8 +708,7 @@ class HintStore(IntervalStore):
 
     def _candidate_window(self, pred, lower: int, upper: int):
         floor = ceiling = None
-        if (pred.name in _OPEN_ENDED
-                or getattr(pred, "needs_extent", False)):
+        if pred.needs_extent:
             floor, ceiling = self._candidate_extent()
             if floor is None:
                 return None
@@ -794,11 +793,11 @@ class HintStore(IntervalStore):
         inverse = pred.inverse
         holds = pred.holds
         floor = ceiling = None
-        open_ended = inverse.name in _OPEN_ENDED
-        if open_ended:
+        if inverse.needs_extent:
             floor, ceiling = self._candidate_extent()
             if floor is None:
                 return []
+        open_ended = inverse.name in _OPEN_ENDED
         for lower, upper, probe_id in probes:
             validate_interval(lower, upper)
             window = inverse.candidates(lower, upper, floor, ceiling)

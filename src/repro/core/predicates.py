@@ -9,9 +9,12 @@ and Allen's thirteen relations are value objects that every
 :class:`~repro.core.access.IntervalStore` backend compiles to its own
 plan --
 
-* the simulated engine transforms the scan plan through the algorithms
-  of :mod:`repro.core.topology` (path scans for bound-equality
-  relations, candidate-range refinement for the rest);
+* the simulated engine compiles each predicate to one scan plan for its
+  batched executor (:meth:`repro.core.ritree.RITree._query_relation`):
+  a relation that pins one subject bound (:attr:`IntervalPredicate.
+  pinned`) gets O(h) exact scans of that bound's index along the
+  backbone path, every other predicate the Figure 10 plan of its
+  candidate range;
 * the sqlite backend rewrites the WHERE clause of the Figure 9
   statement: the transient tables are filled for the predicate's
   *candidate range* and the defining endpoint predicate is appended to
@@ -24,7 +27,8 @@ Semantics: a predicate relates a *subject* interval ``[s, e]`` (a stored
 record, or the outer record of a join pair) to a *reference* interval
 ``[l, u]`` (the query interval, or the inner record).  ``holds(s, e, l,
 u)`` is the defining endpoint formula; for Allen relations on proper
-intervals it agrees with :func:`repro.core.topology.relate`.
+intervals it agrees with :func:`relate`, the classifier the tests use as
+ground truth.
 
 The join strategies of :mod:`repro.core.join` accept these predicates
 too (``interval_join(..., predicate="before")``), in the spirit of
@@ -92,6 +96,17 @@ class IntervalPredicate:
     are exact and no refinement is needed); ``inverse_name`` names the
     relation with subject and reference swapped (``None`` for ``stab``,
     which relates an interval to a point).
+
+    ``pinned`` names the subject bound (``"lower"`` or ``"upper"``) a
+    bound-equality relation fixes to the point its ``candidates``
+    return: ``meets``, ``finishes`` and ``finished_by`` pin the upper
+    bound (to ``l``, ``u`` and ``u``), ``starts``, ``started_by``,
+    ``equals`` and ``met_by`` the lower bound (to ``l``, ``l``, ``l``
+    and ``u``).  Every interval with a given bound has its fork node on
+    the backbone path toward that bound, so an index over the pinned
+    bound answers with O(h) exact scans.  ``needs_extent`` is set when
+    ``candidates`` consults the store's ``floor``/``ceiling`` extent
+    (``before``/``after``); backends resolve the extent only then.
     """
 
     name: str
@@ -99,6 +114,8 @@ class IntervalPredicate:
     candidates: CandidateRange
     sql_refine: Optional[str]
     inverse_name: Optional[str] = None
+    pinned: Optional[str] = None
+    needs_extent: bool = False
 
     @property
     def inverse(self) -> "IntervalPredicate":
@@ -169,10 +186,6 @@ class CompiledQuery(IntervalPredicate):
     binds: tuple[tuple[str, int], ...] = ()
     inverse_factory: Optional[Callable[[], "CompiledQuery"]] = None
     estimator: Optional[Callable[..., float]] = None
-    #: Set when ``candidates`` consults the store's ``floor``/``ceiling``
-    #: data-space extent (like before/after do); backends then resolve
-    #: the extent before calling the transform.
-    needs_extent: bool = False
 
     @property
     def param_dict(self) -> dict[str, int]:
@@ -220,8 +233,8 @@ def _strictly_after(l, u, floor, ceiling):
 #: the listed range (bound-equality and containment relations pin a
 #: shared coordinate; ``during`` implies intersection with the query
 #: itself), and before/after intersect the data-space envelope clipped
-#: at the query bound -- exactly the transforms
-#: :mod:`repro.core.topology` uses on the simulated engine.
+#: at the query bound.  A pinned relation's candidate range is the
+#: single point its pinned bound must equal.
 PREDICATES: dict[str, IntervalPredicate] = {
     predicate.name: predicate for predicate in (
         IntervalPredicate(
@@ -235,21 +248,23 @@ PREDICATES: dict[str, IntervalPredicate] = {
         IntervalPredicate(
             "before",
             lambda s, e, l, u: e < l,
-            _strictly_before, 'i."upper" < :lower', "after"),
+            _strictly_before, 'i."upper" < :lower', "after",
+            needs_extent=True),
         IntervalPredicate(
             "after",
             lambda s, e, l, u: s > u,
-            _strictly_after, 'i."lower" > :upper', "before"),
+            _strictly_after, 'i."lower" > :upper', "before",
+            needs_extent=True),
         IntervalPredicate(
             "meets",
             lambda s, e, l, u: e == l and s < l,
             _stab_lower, 'i."upper" = :lower AND i."lower" < :lower',
-            "met_by"),
+            "met_by", pinned="upper"),
         IntervalPredicate(
             "met_by",
             lambda s, e, l, u: s == u and e > u,
             _stab_upper, 'i."lower" = :upper AND i."upper" > :upper',
-            "meets"),
+            "meets", pinned="lower"),
         IntervalPredicate(
             "overlaps",
             lambda s, e, l, u: s < l < e < u,
@@ -278,33 +293,77 @@ PREDICATES: dict[str, IntervalPredicate] = {
             "starts",
             lambda s, e, l, u: s == l and e < u,
             _stab_lower, 'i."lower" = :lower AND i."upper" < :upper',
-            "started_by"),
+            "started_by", pinned="lower"),
         IntervalPredicate(
             "started_by",
             lambda s, e, l, u: s == l and e > u,
             _stab_lower, 'i."lower" = :lower AND i."upper" > :upper',
-            "starts"),
+            "starts", pinned="lower"),
         IntervalPredicate(
             "finishes",
             lambda s, e, l, u: e == u and s > l,
             _stab_upper, 'i."upper" = :upper AND i."lower" > :lower',
-            "finished_by"),
+            "finished_by", pinned="upper"),
         IntervalPredicate(
             "finished_by",
             lambda s, e, l, u: e == u and s < l,
             _stab_upper, 'i."upper" = :upper AND i."lower" < :lower',
-            "finishes"),
+            "finishes", pinned="upper"),
         IntervalPredicate(
             "equals",
             lambda s, e, l, u: s == l and e == u,
             _stab_lower, 'i."lower" = :lower AND i."upper" = :upper',
-            "equals"),
+            "equals", pinned="lower"),
     )
 }
 
 #: The predicates meaningful as join predicates (``stab`` relates an
 #: interval to a point, not to another interval).
 JOIN_PREDICATES = tuple(name for name in PREDICATES if name != "stab")
+
+#: Allen's thirteen relations in canonical order.
+ALLEN_RELATIONS = (
+    "before",
+    "meets",
+    "overlaps",
+    "finished_by",
+    "contains",
+    "starts",
+    "equals",
+    "started_by",
+    "during",
+    "finishes",
+    "overlapped_by",
+    "met_by",
+    "after",
+)
+
+
+def relate(s: int, e: int, l: int, u: int) -> str:
+    """Classify stored ``[s, e]`` against query ``[l, u]``.
+
+    Returns the unique Allen relation for proper intervals
+    (``lower < upper``); the thirteen are mutually exclusive and jointly
+    exhaustive there.  Written independently of the ``holds`` formulas
+    so that tests can check them against it.
+    """
+    if e < l:
+        return "before"
+    if s > u:
+        return "after"
+    if e == l and s < l:
+        return "meets"
+    if s == u and e > u:
+        return "met_by"
+    if s == l and e == u:
+        return "equals"
+    if s == l:
+        return "starts" if e < u else "started_by"
+    if e == u:
+        return "finishes" if s > l else "finished_by"
+    if s < l:
+        return "contains" if e > u else "overlaps"
+    return "during" if e < u else "overlapped_by"
 
 
 @dataclass(frozen=True)

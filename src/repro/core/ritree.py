@@ -16,13 +16,20 @@ Section 4.3's execution plan)::
 Complexities (Sections 3.3 and 4.4): O(n/b) space, O(log_b n) insert and
 delete, O(h * log_b n + r/b) intersection query where ``h`` is the virtual
 backbone height -- independent of ``n``.
+
+Allen's relations and parameterized query families (Section 4.5,
+:mod:`repro.core.predicates`) compile to one scan plan each and run
+through the same batched executor: relations that pin one bound scan
+that bound's index exactly along the backbone path toward it (O(h)
+exact scans), every other predicate scans the Figure 10 plan of its
+candidate range, and the fetched records are refined with the
+predicate's formula.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Sequence
 
-from ..engine.bptree import coalesce_ranges
 from ..engine.database import Database
 from ..engine.errors import SchemaError
 from ..engine.serial import pad_high, pad_low
@@ -35,6 +42,8 @@ from .verify import VerificationReport, verify_engine_tree
 
 #: A compiled scan range: (lo, hi) bounds padded to full index arity.
 ScanRange = tuple[tuple[int, ...], tuple[int, ...]]
+#: A compiled query: (upperIndex ranges, lowerIndex ranges).
+ScanPlan = tuple[list[ScanRange], list[ScanRange]]
 
 
 class RITree(AccessMethod):
@@ -55,13 +64,6 @@ class RITree(AccessMethod):
         (2 KB blocks, 200-block cache -- the paper's setup) when omitted.
     name:
         Relation name, so several trees can share one database.
-    coalesce_scans:
-        When true, scan ranges that touch in index key space are merged
-        before execution, saving one B+-tree descent per merged range
-        (and collapsing duplicate ranges injected by extension hooks).
-        Off by default because fewer descents means fewer logical reads
-        than the Figure 10 plan the paper measures -- enable it for
-        throughput, disable it to reproduce the paper's I/O counts.
 
     Example
     -------
@@ -81,11 +83,9 @@ class RITree(AccessMethod):
         db: Optional[Database] = None,
         name: str = "Intervals",
         backbone: Optional[VirtualBackbone] = None,
-        coalesce_scans: bool = False,
     ) -> None:
         super().__init__(db)
         self.backbone = backbone if backbone is not None else VirtualBackbone()
-        self.coalesce_scans = coalesce_scans
         self.name = name
         # The DDL is one atomic WAL batch: a crash between the table and
         # its indexes can never leave a half-created relation on recovery.
@@ -107,7 +107,7 @@ class RITree(AccessMethod):
         # injected into the rightNodes scan list at query time.
         self._extra_right_nodes: list[Callable[[int, int], Optional[int]]] = []
         # Conservative data-space envelope (never shrunk by deletions);
-        # used by the before/after topological queries.
+        # used by the before/after candidate ranges.
         self._min_lower: Optional[int] = None
         self._max_upper: Optional[int] = None
         # Lazily built optimizer statistics (see cost_model()).
@@ -138,7 +138,6 @@ class RITree(AccessMethod):
     ) -> None:
         AccessMethod.__init__(self, db)
         self.backbone = VirtualBackbone()
-        self.coalesce_scans = False
         self.name = name
         self.table = db.table(name)
         self._bind_runtime_state()
@@ -152,7 +151,6 @@ class RITree(AccessMethod):
         self.backbone.minstep = meta.get("minstep")
         self._min_lower = meta.get("min_lower")
         self._max_upper = meta.get("max_upper")
-        self.coalesce_scans = bool(meta.get("coalesce_scans", False))
 
     def _durable_meta(self) -> dict:
         """The store state a WAL ``meta`` record must carry to reattach."""
@@ -164,7 +162,6 @@ class RITree(AccessMethod):
             "minstep": self.backbone.minstep,
             "min_lower": self._min_lower,
             "max_upper": self._max_upper,
-            "coalesce_scans": self.coalesce_scans,
         }
 
     def _log_meta(self) -> None:
@@ -274,7 +271,7 @@ class RITree(AccessMethod):
         """
         validate_interval(lower, upper)
         results: list[int] = []
-        for batch in self._query_batches(lower, upper):
+        for batch in self._scan(self._plan(lower, upper)):
             results.extend([entry[2] for entry in batch])
         return results
 
@@ -318,16 +315,12 @@ class RITree(AccessMethod):
             self._collect_extra_right_nodes(lower, upper))
         return query_nodes
 
-    def _plan(
-        self, lower: int, upper: int
-    ) -> Optional[tuple[list[ScanRange], list[ScanRange]]]:
+    def _plan(self, lower: int, upper: int) -> Optional[ScanPlan]:
         """Compile the transient collections into per-index scan ranges.
 
         Returns ``(upperIndex ranges, lowerIndex ranges)`` -- branches 1
         and 2 of the Figure 9 query -- with bounds padded to full index
-        arity once, at plan time; or ``None`` for a no-op query.  With
-        ``coalesce_scans`` enabled, ranges of one index that touch in key
-        space are merged into single scans.
+        arity once, at plan time; or ``None`` for a no-op query.
         """
         query_nodes = self._collect_nodes(lower, upper)
         if query_nodes is None:
@@ -346,21 +339,45 @@ class RITree(AccessMethod):
         lower_ranges: list[ScanRange] = [
             (pad_low((node,), arity), pad_high((node, upper), arity))
             for node in query_nodes.right]
-        if self.coalesce_scans:
-            upper_ranges = coalesce_ranges(upper_ranges, arity)
-            lower_ranges = coalesce_ranges(lower_ranges, arity)
         return upper_ranges, lower_ranges
 
-    def _query_batches(
-        self, lower: int, upper: int
-    ) -> Iterator[list[tuple[int, ...]]]:
-        """Execute the scan plan, yielding index-entry batches (leaf slices).
+    def _pinned_plan(self, bound: str, point: int) -> ScanPlan:
+        """Scan ranges for a relation pinning the subject's ``bound``.
+
+        Every interval whose ``bound`` equals ``point`` has its fork node
+        on the backbone path toward ``point``, so one exact ``(node,
+        point)`` scan of that bound's index per path node finds them
+        all: O(h) scans, however many intervals merely intersect
+        ``point``.  Hook-injected nodes (Section 4.6's reserved
+        ``now``/``infinity`` nodes, injected as for ``stab(point)``)
+        join the path: their rows store real lower bounds, so a pinned
+        lower bound scans them exactly too, but no usable upper bound,
+        so a pinned upper bound scans them over the lowerIndex as the
+        ``stab(point)`` plan does and the caller's refinement on
+        effective bounds decides.
+        """
+        arity = self._upper_tree.arity
+        path = ([] if self.backbone.is_empty
+                else self.backbone.walk_toward(self.backbone.shift(point)))
+        reserved = list(self._collect_extra_right_nodes(point, point))
+
+        def exact(nodes):
+            return [(pad_low((node, point), arity),
+                     pad_high((node, point), arity)) for node in nodes]
+
+        if bound == "lower":
+            return [], exact(path + reserved)
+        return exact(path), [(pad_low((node,), arity),
+                              pad_high((node, point), arity))
+                             for node in reserved]
+
+    def _scan(self, plan: Optional[ScanPlan]) -> Iterator[list[tuple[int, ...]]]:
+        """Execute a scan plan, yielding index-entry batches (leaf slices).
 
         Both indexes store ``(node, bound, id, rowid)`` entries, so every
         batch exposes the interval id at position 2 and the heap rowid at
         position 3 regardless of the branch it came from.
         """
-        plan = self._plan(lower, upper)
         if plan is None:
             return
         upper_ranges, lower_ranges = plan
@@ -430,7 +447,7 @@ class RITree(AccessMethod):
         if pred is None:
             for lower, upper, probe_id in probes:
                 validate_interval(lower, upper)
-                for batch in self._query_batches(lower, upper):
+                for batch in self._scan(self._plan(lower, upper)):
                     extend((probe_id, entry[2]) for entry in batch)
             return pairs
         inverse = pred.inverse
@@ -473,6 +490,15 @@ class RITree(AccessMethod):
             ceiling = min(ceiling, self.backbone.offset + MAX_ABS_BOUND)
         return floor, ceiling
 
+    def _candidate_range(
+        self, pred, lower: int, upper: int
+    ) -> Optional[tuple[int, int]]:
+        """``pred``'s candidate range for ``[lower, upper]``, or ``None``."""
+        floor = ceiling = None
+        if pred.needs_extent:
+            floor, ceiling = self._candidate_extent()
+        return pred.candidates(lower, upper, floor, ceiling)
+
     def _candidate_batches(
         self, inverse, lower: int, upper: int
     ) -> Iterator[list[tuple[int, int, int]]]:
@@ -484,19 +510,15 @@ class RITree(AccessMethod):
         relation to; the caller refines each slice with the direct
         formula.
         """
-        floor = ceiling = None
-        if (inverse.name in ("before", "after")
-                or getattr(inverse, "needs_extent", False)):
-            floor, ceiling = self._candidate_extent()
-        candidate = inverse.candidates(lower, upper, floor, ceiling)
+        candidate = self._candidate_range(inverse, lower, upper)
         if candidate is None:
             return
-        yield from self._record_batches(candidate[0], candidate[1])
+        yield from self._record_batches(self._plan(*candidate))
 
     def _record_batches(
-        self, lower: int, upper: int
+        self, plan: Optional[ScanPlan]
     ) -> Iterator[list[tuple[int, int, int]]]:
-        """Leaf-slice batches materialised to ``(lower, upper, id)``.
+        """Leaf-slice batches of ``plan`` materialised to ``(lower, upper, id)``.
 
         Each index entry carries only one interval bound, so the other
         one is fetched from the base table by rowid -- the classical
@@ -507,24 +529,9 @@ class RITree(AccessMethod):
         overrides this to materialise effective now-relative bounds.
         """
         fetch_many = self.table.fetch_many
-        for batch in self._query_batches(lower, upper):
+        for batch in self._scan(plan):
             rows = fetch_many([entry[3] for entry in batch])
             yield [(row[1], row[2], row[3]) for row in rows]
-
-    def intersection_records(
-        self, lower: int, upper: int
-    ) -> Iterator[tuple[int, int, int]]:
-        """Like :meth:`intersection`, but yields ``(lower, upper, id)``.
-
-        One :meth:`_record_batches` pass flattened to records; used by
-        the topological queries of Section 4.5, which refine on both
-        bounds.
-        """
-        validate_interval(lower, upper)
-        if self.backbone.is_empty:
-            return
-        for batch in self._record_batches(lower, upper):
-            yield from batch
 
     # ------------------------------------------------------------------
     # planning (Section 5)
@@ -559,30 +566,28 @@ class RITree(AccessMethod):
                 for _rowid, row in batch]
 
     def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
-        """Predicates and query families compiled to engine scan plans.
+        """Predicates and query families compiled to one engine scan plan.
 
-        The fifteen classic relations dispatch to the scan-plan
-        transforms of :mod:`repro.core.topology` (O(h) path scans for
-        the bound-equality relations, candidate-range refinement for
-        the rest).  Any other compiled query -- a parameterized family
-        such as ``range_duration`` -- runs its candidate intersection
-        range through the batched Figure 10 scan plan
+        A relation that pins a subject bound (``pred.pinned``) scans that
+        bound's index exactly along the backbone path
+        (:meth:`_pinned_plan`); every other predicate -- the containment
+        relations, ``before``/``after``, parameterized families such as
+        ``range_duration`` -- scans the Figure 10 plan of its candidate
+        range.  Either plan runs through the batched executor
         (:meth:`_record_batches`, which on the temporal subclass
-        materializes effective bounds first) and refines each fetched
-        leaf slice with the family's ``holds`` formula.
+        materialises effective bounds first), and each fetched leaf
+        slice is refined with the predicate's ``holds`` formula.
         """
-        from . import topology
-        if pred.name in topology.RELATION_QUERIES:
-            return topology.query_relation(self, pred.name, lower, upper)
-        floor = ceiling = None
-        if getattr(pred, "needs_extent", False):
-            floor, ceiling = self._candidate_extent()
-        candidate = pred.candidates(lower, upper, floor, ceiling)
+        candidate = self._candidate_range(pred, lower, upper)
         if candidate is None:
             return []
+        if pred.pinned is None:
+            plan = self._plan(*candidate)
+        else:
+            plan = self._pinned_plan(pred.pinned, candidate[0])
         holds = pred.holds
         return [interval_id
-                for batch in self._record_batches(candidate[0], candidate[1])
+                for batch in self._record_batches(plan)
                 for s, e, interval_id in batch
                 if holds(s, e, lower, upper)]
 

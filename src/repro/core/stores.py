@@ -96,8 +96,8 @@ def create_store(name: str, **opts) -> IntervalStore:
     """Construct a backend by name -- the single construction entry point.
 
     ``opts`` are forwarded to the backend's factory verbatim, so each
-    backend keeps its own constructor surface (``RITree(coalesce_scans=
-    ...)``, ``HintStore(levels=...)``, ``ShardedStore.create(backend=...,
+    backend keeps its own constructor surface (``RITree(db=...)``,
+    ``HintStore(levels=...)``, ``ShardedStore.create(backend=...,
     shard_count=...)`` behind ``"sharded"``).
 
     >>> from repro.core.stores import create_store, available_backends

@@ -19,6 +19,9 @@ two values far above any reachable backbone node (bounds are capped at
 ±2^48, so shifted nodes stay below 2^49 < ``FORK_NOW``).  Crucially, *no
 modification of the query statement is needed* -- the reserved nodes ride
 along the ordinary rightNodes scan, which is the point of Section 4.6.
+The Allen relations that pin one bound (Section 4.5) reach the reserved
+rows through the same hooks: the injected nodes join their exact
+backbone-path scans.
 """
 
 from __future__ import annotations
@@ -302,18 +305,18 @@ class TemporalRITree(RITree):
     # ------------------------------------------------------------------
     # record materialisation
     # ------------------------------------------------------------------
-    def _record_batches(self, lower, upper):
+    def _record_batches(self, plan):
         """As in :class:`RITree`, with sentinel uppers materialised.
 
         Now-relative records report their *effective* upper bound (the
         current clock); infinite records keep the ``UPPER_INF`` sentinel,
-        which behaves as +infinity under every topological predicate.
-        Covers every record-batch consumer at once: the topological
-        queries (``intersection_records``) and the leaf-slice refinement
-        of predicate joins (``join_pairs(..., predicate=...)``).
+        which behaves as +infinity under every interval predicate.
+        Covers every record-batch consumer at once: predicate and family
+        queries (``query(..., predicate=...)``) and the leaf-slice
+        refinement of predicate joins (``join_pairs(..., predicate=...)``).
         """
         now = self._now
-        for batch in super()._record_batches(lower, upper):
+        for batch in super()._record_batches(plan):
             yield [
                 (s, now if e == UPPER_NOW else e, interval_id)
                 for s, e, interval_id in batch
@@ -322,7 +325,7 @@ class TemporalRITree(RITree):
     def stored_records(self):
         """As in :class:`RITree`, with sentinel uppers materialised.
 
-        Same convention as :meth:`intersection_records`, so index-free
+        Same convention as :meth:`_record_batches`, so index-free
         consumers of the enumerated relation (the planner's sweep
         dispatch) see the effective bounds the reserved-node scans
         enforce.

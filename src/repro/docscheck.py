@@ -1,6 +1,6 @@
 """Documentation lints: links resolve, benchmarks and wire ops are listed.
 
-Five checks keep ``docs/`` honest as the code moves:
+Six checks keep ``docs/`` honest as the code moves:
 
 * every relative markdown link in ``docs/*.md`` and ``README.md`` must
   point at a file or directory that exists (external ``http(s)``,
@@ -18,7 +18,11 @@ Five checks keep ``docs/`` honest as the code moves:
   every block op;
 * every markdown file a source module names (any ``*.md`` file name in a
   ``src/**/*.py`` file) must exist at the repo root or under ``docs/``,
-  so a docstring cannot cite a document that is gone.
+  so a docstring cannot cite a document that is gone;
+* every dotted ``repro.…`` name in ``docs/*.md``, ``README.md`` and
+  ``src/**/*.py`` must resolve to a module or an attribute (the longest
+  importable module prefix, then ``getattr`` for the rest), so prose
+  cannot keep naming a module or function that was deleted or renamed.
 
 Run it locally or from CI as::
 
@@ -29,6 +33,7 @@ Exit status 0 means clean; 1 prints one line per problem.
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -42,6 +47,9 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 #: A markdown file name as source code cites it: ``PAPERS.md``,
 #: ``docs/serving.md``; glob patterns such as ``docs/*.md`` do not match.
 _MD_NAME = re.compile(r"(?<![\w./*-])\w[\w./-]*\.md\b")
+#: A dotted name in the package namespace: ``repro.core.ritree.RITree``;
+#: file paths (``src/repro/...``) do not match.
+_DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 
 
 def _doc_files(root: Path) -> list[Path]:
@@ -135,13 +143,47 @@ def check_source_mentions(root: Path) -> list[str]:
     return problems
 
 
+def _resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module or an attribute path
+    below its longest importable module prefix."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            try:
+                target = getattr(target, attribute)
+            except AttributeError:
+                return False
+        return True
+    return False
+
+
+def check_dotted_names(root: Path) -> list[str]:
+    """Dotted ``repro.…`` names in the docs, ``README.md`` and
+    ``src/**/*.py`` that resolve to nothing, one ``file:line: name`` line
+    each."""
+    problems = []
+    sources = _doc_files(root) + sorted((root / "src").rglob("*.py"))
+    for source in sources:
+        lines = source.read_text().splitlines()
+        for number, line in enumerate(lines, 1):
+            for name in _DOTTED.findall(line):
+                if not _resolves(name):
+                    problems.append(f"{source.relative_to(root)}:{number}: "
+                                    f"names unknown {name}")
+    return problems
+
+
 def run(root: Path) -> list[str]:
     """All documentation problems under ``root`` (empty when clean)."""
     if not (root / "docs").is_dir():
         return [f"no docs/ directory under {root}"]
     return (check_links(root) + check_benchmarks_listed(root)
             + check_ops_listed(root) + check_block_ops_listed(root)
-            + check_source_mentions(root))
+            + check_source_mentions(root) + check_dotted_names(root))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,8 +41,6 @@ from typing import Iterator, Optional, Sequence
 from .buffer import BufferPool
 from .errors import KeyNotFoundError, SchemaError, SerializationError
 from .serial import (
-    INT_MAX,
-    INT_MIN,
     PAGE_HEADER_SIZE,
     IntTupleCodec,
     pack_header,
@@ -142,58 +140,6 @@ class _Bound:
 
     def to_bytes(self) -> bytes:
         return self.page.to_bytes_with(self.codec)
-
-
-def next_key(key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Smallest representable entry strictly greater than ``key``.
-
-    Lexicographic successor over fixed-arity signed-64-bit tuples;
-    ``None`` when ``key`` is the global maximum.
-    """
-    out = list(key)
-    for i in range(len(out) - 1, -1, -1):
-        if out[i] < INT_MAX:
-            out[i] += 1
-            return tuple(out)
-        out[i] = INT_MIN
-    return None
-
-
-def coalesce_ranges(
-    ranges: Sequence[tuple[Sequence[int], Sequence[int]]], arity: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Merge inclusive scan ranges that touch in key space.
-
-    ``ranges`` holds ``(lo_prefix, hi_prefix)`` pairs as accepted by
-    :meth:`BPlusTree.scan_batches`.  Two ranges merge when they overlap or
-    when no representable key separates them, so one scan over the merged
-    range returns exactly the union of the originals' result sets (with
-    overlapping duplicates collapsed).  Each merged range saves one
-    root-to-leaf descent, which is why a coalescing executor performs
-    fewer logical reads than the range-at-a-time plan.
-
-    Returns full-arity padded ranges sorted by lower bound.  Empty ranges
-    (``lo > hi`` after padding) are dropped.
-    """
-    padded = []
-    for lo_prefix, hi_prefix in ranges:
-        lo = pad_low(lo_prefix, arity)
-        hi = pad_high(hi_prefix, arity)
-        if lo <= hi:
-            padded.append((lo, hi))
-    if len(padded) <= 1:
-        return padded
-    padded.sort()
-    merged = [padded[0]]
-    for lo, hi in padded[1:]:
-        last_lo, last_hi = merged[-1]
-        successor = next_key(last_hi)
-        if successor is None or lo <= successor:
-            if hi > last_hi:
-                merged[-1] = (last_lo, hi)
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 def _even_groups(total: int, per_group: int) -> list[int]:

@@ -21,6 +21,7 @@ needs: replaying the logical records rebuilds heap and indexes.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -28,6 +29,7 @@ from .bptree import BPlusTree
 from .buffer import BufferPool
 from .errors import SchemaError
 from .heap import HeapFile
+from .serial import INT_MAX, INT_MIN
 
 
 def _key_getter(column_indexes: tuple[int, ...]) -> Callable[[tuple], tuple]:
@@ -142,21 +144,15 @@ class Table:
         """Insert rows as one statement; return their row ids.
 
         The table's only insert path.  Every row is checked against the
-        schema before anything is logged, so a rejected statement leaves
-        neither a WAL record nor a row behind.  Then one ``insert``
-        record carries all rows, the heap stores them in one pass
-        (:meth:`HeapFile.insert_many`, the row ids of a per-row loop),
-        and each index takes its entries in one sorted
+        schema (:meth:`_checked_rows`) before anything is logged, so a
+        rejected statement leaves neither a WAL record nor a row behind.
+        Then one ``insert`` record carries all rows, the heap stores them
+        in one pass (:meth:`HeapFile.insert_many`, the row ids of a
+        per-row loop), and each index takes its entries in one sorted
         :meth:`BPlusTree.insert_many` -- one descent per leaf run instead
         of one per row.
         """
-        row_tuples = [tuple(row) for row in rows]
-        arity = len(self.columns)
-        for row in row_tuples:
-            if len(row) != arity:
-                raise SchemaError(
-                    f"table {self.name}: row arity {len(row)} != {arity}"
-                )
+        row_tuples = self._checked_rows(rows)
         if not row_tuples:
             return []
         if self._log is not None:
@@ -185,11 +181,12 @@ class Table:
         """Load many rows at once; indexes are built bottom-up.
 
         Only valid while the table is empty, mirroring index rebuilds /
-        initial bulk loads in the paper's experiments.
+        initial bulk loads in the paper's experiments.  Rows are checked
+        as in :meth:`insert_many`, before anything is logged.
         """
         if self.heap.row_count:
             raise SchemaError(f"bulk_load on non-empty table {self.name}")
-        row_tuples = [tuple(row) for row in rows]
+        row_tuples = self._checked_rows(rows)
         if self._log is not None:
             self._log(
                 {
@@ -300,6 +297,27 @@ class Table:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _checked_rows(self, rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """``rows`` as tuples, each of the table's arity and every value a
+        signed 64-bit integer (what a page, and so recovery, can store)."""
+        row_tuples = [tuple(row) for row in rows]
+        arity = len(self.columns)
+        for row in row_tuples:
+            if len(row) != arity:
+                raise SchemaError(
+                    f"table {self.name}: row arity {len(row)} != {arity}"
+                )
+        if row_tuples:
+            low = min(chain.from_iterable(row_tuples))
+            high = max(chain.from_iterable(row_tuples))
+            if low < INT_MIN or high > INT_MAX:
+                value = low if low < INT_MIN else high
+                raise SchemaError(
+                    f"table {self.name}: value {value} is outside the "
+                    f"signed 64-bit column range"
+                )
+        return row_tuples
+
     def _index(self, index_name: str) -> IndexDef:
         try:
             return self.indexes[index_name]

@@ -546,7 +546,7 @@ class SQLRITree(IntervalStore):
         clears them or rolls back.
         """
         floor = ceiling = None
-        if inverse is not None and inverse.name in ("before", "after"):
+        if inverse is not None and inverse.needs_extent:
             floor, ceiling = self._candidate_extent()
         probe_rows: list[tuple] = []
         left_rows: list[tuple[int, int, int]] = []
@@ -751,8 +751,7 @@ class SQLRITree(IntervalStore):
         sentinel), exactly as the simulated engine materialises them.
         """
         floor = ceiling = None
-        if (pred.name in ("before", "after")
-                or getattr(pred, "needs_extent", False)):
+        if pred.needs_extent:
             floor, ceiling = self._candidate_extent()
         candidate = pred.candidates(lower, upper, floor, ceiling)
         if candidate is None:
@@ -823,7 +822,7 @@ class SQLRITree(IntervalStore):
         """The stored relation as ``(lower, upper, id)`` records.
 
         Sentinel uppers are materialised as in
-        :meth:`repro.core.temporal.TemporalRITree.intersection_records`:
+        :meth:`repro.core.temporal.TemporalRITree.stored_records`:
         now-relative rows report the *effective* upper bound (the current
         clock), so an index-free consumer (the planner's sweep dispatch)
         joins the same pair set as the reserved-node scans; infinite rows
@@ -1064,8 +1063,7 @@ class SQLRITree(IntervalStore):
             return self.explain_intersection(lower, upper)
         validate_interval(lower, upper)
         floor = ceiling = None
-        if (pred.name in ("before", "after")
-                or getattr(pred, "needs_extent", False)):
+        if pred.needs_extent:
             floor, ceiling = self._candidate_extent()
         candidate = pred.candidates(lower, upper, floor, ceiling)
         if candidate is None:

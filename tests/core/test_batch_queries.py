@@ -94,65 +94,23 @@ def test_empty_tree_queries():
     assert tree.intersection_per_entry(0, 10) == []
 
 
+def _intersection_records(tree, lower, upper):
+    """The record batches of the intersection plan, flattened."""
+    return [record for batch in tree._record_batches(tree._plan(lower, upper))
+            for record in batch]
+
+
 def test_intersection_records_parity(loaded_tree, loaded_records):
+    """Record batches (what predicate queries and joins refine) carry
+    both bounds and cover exactly the id-level intersection."""
     records = loaded_records
     expected = {(lower, upper, interval_id)
                 for lower, upper, interval_id in records}
-    got = list(loaded_tree.intersection_records(0, 200_000))
+    got = _intersection_records(loaded_tree, 0, 200_000)
     assert set(got) == expected
     assert len(got) == len(records)
-    # Refinement queries agree with id-level intersection.
     for lower, upper in QUERIES[:4]:
         ids = sorted(loaded_tree.intersection(lower, upper))
         rec_ids = sorted(i for _, _, i in
-                         loaded_tree.intersection_records(lower, upper))
+                         _intersection_records(loaded_tree, lower, upper))
         assert rec_ids == ids
-
-
-# ----------------------------------------------------------------------
-# coalesced execution
-# ----------------------------------------------------------------------
-def test_coalesced_execution_same_results_fewer_reads(rng):
-    records = make_intervals(rng, 1500)
-    plain = RITree(Database(block_size=512, cache_blocks=64))
-    plain.bulk_load(records)
-    plain.db.flush()
-    merged = RITree(Database(block_size=512, cache_blocks=64),
-                    coalesce_scans=True)
-    merged.bulk_load(records)
-    merged.db.flush()
-    total_plain = 0
-    total_merged = 0
-    for lower, upper, _ in records[::23]:
-        query = (max(0, lower - 300), upper + 300)
-        assert sorted(merged.intersection(*query)) == \
-            sorted(plain.intersection(*query))
-        with plain.db.measure() as a:
-            plain.intersection(*query)
-        with merged.db.measure() as b:
-            merged.intersection(*query)
-        total_plain += a.logical_reads
-        total_merged += b.logical_reads
-    # Coalescing may only ever remove descents, never add work.
-    assert total_merged <= total_plain
-
-
-def test_coalescing_merges_adjacent_left_node_runs():
-    """A crafted query whose left singleton touches the covered range."""
-    tree = RITree(Database(block_size=512, cache_blocks=64),
-                  coalesce_scans=True)
-    # Dense point intervals make every backbone node down to minstep 0
-    # reachable, so walks toward odd bounds end at the adjacent node.
-    tree.bulk_load([(i, i, i) for i in range(64)])
-    tree.db.flush()
-    plan = tree._plan(33, 40)
-    per_node_ranges = sum(
-        1 for node_min, node_max in tree.query_nodes(33, 40).left) + len(
-        tree.query_nodes(33, 40).right)
-    assert plan is not None
-    merged_ranges = len(plan[0]) + len(plan[1])
-    assert merged_ranges < per_node_ranges
-    reference = RITree(Database(block_size=512, cache_blocks=64))
-    reference.bulk_load([(i, i, i) for i in range(64)])
-    assert sorted(tree.intersection(33, 40)) == \
-        sorted(reference.intersection(33, 40)) == list(range(33, 41))

@@ -4,8 +4,7 @@ Every predicate must produce the identical id (or pair) set through
 
 * the brute-force oracle, which filters its records with the pure
   endpoint formula,
-* the simulated engine's scan-plan compilation (``RITree.query`` via
-  :mod:`repro.core.topology`),
+* the simulated engine's scan-plan compilation (``RITree.query``),
 * the sqlite backend's WHERE-clause rewrite (``SQLRITree.query``),
 * the HINT store's partition walk + direct-formula refinement
   (``HintStore.query``),
@@ -14,16 +13,19 @@ and -- for joins -- through the sweep and nested-loop strategies.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     JOIN_PREDICATES,
+    CompiledQuery,
     PREDICATES,
     HintStore,
     RITree,
     get_predicate,
 )
 from repro.core.join import SweepJoin, interval_join
-from repro.core.topology import ALLEN_RELATIONS, relate
+from repro.core.predicates import ALLEN_RELATIONS, relate
 from repro.methods.memory import BruteForceIntervals
 from repro.methods.windowlist import WindowList
 from repro.sql import SQLRITree
@@ -38,6 +40,81 @@ def shared_endpoint_records(rng, count=400, points=80, domain=300):
         length = rng.choice([1, 2, 5, rng.randrange(1, 60)])
         records.append((start, start + length, i))
     return anchors, records
+
+
+proper_interval = st.tuples(st.integers(0, 2000), st.integers(1, 400)).map(
+    lambda t: (t[0], t[0] + t[1])
+)
+
+
+def test_relate_canonical_examples():
+    # Stored [s, e] vs query [l, u] = [10, 20].
+    cases = {
+        (0, 5): "before",
+        (0, 10): "meets",
+        (5, 15): "overlaps",
+        (5, 20): "finished_by",
+        (5, 25): "contains",
+        (10, 15): "starts",
+        (10, 20): "equals",
+        (10, 25): "started_by",
+        (12, 18): "during",
+        (15, 20): "finishes",
+        (15, 25): "overlapped_by",
+        (20, 30): "met_by",
+        (25, 30): "after",
+    }
+    for (s, e), expected in cases.items():
+        assert relate(s, e, 10, 20) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(proper_interval, proper_interval)
+def test_relate_is_a_partition(stored, query):
+    """Exactly one of the 13 relations holds for proper intervals."""
+    s, e = stored
+    l, u = query
+    assert relate(s, e, l, u) in ALLEN_RELATIONS
+
+
+@settings(max_examples=100, deadline=None)
+@given(proper_interval, proper_interval)
+def test_relate_converse_symmetry(stored, query):
+    """Swapping the roles maps each relation to its converse."""
+    s, e = stored
+    l, u = query
+    assert EXPECTED_INVERSES[relate(s, e, l, u)] == relate(l, u, s, e)
+
+
+def test_intersection_is_not_before_or_after():
+    for s, e, l, u in [(0, 5, 3, 8), (0, 10, 10, 20), (5, 6, 0, 100)]:
+        assert relate(s, e, l, u) not in ("before", "after")
+
+
+def test_pinned_bounds():
+    """Each bound-equality relation pins one subject bound to the point
+    its candidate range is; only before/after consult the extent."""
+    pinned = {name: pred.pinned for name, pred in PREDICATES.items()
+              if pred.pinned}
+    assert pinned == {
+        "meets": "upper", "finishes": "upper", "finished_by": "upper",
+        "starts": "lower", "started_by": "lower", "equals": "lower",
+        "met_by": "lower",
+    }
+    domain = range(12)
+    for pred in PREDICATES.values():
+        if pred.pinned is None:
+            continue
+        for l in domain:
+            for u in domain[l:]:
+                x, x_hi = pred.candidates(l, u, None, None)
+                assert x == x_hi
+                for s in domain:
+                    for e in domain[s:]:
+                        if pred.holds(s, e, l, u):
+                            assert (s if pred.pinned == "lower" else e) == x
+    extent = {name for name, pred in PREDICATES.items() if pred.needs_extent}
+    assert extent == {"before", "after"}
 
 
 def test_registry_is_complete():
@@ -201,6 +278,39 @@ def test_join_strategies_match_the_oracle(name, rng):
     for strategy in ("sweep", "nested-loop", "index", "auto"):
         got = sorted(interval_join(outer, inner, strategy=strategy, predicate=name))
         assert got == expected, (strategy, name)
+
+
+def _extent_family(name, inverse_name):
+    """``name`` as a family object: same formula and candidates, so only
+    its ``needs_extent`` flag says that the candidates read the extent."""
+    base = PREDICATES[name]
+    return CompiledQuery(
+        name=f"{name}_family",
+        holds=base.holds,
+        candidates=base.candidates,
+        sql_refine=base.sql_refine,
+        needs_extent=True,
+        family_name=f"{name}_family",
+        inverse_factory=lambda: _extent_family(inverse_name, name),
+    )
+
+
+@pytest.mark.parametrize("name, inverse_name",
+                         [("before", "after"), ("after", "before")])
+def test_backends_resolve_the_extent_from_the_flag(name, inverse_name, rng):
+    """Queries and joins of a family whose candidates read the extent."""
+    _anchors, records = shared_endpoint_records(rng, count=160)
+    inner = records[:100]
+    probes = [(s, e, 30_000 + i) for s, e, i in records[100:]]
+    family = _extent_family(name, inverse_name)
+    oracle = BruteForceIntervals(inner)
+    expected = sorted(oracle.join_pairs(probes, predicate=name))
+    for store in (RITree(), SQLRITree(), HintStore()):
+        store.bulk_load(inner)
+        assert sorted(store.join_pairs(probes, predicate=family)) == expected
+        for lower, upper, _ in probes[:10]:
+            assert sorted(store.query(lower, upper, predicate=family)) == \
+                sorted(oracle.query(lower, upper, predicate=name))
 
 
 @pytest.mark.parametrize("name", sorted(JOIN_PREDICATES))

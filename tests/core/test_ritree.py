@@ -141,7 +141,8 @@ def test_intersection_records_carries_bounds(rng):
     tree = RITree()
     tree.bulk_load(records)
     lookup = {record[2]: record[:2] for record in records}
-    got = list(tree.intersection_records(0, 200_000))
+    got = [record for batch in tree._record_batches(tree._plan(0, 200_000))
+           for record in batch]
     assert len(got) == 300
     for lower, upper, interval_id in got:
         assert lookup[interval_id] == (lower, upper)

@@ -36,10 +36,14 @@ from repro.core import (
     create_store,
 )
 from repro.core.costmodel import JoinEstimate
-from repro.core.predicates import PREDICATES, compile_query, range_duration
+from repro.core.predicates import (
+    ALLEN_RELATIONS,
+    PREDICATES,
+    compile_query,
+    range_duration,
+)
 from repro.core.stores import available_backends
 from repro.core.temporal import UPPER_INF, UPPER_NOW
-from repro.core.topology import ALLEN_RELATIONS
 from repro.engine import Database, FaultInjector, SimulatedCrash
 from repro.methods.memory import BruteForceIntervals
 from repro.workloads import join_workload
@@ -406,6 +410,23 @@ class StoreMachine(RuleBasedStateMachine):
         self._both(
             "delete_infinite", *self.infinite.pop(k % len(self.infinite)))
 
+    def _anchored_windows(self):
+        """Windows sharing a bound with one live row or with the clock,
+        so the bound-equality relations have matches to find."""
+        now = self.oracle.now
+        rows = (self.finite + [(lower, now, i) for lower, i in self.open]
+                + [(lower, lower, i) for lower, i in self.infinite])
+        anchors = {now}
+        windows = set()
+        if rows:
+            lower, upper, _ = rows[self.steps % len(rows)]
+            anchors |= {lower, upper}
+            windows.add((lower, upper))
+        for anchor in anchors:
+            windows.add((max(anchor - 500, 0), anchor))
+            windows.add((anchor, anchor + 500))
+        return sorted(windows)
+
     @invariant()
     def agrees_with_the_oracle(self):
         report = self.store.verify()
@@ -417,7 +438,8 @@ class StoreMachine(RuleBasedStateMachine):
         for lower, upper in windows:
             self._agree("intersection", lower, upper)
             self._agree("intersection_count", lower, upper)
-        self._agree("query", 9_000, 17_000, predicate=relation)
+        for lower, upper in [(9_000, 17_000)] + self._anchored_windows():
+            self._agree("query", lower, upper, predicate=relation)
         self._agree("query", 0, 30_000, predicate=range_duration(200, 1_500))
         probes = [(lower, upper, k) for k, (lower, upper) in enumerate(windows)]
         self._agree("join_pairs", probes)
@@ -430,7 +452,8 @@ class StoreMachine(RuleBasedStateMachine):
 @pytest.mark.parametrize("store_name", STORE_NAMES)
 def test_property_store_matches_oracle(store_name):
     """Interleaved inserts, deletes, appends, clock ticks, temporal rows
-    and closures; intersections, counts, an Allen relation, a
+    and closures; intersections, counts, an Allen relation (also on
+    windows sharing a bound with a live row or the clock), a
     range-duration band, joins and the stored relation after each."""
     run_state_machine_as_test(
         lambda: StoreMachine(STORE_FACTORIES[store_name]),

@@ -112,11 +112,13 @@ def test_mixed_database_against_brute_force(rng):
 def test_advancing_clock_updates_effective_uppers(rng):
     tree = TemporalRITree(now=1000)
     tree.insert_until_now(500, 1)
-    records = list(tree.intersection_records(900, 950))
-    assert records == [(500, 1000, 1)]
+    assert tree.stored_records() == [(500, 1000, 1)]
+    assert tree.query(900, 1000, predicate="finished_by") == [1]
     tree.advance_to(2000)
-    records = list(tree.intersection_records(900, 950))
-    assert records == [(500, 2000, 1)]
+    assert tree.stored_records() == [(500, 2000, 1)]
+    assert tree.query(900, 1000, predicate="finished_by") == []
+    assert tree.query(900, 2000, predicate="finished_by") == [1]
+    assert tree.query(2000, 2100, predicate="meets") == [1]
 
 
 def test_counts():

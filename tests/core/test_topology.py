@@ -1,130 +1,150 @@
-"""Tests for Allen's 13 interval relations (paper Section 4.5)."""
+"""Allen's 13 interval relations on the disk RI-tree (paper Section 4.5).
+
+Every relation runs through ``query(predicate=...)`` on ``RITree`` and
+``TemporalRITree`` and must agree with the oracle store; the relations
+that pin one bound keep their O(h) exact-scan plans.
+"""
+
+import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import RITree
-from repro.core import topology
+from repro.core import RITree, TemporalRITree
+from repro.core.predicates import ALLEN_RELATIONS, PREDICATES
+from repro.core.temporal import UPPER_INF, UPPER_NOW
+from repro.methods.memory import BruteForceIntervals
 
-proper_interval = st.tuples(st.integers(0, 2000),
-                            st.integers(1, 400)).map(
-    lambda t: (t[0], t[0] + t[1]))
+NOW = 5_100
 
 
-def test_relate_canonical_examples():
-    # Stored [s, e] vs query [l, u] = [10, 20].
-    cases = {
-        (0, 5): "before",
-        (0, 10): "meets",
-        (5, 15): "overlaps",
-        (5, 20): "finished_by",
-        (5, 25): "contains",
-        (10, 15): "starts",
-        (10, 20): "equals",
-        (10, 25): "started_by",
-        (12, 18): "during",
-        (15, 20): "finishes",
-        (15, 25): "overlapped_by",
-        (20, 30): "met_by",
-        (25, 30): "after",
-    }
-    for (s, e), expected in cases.items():
-        assert topology.relate(s, e, 10, 20) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(proper_interval, proper_interval)
-def test_relate_is_a_partition(stored, query):
-    """Exactly one of the 13 relations holds for proper intervals."""
-    s, e = stored
-    l, u = query
-    relation = topology.relate(s, e, l, u)
-    assert relation in topology.ALLEN_RELATIONS
-
-
-@settings(max_examples=100, deadline=None)
-@given(proper_interval, proper_interval)
-def test_relate_converse_symmetry(stored, query):
-    """Swapping the roles maps each relation to its converse."""
-    converse = {
-        "before": "after", "after": "before",
-        "meets": "met_by", "met_by": "meets",
-        "overlaps": "overlapped_by", "overlapped_by": "overlaps",
-        "starts": "started_by", "started_by": "starts",
-        "finishes": "finished_by", "finished_by": "finishes",
-        "during": "contains", "contains": "during",
-        "equals": "equals",
-    }
-    s, e = stored
-    l, u = query
-    forward = topology.relate(s, e, l, u)
-    backward = topology.relate(l, u, s, e)
-    assert converse[forward] == backward
-
-
-def test_intersection_is_not_before_or_after():
-    for s, e, l, u in [(0, 5, 3, 8), (0, 10, 10, 20), (5, 6, 0, 100)]:
-        relation = topology.relate(s, e, l, u)
-        assert relation not in ("before", "after")
+def _records(seed, count=1200):
+    rng = random.Random(seed)
+    records = []
+    for i in range(count):
+        lower = rng.randrange(0, 5000)
+        records.append((lower, lower + rng.randrange(1, 300), i))
+    return records
 
 
 @pytest.fixture(scope="module")
 def loaded_tree():
-    import random
-    rng = random.Random(31337)
     tree = RITree()
-    data = {}
-    for i in range(1200):
-        lower = rng.randrange(0, 5000)
-        upper = lower + rng.randrange(1, 300)
-        tree.insert(lower, upper, i)
-        data[i] = (lower, upper)
-    return tree, data
+    records = _records(31337)
+    for lower, upper, interval_id in records:
+        tree.insert(lower, upper, interval_id)
+    return tree, BruteForceIntervals(records), records
 
 
-@pytest.mark.parametrize("relation", topology.ALLEN_RELATIONS)
-def test_each_relation_query_equals_brute_force(loaded_tree, relation):
-    import random
-    rng = random.Random(hash(relation) & 0xFFFF)
-    tree, data = loaded_tree
+@pytest.fixture(scope="module")
+def temporal_tree():
+    """Finite rows plus now-relative and infinite rows, some of them
+    sharing bounds with finite rows and with the clock."""
+    records = _records(4242, count=600)
+    rng = random.Random(7)
+    special = [(rng.choice(records)[rng.randrange(2)], UPPER_NOW, 1000 + i)
+               for i in range(40)]
+    special += [(rng.choice(records)[rng.randrange(2)], UPPER_INF, 2000 + i)
+                for i in range(40)]
+    special += [(NOW, UPPER_NOW, 3000), (NOW, UPPER_INF, 3001)]
+    tree = TemporalRITree(now=NOW)
+    tree.bulk_load(records)
+    tree.append_batch(special)
+    oracle = BruteForceIntervals()
+    oracle.advance_to(NOW)
+    oracle.append_batch(records + special)
+    return tree, oracle, records + special
+
+
+def _windows(rng, records):
+    """Random windows, and windows sharing a bound with stored rows."""
+    windows = []
     for _ in range(25):
         l = rng.randrange(0, 5200)
-        u = l + rng.randrange(1, 400)
-        got = sorted(topology.query_relation(tree, relation, l, u))
-        expected = sorted(i for i, (s, e) in data.items()
-                          if topology.relate(s, e, l, u) == relation)
-        assert got == expected, (relation, l, u)
+        windows.append((l, l + rng.randrange(1, 400)))
+    for lower, upper, _ in rng.sample(records, 15):
+        upper = NOW if upper == UPPER_NOW else min(upper, 6000)
+        windows += [(lower, upper), (max(lower - 40, 0), lower),
+                    (upper, upper + 40)]
+    windows += [(NOW - 40, NOW), (NOW, NOW + 40), (NOW, NOW)]
+    return windows
+
+
+@pytest.mark.parametrize("relation", ALLEN_RELATIONS)
+def test_each_relation_query_equals_brute_force(loaded_tree, temporal_tree,
+                                                relation):
+    rng = random.Random(ALLEN_RELATIONS.index(relation))
+    for tree, oracle, records in (loaded_tree, temporal_tree):
+        for l, u in _windows(rng, records):
+            got = sorted(tree.query(l, u, predicate=relation))
+            expected = sorted(oracle.query(l, u, predicate=relation))
+            assert got == expected, (type(tree).__name__, relation, l, u)
 
 
 def test_relations_partition_the_database(loaded_tree):
-    tree, data = loaded_tree
+    tree, _oracle, records = loaded_tree
     l, u = 2000, 2500
     union: list[int] = []
-    for relation in topology.ALLEN_RELATIONS:
-        union.extend(topology.query_relation(tree, relation, l, u))
-    assert sorted(union) == sorted(data)  # every interval in exactly one
+    for relation in ALLEN_RELATIONS:
+        union.extend(tree.query(l, u, predicate=relation))
+    # every interval in exactly one relation
+    assert sorted(union) == sorted(i for _, _, i in records)
 
 
 def test_exact_bound_relations_use_path_scans(loaded_tree):
     """meets/starts/etc. answer with O(h) probes -- far fewer logical reads
     than an intersection query returning the same region."""
-    tree, data = loaded_tree
+    tree, _oracle, _records = loaded_tree
     tree.db.clear_cache()
     with tree.db.measure() as eq:
-        topology.equals(tree, 2000, 2300)
+        tree.query(2000, 2300, predicate="equals")
     with tree.db.measure() as inter:
         tree.intersection(0, 5300)
     assert eq.logical_reads < inter.logical_reads
 
 
+@pytest.mark.parametrize(
+    "relation", [name for name in ALLEN_RELATIONS if PREDICATES[name].pinned])
+def test_pinned_relations_scan_one_exact_range_per_path_node(
+        loaded_tree, temporal_tree, relation):
+    """One exact ``(node, x)`` range of the pinned bound's index per
+    backbone node on the path toward the pinned point and, for a pinned
+    lower bound, per injected reserved node; a pinned upper bound scans
+    the reserved nodes as ``stab(x)`` does.  No more reads than refining
+    the ``stab(x)`` candidate plan."""
+    pred = PREDICATES[relation]
+    for tree, _oracle, records in (loaded_tree, temporal_tree):
+        for lower, upper, _ in records[:40:4]:
+            upper = min(upper, NOW)
+            x = pred.candidates(lower, upper, None, None)[0]
+            path = tree.backbone.walk_toward(tree.backbone.shift(x))
+            reserved = list(tree._collect_extra_right_nodes(x, x))
+            upper_ranges, lower_ranges = tree._pinned_plan(pred.pinned, x)
+            assert len(upper_ranges) + len(lower_ranges) == \
+                len(path) + len(reserved)
+            if pred.pinned == "upper":
+                exact, stab = upper_ranges, lower_ranges
+                assert [lo[0] for lo, _ in stab] == reserved
+                assert all(hi[:2] == (lo[0], x) for lo, hi in stab)
+            else:
+                exact = lower_ranges
+                assert upper_ranges == []
+            assert [lo[0] for lo, _ in exact] == path + (
+                reserved if pred.pinned == "lower" else [])
+            assert all(lo[:2] == hi[:2] == (lo[0], x) for lo, hi in exact)
+            with tree.db.measure() as pinned:
+                tree.query(lower, upper, predicate=relation)
+            with tree.db.measure() as candidates:
+                list(tree._record_batches(tree._plan(x, x)))
+            assert pinned.logical_reads <= candidates.logical_reads
+
+
 def test_unknown_relation_rejected(loaded_tree):
-    tree, _ = loaded_tree
+    tree, _oracle, _records = loaded_tree
     with pytest.raises(ValueError):
-        topology.query_relation(tree, "sideways", 1, 2)
+        tree.query(1, 2, predicate="sideways")
 
 
 def test_relations_on_empty_tree():
-    tree = RITree()
-    for relation in topology.ALLEN_RELATIONS:
-        assert topology.query_relation(tree, relation, 5, 10) == []
+    for tree in (RITree(), TemporalRITree(now=7)):
+        for relation in ALLEN_RELATIONS:
+            assert tree.query(5, 10, predicate=relation) == []

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database
-from repro.engine.bptree import BPlusTree, coalesce_ranges, next_key
+from repro.engine.bptree import BPlusTree
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import BlockError
-from repro.engine.serial import INT_MAX, INT_MIN, pad_high, pad_low
+from repro.engine.serial import pad_high, pad_low
 from repro.engine.storage import DiskManager
 
 
@@ -221,51 +221,3 @@ def test_fetch_many_rejects_dead_and_invalid_rowids(db):
     with pytest.raises(BlockError):
         table.fetch_many([-1])
     assert table.fetch_many([]) == []
-
-
-# ----------------------------------------------------------------------
-# range coalescing
-# ----------------------------------------------------------------------
-def test_next_key_successor():
-    assert next_key((1, 5)) == (1, 6)
-    assert next_key((1, INT_MAX)) == (2, INT_MIN)
-    assert next_key((INT_MAX, INT_MAX)) is None
-
-
-def test_coalesce_ranges_merges_touching_and_overlapping():
-    arity = 2
-    # Overlapping ranges collapse.
-    merged = coalesce_ranges([((1,), (5,)), ((3,), (9,))], arity)
-    assert merged == [(pad_low((1,), 2), pad_high((9,), 2))]
-    # Exactly adjacent in key space: (w, MAX) + 1 == (w + 1, MIN).
-    merged = coalesce_ranges([((1,), (2,)), ((3,), (4,))], arity)
-    assert merged == [(pad_low((1,), 2), pad_high((4,), 2))]
-    # A representable gap keeps ranges apart.
-    merged = coalesce_ranges([((1,), (2,)), ((4,), (5,))], arity)
-    assert len(merged) == 2
-    # Empty and inverted ranges are dropped; order is normalised.
-    merged = coalesce_ranges([((7,), (4,)), ((5,), (6,)), ((1,), (2,))],
-                             arity)
-    assert merged == [(pad_low((1,), 2), pad_high((2,), 2)),
-                      (pad_low((5,), 2), pad_high((6,), 2))]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
-                max_size=12))
-def test_coalesce_ranges_preserves_covered_keys(bounds):
-    """The union of covered single-column keys is invariant."""
-    arity = 1
-    ranges = [((lo,), (hi,)) for lo, hi in bounds]
-    merged = coalesce_ranges(ranges, arity)
-    def covered(rs):
-        keys = set()
-        for lo, hi in rs:
-            lo_k = pad_low(lo, arity)[0]
-            hi_k = pad_high(hi, arity)[0]
-            keys.update(range(lo_k, hi_k + 1))
-        return keys
-    assert covered(ranges) == covered(merged)
-    # Merged ranges are sorted and pairwise non-adjacent.
-    for (_, hi_a), (lo_b, _) in zip(merged, merged[1:]):
-        assert next_key(hi_a) < lo_b

@@ -244,6 +244,33 @@ def test_rejected_row_leaves_no_record():
     assert [row for _, row in again.table("T").scan()] == [(1, 2)]
 
 
+@pytest.mark.parametrize(
+    "bad", [(2**63, 0), (0, -(2**63) - 1), (2**70, 1)]
+)
+def test_out_of_range_value_is_rejected_before_logging(bad):
+    """A value a page cannot store never reaches the log, so flush and
+    recover keep working."""
+    db = Database(wal=True)
+    table = db.create_table("T", ["a", "b"])
+    with pytest.raises(SchemaError, match="64-bit"):
+        table.insert(bad)
+    with pytest.raises(SchemaError, match="64-bit"):
+        table.insert_many([(1, 2), bad])
+    bulk = db.create_table("B", ["a", "b"])
+    with pytest.raises(SchemaError, match="64-bit"):
+        bulk.bulk_load([(1, 2), bad])
+    assert [r["t"] for r in db.wal.records()] == [
+        "begin", "create_table", "commit", "begin", "create_table", "commit"]
+    assert table.row_count == bulk.row_count == 0
+    edge = (2**63 - 1, -(2**63))
+    table.insert(edge)
+    bulk.bulk_load([edge])
+    db.flush()
+    recovered = db.recover()
+    assert [row for _, row in recovered.table("T").scan()] == [edge]
+    assert [row for _, row in recovered.table("B").scan()] == [edge]
+
+
 def test_recover_drops_unforced_tail():
     db = Database(wal=True)
     table = db.create_table("T", ["a"])

@@ -4,7 +4,8 @@ The same checks CI's docs-check job performs: every relative link in
 ``docs/`` and ``README.md`` resolves, every benchmark script has an
 entry in ``docs/benchmarks.md``, every wire op is named in
 ``docs/serving.md``, every block-result op in its frame-layout
-paragraph, and every markdown file a source module names exists.
+paragraph, every markdown file a source module names exists, and every
+dotted ``repro.…`` name in the docs and the sources resolves.
 """
 
 import pathlib
@@ -70,6 +71,26 @@ def test_every_document_named_in_source_exists(tmp_path):
         'The rationale is in DESIGN.md section 2."""\n')
     assert docscheck.check_source_mentions(tmp_path) == [
         "src/pkg/mod.py:3: names missing document DESIGN.md"]
+
+
+def test_every_dotted_name_resolves(tmp_path):
+    assert docscheck.check_dotted_names(ROOT) == []
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text(
+        "Use `repro.core.predicates.relate` and `repro.core.RITree.query`;\n"
+        "`repro.core.topology` held the relation queries.\n"
+    )
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""See src/repro/gone.py and\n'
+        ':meth:`~repro.core.ritree.RITree.intersection_records`."""\n'
+    )
+    assert docscheck.check_dotted_names(tmp_path) == [
+        "docs/guide.md:2: names unknown repro.core.topology",
+        "src/pkg/mod.py:2: names unknown "
+        "repro.core.ritree.RITree.intersection_records",
+    ]
 
 
 def test_checker_reports_problems(tmp_path):

@@ -11,7 +11,6 @@ from repro.core import (
     RITreeCostModel,
     StringIntervalTree,
     TemporalRITree,
-    topology,
 )
 from repro.engine import Database
 from repro.methods import BruteForceIntervals
@@ -26,13 +25,13 @@ def test_temporal_plus_topology_flow():
     table.insert_until_now(30, 2)
     table.insert_infinite(60, 3)
     # `during` the period [20, 200]: interval 2's effective upper is 100.
-    assert topology.during(table, 20, 200) == [2]
+    assert table.query(20, 200, predicate="during") == [2]
     table.advance_to(300)
     # Now interval 2 spans [30, 300], no longer strictly inside [20, 200];
     # both it and the open-ended interval 3 overlap the period from the
     # right instead.
-    assert topology.during(table, 20, 200) == []
-    assert sorted(topology.overlapped_by(table, 20, 200)) == [2, 3]
+    assert table.query(20, 200, predicate="during") == []
+    assert sorted(table.query(20, 200, predicate="overlapped_by")) == [2, 3]
 
 
 def test_workload_to_ritree_to_costmodel_pipeline():
