@@ -39,7 +39,7 @@ import time
 from benchlib import figure10_plan
 from repro.bench.experiments import get_scale
 from repro.bench.harness import paper_database, run_join_batch
-from repro.core import HintStore, RITree, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, HintStore, RITree, TemporalRITree
 from repro.core.join import AutoJoin, SweepJoin
 from repro.core.predicates import range_duration
 from repro.core.router import ShardedStore
@@ -185,9 +185,9 @@ def _temporal_leg(workload, bands, scale, seed):
         store.bulk_load(records)
         store.advance_to(TEMPORAL_NOW)
         for lower, interval_id in now_rows:
-            store.insert_until_now(lower, interval_id)
+            store.insert(lower, UPPER_NOW, interval_id)
         for lower, interval_id in infinite_rows:
-            store.insert_infinite(lower, interval_id)
+            store.insert(lower, UPPER_INF, interval_id)
     windows = query_gen.range_queries(
         workload, 0.01, scale["range_duration_queries"], seed=seed + 31
     )

@@ -32,7 +32,7 @@ import time
 
 from benchlib import crash_sweep
 from repro.bench.experiments import get_scale
-from repro.core import RITree, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, RITree, TemporalRITree
 
 #: Interval rows per workload, by scale preset.
 ROWS_BY_SCALE = {"tiny": 30, "small": 120, "paper": 400}
@@ -57,8 +57,8 @@ def temporal_steps(tree, rows):
     return [
         lambda: tree.bulk_load(head),
         lambda: tree.extend(tail),
-        lambda: tree.insert_infinite(40, len(rows)),
-        lambda: tree.insert_until_now(10, len(rows) + 1),
+        lambda: tree.insert(40, UPPER_INF, len(rows)),
+        lambda: tree.insert(10, UPPER_NOW, len(rows) + 1),
         lambda: tree.advance_to(5000),
         lambda: tree.delete(*rows[1]),
         lambda: tree.close_now_interval(10, len(rows) + 1, 4500),

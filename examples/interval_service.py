@@ -14,7 +14,7 @@ import random
 import threading
 
 from repro.core.stores import available_backends, create_store
-from repro.core.temporal import UPPER_INF
+from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.service.client import RemoteStore, ServiceClient
 from repro.service.server import IntervalService
 
@@ -76,13 +76,17 @@ def main() -> None:
             f"intervals match on every query form"
         )
 
-        # Mutations and temporal rows travel too, sentinels intact.
+        # Mutations travel too.  Temporal rows are plain records whose
+        # sentinel upper marks [l, oo) or [l, now]: they ride the same
+        # insert and ingest_batch frames, sentinels intact.
         for target in (remote, local):
             target.insert(100, 200, 10_000)
-            target.insert_infinite(6_000, 10_001)
+            target.insert(6_000, UPPER_INF, 10_001)
             target.advance_to(7_500)
+            target.append_batch([(7_000, UPPER_NOW, 10_002)])
         open_rows = remote.intersection(6_500, UPPER_INF)
         assert sorted(open_rows) == sorted(local.intersection(6_500, UPPER_INF))
+        assert {10_001, 10_002} <= set(remote.stab(7_500))
         assert remote.verify().ok
         clock = remote.call("info")["now"]
         print(f"after mutations: clock {clock}, verify ok")

@@ -11,7 +11,7 @@ Also demonstrates the fine-grained Allen relations of Section 4.5.
 Run:  python examples/temporal_validtime.py
 """
 
-from repro.core import TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, TemporalRITree
 
 ASSIGNMENTS = {
     1: "Ada    - compiler team (2010-2015)",
@@ -26,11 +26,13 @@ def main() -> None:
     clock = 2018
     table = TemporalRITree(now=clock)
 
+    # One insert for every row: the sentinel upper UPPER_INF stores
+    # [start, infinity), UPPER_NOW stores [start, now].
     table.insert(2010, 2015, interval_id=1)
-    table.insert_infinite(2012, interval_id=2)
-    table.insert_until_now(2013, interval_id=3)
+    table.insert(2012, UPPER_INF, interval_id=2)
+    table.insert(2013, UPPER_NOW, interval_id=3)
     table.insert(2014, 2016, interval_id=4)
-    table.insert_until_now(2016, interval_id=5)
+    table.insert(2016, UPPER_NOW, interval_id=5)
 
     def show(label, ids):
         print(label)

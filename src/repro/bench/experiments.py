@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from ..core.backbone import FixedHeightBackbone, VirtualBackbone
 from ..core.ritree import RITree
-from ..core.temporal import TemporalRITree
+from ..core.temporal import UPPER_INF, TemporalRITree
 from ..engine.database import Database
 from ..methods.ist import ISTree
 from ..methods.tindex import TileIndex, tune_fixed_level
@@ -956,7 +956,7 @@ def ablation_temporal(
     reserved = TemporalRITree(paper_database())
     reserved.bulk_load(workload.records)
     for k, lower in enumerate(infinite_lowers):
-        reserved.insert_infinite(lower, n + k)
+        reserved.insert(lower, UPPER_INF, n + k)
     reserved.db.flush()
     # Strategy 2: naive registration with a huge upper bound.
     naive = RITree(paper_database())

@@ -70,7 +70,6 @@ from .join import (
 from .ritree import RITree
 from .router import ShardedStore, derive_cuts
 from .stores import available_backends, create_store, register_backend
-from .strings import StringIntervalTree, string_code
 from .temporal import (
     FORK_INF,
     FORK_NOW,
@@ -120,13 +119,11 @@ __all__ = [
     "RITree",
     "RITreeCostModel",
     "ShardedStore",
-    "StringIntervalTree",
     "available_backends",
     "create_store",
     "derive_cuts",
     "register_backend",
     "TemporalRITree",
-    "string_code",
     "UPPER_INF",
     "UPPER_NOW",
     "VirtualBackbone",

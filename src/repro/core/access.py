@@ -70,14 +70,14 @@ class IntervalStore(ABC):
 
         The sentinel uppers :data:`~repro.core.temporal.UPPER_INF` and
         :data:`~repro.core.temporal.UPPER_NOW` are reserved for temporal
-        rows.  Backends with temporal support store such records through
-        their dedicated ``insert_infinite`` / ``insert_until_now`` entry
-        points; the main-memory :class:`~repro.core.hint.HintStore`
-        additionally routes the sentinels from plain ``insert``, so
-        sentinel-bearing records load through its uniform ``bulk_load``.
-        Stores without temporal rows have no special case -- the
-        sentinels are merely huge uppers, which the plain RI-tree's
-        backbone rejects as out of domain.
+        rows: a backend with temporal support (one with an ``advance_to``
+        clock) stores ``[lower, oo)`` / ``[lower, now]`` for them, after
+        :func:`~repro.core.temporal.sentinel_node` has refused a
+        non-integer lower bound, one at or above the sentinels, or a
+        now-relative row starting after the clock.  Stores without
+        temporal rows have no special case -- the sentinels are merely
+        huge uppers, which the plain RI-tree's backbone rejects as out of
+        domain.
         """
 
     @abstractmethod
@@ -87,11 +87,9 @@ class IntervalStore(ABC):
         All three fields must match an existing record; when the record
         was inserted more than once, a single copy is removed.  Raises
         :class:`KeyError` (and leaves the store unchanged) when the
-        exact record is absent -- deletion is never fuzzy.  Temporal
-        rows are removed through the dedicated ``delete_infinite`` /
-        ``delete_until_now`` entry points; the
-        :class:`~repro.core.hint.HintStore` also routes the sentinel
-        uppers from here, mirroring its :meth:`insert`.
+        exact record is absent -- deletion is never fuzzy.  A temporal
+        row is removed by its sentinel upper, as :meth:`insert` stored
+        it, and validated the same way.
         """
 
     def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
@@ -113,10 +111,9 @@ class IntervalStore(ABC):
 
         The contract is :meth:`extend` with batch-level atomicity left
         to the backend: after the call the store holds every record of
-        the batch, with the sentinel uppers
-        :data:`~repro.core.temporal.UPPER_INF` /
-        :data:`~repro.core.temporal.UPPER_NOW` routed through the
-        temporal entry points on backends that have them.  Backends with
+        the batch, sentinel uppers stored as by :meth:`insert`.  A
+        backend that writes the batch at once validates every record
+        first, so a rejected record leaves it unchanged.  Backends with
         a cheaper batched write path -- one group commit per batch on
         the WAL engines, one deferred re-sort per touched partition on
         the main-memory store, one transaction on sqlite -- override
@@ -125,15 +122,8 @@ class IntervalStore(ABC):
         :class:`repro.ingest.ingestor.StreamIngestor`, which adds
         buffering, backpressure and periodic checkpoints on top.
         """
-        from .temporal import UPPER_INF, UPPER_NOW
-
         for lower, upper, interval_id in intervals:
-            if upper == UPPER_INF and hasattr(self, "insert_infinite"):
-                self.insert_infinite(lower, interval_id)
-            elif upper == UPPER_NOW and hasattr(self, "insert_until_now"):
-                self.insert_until_now(lower, interval_id)
-            else:
-                self.insert(lower, upper, interval_id)
+            self.insert(lower, upper, interval_id)
 
     # ------------------------------------------------------------------
     # queries

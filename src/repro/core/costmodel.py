@@ -861,22 +861,24 @@ class _EngineTreeStatistics:
         re-sort into the two global distributions, and the rowid pairs
         the two bounds of one row back up for the duration histogram
         (ids may repeat).  Now-relative sentinel rows contribute their
-        *effective* duration; infinite rows keep the sentinel.
+        *effective* upper bound, the clock, as in ``stored_records()``
+        and the HINT and router statistics; infinite rows keep the
+        sentinel.
         """
         now = getattr(self.tree, "_now", None)
         lower_entries = list(
             self.tree.table.index("lowerIndex").tree.scan_all())
-        upper_entries = list(
-            self.tree.table.index("upperIndex").tree.scan_all())
         lower_of = {entry[-1]: entry[1] for entry in lower_entries}
-        durations = sorted(
-            (now if now is not None and entry[1] == UPPER_NOW
-             else entry[1]) - lower_of[entry[-1]]
-            for entry in upper_entries)
+        uppers = [(now if now is not None and entry[1] == UPPER_NOW
+                   else entry[1], entry[-1])
+                  for entry in self.tree.table.index("upperIndex")
+                  .tree.scan_all()]
         return BoundSummary(
             sorted(entry[1] for entry in lower_entries),
-            sorted(entry[1] for entry in upper_entries),
-            buckets, sorted_durations=durations)
+            sorted(upper for upper, _rowid in uppers),
+            buckets,
+            sorted_durations=sorted(
+                upper - lower_of[rowid] for upper, rowid in uppers))
 
     def geometry(self, count: int) -> StoreGeometry:
         """Read the realised index shape off the live B+-trees."""

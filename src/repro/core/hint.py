@@ -60,7 +60,7 @@ from .costmodel import (
 )
 from .interval import validate_interval
 from .predicates import resolve_join_predicate
-from .temporal import UPPER_INF, UPPER_NOW
+from .temporal import FORK_INF, UPPER_INF, UPPER_NOW, sentinel_node
 from .verify import VerificationReport
 
 #: Default partitioning depth: ``levels = m`` gives ``2**m`` cells at the
@@ -332,11 +332,9 @@ class HintStore(IntervalStore):
     # updates
     # ------------------------------------------------------------------
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
-        if upper == UPPER_INF:
-            self.insert_infinite(lower, interval_id)
-            return
-        if upper == UPPER_NOW:
-            self.insert_until_now(lower, interval_id)
+        node = sentinel_node(lower, upper, self._now)
+        if node is not None:
+            self._insert_side(node, lower, interval_id)
             return
         validate_interval(lower, upper)
         self._mutations += 1
@@ -354,7 +352,9 @@ class HintStore(IntervalStore):
     def append_batch(self, intervals) -> None:
         """Streaming append: raw bucket appends, one resort per bucket.
 
-        Sentinel rows take the regular side-list inserts.  Finite rows
+        Every record is validated first, so a rejected one leaves the
+        store unchanged; sentinel rows then take the regular side-list
+        inserts.  Finite rows
         are fitted under a single domain check over the batch envelope
         (a mid-batch refit would rebuild the levels from ``_finite``
         and drop the still-unsorted raw appends), appended unsorted to
@@ -363,20 +363,23 @@ class HintStore(IntervalStore):
         bisect insertion for a batch that lands k records in one bucket.
         """
         finite: list[IntervalRecord] = []
+        side: list[tuple[int, int, int]] = []
         lo: Optional[int] = None
         hi: Optional[int] = None
+        now = self._now
         for lower, upper, interval_id in intervals:
-            if upper == UPPER_INF:
-                self.insert_infinite(lower, interval_id)
-            elif upper == UPPER_NOW:
-                self.insert_until_now(lower, interval_id)
-            else:
-                validate_interval(lower, upper)
-                finite.append((lower, upper, interval_id))
-                if lo is None or lower < lo:
-                    lo = lower
-                if hi is None or upper > hi:
-                    hi = upper
+            node = sentinel_node(lower, upper, now)
+            if node is not None:
+                side.append((node, lower, interval_id))
+                continue
+            validate_interval(lower, upper)
+            finite.append((lower, upper, interval_id))
+            if lo is None or lower < lo:
+                lo = lower
+            if hi is None or upper > hi:
+                hi = upper
+        for node, lower, interval_id in side:
+            self._insert_side(node, lower, interval_id)
         if not finite:
             return
         self._mutations += 1
@@ -407,11 +410,10 @@ class HintStore(IntervalStore):
             bucket.resort()
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
-        if upper == UPPER_INF:
-            self.delete_infinite(lower, interval_id)
-            return
-        if upper == UPPER_NOW:
-            self.delete_until_now(lower, interval_id)
+        node = sentinel_node(lower, upper, self._now)
+        if node is not None:
+            self._remove_side(*self._side(node), lower, interval_id)
+            self._mutations += 1
             return
         record = (lower, upper, interval_id)
         if self._finite.get(record, 0) <= 0:
@@ -445,50 +447,32 @@ class HintStore(IntervalStore):
         self._mutations += 1
         self._now = now
 
-    def insert_infinite(self, lower: int, interval_id: int) -> None:
-        """Insert the open-ended interval ``[lower, infinity)``."""
-        validate_interval(lower, lower)
-        self._mutations += 1
-        i = bisect_right(self._inf_lowers, lower)
-        self._inf_lowers.insert(i, lower)
-        self._inf_ids.insert(i, interval_id)
-        self._note_bounds(lower, lower)
+    def _side(self, node: int) -> tuple[list[int], list[int]]:
+        """The ``(lowers, ids)`` side list of a reserved fork node."""
+        if node == FORK_INF:
+            return self._inf_lowers, self._inf_ids
+        return self._now_lowers, self._now_ids
 
-    def insert_until_now(self, lower: int, interval_id: int) -> None:
-        """Insert the now-relative interval ``[lower, now]``.
+    def _insert_side(self, node: int, lower: int, interval_id: int) -> None:
+        """Insert a validated sentinel row into its side list.
 
-        The row's effective upper bound follows the clock without any
-        maintenance: the side list keys on the lower bound only.
+        A now-relative row's effective upper bound follows the clock
+        without any maintenance: the side list keys on the lower bound
+        only.
         """
-        validate_interval(lower, lower)
-        if lower > self._now:
-            raise ValueError(
-                f"now-relative interval starts at {lower}, after now="
-                f"{self._now}")
+        lowers, ids = self._side(node)
         self._mutations += 1
-        i = bisect_right(self._now_lowers, lower)
-        self._now_lowers.insert(i, lower)
-        self._now_ids.insert(i, interval_id)
+        i = bisect_right(lowers, lower)
+        lowers.insert(i, lower)
+        ids.insert(i, interval_id)
         self._note_bounds(lower, lower)
-
-    def delete_infinite(self, lower: int, interval_id: int) -> None:
-        """Delete an infinite interval by its lower bound and id."""
-        self._remove_side(self._inf_lowers, self._inf_ids,
-                          lower, interval_id)
-        self._mutations += 1
-
-    def delete_until_now(self, lower: int, interval_id: int) -> None:
-        """Delete a now-relative interval by its lower bound and id."""
-        self._remove_side(self._now_lowers, self._now_ids,
-                          lower, interval_id)
-        self._mutations += 1
 
     def close_now_interval(self, lower: int, interval_id: int,
                            upper: int) -> None:
         """Terminate ``[lower, now]`` at a fixed ``upper``: the record
         is re-registered as an ordinary finite interval."""
         validate_interval(lower, upper)
-        self.delete_until_now(lower, interval_id)
+        self.delete(lower, UPPER_NOW, interval_id)
         self.insert(lower, upper, interval_id)
 
     @staticmethod

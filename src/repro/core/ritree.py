@@ -739,12 +739,6 @@ class RITree(AccessMethod):
             if node is not None:
                 yield node
 
-    def _store_at_node(
-        self, node: int, lower: int, upper: int, interval_id: int
-    ) -> None:
-        """Store a row at an explicit (reserved) fork node -- Section 4.6."""
-        self.table.insert((node, lower, upper, interval_id))
-
     def _delete_at_node(
         self, node: int, lower: int, interval_id: int
     ) -> None:

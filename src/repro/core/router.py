@@ -34,9 +34,9 @@ per-shard replica totals without materialising ids, which is what keeps
 Temporal rows ride along: ``[l, oo)`` and ``[l, now]`` records replicate
 from their home shard to every shard to its right (the clock may pass
 any cut), every shard shares one router-advanced clock, and the
-sentinel uppers of :mod:`repro.core.temporal` route through the
-dedicated entry points exactly as on :class:`~repro.core.hint.
-HintStore`.
+sentinel uppers of :mod:`repro.core.temporal` travel through the
+shards' plain ``insert``/``delete``/``append_batch`` as on every
+temporal store.
 
 Predicate queries evaluate on *full* record bounds (replicas are whole
 copies, never truncated), so every replica-holding shard reports the
@@ -70,7 +70,7 @@ from .costmodel import (
 )
 from .interval import validate_interval
 from .predicates import resolve_join_predicate
-from .temporal import UPPER_INF, UPPER_NOW
+from .temporal import FORK_INF, UPPER_INF, UPPER_NOW, sentinel_node
 from .verify import VerificationReport
 
 
@@ -166,6 +166,10 @@ class ShardedStore(IntervalStore):
         self._rep_fin_n = [0] * n
         self._rep_inf_n = [0] * n
         self._rep_now_n = [0] * n
+        # The replica books _placement hands out: (multisets, totals).
+        self._fin_book = (self._rep_fin, self._rep_fin_n)
+        self._inf_book = (self._rep_inf, self._rep_inf_n)
+        self._now_book = (self._rep_now, self._rep_now_n)
         # Routing observability (served through the service /stats op).
         self._stat_queries = [0] * n
         self._stat_predicate_queries = [0] * n
@@ -173,7 +177,8 @@ class ShardedStore(IntervalStore):
         self._stat_join_probes = [0] * n
         self._stat_appends = [0] * n
         self._stat_append_replicas = [0] * n
-        # Optimizer statistics seam (finite bounds only, like HINT's).
+        # Optimizer statistics seam (finite bounds only, like HINT's:
+        # a sentinel row's lower may lie outside any finite domain).
         self._backbone = VirtualBackbone()
 
     # ------------------------------------------------------------------
@@ -243,93 +248,116 @@ class ShardedStore(IntervalStore):
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def insert(self, lower: int, upper: int, interval_id: int) -> None:
-        """Insert, replicating across every cut the extent touches.
+    def _placement(self, lower: int, upper: int, interval_id: int):
+        """Where one record lives, validated before any change.
 
-        Sentinel uppers route to the temporal entry points, mirroring
-        :class:`~repro.core.hint.HintStore`, so sentinel-bearing
-        records load through the uniform ``bulk_load`` too.
+        Returns ``(home, last, book, key)``: the record goes to shards
+        ``home..last``, and every shard after ``home`` holds a
+        left-crossing replica noted in ``book`` (a ``(multisets,
+        totals)`` pair) under ``key``.  A finite record spans the shards
+        its extent touches; an ``[l, oo)`` or ``[l, now]`` record spans
+        its home shard and every shard to its right (the clock may pass
+        any cut).
         """
-        if upper == UPPER_INF:
-            self.insert_infinite(lower, interval_id)
-            return
-        if upper == UPPER_NOW:
-            self.insert_until_now(lower, interval_id)
-            return
-        validate_interval(lower, upper)
-        first = self._shard_of(lower)
-        last = self._shard_of(upper)
-        for t in range(first, last + 1):
+        node = sentinel_node(lower, upper, self._now)
+        home = self._shard_of(lower)
+        if node is None:
+            validate_interval(lower, upper)
+            return (home, self._shard_of(upper), self._fin_book,
+                    (lower, upper, interval_id))
+        self._require_temporal()
+        book = self._inf_book if node == FORK_INF else self._now_book
+        return home, len(self.shards) - 1, book, (lower, interval_id)
+
+    def insert(self, lower: int, upper: int, interval_id: int) -> None:
+        """Insert, replicating across every shard the record spans."""
+        home, last, book, key = self._placement(lower, upper, interval_id)
+        for t in range(home, last + 1):
             self.shards[t].insert(lower, upper, interval_id)
             self._stat_inserts[t] += 1
-            if t > first:
-                self._note_replica(self._rep_fin, self._rep_fin_n, t,
-                                   (lower, upper, interval_id))
+            if t > home:
+                self._note_replica(book, t, key)
         self._count += 1
-        self._backbone.register(lower, upper)
+        if book is self._fin_book:
+            self._backbone.register(lower, upper)
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
-        """Remove one copy of the exact record from every touched shard."""
-        if upper == UPPER_INF:
-            self.delete_infinite(lower, interval_id)
-            return
-        if upper == UPPER_NOW:
-            self.delete_until_now(lower, interval_id)
-            return
-        validate_interval(lower, upper)
-        first = self._shard_of(lower)
-        last = self._shard_of(upper)
+        """Remove one copy of the exact record from every shard it spans."""
+        home, last, book, key = self._placement(lower, upper, interval_id)
         # The home shard goes first: if the record is absent, its
         # KeyError propagates before any replica shard was touched.
-        for t in range(first, last + 1):
+        for t in range(home, last + 1):
             self.shards[t].delete(lower, upper, interval_id)
-            if t > first:
-                self._drop_replica(self._rep_fin, self._rep_fin_n, t,
-                                   (lower, upper, interval_id))
+            if t > home:
+                self._drop_replica(book, t, key)
         self._count -= 1
 
-    def _note_replica(self, replicas, totals, t: int, key) -> None:
+    def _note_replica(self, book, t: int, key) -> None:
+        replicas, totals = book
         replicas[t][key] += 1
         totals[t] += 1
         self._strips[t] = None
 
-    def _drop_replica(self, replicas, totals, t: int, key) -> None:
+    def _drop_replica(self, book, t: int, key) -> None:
+        replicas, totals = book
         replicas[t][key] -= 1
         if not replicas[t][key]:
             del replicas[t][key]
         totals[t] -= 1
         self._strips[t] = None
 
-    def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
-        """Batch per shard: one backend ``bulk_load`` per slice."""
+    def _route(self, intervals, stat_rows, stat_replicas=None):
+        """Per-shard record batches of ``intervals``, books updated.
+
+        Every record is placed (and so validated) before any replica
+        book or counter changes, so a rejected record leaves the router
+        as it was (the statistics backbone only ever grows).
+        """
         batches: list[list[IntervalRecord]] = [[] for _ in self.shards]
-        sentinels: list[IntervalRecord] = []
+        spans = []
+        count = 0
         for lower, upper, interval_id in intervals:
-            if upper in (UPPER_INF, UPPER_NOW):
-                sentinels.append((lower, upper, interval_id))
-                continue
-            validate_interval(lower, upper)
-            first = self._shard_of(lower)
-            last = self._shard_of(upper)
-            for t in range(first, last + 1):
-                batches[t].append((lower, upper, interval_id))
-                self._stat_inserts[t] += 1
-                if t > first:
-                    self._note_replica(self._rep_fin, self._rep_fin_n, t,
-                                       (lower, upper, interval_id))
-            self._count += 1
-            self._backbone.register(lower, upper)
-        self._fan_out([(t, "bulk_load", batch)
-                       for t, batch in enumerate(batches) if batch])
-        for lower, upper, interval_id in sentinels:
-            self.insert(lower, upper, interval_id)
+            home, last, book, key = self._placement(
+                lower, upper, interval_id)
+            record = (lower, upper, interval_id)
+            for t in range(home, last + 1):
+                batches[t].append(record)
+            if last > home:
+                spans.append((home, last, book, key))
+            if book is self._fin_book:
+                self._backbone.register(lower, upper)
+            count += 1
+        for home, last, book, key in spans:
+            for t in range(home + 1, last + 1):
+                self._note_replica(book, t, key)
+                if stat_replicas is not None:
+                    stat_replicas[t] += 1
+        for t, batch in enumerate(batches):
+            stat_rows[t] += len(batch)
+        self._count += count
+        return batches
+
+    def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
+        """Batch per shard: one backend ``bulk_load`` per slice.
+
+        Sentinel rows stay out of the shards' bulk loads (a disk
+        backend's bottom-up build has no reserved nodes) and follow as
+        one ``append_batch`` per shard that holds any.
+        """
+        batches = self._route(intervals, self._stat_inserts)
+        sentinels = (UPPER_INF, UPPER_NOW)
+        self._fan_out([(t, "bulk_load", rows) for t, rows in enumerate(
+            [r for r in batch if r[1] not in sentinels] for batch in batches)
+            if rows])
+        self._fan_out([(t, "append_batch", rows) for t, rows in enumerate(
+            [r for r in batch if r[1] in sentinels] for batch in batches)
+            if rows])
 
     def append_batch(self, intervals: Sequence[IntervalRecord]) -> None:
         """Streaming append: one backend ``append_batch`` per touched shard.
 
-        Routing and replica bookkeeping match :meth:`insert` /
-        :meth:`insert_infinite` / :meth:`insert_until_now` exactly; the
-        difference is dispatch shape -- records fan into per-shard
+        Routing and replica bookkeeping match :meth:`insert` exactly;
+        the difference is dispatch shape -- records fan into per-shard
         batches first, then each shard takes its whole slice of the
         batch in ONE ``append_batch`` call (one group commit per shard
         for WAL-backed backends).  Appends are tracked separately from
@@ -337,50 +365,8 @@ class ShardedStore(IntervalStore):
         so the service's ingest traffic is distinguishable from the
         point-insert path.
         """
-        batches: list[list[IntervalRecord]] = [[] for _ in self.shards]
-        for lower, upper, interval_id in intervals:
-            if upper == UPPER_INF:
-                self._require_temporal("insert_infinite")
-                validate_interval(lower, lower)
-                home = self._shard_of(lower)
-                for t in range(home, len(self.shards)):
-                    batches[t].append((lower, UPPER_INF, interval_id))
-                    self._stat_appends[t] += 1
-                    if t > home:
-                        self._note_replica(self._rep_inf, self._rep_inf_n,
-                                           t, (lower, interval_id))
-                        self._stat_append_replicas[t] += 1
-                self._count += 1
-                self._backbone.register(lower, lower)
-            elif upper == UPPER_NOW:
-                self._require_temporal("insert_until_now")
-                validate_interval(lower, lower)
-                if lower > self._now:
-                    raise ValueError(
-                        f"now-relative interval starts after now={self._now}")
-                home = self._shard_of(lower)
-                for t in range(home, len(self.shards)):
-                    batches[t].append((lower, UPPER_NOW, interval_id))
-                    self._stat_appends[t] += 1
-                    if t > home:
-                        self._note_replica(self._rep_now, self._rep_now_n,
-                                           t, (lower, interval_id))
-                        self._stat_append_replicas[t] += 1
-                self._count += 1
-                self._backbone.register(lower, lower)
-            else:
-                validate_interval(lower, upper)
-                first = self._shard_of(lower)
-                last = self._shard_of(upper)
-                for t in range(first, last + 1):
-                    batches[t].append((lower, upper, interval_id))
-                    self._stat_appends[t] += 1
-                    if t > first:
-                        self._note_replica(self._rep_fin, self._rep_fin_n,
-                                           t, (lower, upper, interval_id))
-                        self._stat_append_replicas[t] += 1
-                self._count += 1
-                self._backbone.register(lower, upper)
+        batches = self._route(intervals, self._stat_appends,
+                              self._stat_append_replicas)
         self._fan_out([(t, "append_batch", batch)
                        for t, batch in enumerate(batches) if batch])
 
@@ -397,7 +383,7 @@ class ShardedStore(IntervalStore):
         if now < self._now:
             raise ValueError(
                 f"clock moves forward only: {now} < now={self._now}")
-        self._require_temporal("advance_to")
+        self._require_temporal()
         self._fan_out([(t, "advance_to", now)
                        for t in range(len(self.shards))])
         passed = self._now
@@ -406,70 +392,18 @@ class ShardedStore(IntervalStore):
             if passed < self._slice_lo(t) <= now:
                 self._strips[t] = None
 
-    def _require_temporal(self, op: str) -> None:
+    def _require_temporal(self) -> None:
         shard = self.shards[0]
-        if not hasattr(shard, op):
+        if not hasattr(shard, "advance_to"):
             raise NotImplementedError(
-                f"backend {shard.method_name!r} has no temporal support "
-                f"({op}); shard a temporal backend instead")
-
-    def insert_infinite(self, lower: int, interval_id: int) -> None:
-        """Insert ``[lower, oo)``: home shard plus every shard right."""
-        self._require_temporal("insert_infinite")
-        home = self._shard_of(lower)
-        for t in range(home, len(self.shards)):
-            self.shards[t].insert_infinite(lower, interval_id)
-            self._stat_inserts[t] += 1
-            if t > home:
-                self._note_replica(self._rep_inf, self._rep_inf_n, t,
-                                   (lower, interval_id))
-        self._count += 1
-        self._backbone.register(lower, lower)
-
-    def insert_until_now(self, lower: int, interval_id: int) -> None:
-        """Insert ``[lower, now]``; placed like an infinite row because
-        the clock may later pass any cut."""
-        self._require_temporal("insert_until_now")
-        if lower > self._now:
-            raise ValueError(
-                f"now-relative interval starts after now={self._now}")
-        home = self._shard_of(lower)
-        for t in range(home, len(self.shards)):
-            self.shards[t].insert_until_now(lower, interval_id)
-            self._stat_inserts[t] += 1
-            if t > home:
-                self._note_replica(self._rep_now, self._rep_now_n, t,
-                                   (lower, interval_id))
-        self._count += 1
-        self._backbone.register(lower, lower)
-
-    def delete_infinite(self, lower: int, interval_id: int) -> None:
-        """Delete an infinite row from its home shard and all replicas."""
-        self._require_temporal("delete_infinite")
-        home = self._shard_of(lower)
-        for t in range(home, len(self.shards)):
-            self.shards[t].delete_infinite(lower, interval_id)
-            if t > home:
-                self._drop_replica(self._rep_inf, self._rep_inf_n, t,
-                                   (lower, interval_id))
-        self._count -= 1
-
-    def delete_until_now(self, lower: int, interval_id: int) -> None:
-        """Delete a now-relative row from home shard and all replicas."""
-        self._require_temporal("delete_until_now")
-        home = self._shard_of(lower)
-        for t in range(home, len(self.shards)):
-            self.shards[t].delete_until_now(lower, interval_id)
-            if t > home:
-                self._drop_replica(self._rep_now, self._rep_now_n, t,
-                                   (lower, interval_id))
-        self._count -= 1
+                f"backend {shard.method_name!r} has no temporal support; "
+                f"shard a temporal backend instead")
 
     def close_now_interval(self, lower: int, interval_id: int,
                            upper: int) -> None:
         """Terminate ``[lower, now]`` at a fixed ``upper``."""
         validate_interval(lower, upper)
-        self.delete_until_now(lower, interval_id)
+        self.delete(lower, UPPER_NOW, interval_id)
         self.insert(lower, upper, interval_id)
 
     # ------------------------------------------------------------------

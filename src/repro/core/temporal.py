@@ -45,8 +45,54 @@ UPPER_INF = 2**60
 UPPER_NOW = 2**60 - 1
 
 
+def sentinel_node(lower: int, upper: int, now: int) -> Optional[int]:
+    """Classify one written row: its reserved fork node, or ``None``.
+
+    ``None`` means a finite row, which the store validates on its own
+    path; an :data:`UPPER_INF` row returns :data:`FORK_INF` and an
+    :data:`UPPER_NOW` row :data:`FORK_NOW`.  A sentinel row is refused
+    -- before any structure changes -- when its lower bound is not an
+    integer (:class:`TypeError`), reaches the sentinels (``lower >=
+    UPPER_NOW``, which would store an inverted interval) or, for a
+    now-relative row, starts after the clock ``now``
+    (:class:`ValueError`).  Every temporal store calls this from
+    ``insert``, ``delete`` and ``append_batch``.
+
+    >>> sentinel_node(5, 9, now=0) is None
+    True
+    >>> sentinel_node(5, UPPER_INF, now=0) == FORK_INF
+    True
+    >>> sentinel_node(5, UPPER_NOW, now=0)
+    Traceback (most recent call last):
+    ...
+    ValueError: now-relative interval starts at 5, after now=0
+    """
+    if upper == UPPER_INF:
+        node = FORK_INF
+    elif upper == UPPER_NOW:
+        node = FORK_NOW
+    else:
+        return None
+    if not isinstance(lower, int) or not isinstance(upper, int):
+        raise TypeError(
+            f"interval bounds must be integers, got ({lower!r}, {upper!r})")
+    if lower >= UPPER_NOW:
+        raise ValueError(
+            f"lower bound {lower} reaches the reserved sentinel uppers")
+    if node == FORK_NOW and lower > now:
+        raise ValueError(
+            f"now-relative interval starts at {lower}, after now={now}")
+    return node
+
+
 class TemporalRITree(RITree):
     """RI-tree managing finite, infinite and now-relative intervals.
+
+    The special rows share the one write path of every record:
+    :meth:`insert`, :meth:`delete` and :meth:`append_batch` take the
+    sentinel uppers :data:`UPPER_INF` and :data:`UPPER_NOW` directly and
+    store such a row at its reserved fork node, as Section 4.6's single
+    ``Intervals`` relation does.
 
     Parameters
     ----------
@@ -59,9 +105,9 @@ class TemporalRITree(RITree):
     Example
     -------
     >>> tree = TemporalRITree(now=100)
-    >>> tree.insert(10, 20, interval_id=1)        # closed history record
-    >>> tree.insert_until_now(50, interval_id=2)  # [50, now]
-    >>> tree.insert_infinite(80, interval_id=3)   # [80, oo)
+    >>> tree.insert(10, 20, interval_id=1)         # closed history record
+    >>> tree.insert(50, UPPER_NOW, interval_id=2)  # [50, now]
+    >>> tree.insert(80, UPPER_INF, interval_id=3)  # [80, oo)
     >>> sorted(tree.intersection(90, 95))
     [2, 3]
     >>> tree.advance_to(200)
@@ -130,46 +176,57 @@ class TemporalRITree(RITree):
             self._log_meta()
 
     # ------------------------------------------------------------------
-    # updates for special intervals
+    # updates: finite and sentinel rows share one write path
     # ------------------------------------------------------------------
-    def insert_infinite(self, lower: int, interval_id: int) -> None:
-        """Insert the open-ended interval ``[lower, infinity)``."""
-        self._ensure_offset(lower)
-        with self.db.atomic():
-            self._store_at_node(FORK_INF, lower, UPPER_INF, interval_id)
-            self._note_bounds(lower, UPPER_INF)
-            self._infinite_count += 1
-            self._log_meta()
+    def _row(self, lower: int, upper: int, interval_id: int) -> tuple:
+        """The heap row of one record, validated before any change.
 
-    def insert_until_now(self, lower: int, interval_id: int) -> None:
-        """Insert the now-relative interval ``[lower, now]``.
-
-        The interval's position in the tree never needs maintenance as the
-        clock ticks -- that is the point of the reserved fork node.
+        A sentinel upper selects its reserved fork node; every other
+        record registers on the backbone as in Figure 6.
         """
-        if lower > self._now:
-            raise ValueError(
-                f"now-relative interval starts at {lower}, after now={self._now}"
-            )
-        self._ensure_offset(lower)
-        with self.db.atomic():
-            self._store_at_node(FORK_NOW, lower, UPPER_NOW, interval_id)
-            self._note_bounds(lower, lower)
+        node = sentinel_node(lower, upper, self._now)
+        if node is None:
+            node = self.backbone.register(lower, upper)
+        else:
+            self._ensure_offset(lower)
+        return (node, lower, upper, interval_id)
+
+    def _note_row(self, node: int, lower: int, upper: int) -> None:
+        """Account one stored row: reserved-row counts and the envelope."""
+        if node == FORK_INF:
+            self._infinite_count += 1
+        elif node == FORK_NOW:
             self._now_count += 1
+            upper = lower
+        self._note_bounds(lower, upper)
+
+    def insert(self, lower: int, upper: int, interval_id: int) -> None:
+        """Insert ``[lower, upper]``; the sentinel uppers
+        :data:`UPPER_INF` / :data:`UPPER_NOW` store ``[lower, oo)`` /
+        ``[lower, now]`` at their reserved fork nodes.
+
+        The position of a now-relative row never needs maintenance as
+        the clock ticks -- that is the point of the reserved fork node.
+        """
+        row = self._row(lower, upper, interval_id)
+        with self.db.atomic():
+            self.table.insert(row)
+            self._note_row(*row[:3])
             self._log_meta()
 
-    def delete_infinite(self, lower: int, interval_id: int) -> None:
-        """Delete an infinite interval by its lower bound and id."""
+    def delete(self, lower: int, upper: int, interval_id: int) -> None:
+        """Delete one copy of the exact record; a sentinel upper finds
+        the row at its reserved fork node by lower bound and id."""
+        node = sentinel_node(lower, upper, self._now)
+        if node is None:
+            super().delete(lower, upper, interval_id)
+            return
         with self.db.atomic():
-            self._delete_at_node(FORK_INF, lower, interval_id)
-            self._infinite_count -= 1
-            self._log_meta()
-
-    def delete_until_now(self, lower: int, interval_id: int) -> None:
-        """Delete a now-relative interval by its lower bound and id."""
-        with self.db.atomic():
-            self._delete_at_node(FORK_NOW, lower, interval_id)
-            self._now_count -= 1
+            self._delete_at_node(node, lower, interval_id)
+            if node == FORK_INF:
+                self._infinite_count -= 1
+            else:
+                self._now_count -= 1
             self._log_meta()
 
     def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
@@ -179,52 +236,28 @@ class TemporalRITree(RITree):
         atomic batch -- a crash in between cannot lose the record."""
         validate_interval(lower, upper)
         with self.db.atomic():
-            self.delete_until_now(lower, interval_id)
+            self.delete(lower, UPPER_NOW, interval_id)
             self.insert(lower, upper, interval_id)
 
     def append_batch(self, intervals) -> None:
         """Streaming append with sentinel rows folded into the batch.
 
         As :meth:`RITree.append_batch` -- one ``db.atomic()`` group
-        commit, one ``_log_meta()`` per batch -- with the sentinel
-        uppers :data:`UPPER_INF` / :data:`UPPER_NOW` stored as reserved
-        fork-node rows instead of going through the per-row temporal
-        entry points (which would each log their own meta record).
-        Validation runs before any row is staged, so a rejected record
-        leaves the store untouched.
+        commit, one ``_log_meta()`` per batch -- with rows built as in
+        :meth:`insert`, so sentinel uppers land on their reserved fork
+        nodes.  Every row is validated before the batch writes, so a
+        rejected record leaves the relation untouched.
         """
-        rows = []
-        inf_delta = now_delta = 0
-        for lower, upper, interval_id in intervals:
-            if upper == UPPER_INF:
-                self._ensure_offset(lower)
-                rows.append((FORK_INF, lower, UPPER_INF, interval_id))
-                inf_delta += 1
-            elif upper == UPPER_NOW:
-                if lower > self._now:
-                    raise ValueError(
-                        f"now-relative interval starts at {lower}, after "
-                        f"now={self._now}"
-                    )
-                self._ensure_offset(lower)
-                rows.append((FORK_NOW, lower, UPPER_NOW, interval_id))
-                now_delta += 1
-            else:
-                node = self.backbone.register(lower, upper)
-                rows.append((node, lower, upper, interval_id))
+        row = self._row
+        rows = [row(lower, upper, interval_id)
+                for lower, upper, interval_id in intervals]
         if not rows:
             return
         with self.db.atomic():
             self.table.insert_many(rows)
+            note = self._note_row
             for node, lower, upper, _interval_id in rows:
-                if node == FORK_INF:
-                    self._note_bounds(lower, UPPER_INF)
-                elif node == FORK_NOW:
-                    self._note_bounds(lower, lower)
-                else:
-                    self._note_bounds(lower, upper)
-            self._infinite_count += inf_delta
-            self._now_count += now_delta
+                note(node, lower, upper)
             self._log_meta()
 
     # ------------------------------------------------------------------

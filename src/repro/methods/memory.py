@@ -15,7 +15,7 @@ from typing import Iterable
 
 from ..core.access import IntervalRecord, IntervalStore
 from ..core.interval import validate_interval
-from ..core.temporal import UPPER_INF, UPPER_NOW
+from ..core.temporal import UPPER_NOW, sentinel_node
 from ..engine.serial import INT_MIN
 
 
@@ -25,11 +25,11 @@ class BruteForceIntervals(IntervalStore):
     The reference store every test and benchmark feeds the operations of
     the store under test.  Rows are kept raw, now-relative rows under
     :data:`~repro.core.temporal.UPPER_NOW` and infinite rows under
-    :data:`~repro.core.temporal.UPPER_INF` (sentinel uppers passed to
-    :meth:`insert` / :meth:`delete` route there, as on HINT), repeated
-    records with their multiplicity.  Only the abstract core,
-    :meth:`stored_records` and the Section 4.6 temporal entry points live
-    here; queries, joins, counts and ``append_batch`` are the
+    :data:`~repro.core.temporal.UPPER_INF`, as :meth:`insert` and
+    :meth:`delete` receive them, repeated records with their
+    multiplicity.  Only the abstract core, :meth:`stored_records` and the
+    Section 4.6 clock live here; queries, joins, counts and
+    ``append_batch`` are the
     :class:`~repro.core.access.IntervalStore` defaults, which filter
     :meth:`stored_records` with the predicate formula.  The clock starts
     below every bound, so the first :meth:`advance_to` may set any value.
@@ -44,15 +44,12 @@ class BruteForceIntervals(IntervalStore):
             self.insert(lower, upper, interval_id)
 
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
-        if upper == UPPER_INF:
-            self.insert_infinite(lower, interval_id)
-        elif upper == UPPER_NOW:
-            self.insert_until_now(lower, interval_id)
-        else:
+        if sentinel_node(lower, upper, self._now) is None:
             validate_interval(lower, upper)
-            self._rows[(lower, upper, interval_id)] += 1
+        self._rows[(lower, upper, interval_id)] += 1
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
+        sentinel_node(lower, upper, self._now)  # refuses as insert does
         row = (lower, upper, interval_id)
         if self._rows[row] <= 0:
             raise KeyError(row)
@@ -90,29 +87,8 @@ class BruteForceIntervals(IntervalStore):
             raise ValueError(f"clock moves forward only: {now} < now={self._now}")
         self._now = now
 
-    def insert_infinite(self, lower: int, interval_id: int) -> None:
-        """Insert the open-ended interval ``[lower, infinity)``."""
-        validate_interval(lower, lower)
-        self._rows[(lower, UPPER_INF, interval_id)] += 1
-
-    def insert_until_now(self, lower: int, interval_id: int) -> None:
-        """Insert the now-relative interval ``[lower, now]``."""
-        validate_interval(lower, lower)
-        if lower > self._now:
-            raise ValueError(
-                f"now-relative interval starts at {lower}, after now={self._now}")
-        self._rows[(lower, UPPER_NOW, interval_id)] += 1
-
-    def delete_infinite(self, lower: int, interval_id: int) -> None:
-        """Delete an infinite interval by its lower bound and id."""
-        self.delete(lower, UPPER_INF, interval_id)
-
-    def delete_until_now(self, lower: int, interval_id: int) -> None:
-        """Delete a now-relative interval by its lower bound and id."""
-        self.delete(lower, UPPER_NOW, interval_id)
-
     def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
         """Terminate ``[lower, now]`` at a fixed ``upper``."""
         validate_interval(lower, upper)
-        self.delete_until_now(lower, interval_id)
+        self.delete(lower, UPPER_NOW, interval_id)
         self.insert(lower, upper, interval_id)

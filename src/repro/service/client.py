@@ -12,12 +12,14 @@ many shard processes busy.
 :class:`~repro.core.access.IntervalStore` contract: every method is one
 :meth:`RemoteStore.submit` of the wire-op table in
 :mod:`repro.service.ops` (bulk loads chunked), which writes the request
-frame and returns before the response arrives, contract exceptions
-round-trip by type, and temporal entry points appear *only when the
-remote backend has them* --
-``hasattr(remote, "insert_infinite")`` answers like the local store
-would, so :class:`~repro.core.router.ShardedStore` can front remote
-shards with unchanged temporal guards.
+frame and returns before the response arrives, and contract exceptions
+round-trip by type.  Temporal rows travel through the plain ``insert``,
+``delete`` and ``ingest_batch`` frames with their sentinel uppers; the
+temporal ops (``advance_to``, ``close_now_interval``) appear *only when
+the remote backend has them* -- ``hasattr(remote, "advance_to")``
+answers like the local store would, so
+:class:`~repro.core.router.ShardedStore` can front remote shards with
+unchanged temporal guards.
 """
 
 from __future__ import annotations

@@ -162,7 +162,6 @@ class WireOp:
 _SCALARS = (integer, optional_integer)
 _WINDOW = (("lower", integer), ("upper", integer))
 _RECORD = _WINDOW + (("interval_id", integer),)
-_OPEN = (("lower", integer), ("interval_id", integer))
 _RECORDS = (("records", records),)
 _PROBES = (("probes", records),)
 
@@ -173,11 +172,8 @@ OPS: dict[str, WireOp] = {op.name: op for op in (
     WireOp("bulk_load", True, _RECORDS, chunked=True),
     WireOp("ingest_batch", True, _RECORDS, method="append_batch",
            chunked=True),
-    WireOp("insert_infinite", True, _OPEN, temporal=True),
-    WireOp("insert_until_now", True, _OPEN, temporal=True),
-    WireOp("delete_infinite", True, _OPEN, temporal=True),
-    WireOp("delete_until_now", True, _OPEN, temporal=True),
-    WireOp("close_now_interval", True, _OPEN + (("upper", integer),),
+    WireOp("close_now_interval", True,
+           (("lower", integer), ("interval_id", integer), ("upper", integer)),
            temporal=True),
     WireOp("advance_to", True, (("now", integer),), temporal=True),
     WireOp("stab", False, (("value", integer),), width=1),

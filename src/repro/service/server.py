@@ -3,8 +3,8 @@
 :class:`IntervalService` fronts any :class:`~repro.core.access.
 IntervalStore` with the frame protocol of :mod:`repro.service.protocol`,
 exposing the full query surface -- updates, stabs and intersections,
-Allen-predicate ``query``, ``join_count``/``join_pairs``, the temporal
-``now`` entry points -- plus ``stats`` (request counters, latency
+Allen-predicate ``query``, ``join_count``/``join_pairs``, temporal rows
+and the clock -- plus ``stats`` (request counters, latency
 histograms, and the router's shard routing stats) and a cooperative
 ``shutdown``.  Every store op is one entry of the wire-op table in
 :mod:`repro.service.ops`; the service itself answers only ``info``,
@@ -239,7 +239,7 @@ def _info(store: IntervalStore, message: dict) -> dict:
         "records": store.interval_count,
         "index_entries": store.index_entry_count,
         "now": getattr(store, "now", None),
-        "temporal": hasattr(store, "insert_infinite"),
+        "temporal": hasattr(store, "advance_to"),
     }
 
 
@@ -456,7 +456,7 @@ def _build_single(args, records: Sequence[tuple[int, int, int]],
 
     store = create_store(args.backend, **json.loads(args.backend_opts))
     sentinels = [r for r in records if r[1] in (UPPER_INF, UPPER_NOW)]
-    if (sentinels or now) and not hasattr(store, "insert_infinite"):
+    if (sentinels or now) and not hasattr(store, "advance_to"):
         raise NotImplementedError(
             f"backend {store.method_name!r} has no temporal support")
     if now:

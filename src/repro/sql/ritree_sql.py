@@ -57,6 +57,7 @@ from ..core.temporal import (
     FORK_NOW,
     UPPER_INF,
     UPPER_NOW,
+    sentinel_node,
 )
 from ..core.verify import VerificationReport
 from ..engine.retry import RetryPolicy
@@ -204,25 +205,41 @@ class SQLRITree(IntervalStore):
     # ------------------------------------------------------------------
     # updates (Figures 5 and 6)
     # ------------------------------------------------------------------
+    def _row(self, lower: int, upper: int, interval_id: int) -> dict:
+        """The bind row of one record, validated before any change.
+
+        A sentinel upper selects its reserved fork node (Section 4.6)
+        and raises the matching reserved-row flag; every other record
+        registers on the backbone as in Figure 6.
+        """
+        node = sentinel_node(lower, upper, self._now)
+        if node is None:
+            node = self.backbone.register(lower, upper)
+        else:
+            if self.backbone.offset is None:
+                self.backbone.offset = lower
+            if node == FORK_INF:
+                self._has_infinite = True
+            else:
+                self._has_now = True
+        return {"node": node, "lower": lower, "upper": upper,
+                "id": interval_id}
+
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
-        """Fork computation (no I/O) + the single INSERT of Figure 5."""
-        node = self.backbone.register(lower, upper)
-        self.conn.execute(
-            schema.INSERT_SQL.format(name=self.name),
-            {"node": node, "lower": lower, "upper": upper, "id": interval_id},
-        )
+        """Fork computation (no I/O) + the single INSERT of Figure 5;
+        a sentinel upper stores ``[lower, oo)`` / ``[lower, now]``."""
+        self.conn.execute(schema.INSERT_SQL.format(name=self.name),
+                          self._row(lower, upper, interval_id))
         self._save_params()
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
         """Recompute the fork, delete with one statement."""
-        validate_interval(lower, upper)
-        if self.backbone.is_empty:
-            raise KeyError((lower, upper, interval_id))
-        self._delete_row(self.backbone.fork_node(lower, upper), lower, upper,
-                         interval_id)
-
-    def _delete_row(self, node: int, lower: int, upper: int,
-                    interval_id: int) -> None:
+        node = sentinel_node(lower, upper, self._now)
+        if node is None:
+            validate_interval(lower, upper)
+            if self.backbone.is_empty:
+                raise KeyError((lower, upper, interval_id))
+            node = self.backbone.fork_node(lower, upper)
         cursor = self.conn.execute(
             schema.DELETE_SQL.format(name=self.name),
             {"node": node, "lower": lower, "upper": upper, "id": interval_id},
@@ -230,24 +247,30 @@ class SQLRITree(IntervalStore):
         if cursor.rowcount != 1:
             raise KeyError((lower, upper, interval_id))
 
-    def bulk_load(self, intervals: Iterable[IntervalRecord]) -> None:
+    def append_batch(self, intervals: Iterable[IntervalRecord]) -> None:
         """Register and insert many intervals inside one transaction.
 
-        A ``busy`` / ``locked`` failure rolls the transaction back and
-        retries the whole batch under the bounded backoff policy.
+        One ``executemany`` and at most one parameter-dictionary write
+        per batch, valid on a non-empty relation too.  Sentinel uppers
+        fold into the same statement as reserved fork-node rows
+        (Section 4.6), so a mixed batch commits atomically, and every
+        record is validated before the statement runs.  A ``busy`` /
+        ``locked`` failure rolls the transaction back and retries the
+        whole batch under the bounded backoff policy.
         """
-        rows = []
-        for lower, upper, interval_id in intervals:
-            node = self.backbone.register(lower, upper)
-            rows.append(
-                {"node": node, "lower": lower, "upper": upper, "id": interval_id}
-            )
+        row = self._row
+        rows = [row(lower, upper, interval_id)
+                for lower, upper, interval_id in intervals]
+        if not rows:
+            return
 
         def body() -> None:
             self.conn.executemany(schema.INSERT_SQL.format(name=self.name), rows)
             self._save_params()
 
         self._transact(body)
+
+    bulk_load = append_batch
 
     def extend(self, intervals: Iterable[IntervalRecord]) -> None:
         """Insert many intervals one by one, inside one transaction."""
@@ -256,58 +279,6 @@ class SQLRITree(IntervalStore):
         def body() -> None:
             for lower, upper, interval_id in records:
                 self.insert(lower, upper, interval_id)
-
-        self._transact(body)
-
-    def append_batch(self, intervals: Iterable[IntervalRecord]) -> None:
-        """Streaming append: one ``executemany`` + dictionary write.
-
-        Unlike :meth:`bulk_load` this is valid on a non-empty relation,
-        and unlike :meth:`extend` it issues one multi-row statement and
-        at most one parameter-dictionary write per batch.  Sentinel
-        uppers fold into the same statement as reserved fork-node rows
-        (Section 4.6), so a mixed batch still commits atomically.
-        """
-        rows = []
-        has_infinite = self._has_infinite
-        has_now = self._has_now
-        for lower, upper, interval_id in intervals:
-            if upper == UPPER_INF:
-                validate_interval(lower, lower)
-                if self.backbone.offset is None:
-                    self.backbone.offset = lower
-                rows.append(
-                    {"node": FORK_INF, "lower": lower,
-                     "upper": UPPER_INF, "id": interval_id}
-                )
-                has_infinite = True
-            elif upper == UPPER_NOW:
-                validate_interval(lower, lower)
-                if lower > self._now:
-                    raise ValueError(
-                        f"now-relative interval starts after now={self._now}"
-                    )
-                if self.backbone.offset is None:
-                    self.backbone.offset = lower
-                rows.append(
-                    {"node": FORK_NOW, "lower": lower,
-                     "upper": UPPER_NOW, "id": interval_id}
-                )
-                has_now = True
-            else:
-                node = self.backbone.register(lower, upper)
-                rows.append(
-                    {"node": node, "lower": lower,
-                     "upper": upper, "id": interval_id}
-                )
-        if not rows:
-            return
-        self._has_infinite = has_infinite
-        self._has_now = has_now
-
-        def body() -> None:
-            self.conn.executemany(schema.INSERT_SQL.format(name=self.name), rows)
-            self._save_params()
 
         self._transact(body)
 
@@ -341,38 +312,6 @@ class SQLRITree(IntervalStore):
     # ------------------------------------------------------------------
     # temporal records (Section 4.6)
     # ------------------------------------------------------------------
-    def insert_infinite(self, lower: int, interval_id: int) -> None:
-        """Insert ``[lower, infinity)`` under the reserved fork node."""
-        if self.backbone.offset is None:
-            self.backbone.offset = lower
-        self.conn.execute(
-            schema.INSERT_SQL.format(name=self.name),
-            {"node": FORK_INF, "lower": lower, "upper": UPPER_INF, "id": interval_id},
-        )
-        self._has_infinite = True
-        self._save_params()
-
-    def insert_until_now(self, lower: int, interval_id: int) -> None:
-        """Insert ``[lower, now]`` under the reserved fork node."""
-        if lower > self._now:
-            raise ValueError(f"now-relative interval starts after now={self._now}")
-        if self.backbone.offset is None:
-            self.backbone.offset = lower
-        self.conn.execute(
-            schema.INSERT_SQL.format(name=self.name),
-            {"node": FORK_NOW, "lower": lower, "upper": UPPER_NOW, "id": interval_id},
-        )
-        self._has_now = True
-        self._save_params()
-
-    def delete_infinite(self, lower: int, interval_id: int) -> None:
-        """Delete ``[lower, infinity)`` by its lower bound and id."""
-        self._delete_row(FORK_INF, lower, UPPER_INF, interval_id)
-
-    def delete_until_now(self, lower: int, interval_id: int) -> None:
-        """Delete ``[lower, now]`` by its lower bound and id."""
-        self._delete_row(FORK_NOW, lower, UPPER_NOW, interval_id)
-
     def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
         """Terminate ``[lower, now]`` at a fixed ``upper``: the row is
         re-inserted as an ordinary finite interval.  Delete and insert
@@ -380,7 +319,7 @@ class SQLRITree(IntervalStore):
         validate_interval(lower, upper)
 
         def body() -> None:
-            self.delete_until_now(lower, interval_id)
+            self.delete(lower, UPPER_NOW, interval_id)
             self.insert(lower, upper, interval_id)
 
         self._transact(body)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import RITree, RITreeCostModel
+from repro.core import (
+    UPPER_INF,
+    UPPER_NOW,
+    RITree,
+    RITreeCostModel,
+    TemporalRITree,
+)
 from repro.core.costmodel import (
     BoundSummary,
     choose_join_strategy,
@@ -129,6 +135,26 @@ def test_index_statistics_pair_bounds_by_rowid():
     assert summary.lower_bounds == expected.lower_bounds
     assert summary.upper_bounds == expected.upper_bounds
     assert summary.duration_bounds == expected.duration_bounds == [0, 10, 10, 900]
+
+
+def test_temporal_index_statistics_use_effective_bounds():
+    """Now-relative rows enter both the upper and the duration histogram
+    at the clock, as ``stored_records()`` reports them (and as the HINT
+    and router statistics read them); infinite rows keep the sentinel."""
+    tree = TemporalRITree(now=1_000)
+    tree.bulk_load([(i * 7, i * 7 + 40, i) for i in range(60)])
+    tree.append_batch(
+        [(i * 11, UPPER_NOW, 100 + i) for i in range(20)] + [(500, UPPER_INF, 200)]
+    )
+    for clock in (1_000, 5_000):
+        tree.advance_to(clock)
+        summary = tree.cost_model(refresh=True).summary
+        expected = BoundSummary.from_records(tree.stored_records())
+        assert summary.count == expected.count == 81
+        assert summary.lower_bounds == expected.lower_bounds
+        assert summary.upper_bounds == expected.upper_bounds
+        assert summary.duration_bounds == expected.duration_bounds
+        assert UPPER_NOW not in summary.upper_bounds
 
 
 def test_heap_scan_blocks_matches_engine(modelled_tree):

@@ -145,9 +145,9 @@ def test_temporal_rows_behave_like_the_temporal_tree(rng):
     finite = make_intervals(rng, 120, domain=9_000, mean_length=300)
     for target in (store, oracle):
         target.bulk_load(finite)
-        target.insert_infinite(2_000, 90_001)
+        target.insert(2_000, UPPER_INF, 90_001)
         target.insert(3_000, UPPER_INF, 90_002)  # sentinel routing via insert
-        target.insert_until_now(1_000, 90_003)
+        target.insert(1_000, UPPER_NOW, 90_003)
     assert store.infinite_count == 2
     assert store.now_relative_count == 1
     assert store.verify().ok
@@ -166,7 +166,7 @@ def test_temporal_rows_behave_like_the_temporal_tree(rng):
     with pytest.raises(ValueError):
         store.advance_to(7_999)
     with pytest.raises(ValueError):
-        store.insert_until_now(8_001, 90_004)
+        store.insert(8_001, UPPER_NOW, 90_004)
 
     for name in sorted(PREDICATES):
         if name == "stab":
@@ -178,10 +178,10 @@ def test_temporal_rows_behave_like_the_temporal_tree(rng):
     assert store.now_relative_count == 0
     assert (1_000, 6_000, 90_003) in store.stored_records()
     store.delete(2_000, UPPER_INF, 90_001)  # sentinel routing via delete
-    store.delete_infinite(3_000, 90_002)
+    store.delete(3_000, UPPER_INF, 90_002)
     assert store.infinite_count == 0
     with pytest.raises(KeyError):
-        store.delete_infinite(3_000, 90_002)
+        store.delete(3_000, UPPER_INF, 90_002)
     assert store.verify().ok
 
 
@@ -270,8 +270,8 @@ def test_open_ended_relations_on_empty_stores():
     oracle = BruteForceIntervals()
     oracle.advance_to(20)
     for target in (temporal, oracle):
-        target.insert_infinite(5, 1)
-        target.insert_until_now(8, 2)
+        target.insert(5, UPPER_INF, 1)
+        target.insert(8, UPPER_NOW, 2)
     _check_open_ended(temporal, oracle, windows + [(21, 30), (6, 7)])
 
 
@@ -283,8 +283,8 @@ def test_temporal_join_parity(rng):
     finite = make_intervals(rng, 80, domain=800, mean_length=60)
     for target in (store, oracle):
         target.bulk_load(finite)
-        target.insert_infinite(100, 70_001)
-        target.insert_until_now(50, 70_002)
+        target.insert(100, UPPER_INF, 70_001)
+        target.insert(50, UPPER_NOW, 70_002)
     probes = [(rng.randrange(0, 900), 0, 80_000 + k) for k in range(40)]
     probes = [(lo, lo + rng.randrange(0, 200), i) for lo, _, i in probes]
     for name in ("intersects", "before", "after", "during", "overlaps"):
@@ -354,8 +354,8 @@ def test_verify_detects_unsorted_view(rng):
 
 def test_verify_detects_broken_side_list():
     store = HintStore(now=100)
-    store.insert_until_now(10, 1)
-    store.insert_until_now(50, 2)
+    store.insert(10, UPPER_NOW, 1)
+    store.insert(50, UPPER_NOW, 2)
     store._now = 20  # clock behind a stored now-row: contract broken
     report = store.verify()
     assert not report.ok

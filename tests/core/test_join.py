@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import run_join_batch
-from repro.core import RITree, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, RITree, TemporalRITree
 from repro.core.join import (
     JOIN_STRATEGIES,
     AutoJoin,
@@ -167,8 +167,8 @@ def test_ritree_join_io_matches_per_probe_queries(rng):
 def test_join_pairs_against_prebuilt_temporal_tree():
     tree = TemporalRITree(now=100)
     tree.insert(10, 20, interval_id=1)
-    tree.insert_until_now(50, interval_id=2)  # effectively [50, 100]
-    tree.insert_infinite(80, interval_id=3)   # [80, oo)
+    tree.insert(50, UPPER_NOW, interval_id=2)  # effectively [50, 100]
+    tree.insert(80, UPPER_INF, interval_id=3)   # [80, oo)
     probes = [(15, 60, 500), (90, 95, 501), (200, 300, 502)]
     join = IndexNestedLoopJoin(method=tree)
     pairs = sorted(join.pairs(probes, inner=[]))

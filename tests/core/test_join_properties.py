@@ -10,7 +10,7 @@ temporal rows.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import RITree, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, RITree, TemporalRITree
 from repro.core.costmodel import DEFAULT_BUCKETS, choose_join_strategy
 from repro.core.join import (
     AutoJoin,
@@ -52,12 +52,12 @@ def _temporal_pair(inner_raw, infinite_lowers, now_lowers, now):
     tree = TemporalRITree(now=now)
     oracle = BruteForceIntervals()
     oracle.advance_to(now)
-    rows = [("insert", lower, upper) for lower, upper in inner_raw]
-    rows += [("insert_infinite", lower) for lower in infinite_lowers]
-    rows += [("insert_until_now", lower) for lower in now_lowers]
-    for interval_id, (method, *bounds) in enumerate(rows, start=9000):
+    rows = list(inner_raw)
+    rows += [(lower, UPPER_INF) for lower in infinite_lowers]
+    rows += [(lower, UPPER_NOW) for lower in now_lowers]
+    for interval_id, (lower, upper) in enumerate(rows, start=9000):
         for store in (tree, oracle):
-            getattr(store, method)(*bounds, interval_id)
+            store.insert(lower, upper, interval_id)
     return tree, oracle
 
 

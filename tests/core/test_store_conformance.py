@@ -13,6 +13,7 @@ create_store`, so adding a backend means registering it and adding one
 name (plus options) here.
 """
 
+import sqlite3
 from copy import deepcopy
 from functools import partial
 
@@ -50,6 +51,7 @@ from repro.workloads import join_workload
 from repro.workloads.genomic import chromosome_cuts, duration_band, genomic
 
 from ..conftest import make_intervals
+from ..service.test_service import remote
 
 
 def clocked_oracle():
@@ -157,8 +159,8 @@ def test_append_batch_empty_is_noop(store):
 
 
 def test_append_batch_temporal_rows_and_closes(store):
-    if not hasattr(store, "insert_until_now"):
-        pytest.skip("backend has no temporal entry points")
+    if not hasattr(store, "advance_to"):
+        pytest.skip("backend has no temporal rows")
     store.advance_to(100)
     store.append_batch([(5, 50, 1), (10, UPPER_NOW, 2), (20, UPPER_INF, 3)])
     report = store.verify()
@@ -175,8 +177,8 @@ def test_append_batch_temporal_rows_and_closes(store):
 
 
 def test_append_batch_temporal_equals_explicit_inserts(store, store_factory):
-    if not hasattr(store, "insert_until_now"):
-        pytest.skip("backend has no temporal entry points")
+    if not hasattr(store, "advance_to"):
+        pytest.skip("backend has no temporal rows")
     explicit = store_factory()
     for target in (store, explicit):
         target.advance_to(200)
@@ -190,9 +192,9 @@ def test_append_batch_temporal_equals_explicit_inserts(store, store_factory):
     )
     explicit.bulk_load(rows)
     for lower, interval_id in open_rows:
-        explicit.insert_until_now(lower, interval_id)
+        explicit.insert(lower, UPPER_NOW, interval_id)
     for lower, interval_id in inf_rows:
-        explicit.insert_infinite(lower, interval_id)
+        explicit.insert(lower, UPPER_INF, interval_id)
     assert store.verify().ok
     assert store.interval_count == explicit.interval_count
     for lower in range(0, 1200, 150):
@@ -200,6 +202,95 @@ def test_append_batch_temporal_equals_explicit_inserts(store, store_factory):
             explicit.intersection(lower, lower + 120)
         )
     assert sorted(store.stored_records()) == sorted(explicit.stored_records())
+
+
+# ----------------------------------------------------------------------
+# one write path for temporal rows: every store validates alike
+# ----------------------------------------------------------------------
+#: Served backends the sentinel-write checks also drive through a
+#: RemoteStore (``insert`` frames and ``ingest_batch`` for batches).
+REMOTE_BACKENDS = ["hint", "sql-ritree", "temporal-ritree"]
+
+
+@pytest.fixture(params=STORE_NAMES + [f"remote-{b}" for b in REMOTE_BACKENDS])
+def any_store(request):
+    """Every suite store, plus served temporal backends over the wire."""
+    name = request.param
+    if not name.startswith("remote-"):
+        yield STORE_FACTORIES[name]()
+        return
+    backend = name.removeprefix("remote-")
+    # The served sqlite store is driven from the service's threads.
+    opts = (
+        {"connection": sqlite3.connect(":memory:", check_same_thread=False)}
+        if backend == "sql-ritree"
+        else {}
+    )
+    with remote(create_store(backend, **opts)) as proxy:
+        yield proxy
+
+
+SEED_ROWS = [(5, 50, 1), (20, 90, 2)]
+
+
+def _seed(store, clock):
+    """Finite rows, plus one row of each temporal kind at ``clock``."""
+    store.bulk_load(SEED_ROWS)
+    if hasattr(store, "advance_to"):
+        store.advance_to(clock)
+        store.append_batch([(10, UPPER_NOW, 3), (30, UPPER_INF, 4)])
+
+
+def _write(store, write, record):
+    if write == "insert":
+        store.insert(*record)
+    else:
+        store.append_batch([record])
+
+
+@pytest.mark.parametrize("upper", [UPPER_INF, UPPER_NOW], ids=["inf", "now"])
+@pytest.mark.parametrize("write", ["insert", "append_batch"])
+def test_sentinel_row_lower_at_the_sentinels_is_refused(any_store, write, upper):
+    """A lower bound at or above the sentinels would store an inverted
+    interval; every store refuses it and stays as it was.  The clock
+    sits past the lower bound, so only that check can refuse the now
+    row."""
+    _seed(any_store, 2**61)
+    before = sorted(any_store.stored_records())
+    with pytest.raises(ValueError):
+        _write(any_store, write, (2**61, upper, 9))
+    assert sorted(any_store.stored_records()) == before
+    assert any_store.interval_count == len(before)
+    report = any_store.verify()
+    assert report.ok, [i.as_dict() for i in report.issues]
+
+
+@pytest.mark.parametrize("write", ["insert", "append_batch"])
+def test_sentinel_row_with_a_non_integer_lower_is_refused(any_store, write):
+    _seed(any_store, 100)
+    before = sorted(any_store.stored_records())
+    with pytest.raises(TypeError):
+        _write(any_store, write, (1.5, UPPER_INF, 9))
+    assert sorted(any_store.stored_records()) == before
+
+
+@pytest.mark.parametrize("write", ["insert", "append_batch"])
+def test_sentinel_upper_stores_one_row_on_every_temporal_store(any_store, write):
+    """``insert(l, UPPER_INF, id)`` is the ``[l, oo)`` row wherever it
+    is written, however far ``l`` lies from the finite rows, and
+    ``delete`` with the same sentinel removes it."""
+    if not hasattr(any_store, "advance_to"):
+        pytest.skip("backend has no temporal rows")
+    _seed(any_store, 100)
+    row = (UPPER_INF - 3, UPPER_INF, 7)
+    _write(any_store, write, row)
+    expected = SEED_ROWS + [(10, 100, 3), (30, UPPER_INF, 4), row]
+    assert sorted(any_store.stored_records()) == sorted(expected)
+    report = any_store.verify()
+    assert report.ok, [i.as_dict() for i in report.issues]
+    any_store.delete(*row)
+    assert sorted(any_store.stored_records()) == sorted(expected[:-1])
+    assert any_store.verify().ok
 
 
 def test_delete_removes_and_raises(store):
@@ -334,7 +425,7 @@ class StoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.store = factory()
         self.oracle = clocked_oracle()
-        self.temporal = hasattr(self.store, "insert_until_now")
+        self.temporal = hasattr(self.store, "advance_to")
         self.finite, self.open, self.infinite = [], [], []
         self.steps = 0
 
@@ -381,15 +472,16 @@ class StoreMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.temporal)
     @rule(row=sentinel_row)
-    def insert_until_now(self, row):
+    def insert_open_row(self, row):
         lower, interval_id = min(row[0], self.oracle.now), row[1]
-        self._both("insert_until_now", lower, interval_id)
+        self._both("insert", lower, UPPER_NOW, interval_id)
         self.open.append((lower, interval_id))
 
     @precondition(lambda self: self.temporal)
     @rule(row=sentinel_row)
-    def insert_infinite(self, row):
-        self._both("insert_infinite", *row)
+    def insert_infinite_row(self, row):
+        lower, interval_id = row
+        self._both("insert", lower, UPPER_INF, interval_id)
         self.infinite.append(row)
 
     @precondition(lambda self: self.open)
@@ -401,14 +493,15 @@ class StoreMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.open)
     @rule(k=pick)
-    def delete_until_now(self, k):
-        self._both("delete_until_now", *self.open.pop(k % len(self.open)))
+    def delete_open_row(self, k):
+        lower, interval_id = self.open.pop(k % len(self.open))
+        self._both("delete", lower, UPPER_NOW, interval_id)
 
     @precondition(lambda self: self.infinite)
     @rule(k=pick)
-    def delete_infinite(self, k):
-        self._both(
-            "delete_infinite", *self.infinite.pop(k % len(self.infinite)))
+    def delete_infinite_row(self, k):
+        lower, interval_id = self.infinite.pop(k % len(self.infinite))
+        self._both("delete", lower, UPPER_INF, interval_id)
 
     def _anchored_windows(self):
         """Windows sharing a bound with one live row or with the clock,
@@ -542,15 +635,15 @@ def test_verify_after_every_temporal_mutation():
     tree = TemporalRITree(now=100)
     tree.bulk_load([(1, 5, 1), (3, 9, 2)])
     assert tree.verify().ok
-    tree.insert_infinite(40, 3)
+    tree.insert(40, UPPER_INF, 3)
     assert tree.verify().ok
-    tree.insert_until_now(10, 4)
+    tree.insert(10, UPPER_NOW, 4)
     assert tree.verify().ok
     tree.advance_to(500)
     assert tree.verify().ok
     tree.close_now_interval(10, 4, 450)
     assert tree.verify().ok
-    tree.delete_infinite(40, 3)
+    tree.delete(40, UPPER_INF, 3)
     report = tree.verify()
     assert report.ok, [i.as_dict() for i in report.issues]
 
@@ -576,8 +669,8 @@ def _ritree_steps(tree):
 def _temporal_steps(tree):
     return [
         lambda: tree.bulk_load(CRASH_ROWS),
-        lambda: tree.insert_infinite(40, 300),
-        lambda: tree.insert_until_now(10, 301),
+        lambda: tree.insert(40, UPPER_INF, 300),
+        lambda: tree.insert(10, UPPER_NOW, 301),
         lambda: tree.advance_to(500),
         lambda: tree.delete(*CRASH_ROWS[1]),
         lambda: tree.close_now_interval(10, 301, 450),
@@ -683,12 +776,12 @@ def test_range_duration_by_name_with_params(store, rng):
 
 
 def test_range_duration_temporal_sentinel_rows(store):
-    if not hasattr(store, "insert_until_now"):
-        pytest.skip("backend has no temporal entry points")
+    if not hasattr(store, "advance_to"):
+        pytest.skip("backend has no temporal rows")
     store.advance_to(1000)
     store.bulk_load([(10, 110, 1), (50, 900, 2)])
-    store.insert_until_now(400, 3)  # effective [400, 1000], duration 600
-    store.insert_infinite(700, 4)  # duration stays the UPPER_INF sentinel
+    store.insert(400, UPPER_NOW, 3)  # effective [400, 1000], duration 600
+    store.insert(700, UPPER_INF, 4)  # duration stays the UPPER_INF sentinel
     # Effective durations: 100, 850, 600, "infinite".
     assert sorted(store.query(0, 2000, predicate=range_duration(0, 200))) == [1]
     assert sorted(store.query(0, 2000, predicate=range_duration(500, 900))) == [

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core import FORK_INF, FORK_NOW, TemporalRITree
+from repro.core import FORK_INF, FORK_NOW, UPPER_INF, UPPER_NOW, TemporalRITree
 from repro.methods import BruteForceIntervals
 
 
 def test_docstring_example():
     tree = TemporalRITree(now=100)
     tree.insert(10, 20, interval_id=1)
-    tree.insert_until_now(50, interval_id=2)
-    tree.insert_infinite(80, interval_id=3)
+    tree.insert(50, UPPER_NOW, interval_id=2)
+    tree.insert(80, UPPER_INF, interval_id=3)
     assert sorted(tree.intersection(90, 95)) == [2, 3]
     tree.advance_to(200)
     assert sorted(tree.intersection(150, 160)) == [2, 3]
@@ -18,7 +18,7 @@ def test_docstring_example():
 
 def test_infinite_interval_always_reachable_from_any_future_query():
     tree = TemporalRITree()
-    tree.insert_infinite(5, 1)
+    tree.insert(5, UPPER_INF, 1)
     assert tree.intersection(1_000_000, 2_000_000) == [1]
     assert tree.intersection(0, 4) == []
     assert tree.stab(5) == [1]
@@ -26,7 +26,7 @@ def test_infinite_interval_always_reachable_from_any_future_query():
 
 def test_now_interval_grows_with_clock():
     tree = TemporalRITree(now=100)
-    tree.insert_until_now(50, 1)
+    tree.insert(50, UPPER_NOW, 1)
     assert tree.intersection(90, 95) == [1]
     assert tree.intersection(101, 200) == []  # query beyond now
     tree.advance_to(150)
@@ -36,7 +36,7 @@ def test_now_interval_grows_with_clock():
 def test_now_injection_condition():
     """FORK_NOW is scanned only when the query begins in the past."""
     tree = TemporalRITree(now=100)
-    tree.insert_until_now(10, 1)
+    tree.insert(10, UPPER_NOW, 1)
     # Query entirely in the future: hook must not fire.
     assert tree.intersection(101, 500) == []
     # Query starting exactly at now: fires.
@@ -53,7 +53,7 @@ def test_clock_monotonicity():
 def test_now_insert_in_future_rejected():
     tree = TemporalRITree(now=100)
     with pytest.raises(ValueError):
-        tree.insert_until_now(101, 1)
+        tree.insert(101, UPPER_NOW, 1)
 
 
 def test_reserved_fork_nodes_are_disjoint_from_data_nodes():
@@ -64,7 +64,7 @@ def test_reserved_fork_nodes_are_disjoint_from_data_nodes():
 
 def test_close_now_interval():
     tree = TemporalRITree(now=1000)
-    tree.insert_until_now(100, 1)
+    tree.insert(100, UPPER_NOW, 1)
     tree.close_now_interval(100, 1, upper=500)
     assert tree.now_relative_count == 0
     assert tree.intersection(400, 600) == [1]
@@ -73,15 +73,15 @@ def test_close_now_interval():
 
 def test_delete_special_intervals():
     tree = TemporalRITree(now=10)
-    tree.insert_infinite(1, 1)
-    tree.insert_until_now(2, 2)
-    tree.delete_infinite(1, 1)
-    tree.delete_until_now(2, 2)
+    tree.insert(1, UPPER_INF, 1)
+    tree.insert(2, UPPER_NOW, 2)
+    tree.delete(1, UPPER_INF, 1)
+    tree.delete(2, UPPER_NOW, 2)
     assert tree.intersection(0, 100) == []
     with pytest.raises(KeyError):
-        tree.delete_infinite(1, 1)
+        tree.delete(1, UPPER_INF, 1)
     with pytest.raises(KeyError):
-        tree.delete_until_now(2, 2)
+        tree.delete(2, UPPER_NOW, 2)
 
 
 def test_mixed_database_against_brute_force(rng):
@@ -96,10 +96,10 @@ def test_mixed_database_against_brute_force(rng):
             tree.insert(lower, upper, next_id)
             brute.insert(lower, upper, next_id)
         elif kind == 1:
-            tree.insert_infinite(lower, next_id)
+            tree.insert(lower, UPPER_INF, next_id)
             brute.insert(lower, 10 ** 9, next_id)  # effectively infinite
         else:
-            tree.insert_until_now(lower, next_id)
+            tree.insert(lower, UPPER_NOW, next_id)
             brute.insert(lower, 50_000, next_id)  # upper = now
         next_id += 1
     for _ in range(100):
@@ -111,7 +111,7 @@ def test_mixed_database_against_brute_force(rng):
 
 def test_advancing_clock_updates_effective_uppers(rng):
     tree = TemporalRITree(now=1000)
-    tree.insert_until_now(500, 1)
+    tree.insert(500, UPPER_NOW, 1)
     assert tree.stored_records() == [(500, 1000, 1)]
     assert tree.query(900, 1000, predicate="finished_by") == [1]
     tree.advance_to(2000)
@@ -124,8 +124,8 @@ def test_advancing_clock_updates_effective_uppers(rng):
 def test_counts():
     tree = TemporalRITree(now=10)
     tree.insert(1, 2, 1)
-    tree.insert_infinite(3, 2)
-    tree.insert_until_now(4, 3)
+    tree.insert(3, UPPER_INF, 2)
+    tree.insert(4, UPPER_NOW, 3)
     assert tree.interval_count == 3
     assert tree.infinite_count == 1
     assert tree.now_relative_count == 1

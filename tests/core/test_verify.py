@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ritree import RITree
-from repro.core.temporal import UPPER_NOW, TemporalRITree
+from repro.core.temporal import UPPER_INF, UPPER_NOW, TemporalRITree
 from repro.core.verify import VerificationIssue, VerificationReport
 from repro.sql.ritree_sql import SQLRITree
 
@@ -50,8 +50,8 @@ def test_ritree_clean_store_verifies():
 def test_temporal_clean_store_verifies():
     tree = TemporalRITree(now=100)
     tree.bulk_load([(1, 5, 1)])
-    tree.insert_infinite(50, 2)
-    tree.insert_until_now(40, 3)
+    tree.insert(50, UPPER_INF, 2)
+    tree.insert(40, UPPER_NOW, 3)
     tree.advance_to(150)
     report = tree.verify()
     assert report.ok, [i.as_dict() for i in report.issues]
@@ -61,8 +61,8 @@ def test_temporal_clean_store_verifies():
 def test_sql_clean_store_verifies():
     tree = SQLRITree(now=10)
     tree.bulk_load([(1, 5, 1), (3, 9, 2)])
-    tree.insert_infinite(50, 3)
-    tree.insert_until_now(7, 4)
+    tree.insert(50, UPPER_INF, 3)
+    tree.insert(7, UPPER_NOW, 4)
     report = tree.verify()
     assert report.ok, [i.as_dict() for i in report.issues]
     assert "sqlite-integrity" in report.checks
@@ -83,7 +83,7 @@ def test_ritree_detects_wrong_fork_node():
     tree = RITree()
     tree.bulk_load([(1, 5, 1), (3, 9, 2)])
     # Store a row at a node Figure 6 would never pick for these bounds.
-    tree._store_at_node(tree.backbone.fork_node(1, 5) + 1, 1, 5, 99)
+    tree.table.insert((tree.backbone.fork_node(1, 5) + 1, 1, 5, 99))
     report = tree.verify()
     codes = {issue.code for issue in report.issues}
     assert "fork-node-mismatch" in codes
@@ -103,7 +103,7 @@ def test_ritree_detects_entry_count_drift():
 
 def test_temporal_detects_reserved_count_drift():
     tree = TemporalRITree(now=100)
-    tree.insert_until_now(10, 1)
+    tree.insert(10, UPPER_NOW, 1)
     tree._now_count += 1  # counter drifts from the stored rows
     report = tree.verify()
     codes = {issue.code for issue in report.issues}
@@ -114,7 +114,7 @@ def test_temporal_detects_sentinel_on_regular_node():
     tree = TemporalRITree(now=100)
     tree.insert(1, 5, 1)
     node = tree.backbone.fork_node(1, 9)
-    tree._store_at_node(node, 1, UPPER_NOW, 2)
+    tree.table.insert((node, 1, UPPER_NOW, 2))
     report = tree.verify()
     codes = {issue.code for issue in report.issues}
     assert "sentinel-on-regular-node" in codes
@@ -156,7 +156,7 @@ def test_sql_detects_stale_params_dictionary():
 
 def test_sql_detects_hidden_reserved_rows():
     tree = SQLRITree(now=10)
-    tree.insert_until_now(5, 1)
+    tree.insert(5, UPPER_NOW, 1)
     # Unset the flag behind the store's back: queries would miss the row.
     tree._has_now = False
     report = tree.verify()

@@ -166,15 +166,15 @@ def test_remote_batches_chunk_into_frames(monkeypatch):
 
 def test_remote_temporal_entry_points():
     with remote(seeded_store(now=10)) as proxy:
-        assert hasattr(proxy, "insert_infinite")
-        proxy.insert_infinite(5, interval_id=1)
-        proxy.insert_until_now(8, interval_id=2)
+        assert hasattr(proxy, "advance_to")
+        proxy.insert(5, UPPER_INF, interval_id=1)
+        proxy.insert(8, UPPER_NOW, interval_id=2)
         assert sorted(proxy.intersection(100, 200)) == [1]
         proxy.advance_to(150)
         assert sorted(proxy.intersection(100, 200)) == [1, 2]
         proxy.close_now_interval(8, interval_id=2, upper=120)
         assert sorted(proxy.intersection(130, 200)) == [1]
-        proxy.delete_infinite(5, interval_id=1)
+        proxy.delete(5, UPPER_INF, interval_id=1)
         assert proxy.intersection(130, 200) == []
         assert sorted(
             upper for _, upper, _ in proxy.stored_records()) == [120]
@@ -185,14 +185,14 @@ def test_sql_ritree_server_closes_and_deletes_temporal_rows():
         "sql-ritree", now=10,
         connection=sqlite3.connect(":memory:", check_same_thread=False))
     with remote(store) as proxy:
-        proxy.insert_until_now(8, interval_id=2)
-        proxy.insert_infinite(5, interval_id=1)
+        proxy.insert(8, UPPER_NOW, interval_id=2)
+        proxy.insert(5, UPPER_INF, interval_id=1)
         proxy.advance_to(150)
         proxy.close_now_interval(8, interval_id=2, upper=120)
         assert sorted(proxy.intersection(130, 200)) == [1]
-        proxy.delete_infinite(5, interval_id=1)
+        proxy.delete(5, UPPER_INF, interval_id=1)
         with pytest.raises(KeyError):
-            proxy.delete_until_now(8, interval_id=2)
+            proxy.delete(8, UPPER_NOW, interval_id=2)
         assert proxy.stored_records() == [(8, 120, 2)]
         assert proxy.verify().ok
 
@@ -206,7 +206,7 @@ def test_remote_sentinels_bulk_load_through_the_wire():
 
 def test_non_temporal_backend_has_no_temporal_attrs():
     with remote(create_store("ritree")) as proxy:
-        assert not hasattr(proxy, "insert_infinite")
+        assert not hasattr(proxy, "advance_to")
         with pytest.raises(AttributeError):
             proxy.advance_to(5)
 
@@ -226,7 +226,7 @@ def test_temporal_op_on_plain_backend_is_not_implemented():
     with served(create_store("ritree")) as (host, port):
         with ServiceClient(host, port) as client:
             with pytest.raises(NotImplementedError, match="temporal"):
-                client.call("insert_infinite", lower=1, interval_id=1)
+                client.call("advance_to", now=5)
 
 
 def test_unknown_op_and_missing_field_are_value_errors():
@@ -256,14 +256,16 @@ def _calls_with_bad_integer(bad):
         calls += [(method, row) for method in ("insert", "delete")]
         calls += [(method, ([row],)) for method in (
             "bulk_load", "append_batch", "join_pairs", "join_count")]
+    for i in (0, 2):
+        row = tuple(bad if j == i else v
+                    for j, v in enumerate((2, UPPER_INF, 50)))
+        calls += [(method, row) for method in ("insert", "delete")]
+        calls.append(("append_batch", ([row],)))
     for i in range(2):
         window = tuple(bad if j == i else v for j, v in enumerate((1, 8)))
         calls += [(method, window) for method in (
             "intersection", "intersection_count", "query")]
         calls.append(("intersection_many", ([window],)))
-        calls += [(method, window) for method in (
-            "insert_infinite", "insert_until_now", "delete_infinite",
-            "delete_until_now")]
         calls.append(("close_now_interval", (*window, 9)))
     return calls
 
@@ -647,7 +649,7 @@ def test_router_cli_serves_writes_and_temporal_rows(tmp_path):
         proxy = RemoteStore.connect(host, port)
         assert proxy.method_name.startswith("remote(sharded[2]")
         proxy.insert(900, 1_600, interval_id=5)
-        proxy.insert_until_now(40, interval_id=6)
+        proxy.insert(40, UPPER_NOW, interval_id=6)
         assert sorted(proxy.intersection(0, 4_000)) == [1, 2, 3, 4, 5, 6]
         assert proxy.intersection_count(0, 4_000) == 6
         proxy.advance_to(2_000)

@@ -12,9 +12,10 @@ import json
 import pathlib
 
 from repro.core.predicates import range_duration
-from repro.core.temporal import UPPER_INF
+from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.service import client as client_module
 from repro.service.client import RemoteStore, ServiceClient
+from repro.service.ops import OPS
 from repro.service.protocol import HEADER
 
 from .test_service import seeded_store, served
@@ -33,12 +34,12 @@ CALLS = [
     ("extend", lambda s: s.extend(iter([(50, 60, 9)]))),
     ("append_batch", lambda s: s.append_batch(
         [(30, UPPER_INF, 7), (40, 44, 8)])),
-    ("insert_infinite", lambda s: s.insert_infinite(3, 10)),
-    ("insert_until_now", lambda s: s.insert_until_now(4, 11)),
-    ("delete_infinite", lambda s: s.delete_infinite(3, 10)),
+    ("insert_infinite", lambda s: s.insert(3, UPPER_INF, 10)),
+    ("insert_until_now", lambda s: s.insert(4, UPPER_NOW, 11)),
+    ("delete_infinite", lambda s: s.delete(3, UPPER_INF, 10)),
     ("close_now_interval", lambda s: s.close_now_interval(4, 11, 9)),
-    ("delete_until_now", lambda s: (s.insert_until_now(6, 12),
-                                    s.delete_until_now(6, 12))),
+    ("delete_until_now", lambda s: (s.insert(6, UPPER_NOW, 12),
+                                    s.delete(6, UPPER_NOW, 12))),
     ("advance_to", lambda s: s.advance_to(20)),
     ("stab", lambda s: s.stab(7)),
     ("intersection", lambda s: s.intersection(2, 8)),
@@ -110,3 +111,13 @@ def test_request_frames_are_byte_identical(monkeypatch):
         expected = [HEADER.pack(len(payload.encode())) + payload.encode()
                     for payload in payloads]
         assert frames == expected, label
+
+
+def test_every_wire_op_has_a_golden_frame():
+    """A new op cannot skip the protocol golden: each op of the wire-op
+    table travels in at least one recorded frame."""
+    golden = json.loads(GOLDEN.read_text())
+    framed = {
+        json.loads(payload)["op"] for _label, payloads in golden for payload in payloads
+    }
+    assert set(OPS) - framed == set()

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.core import RITree, RITreeCostModel
-from repro.core import TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, TemporalRITree
 from repro.core.join import AutoJoin, NestedLoopJoin, SweepJoin
 from repro.core.predicates import JOIN_PREDICATES, PREDICATES
 from repro.methods.memory import BruteForceIntervals
@@ -213,8 +213,8 @@ def test_stored_records_materialise_temporal_bounds():
     oracle = _temporal_oracle(100)
     for store in (sql_tree, engine_tree, oracle):
         store.insert(0, 30, 3)
-        store.insert_until_now(5, 1)
-        store.insert_infinite(50, 2)
+        store.insert(5, UPPER_NOW, 1)
+        store.insert(50, UPPER_INF, 2)
     probes = [(150, 160, 9), (10, 20, 8)]
     reference = sorted(oracle.join_pairs(probes))
     assert reference == [(8, 1), (8, 3), (9, 2)]
@@ -235,8 +235,8 @@ def _temporal_oracle(now):
 def test_reserved_fork_rows_still_reach_queries():
     """The fast path must not skip Section 4.6's reserved rows."""
     sql_tree = SQLRITree(now=1000)
-    sql_tree.insert_infinite(500, 1)
-    sql_tree.insert_until_now(900, 2)
+    sql_tree.insert(500, UPPER_INF, 1)
+    sql_tree.insert(900, UPPER_NOW, 2)
     # Backbone is still empty (reserved rows bypass it), but results exist.
     assert sorted(sql_tree.intersection(950, 960)) == [1, 2]
     assert sql_tree.intersection_count(950, 960) == 2
@@ -362,8 +362,8 @@ def test_sql_predicate_join_handles_reserved_rows():
     for store in (sql_tree, oracle):
         store.insert(0, 30, 1)
         store.insert(40, 60, 2)
-        store.insert_until_now(5, 8)
-        store.insert_infinite(50, 9)
+        store.insert(5, UPPER_NOW, 8)
+        store.insert(50, UPPER_INF, 9)
     probes = [(31, 39, 700), (0, 200, 701), (0, 40, 702), (101, 150, 703)]
     effective = oracle.stored_records()
     for name in JOIN_PREDICATES:
@@ -394,8 +394,8 @@ def test_sql_predicate_query_matches_engine_on_temporal_rows():
     for store in (sql_tree, engine_tree, oracle):
         store.insert(0, 30, 1)
         store.insert(40, 60, 2)
-        store.insert_until_now(5, 8)
-        store.insert_infinite(50, 9)
+        store.insert(5, UPPER_NOW, 8)
+        store.insert(50, UPPER_INF, 9)
     for name in sorted(PREDICATES):
         if name == "stab":
             continue

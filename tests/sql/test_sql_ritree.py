@@ -5,7 +5,7 @@ import sqlite3
 import pytest
 
 from repro.core.predicates import range_duration
-from repro.core.temporal import UPPER_INF
+from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.methods.memory import BruteForceIntervals
 from repro.sql import SQLRITree
 
@@ -124,14 +124,14 @@ def test_view_trigger_wrapping():
 def test_temporal_now_and_infinity():
     tree = SQLRITree(now=1000)
     tree.insert(0, 100, 1)
-    tree.insert_infinite(500, 2)
-    tree.insert_until_now(900, 3)
+    tree.insert(500, UPPER_INF, 2)
+    tree.insert(900, UPPER_NOW, 3)
     assert sorted(tree.intersection(950, 960)) == [2, 3]
     assert tree.intersection(101, 400) == []
     tree.advance_to(5000)
     assert sorted(tree.intersection(2000, 2100)) == [2, 3]
     with pytest.raises(ValueError):
-        tree.insert_until_now(6000, 4)
+        tree.insert(6000, UPPER_NOW, 4)
     with pytest.raises(ValueError):
         tree.advance_to(0)
 
@@ -221,11 +221,11 @@ def test_temporal_rows_delete_close_and_reattach(tmp_path):
     oracle.advance_to(100)
     for store in (tree, oracle):
         store.insert(0, 30, 1)
-        store.insert_until_now(10, 7)
-        store.insert_until_now(20, 8)
-        store.insert_infinite(30, 9)
+        store.insert(10, UPPER_NOW, 7)
+        store.insert(20, UPPER_NOW, 8)
+        store.insert(30, UPPER_INF, 9)
         store.close_now_interval(10, 7, 50)
-        store.delete_until_now(20, 8)
+        store.delete(20, UPPER_NOW, 8)
     expected = sorted(oracle.stored_records())
     assert sorted(tree.stored_records()) == expected
     assert expected == [(0, 30, 1), (10, 50, 7), (30, UPPER_INF, 9)]
@@ -233,14 +233,14 @@ def test_temporal_rows_delete_close_and_reattach(tmp_path):
     with pytest.raises(KeyError):
         tree.close_now_interval(10, 7, 60)  # already closed
     with pytest.raises(KeyError):
-        tree.delete_until_now(20, 8)
+        tree.delete(20, UPPER_NOW, 8)
     with pytest.raises(KeyError):
-        tree.delete_infinite(31, 9)
+        tree.delete(31, UPPER_INF, 9)
     assert sorted(tree.stored_records()) == expected
     tree.conn.commit()
     tree.conn.close()
     reopened = SQLRITree(sqlite3.connect(path), attach=True, now=100)
     assert sorted(reopened.stored_records()) == expected
     assert reopened.verify().ok
-    reopened.delete_infinite(30, 9)
+    reopened.delete(30, UPPER_INF, 9)
     assert sorted(reopened.intersection(0, 1_000)) == [1, 7]

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.core.predicates import range_duration
+from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.methods.memory import BruteForceIntervals
 from repro.sql import SQLRITree
 
@@ -40,10 +41,10 @@ def _stores(seed: int):
     oracle = BruteForceIntervals(records)
     oracle.advance_to(NOW)
     for store in (tree, oracle):
-        store.insert_infinite(700, 5_000)
-        store.insert_infinite(40, 5_001)
-        store.insert_until_now(600, 5_002)
-        store.insert_until_now(880, 5_003)
+        store.insert(700, UPPER_INF, 5_000)
+        store.insert(40, UPPER_INF, 5_001)
+        store.insert(600, UPPER_NOW, 5_002)
+        store.insert(880, UPPER_NOW, 5_003)
     return tree, oracle
 
 

@@ -35,7 +35,7 @@ def test_every_wire_op_is_documented(tmp_path):
     docs.mkdir()
     assert docscheck.check_ops_listed(tmp_path) == [
         "docs/serving.md does not exist"]
-    (docs / "serving.md").write_text("`insert` and `insert_infinite`")
+    (docs / "serving.md").write_text("`insert` and `advance_to`")
     problems = docscheck.check_ops_listed(tmp_path)
     assert not any("`insert`" in p for p in problems)
     assert any("`delete`" in p for p in problems)

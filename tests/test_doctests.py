@@ -6,14 +6,12 @@ import pytest
 
 import repro.core.join
 import repro.core.ritree
-import repro.core.strings
 import repro.core.temporal
 import repro.sql.ritree_sql
 
 MODULES = [
     repro.core.join,
     repro.core.ritree,
-    repro.core.strings,
     repro.core.temporal,
     repro.sql.ritree_sql,
 ]

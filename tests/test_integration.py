@@ -9,8 +9,9 @@ import random
 from repro.core import (
     RITree,
     RITreeCostModel,
-    StringIntervalTree,
     TemporalRITree,
+    UPPER_INF,
+    UPPER_NOW,
 )
 from repro.engine import Database
 from repro.methods import BruteForceIntervals
@@ -22,8 +23,8 @@ def test_temporal_plus_topology_flow():
     """A valid-time table queried with Allen relations as time advances."""
     table = TemporalRITree(now=100)
     table.insert(0, 50, 1)
-    table.insert_until_now(30, 2)
-    table.insert_infinite(60, 3)
+    table.insert(30, UPPER_NOW, 2)
+    table.insert(60, UPPER_INF, 3)
     # `during` the period [20, 200]: interval 2's effective upper is 100.
     assert table.query(20, 200, predicate="during") == [2]
     table.advance_to(300)
@@ -91,17 +92,14 @@ def test_mixed_dynamic_workload_long_run():
 
 
 def test_multiple_structures_share_one_database():
-    """Catalog isolation: an RI-tree, a string tree and a plain table
-    coexist in one engine instance."""
+    """Catalog isolation: an RI-tree and a plain table coexist in one
+    engine instance."""
     db = Database()
     tree = RITree(db, name="Intervals")
-    strings = StringIntervalTree(db, name="Names")
     extra = db.create_table("Audit", ["ts", "what"])
     tree.insert(1, 10, 1)
-    strings.insert("alpha", "omega", 7)
     extra.insert((123, 1))
     assert tree.intersection(5, 6) == [1]
-    assert strings.stab("delta") == [7]
     assert extra.row_count == 1
 
 
