@@ -61,7 +61,7 @@ def temporal_steps(tree, rows):
         lambda: tree.insert(10, UPPER_NOW, len(rows) + 1),
         lambda: tree.advance_to(5000),
         lambda: tree.delete(*rows[1]),
-        lambda: tree.close_now_interval(10, len(rows) + 1, 4500),
+        lambda: tree.close_now_intervals([(10, len(rows) + 1, 4500)]),
     ]
 
 

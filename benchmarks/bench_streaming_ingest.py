@@ -16,14 +16,18 @@ four gates:
   exactly one ``insert`` record (and do neither for an empty batch),
   asserted against the engine's ``wal.forces`` counter and the durable
   records on a dedicated run with no clock advances or closures in the
-  way.
+  way.  Likewise ``close_now_intervals`` on the temporal tree must
+  write exactly one ``delete``, one ``insert`` and one ``meta`` record
+  and force once per non-empty closure set, and nothing for an empty
+  one.
 
 * **Crash during ingest** -- :func:`benchlib.crash_sweep`, the
   recovery benchmark's crash-at-every-write-point protocol, replayed
-  over a streaming run:
+  over a streaming run, on the plain RI-tree with appends only and on
+  the temporal RI-tree with open rows and their closures:
   whatever write point dies, :meth:`~repro.engine.database.Database.
-  recover` must yield a verify()-clean store holding a committed batch
-  prefix that answers queries like a brute-force oracle.
+  recover` must yield a verify()-clean store holding the state after a
+  whole submit that answers queries like a brute-force oracle.
 
 * **Ingest while serving** -- the sharded router topology of
   ``python -m repro.service`` takes a live append stream through the
@@ -42,6 +46,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import Counter
 
 from benchlib import crash_sweep, router
 from repro.bench.experiments import get_scale
@@ -55,6 +60,10 @@ from repro.service.loadgen import build_dataset, build_ops, evaluate_ops, run_lo
 
 #: Parity legs: backend x arrival discipline.
 PARITY_BACKENDS = ("temporal-ritree", "hint")
+#: Crash legs: store class x fraction of rows committed open.  Open
+#: rows close in the batch after next (``close_lag=1``), so even a
+#: three-batch stream crashes inside closures.
+CRASH_LEGS = ((RITree, 0.0), (TemporalRITree, 0.3))
 
 
 def probe_windows(rng, clock, mean_length, count=4):
@@ -149,14 +158,18 @@ def run_parity(scale, seed):
     return rows, check_total, mismatch_total
 
 
-def insert_records(wal, since):
-    """The ``insert`` records made durable after the first ``since``."""
-    return sum(1 for record in wal.records()[since:] if record["t"] == "insert")
+def durable_kinds(wal, since):
+    """Kind -> count of the records made durable after the first
+    ``since``, batch markers left out."""
+    kinds = Counter(record["t"] for record in wal.records()[since:])
+    del kinds["begin"], kinds["commit"]
+    return kinds
 
 
 def run_trace(scale, seed):
     """Gate 2: one WAL force and one ``insert`` record per non-empty
-    append_batch, neither for an empty one."""
+    append_batch, one force and one ``delete``, ``insert`` and ``meta``
+    record per non-empty closure set, none for an empty one."""
     workload = StreamWorkload(
         seed=seed + 31,
         batches=scale["ingest_batches"],
@@ -172,6 +185,9 @@ def run_trace(scale, seed):
         "empty_forces": 0,
         "bad_insert_records": 0,
         "empty_insert_records": 0,
+        "closure_sets": 0,
+        "bad_closure_records": 0,
+        "empty_closure_records": 0,
     }
     for store in (
         RITree(Database(wal=True)),
@@ -183,33 +199,77 @@ def run_trace(scale, seed):
             store.append_batch(batch.records)
             row["batches"] += 1
             row["extra_forces"] += wal.forces - before - 1
-            row["bad_insert_records"] += insert_records(wal, logged) != 1
+            row["bad_insert_records"] += durable_kinds(wal, logged)["insert"] != 1
         before, logged = wal.forces, wal.durable_records
         store.append_batch([])
         row["empty_forces"] += wal.forces - before
-        row["empty_insert_records"] += insert_records(wal, logged)
+        row["empty_insert_records"] += sum(durable_kinds(wal, logged).values())
+
+    # Closures: the appends and clock ticks commit first, so each
+    # closure set's records stand alone.
+    store = TemporalRITree(Database(wal=True), now=0)
+    wal = store.db.wal
+    one_each = {"delete": 1, "insert": 1, "meta": 1}
+    for batch in StreamWorkload(
+        seed=seed + 37,
+        batches=scale["ingest_batches"],
+        batch_size=scale["ingest_batch_size"],
+        mean_length=scale["ingest_mean_length"],
+        open_fraction=scale["ingest_open_fraction"],
+    ):
+        store.advance_to(batch.timestamp)
+        store.append_batch(batch.records)
+        before, logged = wal.forces, wal.durable_records
+        store.close_now_intervals(batch.closes)
+        kinds = durable_kinds(wal, logged)
+        if batch.closes:
+            row["closure_sets"] += 1
+            row["extra_forces"] += wal.forces - before - 1
+            row["bad_closure_records"] += kinds != one_each
+        else:
+            row["empty_forces"] += wal.forces - before
+            row["empty_closure_records"] += sum(kinds.values())
     row["per_batch_ok"] = (
         row["extra_forces"] == 0
         and row["empty_forces"] == 0
         and row["bad_insert_records"] == 0
         and row["empty_insert_records"] == 0
+        and row["closure_sets"] > 0
+        and row["bad_closure_records"] == 0
+        and row["empty_closure_records"] == 0
     )
     return row
 
 
 def run_crash(scale, seed):
-    """Gate 3: crash at every write point of a streaming ingest run."""
+    """Gate 3: crash at every write point of a streaming ingest run, one
+    sweep per :data:`CRASH_LEGS` entry."""
+    legs = [crash_leg(scale, seed, store_cls, open_fraction)
+            for store_cls, open_fraction in CRASH_LEGS]
+    return {
+        "gate": "crash",
+        "crash_points": sum(leg["crash_points"] for leg in legs),
+        "recovered_clean": sum(leg["recovered_clean"] for leg in legs),
+        "records": sum(leg["records"] for leg in legs),
+        "closes": sum(leg["closes"] for leg in legs),
+        "legs": legs,
+    }
+
+
+def crash_leg(scale, seed, store_cls, open_fraction):
+    """One crash sweep: ``store_cls`` fed through a ``StreamIngestor``."""
     workload = StreamWorkload(
         seed=seed + 43,
         batches=scale["ingest_crash_batches"],
         batch_size=scale["ingest_crash_batch_size"],
         mode="increasing-end",
         mean_length=scale["ingest_mean_length"],
-        open_fraction=0.0,
+        open_fraction=open_fraction,
+        close_lag=1,
     )
 
     def steps(db):
-        tree = RITree(db)
+        tree = store_cls(db)
         ingestor = StreamIngestor(
             tree,
             flush_records=scale["ingest_crash_flush"],
@@ -228,12 +288,14 @@ def run_crash(scale, seed):
         workload.mean_length,
         count=6,
     )
-    sweep = crash_sweep(steps, RITree, queries)
+    sweep = crash_sweep(steps, store_cls, queries)
     return {
-        "gate": "crash",
+        "store": store_cls.__name__,
+        "open_fraction": open_fraction,
         "crash_points": sweep["crash_points"],
         "recovered_clean": sweep["recovered_clean"],
         "records": sweep["records"],
+        "closes": sum(len(batch.closes) for batch in workload),
         "failures": sweep["failures"][:5],
     }
 
@@ -336,6 +398,7 @@ def run(scale_name, seed):
         "wal_force_per_batch_ok": int(trace["per_batch_ok"]),
         "crash_points": crash["crash_points"],
         "recovered_clean": crash["recovered_clean"],
+        "crash_closes": crash["closes"],
         "all_recovered": int(crash["recovered_clean"] == crash["crash_points"]),
         "serving_parity_ok": int(serving["parity_ok"]),
         "ingest_ops_s": round(serving["ingest_ops_s"], 1),
@@ -347,6 +410,7 @@ def run(scale_name, seed):
         "wal_force_per_batch_ok": trace["per_batch_ok"] is True,
         "all_recovered": crash["recovered_clean"] == crash["crash_points"],
         "crash_points_found": crash["crash_points"] > 0,
+        "crash_closures_found": crash["closes"] > 0,
         "serving_parity_ok": serving["parity_ok"] is True,
     }
     return report

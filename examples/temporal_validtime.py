@@ -48,7 +48,9 @@ def main() -> None:
     show(f"timeslice {clock} after advancing the clock:", table.stab(clock))
 
     # Edsger's assignment ends: close the now-relative interval at 2022.
-    table.close_now_interval(2013, interval_id=3, upper=2022)
+    # Closures are (start, id, end) triples; one call closes a whole
+    # batch of them atomically (one delete, one insert, one log record).
+    table.close_now_intervals([(2013, 3, 2022)])
     show(f"timeslice {clock} after closing Edsger's assignment:",
          table.stab(clock))
 

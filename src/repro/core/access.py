@@ -109,21 +109,81 @@ class IntervalStore(ABC):
     def append_batch(self, intervals: Sequence[IntervalRecord]) -> None:
         """Ingest one streaming append batch (opt-in fast path).
 
-        The contract is :meth:`extend` with batch-level atomicity left
-        to the backend: after the call the store holds every record of
-        the batch, sentinel uppers stored as by :meth:`insert`.  A
-        backend that writes the batch at once validates every record
-        first, so a rejected record leaves it unchanged.  Backends with
-        a cheaper batched write path -- one group commit per batch on
-        the WAL engines, one deferred re-sort per touched partition on
-        the main-memory store, one transaction on sqlite -- override
-        this default insert loop without changing observable query
-        results.  Streaming callers go through
-        :class:`repro.ingest.ingestor.StreamIngestor`, which adds
-        buffering, backpressure and periodic checkpoints on top.
+        The contract is :meth:`extend` with batch-level atomicity: after
+        the call the store holds every record of the batch, sentinel
+        uppers stored as by :meth:`insert`, and every record is
+        validated before the first is written, so a rejected record
+        leaves the store unchanged.  This default checks the batch with
+        :meth:`_check_record` and then inserts it row by row.  Backends
+        with a cheaper batched write path -- one group commit per batch
+        on the WAL engines, one deferred re-sort per touched partition
+        on the main-memory store, one transaction on sqlite -- override
+        it without changing observable query results.  Streaming
+        callers go through :class:`repro.ingest.ingestor.StreamIngestor`,
+        which adds buffering, backpressure and periodic checkpoints on
+        top.
         """
-        for lower, upper, interval_id in intervals:
+        records = list(intervals)
+        check = self._check_record
+        for lower, upper, _interval_id in records:
+            check(lower, upper)
+        for lower, upper, interval_id in records:
             self.insert(lower, upper, interval_id)
+
+    def _check_record(self, lower: int, upper: int) -> None:
+        """Refuse a record :meth:`insert` would refuse, before any write.
+
+        On a store with a clock (``now``) a sentinel row is checked by
+        :func:`~repro.core.temporal.sentinel_node`; every other record
+        by :func:`~repro.core.interval.validate_interval`.
+        """
+        from .temporal import sentinel_node
+
+        now = getattr(self, "now", None)
+        if now is None or sentinel_node(lower, upper, now) is None:
+            validate_interval(lower, upper)
+
+    def close_now_intervals(self, closes: Iterable[tuple[int, int, int]]) -> None:
+        """Terminate now-relative rows at fixed uppers, as one batch.
+
+        ``closes`` holds ``(lower, interval_id, upper)`` triples, the
+        shape of :attr:`repro.ingest.workload.StreamBatch.closes`: each
+        replaces the open row ``[lower, now]`` by the finite record
+        ``(lower, upper, interval_id)``.  The batch applies whole or
+        raises and leaves the store unchanged: a bad finite upper, a
+        ``lower`` after the clock and an open row closed twice are
+        refused by :func:`~repro.core.temporal.check_closures` before
+        anything changes, a missing open row (:class:`KeyError`) by the
+        store's own :meth:`delete`, after which the deletes made before
+        it are undone.  An empty batch is a no-op; otherwise stores
+        without a clock raise :class:`NotImplementedError`.  Backends
+        with a set-at-a-time write path -- one delete, one insert and
+        one metadata record on the disk RI-tree, one transaction on
+        sqlite -- override this default.
+        """
+        from .temporal import UPPER_NOW, check_closures
+
+        closes = list(closes)
+        if not closes:
+            return
+        now = getattr(self, "now", None)
+        if now is None:
+            raise NotImplementedError(
+                f"backend {self.method_name!r} has no temporal support "
+                f"(close_now_intervals)")
+        checked = check_closures(closes, now)
+        undo: list[tuple[Callable, tuple]] = []
+        try:
+            for lower, interval_id, _upper in checked:
+                self.delete(lower, UPPER_NOW, interval_id)
+                undo.append((self.insert, (lower, UPPER_NOW, interval_id)))
+            for lower, interval_id, upper in checked:
+                self.insert(lower, upper, interval_id)
+                undo.append((self.delete, (lower, upper, interval_id)))
+        except Exception:
+            for method, args in reversed(undo):
+                method(*args)
+            raise
 
     # ------------------------------------------------------------------
     # queries

@@ -70,7 +70,7 @@ from .backbone import VirtualBackbone
 from .interval import validate_interval
 from .predicates import compile_query, resolve_join_predicate
 from .ritree import RITree
-from .temporal import UPPER_NOW
+from .temporal import FORK_NOW, UPPER_NOW
 from .transient import collect_query_nodes
 
 #: Default number of histogram buckets (equi-depth boundaries kept).
@@ -908,8 +908,10 @@ class _SQLStoreStatistics:
     ships it (falling back to the analytic B+-tree layout otherwise),
     and ``PRAGMA database_list`` tells whether the ``main`` database is
     memory-resident (an empty file name), in which case the planner
-    prices no physical reads.  Reserved Section 4.6 fork rows carry
-    sentinel bounds and are excluded from the statistics.
+    prices no physical reads.  Reserved Section 4.6 fork rows count as
+    ``stored_records()`` reports them: a now-relative row ends at the
+    clock, an infinite row at the ``UPPER_INF`` sentinel -- as in the
+    engine and HINT statistics.
 
     Every one of these facts is ANALYZE-time statistics: :meth:`summarize`
     reads them once (at construction and on ``refresh()``) and
@@ -926,37 +928,35 @@ class _SQLStoreStatistics:
         return self.store.backbone
 
     @property
-    def _where(self) -> str:
-        from .temporal import FORK_INF, FORK_NOW
-        return f'"node" NOT IN ({FORK_INF}, {FORK_NOW})'
+    def _upper(self) -> str:
+        """The effective upper bound: now-relative rows end at the clock
+        (a store without one has no such rows)."""
+        now = getattr(self.store, "now", None)
+        if now is None:
+            return '"upper"'
+        return f'CASE "node" WHEN {FORK_NOW} THEN {int(now)} ELSE "upper" END'
 
     def summarize(self, buckets: int) -> BoundSummary:
         conn, name = self.store.conn, self.store.name
         self._read_geometry(conn, name)
-        count = conn.execute(
-            f'SELECT COUNT(*) FROM {name} WHERE {self._where}'
-        ).fetchone()[0]
+        count = conn.execute(f'SELECT COUNT(*) FROM {name}').fetchone()[0]
         if count == 0:
             return BoundSummary([], [], buckets)
+        upper = self._upper
+        duration = f'{upper} - "lower"'
         if count <= buckets:
-            lowers = [row[0] for row in conn.execute(
-                f'SELECT "lower" FROM {name} WHERE {self._where} '
-                f'ORDER BY "lower"')]
-            uppers = [row[0] for row in conn.execute(
-                f'SELECT "upper" FROM {name} WHERE {self._where} '
-                f'ORDER BY "upper"')]
-            durations = [row[0] for row in conn.execute(
-                f'SELECT "upper" - "lower" FROM {name} WHERE {self._where} '
-                f'ORDER BY "upper" - "lower"')]
+            lowers, uppers, durations = (
+                [row[0] for row in conn.execute(
+                    f'SELECT {expr} AS "b" FROM {name} ORDER BY "b"')]
+                for expr in ('"lower"', upper, duration))
             return BoundSummary(lowers, uppers, buckets,
                                 sorted_durations=durations)
         return BoundSummary.from_boundaries(
             count,
             self._quantiles(conn, name, '"lower"', buckets),
-            self._quantiles(conn, name, '"upper"', buckets),
+            self._quantiles(conn, name, upper, buckets),
             buckets,
-            duration_bounds=self._quantiles(
-                conn, name, '"upper" - "lower"', buckets),
+            duration_bounds=self._quantiles(conn, name, duration, buckets),
         )
 
     def _quantiles(
@@ -965,16 +965,14 @@ class _SQLStoreStatistics:
         """Equi-depth boundaries q_0..q_B of one bound expression, in SQL.
 
         ``expr`` is a quoted column or an arithmetic expression over the
-        bound columns (the duration histogram passes
-        ``'"upper" - "lower"'``); one NTILE window pass either way.
+        bound columns (the duration histogram passes the effective upper
+        minus ``"lower"``); one NTILE window pass either way.
         """
-        floor = conn.execute(
-            f'SELECT MIN({expr}) FROM {name} WHERE {self._where}'
-        ).fetchone()[0]
+        floor = conn.execute(f'SELECT MIN({expr}) FROM {name}').fetchone()[0]
         tiles = conn.execute(
             f'SELECT MAX("b") FROM (SELECT {expr} AS "b", '
             f'NTILE(?) OVER (ORDER BY {expr}) AS "t" '
-            f'FROM {name} WHERE {self._where}) GROUP BY "t" ORDER BY "t"',
+            f'FROM {name}) GROUP BY "t" ORDER BY "t"',
             (buckets,))
         return [floor] + [row[0] for row in tiles]
 

@@ -60,7 +60,7 @@ from .costmodel import (
 )
 from .interval import validate_interval
 from .predicates import resolve_join_predicate
-from .temporal import FORK_INF, UPPER_INF, UPPER_NOW, sentinel_node
+from .temporal import FORK_INF, UPPER_INF, sentinel_node
 from .verify import VerificationReport
 
 #: Default partitioning depth: ``levels = m`` gives ``2**m`` cells at the
@@ -466,14 +466,6 @@ class HintStore(IntervalStore):
         lowers.insert(i, lower)
         ids.insert(i, interval_id)
         self._note_bounds(lower, lower)
-
-    def close_now_interval(self, lower: int, interval_id: int,
-                           upper: int) -> None:
-        """Terminate ``[lower, now]`` at a fixed ``upper``: the record
-        is re-registered as an ordinary finite interval."""
-        validate_interval(lower, upper)
-        self.delete(lower, UPPER_NOW, interval_id)
-        self.insert(lower, upper, interval_id)
 
     @staticmethod
     def _remove_side(lowers, ids, lower, interval_id):

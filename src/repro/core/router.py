@@ -399,13 +399,6 @@ class ShardedStore(IntervalStore):
                 f"backend {shard.method_name!r} has no temporal support; "
                 f"shard a temporal backend instead")
 
-    def close_now_interval(self, lower: int, interval_id: int,
-                           upper: int) -> None:
-        """Terminate ``[lower, now]`` at a fixed ``upper``."""
-        validate_interval(lower, upper)
-        self.delete(lower, UPPER_NOW, interval_id)
-        self.insert(lower, upper, interval_id)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

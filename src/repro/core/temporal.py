@@ -85,6 +85,39 @@ def sentinel_node(lower: int, upper: int, now: int) -> Optional[int]:
     return node
 
 
+def check_closures(closes, now: int) -> list[tuple[int, int, int]]:
+    """The ``(lower, interval_id, upper)`` closures of one batch, checked.
+
+    Each closure terminates the open row ``[lower, now]`` at the finite
+    ``upper``.  Refused before any store changes: a bad finite upper
+    (not an integer, below ``lower`` or a sentinel), a ``lower`` that
+    :func:`sentinel_node` refuses for a now-relative row (after the
+    clock ``now``, among others) and the same open row closed twice in
+    the batch.  Whether each open row exists is the store's to check.
+
+    >>> check_closures([(5, 1, 9)], now=10)
+    [(5, 1, 9)]
+    >>> check_closures([(5, 1, 9), (5, 1, 12)], now=10)
+    Traceback (most recent call last):
+    ...
+    ValueError: open row (5, 1) is closed twice in one batch
+    """
+    checked = [(lower, interval_id, upper)
+               for lower, interval_id, upper in closes]
+    seen = set()
+    for lower, interval_id, upper in checked:
+        validate_interval(lower, upper)
+        if upper in (UPPER_INF, UPPER_NOW):
+            raise ValueError(
+                f"closure upper must be finite, got the sentinel {upper}")
+        sentinel_node(lower, UPPER_NOW, now)
+        key = (lower, interval_id)
+        if key in seen:
+            raise ValueError(f"open row {key} is closed twice in one batch")
+        seen.add(key)
+    return checked
+
+
 class TemporalRITree(RITree):
     """RI-tree managing finite, infinite and now-relative intervals.
 
@@ -229,15 +262,57 @@ class TemporalRITree(RITree):
                 self._now_count -= 1
             self._log_meta()
 
-    def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
-        """Terminate ``[lower, now]`` at a fixed ``upper`` (e.g. logical
-        deletion in a valid-time table): the record is re-registered as an
-        ordinary finite interval.  Delete and re-insert commit as one
-        atomic batch -- a crash in between cannot lose the record."""
-        validate_interval(lower, upper)
+    def close_now_intervals(self, closes) -> None:
+        """Terminate open rows ``[lower, now]`` at fixed uppers, set at a
+        time: ``closes`` holds ``(lower, interval_id, upper)`` triples.
+
+        Every closure is checked (:func:`check_closures`) and its open
+        row found -- one range scan of the ``FORK_NOW`` slice of the
+        lowerIndex -- before anything changes; a missing row raises
+        :class:`KeyError`.  Then one atomic batch deletes the open rows
+        (:meth:`~repro.engine.table.Table.delete_many`), inserts the
+        finite rows (one :meth:`~repro.engine.table.Table.insert_many`)
+        and logs one ``meta`` record: a crash in between cannot lose a
+        record.
+        """
+        uppers = {(lower, interval_id): upper for lower, interval_id, upper
+                  in check_closures(closes, self._now)}
+        if not uppers:
+            return
+        found = self._open_rowids(uppers)
+        rowids = list(found.values())
+        row = self._row
+        rows = [row(lower, uppers[lower, interval_id], interval_id)
+                for lower, interval_id in found]
         with self.db.atomic():
-            self.delete(lower, UPPER_NOW, interval_id)
-            self.insert(lower, upper, interval_id)
+            self.table.delete_many(rowids)
+            self.table.insert_many(rows)
+            self._now_count -= len(rowids)
+            note = self._note_row
+            for node, lower, upper, _interval_id in rows:
+                note(node, lower, upper)
+            self._log_meta()
+
+    def _open_rowids(self, keys) -> dict[tuple[int, int], int]:
+        """Row id of one open row per ``(lower, interval_id)`` key.
+
+        One sorted pass over the ``FORK_NOW`` slice of the lowerIndex
+        between the smallest and the largest lower bound; the keys come
+        back in index order.  Raises :class:`KeyError` for the first
+        key with no open row.
+        """
+        lowers = [lower for lower, _interval_id in keys]
+        found: dict[tuple[int, int], int] = {}
+        for batch in self.table.index_scan_batches(
+                "lowerIndex", (FORK_NOW, min(lowers)), (FORK_NOW, max(lowers))):
+            for _node, lower, interval_id, rowid in batch:
+                key = (lower, interval_id)
+                if key in keys and key not in found:
+                    found[key] = rowid
+        if len(found) < len(keys):
+            lower, interval_id = min(set(keys) - set(found))
+            raise KeyError((lower, UPPER_NOW, interval_id))
+        return found
 
     def append_batch(self, intervals) -> None:
         """Streaming append with sentinel rows folded into the batch.

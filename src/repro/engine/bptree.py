@@ -227,13 +227,15 @@ class BPlusTree:
 
     def _descend_fenced(
         self, key: tuple[int, ...]
-    ) -> tuple[list[tuple[int, int]], Optional[tuple[int, ...]]]:
-        """:meth:`_descend` plus the leaf's upper fence.
+    ) -> tuple[list[tuple[int, int]], Optional[tuple[int, ...]], LeafPage]:
+        """:meth:`_descend` plus the leaf's upper fence and the leaf.
 
         The fence is the separator right of the path at the deepest level
         that has one: the leaf holds exactly the entries ``e`` with
         ``key``'s lower fence ``<= e < fence`` (``None``: no upper bound,
-        the rightmost leaf).  Same page requests as :meth:`_descend`.
+        the rightmost leaf).  Same page requests as :meth:`_descend`; the
+        leaf page comes back with the path, so callers that work on it
+        request it once.
         """
         path = [(self.root_id, -1)]
         fence = None
@@ -246,13 +248,12 @@ class BPlusTree:
             child_id = node.children[idx]
             path.append((child_id, idx))
             node = self._get(child_id)
-        return path, fence
+        return path, fence, node
 
     def contains(self, entry: tuple[int, ...]) -> bool:
         """Exact-match membership test."""
         self._check_arity(entry)
-        leaf_id = self._descend(entry)[-1][0]
-        leaf = self._get(leaf_id)
+        leaf = self._descend_fenced(entry)[2]
         idx = bisect_left(leaf.entries, entry)
         return idx < len(leaf.entries) and leaf.entries[idx] == entry
 
@@ -527,9 +528,8 @@ class BPlusTree:
         position = 0
         while position < total:
             entry = entries[position]
-            path, fence = self._descend_fenced(entry)
+            path, fence, leaf = self._descend_fenced(entry)
             leaf_id = path[-1][0]
-            leaf = self._get(leaf_id)
             leaf_entries = leaf.entries
             idx = 0
             run = 0
@@ -605,9 +605,8 @@ class BPlusTree:
     def delete(self, entry: tuple[int, ...]) -> None:
         """Remove an entry, rebalancing underfull pages (O(log_b n))."""
         self._check_arity(entry)
-        path = self._descend(entry)
+        path, _fence, leaf = self._descend_fenced(entry)
         leaf_id = path[-1][0]
-        leaf = self._get(leaf_id)
         idx = bisect_left(leaf.entries, entry)
         if idx >= len(leaf.entries) or leaf.entries[idx] != entry:
             raise KeyNotFoundError(f"{self.name}: entry {entry} not found")

@@ -313,14 +313,7 @@ class Database:
                 elif kind == "bulk":
                     self._replay_bulk(record, content)
                 elif kind == "delete":
-                    row = tuple(record["row"])
-                    rowids = content.get((record["table"], row))
-                    if not rowids:
-                        raise RecoveryError(
-                            f"replay deletes missing row {row} "
-                            f"from table {record['table']}"
-                        )
-                    self.table(record["table"]).delete(rowids.pop())
+                    self._replay_delete(record, content)
                 elif kind == "meta":
                     self._wal_meta[record["store"]] = record["data"]
                 else:  # pragma: no cover - _committed_records filters these
@@ -341,6 +334,20 @@ class Database:
             if rows:
                 _note_rows(content, spec["name"], rows, table.bulk_load(rows))
         self._wal_meta.update(record.get("meta", {}))
+
+    def _replay_delete(
+        self, record: dict, content: dict[tuple[str, tuple], list[int]]
+    ) -> None:
+        name = record["table"]
+        rowids = []
+        for row in map(tuple, record["rows"]):
+            stored = content.get((name, row))
+            if not stored:
+                raise RecoveryError(
+                    f"replay deletes missing row {row} from table {name}"
+                )
+            rowids.append(stored.pop())
+        self.table(name).delete_many(rowids)
 
     def _replay_bulk(
         self, record: dict, content: dict[tuple[str, tuple], list[int]]

@@ -78,7 +78,9 @@ class Table:
 
     Rows go in through :meth:`insert_many` -- one logged statement, one
     heap pass, one sorted batch per index -- of which :meth:`insert` is
-    the one-row case, or through :meth:`bulk_load` into an empty table.
+    the one-row case, or through :meth:`bulk_load` into an empty table;
+    they leave through :meth:`delete_many`, of which :meth:`delete` is
+    the one-row case.
     Create through :meth:`repro.engine.database.Database.create_table`.
     """
 
@@ -170,12 +172,39 @@ class Table:
 
     def delete(self, rowid: int) -> tuple[int, ...]:
         """Delete a row by id, maintaining all indexes; return the old row."""
-        row = self.heap.delete(rowid)
+        return self.delete_many([rowid])[0]
+
+    def delete_many(self, rowids: Sequence[int]) -> list[tuple[int, ...]]:
+        """Delete rows by id as one statement; return the old rows.
+
+        The table's only delete path, the mirror of :meth:`insert_many`.
+        Every row id must name a distinct live row: the rows are fetched
+        (:meth:`HeapFile.fetch_many`) before anything is logged, so a
+        rejected statement leaves neither a WAL record nor a change
+        behind.  Then one ``delete`` record carries all rows -- replay
+        resolves each by content -- the heap kills their slots and each
+        index drops their entries.
+        """
+        rowids = list(rowids)
+        if len(set(rowids)) != len(rowids):
+            raise SchemaError(f"table {self.name}: a row id repeats in one delete")
+        rows = self.heap.fetch_many(rowids)
+        if not rows:
+            return rows
         if self._log is not None:
-            self._log({"t": "delete", "table": self.name, "row": list(row)})
+            self._log(
+                {
+                    "t": "delete",
+                    "table": self.name,
+                    "rows": [list(row) for row in rows],
+                }
+            )
+        for rowid in rowids:
+            self.heap.delete(rowid)
         for index in self.indexes.values():
-            index.tree.delete(index.entry_for(row, rowid))
-        return row
+            for entry in index.sorted_entries(rows, rowids):
+                index.tree.delete(entry)
+        return rows
 
     def bulk_load(self, rows: Sequence[Sequence[int]], fill: float = 0.9) -> list[int]:
         """Load many rows at once; indexes are built bottom-up.

@@ -5,9 +5,10 @@ The simulated engine keeps its catalog and page directories in memory, so a
 Durability therefore follows the classic logical-redo recipe:
 
 * every mutation appends a **logical record** (insert / delete / bulk /
-  DDL / store metadata) to the log tail.  An insert statement is one
-  record however many rows it carries:
-  ``{"t": "insert", "table": name, "rows": [[col, ...], ...]}``;
+  DDL / store metadata) to the log tail.  An insert or delete statement
+  is one record however many rows it carries:
+  ``{"t": "insert", "table": name, "rows": [[col, ...], ...]}``, and
+  likewise ``"t": "delete"`` (replay finds each deleted row by content);
 * a batch commits by appending a ``commit`` record and **forcing** the
   tail (group commit -- one force per batch, accounted in whole blocks as
   ``wal_writes``);

@@ -16,7 +16,9 @@ stores themselves deliberately do not:
 * **Commit-boundary ordering.**  Clock advances apply before a batch's
   records (now-relative rows start at or before the new clock) and
   closures force the buffered appends down first (a closure may target
-  a row that is still sitting in the buffer).
+  a row that is still sitting in the buffer).  A batch's closures are
+  one ``close_now_intervals`` call -- one delete, one insert and one
+  metadata record on the disk RI-tree.
 
 * **One commit per submit.**  Everything one ``submit`` writes -- a
   backpressure flush, the clock advance, a flush and the closures --
@@ -150,9 +152,8 @@ class StreamIngestor:
         if batch.closes:
             # Closures may target still-buffered rows: commit those first.
             self.flush()
-            for lower, interval_id, upper in batch.closes:
-                self.store.close_now_interval(lower, interval_id, upper)
-                self.stats.closes += 1
+            self.store.close_now_intervals(batch.closes)
+            self.stats.closes += len(batch.closes)
         elif len(self._buffer) >= self.flush_records:
             self.flush()
 

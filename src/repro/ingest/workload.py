@@ -20,9 +20,10 @@ queries.  Two arrival disciplines are supported:
 
 Open intervals ride along in either mode: a configurable fraction of
 rows commits as now-relative ``[lower, now]`` sentinel records
-(Section 4.6) that a *later* batch closes at a fixed upper bound via
-``close_now_interval`` -- the session/transaction-time lifecycle the
-paper's ``now`` discussion describes.
+(Section 4.6) that a *later* batch closes at a fixed upper bound --
+all of one batch's closures in one ``close_now_intervals`` call -- the
+session/transaction-time lifecycle the paper's ``now`` discussion
+describes.
 
 Every batch is reproducible from the seed alone; :func:`replay_records`
 rebuilds the net record image of any committed prefix.
@@ -58,7 +59,8 @@ class StreamBatch:
         open rows.
     closes:
         ``(lower, interval_id, upper)`` closures of now-relative rows
-        committed by *earlier* batches; applied after the appends.
+        committed by *earlier* batches; applied after the appends, as
+        one ``close_now_intervals`` call.
     """
 
     seq: int
@@ -75,8 +77,7 @@ class StreamBatch:
         clock first, then the appends, then the closures."""
         store.advance_to(self.timestamp)
         store.append_batch(self.records)
-        for lower, interval_id, upper in self.closes:
-            store.close_now_interval(lower, interval_id, upper)
+        store.close_now_intervals(self.closes)
 
 
 class StreamWorkload:

@@ -28,10 +28,10 @@ class BruteForceIntervals(IntervalStore):
     :data:`~repro.core.temporal.UPPER_INF`, as :meth:`insert` and
     :meth:`delete` receive them, repeated records with their
     multiplicity.  Only the abstract core, :meth:`stored_records` and the
-    Section 4.6 clock live here; queries, joins, counts and
-    ``append_batch`` are the
-    :class:`~repro.core.access.IntervalStore` defaults, which filter
-    :meth:`stored_records` with the predicate formula.  The clock starts
+    Section 4.6 clock live here; queries, joins, counts,
+    ``append_batch`` and ``close_now_intervals`` are the
+    :class:`~repro.core.access.IntervalStore` defaults, the reads among
+    them filtering :meth:`stored_records` with the predicate formula.  The clock starts
     below every bound, so the first :meth:`advance_to` may set any value.
     """
 
@@ -44,8 +44,7 @@ class BruteForceIntervals(IntervalStore):
             self.insert(lower, upper, interval_id)
 
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
-        if sentinel_node(lower, upper, self._now) is None:
-            validate_interval(lower, upper)
+        self._check_record(lower, upper)
         self._rows[(lower, upper, interval_id)] += 1
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
@@ -86,9 +85,3 @@ class BruteForceIntervals(IntervalStore):
         if now < self._now:
             raise ValueError(f"clock moves forward only: {now} < now={self._now}")
         self._now = now
-
-    def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
-        """Terminate ``[lower, now]`` at a fixed ``upper``."""
-        validate_interval(lower, upper)
-        self.delete(lower, UPPER_NOW, interval_id)
-        self.insert(lower, upper, interval_id)

@@ -14,12 +14,12 @@ many shard processes busy.
 :mod:`repro.service.ops` (bulk loads chunked), which writes the request
 frame and returns before the response arrives, and contract exceptions
 round-trip by type.  Temporal rows travel through the plain ``insert``,
-``delete`` and ``ingest_batch`` frames with their sentinel uppers; the
-temporal ops (``advance_to``, ``close_now_interval``) appear *only when
-the remote backend has them* -- ``hasattr(remote, "advance_to")``
-answers like the local store would, so
-:class:`~repro.core.router.ShardedStore` can front remote shards with
-unchanged temporal guards.
+``delete`` and ``ingest_batch`` frames with their sentinel uppers, a
+batch of closures in one ``close_now_intervals`` frame; the clock op
+``advance_to`` appears *only when the remote backend has it* --
+``hasattr(remote, "advance_to")`` answers like the local store would,
+so :class:`~repro.core.router.ShardedStore` can front remote shards
+with unchanged temporal guards.
 """
 
 from __future__ import annotations
@@ -193,6 +193,14 @@ class RemoteStore(IntervalStore):
 
     def extend(self, intervals: Iterable[IntervalRecord]) -> None:
         self.bulk_load(list(intervals))
+
+    def close_now_intervals(self, closes) -> None:
+        """Forward a batch of closures as one ``close_now_intervals``
+        frame (none for an empty batch); the served store applies it
+        whole or not at all."""
+        closes = list(closes)
+        if closes:
+            self.submit("close_now_intervals", closes)()
 
     # ------------------------------------------------------------------
     # queries

@@ -172,9 +172,7 @@ OPS: dict[str, WireOp] = {op.name: op for op in (
     WireOp("bulk_load", True, _RECORDS, chunked=True),
     WireOp("ingest_batch", True, _RECORDS, method="append_batch",
            chunked=True),
-    WireOp("close_now_interval", True,
-           (("lower", integer), ("interval_id", integer), ("upper", integer)),
-           temporal=True),
+    WireOp("close_now_intervals", True, (("closes", records),)),
     WireOp("advance_to", True, (("now", integer),), temporal=True),
     WireOp("stab", False, (("value", integer),), width=1),
     WireOp("intersection", False, _WINDOW, width=1),

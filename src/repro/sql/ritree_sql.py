@@ -57,6 +57,7 @@ from ..core.temporal import (
     FORK_NOW,
     UPPER_INF,
     UPPER_NOW,
+    check_closures,
     sentinel_node,
 )
 from ..core.verify import VerificationReport
@@ -312,15 +313,34 @@ class SQLRITree(IntervalStore):
     # ------------------------------------------------------------------
     # temporal records (Section 4.6)
     # ------------------------------------------------------------------
-    def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
-        """Terminate ``[lower, now]`` at a fixed ``upper``: the row is
-        re-inserted as an ordinary finite interval.  Delete and insert
-        commit as one transaction, so a failure keeps the open row."""
-        validate_interval(lower, upper)
+    def close_now_intervals(self, closes) -> None:
+        """Terminate open rows ``[lower, now]`` at fixed uppers in one
+        transaction: one ``executemany`` deletes the open rows, one
+        inserts the finite rows.
+
+        Every closure is checked (:func:`~repro.core.temporal.
+        check_closures`) and its finite row built before the statements
+        run; an open row the delete misses raises :class:`KeyError` and
+        rolls the whole batch back.
+        """
+        checked = check_closures(closes, self._now)
+        if not checked:
+            return
+        row = self._row
+        rows = [row(lower, upper, interval_id)
+                for lower, interval_id, upper in checked]
+        open_rows = [{"node": FORK_NOW, "lower": lower, "upper": UPPER_NOW,
+                      "id": interval_id}
+                     for lower, interval_id, _upper in checked]
 
         def body() -> None:
-            self.delete(lower, UPPER_NOW, interval_id)
-            self.insert(lower, upper, interval_id)
+            cursor = self.conn.executemany(
+                schema.DELETE_SQL.format(name=self.name), open_rows)
+            if cursor.rowcount != len(open_rows):
+                raise KeyError(f"{len(open_rows) - cursor.rowcount} of "
+                               f"{len(open_rows)} closures have no open row")
+            self.conn.executemany(schema.INSERT_SQL.format(name=self.name), rows)
+            self._save_params()
 
         self._transact(body)
 

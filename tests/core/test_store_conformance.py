@@ -169,7 +169,7 @@ def test_append_batch_temporal_rows_and_closes(store):
     # The now-relative row reads as [10, 100], the infinite row never ends.
     assert sorted(store.intersection(60, 200)) == [2, 3]
     store.advance_to(300)
-    store.close_now_interval(10, 2, 250)
+    store.close_now_intervals([(10, 2, 250)])
     report = store.verify()
     assert report.ok, [i.as_dict() for i in report.issues]
     assert sorted(store.stab(240)) == [2, 3]
@@ -291,6 +291,82 @@ def test_sentinel_upper_stores_one_row_on_every_temporal_store(any_store, write)
     any_store.delete(*row)
     assert sorted(any_store.stored_records()) == sorted(expected[:-1])
     assert any_store.verify().ok
+
+
+@pytest.mark.parametrize("bad", [(2**61, UPPER_INF, 9), (70, 60, 9), (1.5, 4, 9)],
+                         ids=["sentinel-lower", "inverted", "non-integer"])
+def test_append_batch_with_a_rejected_record_writes_nothing(any_store, bad):
+    """A batch is validated whole before its first row is written: a
+    good record ahead of the rejected one is not stored either."""
+    _seed(any_store, 100)
+    before = sorted(any_store.stored_records())
+    with pytest.raises((TypeError, ValueError)):
+        any_store.append_batch([(60, 70, 8), bad])
+    assert sorted(any_store.stored_records()) == before
+    report = any_store.verify()
+    assert report.ok, [i.as_dict() for i in report.issues]
+
+
+# ----------------------------------------------------------------------
+# close_now_intervals: a batch of closures applies whole or not at all
+# ----------------------------------------------------------------------
+#: Open rows beside ``_seed``'s ``(10, UPPER_NOW, 3)``, at clock 100.
+OPEN_ROWS = [(40, UPPER_NOW, 5), (60, UPPER_NOW, 6), (10, UPPER_NOW, 7)]
+
+
+def _seed_open(store):
+    if not hasattr(store, "advance_to"):
+        pytest.skip("backend has no temporal rows")
+    _seed(store, 100)
+    store.append_batch(OPEN_ROWS)
+    store.advance_to(200)
+
+
+def test_close_now_intervals_closes_a_batch(any_store):
+    _seed_open(any_store)
+    any_store.close_now_intervals([(60, 6, 190), (10, 3, 120), (10, 7, 10)])
+    expected = SEED_ROWS + [(10, 120, 3), (30, UPPER_INF, 4), (40, 200, 5),
+                            (60, 190, 6), (10, 10, 7)]
+    assert sorted(any_store.stored_records()) == sorted(expected)
+    report = any_store.verify()
+    assert report.ok, [i.as_dict() for i in report.issues]
+    assert sorted(any_store.intersection(150, 195)) == [4, 5, 6]
+    any_store.advance_to(300)
+    assert sorted(any_store.intersection(250, 300)) == [4, 5]
+    any_store.close_now_intervals([])
+    assert sorted(any_store.intersection(250, 300)) == [4, 5]
+
+
+@pytest.mark.parametrize("closes, error", [
+    ([(10, 3, 120), (40, 5, 30)], ValueError),  # upper below lower
+    ([(10, 3, 120), (40, 5, UPPER_INF)], ValueError),  # a sentinel upper
+    ([(10, 3, 120), (40, 5, 1.5)], TypeError),
+    ([(10, 3, 120), (201, 5, 250)], ValueError),  # lower after the clock
+    ([(10, 3, 120), (11, 3, 130)], KeyError),  # no such open row
+    ([(10, 3, 120), (5, 1, 130)], KeyError),  # a finite row is not open
+    ([(10, 3, 120), (40, 5, 150), (10, 3, 130)], ValueError),  # twice
+], ids=["inverted", "sentinel-upper", "non-integer-upper", "after-clock",
+        "missing", "finite-row", "twice"])
+def test_close_now_intervals_refuses_the_whole_batch(any_store, closes, error):
+    """Each rejected batch raises and leaves the store as it was, also
+    the closures ahead of the bad one."""
+    _seed_open(any_store)
+    before = sorted(any_store.stored_records())
+    with pytest.raises(error):
+        any_store.close_now_intervals(closes)
+    assert sorted(any_store.stored_records()) == before
+    report = any_store.verify()
+    assert report.ok, [i.as_dict() for i in report.issues]
+    any_store.close_now_intervals([(10, 3, 120)])  # still usable
+    assert (10, 120, 3) in any_store.stored_records()
+
+
+def test_close_now_intervals_on_a_plain_store_is_not_implemented(any_store):
+    if hasattr(any_store, "advance_to"):
+        pytest.skip("backend has temporal rows")
+    any_store.close_now_intervals([])
+    with pytest.raises(NotImplementedError):
+        any_store.close_now_intervals([(10, 3, 120)])
 
 
 def test_delete_removes_and_raises(store):
@@ -485,11 +561,21 @@ class StoreMachine(RuleBasedStateMachine):
         self.infinite.append(row)
 
     @precondition(lambda self: self.open)
-    @rule(k=pick, length=st.integers(0, 3_000))
-    def close_now_interval(self, k, length):
-        lower, interval_id = self.open.pop(k % len(self.open))
-        self._both("close_now_interval", lower, interval_id, lower + length)
-        self.finite.append((lower, lower + length, interval_id))
+    @rule(picks=st.lists(st.tuples(pick, st.integers(0, 3_000)),
+                         min_size=1, max_size=4))
+    def close_now_intervals(self, picks):
+        """Close a random subset of the open rows in one call."""
+        closes = []
+        for k, length in picks:
+            if not self.open:
+                break
+            lower, interval_id = self.open[k % len(self.open)]
+            if any(c[:2] == (lower, interval_id) for c in closes):
+                continue  # one open row is closed at most once per batch
+            self.open.remove((lower, interval_id))
+            closes.append((lower, interval_id, lower + length))
+        self._both("close_now_intervals", closes)
+        self.finite.extend((lower, upper, i) for lower, i, upper in closes)
 
     @precondition(lambda self: self.open)
     @rule(k=pick)
@@ -545,7 +631,7 @@ class StoreMachine(RuleBasedStateMachine):
 @pytest.mark.parametrize("store_name", STORE_NAMES)
 def test_property_store_matches_oracle(store_name):
     """Interleaved inserts, deletes, appends, clock ticks, temporal rows
-    and closures; intersections, counts, an Allen relation (also on
+    and batched closures; intersections, counts, an Allen relation (also on
     windows sharing a bound with a live row or the clock), a
     range-duration band, joins and the stored relation after each."""
     run_state_machine_as_test(
@@ -641,7 +727,7 @@ def test_verify_after_every_temporal_mutation():
     assert tree.verify().ok
     tree.advance_to(500)
     assert tree.verify().ok
-    tree.close_now_interval(10, 4, 450)
+    tree.close_now_intervals([(10, 4, 450)])
     assert tree.verify().ok
     tree.delete(40, UPPER_INF, 3)
     report = tree.verify()
@@ -673,7 +759,7 @@ def _temporal_steps(tree):
         lambda: tree.insert(10, UPPER_NOW, 301),
         lambda: tree.advance_to(500),
         lambda: tree.delete(*CRASH_ROWS[1]),
-        lambda: tree.close_now_interval(10, 301, 450),
+        lambda: tree.close_now_intervals([(10, 301, 450)]),
     ]
 
 

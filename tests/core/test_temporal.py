@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import FORK_INF, FORK_NOW, UPPER_INF, UPPER_NOW, TemporalRITree
+from repro.engine import Database
 from repro.methods import BruteForceIntervals
 
 
@@ -62,13 +63,48 @@ def test_reserved_fork_nodes_are_disjoint_from_data_nodes():
     assert tree.backbone.right_root < FORK_NOW < FORK_INF
 
 
-def test_close_now_interval():
+def test_close_now_intervals():
     tree = TemporalRITree(now=1000)
     tree.insert(100, UPPER_NOW, 1)
-    tree.close_now_interval(100, 1, upper=500)
+    tree.close_now_intervals([(100, 1, 500)])
     assert tree.now_relative_count == 0
     assert tree.intersection(400, 600) == [1]
     assert tree.intersection(501, 2000) == []
+
+
+def test_closures_are_one_delete_one_insert_and_one_meta_record(monkeypatch):
+    db = Database(wal=True)
+    tree = TemporalRITree(db, now=1000)
+    tree.append_batch([(5, 50, 1)] + [(100 + i, UPPER_NOW, 10 + i)
+                                      for i in range(6)])
+    monkeypatch.setattr(TemporalRITree, "append_batch", None)
+    forces, logged = db.wal.forces, db.wal.durable_records
+    tree.close_now_intervals([(104, 14, 900), (101, 11, 800), (102, 12, 102)])
+    records = db.wal.records()[logged:]
+    assert [r["t"] for r in records] == [
+        "begin", "delete", "insert", "meta", "commit"]
+    assert db.wal.forces - forces == 1
+    assert len(records[1]["rows"]) == len(records[2]["rows"]) == 3
+    assert tree.now_relative_count == 3
+    assert sorted(tree.stab(850)) == [10, 13, 14, 15]
+    assert tree.verify().ok
+    recovered = TemporalRITree.attach(db.recover())
+    assert sorted(recovered.stored_records()) == sorted(tree.stored_records())
+    assert recovered.now_relative_count == 3
+
+
+def test_a_refused_closure_batch_writes_nothing():
+    db = Database(wal=True)
+    tree = TemporalRITree(db, now=1000)
+    tree.append_batch([(100, UPPER_NOW, 1), (200, UPPER_NOW, 2)])
+    logged = db.wal.durable_records
+    for closes in ([(100, 1, 500), (300, 2, 600)],  # no such open row
+                   [(100, 1, 500), (200, 2, 2**50)],  # out of domain
+                   [(100, 1, 500), (100, 1, 600)]):  # the same row twice
+        with pytest.raises((KeyError, ValueError)):
+            tree.close_now_intervals(closes)
+    assert db.wal.durable_records == logged and not db.wal_desynced
+    assert tree.now_relative_count == 2 and tree.verify().ok
 
 
 def test_delete_special_intervals():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Database
-from repro.engine.errors import SchemaError
+from repro.engine.errors import EngineError, SchemaError
 
 
 def make_table(db=None):
@@ -42,6 +42,43 @@ def test_delete_removes_from_heap_and_indexes():
     assert [e for e in table.index_scan("ia")] == [(4, other)]
     for index in table.indexes.values():
         index.tree.check_invariants()
+
+
+def test_delete_many_is_one_logged_statement():
+    db = Database(block_size=512, cache_blocks=16, wal=True)
+    _, table = make_table(db)
+    rowids = table.insert_many([(i, i, i) for i in range(40)])
+    logged = db.wal.durable_records
+    assert table.delete_many([rowids[30], rowids[3], rowids[7]]) == [
+        (30, 30, 30), (3, 3, 3), (7, 7, 7)]
+    records = db.wal.records()[logged:]
+    assert [r["t"] for r in records] == ["begin", "delete", "commit"]
+    assert records[1]["rows"] == [[30, 30, 30], [3, 3, 3], [7, 7, 7]]
+    assert table.row_count == 37
+    for index in table.indexes.values():
+        assert len(index.tree) == 37
+        index.tree.check_invariants()
+    recovered = db.recover().table("T")
+    assert sorted(row for _, row in recovered.scan()) == sorted(
+        (i, i, i) for i in range(40) if i not in (3, 7, 30))
+
+
+@pytest.mark.parametrize("pick", [lambda r: [r[0], r[5], r[0]],
+                                  lambda r: [r[1], r[2], r[2] + 1000],
+                                  lambda r: [r[4], r[3]]],
+                         ids=["repeated", "invalid", "dead"])
+def test_delete_many_refuses_before_anything_changes(pick):
+    db = Database(block_size=512, cache_blocks=16, wal=True)
+    _, table = make_table(db)
+    rowids = table.insert_many([(i, i, i) for i in range(10)])
+    table.delete(rowids[3])
+    logged = db.wal.durable_records
+    with pytest.raises(EngineError):
+        table.delete_many(pick(rowids))
+    assert db.wal.durable_records == logged and not db.wal_desynced
+    assert table.row_count == 9
+    assert [e[0] for e in table.index_scan("ia")] == [
+        i for i in range(10) if i != 3]
 
 
 def test_duplicate_key_values_allowed():

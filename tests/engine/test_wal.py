@@ -216,7 +216,7 @@ def test_multi_row_insert_record_replays():
     db.wal.append(
         {"t": "insert", "table": "T", "rows": [[5, 0], [2, 1], [5, 0], [9, 3]]}
     )
-    db.wal.append({"t": "delete", "table": "T", "row": [5, 0]})
+    db.wal.append({"t": "delete", "table": "T", "rows": [[5, 0]]})
     db.wal.append({"t": "commit", "b": 99})
     db.wal.force()
     recovered = db.recover()

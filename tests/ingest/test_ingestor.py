@@ -28,8 +28,8 @@ class RecordingStore:
     def append_batch(self, records) -> None:
         self.events.append(("append", len(records)))
 
-    def close_now_interval(self, lower: int, interval_id: int, upper: int) -> None:
-        self.events.append(("close", interval_id))
+    def close_now_intervals(self, closes) -> None:
+        self.events.append(("close", [interval_id for _, interval_id, _ in closes]))
 
 
 class RecordingDatabase:
@@ -114,8 +114,7 @@ def test_closures_flush_buffered_rows_first_in_one_batch():
         "begin",
         ("advance", 20),
         ("append", 5),
-        ("close", 0),
-        ("close", 1),
+        ("close", [0, 1]),
         "commit",
     ]
     assert ingestor.stats.closes == 2

@@ -172,7 +172,7 @@ def test_remote_temporal_entry_points():
         assert sorted(proxy.intersection(100, 200)) == [1]
         proxy.advance_to(150)
         assert sorted(proxy.intersection(100, 200)) == [1, 2]
-        proxy.close_now_interval(8, interval_id=2, upper=120)
+        proxy.close_now_intervals([(8, 2, 120)])
         assert sorted(proxy.intersection(130, 200)) == [1]
         proxy.delete(5, UPPER_INF, interval_id=1)
         assert proxy.intersection(130, 200) == []
@@ -188,7 +188,7 @@ def test_sql_ritree_server_closes_and_deletes_temporal_rows():
         proxy.insert(8, UPPER_NOW, interval_id=2)
         proxy.insert(5, UPPER_INF, interval_id=1)
         proxy.advance_to(150)
-        proxy.close_now_interval(8, interval_id=2, upper=120)
+        proxy.close_now_intervals([(8, 2, 120)])
         assert sorted(proxy.intersection(130, 200)) == [1]
         proxy.delete(5, UPPER_INF, interval_id=1)
         with pytest.raises(KeyError):
@@ -229,6 +229,13 @@ def test_temporal_op_on_plain_backend_is_not_implemented():
                 client.call("advance_to", now=5)
 
 
+def test_closures_on_a_plain_backend_are_not_implemented():
+    with remote(create_store("ritree")) as proxy:
+        proxy.close_now_intervals([])  # no frame, nothing to refuse
+        with pytest.raises(NotImplementedError, match="temporal"):
+            proxy.close_now_intervals([(1, 2, 3)])
+
+
 def test_unknown_op_and_missing_field_are_value_errors():
     with served(seeded_store()) as (host, port):
         with ServiceClient(host, port) as client:
@@ -250,7 +257,7 @@ def test_errors_do_not_poison_the_connection():
 def _calls_with_bad_integer(bad):
     """``(method, args)`` calls with one integer field replaced by ``bad``."""
     calls = [("stab", (bad,)), ("advance_to", (bad,)),
-             ("close_now_interval", (3, 60, bad))]
+             ("close_now_intervals", ([(3, 60, bad)],))]
     for i in range(3):
         row = tuple(bad if j == i else v for j, v in enumerate((2, 6, 50)))
         calls += [(method, row) for method in ("insert", "delete")]
@@ -266,7 +273,7 @@ def _calls_with_bad_integer(bad):
         calls += [(method, window) for method in (
             "intersection", "intersection_count", "query")]
         calls.append(("intersection_many", ([window],)))
-        calls.append(("close_now_interval", (*window, 9)))
+        calls.append(("close_now_intervals", ([(*window, 9)],)))
     return calls
 
 

@@ -37,7 +37,7 @@ CALLS = [
     ("insert_infinite", lambda s: s.insert(3, UPPER_INF, 10)),
     ("insert_until_now", lambda s: s.insert(4, UPPER_NOW, 11)),
     ("delete_infinite", lambda s: s.delete(3, UPPER_INF, 10)),
-    ("close_now_interval", lambda s: s.close_now_interval(4, 11, 9)),
+    ("close_now_intervals", lambda s: s.close_now_intervals([(4, 11, 9)])),
     ("delete_until_now", lambda s: (s.insert(6, UPPER_NOW, 12),
                                     s.delete(6, UPPER_NOW, 12))),
     ("advance_to", lambda s: s.advance_to(20)),

@@ -4,6 +4,7 @@ import sqlite3
 
 import pytest
 
+from repro.core.costmodel import BoundSummary
 from repro.core.predicates import range_duration
 from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.methods.memory import BruteForceIntervals
@@ -224,14 +225,14 @@ def test_temporal_rows_delete_close_and_reattach(tmp_path):
         store.insert(10, UPPER_NOW, 7)
         store.insert(20, UPPER_NOW, 8)
         store.insert(30, UPPER_INF, 9)
-        store.close_now_interval(10, 7, 50)
+        store.close_now_intervals([(10, 7, 50)])
         store.delete(20, UPPER_NOW, 8)
     expected = sorted(oracle.stored_records())
     assert sorted(tree.stored_records()) == expected
     assert expected == [(0, 30, 1), (10, 50, 7), (30, UPPER_INF, 9)]
     assert tree.verify().ok
     with pytest.raises(KeyError):
-        tree.close_now_interval(10, 7, 60)  # already closed
+        tree.close_now_intervals([(10, 7, 60)])  # already closed
     with pytest.raises(KeyError):
         tree.delete(20, UPPER_NOW, 8)
     with pytest.raises(KeyError):
@@ -244,3 +245,20 @@ def test_temporal_rows_delete_close_and_reattach(tmp_path):
     assert reopened.verify().ok
     reopened.delete(30, UPPER_INF, 9)
     assert sorted(reopened.intersection(0, 1_000)) == [1, 7]
+
+
+def test_cost_model_counts_reserved_rows_as_stored_records():
+    """Now-relative rows count at the clock and infinite rows at the
+    sentinel, as ``stored_records()`` reports them."""
+    tree = SQLRITree(now=100)
+    tree.append_batch([(5, 50, 1), (10, UPPER_NOW, 2), (30, UPPER_INF, 3)])
+    summary = tree.cost_model().summary
+    expected = BoundSummary.from_records(tree.stored_records(), summary.buckets)
+    assert summary.count == expected.count == 3
+    assert summary.lower_bounds == expected.lower_bounds
+    assert summary.upper_bounds == expected.upper_bounds
+    assert summary.duration_bounds == expected.duration_bounds
+    tree.advance_to(400)
+    moved = tree.cost_model(refresh=True).summary
+    assert moved.upper_bounds == BoundSummary.from_records(
+        tree.stored_records(), summary.buckets).upper_bounds
