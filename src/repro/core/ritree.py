@@ -28,6 +28,7 @@ predicate's formula.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..engine.database import Database
@@ -44,6 +45,10 @@ from .verify import VerificationReport, verify_engine_tree
 ScanRange = tuple[tuple[int, ...], tuple[int, ...]]
 #: A compiled query: (upperIndex ranges, lowerIndex ranges).
 ScanPlan = tuple[list[ScanRange], list[ScanRange]]
+#: Positions of the interval id and the heap row id in both indexes'
+#: ``(node, bound, id, rowid)`` entries.
+ID_COLUMN = 2
+ROWID_COLUMN = 3
 
 
 class RITree(AccessMethod):
@@ -271,8 +276,8 @@ class RITree(AccessMethod):
         """
         validate_interval(lower, upper)
         results: list[int] = []
-        for batch in self._scan(self._plan(lower, upper)):
-            results.extend([entry[2] for entry in batch])
+        for ids in self._scan(self._plan(lower, upper), ID_COLUMN):
+            results.extend(ids)
         return results
 
     def intersection_count(self, lower: int, upper: int) -> int:
@@ -371,22 +376,26 @@ class RITree(AccessMethod):
                               pad_high((node, point), arity))
                              for node in reserved]
 
-    def _scan(self, plan: Optional[ScanPlan]) -> Iterator[list[tuple[int, ...]]]:
+    def _scan(
+        self, plan: Optional[ScanPlan], column: Optional[int] = None
+    ) -> Iterator[Sequence]:
         """Execute a scan plan, yielding index-entry batches (leaf slices).
 
         Both indexes store ``(node, bound, id, rowid)`` entries, so every
-        batch exposes the interval id at position 2 and the heap rowid at
-        position 3 regardless of the branch it came from.
+        batch exposes the interval id at position 2 (:data:`ID_COLUMN`)
+        and the heap rowid at position 3 (:data:`ROWID_COLUMN`) regardless
+        of the branch it came from.  ``column`` asks for that column alone
+        (see :meth:`~repro.engine.bptree.BPlusTree.scan_batches_padded`).
         """
         if plan is None:
             return
         upper_ranges, lower_ranges = plan
         scan_upper = self._upper_tree.scan_batches_padded
         for lo, hi in upper_ranges:
-            yield from scan_upper(lo, hi)
+            yield from scan_upper(lo, hi, column)
         scan_lower = self._lower_tree.scan_batches_padded
         for lo, hi in lower_ranges:
-            yield from scan_lower(lo, hi)
+            yield from scan_lower(lo, hi, column)
 
     # -- reference execution (pre-batching) ----------------------------
     def intersection_per_entry(self, lower: int, upper: int) -> list[int]:
@@ -447,8 +456,8 @@ class RITree(AccessMethod):
         if pred is None:
             for lower, upper, probe_id in probes:
                 validate_interval(lower, upper)
-                for batch in self._scan(self._plan(lower, upper)):
-                    extend((probe_id, entry[2]) for entry in batch)
+                for ids in self._scan(self._plan(lower, upper), ID_COLUMN):
+                    extend(zip(repeat(probe_id), ids))
             return pairs
         inverse = pred.inverse
         holds = pred.holds
@@ -529,8 +538,8 @@ class RITree(AccessMethod):
         overrides this to materialise effective now-relative bounds.
         """
         fetch_many = self.table.fetch_many
-        for batch in self._scan(plan):
-            rows = fetch_many([entry[3] for entry in batch])
+        for rowids in self._scan(plan, ROWID_COLUMN):
+            rows = fetch_many(rowids)
             yield [(row[1], row[2], row[3]) for row in rows]
 
     # ------------------------------------------------------------------

@@ -27,6 +27,17 @@ Design choices
 * Pages that an operation holds Python references to across other page
   accesses are pinned in the buffer pool; everything else relies on the
   mutate-then-``mark_dirty``-before-the-next-pool-call discipline.
+* Leaves have two in-memory forms (:class:`LeafPage`).  A leaf read from
+  disk is one flat ``array('q')``: a buffer miss costs one copy of the
+  block, not one tuple per entry, and the scan that missed bisects the
+  array and slices what it returns out of it.  A leaf used again while
+  cached -- scanned by a later scan, or written -- turns into a sorted
+  list of tuples once, which later scans bisect faster and writes edit in
+  place.  So a leaf read once per residency (a working set larger than
+  the cache) is never decoded, and a hot leaf is decoded once.  Eviction
+  writes either form as the same bytes, and the next read brings the
+  leaf back as an array.  Internal pages keep tuple keys, which every
+  descent bisects.
 
 All page traffic flows through the shared
 :class:`~repro.engine.buffer.BufferPool`, so physical and logical I/O is
@@ -35,7 +46,9 @@ accounted exactly as in the paper's experiments.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .buffer import BufferPool
@@ -47,6 +60,7 @@ from .serial import (
     pad_high,
     pad_low,
     unpack_header,
+    values_to_bytes,
 )
 
 #: Page type tags stored in the page header.
@@ -62,19 +76,39 @@ class DuplicateEntryError(SchemaError):
 
 
 class LeafPage:
-    """A leaf node: sorted unique entries plus the next-leaf link."""
+    """A leaf node: sorted unique entries plus the next-leaf link.
 
-    __slots__ = ("entries", "next_leaf")
+    The entries take one of two forms.  A leaf read from disk keeps them in
+    ``values``, one flat ``array('q')`` of ``count * arity`` integers copied
+    out of the block, and ``entries`` is ``None``.  Otherwise ``entries``
+    holds them as a sorted list of tuples and ``values`` is ``None``: new
+    leaves start so, and a cached array leaf turns into this form when a
+    write or a second scan reaches it (:meth:`BPlusTree._as_tuples`).  It
+    stays so until it is evicted and read again.  Both forms encode to the
+    same bytes.
+    """
+
+    __slots__ = ("entries", "values", "next_leaf")
 
     def __init__(
         self,
         entries: Optional[list[tuple[int, ...]]] = None,
         next_leaf: int = NO_BLOCK,
+        values: Optional[array] = None,
     ) -> None:
-        self.entries: list[tuple[int, ...]] = entries if entries is not None else []
+        if values is not None:
+            entries = None
+        elif entries is None:
+            entries = []
+        self.entries: Optional[list[tuple[int, ...]]] = entries
+        self.values = values
         self.next_leaf = next_leaf
 
     def to_bytes_with(self, codec: IntTupleCodec) -> bytes:
+        if self.values is not None:
+            count = len(self.values) // codec.arity
+            header = pack_header(PAGE_LEAF, count, self.next_leaf)
+            return header + values_to_bytes(self.values)
         header = pack_header(PAGE_LEAF, len(self.entries), self.next_leaf)
         return header + codec.pack_many(self.entries)
 
@@ -82,11 +116,9 @@ class LeafPage:
     def from_bytes_with(cls, codec: IntTupleCodec, data: bytes) -> "LeafPage":
         page_type, count, aux = unpack_header(data)
         if page_type != PAGE_LEAF:
-            raise SerializationError(
-                f"expected leaf page, found type {page_type}"
-            )
-        entries = codec.unpack_many(data[PAGE_HEADER_SIZE:], count)
-        return cls(entries, aux)
+            raise SerializationError(f"expected leaf page, found type {page_type}")
+        body = memoryview(data)[PAGE_HEADER_SIZE:]
+        return cls(None, aux, codec.unpack_values(body, count))
 
 
 class InternalPage:
@@ -189,6 +221,15 @@ class BPlusTree:
         # loops additionally inline the cache-hit path via scan_refs.
         self._read = pool.make_reader(self._load)
         self._hot = pool.scan_refs(self._load)
+        # Row ``i`` of an array leaf is ``values[self._row_slices[i]]``;
+        # scans bisect these with ``key=values.__getitem__``, comparing
+        # whole rows as arrays in C (see scan_batches_padded).
+        self._row_slices = [
+            slice(row * arity, (row + 1) * arity)
+            for row in range(self.leaf_capacity)
+        ]
+        # Column getters for scans that return one column of each entry.
+        self._pickers = [itemgetter(column) for column in range(arity)]
         root = LeafPage()
         self.root_id = pool.disk.allocate()
         pool.put_new(self.root_id, _Bound(root, self.codec))
@@ -208,6 +249,20 @@ class BPlusTree:
 
     def _get(self, block_id: int):
         return self._read(block_id).page
+
+    def _entries(self, leaf: LeafPage) -> list[tuple[int, ...]]:
+        """``leaf``'s entries as tuples, leaving its form as it is."""
+        if leaf.values is None:
+            return leaf.entries
+        return self.codec.rows(leaf.values)
+
+    def _as_tuples(self, leaf: LeafPage) -> list[tuple[int, ...]]:
+        """``leaf``'s entry list, turning an array leaf into the tuple form
+        in place: before a write, or when a scan finds it cached again."""
+        if leaf.values is not None:
+            leaf.entries = self.codec.rows(leaf.values)
+            leaf.values = None
+        return leaf.entries
 
     def _new_block(self, page) -> int:
         block_id = self.pool.disk.allocate()
@@ -253,9 +308,9 @@ class BPlusTree:
     def contains(self, entry: tuple[int, ...]) -> bool:
         """Exact-match membership test."""
         self._check_arity(entry)
-        leaf = self._descend_fenced(entry)[2]
-        idx = bisect_left(leaf.entries, entry)
-        return idx < len(leaf.entries) and leaf.entries[idx] == entry
+        entries = self._entries(self._descend_fenced(entry)[2])
+        idx = bisect_left(entries, entry)
+        return idx < len(entries) and entries[idx] == entry
 
     def _seek_leaf(self, lo: tuple[int, ...]) -> int:
         """Root-to-leaf descent for a padded key; returns the leaf's block.
@@ -264,7 +319,9 @@ class BPlusTree:
         cannot desynchronise between them.  Reads every node on the path,
         leaf included -- the same I/O trace as :meth:`_descend` -- with
         the cache-hit path inlined per the ``scan_refs`` contract (one
-        frame activation per *scan*, none per page).
+        frame activation per *scan*, none per page).  A leaf this read
+        finds cached is in use again, so an array leaf turns into tuples
+        here; the scan's own second request for it does not count.
         """
         frames, stats, miss = self._hot
         frames_get = frames.get
@@ -279,6 +336,8 @@ class BPlusTree:
             else:
                 node = miss(node_id).page
             if isinstance(node, LeafPage):
+                if frame is not None and node.values is not None:
+                    self._as_tuples(node)
                 return node_id
             node_id = node.children[bisect_right(node.keys, lo)]
 
@@ -304,8 +363,8 @@ class BPlusTree:
         )
 
     def scan_batches_padded(
-        self, lo: tuple[int, ...], hi: tuple[int, ...]
-    ) -> Iterator[list[tuple[int, ...]]]:
+        self, lo: tuple[int, ...], hi: tuple[int, ...], column: Optional[int] = None
+    ) -> Iterator[Sequence]:
         """:meth:`scan_batches` over pre-padded full-arity bounds.
 
         Query executors that compile a scan plan pad each range once at
@@ -313,12 +372,23 @@ class BPlusTree:
         per the :meth:`~repro.engine.buffer.BufferPool.scan_refs`
         contract, so a buffered page costs no Python-level call at all --
         the logical-read accounting is unchanged.
+
+        ``column`` picks what a slice holds: every entry as a tuple
+        (``None``), or only the values of that column -- an ``array('q')``
+        taken from an array leaf with one strided slice, so a caller that
+        wants one column (ids, row ids) gets it without a tuple per entry.
+        An array leaf is bisected with ``key=values.__getitem__`` over
+        :attr:`_row_slices`: each probe compares one row, as an array, with
+        the bound as an array, all in C.  Only a leaf this scan read from
+        disk is still an array here: a later leaf found cached turns into
+        tuples first (see :meth:`_seek_leaf` for the first one).
         """
         if lo > hi:
             return
         frames, stats, miss = self._hot
         frames_get = frames.get
         move_to_end = frames.move_to_end
+        pick = None if column is None else self._pickers[column]
         leaf_id = self._seek_leaf(lo)
         first = True
         while leaf_id != NO_BLOCK:
@@ -331,22 +401,41 @@ class BPlusTree:
                 leaf = miss(leaf_id).page
             entries = leaf.entries
             next_leaf = leaf.next_leaf
-            if first:
-                idx = bisect_left(entries, lo)
-                first = False
-            else:
-                # Later leaves hold only entries >= lo by tree order.
-                idx = 0
-            if entries and entries[-1] > hi:
-                # Terminal leaf: bisect the upper boundary and stop.  (When
-                # the lower-boundary tail is empty, every entry is < lo <= hi,
-                # so this branch cannot trigger spuriously.)
-                stop = bisect_right(entries, hi, idx)
+            if entries is None and frame is not None and not first:
+                entries = self._as_tuples(leaf)
+            # Later leaves hold only entries >= lo by tree order; a leaf
+            # whose last entry passes hi is the terminal one.  (When the
+            # lower-boundary tail is empty, every entry is < lo <= hi, so
+            # that test cannot trigger spuriously.)
+            if entries is not None:
+                idx = bisect_left(entries, lo) if first else 0
+                last = entries and entries[-1] > hi
+                stop = bisect_right(entries, hi, idx) if last else len(entries)
                 if stop > idx:
-                    yield entries[idx:stop]
+                    batch = entries[idx:stop]
+                    yield batch if pick is None else list(map(pick, batch))
+            else:
+                values = leaf.values
+                arity = self.arity
+                count = len(values) // arity
+                row_slices, row = self._row_slices, values.__getitem__
+                idx = 0
+                if first:
+                    idx = bisect_left(row_slices, array("q", lo), 0, count, key=row)
+                hi_values = array("q", hi)
+                last = values[-arity:] > hi_values
+                stop = count
+                if last:
+                    stop = bisect_right(row_slices, hi_values, idx, count, key=row)
+                if stop > idx:
+                    if column is None:
+                        rows = values[idx * arity : stop * arity]
+                        yield list(self.codec.native.iter_unpack(rows))
+                    else:
+                        yield values[idx * arity + column : stop * arity : arity]
+            if last:
                 return
-            if idx < len(entries):
-                yield entries[idx:]
+            first = False
             leaf_id = next_leaf
 
     def count_range(
@@ -383,14 +472,27 @@ class BPlusTree:
                 leaf = miss(leaf_id).page
             entries = leaf.entries
             next_leaf = leaf.next_leaf
-            if first:
-                idx = bisect_left(entries, lo)
-                first = False
+            if entries is None and frame is not None and not first:
+                entries = self._as_tuples(leaf)
+            if entries is not None:
+                idx = bisect_left(entries, lo) if first else 0
+                if entries and entries[-1] > hi:
+                    return total + bisect_right(entries, hi, idx) - idx
+                total += len(entries) - idx
             else:
+                values = leaf.values
+                arity = self.arity
+                count = len(values) // arity
+                row_slices, row = self._row_slices, values.__getitem__
                 idx = 0
-            if entries and entries[-1] > hi:
-                return total + bisect_right(entries, hi, idx) - idx
-            total += len(entries) - idx
+                if first:
+                    idx = bisect_left(row_slices, array("q", lo), 0, count, key=row)
+                hi_values = array("q", hi)
+                if values[-arity:] > hi_values:
+                    stop = bisect_right(row_slices, hi_values, idx, count, key=row)
+                    return total + stop - idx
+                total += count - idx
+            first = False
             leaf_id = next_leaf
         return total
 
@@ -431,6 +533,8 @@ class BPlusTree:
         while leaf_id != NO_BLOCK:
             leaf = self.pool.get(leaf_id, self._load).page
             entries = leaf.entries
+            if entries is None:
+                entries = list(self.codec.native.iter_unpack(leaf.values))
             idx = bisect_left(entries, lo)
             # Snapshot the tail so eviction during consumer pauses is safe.
             tail = entries[idx:]
@@ -462,15 +566,17 @@ class BPlusTree:
                 fallback = node.children[idx - 1]
             node_id = node.children[idx]
             node = self._get(node_id)
-        idx = bisect_right(node.entries, key) - 1
+        entries = self._entries(node)
+        idx = bisect_right(entries, key) - 1
         if idx >= 0:
-            return node.entries[idx]
+            return entries[idx]
         if fallback is None:
             return None
         node = self._get(fallback)
         while isinstance(node, InternalPage):
             node = self._get(node.children[-1])
-        return node.entries[-1] if node.entries else None
+        entries = self._entries(node)
+        return entries[-1] if entries else None
 
     def first(self) -> Optional[tuple[int, ...]]:
         """Smallest entry, or ``None`` when empty."""
@@ -530,7 +636,7 @@ class BPlusTree:
             entry = entries[position]
             path, fence, leaf = self._descend_fenced(entry)
             leaf_id = path[-1][0]
-            leaf_entries = leaf.entries
+            leaf_entries = self._as_tuples(leaf)
             idx = 0
             run = 0
             while True:
@@ -607,10 +713,11 @@ class BPlusTree:
         self._check_arity(entry)
         path, _fence, leaf = self._descend_fenced(entry)
         leaf_id = path[-1][0]
-        idx = bisect_left(leaf.entries, entry)
-        if idx >= len(leaf.entries) or leaf.entries[idx] != entry:
+        entries = self._as_tuples(leaf)
+        idx = bisect_left(entries, entry)
+        if idx >= len(entries) or entries[idx] != entry:
             raise KeyNotFoundError(f"{self.name}: entry {entry} not found")
-        del leaf.entries[idx]
+        del entries[idx]
         self.entry_count -= 1
         self.pool.mark_dirty(leaf_id)
         self._rebalance_after_delete(path)
@@ -621,7 +728,7 @@ class BPlusTree:
             node_id, child_idx = path[level]
             node = self._get(node_id)
             if isinstance(node, LeafPage):
-                too_small = len(node.entries) < self._min_leaf
+                too_small = len(self._entries(node)) < self._min_leaf
             else:
                 too_small = len(node.keys) < self._min_internal_keys
             if not too_small:
@@ -716,19 +823,21 @@ class BPlusTree:
         right_id: int,
         parent_id: int,
     ) -> Optional[int]:
-        donor = left if donor_is_left else right
-        if len(donor.entries) > self._min_leaf:
+        left_entries = self._as_tuples(left)
+        right_entries = self._as_tuples(right)
+        donor = left_entries if donor_is_left else right_entries
+        if len(donor) > self._min_leaf:
             if donor_is_left:
-                right.entries.insert(0, left.entries.pop())
+                right_entries.insert(0, left_entries.pop())
             else:
-                left.entries.append(right.entries.pop(0))
-            parent.keys[sep_idx] = right.entries[0]
+                left_entries.append(right_entries.pop(0))
+            parent.keys[sep_idx] = right_entries[0]
             self.pool.mark_dirty(left_id)
             self.pool.mark_dirty(right_id)
             self.pool.mark_dirty(parent_id)
             return None
         # Merge right into left.
-        left.entries.extend(right.entries)
+        left_entries.extend(right_entries)
         left.next_leaf = right.next_leaf
         del parent.keys[sep_idx]
         del parent.children[sep_idx + 1]
@@ -899,7 +1008,7 @@ class BPlusTree:
                     f"{self.name}: leaf {node_id} at depth {depth}, "
                     f"height {self.height}"
                 )
-            entries = node.entries
+            entries = self._entries(node)
             if not all(a < b for a, b in zip(entries, entries[1:])):
                 problems.append(
                     f"{self.name}: leaf {node_id} unsorted or duplicated"

@@ -9,7 +9,12 @@ The pool caches *deserialised page objects* (anything implementing
 :class:`PageLike`), so a buffer hit costs neither I/O nor decoding -- exactly
 like a real block cache holding parsed pages.  A miss reads the block from the
 :class:`~repro.engine.storage.DiskManager` (one physical read) and decodes it
-via the loader supplied by the owning structure.
+via the loader supplied by the owning structure.  The loaders of B+-tree
+leaves and heap pages copy the block body into one ``array('q')`` and build
+no tuples; a leaf turns into a tuple list only when it is used again while
+cached (a later scan or a write), and a heap page never does.  Internal
+B+-tree pages decode into tuple keys.  Every form encodes back to the bytes
+it was read from, so what the pool caches never changes what it writes.
 
 Pages that an operation currently holds a Python reference to must be *pinned*
 so that eviction cannot detach them from the cache (a detached page would be

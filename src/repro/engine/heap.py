@@ -5,6 +5,12 @@ or dead (deleted).  Row ids encode ``(page, slot)`` as a single integer so
 they can be appended to index entries, which is how the engine's secondary
 indexes stay unambiguous even for duplicate key values.
 
+A page has one form, in memory as on disk: one flat ``array('q')`` of
+slots, each a live flag followed by the row's columns (all zeros when
+dead).  Reading a page is one copy of the block; a fetch builds a tuple
+only for each row it returns; an insert fills a slot and a delete zeroes
+one in place, so the page never turns into tuples.
+
 The free-slot directory is kept in memory and is rebuilt trivially because
 the simulated disk does not outlive the process; this matches how the engine
 is used by the benchmarks (build, query, discard).
@@ -17,51 +23,59 @@ A heap that is never checkpointed tracks nothing.
 
 from __future__ import annotations
 
+import struct
+from array import array
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .buffer import BufferPool
 from .errors import BlockError, SchemaError, SerializationError
-from .serial import PAGE_HEADER_SIZE, IntTupleCodec, pack_header, unpack_header
+from .serial import (
+    PAGE_HEADER_SIZE,
+    IntTupleCodec,
+    pack_header,
+    unpack_header,
+    values_to_bytes,
+)
 
 #: Page type tag for heap pages.
 PAGE_HEAP = 3
 
 
+#: Live flag of a slot; a dead slot holds zeros.
+LIVE = 1
+
+
+def slot_values(rows: Sequence[tuple[int, ...]], width: int) -> array:
+    """Live slots of ``width`` values holding ``rows``, flat:
+    ``1, row..., 1, row..., ...``."""
+    flat = [LIVE] * (len(rows) * width)
+    for column, values in enumerate(zip(*rows), 1):
+        flat[column::width] = values
+    return array("q", flat)
+
+
 class HeapPage:
-    """Slots of fixed-width rows; ``None`` marks a dead slot."""
+    """Slots of fixed-width rows, flat in one ``array('q')``.
 
-    __slots__ = ("slots",)
+    Slot ``s`` of a heap of arity ``a`` is ``values[s * (a + 1):(s + 1) *
+    (a + 1)]``: the live flag then the columns, or zeros once deleted.
+    """
 
-    def __init__(
-        self, slots: Optional[list[Optional[tuple[int, ...]]]] = None
-    ) -> None:
-        self.slots: list[Optional[tuple[int, ...]]] = slots if slots is not None else []
+    __slots__ = ("values",)
+
+    def __init__(self, values: array) -> None:
+        self.values = values
 
     def to_bytes_with(self, codec: IntTupleCodec) -> bytes:
-        # Each slot is serialised as (live_flag, columns...).
-        flat: list[tuple[int, ...]] = []
-        dead = (0,) * codec.arity
-        for slot in self.slots:
-            if slot is None:
-                flat.append(dead)
-            else:
-                flat.append((1,) + slot)
-        header = pack_header(PAGE_HEAP, len(self.slots), 0)
-        return header + codec.pack_many(flat)
+        header = pack_header(PAGE_HEAP, len(self.values) // codec.arity, 0)
+        return header + values_to_bytes(self.values)
 
     @classmethod
     def from_bytes_with(cls, codec: IntTupleCodec, data: bytes) -> "HeapPage":
         page_type, count, _aux = unpack_header(data)
         if page_type != PAGE_HEAP:
             raise SerializationError(f"expected heap page, found type {page_type}")
-        raw = codec.unpack_many(data[PAGE_HEADER_SIZE:], count)
-        slots: list[Optional[tuple[int, ...]]] = []
-        for record in raw:
-            if record[0] == 1:
-                slots.append(record[1:])
-            else:
-                slots.append(None)
-        return cls(slots)
+        return cls(codec.unpack_values(memoryview(data)[PAGE_HEADER_SIZE:], count))
 
 
 class _BoundHeap:
@@ -81,9 +95,10 @@ class HeapFile:
     """An append-friendly collection of rows with delete-in-place.
 
     Rows go in through :meth:`insert_many` (:meth:`insert` is one row of
-    it) or, into new pages only, :meth:`bulk_append`.  Change tracking
-    for checkpoints starts with the first :meth:`mark_clean`; until then
-    :meth:`changed_pages` reports every page.
+    it) or, into new pages only, :meth:`bulk_append`, and leave through
+    :meth:`delete_many` (:meth:`delete` is one row of it).  Change
+    tracking for checkpoints starts with the first :meth:`mark_clean`;
+    until then :meth:`changed_pages` reports every page.
 
     Parameters
     ----------
@@ -103,12 +118,16 @@ class HeapFile:
         self.arity = arity
         # One extra column per slot holds the live flag.
         self.codec = IntTupleCodec(arity + 1)
+        self.width = arity + 1
         block_size = pool.disk.block_size
         self.slots_per_page = (block_size - PAGE_HEADER_SIZE) // self.codec.entry_size
         if self.slots_per_page < 1:
             raise SchemaError(
                 f"block size {block_size} too small for heap arity {arity}"
             )
+        # A row is the ``arity`` values after its slot's live flag.
+        self._row = struct.Struct(f"={arity}q")
+        self._dead = array("q", [0] * self.width)
         # Pre-bound fast-path reader: one loader closure per heap file.
         self._read = pool.make_reader(self._load)
         self._page_ids: list[int] = []
@@ -124,11 +143,9 @@ class HeapFile:
     def _make_rowid(self, page_index: int, slot: int) -> int:
         return page_index * self.slots_per_page + slot
 
-    def _split_rowid(self, rowid: int) -> tuple[int, int]:
-        page_index, slot = divmod(rowid, self.slots_per_page)
+    def _check_page(self, page_index: int, rowid: int) -> None:
         if not 0 <= page_index < len(self._page_ids):
             raise BlockError(f"{self.name}: invalid rowid {rowid}")
-        return page_index, slot
 
     # ------------------------------------------------------------------
     # page access
@@ -136,8 +153,13 @@ class HeapFile:
     def _load(self, data: bytes) -> _BoundHeap:
         return _BoundHeap(HeapPage.from_bytes_with(self.codec, data), self.codec)
 
-    def _get_page(self, page_index: int) -> HeapPage:
-        return self._read(self._page_ids[page_index]).page
+    def _values(self, page_index: int) -> array:
+        return self._read(self._page_ids[page_index]).page.values
+
+    def _live_slots(self, page_index: int) -> list[tuple[int, tuple[int, ...]]]:
+        """``(slot, row)`` for the live slots of one page (one request)."""
+        slots = self.codec.native.iter_unpack(self._values(page_index))
+        return [(slot, row[1:]) for slot, row in enumerate(slots) if row[0] == LIVE]
 
     # ------------------------------------------------------------------
     # operations
@@ -162,50 +184,49 @@ class HeapFile:
         total = len(rows)
         position = 0
         slots_per_page = self.slots_per_page
+        width = self.width
         while position < total and self._pages_with_space:
             page_index = min(self._pages_with_space)
-            page = self._get_page(page_index)
-            slots = page.slots
+            values = self._values(page_index)
             base = page_index * slots_per_page
             start = position
-            if None in slots:
-                for slot, existing in enumerate(slots):
-                    if existing is None:
-                        slots[slot] = tuple(rows[position])
-                        rowids.append(base + slot)
-                        position += 1
-                        if position == total:
-                            break
-            while position < total and len(slots) < slots_per_page:
-                slots.append(tuple(rows[position]))
-                rowids.append(base + len(slots) - 1)
-                position += 1
+            for slot, flag in enumerate(values[::width]):
+                if flag != LIVE:
+                    offset = slot * width
+                    row = (LIVE, *rows[position])
+                    values[offset : offset + width] = array("q", row)
+                    rowids.append(base + slot)
+                    position += 1
+                    if position == total:
+                        break
+            used = len(values) // width
+            take = min(total - position, slots_per_page - used)
+            if take > 0:
+                values.extend(slot_values(rows[position : position + take], width))
+                rowids.extend(range(base + used, base + used + take))
+                position += take
             if position > start:
                 self.pool.mark_dirty(self._page_ids[page_index])
-                self._note_change(page_index, page)
+                self._note_change(page_index, values)
             else:  # stale directory entry: the page was already full
                 self._pages_with_space.discard(page_index)
         while position < total:
-            chunk = [tuple(row) for row in rows[position : position + slots_per_page]]
+            chunk = rows[position : position + slots_per_page]
+            page = HeapPage(slot_values(chunk, width))
             block_id = self.pool.disk.allocate()
-            page = HeapPage(chunk)
             self.pool.put_new(block_id, _BoundHeap(page, self.codec))
             self._page_ids.append(block_id)
             page_index = len(self._page_ids) - 1
             base = page_index * slots_per_page
             rowids.extend(range(base, base + len(chunk)))
-            self._note_change(page_index, page)
+            self._note_change(page_index, page.values)
             position += len(chunk)
         self.row_count += total
         return rowids
 
     def fetch(self, rowid: int) -> tuple[int, ...]:
         """Return the live row stored under ``rowid``."""
-        page_index, slot = self._split_rowid(rowid)
-        page = self._get_page(page_index)
-        if slot >= len(page.slots) or page.slots[slot] is None:
-            raise BlockError(f"{self.name}: rowid {rowid} is not live")
-        return page.slots[slot]
+        return self.fetch_many([rowid])[0]
 
     def fetch_many(self, rowids: Sequence[int]) -> list[tuple[int, ...]]:
         """Fetch several rows, grouping same-page runs into one page access.
@@ -215,49 +236,71 @@ class HeapFile:
         in index order (the common "table access by index rowid" pattern)
         costs one logical read per distinct page run instead of one per
         row.  The request *order* of pages matches the per-row fetch loop,
-        so buffer replacement behaves identically.
+        so buffer replacement behaves identically.  Each returned row is
+        unpacked from its slot on its own; the rest of the page stays
+        untouched.
         """
         rows: list[tuple[int, ...]] = []
+        append = rows.append
+        unpack_row = self._row.unpack_from
         slots_per_page = self.slots_per_page
+        width = self.width
         current_index: Optional[int] = None
-        slots: list = []
+        values = self._dead
         for rowid in rowids:
             page_index, slot = divmod(rowid, slots_per_page)
             if page_index != current_index:
-                if not 0 <= page_index < len(self._page_ids):
-                    raise BlockError(f"{self.name}: invalid rowid {rowid}")
-                slots = self._get_page(page_index).slots
+                self._check_page(page_index, rowid)
+                values = self._values(page_index)
                 current_index = page_index
-            row = slots[slot] if slot < len(slots) else None
-            if row is None:
+            start = slot * width
+            if start >= len(values) or values[start] != LIVE:
                 raise BlockError(f"{self.name}: rowid {rowid} is not live")
-            rows.append(row)
+            append(unpack_row(values, (start + 1) * 8))
         return rows
 
     def delete(self, rowid: int) -> tuple[int, ...]:
         """Kill the slot under ``rowid``; return the old row."""
-        page_index, slot = self._split_rowid(rowid)
-        page = self._get_page(page_index)
-        if slot >= len(page.slots) or page.slots[slot] is None:
-            raise BlockError(f"{self.name}: rowid {rowid} is not live")
-        row = page.slots[slot]
-        page.slots[slot] = None
-        self.pool.mark_dirty(self._page_ids[page_index])
-        self._pages_with_space.add(page_index)
-        if self._changed is not None:
-            self._changed.add(page_index)
-        self.row_count -= 1
-        return row
+        return self.delete_many([rowid])[0]
+
+    def delete_many(self, rowids: Sequence[int]) -> list[tuple[int, ...]]:
+        """Kill the slots under ``rowids``; return the old rows in order.
+
+        The heap's only delete path and the mirror of :meth:`fetch_many`:
+        one page request per same-page run, in the order of the per-row
+        loop.  Each killed slot is zeroed in place.  A row id that is not
+        live raises :class:`~repro.engine.errors.BlockError` after the
+        slots before it are killed.
+        """
+        rows: list[tuple[int, ...]] = []
+        unpack_row = self._row.unpack_from
+        slots_per_page = self.slots_per_page
+        width = self.width
+        dead = self._dead
+        current_index: Optional[int] = None
+        values = dead
+        for rowid in rowids:
+            page_index, slot = divmod(rowid, slots_per_page)
+            if page_index != current_index:
+                self._check_page(page_index, rowid)
+                values = self._values(page_index)
+                current_index = page_index
+            start = slot * width
+            if start >= len(values) or values[start] != LIVE:
+                raise BlockError(f"{self.name}: rowid {rowid} is not live")
+            rows.append(unpack_row(values, (start + 1) * 8))
+            values[start : start + width] = dead
+            self.pool.mark_dirty(self._page_ids[page_index])
+            self._pages_with_space.add(page_index)
+            if self._changed is not None:
+                self._changed.add(page_index)
+            self.row_count -= 1
+        return rows
 
     def scan(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Yield ``(rowid, row)`` for every live row in storage order."""
-        for page_index in range(len(self._page_ids)):
-            page = self._get_page(page_index)
-            # Snapshot so consumer pauses survive eviction.
-            slots = list(page.slots)
-            for slot, row in enumerate(slots):
-                if row is not None:
-                    yield self._make_rowid(page_index, slot), row
+        for batch in self.scan_batches():
+            yield from batch
 
     def scan_batches(self) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
         """Batched full scan: one ``[(rowid, row), ...]`` list per page.
@@ -265,16 +308,12 @@ class HeapFile:
         Same rows, same page requests and same order as :meth:`scan`,
         but consumers get whole page slices instead of a per-row
         generator hop -- the heap-side mirror of the B+-tree's
-        ``scan_batches`` leaf slices.
+        ``scan_batches`` leaf slices.  Each list is decoded when its page
+        is read, so consumer pauses survive eviction.
         """
         for page_index in range(len(self._page_ids)):
-            page = self._get_page(page_index)
             base = page_index * self.slots_per_page
-            batch = [
-                (base + slot, row)
-                for slot, row in enumerate(page.slots)
-                if row is not None
-            ]
+            batch = [(base + slot, row) for slot, row in self._live_slots(page_index)]
             if batch:
                 yield batch
 
@@ -287,8 +326,8 @@ class HeapFile:
             chunk = rows[position : position + self.slots_per_page]
             for row in chunk:
                 self._check_arity(row)
+            page = HeapPage(slot_values(chunk, self.width))
             block_id = disk.allocate()
-            page = HeapPage([tuple(row) for row in chunk])
             disk.write(block_id, page.to_bytes_with(self.codec))
             self._page_ids.append(block_id)
             page_index = len(self._page_ids) - 1
@@ -326,16 +365,15 @@ class HeapFile:
 
     def live_rows(self, page_index: int) -> list[tuple[int, ...]]:
         """The live rows of one page in slot order (one page request)."""
-        return [row for row in self._get_page(page_index).slots if row is not None]
+        return [row for _slot, row in self._live_slots(page_index)]
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _note_change(self, page_index: int, page: HeapPage) -> None:
+    def _note_change(self, page_index: int, values: array) -> None:
         if self._changed is not None:
             self._changed.add(page_index)
-        full = len(page.slots) >= self.slots_per_page and None not in page.slots
-        if full:
+        if values[:: self.width].count(LIVE) >= self.slots_per_page:
             self._pages_with_space.discard(page_index)
         else:
             self._pages_with_space.add(page_index)

@@ -7,14 +7,23 @@ cheap: an entry of arity *k* occupies exactly ``8 * k`` bytes, so the number
 of entries per 2 KB block -- the quantity that drives every I/O figure in the
 paper -- is a simple function of the schema.
 
-:class:`IntTupleCodec` encodes a homogeneous sequence of such tuples with one
-:func:`struct.pack` call, which keeps (de)serialisation off the critical path
-of benchmark response times.
+A page body is a run of little-endian int64 values, so it has two in-memory
+forms that encode to the same bytes: a list of tuples, which
+:class:`IntTupleCodec` packs and unpacks with one :mod:`struct` call per
+page, and one flat ``array('q')``, which :func:`values_from_bytes` fills with
+one copy of the block.  Decoding a page into tuples costs one tuple per
+entry; on a workload that misses the buffer cache on nearly every read (the
+paper's Section 6 setting) that decoding took about half the response time,
+so B+-tree leaves and heap pages read from disk start as arrays (see
+:mod:`repro.engine.bptree` for when a leaf turns into tuples, and
+:mod:`repro.engine.heap`).
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -29,14 +38,15 @@ INT_MAX = 2**63 - 1
 class IntTupleCodec:
     """Codec for lists of fixed-arity signed 64-bit integer tuples.
 
-    ``pack_many``/``unpack_many`` sit on the page (de)serialisation hot
-    path -- every buffer-pool miss decodes a whole page through them -- so
-    both avoid per-entry Python work: packing streams the entries through
-    one cached :class:`struct.Struct` per batch size, and unpacking slices
-    the raw block with a zero-copy ``memoryview`` and ``iter_unpack``.
+    ``pack_many``/``unpack_many`` encode and decode the tuple form of a
+    page -- internal B+-tree pages on every miss, leaves when they are
+    written back -- without per-entry Python work: packing streams the
+    entries through one cached :class:`struct.Struct` per batch size, and
+    unpacking slices the raw block with a zero-copy ``memoryview`` and
+    ``iter_unpack``.  ``unpack_values``/``rows`` serve the array form.
     """
 
-    __slots__ = ("arity", "entry_size", "_single", "_batch_structs")
+    __slots__ = ("arity", "entry_size", "_single", "_batch_structs", "native")
 
     def __init__(self, arity: int) -> None:
         if arity < 1:
@@ -48,6 +58,9 @@ class IntTupleCodec:
         # the number of distinct counts at the page capacity, so the cache
         # stays small for the codec's lifetime.
         self._batch_structs: dict[int, struct.Struct] = {}
+        #: One entry in the host's byte order: unpacks rows out of a page's
+        #: ``array('q')`` form, which holds native values.
+        self.native = struct.Struct(f"={arity}q")
 
     def _batch_struct(self, count: int) -> struct.Struct:
         cached = self._batch_structs.get(count)
@@ -76,6 +89,19 @@ class IntTupleCodec:
                 f"need {needed} bytes for {count} entries, have {len(data)}"
             )
         return list(self._single.iter_unpack(memoryview(data)[:needed]))
+
+    def unpack_values(self, data: bytes, count: int) -> array:
+        """The ``count`` entries at the start of ``data`` as one flat array."""
+        needed = count * self.entry_size
+        if len(data) < needed:
+            raise SerializationError(
+                f"need {needed} bytes for {count} entries, have {len(data)}"
+            )
+        return values_from_bytes(memoryview(data)[:needed])
+
+    def rows(self, values: array) -> list[tuple[int, ...]]:
+        """The entries of a flat array as tuples."""
+        return list(self.native.iter_unpack(values))
 
     def pack_one(self, entry: tuple[int, ...]) -> bytes:
         """Encode a single entry."""
@@ -108,6 +134,27 @@ def unpack_header(data: bytes) -> tuple[int, int, int]:
     if len(data) < PAGE_HEADER_SIZE:
         raise SerializationError("page shorter than its header")
     return PAGE_HEADER.unpack_from(data, 0)
+
+
+def values_from_bytes(data: bytes, byteorder: str = sys.byteorder) -> array:
+    """Little-endian int64 ``data`` as an ``array('q')`` of native values.
+
+    One copy of the bytes; a big-endian host (``byteorder``) swaps them.
+    """
+    values = array("q")
+    values.frombytes(data)
+    if byteorder != "little":
+        values.byteswap()
+    return values
+
+
+def values_to_bytes(values: array, byteorder: str = sys.byteorder) -> bytes:
+    """The little-endian encoding of ``values``, the inverse of
+    :func:`values_from_bytes`."""
+    if byteorder != "little":
+        values = array("q", values)
+        values.byteswap()
+    return values.tobytes()
 
 
 def pad_low(prefix: Sequence[int], arity: int) -> tuple[int, ...]:

@@ -182,8 +182,9 @@ class Table:
         (:meth:`HeapFile.fetch_many`) before anything is logged, so a
         rejected statement leaves neither a WAL record nor a change
         behind.  Then one ``delete`` record carries all rows -- replay
-        resolves each by content -- the heap kills their slots and each
-        index drops their entries.
+        resolves each by content -- the heap kills their slots
+        (:meth:`HeapFile.delete_many`, one page request per same-page
+        run, as in the fetch) and each index drops their entries.
         """
         rowids = list(rowids)
         if len(set(rowids)) != len(rowids):
@@ -199,8 +200,7 @@ class Table:
                     "rows": [list(row) for row in rows],
                 }
             )
-        for rowid in rowids:
-            self.heap.delete(rowid)
+        self.heap.delete_many(rowids)
         for index in self.indexes.values():
             for entry in index.sorted_entries(rows, rowids):
                 index.tree.delete(entry)
@@ -257,7 +257,9 @@ class Table:
         The batched "table access by index rowid" step: row ids taken from
         an index scan arrive clustered by heap page, so grouping them cuts
         the Python-level overhead per row without changing which pages are
-        requested or in which order.
+        requested or in which order.  ``rowids`` may be any sequence of
+        ints, such as the row-id column of an index scan
+        (``scan_batches_padded(..., column=...)``).
         """
         return self.heap.fetch_many(rowids)
 

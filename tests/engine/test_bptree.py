@@ -8,8 +8,7 @@ from repro.engine.errors import KeyNotFoundError, SchemaError
 from repro.engine.storage import DiskManager
 
 
-def make_tree(arity: int = 2, block_size: int = 256,
-              capacity: int = 16) -> BPlusTree:
+def make_tree(arity: int = 2, block_size: int = 256, capacity: int = 16) -> BPlusTree:
     disk = DiskManager(block_size=block_size)
     pool = BufferPool(disk, capacity=capacity)
     return BPlusTree(pool, arity=arity)
@@ -61,8 +60,7 @@ def test_ordered_scan_after_random_inserts(rng):
 
 def test_range_scan_prefix_semantics(rng):
     tree = make_tree(arity=3)
-    entries = sorted({(rng.randrange(50), rng.randrange(100), i)
-                      for i in range(400)})
+    entries = sorted({(rng.randrange(50), rng.randrange(100), i) for i in range(400)})
     for entry in entries:
         tree.insert(entry)
     got = list(tree.scan_range((10,), (20,)))
@@ -70,8 +68,7 @@ def test_range_scan_prefix_semantics(rng):
     assert got == expected
     # Two-column prefix.
     got = list(tree.scan_range((10, 50), (20,)))
-    expected = [e for e in entries
-                if (10, 50) <= (e[0], e[1]) and e[0] <= 20]
+    expected = [e for e in entries if (10, 50) <= (e[0], e[1]) and e[0] <= 20]
     assert got == expected
 
 
@@ -195,7 +192,7 @@ def test_last_le_across_leaves(rng):
     for probe in (0, 1, 50_000, 99_999, 200_000):
         expected = None
         for entry in entries:
-            if entry <= (probe, 2 ** 62):
+            if entry <= (probe, 2**62):
                 expected = entry
         assert tree.last_le((probe,)) == expected
 
@@ -213,7 +210,7 @@ def test_leaf_chain_matches_scan(rng):
     count = 0
     while leaf_id != NO_BLOCK:
         leaf = tree._get(leaf_id)
-        count += len(leaf.entries)
+        count += len(tree._entries(leaf))
         leaf_id = leaf.next_leaf
     assert count == len(tree)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import Database
 from repro.engine.buffer import BufferPool
 from repro.engine.errors import BlockError, SchemaError
 from repro.engine.heap import HeapFile
@@ -74,8 +75,9 @@ def test_scan_yields_live_rows_in_storage_order():
         heap.delete(rowid)
     scanned = list(heap.scan())
     assert [row[0] for _, row in scanned] == list(range(1, 50, 2))
-    assert all(rowid == expected for (rowid, _), expected
-               in zip(scanned, rowids[1::2]))
+    assert all(
+        rowid == expected for (rowid, _), expected in zip(scanned, rowids[1::2])
+    )
 
 
 def test_bulk_append_matches_inserts():
@@ -97,8 +99,8 @@ def test_bulk_append_then_insert_fills_last_page():
 
 def test_negative_values_roundtrip():
     heap = make_heap()
-    rowid = heap.insert((-5, -(2 ** 62), 0))
-    assert heap.fetch(rowid) == (-5, -(2 ** 62), 0)
+    rowid = heap.insert((-5, -(2**62), 0))
+    assert heap.fetch(rowid) == (-5, -(2**62), 0)
 
 
 def test_page_count_linear_in_rows():
@@ -142,3 +144,61 @@ def test_insert_many_checks_every_row_before_storing_any():
         heap.insert_many([(1, 2, 3), (1, 2)])
     assert heap.row_count == 60 - 12
     assert list(heap.changed_pages()) == []
+
+
+def test_delete_many_kills_a_page_run_with_one_request():
+    heap = make_heap()  # 7 slots per page
+    rowids = [heap.insert((i, -i, 0)) for i in range(14)]
+    stats = heap.pool.stats
+    before = stats.logical_reads
+    assert heap.delete_many(rowids[1:6]) == [(i, -i, 0) for i in range(1, 6)]
+    assert stats.logical_reads - before == 1
+    # Two pages, two runs: one request each, in the per-row order.
+    before = stats.logical_reads
+    assert heap.delete_many([rowids[8], rowids[0], rowids[9]]) == [
+        (8, -8, 0),
+        (0, 0, 0),
+        (9, -9, 0),
+    ]
+    assert stats.logical_reads - before == 3
+    assert heap.row_count == 14 - 8
+    assert heap.live_rows(0) == [(6, -6, 0)]
+    with pytest.raises(BlockError):
+        heap.fetch(rowids[3])
+
+
+def test_delete_many_raises_on_a_dead_row_after_the_rows_before_it():
+    heap = make_heap()
+    rowids = [heap.insert((i, i, i)) for i in range(5)]
+    heap.delete(rowids[2])
+    with pytest.raises(BlockError):
+        heap.delete_many([rowids[0], rowids[2], rowids[4]])
+    assert heap.live_rows(0) == [(1, 1, 1), (3, 3, 3), (4, 4, 4)]
+    assert heap.row_count == 3
+
+
+def test_table_delete_many_requests_each_heap_page_twice():
+    """One fetch and one kill request per page run, not one kill per row."""
+    db = Database(block_size=256, cache_blocks=16)
+    table = db.create_table("T", ["a", "b", "c"])  # no index: heap reads only
+    rowids = table.insert_many([(i, i, i) for i in range(7)])
+    assert table.heap.page_count == 1
+    before = db.stats.logical_reads
+    table.delete_many(rowids[:5])
+    assert db.stats.logical_reads - before == 2
+    assert [row for _rowid, row in table.scan()] == [(5, 5, 5), (6, 6, 6)]
+
+
+def test_pages_keep_their_rows_through_eviction():
+    """A page written, evicted and read back holds the same slots."""
+    heap = make_heap()
+    rowids = heap.insert_many([(i, -i, 2**40 + i) for i in range(70)])
+    holes = rowids[3:60:5]
+    heap.delete_many(holes)
+    heap.pool.clear()
+    live = [rowid for rowid in rowids if rowid not in holes]
+    assert heap.fetch_many(live) == [(i, -i, 2**40 + i) for i in live]
+    assert heap.insert_many([(7, 7, 7)] * (len(holes) + 1)) == holes + [70]
+    heap.pool.clear()
+    assert heap.fetch(rowids[3]) == (7, 7, 7)
+    assert heap.fetch(70) == (7, 7, 7)

@@ -1,10 +1,17 @@
-"""Unit and property tests for record serialisation."""
+"""Unit and property tests for record serialisation and page forms."""
+
+import struct
+import sys
+from array import array
+from itertools import chain
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.engine.bptree import PAGE_LEAF, LeafPage
 from repro.engine.errors import SerializationError
+from repro.engine.heap import PAGE_HEAP, HeapPage
 from repro.engine.serial import (
     INT_MAX,
     INT_MIN,
@@ -13,9 +20,16 @@ from repro.engine.serial import (
     pad_high,
     pad_low,
     unpack_header,
+    values_from_bytes,
+    values_to_bytes,
 )
 
 int64 = st.integers(min_value=INT_MIN, max_value=INT_MAX)
+#: Values a page holds: any int64, with the range-scan padding keys and
+#: small negatives drawn often.
+page_value = st.one_of(
+    st.sampled_from([INT_MIN, INT_MAX, -1, 0]), st.integers(-50, 50), int64
+)
 
 
 def test_pack_unpack_roundtrip_simple():
@@ -46,7 +60,7 @@ def test_unpack_short_buffer_rejected():
 def test_out_of_range_value_rejected():
     codec = IntTupleCodec(1)
     with pytest.raises(SerializationError):
-        codec.pack_many([(2 ** 63,)])
+        codec.pack_many([(2**63,)])
 
 
 def test_zero_arity_rejected():
@@ -86,8 +100,7 @@ def test_roundtrip_property(entries):
 @given(st.integers(1, 6), st.data())
 def test_roundtrip_any_arity(arity, data):
     codec = IntTupleCodec(arity)
-    entries = data.draw(st.lists(
-        st.tuples(*[int64] * arity), max_size=20))
+    entries = data.draw(st.lists(st.tuples(*[int64] * arity), max_size=20))
     packed = codec.pack_many(entries)
     assert len(packed) == len(entries) * codec.entry_size
     assert codec.unpack_many(packed, len(entries)) == entries
@@ -98,8 +111,7 @@ def test_batch_struct_cache_reused():
     for _ in range(3):
         for count in (1, 4, 7):
             entries = [(i, -i) for i in range(count)]
-            assert codec.unpack_many(codec.pack_many(entries),
-                                     count) == entries
+            assert codec.unpack_many(codec.pack_many(entries), count) == entries
     # One cached Struct per distinct batch size, however often it is hit.
     assert set(codec._batch_structs) == {1, 4, 7}
 
@@ -119,3 +131,77 @@ def test_padding_orders_extremes(prefix, arity):
     high = pad_high(prefix, arity)
     assert low <= high
     assert len(low) == len(high) == arity
+
+
+# ----------------------------------------------------------------------
+# page forms: a flat array('q') and a tuple list encode to the same bytes
+# ----------------------------------------------------------------------
+#: Bytes a block holds after a part-filled page's entries.
+TAIL = b"\xa5" * 40
+
+
+@given(st.integers(1, 5), st.data())
+def test_leaf_forms_encode_to_the_same_bytes(arity, data):
+    codec = IntTupleCodec(arity)
+    entries = sorted(data.draw(st.sets(st.tuples(*[page_value] * arity), max_size=40)))
+    next_leaf = data.draw(st.sampled_from([-1, 0, 7, 2**40]))
+    header = pack_header(PAGE_LEAF, len(entries), next_leaf)
+    encoded = header + codec.pack_many(entries)
+    tuple_page = LeafPage(list(entries), next_leaf)
+    array_page = LeafPage(None, next_leaf, array("q", chain.from_iterable(entries)))
+    assert tuple_page.to_bytes_with(codec) == encoded
+    assert array_page.to_bytes_with(codec) == encoded
+    read = LeafPage.from_bytes_with(codec, encoded + TAIL)
+    assert read.entries is None
+    assert read.next_leaf == next_leaf
+    assert read.to_bytes_with(codec) == encoded
+    assert codec.rows(read.values) == tuple_page.entries
+
+
+@given(st.integers(1, 4), st.data())
+def test_heap_page_encodes_as_flagged_slots(arity, data):
+    codec = IntTupleCodec(arity + 1)
+    row = st.tuples(*[page_value] * arity)
+    slots = data.draw(st.lists(st.one_of(st.none(), row), max_size=30))
+    flagged = [(0,) * (arity + 1) if row is None else (1, *row) for row in slots]
+    encoded = pack_header(PAGE_HEAP, len(slots), 0) + codec.pack_many(flagged)
+    page = HeapPage(array("q", chain.from_iterable(flagged)))
+    assert page.to_bytes_with(codec) == encoded
+    read = HeapPage.from_bytes_with(codec, encoded + TAIL)
+    assert read.to_bytes_with(codec) == encoded
+    assert codec.rows(read.values) == flagged
+
+
+def test_page_of_the_wrong_type_is_rejected():
+    codec = IntTupleCodec(2)
+    leaf = LeafPage([(1, 2)]).to_bytes_with(codec)
+    with pytest.raises(SerializationError):
+        HeapPage.from_bytes_with(codec, leaf)
+    with pytest.raises(SerializationError):
+        LeafPage.from_bytes_with(codec, HeapPage(array("q")).to_bytes_with(codec))
+
+
+def test_unpack_values_short_buffer_rejected():
+    with pytest.raises(SerializationError):
+        IntTupleCodec(2).unpack_values(b"\x00" * 8, 1)
+
+
+@given(st.lists(page_value, max_size=20))
+def test_values_follow_the_little_endian_format(values):
+    data = struct.pack(f"<{len(values)}q", *values)
+    assert values_from_bytes(data).tolist() == values
+    assert values_to_bytes(array("q", values)) == data
+
+
+@given(st.lists(page_value, max_size=20))
+def test_values_byteswap_on_a_big_endian_host(values):
+    """The swap branch, called directly whatever the host's order."""
+    data = struct.pack(f"<{len(values)}q", *values)
+    swapped = values_from_bytes(data, byteorder="big")
+    # In memory, the big-endian host holds each value's bytes reversed.
+    assert swapped.tobytes() == struct.pack(f">{len(values)}q", *values)
+    assert values_to_bytes(swapped, byteorder="big") == data
+    # Encoding copies: the caller's array keeps its bytes.
+    assert swapped.tobytes() == struct.pack(f">{len(values)}q", *values)
+    native = values_from_bytes(data, byteorder=sys.byteorder)
+    assert native.tolist() == values
