@@ -28,12 +28,13 @@ predicate's formula.
 
 from __future__ import annotations
 
+import struct
 from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..engine.database import Database
 from ..engine.errors import SchemaError
-from ..engine.serial import pad_high, pad_low
+from ..engine.serial import INT_MAX, INT_MIN, pad_high, pad_low
 from .access import AccessMethod, IntervalRecord
 from .backbone import MAX_ABS_BOUND, VirtualBackbone
 from .interval import validate_interval
@@ -49,6 +50,9 @@ ScanPlan = tuple[list[ScanRange], list[ScanRange]]
 #: ``(node, bound, id, rowid)`` entries.
 ID_COLUMN = 2
 ROWID_COLUMN = 3
+#: The ``(lower, upper, id)`` columns of a ``(node, lower, upper, id)``
+#: heap row, unpacked straight from its slot: pad bytes skip the node.
+RECORD_LAYOUT = struct.Struct("=8x3q")
 
 
 class RITree(AccessMethod):
@@ -330,20 +334,22 @@ class RITree(AccessMethod):
         query_nodes = self._collect_nodes(lower, upper)
         if query_nodes is None:
             return None
+        # Open bounds that pad a one- or two-column key to full arity,
+        # as pad_low/pad_high do, built once per plan.
         arity = self._upper_tree.arity
+        low, high = (INT_MIN,) * (arity - 1), (INT_MAX,) * (arity - 1)
+        low2, high2 = low[1:], high[1:]
         upper_ranges: list[ScanRange] = []
         for node_min, node_max in query_nodes.left:
             if node_min == node_max:
-                upper_ranges.append((pad_low((node_min, lower), arity),
-                                     pad_high((node_max,), arity)))
+                upper_ranges.append(((node_min, lower) + low2, (node_max,) + high))
             else:
                 # Covered node range: the Section 4.3 lemma makes the
                 # residual predicate implicit, so the scan is pure.
-                upper_ranges.append((pad_low((node_min,), arity),
-                                     pad_high((node_max,), arity)))
+                upper_ranges.append(((node_min,) + low, (node_max,) + high))
         lower_ranges: list[ScanRange] = [
-            (pad_low((node,), arity), pad_high((node, upper), arity))
-            for node in query_nodes.right]
+            ((node,) + low, (node, upper) + high2) for node in query_nodes.right
+        ]
         return upper_ranges, lower_ranges
 
     def _pinned_plan(self, bound: str, point: int) -> ScanPlan:
@@ -534,13 +540,14 @@ class RITree(AccessMethod):
         "table access by index rowid" step, batched per leaf slice
         through :meth:`~repro.engine.table.Table.fetch_many` (rowids
         within one slice are page-clustered, so same-page runs share one
-        page request).  :class:`~repro.core.temporal.TemporalRITree`
-        overrides this to materialise effective now-relative bounds.
+        page request).  The heap unpacks each record's three columns
+        straight from its slot (:data:`RECORD_LAYOUT`), one tuple per
+        record.  :class:`~repro.core.temporal.TemporalRITree` overrides
+        this to materialise effective now-relative bounds.
         """
         fetch_many = self.table.fetch_many
         for rowids in self._scan(plan, ROWID_COLUMN):
-            rows = fetch_many(rowids)
-            yield [(row[1], row[2], row[3]) for row in rows]
+            yield fetch_many(rowids, RECORD_LAYOUT)
 
     # ------------------------------------------------------------------
     # planning (Section 5)

@@ -7,14 +7,25 @@ tracking and write-back on eviction.
 
 The pool caches *deserialised page objects* (anything implementing
 :class:`PageLike`), so a buffer hit costs neither I/O nor decoding -- exactly
-like a real block cache holding parsed pages.  A miss reads the block from the
-:class:`~repro.engine.storage.DiskManager` (one physical read) and decodes it
-via the loader supplied by the owning structure.  The loaders of B+-tree
-leaves and heap pages copy the block body into one ``array('q')`` and build
-no tuples; a leaf turns into a tuple list only when it is used again while
-cached (a later scan or a write), and a heap page never does.  Internal
-B+-tree pages decode into tuple keys.  Every form encodes back to the bytes
-it was read from, so what the pool caches never changes what it writes.
+like a real block cache holding parsed pages.  The frame table maps a block
+id straight to its page, in LRU order; the dirty and pinned block ids are
+kept beside it, so a hit is one dict probe and one LRU touch.
+
+A miss is one step (:meth:`BufferPool._miss`), shared by :meth:`get`, the
+readers of :meth:`make_reader` and the loops that use :meth:`scan_refs`: it
+reads the block from the :class:`~repro.engine.storage.DiskManager` (one
+physical read), decodes it with the loader supplied by the owning structure
+and admits the page, evicting in the same step when the pool is full.  When
+the least recently used frame is unpinned and clean -- the common case on a
+working set larger than the cache -- eviction pops it; otherwise the victim
+is the least recently used unpinned frame, written back first if dirty.  A
+miss that finds every frame pinned raises before it reads, leaving the pool
+unchanged.  With the structures' loaders, which parse a block in one pass
+(see :mod:`repro.engine.bptree` and :mod:`repro.engine.heap`), a miss runs
+three Python frames: the miss step, :meth:`DiskManager.read
+<repro.engine.storage.DiskManager.read>` and the loader.  Every page form
+encodes back to the bytes it was read from, so what the pool caches never
+changes what it writes.
 
 Pages that an operation currently holds a Python reference to must be *pinned*
 so that eviction cannot detach them from the cache (a detached page would be
@@ -31,6 +42,7 @@ buffer manager's background I/O as well as direct writes.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from .errors import BufferError_
@@ -52,24 +64,16 @@ class PageLike(Protocol):
         ...
 
 
-class _Frame:
-    """One buffer slot: the page object plus bookkeeping."""
-
-    __slots__ = ("page", "dirty", "pins")
-
-    def __init__(self, page: PageLike) -> None:
-        self.page = page
-        self.dirty = False
-        self.pins = 0
-
-
 class BufferPool:
     """Fixed-capacity LRU cache of deserialised pages.
 
     Parameters
     ----------
     disk:
-        Backing block device.
+        Backing block device.  Its ``read`` is bound once, here, so a
+        wrapper on :meth:`DiskManager.read
+        <repro.engine.storage.DiskManager.read>` must be in place before
+        the pool is built to see the pool's reads.
     capacity:
         Number of frames.  Must be large enough to pin one operation's page
         path; the engine enforces a floor of 8 frames.
@@ -92,7 +96,13 @@ class BufferPool:
         self.capacity = capacity
         self.stats = stats if stats is not None else disk.stats
         self.injector = injector
-        self._frames: OrderedDict[int, _Frame] = OrderedDict()
+        #: Block id -> cached page, least recently used first.
+        self._frames: OrderedDict[int, PageLike] = OrderedDict()
+        #: Resident blocks modified since their last write-back.
+        self._dirty: set[int] = set()
+        #: Resident block -> pin count, for pinned blocks only.
+        self._pins: dict[int, int] = {}
+        self._read_block = disk.read
 
     # ------------------------------------------------------------------
     # page access
@@ -104,13 +114,10 @@ class BufferPool:
         one logical read; only misses touch the disk.
         """
         self.stats.logical_reads += 1
-        frame = self._frames.get(block_id)
-        if frame is not None:
-            self._frames.move_to_end(block_id)
-            return frame.page
-        data = self.disk.read(block_id)
-        page = loader(data)
-        self._admit(block_id, _Frame(page))
+        page = self._frames.get(block_id)
+        if page is None:
+            return self._miss(loader, block_id)
+        self._frames.move_to_end(block_id)
         return page
 
     def make_reader(
@@ -118,166 +125,181 @@ class BufferPool:
     ) -> Callable[[int], PageLike]:
         """Bind ``loader`` once and return a fast-path page reader.
 
-        Structures that issue many page requests (B+-tree scans, heap
-        fetches) would otherwise re-create a bound-method loader and pay
-        several attribute lookups on *every* :meth:`get` call.  The
-        returned callable closes over the pool internals and the loader,
-        so a cache hit costs one dict probe and one LRU touch.
+        Structures that issue many page requests would otherwise pass the
+        loader and pay several attribute lookups on *every* :meth:`get`
+        call.  The returned callable closes over the pool internals and the
+        loader, so a cache hit costs one dict probe and one LRU touch.
 
         The accounting contract is identical to :meth:`get`: every call is
-        one logical read, only misses touch the disk, and admissions go
-        through the same eviction path.  The closure captures the frame
-        table *object* (never rebound -- :meth:`clear` empties it in
-        place), so readers stay valid across cache clears.
+        one logical read, and a miss is the pool's one miss step.  The
+        closure captures the frame table *object* (never rebound --
+        :meth:`clear` empties it in place), so readers stay valid across
+        cache clears.
         """
         frames = self._frames
         frames_get = frames.get
         move_to_end = frames.move_to_end
         stats = self.stats
-        disk_read = self.disk.read
-        admit = self._admit
+        miss = self._miss
 
         def read(block_id: int) -> PageLike:
             stats.logical_reads += 1
-            frame = frames_get(block_id)
-            if frame is not None:
-                move_to_end(block_id)
-                return frame.page
-            page = loader(disk_read(block_id))
-            admit(block_id, _Frame(page))
+            page = frames_get(block_id)
+            if page is None:
+                return miss(loader, block_id)
+            move_to_end(block_id)
             return page
 
         return read
 
     def scan_refs(
         self, loader: Callable[[bytes], PageLike]
-    ) -> tuple["OrderedDict[int, _Frame]", IoStats, Callable[[int], PageLike]]:
+    ) -> tuple["OrderedDict[int, PageLike]", IoStats, Callable[[int], PageLike]]:
         """References for loops that inline the cache-hit fast path.
 
-        The innermost scan loops (B+-tree leaf walks) probe the cache once
-        per page; routing every probe through a Python callable costs one
-        frame activation per page even on a hit.  ``scan_refs`` hands such
-        loops ``(frames, stats, miss)`` so a hit is pure C-level dict work
-        while the miss path stays centralised here.
+        The innermost loops (B+-tree descents and leaf walks, heap fetches
+        by row id) probe the cache once per page; routing every probe
+        through a Python callable costs one frame activation per page even
+        on a hit.  ``scan_refs`` hands such loops ``(frames, stats, miss)``
+        so a hit is pure C-level dict work while the miss stays the pool's
+        one miss step.
 
         Contract for the caller, per probe -- identical accounting to
         :meth:`get`:
 
         1. ``stats.logical_reads += 1``;
-        2. ``frame = frames.get(block_id)``; on a hit call
-           ``frames.move_to_end(block_id)`` and use ``frame.page``;
-        3. on a miss call ``miss(block_id)``, which performs the physical
-           read, decodes via ``loader`` and admits the page (evicting
-           through the normal path).
+        2. ``page = frames.get(block_id)``; on a hit call
+           ``frames.move_to_end(block_id)`` and use ``page``;
+        3. on a miss (``None``) call ``miss(block_id)``, which performs the
+           physical read, decodes via ``loader`` and admits the page
+           (evicting in the same step) and returns it.
 
         The frame table and stats objects are stable for the pool's
-        lifetime (:meth:`clear` empties the table in place).
+        lifetime (:meth:`clear` empties the table in place).  ``miss`` is
+        a :func:`functools.partial`, so it adds no Python frame of its own.
         """
-
-        def miss(block_id: int) -> PageLike:
-            page = loader(self.disk.read(block_id))
-            self._admit(block_id, _Frame(page))
-            return page
-
-        return self._frames, self.stats, miss
+        return self._frames, self.stats, partial(self._miss, loader)
 
     def put_new(self, block_id: int, page: PageLike) -> None:
         """Register a freshly created page (dirty, not yet on disk)."""
-        if block_id in self._frames:
+        frames = self._frames
+        if block_id in frames:
             raise BufferError_(f"block {block_id} already buffered")
-        frame = _Frame(page)
-        frame.dirty = True
-        self._admit(block_id, frame)
+        if len(frames) >= self.capacity:
+            self._evict(self._victim())
+        frames[block_id] = page
+        self._dirty.add(block_id)
 
     def mark_dirty(self, block_id: int) -> None:
         """Record that the cached page for ``block_id`` was modified."""
-        frame = self._frames.get(block_id)
-        if frame is None:
+        try:
+            self._frames.move_to_end(block_id)
+        except KeyError:
             raise BufferError_(
                 f"mark_dirty on non-resident block {block_id}; pin pages "
                 "before mutating them"
-            )
-        frame.dirty = True
-        self._frames.move_to_end(block_id)
+            ) from None
+        self._dirty.add(block_id)
 
     # ------------------------------------------------------------------
     # pinning
     # ------------------------------------------------------------------
     def pin(self, block_id: int) -> None:
         """Exempt a resident page from eviction until unpinned."""
-        frame = self._frames.get(block_id)
-        if frame is None:
+        if block_id not in self._frames:
             raise BufferError_(f"pin on non-resident block {block_id}")
-        frame.pins += 1
+        self._pins[block_id] = self._pins.get(block_id, 0) + 1
 
     def unpin(self, block_id: int) -> None:
         """Release one pin on ``block_id``."""
-        frame = self._frames.get(block_id)
-        if frame is None:
+        if block_id not in self._frames:
             raise BufferError_(f"unpin on non-resident block {block_id}")
-        if frame.pins <= 0:
+        pins = self._pins.get(block_id, 0)
+        if pins <= 0:
             raise BufferError_(f"unpin without pin on block {block_id}")
-        frame.pins -= 1
+        if pins == 1:
+            del self._pins[block_id]
+        else:
+            self._pins[block_id] = pins - 1
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def drop(self, block_id: int) -> None:
         """Discard a page without write-back (caller is freeing the block)."""
-        frame = self._frames.get(block_id)
-        if frame is None:
+        if block_id not in self._frames:
             return
-        if frame.pins > 0:
+        if block_id in self._pins:
             raise BufferError_(f"drop of pinned block {block_id}")
         del self._frames[block_id]
+        self._dirty.discard(block_id)
 
     def flush_block(self, block_id: int) -> None:
         """Write one dirty page back to disk, keeping it cached."""
-        frame = self._frames.get(block_id)
-        if frame is not None and frame.dirty:
-            if self.injector is not None:
-                self.injector.on_flush(block_id)
-            self.disk.write(block_id, frame.page.to_bytes())
-            frame.dirty = False
+        if block_id in self._dirty:
+            self._write_back(block_id)
 
     def flush_all(self) -> None:
-        """Write back every dirty page (e.g. before inspecting the disk)."""
-        for block_id in list(self._frames):
-            self.flush_block(block_id)
+        """Write back every dirty page (e.g. before inspecting the disk),
+        least recently used first."""
+        dirty = self._dirty
+        for block_id in [block_id for block_id in self._frames if block_id in dirty]:
+            self._write_back(block_id)
 
     def clear(self) -> None:
         """Flush everything and empty the cache (cold-cache benchmarking)."""
         self.flush_all()
-        for block_id, frame in self._frames.items():
-            if frame.pins > 0:
-                raise BufferError_(f"clear with pinned block {block_id}")
+        if self._pins:
+            raise BufferError_(f"clear with pinned block {next(iter(self._pins))}")
         self._frames.clear()
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _admit(self, block_id: int, frame: _Frame) -> None:
-        self._frames[block_id] = frame
-        self._frames.move_to_end(block_id)
-        while len(self._frames) > self.capacity:
-            # Never evict the page being admitted: the caller holds a live
-            # reference and may mutate it next.
-            self._evict_one(exclude=block_id)
+    def _miss(self, loader: Callable[[bytes], PageLike], block_id: int) -> PageLike:
+        """Read, decode and admit ``block_id``, evicting in the same step.
 
-    def _evict_one(self, exclude: int) -> None:
-        for victim_id, victim in self._frames.items():
-            if victim.pins == 0 and victim_id != exclude:
-                break
+        The physical read comes first, then the victim's write-back, if
+        any: the I/O order of admitting and then evicting.  A read or
+        decode that raises leaves the pool unchanged, and so does a full
+        pool of pinned pages, which raises before the read.
+        """
+        frames = self._frames
+        if len(frames) < self.capacity:
+            page = loader(self._read_block(block_id))
         else:
-            raise BufferError_(
-                "all buffered pages are pinned; cannot evict "
-                f"(capacity={self.capacity})"
-            )
-        if victim.dirty:
-            if self.injector is not None:
-                self.injector.on_flush(victim_id)
-            self.disk.write(victim_id, victim.page.to_bytes())
-        del self._frames[victim_id]
+            victim_id = next(iter(frames))
+            if victim_id in self._pins or victim_id in self._dirty:
+                victim_id = self._victim()
+                page = loader(self._read_block(block_id))
+                self._evict(victim_id)
+            else:
+                page = loader(self._read_block(block_id))
+                frames.popitem(False)
+        frames[block_id] = page
+        return page
+
+    def _victim(self) -> int:
+        """The least recently used unpinned block; raises when none is."""
+        pins = self._pins
+        for block_id in self._frames:
+            if block_id not in pins:
+                return block_id
+        raise BufferError_(
+            "all buffered pages are pinned; cannot evict "
+            f"(capacity={self.capacity})"
+        )
+
+    def _evict(self, block_id: int) -> None:
+        if block_id in self._dirty:
+            self._write_back(block_id)
+        del self._frames[block_id]
+
+    def _write_back(self, block_id: int) -> None:
+        if self.injector is not None:
+            self.injector.on_flush(block_id)
+        self.disk.write(block_id, self._frames[block_id].to_bytes())
+        self._dirty.discard(block_id)
 
     @property
     def resident(self) -> int:

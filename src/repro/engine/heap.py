@@ -9,7 +9,17 @@ A page has one form, in memory as on disk: one flat ``array('q')`` of
 slots, each a live flag followed by the row's columns (all zeros when
 dead).  Reading a page is one copy of the block; a fetch builds a tuple
 only for each row it returns; an insert fills a slot and a delete zeroes
-one in place, so the page never turns into tuples.
+one in place, so the page never turns into tuples.  A page carries the
+heap's codec and encodes itself, so the buffer pool caches it directly,
+and :func:`load_page` decodes a block with one header parse and one copy.
+
+:meth:`HeapFile.fetch_many`, the "table access by index rowid" step of
+every RI-tree query, runs its page requests the way the B+-tree scan
+loops do: the cache-hit path inline per the
+:meth:`~repro.engine.buffer.BufferPool.scan_refs` contract and the row-id
+range check inline, so a page switch that hits the cache calls no Python
+function.  A caller may pass a struct that unpacks only the columns it
+needs, one tuple per row.
 
 The free-slot directory is kept in memory and is rebuilt trivially because
 the simulated disk does not outlive the process; this matches how the engine
@@ -25,15 +35,17 @@ from __future__ import annotations
 
 import struct
 from array import array
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .buffer import BufferPool
 from .errors import BlockError, SchemaError, SerializationError
 from .serial import (
+    PAGE_HEADER,
     PAGE_HEADER_SIZE,
+    SWAP_BYTES,
     IntTupleCodec,
     pack_header,
-    unpack_header,
     values_to_bytes,
 )
 
@@ -43,6 +55,8 @@ PAGE_HEAP = 3
 
 #: Live flag of a slot; a dead slot holds zeros.
 LIVE = 1
+
+_new = object.__new__
 
 
 def slot_values(rows: Sequence[tuple[int, ...]], width: int) -> array:
@@ -59,36 +73,44 @@ class HeapPage:
 
     Slot ``s`` of a heap of arity ``a`` is ``values[s * (a + 1):(s + 1) *
     (a + 1)]``: the live flag then the columns, or zeros once deleted.
+    ``codec`` is the heap's slot codec, which the page encodes itself with.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "codec")
 
-    def __init__(self, values: array) -> None:
+    def __init__(self, codec: IntTupleCodec, values: array) -> None:
         self.values = values
-
-    def to_bytes_with(self, codec: IntTupleCodec) -> bytes:
-        header = pack_header(PAGE_HEAP, len(self.values) // codec.arity, 0)
-        return header + values_to_bytes(self.values)
-
-    @classmethod
-    def from_bytes_with(cls, codec: IntTupleCodec, data: bytes) -> "HeapPage":
-        page_type, count, _aux = unpack_header(data)
-        if page_type != PAGE_HEAP:
-            raise SerializationError(f"expected heap page, found type {page_type}")
-        return cls(codec.unpack_values(memoryview(data)[PAGE_HEADER_SIZE:], count))
-
-
-class _BoundHeap:
-    """Pairs a heap page with its codec for buffer-pool serialisation."""
-
-    __slots__ = ("page", "codec")
-
-    def __init__(self, page: HeapPage, codec: IntTupleCodec) -> None:
-        self.page = page
         self.codec = codec
 
     def to_bytes(self) -> bytes:
-        return self.page.to_bytes_with(self.codec)
+        header = pack_header(PAGE_HEAP, len(self.values) // self.codec.arity, 0)
+        return header + values_to_bytes(self.values)
+
+
+def load_page(codec: IntTupleCodec, data: bytes) -> HeapPage:
+    """Decode one heap block: its header once, its slots with one copy.
+
+    The page is built without running its ``__init__``, so this function
+    is the only Python frame a buffer miss spends on decoding.
+    """
+    if len(data) < PAGE_HEADER_SIZE:
+        raise SerializationError("page shorter than its header")
+    page_type, count, _aux = PAGE_HEADER.unpack_from(data)
+    if page_type != PAGE_HEAP:
+        raise SerializationError(f"expected heap page, found type {page_type}")
+    end = PAGE_HEADER_SIZE + count * codec.entry_size
+    if len(data) < end:
+        raise SerializationError(
+            f"heap page of {count} slots needs {end} bytes, has {len(data)}"
+        )
+    values = array("q")
+    values.frombytes(memoryview(data)[PAGE_HEADER_SIZE:end])
+    if SWAP_BYTES:
+        values.byteswap()
+    page = _new(HeapPage)
+    page.values = values
+    page.codec = codec
+    return page
 
 
 class HeapFile:
@@ -128,8 +150,12 @@ class HeapFile:
         # A row is the ``arity`` values after its slot's live flag.
         self._row = struct.Struct(f"={arity}q")
         self._dead = array("q", [0] * self.width)
-        # Pre-bound fast-path reader: one loader closure per heap file.
-        self._read = pool.make_reader(self._load)
+        # The loader is bound once per heap file: a reader for the page
+        # requests of writes and scans, and the scan_refs fast path that
+        # fetch_many inlines.
+        load = partial(load_page, self.codec)
+        self._read = pool.make_reader(load)
+        self._hot = pool.scan_refs(load)
         self._page_ids: list[int] = []
         self._pages_with_space: set[int] = set()
         #: Pages changed since the last :meth:`mark_clean` (``None``:
@@ -150,11 +176,8 @@ class HeapFile:
     # ------------------------------------------------------------------
     # page access
     # ------------------------------------------------------------------
-    def _load(self, data: bytes) -> _BoundHeap:
-        return _BoundHeap(HeapPage.from_bytes_with(self.codec, data), self.codec)
-
     def _values(self, page_index: int) -> array:
-        return self._read(self._page_ids[page_index]).page.values
+        return self._read(self._page_ids[page_index]).values
 
     def _live_slots(self, page_index: int) -> list[tuple[int, tuple[int, ...]]]:
         """``(slot, row)`` for the live slots of one page (one request)."""
@@ -212,9 +235,9 @@ class HeapFile:
                 self._pages_with_space.discard(page_index)
         while position < total:
             chunk = rows[position : position + slots_per_page]
-            page = HeapPage(slot_values(chunk, width))
+            page = HeapPage(self.codec, slot_values(chunk, width))
             block_id = self.pool.disk.allocate()
-            self.pool.put_new(block_id, _BoundHeap(page, self.codec))
+            self.pool.put_new(block_id, page)
             self._page_ids.append(block_id)
             page_index = len(self._page_ids) - 1
             base = page_index * slots_per_page
@@ -228,7 +251,9 @@ class HeapFile:
         """Return the live row stored under ``rowid``."""
         return self.fetch_many([rowid])[0]
 
-    def fetch_many(self, rowids: Sequence[int]) -> list[tuple[int, ...]]:
+    def fetch_many(
+        self, rowids: Sequence[int], layout: Optional[struct.Struct] = None
+    ) -> list[tuple[int, ...]]:
         """Fetch several rows, grouping same-page runs into one page access.
 
         Rows come back in ``rowids`` order.  Consecutive row ids that live
@@ -239,24 +264,58 @@ class HeapFile:
         so buffer replacement behaves identically.  Each returned row is
         unpacked from its slot on its own; the rest of the page stays
         untouched.
+
+        ``layout`` unpacks each row in place of the full row: a
+        native-order :class:`struct.Struct` no longer than a row, applied
+        at the row's first column.  Pad bytes skip leading columns, so
+        ``struct.Struct("=8x2q")`` on a row ``(a, b, c)`` returns
+        ``(b, c)`` without building the full row first.
+
+        The page requests inline the cache-hit path per the
+        :meth:`~repro.engine.buffer.BufferPool.scan_refs` contract, and
+        the row-id range check runs inline too, so a page switch that
+        hits the cache calls no Python function.
         """
-        rows: list[tuple[int, ...]] = []
-        append = rows.append
-        unpack_row = self._row.unpack_from
+        if layout is None:
+            layout = self._row
+        elif layout.size > self.arity * 8:
+            raise SchemaError(
+                f"{self.name}: row layout of {layout.size} bytes exceeds "
+                f"a row of {self.arity * 8}"
+            )
+        unpack_row = layout.unpack_from
+        frames, stats, miss = self._hot
+        frames_get = frames.get
+        move_to_end = frames.move_to_end
+        page_ids = self._page_ids
+        page_count = len(page_ids)
         slots_per_page = self.slots_per_page
         width = self.width
-        current_index: Optional[int] = None
-        values = self._dead
+        rows: list[tuple[int, ...]] = []
+        append = rows.append
+        # Row ids of the current page are ``base <= rowid < limit``; the
+        # empty range makes the first row id switch pages.
+        base = limit = 0
         for rowid in rowids:
-            page_index, slot = divmod(rowid, slots_per_page)
-            if page_index != current_index:
-                self._check_page(page_index, rowid)
-                values = self._values(page_index)
-                current_index = page_index
-            start = slot * width
-            if start >= len(values) or values[start] != LIVE:
+            if not base <= rowid < limit:
+                page_index = rowid // slots_per_page
+                if not 0 <= page_index < page_count:
+                    raise BlockError(f"{self.name}: invalid rowid {rowid}")
+                block_id = page_ids[page_index]
+                stats.logical_reads += 1
+                page = frames_get(block_id)
+                if page is None:
+                    page = miss(block_id)
+                else:
+                    move_to_end(block_id)
+                values = page.values
+                used = len(values)
+                base = page_index * slots_per_page
+                limit = base + slots_per_page
+            start = (rowid - base) * width
+            if start >= used or values[start] != LIVE:
                 raise BlockError(f"{self.name}: rowid {rowid} is not live")
-            append(unpack_row(values, (start + 1) * 8))
+            append(unpack_row(values, start * 8 + 8))
         return rows
 
     def delete(self, rowid: int) -> tuple[int, ...]:
@@ -326,9 +385,9 @@ class HeapFile:
             chunk = rows[position : position + self.slots_per_page]
             for row in chunk:
                 self._check_arity(row)
-            page = HeapPage(slot_values(chunk, self.width))
+            page = HeapPage(self.codec, slot_values(chunk, self.width))
             block_id = disk.allocate()
-            disk.write(block_id, page.to_bytes_with(self.codec))
+            disk.write(block_id, page.to_bytes())
             self._page_ids.append(block_id)
             page_index = len(self._page_ids) - 1
             rowids.extend(

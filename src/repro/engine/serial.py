@@ -10,11 +10,12 @@ paper -- is a simple function of the schema.
 A page body is a run of little-endian int64 values, so it has two in-memory
 forms that encode to the same bytes: a list of tuples, which
 :class:`IntTupleCodec` packs and unpacks with one :mod:`struct` call per
-page, and one flat ``array('q')``, which :func:`values_from_bytes` fills with
-one copy of the block.  Decoding a page into tuples costs one tuple per
-entry; on a workload that misses the buffer cache on nearly every read (the
-paper's Section 6 setting) that decoding took about half the response time,
-so B+-tree leaves and heap pages read from disk start as arrays (see
+page, and one flat ``array('q')``, filled with one copy of the block
+(:func:`values_from_bytes`; the page loaders make the same copy inline).
+Decoding a page into tuples costs one tuple per entry; on a workload that
+misses the buffer cache on nearly every read (the paper's Section 6
+setting) that decoding took about half the response time, so B+-tree
+leaves and heap pages read from disk start as arrays (see
 :mod:`repro.engine.bptree` for when a leaf turns into tuples, and
 :mod:`repro.engine.heap`).
 """
@@ -38,22 +39,25 @@ INT_MAX = 2**63 - 1
 class IntTupleCodec:
     """Codec for lists of fixed-arity signed 64-bit integer tuples.
 
-    ``pack_many``/``unpack_many`` encode and decode the tuple form of a
-    page -- internal B+-tree pages on every miss, leaves when they are
-    written back -- without per-entry Python work: packing streams the
-    entries through one cached :class:`struct.Struct` per batch size, and
-    unpacking slices the raw block with a zero-copy ``memoryview`` and
-    ``iter_unpack``.  ``unpack_values``/``rows`` serve the array form.
+    ``pack_many`` encodes the tuple form of a page -- leaves and internal
+    pages when they are written back -- without per-entry Python work,
+    streaming the entries through one cached :class:`struct.Struct` per
+    batch size.  ``unpack_many`` is its inverse: it slices the raw block
+    with a zero-copy ``memoryview`` and ``iter_unpack``, as the
+    internal-page loader does with :attr:`stored`.  ``rows`` serves the
+    array form.
     """
 
-    __slots__ = ("arity", "entry_size", "_single", "_batch_structs", "native")
+    __slots__ = ("arity", "entry_size", "stored", "_batch_structs", "native")
 
     def __init__(self, arity: int) -> None:
         if arity < 1:
             raise SerializationError(f"arity must be positive, got {arity}")
         self.arity = arity
         self.entry_size = 8 * arity
-        self._single = struct.Struct(f"<{arity}q")
+        #: One entry as stored on disk (little-endian): decodes the
+        #: tuple form of a page straight out of its block.
+        self.stored = struct.Struct(f"<{arity}q")
         # Cache of batch Structs keyed by entry count.  Page geometry caps
         # the number of distinct counts at the page capacity, so the cache
         # stays small for the codec's lifetime.
@@ -88,16 +92,7 @@ class IntTupleCodec:
             raise SerializationError(
                 f"need {needed} bytes for {count} entries, have {len(data)}"
             )
-        return list(self._single.iter_unpack(memoryview(data)[:needed]))
-
-    def unpack_values(self, data: bytes, count: int) -> array:
-        """The ``count`` entries at the start of ``data`` as one flat array."""
-        needed = count * self.entry_size
-        if len(data) < needed:
-            raise SerializationError(
-                f"need {needed} bytes for {count} entries, have {len(data)}"
-            )
-        return values_from_bytes(memoryview(data)[:needed])
+        return list(self.stored.iter_unpack(memoryview(data)[:needed]))
 
     def rows(self, values: array) -> list[tuple[int, ...]]:
         """The entries of a flat array as tuples."""
@@ -106,14 +101,14 @@ class IntTupleCodec:
     def pack_one(self, entry: tuple[int, ...]) -> bytes:
         """Encode a single entry."""
         try:
-            return self._single.pack(*entry)
+            return self.stored.pack(*entry)
         except struct.error as exc:
             raise SerializationError(str(exc)) from exc
 
     def unpack_one(self, data: bytes, offset: int = 0) -> tuple[int, ...]:
         """Decode a single entry starting at ``offset``."""
         try:
-            return self._single.unpack_from(data, offset)
+            return self.stored.unpack_from(data, offset)
         except struct.error as exc:
             raise SerializationError(str(exc)) from exc
 
@@ -134,6 +129,11 @@ def unpack_header(data: bytes) -> tuple[int, int, int]:
     if len(data) < PAGE_HEADER_SIZE:
         raise SerializationError("page shorter than its header")
     return PAGE_HEADER.unpack_from(data, 0)
+
+
+#: Whether a page's ``array('q')`` form holds its values byte-swapped: on a
+#: big-endian host.  The page loaders swap after their one copy when set.
+SWAP_BYTES = sys.byteorder != "little"
 
 
 def values_from_bytes(data: bytes, byteorder: str = sys.byteorder) -> array:

@@ -110,10 +110,12 @@ class DiskManager:
     # ------------------------------------------------------------------
     def read(self, block_id: int) -> bytes:
         """Fetch a block from disk (counted as one physical read)."""
-        self._check_id(block_id)
+        blocks = self._blocks
+        if not 0 <= block_id < len(blocks) or block_id in self._free_set:
+            self._check_id(block_id)
         if self.injector is not None:
             self._consult_read(block_id)
-        data = self._blocks[block_id]
+        data = blocks[block_id]
         if data is None:
             raise BlockError(f"block {block_id} read before first write")
         self.stats.physical_reads += 1

@@ -21,6 +21,7 @@ needs: replaying the logical records rebuilds heap and indexes.
 
 from __future__ import annotations
 
+import struct
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
@@ -251,7 +252,9 @@ class Table:
         """Fetch one row by id."""
         return self.heap.fetch(rowid)
 
-    def fetch_many(self, rowids: Sequence[int]) -> list[tuple[int, ...]]:
+    def fetch_many(
+        self, rowids: Sequence[int], layout: Optional[struct.Struct] = None
+    ) -> list[tuple[int, ...]]:
         """Fetch rows by id, sharing one page access per same-page run.
 
         The batched "table access by index rowid" step: row ids taken from
@@ -259,9 +262,11 @@ class Table:
         the Python-level overhead per row without changing which pages are
         requested or in which order.  ``rowids`` may be any sequence of
         ints, such as the row-id column of an index scan
-        (``scan_batches_padded(..., column=...)``).
+        (``scan_batches_padded(..., column=...)``).  ``layout`` is a struct
+        the caller picks to unpack only some columns of each row (see
+        :meth:`HeapFile.fetch_many <repro.engine.heap.HeapFile.fetch_many>`).
         """
-        return self.heap.fetch_many(rowids)
+        return self.heap.fetch_many(rowids, layout)
 
     def index_scan(
         self,

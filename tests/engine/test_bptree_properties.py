@@ -93,7 +93,7 @@ def tree_pages(tree: BPlusTree):
     while stack:
         block_id = stack.pop()
         page = tree._get(block_id)
-        pages[block_id] = page.to_bytes_with(tree.codec)
+        pages[block_id] = page.to_bytes()
         if isinstance(page, InternalPage):
             stack.extend(page.children)
     return tree.root_id, tree.height, tree.entry_count, pages

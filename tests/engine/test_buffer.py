@@ -1,8 +1,11 @@
 """Unit tests for the LRU buffer pool."""
 
+import sys
+
 import pytest
 
 from repro.engine.buffer import BufferPool
+from repro.engine.database import Database
 from repro.engine.errors import BufferError_
 from repro.engine.storage import DiskManager
 
@@ -89,6 +92,73 @@ def test_all_pinned_raises():
         pool.get(write_block(disk, b"q"), load)
     for block in blocks:
         pool.unpin(block)
+
+
+@pytest.mark.parametrize("via", ["get", "reader", "scan_refs", "put_new"])
+def test_refused_miss_leaves_the_pool_unchanged(via):
+    disk, pool = make_pool(capacity=8)
+    blocks = [write_block(disk, b"p") for _ in range(8)]
+    for block in blocks:
+        pool.get(block, load)
+        pool.pin(block)
+    refused = write_block(disk, b"q")
+    reads = disk.stats.physical_reads
+    with pytest.raises(BufferError_):
+        if via == "get":
+            pool.get(refused, load)
+        elif via == "reader":
+            pool.make_reader(load)(refused)
+        elif via == "scan_refs":
+            pool.scan_refs(load)[2](refused)
+        else:
+            pool.put_new(refused, FakePage(b"new"))
+    assert pool.resident <= pool.capacity
+    assert not pool.is_resident(refused)
+    assert all(pool.is_resident(block) for block in blocks)
+    assert disk.stats.physical_reads == reads
+    for block in blocks:
+        pool.unpin(block)
+    assert pool.get(refused, load).payload == b"q"
+
+
+def calls_during(run, *args) -> list[str]:
+    """Names of the Python frames ``run(*args)`` activates; calls into C
+    functions, such as a :func:`functools.partial`, make none."""
+    names = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        run(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_a_miss_runs_three_python_frames():
+    db = Database(block_size=512, cache_blocks=16)
+    table = db.create_table("T", ["a", "b"])
+    table.create_index("ia", ["a"])
+    table.bulk_load([(i, -i) for i in range(600)])
+    db.flush()
+    db.clear_cache()
+    tree, heap = table.index("ia").tree, table.heap
+    # Into an empty pool: a B+-tree page, then a heap page.
+    miss = tree._hot[2]
+    assert calls_during(miss, tree.root_id) == ["_miss", "read", "load_node"]
+    miss = heap._hot[2]
+    block = heap._page_ids[0]
+    assert calls_during(miss, block) == ["_miss", "read", "load_page"]
+    # Into a full pool whose least recently used page is clean.
+    block = heap._page_ids[-1]
+    heap.fetch_many(range(0, 600 - heap.slots_per_page, heap.slots_per_page))
+    assert db.pool.resident == db.pool.capacity
+    assert not db.pool.is_resident(block)
+    assert calls_during(miss, block) == ["_miss", "read", "load_page"]
+    assert db.pool.resident == db.pool.capacity
 
 
 def test_put_new_duplicate_rejected():

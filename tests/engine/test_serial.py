@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.bptree import PAGE_LEAF, LeafPage
+from repro.engine.bptree import (
+    PAGE_INTERNAL,
+    PAGE_LEAF,
+    InternalPage,
+    LeafPage,
+    load_node,
+)
 from repro.engine.errors import SerializationError
-from repro.engine.heap import PAGE_HEAP, HeapPage
+from repro.engine.heap import PAGE_HEAP, HeapPage, load_page
 from repro.engine.serial import (
     INT_MAX,
     INT_MIN,
@@ -147,15 +153,38 @@ def test_leaf_forms_encode_to_the_same_bytes(arity, data):
     next_leaf = data.draw(st.sampled_from([-1, 0, 7, 2**40]))
     header = pack_header(PAGE_LEAF, len(entries), next_leaf)
     encoded = header + codec.pack_many(entries)
-    tuple_page = LeafPage(list(entries), next_leaf)
-    array_page = LeafPage(None, next_leaf, array("q", chain.from_iterable(entries)))
-    assert tuple_page.to_bytes_with(codec) == encoded
-    assert array_page.to_bytes_with(codec) == encoded
-    read = LeafPage.from_bytes_with(codec, encoded + TAIL)
+    tuple_page = LeafPage(codec, list(entries), next_leaf)
+    array_page = LeafPage(
+        codec, None, next_leaf, array("q", chain.from_iterable(entries))
+    )
+    assert tuple_page.to_bytes() == encoded
+    assert array_page.to_bytes() == encoded
+    read = load_node(codec, encoded + TAIL)
+    assert isinstance(read, LeafPage)
     assert read.entries is None
     assert read.next_leaf == next_leaf
-    assert read.to_bytes_with(codec) == encoded
+    assert read.to_bytes() == encoded
     assert codec.rows(read.values) == tuple_page.entries
+
+
+@given(st.integers(1, 5), st.data())
+def test_internal_page_decodes_to_tuple_keys_and_a_child_list(arity, data):
+    codec = IntTupleCodec(arity)
+    keys = sorted(data.draw(st.sets(st.tuples(*[page_value] * arity), max_size=30)))
+    size = len(keys) + 1
+    children = data.draw(st.lists(st.integers(0, 2**40), min_size=size, max_size=size))
+    page = InternalPage(codec, keys, children)
+    encoded = (
+        pack_header(PAGE_INTERNAL, len(keys), -1)
+        + struct.pack(f"<{size}q", *children)
+        + codec.pack_many(keys)
+    )
+    assert page.to_bytes() == encoded
+    read = load_node(codec, encoded + TAIL)
+    assert isinstance(read, InternalPage)
+    assert read.keys == keys and all(type(key) is tuple for key in read.keys)
+    assert read.children == children and type(read.children) is list
+    assert read.to_bytes() == encoded
 
 
 @given(st.integers(1, 4), st.data())
@@ -165,25 +194,33 @@ def test_heap_page_encodes_as_flagged_slots(arity, data):
     slots = data.draw(st.lists(st.one_of(st.none(), row), max_size=30))
     flagged = [(0,) * (arity + 1) if row is None else (1, *row) for row in slots]
     encoded = pack_header(PAGE_HEAP, len(slots), 0) + codec.pack_many(flagged)
-    page = HeapPage(array("q", chain.from_iterable(flagged)))
-    assert page.to_bytes_with(codec) == encoded
-    read = HeapPage.from_bytes_with(codec, encoded + TAIL)
-    assert read.to_bytes_with(codec) == encoded
+    page = HeapPage(codec, array("q", chain.from_iterable(flagged)))
+    assert page.to_bytes() == encoded
+    read = load_page(codec, encoded + TAIL)
+    assert read.to_bytes() == encoded
     assert codec.rows(read.values) == flagged
 
 
 def test_page_of_the_wrong_type_is_rejected():
     codec = IntTupleCodec(2)
-    leaf = LeafPage([(1, 2)]).to_bytes_with(codec)
+    leaf = LeafPage(codec, [(1, 2)]).to_bytes()
     with pytest.raises(SerializationError):
-        HeapPage.from_bytes_with(codec, leaf)
+        load_page(codec, leaf)
     with pytest.raises(SerializationError):
-        LeafPage.from_bytes_with(codec, HeapPage(array("q")).to_bytes_with(codec))
+        load_node(codec, HeapPage(codec, array("q")).to_bytes())
 
 
-def test_unpack_values_short_buffer_rejected():
+@pytest.mark.parametrize(
+    "page_type, load",
+    [(PAGE_LEAF, load_node), (PAGE_INTERNAL, load_node), (PAGE_HEAP, load_page)],
+)
+def test_page_shorter_than_its_count_rejected(page_type, load):
+    codec = IntTupleCodec(2)
+    header = pack_header(page_type, 3, -1)
     with pytest.raises(SerializationError):
-        IntTupleCodec(2).unpack_values(b"\x00" * 8, 1)
+        load(codec, header[:5])
+    with pytest.raises(SerializationError):
+        load(codec, header + b"\x00" * 8)
 
 
 @given(st.lists(page_value, max_size=20))
