@@ -37,7 +37,6 @@ from .costmodel import (
     BoundSummary,
     JoinEstimate,
     JoinStrategyCost,
-    QueryEstimate,
     RITreeCostModel,
     choose_join_strategy,
     expected_join_pairs,
@@ -114,7 +113,6 @@ __all__ = [
     "MAX_ABS_BOUND",
     "NestedLoopJoin",
     "SweepJoin",
-    "QueryEstimate",
     "QueryNodes",
     "RITree",
     "RITreeCostModel",

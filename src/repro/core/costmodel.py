@@ -1,11 +1,11 @@
-"""Optimizer cost model for RI-tree queries and joins (paper Section 5).
+"""Optimizer cost model for RI-tree joins (paper Section 5).
 
 "With a cost model registered at the optimizer, the server is able to
 generate efficient execution plans for queries on interval data types."
-This module supplies that component: selectivity estimation from bound
-histograms plus an I/O model of the Figure 10 access plan, so a query
-optimizer can decide between the RI-tree plan and alternatives (full scan,
-other predicates first) without executing anything.
+This module supplies that component for the interval join: selectivity
+estimation from bound histograms plus an I/O model of the Figure 10
+access plan, so the join planner can decide between probing the RI-tree
+and a plane sweep without executing anything.
 
 Estimation model
 ----------------
@@ -68,7 +68,7 @@ from ..engine.storage import DEFAULT_BLOCK_SIZE
 from .access import IntervalRecord
 from .backbone import VirtualBackbone
 from .interval import validate_interval
-from .predicates import compile_query, resolve_join_predicate
+from .predicates import resolve_join_predicate
 from .ritree import RITree
 from .temporal import FORK_NOW, UPPER_NOW
 from .transient import collect_query_nodes
@@ -497,22 +497,6 @@ def predicate_probe_statistics(
                 backbone, candidate[0], candidate[1]).total_entries
     scale = len(outer) / len(chosen)
     return transient / len(chosen), rows * scale
-
-
-@dataclass
-class QueryEstimate:
-    """The optimizer-facing prediction for one intersection query."""
-
-    result_count: float
-    selectivity: float
-    transient_entries: int
-    index_probes: int
-    logical_reads: float
-    physical_reads: float
-
-    def cheaper_than_full_scan(self, table_blocks: int) -> bool:
-        """The plan-choice predicate: index plan vs full relation scan."""
-        return self.logical_reads < table_blocks
 
 
 @dataclass
@@ -1062,9 +1046,8 @@ class RITreeCostModel:
         aggregation (``NTILE`` equi-depth quantiles), index geometry,
         cache size and memory residency from sqlite's page counts and
         pragmas (``dbstat`` / ``PRAGMA``), all read once per ANALYZE.
-        The returned model exposes the identical planning
-        surface (:meth:`estimate`, :meth:`estimate_join`), so the
-        ``auto`` join strategy plans on the sqlite backend exactly as it
+        The returned model exposes the identical planning surface
+        (:meth:`estimate_join`), so the ``auto`` join strategy plans on the sqlite backend exactly as it
         does on the simulated engine.
         """
         return cls(buckets=buckets, cache_residency=cache_residency,
@@ -1079,107 +1062,6 @@ class RITreeCostModel:
         Run after bulk loads or heavy update batches.
         """
         self.summary: BoundSummary = self.stats.summarize(self.buckets)
-
-    # ------------------------------------------------------------------
-    # estimation
-    # ------------------------------------------------------------------
-    def estimate_result_count(self, lower: int, upper: int) -> float:
-        """Expected number of intersecting intervals for ``[lower, upper]``."""
-        validate_interval(lower, upper)
-        return self.summary.intersecting(lower, upper)
-
-    def estimate(self, lower: int, upper: int) -> QueryEstimate:
-        """Full plan estimate for one intersection query."""
-        validate_interval(lower, upper)
-        result_count = self.estimate_result_count(lower, upper)
-        backbone = self.stats.backbone
-        if backbone.is_empty:
-            transient = 0
-        else:
-            transient = collect_query_nodes(
-                backbone, lower, upper).total_entries
-        geometry = self.stats.geometry(self.summary.count)
-        descent = max(1, geometry.height)
-        per_leaf = max(1, geometry.leaf_capacity)
-        probes = transient
-        logical = probes * descent + result_count / per_leaf
-        # Upper index levels are shared across probes and mostly cached.
-        cold_fraction = 1.0 - self.cache_residency
-        physical = (probes * (1 + (descent - 1) * cold_fraction)
-                    + result_count / per_leaf)
-        count = self.summary.count
-        return QueryEstimate(
-            result_count=result_count,
-            selectivity=result_count / count if count else 0.0,
-            transient_entries=transient,
-            index_probes=probes,
-            logical_reads=logical,
-            physical_reads=physical,
-        )
-
-    def estimate_query(
-        self, predicate, lower: int, upper: Optional[int] = None
-    ) -> QueryEstimate:
-        """Plan estimate for one *predicate* query (Section 4.5 pricing).
-
-        ``intersects`` reduces exactly to :meth:`estimate`; ``stab`` is
-        the degenerate point query.  The relational predicates are
-        priced over their *candidate* intersection range -- that is what
-        the compiled plan scans, plus the table access by rowid for the
-        refinement -- while ``result_count``/``selectivity`` report the
-        per-relation selectivity from the bound marginals
-        (:meth:`BoundSummary.relation_count`).
-        """
-        pred = compile_query(predicate)
-        if upper is None:
-            upper = lower
-        validate_interval(lower, upper)
-        if pred.name == "intersects":
-            return self.estimate(lower, upper)
-        if pred.name == "stab":
-            return self.estimate(lower, lower)
-        estimator = getattr(pred, "estimator", None)
-        if estimator is not None:
-            # A compiled family prices its own parameter selectivity
-            # (range_duration: intersection mass times the duration
-            # histogram's band fraction).
-            result_count = max(0.0, estimator(self.summary, lower, upper))
-        else:
-            result_count = self.summary.relation_count(
-                pred.name, lower, upper)
-        count = self.summary.count
-        floor, ceiling = self.summary.extent()
-        candidate = pred.candidates(lower, upper, floor, ceiling)
-        if candidate is None or count == 0:
-            return QueryEstimate(
-                result_count=0.0, selectivity=0.0, transient_entries=0,
-                index_probes=0, logical_reads=0.0, physical_reads=0.0,
-            )
-        candidate_rows = self.summary.intersecting(candidate[0], candidate[1])
-        backbone = self.stats.backbone
-        if backbone.is_empty:
-            transient = 0
-        else:
-            transient = collect_query_nodes(
-                backbone, candidate[0], candidate[1]).total_entries
-        geometry = self.stats.geometry(count)
-        descent = max(1, geometry.height)
-        per_leaf = max(1, geometry.leaf_capacity)
-        rows_per_block = max(1.0, count / max(geometry.table_blocks, 1))
-        heap_touches = candidate_rows / rows_per_block
-        logical = (transient * descent + candidate_rows / per_leaf
-                   + heap_touches)
-        cold_fraction = 1.0 - self.cache_residency
-        physical = (transient * (1 + (descent - 1) * cold_fraction)
-                    + candidate_rows / per_leaf + heap_touches)
-        return QueryEstimate(
-            result_count=result_count,
-            selectivity=result_count / count,
-            transient_entries=transient,
-            index_probes=transient,
-            logical_reads=logical,
-            physical_reads=physical,
-        )
 
     # ------------------------------------------------------------------
     # join estimation (the planner path)
@@ -1251,11 +1133,6 @@ class RITreeCostModel:
             index=index_cost,
             sweep=sweep_cost,
         )
-
-    @property
-    def table_blocks(self) -> int:
-        """Base-relation size in blocks (the full-scan alternative cost)."""
-        return self.stats.geometry(self.summary.count).table_blocks
 
 
 def choose_join_strategy(

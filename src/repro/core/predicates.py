@@ -10,11 +10,10 @@ and Allen's thirteen relations are value objects that every
 plan --
 
 * the simulated engine compiles each predicate to one scan plan for its
-  batched executor (:meth:`repro.core.ritree.RITree._query_relation`):
-  a relation that pins one subject bound (:attr:`IntervalPredicate.
-  pinned`) gets O(h) exact scans of that bound's index along the
-  backbone path, every other predicate the Figure 10 plan of its
-  candidate range;
+  batched executor (:meth:`repro.core.ritree.RITree.plan`): a relation
+  that pins one subject bound (:attr:`IntervalPredicate.pinned`) gets
+  O(h) exact scans of that bound's index along the backbone path, every
+  other predicate the Figure 10 plan of its candidate range;
 * the sqlite backend rewrites the WHERE clause of the Figure 9
   statement: the transient tables are filled for the predicate's
   *candidate range* and the defining endpoint predicate is appended to
@@ -58,7 +57,7 @@ a :class:`CompiledQuery`.  A compiled query IS an
 runs it unchanged) plus the bundle itself: ``family_name`` and
 ``param_dict`` travel over the service wire, ``sql_binds`` merges the
 extra bind parameters into the rewritten Figure 9 statements, and the
-optional ``estimator`` hook lets the cost model price the family's
+optional ``estimator`` hook lets the join cost model price the family's
 selectivity beyond the two-bound histograms.  The fifteen classic
 relations are re-expressed as zero-parameter families in
 :data:`FAMILIES`, so ``compile_query(name, params)`` is the single
@@ -175,10 +174,11 @@ class CompiledQuery(IntervalPredicate):
     ``estimator``
         optional cost-model hook ``estimator(summary, lower, upper)``
         returning the expected number of matching stored records for
-        reference ``[lower, upper]``; lets
-        :meth:`~repro.core.costmodel.RITreeCostModel.estimate_query`
-        price parameter selectivity (duration bands) that the
-        name-keyed histogram formulas cannot see.
+        reference ``[lower, upper]``; lets the pair count of
+        :meth:`~repro.core.costmodel.RITreeCostModel.estimate_join`
+        (:func:`~repro.core.costmodel.expected_predicate_pairs`) price
+        parameter selectivity (duration bands) that the name-keyed
+        histogram formulas cannot see.
     """
 
     family_name: str = ""

@@ -17,28 +17,30 @@ Complexities (Sections 3.3 and 4.4): O(n/b) space, O(log_b n) insert and
 delete, O(h * log_b n + r/b) intersection query where ``h`` is the virtual
 backbone height -- independent of ``n``.
 
-Allen's relations and parameterized query families (Section 4.5,
-:mod:`repro.core.predicates`) compile to one scan plan each and run
-through the same batched executor: relations that pin one bound scan
-that bound's index exactly along the backbone path toward it (O(h)
-exact scans), every other predicate scans the Figure 10 plan of its
-candidate range, and the fetched records are refined with the
-predicate's formula.
+Every query compiles in one place, :meth:`RITree.plan`, to one scan plan
+that the same batched executor runs.  An intersection, and every
+predicate or query family of Section 4.5 (:mod:`repro.core.predicates`)
+that pins no bound, scans the Figure 10 plan of its candidate range; a
+relation that pins one bound scans that bound's index exactly along
+the backbone path toward it (O(h) exact scans).  Fetched records are
+refined with the predicate's formula.  A subclass adds reserved fork
+nodes to every plan through :meth:`RITree._reserved_nodes` (Section
+4.6's ``now`` and ``infinity``, :mod:`repro.core.temporal`).
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import repeat
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..engine.database import Database
 from ..engine.errors import SchemaError
-from ..engine.serial import INT_MAX, INT_MIN, pad_high, pad_low
+from ..engine.serial import INT_MAX, INT_MIN
 from .access import AccessMethod, IntervalRecord
 from .backbone import MAX_ABS_BOUND, VirtualBackbone
 from .interval import validate_interval
-from .predicates import resolve_join_predicate
+from .predicates import compile_query, resolve_join_predicate
 from .transient import QueryNodes, collect_query_nodes
 from .verify import VerificationReport, verify_engine_tree
 
@@ -112,9 +114,6 @@ class RITree(AccessMethod):
         # executed against the trees, bypassing the per-scan catalog lookup.
         self._lower_tree = self.table.index("lowerIndex").tree
         self._upper_tree = self.table.index("upperIndex").tree
-        # Extension hook (Section 4.6): extra fork nodes whose entries are
-        # injected into the rightNodes scan list at query time.
-        self._extra_right_nodes: list[Callable[[int, int], Optional[int]]] = []
         # Conservative data-space envelope (never shrunk by deletions);
         # used by the before/after candidate ranges.
         self._min_lower: Optional[int] = None
@@ -280,7 +279,7 @@ class RITree(AccessMethod):
         """
         validate_interval(lower, upper)
         results: list[int] = []
-        for ids in self._scan(self._plan(lower, upper), ID_COLUMN):
+        for ids in self._scan(self.plan(lower, upper), ID_COLUMN):
             results.extend(ids)
         return results
 
@@ -293,7 +292,7 @@ class RITree(AccessMethod):
         per result id.  Identical scans, identical I/O trace.
         """
         validate_interval(lower, upper)
-        plan = self._plan(lower, upper)
+        plan = self.plan(lower, upper)
         if plan is None:
             return 0
         upper_ranges, lower_ranges = plan
@@ -312,33 +311,58 @@ class RITree(AccessMethod):
         return collect_query_nodes(self.backbone, lower, upper)
 
     # -- plan construction ---------------------------------------------
-    def _collect_nodes(self, lower: int, upper: int) -> Optional[QueryNodes]:
-        """Transient collections plus hook-injected right nodes."""
-        if self.backbone.is_empty:
-            if not self._extra_right_nodes:
-                return None
-            query_nodes = QueryNodes()
-        else:
-            query_nodes = collect_query_nodes(self.backbone, lower, upper)
-        query_nodes.right.extend(
-            self._collect_extra_right_nodes(lower, upper))
-        return query_nodes
+    def plan(
+        self, lower: int, upper: int, predicate=None
+    ) -> Optional[ScanPlan]:
+        """Compile one query into per-index scan ranges.
 
-    def _plan(self, lower: int, upper: int) -> Optional[ScanPlan]:
-        """Compile the transient collections into per-index scan ranges.
+        Returns ``(upperIndex ranges, lowerIndex ranges)`` with bounds
+        padded to full index arity once, at plan time, or ``None`` when
+        the query scans nothing.  ``predicate`` (a name or predicate
+        object, default ``intersects``) is resolved and the query
+        replaced by its candidate range.  A relation that pins one
+        subject bound (``pinned``) gets one exact ``(node, point)`` scan
+        of that bound's index per node on the backbone path toward the
+        point: every interval whose bound equals the point has its fork
+        node there, so O(h) exact scans find them all however many
+        intervals merely intersect the point.  Every other query gets
+        the Figure 10 plan, branches 1 and 2 of the Figure 9 query, over
+        its candidate range.
 
-        Returns ``(upperIndex ranges, lowerIndex ranges)`` -- branches 1
-        and 2 of the Figure 9 query -- with bounds padded to full index
-        arity once, at plan time; or ``None`` for a no-op query.
+        The :meth:`_reserved_nodes` join the lowerIndex branch as
+        ``rightNodes`` entries.  Their rows store real lower bounds, so a
+        pinned lower bound scans them exactly too; they store no usable
+        upper bound, so a pinned upper bound scans them as the
+        ``stab(point)`` plan does and the caller's refinement on
+        effective bounds decides.
         """
-        query_nodes = self._collect_nodes(lower, upper)
-        if query_nodes is None:
+        pinned = None
+        if predicate is not None:
+            pred = compile_query(predicate)
+            candidate = pred.candidates(lower, upper, *self._candidate_extent())
+            if candidate is None:
+                return None
+            lower, upper = candidate
+            pinned = pred.pinned
+        reserved = self._reserved_nodes(lower, upper)
+        backbone = self.backbone
+        empty = backbone.is_empty
+        if empty and not reserved:
             return None
-        # Open bounds that pad a one- or two-column key to full arity,
-        # as pad_low/pad_high do, built once per plan.
+        # Open bounds that pad a one- or two-column key to full arity.
         arity = self._upper_tree.arity
         low, high = (INT_MIN,) * (arity - 1), (INT_MAX,) * (arity - 1)
         low2, high2 = low[1:], high[1:]
+        if pinned is not None:
+            path = () if empty else backbone.walk_toward(backbone.shift(lower))
+            if pinned == "lower":
+                path, reserved = (*path, *reserved), ()
+            exact = [((node, lower) + low2, (node, lower) + high2)
+                     for node in path]
+            stabs = [((node,) + low, (node, lower) + high2)
+                     for node in reserved]
+            return (exact, stabs) if pinned == "upper" else ([], exact)
+        query_nodes = collect_query_nodes(backbone, lower, upper)
         upper_ranges: list[ScanRange] = []
         for node_min, node_max in query_nodes.left:
             if node_min == node_max:
@@ -348,39 +372,17 @@ class RITree(AccessMethod):
                 # residual predicate implicit, so the scan is pure.
                 upper_ranges.append(((node_min,) + low, (node_max,) + high))
         lower_ranges: list[ScanRange] = [
-            ((node,) + low, (node, upper) + high2) for node in query_nodes.right
+            ((node,) + low, (node, upper) + high2)
+            for node in (*query_nodes.right, *reserved)
         ]
         return upper_ranges, lower_ranges
 
-    def _pinned_plan(self, bound: str, point: int) -> ScanPlan:
-        """Scan ranges for a relation pinning the subject's ``bound``.
-
-        Every interval whose ``bound`` equals ``point`` has its fork node
-        on the backbone path toward ``point``, so one exact ``(node,
-        point)`` scan of that bound's index per path node finds them
-        all: O(h) scans, however many intervals merely intersect
-        ``point``.  Hook-injected nodes (Section 4.6's reserved
-        ``now``/``infinity`` nodes, injected as for ``stab(point)``)
-        join the path: their rows store real lower bounds, so a pinned
-        lower bound scans them exactly too, but no usable upper bound,
-        so a pinned upper bound scans them over the lowerIndex as the
-        ``stab(point)`` plan does and the caller's refinement on
-        effective bounds decides.
-        """
-        arity = self._upper_tree.arity
-        path = ([] if self.backbone.is_empty
-                else self.backbone.walk_toward(self.backbone.shift(point)))
-        reserved = list(self._collect_extra_right_nodes(point, point))
-
-        def exact(nodes):
-            return [(pad_low((node, point), arity),
-                     pad_high((node, point), arity)) for node in nodes]
-
-        if bound == "lower":
-            return [], exact(path + reserved)
-        return exact(path), [(pad_low((node,), arity),
-                              pad_high((node, point), arity))
-                             for node in reserved]
+    def _reserved_nodes(self, lower: int, upper: int) -> tuple[int, ...]:
+        """Fork nodes outside the backbone a query over ``[lower, upper]``
+        scans as ``rightNodes`` entries: none here; Section 4.6's
+        ``infinity`` and ``now`` nodes on
+        :class:`~repro.core.temporal.TemporalRITree`."""
+        return ()
 
     def _scan(
         self, plan: Optional[ScanPlan], column: Optional[int] = None
@@ -418,23 +420,18 @@ class RITree(AccessMethod):
         return list(self._run_query_per_entry(lower, upper))
 
     def _run_query_per_entry(self, lower: int, upper: int) -> Iterator[int]:
-        query_nodes = self._collect_nodes(lower, upper)
-        if query_nodes is None:
+        plan = self.plan(lower, upper)
+        if plan is None:
             return
+        upper_ranges, lower_ranges = plan
+        scan = self.table.index_scan_unbatched
         # Branch 1: leftNodes JOIN upperIndex (node range, upper >= :lower).
-        for node_min, node_max in query_nodes.left:
-            if node_min == node_max:
-                scan = self.table.index_scan_unbatched(
-                    "upperIndex", (node_min, lower), (node_max,))
-            else:
-                scan = self.table.index_scan_unbatched(
-                    "upperIndex", (node_min,), (node_max,))
-            for entry in scan:
+        for lo, hi in upper_ranges:
+            for entry in scan("upperIndex", lo, hi):
                 yield entry[2]
         # Branch 2: rightNodes JOIN lowerIndex (node equality, lower <= :upper).
-        for node in query_nodes.right:
-            for entry in self.table.index_scan_unbatched(
-                    "lowerIndex", (node,), (node, upper)):
+        for lo, hi in lower_ranges:
+            for entry in scan("lowerIndex", lo, hi):
                 yield entry[2]
 
     def join_pairs(
@@ -449,8 +446,8 @@ class RITree(AccessMethod):
         ``join_count`` (the count-only analogue) dispatches to the
         batched :meth:`intersection_count`.
 
-        A join ``predicate`` compiles per probe to the scan plan of the
-        *inverse* relation's candidate range (probing asks the
+        A join ``predicate`` compiles per probe to the Figure 10 plan of
+        the *inverse* relation's candidate range (probing asks the
         stored-subject question) and refines whole leaf slices of
         fetched records with the predicate's direct formula -- the
         frames-per-pair economics of the batched pipeline, extended to
@@ -462,7 +459,7 @@ class RITree(AccessMethod):
         if pred is None:
             for lower, upper, probe_id in probes:
                 validate_interval(lower, upper)
-                for ids in self._scan(self._plan(lower, upper), ID_COLUMN):
+                for ids in self._scan(self.plan(lower, upper), ID_COLUMN):
                     extend(zip(repeat(probe_id), ids))
             return pairs
         inverse = pred.inverse
@@ -505,15 +502,6 @@ class RITree(AccessMethod):
             ceiling = min(ceiling, self.backbone.offset + MAX_ABS_BOUND)
         return floor, ceiling
 
-    def _candidate_range(
-        self, pred, lower: int, upper: int
-    ) -> Optional[tuple[int, int]]:
-        """``pred``'s candidate range for ``[lower, upper]``, or ``None``."""
-        floor = ceiling = None
-        if pred.needs_extent:
-            floor, ceiling = self._candidate_extent()
-        return pred.candidates(lower, upper, floor, ceiling)
-
     def _candidate_batches(
         self, inverse, lower: int, upper: int
     ) -> Iterator[list[tuple[int, int, int]]]:
@@ -523,12 +511,14 @@ class RITree(AccessMethod):
         standing in the inverse relation to ``[lower, upper]`` -- and
         therefore every stored interval the *probe* stands in the direct
         relation to; the caller refines each slice with the direct
-        formula.
+        formula.  The probe scans the Figure 10 plan of that range even
+        for a relation that pins a bound: it is the plan
+        :meth:`~repro.core.costmodel.RITreeCostModel.estimate_join`
+        prices.
         """
-        candidate = self._candidate_range(inverse, lower, upper)
-        if candidate is None:
-            return
-        yield from self._record_batches(self._plan(*candidate))
+        candidate = inverse.candidates(lower, upper, *self._candidate_extent())
+        if candidate is not None:
+            yield from self._record_batches(self.plan(*candidate))
 
     def _record_batches(
         self, plan: Optional[ScanPlan]
@@ -582,28 +572,17 @@ class RITree(AccessMethod):
                 for _rowid, row in batch]
 
     def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
-        """Predicates and query families compiled to one engine scan plan.
+        """Predicates and query families run the plan :meth:`plan`
+        compiles for them.
 
-        A relation that pins a subject bound (``pred.pinned``) scans that
-        bound's index exactly along the backbone path
-        (:meth:`_pinned_plan`); every other predicate -- the containment
-        relations, ``before``/``after``, parameterized families such as
-        ``range_duration`` -- scans the Figure 10 plan of its candidate
-        range.  Either plan runs through the batched executor
+        The plan runs through the batched executor
         (:meth:`_record_batches`, which on the temporal subclass
         materialises effective bounds first), and each fetched leaf
         slice is refined with the predicate's ``holds`` formula.
         """
-        candidate = self._candidate_range(pred, lower, upper)
-        if candidate is None:
-            return []
-        if pred.pinned is None:
-            plan = self._plan(*candidate)
-        else:
-            plan = self._pinned_plan(pred.pinned, candidate[0])
         holds = pred.holds
         return [interval_id
-                for batch in self._record_batches(plan)
+                for batch in self._record_batches(self.plan(lower, upper, pred))
                 for s, e, interval_id in batch
                 if holds(s, e, lower, upper)]
 
@@ -732,28 +711,6 @@ class RITree(AccessMethod):
     def height(self) -> int:
         """Current virtual backbone height (Section 3.5)."""
         return self.backbone.height()
-
-    # ------------------------------------------------------------------
-    # extension hook (used by repro.core.temporal)
-    # ------------------------------------------------------------------
-    def add_right_node_hook(
-        self, hook: Callable[[int, int], Optional[int]]
-    ) -> None:
-        """Register a query-time hook returning an extra rightNodes entry.
-
-        The hook receives the raw query bounds and returns a *shifted* node
-        value to scan, or ``None``.  Section 4.6 uses this for the reserved
-        ``infinity`` and ``now`` fork nodes.
-        """
-        self._extra_right_nodes.append(hook)
-
-    def _collect_extra_right_nodes(
-        self, lower: int, upper: int
-    ) -> Iterator[int]:
-        for hook in self._extra_right_nodes:
-            node = hook(lower, upper)
-            if node is not None:
-                yield node
 
     def _delete_at_node(
         self, node: int, lower: int, interval_id: int

@@ -20,8 +20,9 @@ two values far above any reachable backbone node (bounds are capped at
 modification of the query statement is needed* -- the reserved nodes ride
 along the ordinary rightNodes scan, which is the point of Section 4.6.
 The Allen relations that pin one bound (Section 4.5) reach the reserved
-rows through the same hooks: the injected nodes join their exact
-backbone-path scans.
+rows the same way: :meth:`TemporalRITree._reserved_nodes` names the
+reserved nodes to every plan :meth:`~repro.core.ritree.RITree.plan`
+compiles, and they join the exact backbone-path scans.
 """
 
 from __future__ import annotations
@@ -157,8 +158,6 @@ class TemporalRITree(RITree):
         self._now = now
         self._infinite_count = 0
         self._now_count = 0
-        self.add_right_node_hook(self._infinity_node)
-        self.add_right_node_hook(self._now_node)
 
     # ------------------------------------------------------------------
     # durability (attach after recovery, metadata logging)
@@ -168,8 +167,6 @@ class TemporalRITree(RITree):
         self._infinite_count = 0
         self._now_count = 0
         super()._init_attached(db, name, meta)
-        self.add_right_node_hook(self._infinity_node)
-        self.add_right_node_hook(self._now_node)
 
     def _restore_meta(self, meta: dict) -> None:
         super()._restore_meta(meta)
@@ -444,17 +441,16 @@ class TemporalRITree(RITree):
         ]
 
     # ------------------------------------------------------------------
-    # query-time hooks (Section 4.6)
+    # reserved fork nodes at query time (Section 4.6)
     # ------------------------------------------------------------------
-    def _infinity_node(self, lower: int, upper: int) -> Optional[int]:
-        if self._infinite_count == 0:
-            return None
-        return FORK_INF
-
-    def _now_node(self, lower: int, upper: int) -> Optional[int]:
-        if self._now_count == 0 or lower > self._now:
-            return None
-        return FORK_NOW
+    def _reserved_nodes(self, lower: int, upper: int) -> tuple[int, ...]:
+        """``FORK_INF`` while infinite rows exist, and ``FORK_NOW`` while
+        now-relative rows exist and the query begins no later than the
+        clock."""
+        nodes = (FORK_INF,) if self._infinite_count else ()
+        if self._now_count and lower <= self._now:
+            nodes += (FORK_NOW,)
+        return nodes
 
     def _ensure_offset(self, lower: int) -> None:
         # Special intervals bypass Figure 6's registration, but queries

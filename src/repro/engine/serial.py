@@ -9,9 +9,9 @@ paper -- is a simple function of the schema.
 
 A page body is a run of little-endian int64 values, so it has two in-memory
 forms that encode to the same bytes: a list of tuples, which
-:class:`IntTupleCodec` packs and unpacks with one :mod:`struct` call per
-page, and one flat ``array('q')``, filled with one copy of the block
-(:func:`values_from_bytes`; the page loaders make the same copy inline).
+:class:`IntTupleCodec` packs with one :mod:`struct` call per page, and one
+flat ``array('q')``, which the page loaders fill with one copy of the block
+(:func:`values_to_bytes` encodes it back).
 Decoding a page into tuples costs one tuple per entry; on a workload that
 misses the buffer cache on nearly every read (the paper's Section 6
 setting) that decoding took about half the response time, so B+-tree
@@ -26,7 +26,7 @@ import struct
 import sys
 from array import array
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import SerializationError
 
@@ -42,10 +42,8 @@ class IntTupleCodec:
     ``pack_many`` encodes the tuple form of a page -- leaves and internal
     pages when they are written back -- without per-entry Python work,
     streaming the entries through one cached :class:`struct.Struct` per
-    batch size.  ``unpack_many`` is its inverse: it slices the raw block
-    with a zero-copy ``memoryview`` and ``iter_unpack``, as the
-    internal-page loader does with :attr:`stored`.  ``rows`` serves the
-    array form.
+    batch size.  The internal-page loader decodes keys with
+    :attr:`stored`; ``rows`` serves the array form.
     """
 
     __slots__ = ("arity", "entry_size", "stored", "_batch_structs", "native")
@@ -83,34 +81,9 @@ class IntTupleCodec:
         except struct.error as exc:
             raise SerializationError(str(exc)) from exc
 
-    def unpack_many(self, data: bytes, count: int) -> list[tuple[int, ...]]:
-        """Decode ``count`` consecutive entries from ``data``."""
-        if count == 0:
-            return []
-        needed = count * self.entry_size
-        if len(data) < needed:
-            raise SerializationError(
-                f"need {needed} bytes for {count} entries, have {len(data)}"
-            )
-        return list(self.stored.iter_unpack(memoryview(data)[:needed]))
-
     def rows(self, values: array) -> list[tuple[int, ...]]:
         """The entries of a flat array as tuples."""
         return list(self.native.iter_unpack(values))
-
-    def pack_one(self, entry: tuple[int, ...]) -> bytes:
-        """Encode a single entry."""
-        try:
-            return self.stored.pack(*entry)
-        except struct.error as exc:
-            raise SerializationError(str(exc)) from exc
-
-    def unpack_one(self, data: bytes, offset: int = 0) -> tuple[int, ...]:
-        """Decode a single entry starting at ``offset``."""
-        try:
-            return self.stored.unpack_from(data, offset)
-        except struct.error as exc:
-            raise SerializationError(str(exc)) from exc
 
 
 #: Page header: page type tag (1 byte), entry count (4 bytes),
@@ -124,33 +97,14 @@ def pack_header(page_type: int, count: int, aux: int) -> bytes:
     return PAGE_HEADER.pack(page_type, count, aux)
 
 
-def unpack_header(data: bytes) -> tuple[int, int, int]:
-    """Decode the common page header into ``(page_type, count, aux)``."""
-    if len(data) < PAGE_HEADER_SIZE:
-        raise SerializationError("page shorter than its header")
-    return PAGE_HEADER.unpack_from(data, 0)
-
-
 #: Whether a page's ``array('q')`` form holds its values byte-swapped: on a
 #: big-endian host.  The page loaders swap after their one copy when set.
 SWAP_BYTES = sys.byteorder != "little"
 
 
-def values_from_bytes(data: bytes, byteorder: str = sys.byteorder) -> array:
-    """Little-endian int64 ``data`` as an ``array('q')`` of native values.
-
-    One copy of the bytes; a big-endian host (``byteorder``) swaps them.
-    """
-    values = array("q")
-    values.frombytes(data)
-    if byteorder != "little":
-        values.byteswap()
-    return values
-
-
 def values_to_bytes(values: array, byteorder: str = sys.byteorder) -> bytes:
-    """The little-endian encoding of ``values``, the inverse of
-    :func:`values_from_bytes`."""
+    """The little-endian encoding of the native int64 ``values``; a
+    big-endian host (``byteorder``) swaps a copy first."""
     if byteorder != "little":
         values = array("q", values)
         values.byteswap()
@@ -165,11 +119,3 @@ def pad_low(prefix: Sequence[int], arity: int) -> tuple[int, ...]:
 def pad_high(prefix: Sequence[int], arity: int) -> tuple[int, ...]:
     """Extend ``prefix`` to ``arity`` with maximal values (range-scan upper bound)."""
     return tuple(prefix) + (INT_MAX,) * (arity - len(prefix))
-
-
-def flatten(entries: Iterable[tuple[int, ...]]) -> list[int]:
-    """Concatenate tuples into one flat integer list (test helper)."""
-    out: list[int] = []
-    for entry in entries:
-        out.extend(entry)
-    return out

@@ -192,7 +192,8 @@ class RemoteStore(IntervalStore):
         self.submit("append_batch", intervals)()
 
     def extend(self, intervals: Iterable[IntervalRecord]) -> None:
-        self.bulk_load(list(intervals))
+        """Insert into a possibly non-empty store: ``append_batch``."""
+        self.append_batch(list(intervals))
 
     def close_now_intervals(self, closes) -> None:
         """Forward a batch of closures as one ``close_now_intervals``

@@ -27,14 +27,21 @@ def loaded_tree(loaded_records):
     return tree
 
 
-QUERIES = [(0, 100_000), (40_000, 45_000), (99_000, 120_000), (7, 7),
-           (0, 0), (60_000, 60_001), (-50, 10)]
+QUERIES = [
+    (0, 100_000),
+    (40_000, 45_000),
+    (99_000, 120_000),
+    (7, 7),
+    (0, 0),
+    (60_000, 60_001),
+    (-50, 10),
+]
 
 
 def test_batched_matches_per_entry_results(loaded_tree):
     for lower, upper in QUERIES:
-        assert loaded_tree.intersection(lower, upper) == \
-            loaded_tree.intersection_per_entry(lower, upper)
+        expected = loaded_tree.intersection_per_entry(lower, upper)
+        assert loaded_tree.intersection(lower, upper) == expected
 
 
 def test_batched_matches_per_entry_io(loaded_tree):
@@ -67,8 +74,8 @@ def test_intersection_count_matches_len(loaded_tree):
 
 def test_intersection_many_matches_single_queries(loaded_tree):
     queries = QUERIES[:4]
-    assert loaded_tree.intersection_many(queries) == \
-        [loaded_tree.intersection(lower, upper) for lower, upper in queries]
+    expected = [loaded_tree.intersection(lower, upper) for lower, upper in queries]
+    assert loaded_tree.intersection_many(queries) == expected
 
 
 def test_dynamic_tree_parity(rng):
@@ -77,14 +84,14 @@ def test_dynamic_tree_parity(rng):
     for lower, upper, interval_id in records:
         tree.insert(lower, upper, interval_id)
     for lower, upper, _ in records[::37]:
-        assert sorted(tree.intersection(lower, upper)) == \
-            sorted(tree.intersection_per_entry(lower, upper))
+        expected = sorted(tree.intersection_per_entry(lower, upper))
+        assert sorted(tree.intersection(lower, upper)) == expected
     # Deletions keep the two executions in lockstep.
     for lower, upper, interval_id in records[::5]:
         tree.delete(lower, upper, interval_id)
     for lower, upper, _ in records[::37]:
-        assert tree.intersection(lower, upper) == \
-            tree.intersection_per_entry(lower, upper)
+        expected = tree.intersection_per_entry(lower, upper)
+        assert tree.intersection(lower, upper) == expected
 
 
 def test_empty_tree_queries():
@@ -96,21 +103,20 @@ def test_empty_tree_queries():
 
 def _intersection_records(tree, lower, upper):
     """The record batches of the intersection plan, flattened."""
-    return [record for batch in tree._record_batches(tree._plan(lower, upper))
-            for record in batch]
+    batches = tree._record_batches(tree.plan(lower, upper))
+    return [record for batch in batches for record in batch]
 
 
 def test_intersection_records_parity(loaded_tree, loaded_records):
     """Record batches (what predicate queries and joins refine) carry
     both bounds and cover exactly the id-level intersection."""
     records = loaded_records
-    expected = {(lower, upper, interval_id)
-                for lower, upper, interval_id in records}
+    expected = {(lower, upper, interval_id) for lower, upper, interval_id in records}
     got = _intersection_records(loaded_tree, 0, 200_000)
     assert set(got) == expected
     assert len(got) == len(records)
     for lower, upper in QUERIES[:4]:
         ids = sorted(loaded_tree.intersection(lower, upper))
-        rec_ids = sorted(i for _, _, i in
-                         _intersection_records(loaded_tree, lower, upper))
+        fetched = _intersection_records(loaded_tree, lower, upper)
+        rec_ids = sorted(i for _, _, i in fetched)
         assert rec_ids == ids

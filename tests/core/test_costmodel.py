@@ -39,10 +39,7 @@ def test_validation():
 
 def test_empty_tree_estimates_zero():
     model = RITreeCostModel(RITree())
-    assert model.estimate_result_count(0, 100) == 0.0
-    estimate = model.estimate(0, 100)
-    assert estimate.result_count == 0.0
-    assert estimate.transient_entries == 0
+    assert model.summary.intersecting(0, 100) == 0.0
 
 
 def test_result_estimates_track_reality(modelled_tree):
@@ -51,7 +48,7 @@ def test_result_estimates_track_reality(modelled_tree):
     for selectivity in (0.005, 0.01, 0.03):
         for lower, upper in range_queries(workload, selectivity, 15, seed=7):
             true_count = len(tree.intersection(lower, upper))
-            estimated = model.estimate_result_count(lower, upper)
+            estimated = model.summary.intersecting(lower, upper)
             assert abs(estimated - true_count) <= 0.3 * true_count + 20, (
                 selectivity,
                 lower,
@@ -63,34 +60,9 @@ def test_result_estimates_track_reality(modelled_tree):
 
 def test_estimates_are_monotone_in_query_width(modelled_tree):
     _, __, model = modelled_tree
-    narrow = model.estimate_result_count(500_000, 510_000)
-    wide = model.estimate_result_count(480_000, 540_000)
+    narrow = model.summary.intersecting(500_000, 510_000)
+    wide = model.summary.intersecting(480_000, 540_000)
     assert wide >= narrow
-
-
-def test_io_prediction_within_factor_of_measured(modelled_tree):
-    """Predicted physical I/O stays within 4x of the measured average."""
-    workload, tree, model = modelled_tree
-    queries = range_queries(workload, 0.01, 20, seed=9)
-    tree.db.clear_cache()
-    with tree.db.measure() as delta:
-        for lower, upper in queries:
-            tree.intersection(lower, upper)
-    measured = delta.physical_reads / len(queries)
-    predicted = sum(
-        model.estimate(lower, upper).physical_reads for lower, upper in queries
-    ) / len(queries)
-    assert predicted <= 4 * max(measured, 1)
-    assert measured <= 4 * max(predicted, 1)
-
-
-def test_plan_choice_against_full_scan(modelled_tree):
-    """Selective queries pick the index; the everything-query may not."""
-    workload, tree, model = modelled_tree
-    selective = model.estimate(100, 200)
-    assert selective.cheaper_than_full_scan(model.table_blocks)
-    everything = model.estimate(0, 2**20 - 1)
-    assert everything.result_count > 0.9 * workload.n
 
 
 def test_refresh_after_updates():
@@ -98,25 +70,12 @@ def test_refresh_after_updates():
     for i in range(200):
         tree.insert(i * 10, i * 10 + 5, i)
     model = RITreeCostModel(tree, buckets=16)
-    before = model.estimate_result_count(0, 2000)
+    before = model.summary.intersecting(0, 2000)
     for i in range(200, 400):
         tree.insert(i * 10, i * 10 + 5, i)
     model.refresh()
-    after_refresh = model.estimate_result_count(0, 4000)
+    after_refresh = model.summary.intersecting(0, 4000)
     assert after_refresh > before
-
-
-def test_transient_entries_exact(modelled_tree):
-    workload, tree, model = modelled_tree
-    estimate = model.estimate(1000, 50_000)
-    assert estimate.transient_entries == tree.query_nodes(1000, 50_000).total_entries
-    assert estimate.index_probes == estimate.transient_entries
-
-
-def test_selectivity_field(modelled_tree):
-    workload, _, model = modelled_tree
-    estimate = model.estimate(0, 2**20 - 1)
-    assert 0.9 <= estimate.selectivity <= 1.0
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +269,7 @@ def test_relation_count_containment_clamped_by_candidates(modelled_tree):
 
 
 def test_relation_count_covers_every_predicate(modelled_tree):
-    _workload, _tree, model = modelled_tree
+    workload, _tree, model = modelled_tree
     from repro.core.predicates import PREDICATES
 
     for name in PREDICATES:
@@ -318,33 +277,10 @@ def test_relation_count_covers_every_predicate(modelled_tree):
         assert 0.0 <= value <= model.summary.count, name
     with pytest.raises(ValueError, match="unknown relation"):
         model.summary.relation_count("sideways", 0, 1)
-
-
-def test_estimate_query_intersects_reduces_to_estimate(modelled_tree):
-    _workload, _tree, model = modelled_tree
-    via_pred = model.estimate_query("intersects", 100_000, 140_000)
-    direct = model.estimate(100_000, 140_000)
-    assert via_pred == direct
-
-
-def test_estimate_query_prices_relational_predicates(modelled_tree):
-    """query('during', ...) is priced: candidate scan + refinement fetch."""
-    workload, tree, model = modelled_tree
     records = workload.records
-    estimate = model.estimate_query("during", 100_000, 160_000)
+    during = model.summary.relation_count("during", 100_000, 160_000)
     exact = sum(1 for s, e, _ in records if 100_000 < s and e < 160_000)
-    n = len(records)
-    assert estimate.result_count == pytest.approx(exact, abs=0.05 * n)
-    assert estimate.logical_reads > 0
-    assert estimate.physical_reads > 0
-    # The candidate range of 'before' spans a data-space prefix, so its
-    # plan must be priced far above an equality-pinning relation's.
-    wide = model.estimate_query("before", 900_000, 901_000)
-    narrow = model.estimate_query("equals", 100_000, 102_000)
-    assert wide.logical_reads > narrow.logical_reads
-    # An empty candidate range prices to zero I/O.
-    empty = model.estimate_query("before", 0, 10)
-    assert empty.logical_reads == 0.0 and empty.result_count == 0.0
+    assert during == pytest.approx(exact, abs=0.05 * len(records))
 
 
 def test_predicate_join_estimates_track_truth():

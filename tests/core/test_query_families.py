@@ -163,11 +163,11 @@ def test_estimator_prices_duration_selectivity():
     records = [(i * 10, i * 10 + (5 if i % 2 else 500), i) for i in range(200)]
     tree = RITree()
     tree.bulk_load(records)
-    model = RITreeCostModel(tree)
-    narrow = model.estimate_query(range_duration(0, 10), 0, 2500)
-    wide = model.estimate_query(range_duration(0, 1000), 0, 2500)
-    plain = model.estimate_query("intersects", 0, 2500)
+    summary = RITreeCostModel(tree).summary
+    narrow = range_duration(0, 10).estimator(summary, 0, 2500)
+    wide = range_duration(0, 1000).estimator(summary, 0, 2500)
+    plain = summary.intersecting(0, 2500)
     # Half the records are short: the narrow band prices below the wide
     # one, and no band prices above the plain intersection.
-    assert narrow.result_count < wide.result_count
-    assert wide.result_count <= plain.result_count * 1.01
+    assert narrow < wide
+    assert wide <= plain * 1.01

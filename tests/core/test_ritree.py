@@ -50,8 +50,8 @@ def test_intersection_equals_brute_force(rng):
     for _ in range(150):
         lower = rng.randrange(0, 110_000)
         upper = lower + rng.randrange(0, 4000)
-        assert sorted(tree.intersection(lower, upper)) == \
-            sorted(brute.intersection(lower, upper))
+        expected = sorted(brute.intersection(lower, upper))
+        assert sorted(tree.intersection(lower, upper)) == expected
 
 
 def test_bulk_load_equals_dynamic_inserts(rng):
@@ -64,8 +64,8 @@ def test_bulk_load_equals_dynamic_inserts(rng):
     for _ in range(80):
         lower = rng.randrange(0, 110_000)
         upper = lower + rng.randrange(0, 4000)
-        assert sorted(bulk.intersection(lower, upper)) == \
-            sorted(dynamic.intersection(lower, upper))
+        expected = sorted(dynamic.intersection(lower, upper))
+        assert sorted(bulk.intersection(lower, upper)) == expected
     assert bulk.index_entry_count == dynamic.index_entry_count == 2 * 1200
 
 
@@ -80,8 +80,8 @@ def test_delete_and_requery(rng):
     for _ in range(80):
         lower = rng.randrange(0, 110_000)
         upper = lower + rng.randrange(0, 4000)
-        assert sorted(tree.intersection(lower, upper)) == \
-            sorted(brute.intersection(lower, upper))
+        expected = sorted(brute.intersection(lower, upper))
+        assert sorted(tree.intersection(lower, upper)) == expected
     assert tree.interval_count == 400
 
 
@@ -141,8 +141,8 @@ def test_intersection_records_carries_bounds(rng):
     tree = RITree()
     tree.bulk_load(records)
     lookup = {record[2]: record[:2] for record in records}
-    got = [record for batch in tree._record_batches(tree._plan(0, 200_000))
-           for record in batch]
+    batches = tree._record_batches(tree.plan(0, 200_000))
+    got = [record for batch in batches for record in batch]
     assert len(got) == 300
     for lower, upper, interval_id in got:
         assert lookup[interval_id] == (lower, upper)
@@ -151,6 +151,7 @@ def test_intersection_records_carries_bounds(rng):
 def test_query_io_scales_with_results_not_cardinality(rng):
     """The heart of the paper: query cost is O(h log n + r/b), so doubling
     n with the same result size must not double query I/O."""
+
     def build(count):
         records = [(i * 40, i * 40 + 10, i) for i in range(count)]
         tree = RITree(Database())
@@ -182,7 +183,7 @@ def test_shared_database_multiple_trees():
 def test_height_property_exposed():
     tree = RITree()
     tree.insert(0, 0, 0)
-    tree.insert(1, 2 ** 16, 1)
+    tree.insert(1, 2**16, 1)
     assert tree.height == tree.backbone.height()
     assert tree.height >= 1
 

@@ -41,10 +41,12 @@ def temporal_tree():
     sharing bounds with finite rows and with the clock."""
     records = _records(4242, count=600)
     rng = random.Random(7)
-    special = [(rng.choice(records)[rng.randrange(2)], UPPER_NOW, 1000 + i)
-               for i in range(40)]
-    special += [(rng.choice(records)[rng.randrange(2)], UPPER_INF, 2000 + i)
-                for i in range(40)]
+    special = [
+        (rng.choice(records)[rng.randrange(2)], UPPER_NOW, 1000 + i) for i in range(40)
+    ]
+    special += [
+        (rng.choice(records)[rng.randrange(2)], UPPER_INF, 2000 + i) for i in range(40)
+    ]
     special += [(NOW, UPPER_NOW, 3000), (NOW, UPPER_INF, 3001)]
     tree = TemporalRITree(now=NOW)
     tree.bulk_load(records)
@@ -63,15 +65,13 @@ def _windows(rng, records):
         windows.append((l, l + rng.randrange(1, 400)))
     for lower, upper, _ in rng.sample(records, 15):
         upper = NOW if upper == UPPER_NOW else min(upper, 6000)
-        windows += [(lower, upper), (max(lower - 40, 0), lower),
-                    (upper, upper + 40)]
+        windows += [(lower, upper), (max(lower - 40, 0), lower), (upper, upper + 40)]
     windows += [(NOW - 40, NOW), (NOW, NOW + 40), (NOW, NOW)]
     return windows
 
 
 @pytest.mark.parametrize("relation", ALLEN_RELATIONS)
-def test_each_relation_query_equals_brute_force(loaded_tree, temporal_tree,
-                                                relation):
+def test_each_relation_query_equals_brute_force(loaded_tree, temporal_tree, relation):
     rng = random.Random(ALLEN_RELATIONS.index(relation))
     for tree, oracle, records in (loaded_tree, temporal_tree):
         for l, u in _windows(rng, records):
@@ -103,13 +103,15 @@ def test_exact_bound_relations_use_path_scans(loaded_tree):
 
 
 @pytest.mark.parametrize(
-    "relation", [name for name in ALLEN_RELATIONS if PREDICATES[name].pinned])
+    "relation", [name for name in ALLEN_RELATIONS if PREDICATES[name].pinned]
+)
 def test_pinned_relations_scan_one_exact_range_per_path_node(
-        loaded_tree, temporal_tree, relation):
+    loaded_tree, temporal_tree, relation
+):
     """One exact ``(node, x)`` range of the pinned bound's index per
     backbone node on the path toward the pinned point and, for a pinned
-    lower bound, per injected reserved node; a pinned upper bound scans
-    the reserved nodes as ``stab(x)`` does.  No more reads than refining
+    lower bound, per reserved node; a pinned upper bound scans the
+    reserved nodes as ``stab(x)`` does.  No more reads than refining
     the ``stab(x)`` candidate plan."""
     pred = PREDICATES[relation]
     for tree, _oracle, records in (loaded_tree, temporal_tree):
@@ -117,10 +119,9 @@ def test_pinned_relations_scan_one_exact_range_per_path_node(
             upper = min(upper, NOW)
             x = pred.candidates(lower, upper, None, None)[0]
             path = tree.backbone.walk_toward(tree.backbone.shift(x))
-            reserved = list(tree._collect_extra_right_nodes(x, x))
-            upper_ranges, lower_ranges = tree._pinned_plan(pred.pinned, x)
-            assert len(upper_ranges) + len(lower_ranges) == \
-                len(path) + len(reserved)
+            reserved = list(tree._reserved_nodes(x, x))
+            upper_ranges, lower_ranges = tree.plan(lower, upper, relation)
+            assert len(upper_ranges) + len(lower_ranges) == len(path) + len(reserved)
             if pred.pinned == "upper":
                 exact, stab = upper_ranges, lower_ranges
                 assert [lo[0] for lo, _ in stab] == reserved
@@ -128,13 +129,13 @@ def test_pinned_relations_scan_one_exact_range_per_path_node(
             else:
                 exact = lower_ranges
                 assert upper_ranges == []
-            assert [lo[0] for lo, _ in exact] == path + (
-                reserved if pred.pinned == "lower" else [])
+            pinned_nodes = path + (reserved if pred.pinned == "lower" else [])
+            assert [lo[0] for lo, _ in exact] == pinned_nodes
             assert all(lo[:2] == hi[:2] == (lo[0], x) for lo, hi in exact)
             with tree.db.measure() as pinned:
                 tree.query(lower, upper, predicate=relation)
             with tree.db.measure() as candidates:
-                list(tree._record_batches(tree._plan(x, x)))
+                list(tree._record_batches(tree.plan(x, x)))
             assert pinned.logical_reads <= candidates.logical_reads
 
 

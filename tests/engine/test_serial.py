@@ -4,12 +4,15 @@ import struct
 import sys
 from array import array
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.engine import bptree, heap
 from repro.engine.bptree import (
+    NO_BLOCK,
     PAGE_INTERNAL,
     PAGE_LEAF,
     InternalPage,
@@ -25,8 +28,6 @@ from repro.engine.serial import (
     pack_header,
     pad_high,
     pad_low,
-    unpack_header,
-    values_from_bytes,
     values_to_bytes,
 )
 
@@ -38,11 +39,20 @@ page_value = st.one_of(
 )
 
 
+def _leaf_block(codec, entries, next_leaf=NO_BLOCK):
+    """The block of a leaf holding ``entries``, as it is written to disk."""
+    return pack_header(PAGE_LEAF, len(entries), next_leaf) + codec.pack_many(entries)
+
+
+def _read_back(codec, entries):
+    """``entries`` packed into a leaf block and decoded by the leaf loader."""
+    return codec.rows(load_node(codec, _leaf_block(codec, entries)).values)
+
+
 def test_pack_unpack_roundtrip_simple():
     codec = IntTupleCodec(3)
     entries = [(1, 2, 3), (-5, 0, INT_MAX)]
-    data = codec.pack_many(entries)
-    assert codec.unpack_many(data, 2) == entries
+    assert _read_back(codec, entries) == entries
 
 
 def test_entry_size_is_exact():
@@ -54,13 +64,13 @@ def test_entry_size_is_exact():
 def test_empty_pack():
     codec = IntTupleCodec(2)
     assert codec.pack_many([]) == b""
-    assert codec.unpack_many(b"", 0) == []
+    assert _read_back(codec, []) == []
 
 
 def test_unpack_short_buffer_rejected():
     codec = IntTupleCodec(2)
     with pytest.raises(SerializationError):
-        codec.unpack_many(b"\x00" * 8, 1)
+        load_node(codec, pack_header(PAGE_LEAF, 1, NO_BLOCK) + b"\x00" * 8)
 
 
 def test_out_of_range_value_rejected():
@@ -74,20 +84,25 @@ def test_zero_arity_rejected():
         IntTupleCodec(0)
 
 
-def test_pack_one_unpack_one():
+def test_single_heap_slot_roundtrip():
+    codec = IntTupleCodec(3)
+    block = pack_header(PAGE_HEAP, 1, 0) + codec.pack_many([(1, 7, -9)])
+    assert codec.rows(load_page(codec, block).values) == [(1, 7, -9)]
+
+
+@pytest.mark.parametrize("next_leaf", [NO_BLOCK, 0, 2**40, INT_MAX])
+def test_header_roundtrip(next_leaf):
     codec = IntTupleCodec(2)
-    data = codec.pack_one((7, -9))
-    assert codec.unpack_one(data) == (7, -9)
+    entries = [(i, -i) for i in range(1000)]
+    read = load_node(codec, _leaf_block(codec, entries, next_leaf))
+    assert read.next_leaf == next_leaf
+    assert len(read.values) == 2 * len(entries)
 
 
-def test_header_roundtrip():
-    data = pack_header(2, 1000, -1)
-    assert unpack_header(data) == (2, 1000, -1)
-
-
-def test_header_too_short():
+@pytest.mark.parametrize("load", [load_node, load_page])
+def test_header_too_short(load):
     with pytest.raises(SerializationError):
-        unpack_header(b"\x01")
+        load(IntTupleCodec(2), b"\x01")
 
 
 def test_pad_low_and_high():
@@ -98,9 +113,7 @@ def test_pad_low_and_high():
 
 @given(st.lists(st.tuples(int64, int64, int64), max_size=50))
 def test_roundtrip_property(entries):
-    codec = IntTupleCodec(3)
-    data = codec.pack_many(entries)
-    assert codec.unpack_many(data, len(entries)) == entries
+    assert _read_back(IntTupleCodec(3), entries) == entries
 
 
 @given(st.integers(1, 6), st.data())
@@ -109,7 +122,7 @@ def test_roundtrip_any_arity(arity, data):
     entries = data.draw(st.lists(st.tuples(*[int64] * arity), max_size=20))
     packed = codec.pack_many(entries)
     assert len(packed) == len(entries) * codec.entry_size
-    assert codec.unpack_many(packed, len(entries)) == entries
+    assert _read_back(codec, entries) == entries
 
 
 def test_batch_struct_cache_reused():
@@ -117,16 +130,16 @@ def test_batch_struct_cache_reused():
     for _ in range(3):
         for count in (1, 4, 7):
             entries = [(i, -i) for i in range(count)]
-            assert codec.unpack_many(codec.pack_many(entries), count) == entries
+            assert _read_back(codec, entries) == entries
     # One cached Struct per distinct batch size, however often it is hit.
     assert set(codec._batch_structs) == {1, 4, 7}
 
 
-def test_unpack_many_accepts_memoryview_and_extra_tail():
+def test_loaders_accept_memoryview_and_extra_tail():
     codec = IntTupleCodec(3)
     entries = [(1, 2, 3), (4, 5, 6)]
-    data = codec.pack_many(entries) + b"\xff" * 11
-    assert codec.unpack_many(memoryview(data), 2) == entries
+    block = memoryview(_leaf_block(codec, entries) + b"\xff" * 11)
+    assert codec.rows(load_node(codec, block).values) == entries
 
 
 @given(st.lists(int64, min_size=0, max_size=3), st.integers(1, 5))
@@ -226,19 +239,30 @@ def test_page_shorter_than_its_count_rejected(page_type, load):
 @given(st.lists(page_value, max_size=20))
 def test_values_follow_the_little_endian_format(values):
     data = struct.pack(f"<{len(values)}q", *values)
-    assert values_from_bytes(data).tolist() == values
+    codec = IntTupleCodec(1)
+    leaf = load_node(codec, pack_header(PAGE_LEAF, len(values), NO_BLOCK) + data)
+    slots = load_page(codec, pack_header(PAGE_HEAP, len(values), 0) + data)
+    assert leaf.values.tolist() == slots.values.tolist() == values
     assert values_to_bytes(array("q", values)) == data
 
 
 @given(st.lists(page_value, max_size=20))
 def test_values_byteswap_on_a_big_endian_host(values):
-    """The swap branch, called directly whatever the host's order."""
+    """The swap branch of the loaders and of the encoder, run directly
+    whatever the host's order."""
     data = struct.pack(f"<{len(values)}q", *values)
-    swapped = values_from_bytes(data, byteorder="big")
+    codec = IntTupleCodec(1)
+    with (
+        mock.patch.object(bptree, "SWAP_BYTES", True),
+        mock.patch.object(heap, "SWAP_BYTES", True),
+    ):
+        leaf = load_node(codec, pack_header(PAGE_LEAF, len(values), NO_BLOCK) + data)
+        slots = load_page(codec, pack_header(PAGE_HEAP, len(values), 0) + data)
     # In memory, the big-endian host holds each value's bytes reversed.
-    assert swapped.tobytes() == struct.pack(f">{len(values)}q", *values)
-    assert values_to_bytes(swapped, byteorder="big") == data
-    # Encoding copies: the caller's array keeps its bytes.
-    assert swapped.tobytes() == struct.pack(f">{len(values)}q", *values)
-    native = values_from_bytes(data, byteorder=sys.byteorder)
-    assert native.tolist() == values
+    swapped = struct.pack(f">{len(values)}q", *values)
+    for read in (leaf, slots):
+        assert read.values.tobytes() == swapped
+        assert values_to_bytes(read.values, byteorder="big") == data
+        # Encoding copies: the page's array keeps its bytes.
+        assert read.values.tobytes() == swapped
+    assert values_to_bytes(array("q", values), byteorder=sys.byteorder) == data

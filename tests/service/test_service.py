@@ -150,6 +150,27 @@ def test_remote_store_mutations_roundtrip():
         assert proxy.method_name == "remote(HINT)"
 
 
+@pytest.mark.parametrize("backend", ["hint", "ritree", "sql-ritree", "temporal-ritree"])
+def test_remote_extend_adds_to_a_non_empty_store(backend):
+    """``extend`` on a loaded served store inserts, as it does in process."""
+    opts = {}
+    if backend == "sql-ritree":
+        # The served sqlite store is driven from the service's threads.
+        opts["connection"] = sqlite3.connect(":memory:", check_same_thread=False)
+    loaded = [(1, 4, 1), (3, 9, 2)]
+    added = [(5, 12, 3), (2, 2, 4)]
+    local = create_store(backend)
+    local.bulk_load(loaded)
+    local.extend(added)
+    store = create_store(backend, **opts)
+    store.bulk_load(loaded)
+    with remote(store) as proxy:
+        proxy.extend(iter(added))
+        assert sorted(proxy.stored_records()) == sorted(local.stored_records())
+        assert sorted(proxy.intersection(0, 20)) == [1, 2, 3, 4]
+        assert proxy.verify().ok
+
+
 def test_remote_batches_chunk_into_frames(monkeypatch):
     monkeypatch.setattr(client_module, "BULK_CHUNK", 3)
     records = [(i, i + 4, i) for i in range(8)]

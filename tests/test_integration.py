@@ -45,7 +45,7 @@ def test_workload_to_ritree_to_costmodel_pipeline():
     queries = range_queries(workload, 0.01, 10, seed=5)
     for lower, upper in queries:
         measured = len(tree.intersection(lower, upper))
-        estimated = model.estimate_result_count(lower, upper)
+        estimated = model.summary.intersecting(lower, upper)
         assert abs(estimated - measured) <= 0.4 * measured + 25
 
 
