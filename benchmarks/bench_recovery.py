@@ -2,11 +2,11 @@
 
 Exercises the durability subsystem end to end on the simulated engine:
 for the plain RI-tree and the temporal RI-tree, a WAL-enabled workload
-(bulk load, extend, single inserts/deletes, temporal updates) is swept
-by :func:`benchlib.crash_sweep`: run passively to count its write
-points and record every committed state, then re-run once per point
-with a :class:`~repro.engine.errors.SimulatedCrash` injected exactly
-there.  After every crash the database is rebuilt with
+(bulk load, an atomic insert batch, single inserts/deletes, temporal
+updates) is swept by :func:`benchlib.crash_sweep`: run passively to
+count its write points and record every committed state, then re-run
+once per point with a :class:`~repro.engine.errors.SimulatedCrash`
+injected exactly there.  After every crash the database is rebuilt with
 :meth:`~repro.engine.database.Database.recover`, the store re-attached,
 and the result must
 
@@ -42,11 +42,18 @@ def workload_rows(count):
     return [(i * 17 % 4000, i * 17 % 4000 + 25 + i % 50, i) for i in range(count)]
 
 
+def insert_atomically(tree, rows):
+    """Single inserts in one atomic WAL batch (one group commit)."""
+    with tree.db.atomic():
+        for row in rows:
+            tree.insert(*row)
+
+
 def ritree_steps(tree, rows):
     head, tail = rows[: len(rows) // 2], rows[len(rows) // 2 :]
     return [
         lambda: tree.bulk_load(head),
-        lambda: tree.extend(tail),
+        lambda: insert_atomically(tree, tail),
         lambda: tree.insert(3, 9000, len(rows)),
         lambda: tree.delete(*rows[0]),
     ]
@@ -56,12 +63,12 @@ def temporal_steps(tree, rows):
     head, tail = rows[: len(rows) // 2], rows[len(rows) // 2 :]
     return [
         lambda: tree.bulk_load(head),
-        lambda: tree.extend(tail),
+        lambda: insert_atomically(tree, tail),
         lambda: tree.insert(40, UPPER_INF, len(rows)),
         lambda: tree.insert(10, UPPER_NOW, len(rows) + 1),
         lambda: tree.advance_to(5000),
         lambda: tree.delete(*rows[1]),
-        lambda: tree.close_now_intervals([(10, len(rows) + 1, 4500)]),
+        lambda: tree.append_batch([], closes=[(10, len(rows) + 1, 4500)]),
     ]
 
 

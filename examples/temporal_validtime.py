@@ -19,6 +19,7 @@ ASSIGNMENTS = {
     3: "Edsger - verification team (2013, active until now)",
     4: "Barbara- databases team (2014-2016)",
     5: "Alan   - databases team (2016, active until now)",
+    6: "Ken    - verification team (2025, active until now)",
 }
 
 
@@ -47,12 +48,12 @@ def main() -> None:
     table.advance_to(clock)
     show(f"timeslice {clock} after advancing the clock:", table.stab(clock))
 
-    # Edsger's assignment ends: close the now-relative interval at 2022.
-    # Closures are (start, id, end) triples; one call closes a whole
-    # batch of them atomically (one delete, one insert, one log record).
-    table.close_now_intervals([(2013, 3, 2022)])
-    show(f"timeslice {clock} after closing Edsger's assignment:",
-         table.stab(clock))
+    # Edsger's assignment ended in 2022 and Ken takes over: one
+    # append_batch call appends Ken's open row and closes Edsger's.
+    # Closures are (start, id, end) triples; the call applies whole or
+    # not at all (one insert, one delete, one metadata log record).
+    table.append_batch([(2025, UPPER_NOW, 6)], closes=[(2013, 3, 2022)])
+    show(f"timeslice {clock} after Ken replaced Edsger:", table.stab(clock))
 
     # Fine-grained temporal relationships (Section 4.5).
     print("\nAllen relations against the period [2014, 2016]:")
@@ -62,7 +63,7 @@ def main() -> None:
         names = [ASSIGNMENTS[i].split("-")[0].strip() for i in sorted(ids)]
         print(f"    {relation:13s} -> {names}")
 
-    assert sorted(table.stab(2025)) == [2, 5]
+    assert sorted(table.stab(2025)) == [2, 5, 6]
     assert sorted(table.intersection(2014, 2015)) == [1, 2, 3, 4]
     # Alan's [2016, now] starts where the period ends.
     assert relations["met_by"] == [5]

@@ -40,12 +40,15 @@ def build_method(
     records: Sequence[IntervalRecord],
     bulk: bool = True,
 ) -> AccessMethod:
-    """Create a method on a fresh paper-geometry database and load it."""
+    """Create a method on a fresh paper-geometry database and load it:
+    bottom-up, or (``bulk=False``, Section 6.3's dynamic environment)
+    by single insertions."""
     method = factory(paper_database())
     if bulk:
         method.bulk_load(records)
     else:
-        method.extend(records)
+        for lower, upper, interval_id in records:
+            method.insert(lower, upper, interval_id)
     method.db.flush()
     return method
 

@@ -101,34 +101,43 @@ class IntervalStore(ABC):
         for lower, upper, interval_id in intervals:
             self.insert(lower, upper, interval_id)
 
-    def extend(self, intervals: Iterable[IntervalRecord]) -> None:
-        """Insert many intervals one by one (dynamic workload)."""
-        for lower, upper, interval_id in intervals:
-            self.insert(lower, upper, interval_id)
+    def append_batch(self, records: Sequence[IntervalRecord],
+                     closes: Iterable[tuple[int, int, int]] = ()) -> None:
+        """The one many-row write: append ``records``, then apply
+        ``closes``, whole or not at all.
 
-    def append_batch(self, intervals: Sequence[IntervalRecord]) -> None:
-        """Ingest one streaming append batch (opt-in fast path).
+        After the call the store holds every record, sentinel uppers
+        stored as by :meth:`insert`.  ``closes`` holds ``(lower,
+        interval_id, upper)`` triples, the shape of
+        :attr:`repro.ingest.workload.StreamBatch.closes`: each replaces
+        one open row ``[lower, now]`` -- stored before the call or
+        appended by it -- with the finite record ``(lower, upper,
+        interval_id)``.  Every record (:meth:`_check_record`) and every
+        closure (:func:`~repro.core.temporal.check_closures`: a bad
+        finite upper, a ``lower`` after the clock, an open row closed
+        twice) is checked before the first write; a missing open row
+        (:class:`KeyError`, from the store's own :meth:`delete`) undoes
+        everything the call wrote.  A store without a clock raises
+        :class:`NotImplementedError` for a non-empty ``closes``.
 
-        The contract is :meth:`extend` with batch-level atomicity: after
-        the call the store holds every record of the batch, sentinel
-        uppers stored as by :meth:`insert`, and every record is
-        validated before the first is written, so a rejected record
-        leaves the store unchanged.  This default checks the batch with
-        :meth:`_check_record` and then inserts it row by row.  Backends
-        with a cheaper batched write path -- one group commit per batch
-        on the WAL engines, one deferred re-sort per touched partition
-        on the main-memory store, one transaction on sqlite -- override
-        it without changing observable query results.  Streaming
-        callers go through :class:`repro.ingest.ingestor.StreamIngestor`,
-        which adds buffering, backpressure and periodic checkpoints on
-        top.
+        This default inserts the records row by row, then applies the
+        closures through :meth:`_close_or_undo`.  Backends with a
+        cheaper batched write path -- one group commit with one
+        ``insert`` and at most one ``delete`` record on the disk
+        RI-tree, one deferred re-sort per touched partition on the
+        main-memory store, one transaction on sqlite -- override it
+        without changing observable query results.  Streaming callers
+        go through :class:`repro.ingest.ingestor.StreamIngestor`, which
+        adds buffering, backpressure and periodic checkpoints on top.
         """
-        records = list(intervals)
+        records = list(records)
         check = self._check_record
         for lower, upper, _interval_id in records:
             check(lower, upper)
+        closes = self._check_closes(closes)
         for lower, upper, interval_id in records:
             self.insert(lower, upper, interval_id)
+        self._close_or_undo(closes, records)
 
     def _check_record(self, lower: int, upper: int) -> None:
         """Refuse a record :meth:`insert` would refuse, before any write.
@@ -143,41 +152,36 @@ class IntervalStore(ABC):
         if now is None or sentinel_node(lower, upper, now) is None:
             validate_interval(lower, upper)
 
-    def close_now_intervals(self, closes: Iterable[tuple[int, int, int]]) -> None:
-        """Terminate now-relative rows at fixed uppers, as one batch.
-
-        ``closes`` holds ``(lower, interval_id, upper)`` triples, the
-        shape of :attr:`repro.ingest.workload.StreamBatch.closes`: each
-        replaces the open row ``[lower, now]`` by the finite record
-        ``(lower, upper, interval_id)``.  The batch applies whole or
-        raises and leaves the store unchanged: a bad finite upper, a
-        ``lower`` after the clock and an open row closed twice are
-        refused by :func:`~repro.core.temporal.check_closures` before
-        anything changes, a missing open row (:class:`KeyError`) by the
-        store's own :meth:`delete`, after which the deletes made before
-        it are undone.  An empty batch is a no-op; otherwise stores
-        without a clock raise :class:`NotImplementedError`.  Backends
-        with a set-at-a-time write path -- one delete, one insert and
-        one metadata record on the disk RI-tree, one transaction on
-        sqlite -- override this default.
-        """
-        from .temporal import UPPER_NOW, check_closures
+    def _check_closes(self, closes) -> list[tuple[int, int, int]]:
+        """``closes`` checked against the clock; a non-empty batch on a
+        store without one raises :class:`NotImplementedError`."""
+        from .temporal import check_closures
 
         closes = list(closes)
         if not closes:
-            return
+            return closes
         now = getattr(self, "now", None)
         if now is None:
             raise NotImplementedError(
                 f"backend {self.method_name!r} has no temporal support "
-                f"(close_now_intervals)")
-        checked = check_closures(closes, now)
-        undo: list[tuple[Callable, tuple]] = []
+                f"(append_batch closes)")
+        return check_closures(closes, now)
+
+    def _close_or_undo(self, closes, appended) -> None:
+        """Apply checked ``closes`` one row at a time, after ``appended``
+        was written; on any failure undo the closures made so far and
+        the ``appended`` records, then re-raise."""
+        if not closes:
+            return
+        from .temporal import UPPER_NOW
+
+        undo: list[tuple[Callable, tuple]] = [
+            (self.delete, record) for record in appended]
         try:
-            for lower, interval_id, _upper in checked:
+            for lower, interval_id, _upper in closes:
                 self.delete(lower, UPPER_NOW, interval_id)
                 undo.append((self.insert, (lower, UPPER_NOW, interval_id)))
-            for lower, interval_id, upper in checked:
+            for lower, interval_id, upper in closes:
                 self.insert(lower, upper, interval_id)
                 undo.append((self.delete, (lower, upper, interval_id)))
         except Exception:

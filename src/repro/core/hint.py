@@ -47,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .access import IntervalRecord, IntervalStore
 from .backbone import VirtualBackbone
@@ -349,25 +349,27 @@ class HintStore(IntervalStore):
             self._fin_hi = upper
         self._backbone.register(lower, upper)
 
-    def append_batch(self, intervals) -> None:
+    def append_batch(self, records, closes=()) -> None:
         """Streaming append: raw bucket appends, one resort per bucket.
 
-        Every record is validated first, so a rejected one leaves the
-        store unchanged; sentinel rows then take the regular side-list
-        inserts.  Finite rows
+        Every record and closure is checked first, so a rejected one
+        leaves the store unchanged; sentinel rows then take the regular
+        side-list inserts.  Finite rows
         are fitted under a single domain check over the batch envelope
         (a mid-batch refit would rebuild the levels from ``_finite``
         and drop the still-unsorted raw appends), appended unsorted to
         their assigned buckets, and every touched bucket is resorted
         once at the end -- O(k log k) per dirty bucket instead of O(k^2)
         bisect insertion for a batch that lands k records in one bucket.
+        The closures take the base class's check-then-undo path.
         """
+        records = list(records)
         finite: list[IntervalRecord] = []
         side: list[tuple[int, int, int]] = []
         lo: Optional[int] = None
         hi: Optional[int] = None
         now = self._now
-        for lower, upper, interval_id in intervals:
+        for lower, upper, interval_id in records:
             node = sentinel_node(lower, upper, now)
             if node is not None:
                 side.append((node, lower, interval_id))
@@ -378,12 +380,12 @@ class HintStore(IntervalStore):
                 lo = lower
             if hi is None or upper > hi:
                 hi = upper
+        closes = self._check_closes(closes)
         for node, lower, interval_id in side:
             self._insert_side(node, lower, interval_id)
-        if not finite:
-            return
-        self._mutations += 1
-        self._ensure_domain(lo, hi)
+        if finite:
+            self._mutations += 1
+            self._ensure_domain(lo, hi)
         dirty: dict[int, _Bucket] = {}
         for lower, upper, interval_id in finite:
             a = (lower - self._offset) >> self._shift
@@ -408,6 +410,7 @@ class HintStore(IntervalStore):
             self._backbone.register(lower, upper)
         for bucket in dirty.values():
             bucket.resort()
+        self._close_or_undo(closes, records)
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
         node = sentinel_node(lower, upper, self._now)
@@ -1007,11 +1010,3 @@ class HintCostModel(RITreeCostModel):
         per_pair = (HINT_FRAMES_PER_PAIR if name in (None, "intersects")
                     else HINT_FRAMES_PER_CANDIDATE)
         return probes * per_probe + pairs * per_pair
-
-
-def bulk_loaded(records: Iterable[IntervalRecord],
-                levels: int = DEFAULT_LEVELS, now: int = 0) -> HintStore:
-    """Convenience constructor: a :class:`HintStore` holding ``records``."""
-    store = HintStore(levels=levels, now=now)
-    store.extend(records)
-    return store

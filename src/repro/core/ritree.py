@@ -224,17 +224,7 @@ class RITree(AccessMethod):
             self.table.bulk_load(rows)
             self._log_meta()
 
-    def extend(self, intervals) -> None:
-        """Insert many intervals as *one* atomic batch (one group commit).
-
-        A crash anywhere inside the batch rolls the whole extension back:
-        recovery restores the pre-batch store, never a partial one.
-        """
-        with self.db.atomic():
-            for lower, upper, interval_id in intervals:
-                self.insert(lower, upper, interval_id)
-
-    def append_batch(self, intervals) -> None:
+    def append_batch(self, records, closes=()) -> None:
         """Streaming append: one group commit, one meta record per batch.
 
         The write-optimised ingest path.  Fork nodes are registered up
@@ -242,16 +232,17 @@ class RITree(AccessMethod):
         lands on the backbone's rightmost descent, and a failed
         registration leaves table and WAL untouched (root growth and
         minstep refinement are conservative) -- then every row rides in
-        a single ``db.atomic()`` batch closed by *one* ``_log_meta()``.
-        Compared to :meth:`extend` this defers the metadata persistence
-        across the batch: one WAL force and one ``meta`` record per
-        batch instead of one ``meta`` record per inserted row.  The rows
-        are one :meth:`~repro.engine.table.Table.insert_many` statement:
-        one ``insert`` record, one heap pass and one sorted leaf merge
-        per index.
+        a single ``db.atomic()`` batch closed by *one* ``_log_meta()``:
+        one WAL force and one ``meta`` record per batch instead of one
+        ``meta`` record per inserted row.  The rows are one
+        :meth:`~repro.engine.table.Table.insert_many` statement: one
+        ``insert`` record, one heap pass and one sorted leaf merge per
+        index.  The plain tree has no clock, so a non-empty ``closes``
+        raises :class:`NotImplementedError` before anything changes.
         """
+        self._check_closes(closes)
         rows = []
-        for lower, upper, interval_id in intervals:
+        for lower, upper, interval_id in records:
             node = self.backbone.register(lower, upper)
             rows.append((node, lower, upper, interval_id))
         if not rows:

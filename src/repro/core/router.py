@@ -353,7 +353,7 @@ class ShardedStore(IntervalStore):
             [r for r in batch if r[1] in sentinels] for batch in batches)
             if rows])
 
-    def append_batch(self, intervals: Sequence[IntervalRecord]) -> None:
+    def append_batch(self, records: Sequence[IntervalRecord], closes=()) -> None:
         """Streaming append: one backend ``append_batch`` per touched shard.
 
         Routing and replica bookkeeping match :meth:`insert` exactly;
@@ -363,12 +363,18 @@ class ShardedStore(IntervalStore):
         for WAL-backed backends).  Appends are tracked separately from
         inserts in the routing stats (``appends`` / ``append_replicas``),
         so the service's ingest traffic is distinguishable from the
-        point-insert path.
+        point-insert path.  Closures take the base class's
+        check-then-undo path.
         """
-        batches = self._route(intervals, self._stat_appends,
+        records, closes = list(records), list(closes)
+        if closes:
+            self._require_temporal()
+        closes = self._check_closes(closes)
+        batches = self._route(records, self._stat_appends,
                               self._stat_append_replicas)
         self._fan_out([(t, "append_batch", batch)
                        for t, batch in enumerate(batches) if batch])
+        self._close_or_undo(closes, records)
 
     # ------------------------------------------------------------------
     # temporal rows (shared clock, replicate-right placement)

@@ -259,32 +259,46 @@ class TemporalRITree(RITree):
                 self._now_count -= 1
             self._log_meta()
 
-    def close_now_intervals(self, closes) -> None:
-        """Terminate open rows ``[lower, now]`` at fixed uppers, set at a
-        time: ``closes`` holds ``(lower, interval_id, upper)`` triples.
+    def append_batch(self, records, closes=()) -> None:
+        """Append ``records`` and apply ``closes`` set at a time: one
+        ``db.atomic()`` group commit with one ``insert`` record, at most
+        one ``delete`` record and one ``meta`` record.
 
-        Every closure is checked (:func:`check_closures`) and its open
-        row found -- one range scan of the ``FORK_NOW`` slice of the
-        lowerIndex -- before anything changes; a missing row raises
+        Rows are built as in :meth:`insert`, so sentinel uppers land on
+        their reserved fork nodes.  Every closure is checked
+        (:func:`check_closures`) and its open row found before anything
+        changes: a row the batch itself opens is closed in place (it is
+        never written open); any other is found by one range scan of the
+        ``FORK_NOW`` slice of the lowerIndex, and a missing one raises
         :class:`KeyError`.  Then one atomic batch deletes the open rows
         (:meth:`~repro.engine.table.Table.delete_many`), inserts the
-        finite rows (one :meth:`~repro.engine.table.Table.insert_many`)
-        and logs one ``meta`` record: a crash in between cannot lose a
-        record.
+        appended and the closed rows (one
+        :meth:`~repro.engine.table.Table.insert_many`) and logs one
+        ``meta`` record: a crash in between cannot lose a record.
         """
+        row = self._row
+        rows = [row(lower, upper, interval_id)
+                for lower, upper, interval_id in records]
         uppers = {(lower, interval_id): upper for lower, interval_id, upper
                   in check_closures(closes, self._now)}
-        if not uppers:
+        rowids: list[int] = []
+        if uppers:
+            for position, (node, lower, _upper, interval_id) in enumerate(rows):
+                if node == FORK_NOW and (lower, interval_id) in uppers:
+                    rows[position] = row(
+                        lower, uppers.pop((lower, interval_id)), interval_id)
+        if uppers:
+            found = self._open_rowids(uppers)
+            rowids = list(found.values())
+            rows += [row(lower, uppers[lower, interval_id], interval_id)
+                     for lower, interval_id in found]
+        if not rows:
             return
-        found = self._open_rowids(uppers)
-        rowids = list(found.values())
-        row = self._row
-        rows = [row(lower, uppers[lower, interval_id], interval_id)
-                for lower, interval_id in found]
         with self.db.atomic():
-            self.table.delete_many(rowids)
+            if rowids:
+                self.table.delete_many(rowids)
+                self._now_count -= len(rowids)
             self.table.insert_many(rows)
-            self._now_count -= len(rowids)
             note = self._note_row
             for node, lower, upper, _interval_id in rows:
                 note(node, lower, upper)
@@ -310,27 +324,6 @@ class TemporalRITree(RITree):
             lower, interval_id = min(set(keys) - set(found))
             raise KeyError((lower, UPPER_NOW, interval_id))
         return found
-
-    def append_batch(self, intervals) -> None:
-        """Streaming append with sentinel rows folded into the batch.
-
-        As :meth:`RITree.append_batch` -- one ``db.atomic()`` group
-        commit, one ``_log_meta()`` per batch -- with rows built as in
-        :meth:`insert`, so sentinel uppers land on their reserved fork
-        nodes.  Every row is validated before the batch writes, so a
-        rejected record leaves the relation untouched.
-        """
-        row = self._row
-        rows = [row(lower, upper, interval_id)
-                for lower, upper, interval_id in intervals]
-        if not rows:
-            return
-        with self.db.atomic():
-            self.table.insert_many(rows)
-            note = self._note_row
-            for node, lower, upper, _interval_id in rows:
-                note(node, lower, upper)
-            self._log_meta()
 
     # ------------------------------------------------------------------
     # accounting

@@ -14,14 +14,14 @@ stores themselves deliberately do not:
   producer outran the store.
 
 * **Commit-boundary ordering.**  Clock advances apply before a batch's
-  records (now-relative rows start at or before the new clock) and
-  closures force the buffered appends down first (a closure may target
-  a row that is still sitting in the buffer).  A batch's closures are
-  one ``close_now_intervals`` call -- one delete, one insert and one
-  metadata record on the disk RI-tree.
+  records (now-relative rows start at or before the new clock), and a
+  batch with closures flushes the buffer together with them, as one
+  ``append_batch(records, closes=...)`` call (a closure may target a
+  row that is still sitting in the buffer) -- one insert, at most one
+  delete and one metadata record on the disk RI-tree.
 
 * **One commit per submit.**  Everything one ``submit`` writes -- a
-  backpressure flush, the clock advance, a flush and the closures --
+  backpressure flush, the clock advance, a flush with the closures --
   runs inside one ``database.atomic()`` batch: one WAL force, and a
   crash leaves the store as some whole submit left it, never part way
   through one.
@@ -150,19 +150,21 @@ class StreamIngestor:
         if len(self._buffer) > self.stats.buffered_peak:
             self.stats.buffered_peak = len(self._buffer)
         if batch.closes:
-            # Closures may target still-buffered rows: commit those first.
-            self.flush()
-            self.store.close_now_intervals(batch.closes)
+            # Closures may target still-buffered rows: they commit with them.
+            self.flush(batch.closes)
             self.stats.closes += len(batch.closes)
         elif len(self._buffer) >= self.flush_records:
             self.flush()
 
-    def flush(self) -> None:
-        """Group-commit the buffer: one ``append_batch`` call."""
-        if not self._buffer:
+    def flush(self, closes=()) -> None:
+        """Group-commit the buffer and ``closes``: one ``append_batch``
+        call, counted as a flush when the buffer held records."""
+        if not self._buffer and not closes:
             return
         records, self._buffer = self._buffer, []
-        self.store.append_batch(records)
+        self.store.append_batch(records, closes=closes)
+        if not records:
+            return
         self.stats.flushes += 1
         if not self._in_submit:  # submit checkpoints after its batch
             self._maybe_checkpoint()

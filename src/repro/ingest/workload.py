@@ -21,7 +21,8 @@ queries.  Two arrival disciplines are supported:
 Open intervals ride along in either mode: a configurable fraction of
 rows commits as now-relative ``[lower, now]`` sentinel records
 (Section 4.6) that a *later* batch closes at a fixed upper bound --
-all of one batch's closures in one ``close_now_intervals`` call -- the
+a batch's closures ride in the same ``append_batch`` call as its
+records -- the
 session/transaction-time lifecycle the paper's ``now`` discussion
 describes.
 
@@ -59,8 +60,8 @@ class StreamBatch:
         open rows.
     closes:
         ``(lower, interval_id, upper)`` closures of now-relative rows
-        committed by *earlier* batches; applied after the appends, as
-        one ``close_now_intervals`` call.
+        committed by *earlier* batches; applied after the appends, in
+        the same ``append_batch`` call.
     """
 
     seq: int
@@ -74,10 +75,9 @@ class StreamBatch:
 
     def apply_to(self, store) -> None:
         """Apply the whole batch to ``store`` in the ingestor's order:
-        clock first, then the appends, then the closures."""
+        clock first, then the appends and the closures in one call."""
         store.advance_to(self.timestamp)
-        store.append_batch(self.records)
-        store.close_now_intervals(self.closes)
+        store.append_batch(self.records, closes=self.closes)
 
 
 class StreamWorkload:

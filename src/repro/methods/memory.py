@@ -28,8 +28,8 @@ class BruteForceIntervals(IntervalStore):
     :data:`~repro.core.temporal.UPPER_INF`, as :meth:`insert` and
     :meth:`delete` receive them, repeated records with their
     multiplicity.  Only the abstract core, :meth:`stored_records` and the
-    Section 4.6 clock live here; queries, joins, counts,
-    ``append_batch`` and ``close_now_intervals`` are the
+    Section 4.6 clock live here; queries, joins, counts and
+    ``append_batch`` (closures included) are the
     :class:`~repro.core.access.IntervalStore` defaults, the reads among
     them filtering :meth:`stored_records` with the predicate formula.  The clock starts
     below every bound, so the first :meth:`advance_to` may set any value.

@@ -11,11 +11,14 @@ many shard processes busy.
 :class:`RemoteStore` adapts a served store back into the
 :class:`~repro.core.access.IntervalStore` contract: every method is one
 :meth:`RemoteStore.submit` of the wire-op table in
-:mod:`repro.service.ops` (bulk loads chunked), which writes the request
-frame and returns before the response arrives, and contract exceptions
-round-trip by type.  Temporal rows travel through the plain ``insert``,
-``delete`` and ``ingest_batch`` frames with their sentinel uppers, a
-batch of closures in one ``close_now_intervals`` frame; the clock op
+:mod:`repro.service.ops`, which writes the request frame and returns
+before the response arrives, and contract exceptions round-trip by
+type.  A ``bulk_load`` or ``append_batch`` travels as exactly one frame,
+so the served store applies it whole or not at all; a batch too large
+for one frame is refused by :func:`~repro.service.protocol.encode_frame`
+before any byte is sent.  Temporal rows travel through the plain
+``insert``, ``delete`` and ``ingest_batch`` frames with their sentinel
+uppers, a batch's closures in its ``ingest_batch`` frame; the clock op
 ``advance_to`` appears *only when the remote backend has it* --
 ``hasattr(remote, "advance_to")`` answers like the local store would,
 so :class:`~repro.core.router.ShardedStore` can front remote shards
@@ -27,7 +30,7 @@ from __future__ import annotations
 import socket
 import threading
 from functools import partial
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..core.access import IntervalRecord, IntervalStore
 from ..core.verify import VerificationReport
@@ -39,13 +42,6 @@ from .protocol import (
     read_frame,
     write_frame,
 )
-
-#: Records per ``bulk_load``/``ingest_batch`` request frame.  Request
-#: record lists travel as JSON (only results are int64 blocks), about
-#: 20-35 bytes a record, so a chunk stays under a megabyte, far below
-#: ``MAX_FRAME_BYTES``.
-BULK_CHUNK = 20_000
-
 
 class ServiceClient:
     """One connection to an interval service; thread-safe call()."""
@@ -142,23 +138,13 @@ class RemoteStore(IntervalStore):
         """Write ``method``'s request frame, encoded from the wire-op
         table, now; the returned callable reads the response.
 
-        A chunked op's records go out in :data:`BULK_CHUNK` frames, all
-        but the last as round trips.  The connection stays locked until
-        the callable has run (see :meth:`ServiceClient.send`).
+        The connection stays locked until the callable has run (see
+        :meth:`ServiceClient.send`).
         """
         op = METHODS.get(method)
         if op is None:
             return super().submit(method, *args, **kwargs)
-        fields = op.request(args, kwargs)
-        if op.chunked:
-            [(field, rows)] = fields.items()
-            if not rows:
-                return lambda: None
-            last = (len(rows) - 1) // BULK_CHUNK * BULK_CHUNK
-            for start in range(0, last, BULK_CHUNK):
-                self.call(op.name, **{field: rows[start:start + BULK_CHUNK]})
-            fields[field] = rows[last:]
-        receive = self._client.send(op.name, **fields)
+        receive = self._client.send(op.name, **op.request(args, kwargs))
         if op.decode is None:
             return receive
         return lambda: op.decode(receive())
@@ -180,28 +166,19 @@ class RemoteStore(IntervalStore):
         self.submit("delete", lower, upper, interval_id)()
 
     def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
-        self.submit("bulk_load", intervals)()
+        """One ``bulk_load`` frame (none for an empty batch)."""
+        records = list(intervals)
+        if records:
+            self.submit("bulk_load", records)()
 
-    def append_batch(self, intervals: Sequence[IntervalRecord]) -> None:
-        """Forward a streaming append batch as ``ingest_batch`` frames.
-
-        Each frame is one writer-lock acquisition (and one group commit
-        on WAL-backed backends) server-side; oversized batches chunk at
-        the same frame bound as :meth:`bulk_load`.
-        """
-        self.submit("append_batch", intervals)()
-
-    def extend(self, intervals: Iterable[IntervalRecord]) -> None:
-        """Insert into a possibly non-empty store: ``append_batch``."""
-        self.append_batch(list(intervals))
-
-    def close_now_intervals(self, closes) -> None:
-        """Forward a batch of closures as one ``close_now_intervals``
-        frame (none for an empty batch); the served store applies it
-        whole or not at all."""
-        closes = list(closes)
-        if closes:
-            self.submit("close_now_intervals", closes)()
+    def append_batch(self, records: Sequence[IntervalRecord],
+                     closes=()) -> None:
+        """One ``ingest_batch`` frame carrying the records and the
+        closures (none for an empty batch): one writer-lock acquisition
+        and one group commit on WAL-backed backends server-side."""
+        records, closes = list(records), list(closes)
+        if records or closes:
+            self.submit("append_batch", records, closes)()
 
     # ------------------------------------------------------------------
     # queries

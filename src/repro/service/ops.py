@@ -64,6 +64,11 @@ def records(value) -> list[tuple[int, int, int]]:
     return _integer_rows([(lo, up, rid) for lo, up, rid in value])
 
 
+def optional_records(value) -> list[tuple[int, int, int]]:
+    """:func:`records`, or ``[]`` for an absent or null field."""
+    return [] if value is None else records(value)
+
+
 def windows(value) -> list[tuple[int, int]]:
     """``[[lower, upper], ...]`` as query windows."""
     return _integer_rows([(lo, up) for lo, up in value])
@@ -107,8 +112,6 @@ class WireOp:
     predicate: Any = _NO_PREDICATE
     #: Present only on backends with temporal rows.
     temporal: bool = False
-    #: Its one record-list field travels in ``BULK_CHUNK`` frames.
-    chunked: bool = False
     #: Integers per result row when the result travels as an int64
     #: block (ids 1, join pairs 2, records 3); 0 keeps it JSON.
     width: int = 0
@@ -130,7 +133,8 @@ class WireOp:
         for index, (field, decode) in enumerate(self.args):
             value = (args[index] if index < len(args)
                      else kwargs.pop(field, None))
-            fields[field] = value if decode in _SCALARS else list(value)
+            fields[field] = (value if decode in _SCALARS
+                             else list(() if value is None else value))
         if self.predicate is not _NO_PREDICATE:
             fields.update(encode_predicate(
                 kwargs.pop("predicate", self.predicate)))
@@ -143,7 +147,7 @@ class WireOp:
         """Decode ``message``'s fields, call the store, encode the result."""
         args = []
         for field, decode in self.args:
-            if field not in message and decode is not optional_integer:
+            if field not in message and decode not in _OPTIONAL:
                 raise ValueError(f"request is missing field {field!r}")
             args.append(decode(message.get(field)))
         method = getattr(store, self.method, None)
@@ -160,6 +164,7 @@ class WireOp:
 
 
 _SCALARS = (integer, optional_integer)
+_OPTIONAL = (optional_integer, optional_records)
 _WINDOW = (("lower", integer), ("upper", integer))
 _RECORD = _WINDOW + (("interval_id", integer),)
 _RECORDS = (("records", records),)
@@ -169,10 +174,9 @@ _PROBES = (("probes", records),)
 OPS: dict[str, WireOp] = {op.name: op for op in (
     WireOp("insert", True, _RECORD),
     WireOp("delete", True, _RECORD),
-    WireOp("bulk_load", True, _RECORDS, chunked=True),
-    WireOp("ingest_batch", True, _RECORDS, method="append_batch",
-           chunked=True),
-    WireOp("close_now_intervals", True, (("closes", records),)),
+    WireOp("bulk_load", True, _RECORDS),
+    WireOp("ingest_batch", True, _RECORDS + (("closes", optional_records),),
+           method="append_batch"),
     WireOp("advance_to", True, (("now", integer),), temporal=True),
     WireOp("stab", False, (("value", integer),), width=1),
     WireOp("intersection", False, _WINDOW, width=1),

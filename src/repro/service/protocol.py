@@ -50,7 +50,8 @@ from typing import BinaryIO, Optional
 HEADER = struct.Struct(">I")
 
 #: Upper bound on one frame's payload -- a malformed or hostile header
-#: must not allocate unbounded memory.  Bulk loads chunk under this.
+#: must not allocate unbounded memory.  A request over it -- a batch of
+#: about two million JSON records -- is refused before it is sent.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Bytes per block value: one int64.

@@ -268,10 +268,13 @@ class IntervalService:
                                if relay_targets is not None
                                and hasattr(store, "_shard_of") else None)
         self.shutdown_requested = asyncio.Event()
+        #: Open connection -> its handler task, for :meth:`close_connections`.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     async def handle_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
         """One connection: sequential request/response frames."""
+        self._connections[writer] = asyncio.current_task()
         self.stats.connections_total += 1
         self.stats.connections_active += 1
         relay = (_ShardRelay(self._relay_targets)
@@ -316,6 +319,16 @@ class IntervalService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            del self._connections[writer]
+
+    async def close_connections(self) -> None:
+        """Close every open connection and wait for its handler, which
+        reads a clean end of stream and returns: run at shutdown, so the
+        loop never closes with a handler still pending."""
+        for writer in self._connections:
+            writer.close()
+        await asyncio.gather(*self._connections.values(),
+                             return_exceptions=True)
 
     def _fast_shard(self, message: dict) -> Optional[int]:
         """Shard index when this request can be relayed verbatim.
@@ -548,6 +561,7 @@ async def _serve(args) -> int:
         await service.shutdown_requested.wait()
     finally:
         server.close()
+        await service.close_connections()
         await server.wait_closed()
         service.close()
         cleanup()

@@ -248,48 +248,66 @@ class SQLRITree(IntervalStore):
         if cursor.rowcount != 1:
             raise KeyError((lower, upper, interval_id))
 
-    def append_batch(self, intervals: Iterable[IntervalRecord]) -> None:
-        """Register and insert many intervals inside one transaction.
+    def append_batch(self, records: Iterable[IntervalRecord],
+                     closes=()) -> None:
+        """Append ``records`` and apply ``closes`` in one transaction.
 
-        One ``executemany`` and at most one parameter-dictionary write
-        per batch, valid on a non-empty relation too.  Sentinel uppers
-        fold into the same statement as reserved fork-node rows
-        (Section 4.6), so a mixed batch commits atomically, and every
-        record is validated before the statement runs.  A ``busy`` /
-        ``locked`` failure rolls the transaction back and retries the
-        whole batch under the bounded backoff policy.
+        One ``executemany`` inserts the records, one deletes the open
+        rows the closures name (rows the batch itself opens included)
+        and one inserts the closed rows, with at most one
+        parameter-dictionary write per batch, valid on a non-empty
+        relation too.  Sentinel uppers fold into the same statement as
+        reserved fork-node rows (Section 4.6), so a mixed batch commits
+        atomically.  Every record and closure
+        (:func:`~repro.core.temporal.check_closures`) is checked before
+        the statements run; an open row the delete misses raises
+        :class:`KeyError` and rolls the whole batch back.  A refused
+        batch leaves the backbone parameters as the dictionary holds
+        them.  A ``busy`` / ``locked`` failure rolls the transaction
+        back and retries the whole batch under the bounded backoff
+        policy.
         """
         row = self._row
-        rows = [row(lower, upper, interval_id)
-                for lower, upper, interval_id in intervals]
-        if not rows:
+        try:
+            rows = [row(lower, upper, interval_id)
+                    for lower, upper, interval_id in records]
+            checked = check_closures(closes, self._now)
+            closed = [row(lower, upper, interval_id)
+                      for lower, interval_id, upper in checked]
+        except Exception:
+            self._load_params()
+            raise
+        if not rows and not closed:
             return
+        open_rows = [{"node": FORK_NOW, "lower": lower, "upper": UPPER_NOW,
+                      "id": interval_id}
+                     for lower, interval_id, _upper in checked]
+        insert = schema.INSERT_SQL.format(name=self.name)
 
         def body() -> None:
-            self.conn.executemany(schema.INSERT_SQL.format(name=self.name), rows)
+            self.conn.executemany(insert, rows)
+            if open_rows:
+                cursor = self.conn.executemany(
+                    schema.DELETE_SQL.format(name=self.name), open_rows)
+                if cursor.rowcount != len(open_rows):
+                    raise KeyError(
+                        f"{len(open_rows) - cursor.rowcount} of "
+                        f"{len(open_rows)} closures have no open row")
+                self.conn.executemany(insert, closed)
             self._save_params()
 
         self._transact(body)
 
     bulk_load = append_batch
 
-    def extend(self, intervals: Iterable[IntervalRecord]) -> None:
-        """Insert many intervals one by one, inside one transaction."""
-        records = list(intervals)
-
-        def body() -> None:
-            for lower, upper, interval_id in records:
-                self.insert(lower, upper, interval_id)
-
-        self._transact(body)
-
     def _transact(self, body):
         """Run ``body`` in one transaction, retrying ``busy``/``locked``.
 
         On any failure the transaction rolls back, so the parameter
-        dirty-flag snapshot must not claim the dictionary writes stuck;
-        resetting it forces the next :meth:`_save_params` to re-persist.
-        Pending single-statement work (``insert`` leaves its implicit
+        dirty-flag snapshot must not claim the dictionary writes stuck:
+        a retry resets it, forcing the next :meth:`_save_params` to
+        re-persist, and a final failure reloads the parameters the
+        dictionary holds.  Pending single-statement work (``insert`` leaves its implicit
         transaction open) is committed first, so the rollback is scoped
         to this transaction alone.
         """
@@ -307,43 +325,12 @@ class SQLRITree(IntervalStore):
                 attempt, classify=sqlite_transient_classify, on_retry=rolled_back
             )
         except BaseException:
-            self._persisted = None
+            self._load_params()
             raise
 
     # ------------------------------------------------------------------
     # temporal records (Section 4.6)
     # ------------------------------------------------------------------
-    def close_now_intervals(self, closes) -> None:
-        """Terminate open rows ``[lower, now]`` at fixed uppers in one
-        transaction: one ``executemany`` deletes the open rows, one
-        inserts the finite rows.
-
-        Every closure is checked (:func:`~repro.core.temporal.
-        check_closures`) and its finite row built before the statements
-        run; an open row the delete misses raises :class:`KeyError` and
-        rolls the whole batch back.
-        """
-        checked = check_closures(closes, self._now)
-        if not checked:
-            return
-        row = self._row
-        rows = [row(lower, upper, interval_id)
-                for lower, interval_id, upper in checked]
-        open_rows = [{"node": FORK_NOW, "lower": lower, "upper": UPPER_NOW,
-                      "id": interval_id}
-                     for lower, interval_id, _upper in checked]
-
-        def body() -> None:
-            cursor = self.conn.executemany(
-                schema.DELETE_SQL.format(name=self.name), open_rows)
-            if cursor.rowcount != len(open_rows):
-                raise KeyError(f"{len(open_rows) - cursor.rowcount} of "
-                               f"{len(open_rows)} closures have no open row")
-            self.conn.executemany(schema.INSERT_SQL.format(name=self.name), rows)
-            self._save_params()
-
-        self._transact(body)
-
     @property
     def now(self) -> int:
         """The clock for now-relative semantics."""

@@ -174,7 +174,7 @@ def test_temporal_rows_behave_like_the_temporal_tree(rng):
         expected = sorted(oracle.query(2_500, 4_000, predicate=name))
         assert sorted(store.query(2_500, 4_000, predicate=name)) == expected, name
 
-    store.close_now_intervals([(1_000, 90_003, 6_000)])
+    store.append_batch([], closes=[(1_000, 90_003, 6_000)])
     assert store.now_relative_count == 0
     assert (1_000, 6_000, 90_003) in store.stored_records()
     store.delete(2_000, UPPER_INF, 90_001)  # sentinel routing via delete

@@ -112,7 +112,7 @@ def test_protocol_requires_core_methods():
 def test_insert_and_intersection_match_oracle(store, rng):
     records = make_intervals(rng, 400, domain=60_000, mean_length=500)
     oracle = BruteForceIntervals(records)
-    store.extend(records)
+    store.append_batch(records)
     assert store.interval_count == len(records)
     for lower, upper in queries_for(rng):
         assert sorted(store.intersection(lower, upper)) == sorted(
@@ -124,7 +124,7 @@ def test_bulk_load_equals_inserts(store, store_factory, rng):
     records = make_intervals(rng, 300, domain=40_000, mean_length=400)
     loaded = store_factory()
     loaded.bulk_load(records)
-    store.extend(records)
+    store.append_batch(records)
     for lower, upper in queries_for(rng, count=30, domain=44_000):
         assert sorted(loaded.intersection(lower, upper)) == sorted(
             store.intersection(lower, upper)
@@ -169,7 +169,7 @@ def test_append_batch_temporal_rows_and_closes(store):
     # The now-relative row reads as [10, 100], the infinite row never ends.
     assert sorted(store.intersection(60, 200)) == [2, 3]
     store.advance_to(300)
-    store.close_now_intervals([(10, 2, 250)])
+    store.append_batch([], closes=[(10, 2, 250)])
     report = store.verify()
     assert report.ok, [i.as_dict() for i in report.issues]
     assert sorted(store.stab(240)) == [2, 3]
@@ -308,7 +308,7 @@ def test_append_batch_with_a_rejected_record_writes_nothing(any_store, bad):
 
 
 # ----------------------------------------------------------------------
-# close_now_intervals: a batch of closures applies whole or not at all
+# append_batch closes: records, then closures, whole or not at all
 # ----------------------------------------------------------------------
 #: Open rows beside ``_seed``'s ``(10, UPPER_NOW, 3)``, at clock 100.
 OPEN_ROWS = [(40, UPPER_NOW, 5), (60, UPPER_NOW, 6), (10, UPPER_NOW, 7)]
@@ -322,9 +322,9 @@ def _seed_open(store):
     store.advance_to(200)
 
 
-def test_close_now_intervals_closes_a_batch(any_store):
+def test_append_batch_closes_open_rows(any_store):
     _seed_open(any_store)
-    any_store.close_now_intervals([(60, 6, 190), (10, 3, 120), (10, 7, 10)])
+    any_store.append_batch([], closes=[(60, 6, 190), (10, 3, 120), (10, 7, 10)])
     expected = SEED_ROWS + [(10, 120, 3), (30, UPPER_INF, 4), (40, 200, 5),
                             (60, 190, 6), (10, 10, 7)]
     assert sorted(any_store.stored_records()) == sorted(expected)
@@ -333,8 +333,29 @@ def test_close_now_intervals_closes_a_batch(any_store):
     assert sorted(any_store.intersection(150, 195)) == [4, 5, 6]
     any_store.advance_to(300)
     assert sorted(any_store.intersection(250, 300)) == [4, 5]
-    any_store.close_now_intervals([])
+    any_store.append_batch([], closes=[])
     assert sorted(any_store.intersection(250, 300)) == [4, 5]
+
+
+def test_append_batch_closes_rows_it_opens(any_store):
+    """One call appends open and finite rows and closes an open row it
+    appended, one appended twice and one stored before it."""
+    _seed_open(any_store)
+    records = [(70, 80, 8), (150, UPPER_NOW, 9), (160, UPPER_NOW, 10),
+               (160, UPPER_NOW, 10)]
+    any_store.append_batch(
+        records, closes=[(150, 9, 170), (160, 10, 165), (40, 5, 45)])
+    expected = SEED_ROWS + [(10, UPPER_NOW, 3), (30, UPPER_INF, 4),
+                            (40, 45, 5), (60, UPPER_NOW, 6),
+                            (10, UPPER_NOW, 7), (70, 80, 8), (150, 170, 9),
+                            (160, 165, 10), (160, UPPER_NOW, 10)]
+    assert sorted(any_store.stored_records()) == sorted(
+        (lower, 200 if upper == UPPER_NOW else upper, i)
+        for lower, upper, i in expected)
+    report = any_store.verify()
+    assert report.ok, [i.as_dict() for i in report.issues]
+    assert sorted(any_store.intersection(166, 180)) == [
+        3, 4, 6, 7, 9, 10]
 
 
 @pytest.mark.parametrize("closes, error", [
@@ -347,26 +368,30 @@ def test_close_now_intervals_closes_a_batch(any_store):
     ([(10, 3, 120), (40, 5, 150), (10, 3, 130)], ValueError),  # twice
 ], ids=["inverted", "sentinel-upper", "non-integer-upper", "after-clock",
         "missing", "finite-row", "twice"])
-def test_close_now_intervals_refuses_the_whole_batch(any_store, closes, error):
-    """Each rejected batch raises and leaves the store as it was, also
-    the closures ahead of the bad one."""
+def test_append_batch_with_a_rejected_closure_writes_nothing(
+        any_store, closes, error):
+    """Each rejected batch raises and leaves the store as it was: its
+    records are not stored, nor are the closures ahead of the bad one
+    (one of which closes a row the batch opens)."""
     _seed_open(any_store)
     before = sorted(any_store.stored_records())
     with pytest.raises(error):
-        any_store.close_now_intervals(closes)
+        any_store.append_batch([(70, 80, 8), (150, UPPER_NOW, 9)],
+                               closes=[(150, 9, 170)] + closes)
     assert sorted(any_store.stored_records()) == before
     report = any_store.verify()
     assert report.ok, [i.as_dict() for i in report.issues]
-    any_store.close_now_intervals([(10, 3, 120)])  # still usable
+    any_store.append_batch([], closes=[(10, 3, 120)])  # still usable
     assert (10, 120, 3) in any_store.stored_records()
 
 
-def test_close_now_intervals_on_a_plain_store_is_not_implemented(any_store):
+def test_closes_on_a_plain_store_are_not_implemented(any_store):
     if hasattr(any_store, "advance_to"):
         pytest.skip("backend has temporal rows")
-    any_store.close_now_intervals([])
+    any_store.append_batch([], closes=[])
     with pytest.raises(NotImplementedError):
-        any_store.close_now_intervals([(10, 3, 120)])
+        any_store.append_batch([(1, 2, 3)], closes=[(10, 3, 120)])
+    assert any_store.stored_records() == []
 
 
 def test_delete_removes_and_raises(store):
@@ -528,10 +553,14 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(rows=st.lists(finite_row, max_size=6),
           open_rows=st.lists(sentinel_row, max_size=2),
-          infinite_rows=st.lists(sentinel_row, max_size=2))
-    def append_batch(self, rows, open_rows, infinite_rows):
+          infinite_rows=st.lists(sentinel_row, max_size=2),
+          picks=st.lists(st.tuples(pick, st.integers(0, 3_000)), max_size=4))
+    def append_batch(self, rows, open_rows, infinite_rows, picks):
+        """Append rows and close a random subset of the open rows, those
+        this call opens included, in one call."""
         batch = list(rows)
         self.finite.extend(rows)
+        closes = []
         if self.temporal:
             now = self.oracle.now
             opened = [(min(lower, now), i) for lower, i in open_rows]
@@ -539,7 +568,16 @@ class StoreMachine(RuleBasedStateMachine):
             batch += [(lower, UPPER_INF, i) for lower, i in infinite_rows]
             self.open.extend(opened)
             self.infinite.extend(infinite_rows)
-        self._both("append_batch", batch)
+            for k, length in picks:
+                if not self.open:
+                    break
+                lower, interval_id = self.open[k % len(self.open)]
+                if any(c[:2] == (lower, interval_id) for c in closes):
+                    continue  # one open row is closed at most once per batch
+                self.open.remove((lower, interval_id))
+                closes.append((lower, interval_id, lower + length))
+            self.finite.extend((lower, upper, i) for lower, i, upper in closes)
+        self._both("append_batch", batch, closes)
 
     @precondition(lambda self: self.temporal)
     @rule(delta=st.integers(0, 3_000))
@@ -559,23 +597,6 @@ class StoreMachine(RuleBasedStateMachine):
         lower, interval_id = row
         self._both("insert", lower, UPPER_INF, interval_id)
         self.infinite.append(row)
-
-    @precondition(lambda self: self.open)
-    @rule(picks=st.lists(st.tuples(pick, st.integers(0, 3_000)),
-                         min_size=1, max_size=4))
-    def close_now_intervals(self, picks):
-        """Close a random subset of the open rows in one call."""
-        closes = []
-        for k, length in picks:
-            if not self.open:
-                break
-            lower, interval_id = self.open[k % len(self.open)]
-            if any(c[:2] == (lower, interval_id) for c in closes):
-                continue  # one open row is closed at most once per batch
-            self.open.remove((lower, interval_id))
-            closes.append((lower, interval_id, lower + length))
-        self._both("close_now_intervals", closes)
-        self.finite.extend((lower, upper, i) for lower, i, upper in closes)
 
     @precondition(lambda self: self.open)
     @rule(k=pick)
@@ -630,8 +651,8 @@ class StoreMachine(RuleBasedStateMachine):
 
 @pytest.mark.parametrize("store_name", STORE_NAMES)
 def test_property_store_matches_oracle(store_name):
-    """Interleaved inserts, deletes, appends, clock ticks, temporal rows
-    and batched closures; intersections, counts, an Allen relation (also on
+    """Interleaved inserts, deletes, appends with closures, clock ticks
+    and temporal rows; intersections, counts, an Allen relation (also on
     windows sharing a bound with a live row or the clock), a
     range-duration band, joins and the stored relation after each."""
     run_state_machine_as_test(
@@ -705,7 +726,7 @@ def test_verify_after_every_mutation(store, rng):
     records = make_intervals(rng, 60, domain=10_000, mean_length=200)
     store.bulk_load(records[:30])
     assert store.verify().ok
-    store.extend(records[30:40])
+    store.append_batch(records[30:40])
     assert store.verify().ok
     for lower, upper, interval_id in records[40:]:
         store.insert(lower, upper, interval_id)
@@ -727,7 +748,7 @@ def test_verify_after_every_temporal_mutation():
     assert tree.verify().ok
     tree.advance_to(500)
     assert tree.verify().ok
-    tree.close_now_intervals([(10, 4, 450)])
+    tree.append_batch([], closes=[(10, 4, 450)])
     assert tree.verify().ok
     tree.delete(40, UPPER_INF, 3)
     report = tree.verify()
@@ -738,7 +759,7 @@ def test_verify_after_every_temporal_mutation():
 # crash at every write point, then recover, verify and match the oracle
 # ----------------------------------------------------------------------
 CRASH_ROWS = [(i * 17 % 400, i * 17 % 400 + 25, i) for i in range(30)]
-CRASH_EXTEND = [(500 + 10 * i, 540 + 10 * i, 100 + i) for i in range(4)]
+CRASH_APPEND = [(500 + 10 * i, 540 + 10 * i, 100 + i) for i in range(4)]
 CRASH_QUERIES = [(0, 60), (200, 260), (420, 455), (520, 540), (0, 1000)]
 CRASH_PROBES = [(0, 50, 1), (100, 400, 2), (430, 600, 3)]
 
@@ -746,7 +767,7 @@ CRASH_PROBES = [(0, 50, 1), (100, 400, 2), (430, 600, 3)]
 def _ritree_steps(tree):
     return [
         lambda: tree.bulk_load(CRASH_ROWS),
-        lambda: tree.extend(CRASH_EXTEND),
+        lambda: tree.append_batch(CRASH_APPEND),
         lambda: tree.insert(3, 900, 200),
         lambda: tree.delete(*CRASH_ROWS[0]),
     ]
@@ -759,7 +780,7 @@ def _temporal_steps(tree):
         lambda: tree.insert(10, UPPER_NOW, 301),
         lambda: tree.advance_to(500),
         lambda: tree.delete(*CRASH_ROWS[1]),
-        lambda: tree.close_now_intervals([(10, 301, 450)]),
+        lambda: tree.append_batch([(60, 70, 302)], closes=[(10, 301, 450)]),
     ]
 
 

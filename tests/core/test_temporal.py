@@ -63,30 +63,36 @@ def test_reserved_fork_nodes_are_disjoint_from_data_nodes():
     assert tree.backbone.right_root < FORK_NOW < FORK_INF
 
 
-def test_close_now_intervals():
+def test_append_batch_closes_a_now_relative_row():
     tree = TemporalRITree(now=1000)
     tree.insert(100, UPPER_NOW, 1)
-    tree.close_now_intervals([(100, 1, 500)])
+    tree.append_batch([], closes=[(100, 1, 500)])
     assert tree.now_relative_count == 0
     assert tree.intersection(400, 600) == [1]
     assert tree.intersection(501, 2000) == []
 
 
-def test_closures_are_one_delete_one_insert_and_one_meta_record(monkeypatch):
+def test_a_batch_is_one_insert_one_delete_and_one_meta_record():
+    """Records and closures in one call: the stored open rows it closes
+    go in one ``delete`` record; its records, the row it opens and
+    closes in place and the closed rows in one ``insert`` record."""
     db = Database(wal=True)
     tree = TemporalRITree(db, now=1000)
     tree.append_batch([(5, 50, 1)] + [(100 + i, UPPER_NOW, 10 + i)
                                       for i in range(6)])
-    monkeypatch.setattr(TemporalRITree, "append_batch", None)
     forces, logged = db.wal.forces, db.wal.durable_records
-    tree.close_now_intervals([(104, 14, 900), (101, 11, 800), (102, 12, 102)])
+    tree.append_batch(
+        [(600, 700, 2), (990, UPPER_NOW, 3)],
+        closes=[(104, 14, 900), (990, 3, 995), (101, 11, 800), (102, 12, 102)])
     records = db.wal.records()[logged:]
     assert [r["t"] for r in records] == [
         "begin", "delete", "insert", "meta", "commit"]
     assert db.wal.forces - forces == 1
-    assert len(records[1]["rows"]) == len(records[2]["rows"]) == 3
+    assert len(records[1]["rows"]) == 3
+    assert len(records[2]["rows"]) == 5
     assert tree.now_relative_count == 3
     assert sorted(tree.stab(850)) == [10, 13, 14, 15]
+    assert sorted(tree.stab(992)) == [3, 10, 13, 15]
     assert tree.verify().ok
     recovered = TemporalRITree.attach(db.recover())
     assert sorted(recovered.stored_records()) == sorted(tree.stored_records())
@@ -102,7 +108,7 @@ def test_a_refused_closure_batch_writes_nothing():
                    [(100, 1, 500), (200, 2, 2**50)],  # out of domain
                    [(100, 1, 500), (100, 1, 600)]):  # the same row twice
         with pytest.raises((KeyError, ValueError)):
-            tree.close_now_intervals(closes)
+            tree.append_batch([(300, UPPER_NOW, 3), (5, 9, 4)], closes=closes)
     assert db.wal.durable_records == logged and not db.wal_desynced
     assert tree.now_relative_count == 2 and tree.verify().ok
 

@@ -25,11 +25,9 @@ class RecordingStore:
         self.now = now
         self.events.append(("advance", now))
 
-    def append_batch(self, records) -> None:
-        self.events.append(("append", len(records)))
-
-    def close_now_intervals(self, closes) -> None:
-        self.events.append(("close", [interval_id for _, interval_id, _ in closes]))
+    def append_batch(self, records, closes=()) -> None:
+        closed = [interval_id for _, interval_id, _ in closes]
+        self.events.append(("append", len(records), closed))
 
 
 class RecordingDatabase:
@@ -105,7 +103,7 @@ def test_checkpoint_every_n_flushes_after_the_submit_commits():
     assert all(events[i - 1] == "commit" for i in positions)
 
 
-def test_closures_flush_buffered_rows_first_in_one_batch():
+def test_closures_flush_with_the_buffered_rows_in_one_call():
     ingestor, events = make_ingestor(flush_records=100)
     ingestor.submit(batch(0, 3, timestamp=10))
     events.clear()
@@ -113,11 +111,19 @@ def test_closures_flush_buffered_rows_first_in_one_batch():
     assert events == [
         "begin",
         ("advance", 20),
-        ("append", 5),
-        ("close", [0, 1]),
+        ("append", 5, [0, 1]),
         "commit",
     ]
-    assert ingestor.stats.closes == 2
+    assert ingestor.stats.closes == 2 and ingestor.stats.flushes == 1
+
+
+def test_closures_on_an_empty_buffer_are_not_a_flush():
+    ingestor, events = make_ingestor(flush_records=2)
+    ingestor.submit(batch(0, 2, timestamp=10))
+    events.clear()
+    ingestor.submit(batch(1, 0, timestamp=20, closes=[(0, 0, 20)]))
+    assert events == ["begin", ("advance", 20), ("append", 0, [0]), "commit"]
+    assert ingestor.stats.flushes == 1 and ingestor.stats.closes == 1
 
 
 def test_drain_flushes_the_rest():

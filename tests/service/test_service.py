@@ -10,7 +10,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 
 import pytest
 
@@ -19,7 +19,6 @@ from repro.core.router import ShardedStore
 from repro.core.stores import create_store
 from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.methods.memory import BruteForceIntervals
-from repro.service import client as client_module
 from repro.service import protocol
 from repro.service.client import RemoteStore, ServiceClient
 from repro.service.loadgen import (
@@ -47,13 +46,17 @@ SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 @contextmanager
 def served(store, **service_kwargs):
-    """An IntervalService bound on an ephemeral port in a thread."""
+    """An IntervalService bound on an ephemeral port in a thread.
+
+    On shutdown the service closes its connections and waits for their
+    handlers, so none is pending when ``asyncio.run`` closes the loop.
+    """
     service = IntervalService(store, **service_kwargs)
-    loop = asyncio.new_event_loop()
     ready = threading.Event()
     address = {}
 
     async def runner():
+        address["loop"] = asyncio.get_running_loop()
         server = await asyncio.start_server(
             service.handle_client, "127.0.0.1", 0)
         address["host"], address["port"] = (
@@ -61,19 +64,19 @@ def served(store, **service_kwargs):
         ready.set()
         async with server:
             await service.shutdown_requested.wait()
+        await service.close_connections()
 
     thread = threading.Thread(
-        target=lambda: loop.run_until_complete(runner()), daemon=True)
+        target=lambda: asyncio.run(runner()), daemon=True)
     thread.start()
     assert ready.wait(10), "service failed to start"
     try:
         yield address["host"], address["port"]
     finally:
-        loop.call_soon_threadsafe(service.shutdown_requested.set)
+        with suppress(RuntimeError):  # a shutdown op closed the loop
+            address["loop"].call_soon_threadsafe(service.shutdown_requested.set)
         thread.join(10)
         service.close()
-        if not thread.is_alive():
-            loop.close()
 
 
 @contextmanager
@@ -142,7 +145,7 @@ def test_remote_store_matches_local_store(rng):
 def test_remote_store_mutations_roundtrip():
     with remote(seeded_store()) as proxy:
         proxy.insert(5, 9, interval_id=1)
-        proxy.extend([(7, 12, 2), (20, 30, 3)])
+        proxy.append_batch([(7, 12, 2), (20, 30, 3)])
         assert sorted(proxy.intersection(8, 10)) == [1, 2]
         proxy.delete(7, 12, interval_id=2)
         assert sorted(proxy.intersection(8, 10)) == [1]
@@ -150,39 +153,100 @@ def test_remote_store_mutations_roundtrip():
         assert proxy.method_name == "remote(HINT)"
 
 
-@pytest.mark.parametrize("backend", ["hint", "ritree", "sql-ritree", "temporal-ritree"])
-def test_remote_extend_adds_to_a_non_empty_store(backend):
-    """``extend`` on a loaded served store inserts, as it does in process."""
-    opts = {}
-    if backend == "sql-ritree":
-        # The served sqlite store is driven from the service's threads.
-        opts["connection"] = sqlite3.connect(":memory:", check_same_thread=False)
+#: Every backend a served test loads: the temporal and plain RI-trees,
+#: sqlite and HINT.
+SERVED_BACKENDS = ["hint", "ritree", "sql-ritree", "temporal-ritree"]
+
+
+def served_store(backend):
+    """A fresh store of ``backend``; sqlite's connection is opened for
+    the service's threads."""
+    opts = ({"connection": sqlite3.connect(":memory:", check_same_thread=False)}
+            if backend == "sql-ritree" else {})
+    return create_store(backend, **opts)
+
+
+@pytest.mark.parametrize("backend", SERVED_BACKENDS)
+def test_remote_append_batch_adds_to_a_non_empty_store(backend):
+    """``append_batch`` on a loaded served store inserts, as it does in
+    process."""
     loaded = [(1, 4, 1), (3, 9, 2)]
     added = [(5, 12, 3), (2, 2, 4)]
     local = create_store(backend)
     local.bulk_load(loaded)
-    local.extend(added)
-    store = create_store(backend, **opts)
+    local.append_batch(added)
+    store = served_store(backend)
     store.bulk_load(loaded)
     with remote(store) as proxy:
-        proxy.extend(iter(added))
+        proxy.append_batch(iter(added))
         assert sorted(proxy.stored_records()) == sorted(local.stored_records())
         assert sorted(proxy.intersection(0, 20)) == [1, 2, 3, 4]
         assert proxy.verify().ok
 
 
-def test_remote_batches_chunk_into_frames(monkeypatch):
-    monkeypatch.setattr(client_module, "BULK_CHUNK", 3)
+# ----------------------------------------------------------------------
+# one batch, one frame: served batches apply whole or not at all
+# ----------------------------------------------------------------------
+#: More records than a request frame held when batches were chunked.
+MANY = 25_000
+
+
+def many_records(count=MANY):
+    return [(i, i + 1 + i % 50, i) for i in range(count)]
+
+
+def test_remote_batch_is_one_frame():
     records = [(i, i + 4, i) for i in range(8)]
     appended = [(i, i + 2, 100 + i) for i in range(6)]
-    with remote(seeded_store()) as proxy:
+    with remote(seeded_store(now=50)) as proxy:
         proxy.bulk_load(records)
         proxy.append_batch(appended)
-        proxy.append_batch([])
+        proxy.append_batch([(40, UPPER_NOW, 200)], closes=[(40, 200, 45)])
+        proxy.bulk_load([])
+        proxy.append_batch([], closes=[])
         ops = proxy.stats()["ops"]
-        assert sorted(proxy.stored_records()) == sorted(records + appended)
-    assert ops["bulk_load"]["count"] == 3  # 3 + 3 + 2 records
-    assert ops["ingest_batch"]["count"] == 2  # 3 + 3, no empty frame
+        assert sorted(proxy.stored_records()) == sorted(
+            records + appended + [(40, 45, 200)])
+    assert ops["bulk_load"]["count"] == 1  # no frame for the empty batch
+    assert ops["ingest_batch"]["count"] == 2
+
+
+@pytest.mark.parametrize("backend", ["ritree", "temporal-ritree"])
+def test_served_bulk_load_stores_a_batch_larger_than_the_old_chunk(backend):
+    records = many_records()
+    with remote(served_store(backend)) as proxy:
+        proxy.bulk_load(records)
+        assert proxy.interval_count == MANY
+        assert proxy.intersection_count(0, 2 * MANY) == MANY
+        assert proxy.verify().ok
+
+
+@pytest.mark.parametrize("backend", SERVED_BACKENDS)
+def test_served_append_batch_with_a_late_bad_record_writes_nothing(backend):
+    records = many_records()
+    records[24_000] = (24_000, 23_000, 24_000)  # inverted
+    with remote(served_store(backend)) as proxy:
+        with pytest.raises(ValueError):
+            proxy.append_batch(records)
+        assert proxy.interval_count == 0
+        assert proxy.stored_records() == []
+        assert proxy.verify().ok
+
+
+def test_a_batch_over_the_frame_limit_is_refused_before_sending(monkeypatch):
+    loaded = [(1, 4, 1), (3, 9, 2)]
+    with remote(seeded_store(loaded, now=50)) as proxy:
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "MAX_FRAME_BYTES", 4_096)
+            for call in (lambda: proxy.bulk_load(many_records(1_000)),
+                         lambda: proxy.append_batch(many_records(1_000)),
+                         lambda: proxy.append_batch(
+                             [], closes=[(i, i, 60) for i in range(1_000)])):
+                with pytest.raises(protocol.ProtocolError, match="frame limit"):
+                    call()
+        ops = proxy.stats()["ops"]
+        assert "bulk_load" not in ops and "ingest_batch" not in ops
+        assert sorted(proxy.stored_records()) == loaded
 
 
 def test_remote_temporal_entry_points():
@@ -193,7 +257,7 @@ def test_remote_temporal_entry_points():
         assert sorted(proxy.intersection(100, 200)) == [1]
         proxy.advance_to(150)
         assert sorted(proxy.intersection(100, 200)) == [1, 2]
-        proxy.close_now_intervals([(8, 2, 120)])
+        proxy.append_batch([], closes=[(8, 2, 120)])
         assert sorted(proxy.intersection(130, 200)) == [1]
         proxy.delete(5, UPPER_INF, interval_id=1)
         assert proxy.intersection(130, 200) == []
@@ -209,7 +273,7 @@ def test_sql_ritree_server_closes_and_deletes_temporal_rows():
         proxy.insert(8, UPPER_NOW, interval_id=2)
         proxy.insert(5, UPPER_INF, interval_id=1)
         proxy.advance_to(150)
-        proxy.close_now_intervals([(8, 2, 120)])
+        proxy.append_batch([], closes=[(8, 2, 120)])
         assert sorted(proxy.intersection(130, 200)) == [1]
         proxy.delete(5, UPPER_INF, interval_id=1)
         with pytest.raises(KeyError):
@@ -252,9 +316,10 @@ def test_temporal_op_on_plain_backend_is_not_implemented():
 
 def test_closures_on_a_plain_backend_are_not_implemented():
     with remote(create_store("ritree")) as proxy:
-        proxy.close_now_intervals([])  # no frame, nothing to refuse
+        proxy.append_batch([], closes=[])  # no frame, nothing to refuse
         with pytest.raises(NotImplementedError, match="temporal"):
-            proxy.close_now_intervals([(1, 2, 3)])
+            proxy.append_batch([(5, 9, 4)], closes=[(1, 2, 3)])
+        assert proxy.stored_records() == []
 
 
 def test_unknown_op_and_missing_field_are_value_errors():
@@ -278,7 +343,7 @@ def test_errors_do_not_poison_the_connection():
 def _calls_with_bad_integer(bad):
     """``(method, args)`` calls with one integer field replaced by ``bad``."""
     calls = [("stab", (bad,)), ("advance_to", (bad,)),
-             ("close_now_intervals", ([(3, 60, bad)],))]
+             ("append_batch", ([], [(3, 60, bad)]))]
     for i in range(3):
         row = tuple(bad if j == i else v for j, v in enumerate((2, 6, 50)))
         calls += [(method, row) for method in ("insert", "delete")]
@@ -294,18 +359,14 @@ def _calls_with_bad_integer(bad):
         calls += [(method, window) for method in (
             "intersection", "intersection_count", "query")]
         calls.append(("intersection_many", ([window],)))
-        calls.append(("close_now_intervals", ([(*window, 9)],)))
+        calls.append(("append_batch", ([], [(*window, 9)])))
     return calls
 
 
 def _assert_wire_refuses(backend, bads, error):
     """Every integer field of every op refuses each of ``bads`` with
     ``error``, leaving the served store untouched."""
-    # The served sqlite store is driven from the service's threads.
-    opts = ({"connection": sqlite3.connect(":memory:",
-                                           check_same_thread=False)}
-            if backend == "sql-ritree" else {})
-    store = create_store(backend, **opts)
+    store = served_store(backend)
     store.bulk_load([(1, 4, 1), (3, 9, 2)])
     with remote(store) as proxy:
         before = sorted(proxy.stored_records())

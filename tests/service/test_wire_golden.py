@@ -3,7 +3,7 @@
 ``wire_golden.json`` holds the payload of every request frame one call
 of each store op puts on the wire -- field names, field order, compact
 JSON -- including a query family with ``params``, an ``UPPER_INF``
-record and a chunked ``bulk_load``.  Raw-frame clients (the end-to-end
+record and an ``ingest_batch`` with closures.  Raw-frame clients (the end-to-end
 benchmark, ``loadgen.run_load``) speak these frames directly, so any change
 to them is a protocol change and must show up here.
 """
@@ -13,7 +13,6 @@ import pathlib
 
 from repro.core.predicates import range_duration
 from repro.core.temporal import UPPER_INF, UPPER_NOW
-from repro.service import client as client_module
 from repro.service.client import RemoteStore, ServiceClient
 from repro.service.ops import OPS
 from repro.service.protocol import HEADER
@@ -28,16 +27,16 @@ FAMILY = range_duration(2, 40)
 CALLS = [
     ("insert", lambda s: s.insert(5, 9, 1)),
     ("delete", lambda s: s.delete(5, 9, 1)),
-    ("bulk_load chunked", lambda s: s.bulk_load(
+    ("bulk_load", lambda s: s.bulk_load(
         [(i, i + 4, 100 + i) for i in range(5)])),
     ("bulk_load empty", lambda s: s.bulk_load([])),
-    ("extend", lambda s: s.extend(iter([(50, 60, 9)]))),
     ("append_batch", lambda s: s.append_batch(
         [(30, UPPER_INF, 7), (40, 44, 8)])),
     ("insert_infinite", lambda s: s.insert(3, UPPER_INF, 10)),
     ("insert_until_now", lambda s: s.insert(4, UPPER_NOW, 11)),
     ("delete_infinite", lambda s: s.delete(3, UPPER_INF, 10)),
-    ("close_now_intervals", lambda s: s.close_now_intervals([(4, 11, 9)])),
+    ("append_batch closes", lambda s: s.append_batch(
+        [(5, UPPER_NOW, 13)], closes=[(4, 11, 9), (5, 13, 8)])),
     ("delete_until_now", lambda s: (s.insert(6, UPPER_NOW, 12),
                                     s.delete(6, UPPER_NOW, 12))),
     ("advance_to", lambda s: s.advance_to(20)),
@@ -83,9 +82,8 @@ class _Tee:
         self._stream.close()
 
 
-def record_frames(monkeypatch) -> list:
+def record_frames() -> list:
     """``[label, [payload, ...]]`` per call of :data:`CALLS`."""
-    monkeypatch.setattr(client_module, "BULK_CHUNK", 2)
     recorded = []
     with served(seeded_store(now=10)) as (host, port):
         client = ServiceClient(host, port)
@@ -102,9 +100,9 @@ def record_frames(monkeypatch) -> list:
     return recorded
 
 
-def test_request_frames_are_byte_identical(monkeypatch):
+def test_request_frames_are_byte_identical():
     golden = json.loads(GOLDEN.read_text())
-    recorded = record_frames(monkeypatch)
+    recorded = record_frames()
     assert [label for label, _ in recorded] == [
         label for label, _ in golden]
     for (label, frames), (_, payloads) in zip(recorded, golden):

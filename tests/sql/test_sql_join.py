@@ -157,7 +157,7 @@ def test_params_still_persist_across_reopen_with_dirty_flag(tmp_path):
     path = tmp_path / "dirty.db"
     conn = sqlite3.connect(path)
     tree = SQLRITree(conn, name="P")
-    tree.extend([(100, 200, 1), (-50, 20, 2), (5000, 6000, 3)])
+    tree.append_batch([(100, 200, 1), (-50, 20, 2), (5000, 6000, 3)])
     params = tree.backbone.params()
     conn.commit()
     conn.close()
@@ -179,23 +179,20 @@ def test_empty_tree_queries_issue_no_statements():
     assert statements == []
 
 
-def test_failed_extend_does_not_poison_param_persistence(tmp_path):
+def test_failed_append_batch_does_not_poison_param_persistence(tmp_path):
     """A rolled-back batch must not leave the dirty flag claiming the
     parameter dictionary is up to date on disk."""
     import sqlite3
 
     path = tmp_path / "rollback.db"
     conn = sqlite3.connect(path)
-    tree = SQLRITree(conn, name="R")
+    tree = SQLRITree(conn, name="R", now=100)
     conn.commit()
 
-    def exploding():
-        yield (0, 10, 1)
-        yield (100, 2000, 2)  # grows the roots, shrinks minstep
-        raise RuntimeError("boom")
-
-    with pytest.raises(RuntimeError):
-        tree.extend(exploding())
+    # The rows grow the roots and shrink minstep; the closure of an
+    # open row that does not exist rolls the transaction back.
+    with pytest.raises(KeyError):
+        tree.append_batch([(0, 10, 1), (100, 2000, 2)], closes=[(5, 9, 50)])
     # The transaction rolled back; the next successful insert must
     # persist the current parameters again (snapshot was invalidated).
     tree.insert(50, 900, 3)
@@ -243,15 +240,18 @@ def test_reserved_fork_rows_still_reach_queries():
     assert sorted(sql_tree.join_pairs([(950, 960, 77)])) == [(77, 1), (77, 2)]
 
 
-def test_extend_runs_in_one_transaction():
-    sql_tree = SQLRITree()
+def test_append_batch_runs_in_one_transaction():
+    sql_tree = SQLRITree(now=100)
+    sql_tree.insert(7, UPPER_NOW, 99)
     statements = []
     sql_tree.conn.set_trace_callback(statements.append)
-    sql_tree.extend([(i, i + 5, i) for i in range(50)])
+    sql_tree.append_batch([(i, i + 5, i) for i in range(50)],
+                          closes=[(7, 99, 60)])
     sql_tree.conn.set_trace_callback(None)
     begins = [s for s in statements if s.strip().upper().startswith("BEGIN")]
     assert len(begins) <= 1
-    assert sql_tree.interval_count == 50
+    assert sql_tree.interval_count == 51
+    assert (7, 60, 99) in sql_tree.stored_records()
 
 
 def test_harness_join_batch_runs_on_the_sql_backend():

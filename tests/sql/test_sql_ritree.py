@@ -225,14 +225,14 @@ def test_temporal_rows_delete_close_and_reattach(tmp_path):
         store.insert(10, UPPER_NOW, 7)
         store.insert(20, UPPER_NOW, 8)
         store.insert(30, UPPER_INF, 9)
-        store.close_now_intervals([(10, 7, 50)])
+        store.append_batch([], closes=[(10, 7, 50)])
         store.delete(20, UPPER_NOW, 8)
     expected = sorted(oracle.stored_records())
     assert sorted(tree.stored_records()) == expected
     assert expected == [(0, 30, 1), (10, 50, 7), (30, UPPER_INF, 9)]
     assert tree.verify().ok
     with pytest.raises(KeyError):
-        tree.close_now_intervals([(10, 7, 60)])  # already closed
+        tree.append_batch([(40, 45, 10)], closes=[(10, 7, 60)])  # closed
     with pytest.raises(KeyError):
         tree.delete(20, UPPER_NOW, 8)
     with pytest.raises(KeyError):
