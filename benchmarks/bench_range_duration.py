@@ -1,4 +1,4 @@
-"""Range-duration benchmark: one query family, five backends, graded.
+"""Range-duration benchmark: one query family, four backends, graded.
 
 The acceptance gate of the query-family tentpole, on the genomic
 workload (chromosome-partitioned domains, heavily right-skewed feature
@@ -6,13 +6,13 @@ lengths -- the shape that makes duration bands selective at all).  Four
 legs:
 
 * **Parity** -- on one genomic database, every ``range_duration`` band
-  must return the identical sorted id set on all five registered
-  backends (simulated-disk RI-tree, temporal RI-tree, sqlite RI-tree,
-  HINT, and the sharded router at every configured shard count over
-  chromosome-edge cuts), matched against a brute-force oracle; a join
+  must return the identical sorted id set on all four registered
+  backends (simulated-disk RI-tree, sqlite RI-tree, HINT, and the
+  sharded router at every configured shard count over chromosome-edge
+  cuts), matched against a brute-force oracle; a join
   leg must produce the oracle's exact pair set and ``join_count`` must
   agree with ``join_pairs`` everywhere.
-* **Temporal** -- the three temporal-capable backends load now-relative
+* **Temporal** -- the three unsharded backends load now-relative
   and open-ended rows on top of the finite records; every band must
   match the oracle loaded with the same rows (now-rows end at the
   clock, infinite rows match only unbounded bands).
@@ -39,7 +39,7 @@ import time
 from benchlib import figure10_plan
 from repro.bench.experiments import get_scale
 from repro.bench.harness import paper_database, run_join_batch
-from repro.core import UPPER_INF, UPPER_NOW, HintStore, RITree, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, HintStore, RITree
 from repro.core.join import AutoJoin, SweepJoin
 from repro.core.predicates import range_duration
 from repro.core.router import ShardedStore
@@ -84,10 +84,9 @@ def _band_predicates(records, fractions):
 
 
 def _build_stores(records, shard_counts):
-    """All five backends plus the sharded router per shard count."""
+    """Every unsharded backend plus the sharded router per shard count."""
     stores = {
         "ritree": RITree(paper_database()),
-        "temporal-ritree": TemporalRITree(paper_database()),
         "sql-ritree": SQLRITree(),
         "hint": HintStore(),
     }
@@ -163,7 +162,7 @@ def _parity_leg(workload, bands, scale, seed):
 
 
 def _temporal_leg(workload, bands, scale, seed):
-    """Sentinel rows on the temporal backends and the oracle."""
+    """Sentinel rows on the unsharded backends and the oracle."""
     records = workload.records
     temporal_n = scale["range_duration_temporal_rows"]
     sentinel_source = genomic(2 * temporal_n, seed=seed + 29).records
@@ -176,7 +175,7 @@ def _temporal_leg(workload, bands, scale, seed):
         for lower, _upper, interval_id in sentinel_source[temporal_n:]
     ]
     stores = {
-        "temporal-ritree": TemporalRITree(paper_database()),
+        "ritree": RITree(paper_database()),
         "sql-ritree": SQLRITree(),
         "hint": HintStore(),
     }

@@ -1,10 +1,10 @@
 """Crash-recovery benchmark: every write point, recover, verify, match.
 
 Exercises the durability subsystem end to end on the simulated engine:
-for the plain RI-tree and the temporal RI-tree, a WAL-enabled workload
-(bulk load, an atomic insert batch, single inserts/deletes, temporal
-updates) is swept by :func:`benchlib.crash_sweep`: run passively to
-count its write points and record every committed state, then re-run
+for two RI-tree workloads on WAL-enabled databases, one finite (bulk
+load, an atomic insert batch, single inserts/deletes) and one with
+Section 4.6 rows as well (temporal updates), each is swept by
+:func:`benchlib.crash_sweep`: run passively to count its write points and record every committed state, then re-run
 once per point with a :class:`~repro.engine.errors.SimulatedCrash`
 injected exactly there.  After every crash the database is rebuilt with
 :meth:`~repro.engine.database.Database.recover`, the store re-attached,
@@ -32,7 +32,7 @@ import time
 
 from benchlib import crash_sweep
 from repro.bench.experiments import get_scale
-from repro.core import UPPER_INF, UPPER_NOW, RITree, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, RITree
 
 #: Interval rows per workload, by scale preset.
 ROWS_BY_SCALE = {"tiny": 30, "small": 120, "paper": 400}
@@ -74,11 +74,7 @@ def temporal_steps(tree, rows):
 
 CASES = {
     "ritree": (lambda db: RITree(db), RITree, ritree_steps),
-    "temporal": (
-        lambda db: TemporalRITree(db, now=100),
-        TemporalRITree,
-        temporal_steps,
-    ),
+    "temporal": (lambda db: RITree(db, now=100), RITree, temporal_steps),
 }
 
 

@@ -264,6 +264,9 @@ def ablation_a4_claims(rows):
     reserved = pick(rows, "strategy", "reserved")
     naive = pick(rows, "strategy", "naive")
     return {
+        "ablation_a4_strategies_agree_on_results": (
+            reserved["avg results"] == naive["avg results"]
+        ),
         "ablation_a4_reserved_lower_height": reserved["height"] < naive["height"],
         "ablation_a4_reserved_no_more_transient_entries": (
             reserved["avg transient entries"] <= naive["avg transient entries"]

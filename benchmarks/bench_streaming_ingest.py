@@ -5,7 +5,7 @@ four gates:
 
 * **Checkpoint parity** -- a seeded stream (open now-relative rows and
   later closures included) is driven through a
-  :class:`~repro.ingest.ingestor.StreamIngestor` into the temporal
+  :class:`~repro.ingest.ingestor.StreamIngestor` into the disk
   RI-tree and the HINT store, in both arrival disciplines.  At every
   checkpoint boundary the ingested store must answer intersection,
   count and join probes bit-identically to the brute-force oracle fed
@@ -16,13 +16,13 @@ four gates:
   record, at most one ``delete`` record and one ``meta`` record and
   force the log once; an empty call writes and forces nothing.  Asserted
   against the engine's ``wal.forces`` counter and the durable records,
-  on the plain tree with appends only and on the temporal tree with open
-  rows and their closures (its clock advances commit before each call).
+  on a tree with appends only and on one with open rows and their
+  closures (its clock advances commit before each call).
 
 * **Crash during ingest** -- :func:`benchlib.crash_sweep`, the
   recovery benchmark's crash-at-every-write-point protocol, replayed
-  over a streaming run, on the plain RI-tree with appends only and on
-  the temporal RI-tree with open rows and their closures:
+  over a streaming run, on an RI-tree with appends only and on one
+  with open rows and their closures:
   whatever write point dies, :meth:`~repro.engine.database.Database.
   recover` must yield a verify()-clean store holding the state after a
   whole submit that answers queries like a brute-force oracle.
@@ -48,7 +48,7 @@ from collections import Counter
 
 from benchlib import crash_sweep, router
 from repro.bench.experiments import get_scale
-from repro.core import RITree, TemporalRITree
+from repro.core import RITree
 from repro.core.stores import create_store
 from repro.engine import Database
 from repro.ingest import StreamIngestor, StreamWorkload
@@ -57,11 +57,11 @@ from repro.service.client import ServiceClient
 from repro.service.loadgen import build_dataset, build_ops, evaluate_ops, run_load
 
 #: Parity legs: backend x arrival discipline.
-PARITY_BACKENDS = ("temporal-ritree", "hint")
-#: Crash legs: store class x fraction of rows committed open.  Open
-#: rows close in the batch after next (``close_lag=1``), so even a
-#: three-batch stream crashes inside closures.
-CRASH_LEGS = ((RITree, 0.0), (TemporalRITree, 0.3))
+PARITY_BACKENDS = ("ritree", "hint")
+#: Crash legs: the fraction of rows committed open.  Open rows close in
+#: the batch after next (``close_lag=1``), so even a three-batch stream
+#: crashes inside closures.
+CRASH_OPEN_FRACTIONS = (0.0, 0.3)
 
 
 def probe_windows(rng, clock, mean_length, count=4):
@@ -108,8 +108,8 @@ def run_parity(scale, seed):
                 mean_length=scale["ingest_mean_length"],
                 open_fraction=scale["ingest_open_fraction"],
             )
-            if backend == "temporal-ritree":
-                store = TemporalRITree(Database(wal=True), now=0)
+            if backend == "ritree":
+                store = RITree(Database(wal=True))
                 checkpoint_batches = scale["ingest_checkpoint"]
             else:
                 store = create_store("hint", now=0)
@@ -170,7 +170,7 @@ def run_trace(scale, seed):
     empty one."""
     legs = (
         (RITree(Database(wal=True)), seed + 31, 0.0),
-        (TemporalRITree(Database(wal=True), now=0), seed + 37,
+        (RITree(Database(wal=True)), seed + 37,
          scale["ingest_open_fraction"]),
     )
     row = {
@@ -217,9 +217,9 @@ def run_trace(scale, seed):
 
 def run_crash(scale, seed):
     """Gate 3: crash at every write point of a streaming ingest run, one
-    sweep per :data:`CRASH_LEGS` entry."""
-    legs = [crash_leg(scale, seed, store_cls, open_fraction)
-            for store_cls, open_fraction in CRASH_LEGS]
+    sweep per :data:`CRASH_OPEN_FRACTIONS` entry."""
+    legs = [crash_leg(scale, seed, open_fraction)
+            for open_fraction in CRASH_OPEN_FRACTIONS]
     return {
         "gate": "crash",
         "crash_points": sum(leg["crash_points"] for leg in legs),
@@ -230,8 +230,8 @@ def run_crash(scale, seed):
     }
 
 
-def crash_leg(scale, seed, store_cls, open_fraction):
-    """One crash sweep: ``store_cls`` fed through a ``StreamIngestor``."""
+def crash_leg(scale, seed, open_fraction):
+    """One crash sweep: an RI-tree fed through a ``StreamIngestor``."""
     workload = StreamWorkload(
         seed=seed + 43,
         batches=scale["ingest_crash_batches"],
@@ -243,7 +243,7 @@ def crash_leg(scale, seed, store_cls, open_fraction):
     )
 
     def steps(db):
-        tree = store_cls(db)
+        tree = RITree(db)
         ingestor = StreamIngestor(
             tree,
             flush_records=scale["ingest_crash_flush"],
@@ -262,9 +262,8 @@ def crash_leg(scale, seed, store_cls, open_fraction):
         workload.mean_length,
         count=6,
     )
-    sweep = crash_sweep(steps, store_cls, queries)
+    sweep = crash_sweep(steps, RITree, queries)
     return {
-        "store": store_cls.__name__,
         "open_fraction": open_fraction,
         "crash_points": sweep["crash_points"],
         "recovered_clean": sweep["recovered_clean"],

@@ -2,16 +2,18 @@
 
 Models an employee-assignment table: each row is valid over a time
 interval.  Open assignments end at *now* (they grow with the clock);
-planned indefinite contracts end at *infinity*.  The RI-tree answers
-timeslice and period queries without ever reorganising the index as the
-clock advances -- the point of the reserved fork nodes.
+planned indefinite contracts end at *infinity*.  The one disk RI-tree
+(``RITree``, the ``ritree`` backend) keeps all three kinds of row in one
+relation and answers timeslice and period queries without ever
+reorganising the index as the clock advances -- the point of the
+reserved fork nodes.
 
 Also demonstrates the fine-grained Allen relations of Section 4.5.
 
 Run:  python examples/temporal_validtime.py
 """
 
-from repro.core import UPPER_INF, UPPER_NOW, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, RITree
 
 ASSIGNMENTS = {
     1: "Ada    - compiler team (2010-2015)",
@@ -25,7 +27,7 @@ ASSIGNMENTS = {
 
 def main() -> None:
     clock = 2018
-    table = TemporalRITree(now=clock)
+    table = RITree(now=clock)
 
     # One insert for every row: the sentinel upper UPPER_INF stores
     # [start, infinity), UPPER_NOW stores [start, now].

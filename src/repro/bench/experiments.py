@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from ..core.backbone import FixedHeightBackbone, VirtualBackbone
 from ..core.ritree import RITree
-from ..core.temporal import UPPER_INF, TemporalRITree
+from ..core.temporal import UPPER_INF
 from ..engine.database import Database
 from ..methods.ist import ISTree
 from ..methods.tindex import TileIndex, tune_fixed_level
@@ -949,11 +949,12 @@ def ablation_temporal(
         f"({n} finite + {n // 10} infinite)",
         paper_reference="Section 4.6",
         columns=[
-            "strategy", "height", "avg transient entries", "physical I/O", "time [ms]"
+            "strategy", "height", "avg transient entries", "physical I/O",
+            "time [ms]", "avg results",
         ],
     )
     # Strategy 1: Section 4.6's reserved fork node.
-    reserved = TemporalRITree(paper_database())
+    reserved = RITree(paper_database())
     reserved.bulk_load(workload.records)
     for k, lower in enumerate(infinite_lowers):
         reserved.insert(lower, UPPER_INF, n + k)
@@ -981,6 +982,7 @@ def ablation_temporal(
                 "avg transient entries": round(entries, 1),
                 "physical I/O": round(batch.physical_io_per_query, 1),
                 "time [ms]": round(batch.response_time_per_query * 1000, 2),
+                "avg results": round(batch.results_per_query, 1),
             }
         )
     result.note(

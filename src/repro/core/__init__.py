@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :class:`~repro.core.ritree.RITree` -- the access method (Sections 3-4);
-* :class:`~repro.core.temporal.TemporalRITree` -- ``now``/``infinity``
-  support (Section 4.6);
+* :class:`~repro.core.ritree.RITree` -- the access method (Sections 3-4),
+  with ``now``/``infinity`` rows at reserved fork nodes (Section 4.6,
+  :mod:`~repro.core.temporal`);
 * :mod:`~repro.core.predicates` -- ``intersects``/``stab`` and Allen's 13
   relations (Section 4.5) as first-class objects plus parameterized query
   families (``range_duration``), compiled per backend through
@@ -74,7 +74,6 @@ from .temporal import (
     FORK_NOW,
     UPPER_INF,
     UPPER_NOW,
-    TemporalRITree,
 )
 from .transient import QueryNodes, collect_query_nodes
 
@@ -121,7 +120,6 @@ __all__ = [
     "create_store",
     "derive_cuts",
     "register_backend",
-    "TemporalRITree",
     "UPPER_INF",
     "UPPER_NOW",
     "VirtualBackbone",

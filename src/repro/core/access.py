@@ -70,14 +70,14 @@ class IntervalStore(ABC):
 
         The sentinel uppers :data:`~repro.core.temporal.UPPER_INF` and
         :data:`~repro.core.temporal.UPPER_NOW` are reserved for temporal
-        rows: a backend with temporal support (one with an ``advance_to``
-        clock) stores ``[lower, oo)`` / ``[lower, now]`` for them, after
+        rows: every registered backend has an ``advance_to`` clock and
+        stores ``[lower, oo)`` / ``[lower, now]`` for them, after
         :func:`~repro.core.temporal.sentinel_node` has refused a
         non-integer lower bound, one at or above the sentinels, or a
-        now-relative row starting after the clock.  Stores without
-        temporal rows have no special case -- the sentinels are merely
-        huge uppers, which the plain RI-tree's backbone rejects as out of
-        domain.
+        now-relative row starting after the clock.  An access method
+        without a clock (the competitors of :mod:`repro.methods`) has no
+        special case -- the sentinels are merely huge uppers, which it
+        rejects as out of domain.
         """
 
     @abstractmethod

@@ -849,12 +849,11 @@ class _EngineTreeStatistics:
         and the HINT and router statistics; infinite rows keep the
         sentinel.
         """
-        now = getattr(self.tree, "_now", None)
+        now = self.tree.now
         lower_entries = list(
             self.tree.table.index("lowerIndex").tree.scan_all())
         lower_of = {entry[-1]: entry[1] for entry in lower_entries}
-        uppers = [(now if now is not None and entry[1] == UPPER_NOW
-                   else entry[1], entry[-1])
+        uppers = [(now if entry[1] == UPPER_NOW else entry[1], entry[-1])
                   for entry in self.tree.table.index("upperIndex")
                   .tree.scan_all()]
         return BoundSummary(

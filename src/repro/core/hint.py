@@ -34,7 +34,7 @@ protocol -- updates, the intersection family, predicate ``query`` via
 the PR-5 inverse-candidate-range convention, ``join_pairs`` /
 ``join_count``, temporal sentinel handling (``[s, oo)`` and ``[s, now]``
 rows live in dedicated side lists, mirroring the reserved fork nodes of
-:class:`~repro.core.temporal.TemporalRITree`), and a structured
+:class:`~repro.core.ritree.RITree`), and a structured
 ``verify()``.  It plans over the cost model's records provider:
 :class:`HintCostModel` prices joins with a zero-physical-read term so
 :class:`~repro.core.join.AutoJoin` can plan memory-vs-disk, not just
@@ -217,7 +217,7 @@ class HintStore(IntervalStore):
         self._fin_lo: Optional[int] = None
         self._fin_hi: Optional[int] = None
         # Global bound envelope for predicate candidate extents.  Like
-        # TemporalRITree, sentinel rows note (lower, lower): the extent
+        # the disk RITree, sentinel rows note (lower, lower): the extent
         # ceiling only needs to reach every stored *lower* bound.
         self._min_lower: Optional[int] = None
         self._max_upper: Optional[int] = None
@@ -227,8 +227,6 @@ class HintStore(IntervalStore):
         self._inf_ids: list[int] = []
         self._now_lowers: list[int] = []
         self._now_ids: list[int] = []
-        # Virtual backbone fed to the planner's transient-entry sampler.
-        self._backbone = VirtualBackbone()
         # Bumped by every mutator; keys the cached cost model.
         self._mutations = 0
         self._cost_model: Optional[HintCostModel] = None
@@ -347,7 +345,6 @@ class HintStore(IntervalStore):
             self._fin_lo = lower
         if self._fin_hi is None or upper > self._fin_hi:
             self._fin_hi = upper
-        self._backbone.register(lower, upper)
 
     def append_batch(self, records, closes=()) -> None:
         """Streaming append: raw bucket appends, one resort per bucket.
@@ -407,7 +404,6 @@ class HintStore(IntervalStore):
                 self._fin_lo = lower
             if self._fin_hi is None or upper > self._fin_hi:
                 self._fin_hi = upper
-            self._backbone.register(lower, upper)
         for bucket in dirty.values():
             bucket.resort()
         self._close_or_undo(closes, records)
@@ -978,14 +974,16 @@ class HintCostModel(RITreeCostModel):
     O(levels)-per-probe shape.  With physical reads tied at zero,
     :class:`JoinEstimate`'s choice falls through to the Python-frame
     comparison: exactly the memory-vs-disk planning axis ``AutoJoin``
-    needs.
+    needs.  The statistics carry an empty virtual backbone: the
+    transient-entry terms it would feed price only the logical reads
+    and frames this model replaces.
     """
 
     def __init__(self, store: HintStore,
                  buckets: int = DEFAULT_BUCKETS) -> None:
         self.store = store
         statistics = RecordStatistics(
-            store.stored_records, store._backbone,
+            store.stored_records, VirtualBackbone(),
             lambda count: replace(
                 memory_resident_geometry(count, store.partition_count),
                 memory_resident=True))

@@ -364,7 +364,7 @@ class IndexNestedLoopJoin(JoinStrategy):
     """Index-nested-loop join probing an access method over the inner side.
 
     Either wraps a pre-built method (``method=``, e.g. an existing
-    :class:`~repro.core.temporal.TemporalRITree` serving queries) whose
+    :class:`~repro.core.ritree.RITree` serving queries) whose
     stored intervals then *are* the inner relation, or builds one per
     evaluation with ``factory`` (default: an RI-tree on a fresh
     paper-geometry engine).  Probing goes through

@@ -23,9 +23,12 @@ predicate or query family of Section 4.5 (:mod:`repro.core.predicates`)
 that pins no bound, scans the Figure 10 plan of its candidate range; a
 relation that pins one bound scans that bound's index exactly along
 the backbone path toward it (O(h) exact scans).  Fetched records are
-refined with the predicate's formula.  A subclass adds reserved fork
-nodes to every plan through :meth:`RITree._reserved_nodes` (Section
-4.6's ``now`` and ``infinity``, :mod:`repro.core.temporal`).
+refined with the predicate's formula.
+
+Section 4.6's infinite and now-relative intervals live in the same
+relation, at the two reserved fork nodes of :mod:`repro.core.temporal`:
+:meth:`RITree._reserved_nodes` adds them to every plan while such rows
+exist, so no query statement changes.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ from .access import AccessMethod, IntervalRecord
 from .backbone import MAX_ABS_BOUND, VirtualBackbone
 from .interval import validate_interval
 from .predicates import compile_query, resolve_join_predicate
+from .temporal import (
+    FORK_INF,
+    FORK_NOW,
+    UPPER_INF,
+    UPPER_NOW,
+    check_closures,
+    sentinel_node,
+)
 from .transient import QueryNodes, collect_query_nodes
 from .verify import VerificationReport, verify_engine_tree
 
@@ -68,6 +79,12 @@ class RITree(AccessMethod):
     Section 6 experiments rest on -- is exactly that of the paper's
     range-scan-per-node plan of Figure 10.
 
+    Finite, infinite and now-relative intervals share one write path
+    (Section 4.6): :meth:`insert`, :meth:`delete` and
+    :meth:`append_batch` take the sentinel uppers :data:`UPPER_INF` and
+    :data:`UPPER_NOW` directly and store such a row at its reserved fork
+    node.
+
     Parameters
     ----------
     db:
@@ -75,16 +92,28 @@ class RITree(AccessMethod):
         (2 KB blocks, 200-block cache -- the paper's setup) when omitted.
     name:
         Relation name, so several trees can share one database.
+    backbone:
+        The virtual backbone to register on; a fresh one when omitted.
+    now:
+        Initial clock value.  The clock only moves forward
+        (:meth:`advance_to`), matching transaction/valid-time semantics.
 
     Example
     -------
-    >>> tree = RITree()
+    >>> tree = RITree(now=100)
     >>> tree.insert(3, 9, interval_id=1)
     >>> tree.insert(5, 15, interval_id=2)
     >>> sorted(tree.intersection(8, 12))
     [1, 2]
     >>> tree.intersection_count(8, 12)
     2
+    >>> tree.insert(50, UPPER_NOW, interval_id=3)  # [50, now]
+    >>> tree.insert(80, UPPER_INF, interval_id=4)  # [80, oo)
+    >>> sorted(tree.intersection(90, 95))
+    [3, 4]
+    >>> tree.advance_to(200)
+    >>> sorted(tree.intersection(150, 160))
+    [3, 4]
     """
 
     method_name = "RI-tree"
@@ -94,6 +123,7 @@ class RITree(AccessMethod):
         db: Optional[Database] = None,
         name: str = "Intervals",
         backbone: Optional[VirtualBackbone] = None,
+        now: int = 0,
     ) -> None:
         super().__init__(db)
         self.backbone = backbone if backbone is not None else VirtualBackbone()
@@ -107,6 +137,7 @@ class RITree(AccessMethod):
             self.table.create_index("lowerIndex", ["node", "lower", "id"])
             self.table.create_index("upperIndex", ["node", "upper", "id"])
         self._bind_runtime_state()
+        self._now = now
 
     def _bind_runtime_state(self) -> None:
         """Volatile (non-schema) state shared by ``__init__`` and attach."""
@@ -118,6 +149,10 @@ class RITree(AccessMethod):
         # used by the before/after candidate ranges.
         self._min_lower: Optional[int] = None
         self._max_upper: Optional[int] = None
+        # The Section 4.6 clock and the rows at its reserved fork nodes.
+        self._now = 0
+        self._infinite_count = 0
+        self._now_count = 0
         # Lazily built optimizer statistics (see cost_model()).
         self._cost_model = None
 
@@ -159,6 +194,9 @@ class RITree(AccessMethod):
         self.backbone.minstep = meta.get("minstep")
         self._min_lower = meta.get("min_lower")
         self._max_upper = meta.get("max_upper")
+        self._now = meta.get("now", 0)
+        self._infinite_count = meta.get("infinite_count", 0)
+        self._now_count = meta.get("now_count", 0)
 
     def _durable_meta(self) -> dict:
         """The store state a WAL ``meta`` record must carry to reattach."""
@@ -170,51 +208,119 @@ class RITree(AccessMethod):
             "minstep": self.backbone.minstep,
             "min_lower": self._min_lower,
             "max_upper": self._max_upper,
+            "now": self._now,
+            "infinite_count": self._infinite_count,
+            "now_count": self._now_count,
         }
 
     def _log_meta(self) -> None:
         self.db.log_meta(self.name, self._durable_meta())
 
     # ------------------------------------------------------------------
-    # updates (Section 3.3 / Figure 6)
+    # the clock (Section 4.6)
     # ------------------------------------------------------------------
+    @property
+    def now(self) -> int:
+        """Current clock value used for now-relative semantics."""
+        return self._now
+
+    def advance_to(self, now: int) -> None:
+        """Move the clock forward; time never runs backwards.
+
+        The tick mutates no relation, but it *is* durable state: the
+        effective upper bound of every now-relative interval depends on
+        it, so the new clock is logged as a store-metadata record.
+        """
+        if now < self._now:
+            raise ValueError(f"clock moves forward only: {now} < now={self._now}")
+        with self.db.atomic():
+            self._now = now
+            self._log_meta()
+
+    # ------------------------------------------------------------------
+    # updates (Section 3.3 / Figure 6): finite and sentinel rows share
+    # one write path
+    # ------------------------------------------------------------------
+    def _row(self, lower: int, upper: int, interval_id: int) -> tuple:
+        """The heap row of one record, validated before any change.
+
+        A sentinel upper selects its reserved fork node; every other
+        record registers on the backbone as in Figure 6.  The fork node
+        is computed arithmetically (no I/O).
+        """
+        node = sentinel_node(lower, upper, self._now)
+        if node is None:
+            node = self.backbone.register(lower, upper)
+        elif self.backbone.offset is None:
+            # Sentinel rows bypass Figure 6's registration, but queries
+            # still need the offset fixed; anchor it like a first insert.
+            self.backbone.offset = lower
+        return (node, lower, upper, interval_id)
+
+    def _note_row(self, node: int, lower: int, upper: int) -> None:
+        """Account one stored row: reserved-row counts and the envelope.
+
+        A sentinel row notes ``(lower, lower)`` for a now-relative row
+        and the :data:`UPPER_INF` sentinel for an infinite one; the
+        candidate extent clamps the latter (:meth:`_candidate_extent`).
+        """
+        if node == FORK_INF:
+            self._infinite_count += 1
+        elif node == FORK_NOW:
+            self._now_count += 1
+            upper = lower
+        self._note_bounds(lower, upper)
+
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
         """Insert ``[lower, upper]`` with ``interval_id`` (O(log_b n) I/Os).
 
-        The fork node is computed arithmetically (no I/O); the relational
-        insert maintains both composite indexes.
+        The sentinel uppers :data:`UPPER_INF` / :data:`UPPER_NOW` store
+        ``[lower, oo)`` / ``[lower, now]`` at their reserved fork nodes;
+        the position of a now-relative row never needs maintenance as
+        the clock ticks.  The relational insert maintains both composite
+        indexes.
         """
-        node = self.backbone.register(lower, upper)
+        row = self._row(lower, upper, interval_id)
         with self.db.atomic():
-            self.table.insert((node, lower, upper, interval_id))
-            self._note_bounds(lower, upper)
+            self.table.insert(row)
+            self._note_row(*row[:3])
             self._log_meta()
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
-        """Delete the exact record ``(lower, upper, interval_id)``.
+        """Delete one copy of the exact record ``(lower, upper, interval_id)``.
 
         The fork node is recomputed -- it is a structural property of the
-        interval, stable under the monotonic root expansion -- and the row
-        is located by an exact scan of the lowerIndex.
+        interval, stable under the monotonic root expansion, or the
+        reserved node of a sentinel upper -- and the row is located by
+        an exact scan of the lowerIndex.
         """
-        validate_interval(lower, upper)
-        if self.backbone.is_empty:
-            raise KeyError((lower, upper, interval_id))
-        node = self.backbone.fork_node(lower, upper)
+        node = reserved = sentinel_node(lower, upper, self._now)
+        if node is None:
+            validate_interval(lower, upper)
+            if self.backbone.is_empty:
+                raise KeyError((lower, upper, interval_id))
+            node = self.backbone.fork_node(lower, upper)
         key = (node, lower, interval_id)
         for entry in self.table.index_scan("lowerIndex", key, key):
             rowid = entry[3]
             # The lowerIndex key omits the upper bound; confirm it on the
             # base row so deleting (l, u, id) cannot remove (l, u', id).
-            if self.table.fetch(rowid)[2] == upper:
+            # Every row at a reserved node stores its one sentinel upper.
+            if reserved or self.table.fetch(rowid)[2] == upper:
                 with self.db.atomic():
                     self.table.delete(rowid)
+                    if node == FORK_INF:
+                        self._infinite_count -= 1
+                    elif node == FORK_NOW:
+                        self._now_count -= 1
                     self._log_meta()
                 return
         raise KeyError((lower, upper, interval_id))
 
     def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
-        """Bottom-up load: register all fork nodes, then build the indexes."""
+        """Bottom-up load of finite records: register all fork nodes,
+        then build the indexes.  Sentinel rows go through
+        :meth:`append_batch`."""
         rows = []
         for lower, upper, interval_id in intervals:
             node = self.backbone.register(lower, upper)
@@ -225,33 +331,76 @@ class RITree(AccessMethod):
             self._log_meta()
 
     def append_batch(self, records, closes=()) -> None:
-        """Streaming append: one group commit, one meta record per batch.
+        """Append ``records`` and apply ``closes`` set at a time: one
+        ``db.atomic()`` group commit with one ``insert`` record, at most
+        one ``delete`` record and one ``meta`` record.
 
-        The write-optimised ingest path.  Fork nodes are registered up
-        front -- under the increasing-ending-time regime each arrival
-        lands on the backbone's rightmost descent, and a failed
-        registration leaves table and WAL untouched (root growth and
-        minstep refinement are conservative) -- then every row rides in
-        a single ``db.atomic()`` batch closed by *one* ``_log_meta()``:
-        one WAL force and one ``meta`` record per batch instead of one
-        ``meta`` record per inserted row.  The rows are one
-        :meth:`~repro.engine.table.Table.insert_many` statement: one
-        ``insert`` record, one heap pass and one sorted leaf merge per
-        index.  The plain tree has no clock, so a non-empty ``closes``
-        raises :class:`NotImplementedError` before anything changes.
+        The write-optimised ingest path.  Rows are built as in
+        :meth:`insert` up front -- under the increasing-ending-time
+        regime each arrival lands on the backbone's rightmost descent,
+        and a failed registration leaves table and WAL untouched (root
+        growth and minstep refinement are conservative) -- and sentinel
+        uppers land on their reserved fork nodes.  Every closure is
+        checked (:func:`~repro.core.temporal.check_closures`) and its
+        open row found before anything changes: a row the batch itself
+        opens is closed in place (it is never written open); any other
+        is found by one range scan of the ``FORK_NOW`` slice of the
+        lowerIndex, and a missing one raises :class:`KeyError`.  Then
+        one atomic batch deletes the open rows
+        (:meth:`~repro.engine.table.Table.delete_many`), inserts the
+        appended and the closed rows (one
+        :meth:`~repro.engine.table.Table.insert_many`: one heap pass and
+        one sorted leaf merge per index) and logs one ``meta`` record: a
+        crash in between cannot lose a record.
         """
-        self._check_closes(closes)
-        rows = []
-        for lower, upper, interval_id in records:
-            node = self.backbone.register(lower, upper)
-            rows.append((node, lower, upper, interval_id))
+        row = self._row
+        rows = [row(lower, upper, interval_id)
+                for lower, upper, interval_id in records]
+        uppers = {(lower, interval_id): upper for lower, interval_id, upper
+                  in check_closures(closes, self._now)}
+        rowids: list[int] = []
+        if uppers:
+            for position, (node, lower, _upper, interval_id) in enumerate(rows):
+                if node == FORK_NOW and (lower, interval_id) in uppers:
+                    rows[position] = row(
+                        lower, uppers.pop((lower, interval_id)), interval_id)
+        if uppers:
+            found = self._open_rowids(uppers)
+            rowids = list(found.values())
+            rows += [row(lower, uppers[lower, interval_id], interval_id)
+                     for lower, interval_id in found]
         if not rows:
             return
         with self.db.atomic():
+            if rowids:
+                self.table.delete_many(rowids)
+                self._now_count -= len(rowids)
             self.table.insert_many(rows)
-            for _node, lower, upper, _interval_id in rows:
-                self._note_bounds(lower, upper)
+            note = self._note_row
+            for node, lower, upper, _interval_id in rows:
+                note(node, lower, upper)
             self._log_meta()
+
+    def _open_rowids(self, keys) -> dict[tuple[int, int], int]:
+        """Row id of one open row per ``(lower, interval_id)`` key.
+
+        One sorted pass over the ``FORK_NOW`` slice of the lowerIndex
+        between the smallest and the largest lower bound; the keys come
+        back in index order.  Raises :class:`KeyError` for the first
+        key with no open row.
+        """
+        lowers = [lower for lower, _interval_id in keys]
+        found: dict[tuple[int, int], int] = {}
+        for batch in self.table.index_scan_batches(
+                "lowerIndex", (FORK_NOW, min(lowers)), (FORK_NOW, max(lowers))):
+            for _node, lower, interval_id, rowid in batch:
+                key = (lower, interval_id)
+                if key in keys and key not in found:
+                    found[key] = rowid
+        if len(found) < len(keys):
+            lower, interval_id = min(set(keys) - set(found))
+            raise KeyError((lower, UPPER_NOW, interval_id))
+        return found
 
     # ------------------------------------------------------------------
     # queries (Section 4 / Figures 9 and 10)
@@ -370,10 +519,13 @@ class RITree(AccessMethod):
 
     def _reserved_nodes(self, lower: int, upper: int) -> tuple[int, ...]:
         """Fork nodes outside the backbone a query over ``[lower, upper]``
-        scans as ``rightNodes`` entries: none here; Section 4.6's
-        ``infinity`` and ``now`` nodes on
-        :class:`~repro.core.temporal.TemporalRITree`."""
-        return ()
+        scans as ``rightNodes`` entries (Section 4.6): ``FORK_INF`` while
+        infinite rows exist, and ``FORK_NOW`` while now-relative rows
+        exist and the query begins no later than the clock."""
+        nodes = (FORK_INF,) if self._infinite_count else ()
+        if self._now_count and lower <= self._now:
+            nodes += (FORK_NOW,)
+        return nodes
 
     def _scan(
         self, plan: Optional[ScanPlan], column: Optional[int] = None
@@ -523,12 +675,24 @@ class RITree(AccessMethod):
         within one slice are page-clustered, so same-page runs share one
         page request).  The heap unpacks each record's three columns
         straight from its slot (:data:`RECORD_LAYOUT`), one tuple per
-        record.  :class:`~repro.core.temporal.TemporalRITree` overrides
-        this to materialise effective now-relative bounds.
+        record.
+
+        Now-relative records report their *effective* upper bound (the
+        current clock); infinite records keep the ``UPPER_INF`` sentinel,
+        which behaves as +infinity under every interval predicate.  This
+        covers every record-batch consumer at once: predicate and family
+        queries and the leaf-slice refinement of predicate joins.  While
+        no now-relative row is stored, batches pass through unchanged.
         """
         fetch_many = self.table.fetch_many
+        if not self._now_count:
+            for rowids in self._scan(plan, ROWID_COLUMN):
+                yield fetch_many(rowids, RECORD_LAYOUT)
+            return
+        now = self._now
         for rowids in self._scan(plan, ROWID_COLUMN):
-            yield fetch_many(rowids, RECORD_LAYOUT)
+            yield [(s, now if e == UPPER_NOW else e, interval_id)
+                   for s, e, interval_id in fetch_many(rowids, RECORD_LAYOUT)]
 
     # ------------------------------------------------------------------
     # planning (Section 5)
@@ -556,9 +720,16 @@ class RITree(AccessMethod):
         (:meth:`~repro.engine.table.Table.scan_batches`); lets a planner
         hand the inner relation to an index-free strategy (the sweep)
         after pricing this index out without paying a per-row generator
-        hop for the handoff.
+        hop for the handoff.  Upper bounds are materialised as in
+        :meth:`_record_batches`, so index-free consumers see the
+        effective bounds the reserved-node scans enforce.
         """
-        return [(row[1], row[2], row[3])
+        if not self._now_count:
+            return [(row[1], row[2], row[3])
+                    for batch in self.table.scan_batches()
+                    for _rowid, row in batch]
+        now = self._now
+        return [(row[1], now if row[2] == UPPER_NOW else row[2], row[3])
                 for batch in self.table.scan_batches()
                 for _rowid, row in batch]
 
@@ -567,9 +738,9 @@ class RITree(AccessMethod):
         compiles for them.
 
         The plan runs through the batched executor
-        (:meth:`_record_batches`, which on the temporal subclass
-        materialises effective bounds first), and each fetched leaf
-        slice is refined with the predicate's ``holds`` formula.
+        (:meth:`_record_batches`, which materialises effective bounds
+        first), and each fetched leaf slice is refined with the
+        predicate's ``holds`` formula.
         """
         holds = pred.holds
         return [interval_id
@@ -585,8 +756,10 @@ class RITree(AccessMethod):
 
         Checks, in order: both composite B+-trees' structural invariants
         (key order, fill factors, leaf chain), index/heap entry counts,
-        per-row index membership and Figure 6 fork-node consistency, and
-        the sanity of the Section 3.4 backbone parameters.
+        per-row index membership, Figure 6 fork-node consistency and the
+        Section 4.6 reserved rows (sentinel uppers, counts, no open row
+        after the clock), and the sanity of the Section 3.4 backbone
+        parameters.
         """
         super()._verify_into(report)
         verify_engine_tree(report, self._lower_tree, "lowerIndex")
@@ -606,6 +779,8 @@ class RITree(AccessMethod):
                 )
         report.add_check("index-heap-consistency")
         report.add_check("fork-node")
+        report.add_check("reserved-rows")
+        stored_inf = stored_now = 0
         for rowid, (node, lower, upper, interval_id) in rows:
             if not self._lower_tree.contains((node, lower, interval_id, rowid)):
                 report.add_issue(
@@ -619,7 +794,23 @@ class RITree(AccessMethod):
                     f"heap row {rowid} has no upperIndex entry",
                     {"index": "upperIndex", "rowid": rowid},
                 )
+            if node == FORK_INF:
+                stored_inf += 1
+            elif node == FORK_NOW:
+                stored_now += 1
             self._verify_row(report, rowid, node, lower, upper, interval_id)
+        if stored_inf != self._infinite_count:
+            report.add_issue(
+                "reserved-count-mismatch",
+                f"{stored_inf} rows at FORK_INF but infinite_count is "
+                f"{self._infinite_count}",
+            )
+        if stored_now != self._now_count:
+            report.add_issue(
+                "reserved-count-mismatch",
+                f"{stored_now} rows at FORK_NOW but now_relative_count is "
+                f"{self._now_count}",
+            )
         report.add_check("backbone-params")
         backbone = self.backbone
         if backbone.left_root > 0 or backbone.right_root < 0:
@@ -649,7 +840,36 @@ class RITree(AccessMethod):
         upper: int,
         interval_id: int,
     ) -> None:
-        """Per-row validator; the temporal subclass allows reserved rows."""
+        """Per-row validator: a reserved row stores its sentinel upper
+        (and a now-relative one starts no later than the clock); an
+        ordinary row stores no sentinel and sits at its Figure 6 fork
+        node."""
+        if node == FORK_INF or node == FORK_NOW:
+            kind, sentinel = (("INF", UPPER_INF) if node == FORK_INF
+                              else ("NOW", UPPER_NOW))
+            if upper != sentinel:
+                report.add_issue(
+                    "reserved-row-upper",
+                    f"row {rowid} at FORK_{kind} stores upper {upper}, "
+                    f"expected the UPPER_{kind} sentinel",
+                    {"rowid": rowid},
+                )
+            if node == FORK_NOW and lower > self._now:
+                report.add_issue(
+                    "now-row-after-clock",
+                    f"now-relative row {rowid} starts at {lower}, after "
+                    f"now={self._now}",
+                    {"rowid": rowid},
+                )
+            return
+        if upper in (UPPER_INF, UPPER_NOW):
+            report.add_issue(
+                "sentinel-on-regular-node",
+                f"row {rowid} at ordinary node {node} stores a reserved "
+                f"sentinel upper bound",
+                {"rowid": rowid},
+            )
+            return
         if self.backbone.is_empty:
             return  # missing-offset already reported
         try:
@@ -689,6 +909,16 @@ class RITree(AccessMethod):
             self._max_upper = upper
 
     @property
+    def infinite_count(self) -> int:
+        """Number of stored ``[s, oo)`` intervals."""
+        return self._infinite_count
+
+    @property
+    def now_relative_count(self) -> int:
+        """Number of stored ``[s, now]`` intervals."""
+        return self._now_count
+
+    @property
     def interval_count(self) -> int:
         """Number of stored intervals."""
         return self.table.row_count
@@ -702,13 +932,3 @@ class RITree(AccessMethod):
     def height(self) -> int:
         """Current virtual backbone height (Section 3.5)."""
         return self.backbone.height()
-
-    def _delete_at_node(
-        self, node: int, lower: int, interval_id: int
-    ) -> None:
-        """Delete a row stored at an explicit fork node."""
-        key = (node, lower, interval_id)
-        for entry in self.table.index_scan("lowerIndex", key, key):
-            self.table.delete(entry[3])
-            return
-        raise KeyError((node, lower, interval_id))

@@ -35,8 +35,8 @@ Temporal rows ride along: ``[l, oo)`` and ``[l, now]`` records replicate
 from their home shard to every shard to its right (the clock may pass
 any cut), every shard shares one router-advanced clock, and the
 sentinel uppers of :mod:`repro.core.temporal` travel through the
-shards' plain ``insert``/``delete``/``append_batch`` as on every
-temporal store.
+shards' plain ``insert``/``delete``/``append_batch``, as on every
+registered backend.
 
 Predicate queries evaluate on *full* record bounds (replicas are whole
 copies, never truncated), so every replica-holding shard reports the
@@ -265,21 +265,24 @@ class ShardedStore(IntervalStore):
             validate_interval(lower, upper)
             return (home, self._shard_of(upper), self._fin_book,
                     (lower, upper, interval_id))
-        self._require_temporal()
         book = self._inf_book if node == FORK_INF else self._now_book
         return home, len(self.shards) - 1, book, (lower, interval_id)
 
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
-        """Insert, replicating across every shard the record spans."""
+        """Insert, replicating across every shard the record spans.
+
+        A finite record registers on the statistics backbone, which
+        refuses one outside the data space, before any shard stores it.
+        """
         home, last, book, key = self._placement(lower, upper, interval_id)
+        if book is self._fin_book:
+            self._backbone.register(lower, upper)
         for t in range(home, last + 1):
             self.shards[t].insert(lower, upper, interval_id)
             self._stat_inserts[t] += 1
             if t > home:
                 self._note_replica(book, t, key)
         self._count += 1
-        if book is self._fin_book:
-            self._backbone.register(lower, upper)
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
         """Remove one copy of the exact record from every shard it spans."""
@@ -366,9 +369,7 @@ class ShardedStore(IntervalStore):
         point-insert path.  Closures take the base class's
         check-then-undo path.
         """
-        records, closes = list(records), list(closes)
-        if closes:
-            self._require_temporal()
+        records = list(records)
         closes = self._check_closes(closes)
         batches = self._route(records, self._stat_appends,
                               self._stat_append_replicas)
@@ -389,7 +390,6 @@ class ShardedStore(IntervalStore):
         if now < self._now:
             raise ValueError(
                 f"clock moves forward only: {now} < now={self._now}")
-        self._require_temporal()
         self._fan_out([(t, "advance_to", now)
                        for t in range(len(self.shards))])
         passed = self._now
@@ -397,13 +397,6 @@ class ShardedStore(IntervalStore):
         for t in range(1, len(self.shards)):
             if passed < self._slice_lo(t) <= now:
                 self._strips[t] = None
-
-    def _require_temporal(self) -> None:
-        shard = self.shards[0]
-        if not hasattr(shard, "advance_to"):
-            raise NotImplementedError(
-                f"backend {shard.method_name!r} has no temporal support; "
-                f"shard a temporal backend instead")
 
     # ------------------------------------------------------------------
     # queries

@@ -120,12 +120,6 @@ def _make_ritree(**opts) -> IntervalStore:
     return RITree(**opts)
 
 
-def _make_temporal_ritree(**opts) -> IntervalStore:
-    from .temporal import TemporalRITree
-
-    return TemporalRITree(**opts)
-
-
 def _make_sql_ritree(**opts) -> IntervalStore:
     import sqlite3
 
@@ -156,11 +150,8 @@ def _make_sharded(**opts) -> IntervalStore:
 
 register_backend(
     "ritree", _make_ritree,
-    description="RI-tree on the simulated disk engine (paper Sections 3-4)",
-)
-register_backend(
-    "temporal-ritree", _make_temporal_ritree,
-    description="RI-tree with now/infinity temporal rows (Section 4.6)",
+    description="RI-tree on the simulated disk engine, with now/infinity "
+                "rows (paper Sections 3-4 and 4.6)",
 )
 register_backend(
     "sql-ritree", _make_sql_ritree,

@@ -18,11 +18,9 @@ so the served store applies it whole or not at all; a batch too large
 for one frame is refused by :func:`~repro.service.protocol.encode_frame`
 before any byte is sent.  Temporal rows travel through the plain
 ``insert``, ``delete`` and ``ingest_batch`` frames with their sentinel
-uppers, a batch's closures in its ``ingest_batch`` frame; the clock op
-``advance_to`` appears *only when the remote backend has it* --
-``hasattr(remote, "advance_to")`` answers like the local store would,
-so :class:`~repro.core.router.ShardedStore` can front remote shards
-with unchanged temporal guards.
+uppers, a batch's closures in its ``ingest_batch`` frame, and the clock
+through ``advance_to``, which every registered backend serves (a served
+store without a clock answers it with :class:`NotImplementedError`).
 """
 
 from __future__ import annotations
@@ -119,7 +117,6 @@ class RemoteStore(IntervalStore):
         self._client = client
         info = client.call("info")
         self.method_name = f"remote({info['method_name']})"
-        self._temporal = bool(info["temporal"])
 
     @classmethod
     def connect(cls, host: str, port: int,
@@ -149,15 +146,8 @@ class RemoteStore(IntervalStore):
             return receive
         return lambda: op.decode(receive())
 
-    def __getattr__(self, name: str):
-        op = METHODS.get(name)
-        if op is not None and op.temporal and self.__dict__.get("_temporal"):
-            return lambda *args, **kwargs: self.submit(name, *args, **kwargs)()
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
     # ------------------------------------------------------------------
-    # updates
+    # updates and the clock
     # ------------------------------------------------------------------
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
         self.submit("insert", lower, upper, interval_id)()
@@ -179,6 +169,9 @@ class RemoteStore(IntervalStore):
         records, closes = list(records), list(closes)
         if records or closes:
             self.submit("append_batch", records, closes)()
+
+    def advance_to(self, now: int) -> None:
+        self.submit("advance_to", now)()
 
     # ------------------------------------------------------------------
     # queries

@@ -110,8 +110,6 @@ class WireOp:
     #: The store method, when it is not spelled like the op.
     method: str = ""
     predicate: Any = _NO_PREDICATE
-    #: Present only on backends with temporal rows.
-    temporal: bool = False
     #: Integers per result row when the result travels as an int64
     #: block (ids 1, join pairs 2, records 3); 0 keeps it JSON.
     width: int = 0
@@ -177,7 +175,7 @@ OPS: dict[str, WireOp] = {op.name: op for op in (
     WireOp("bulk_load", True, _RECORDS),
     WireOp("ingest_batch", True, _RECORDS + (("closes", optional_records),),
            method="append_batch"),
-    WireOp("advance_to", True, (("now", integer),), temporal=True),
+    WireOp("advance_to", True, (("now", integer),)),
     WireOp("stab", False, (("value", integer),), width=1),
     WireOp("intersection", False, _WINDOW, width=1),
     WireOp("intersection_count", False, _WINDOW),
@@ -201,7 +199,8 @@ def apply(store, message: dict):
 
     Raises :class:`ValueError` for an unknown op or a missing field,
     :class:`TypeError` for a non-integer bound, id or clock, and
-    :class:`NotImplementedError` for a temporal op on a plain backend.
+    :class:`NotImplementedError` for a method the served store lacks
+    (the clock, on a store without one).
     """
     op = OPS.get(message.get("op"))
     if op is None:

@@ -239,7 +239,6 @@ def _info(store: IntervalStore, message: dict) -> dict:
         "records": store.interval_count,
         "index_entries": store.index_entry_count,
         "now": getattr(store, "now", None),
-        "temporal": hasattr(store, "advance_to"),
     }
 
 
@@ -458,25 +457,20 @@ def _build_single(args, records: Sequence[tuple[int, int, int]],
     """One backend holding ``records``.
 
     Finite rows go through ``bulk_load`` and sentinel rows through
-    ``append_batch``, the temporal backends' batch path for them (as
-    :meth:`~repro.core.router.ShardedStore.bulk_load` keeps them out of
-    its shards' bulk loads), so a disk backend's bottom-up build never
-    sees a sentinel upper.  A backend without temporal rows refuses a
-    dataset that has them before loading anything.
+    ``append_batch`` (as :meth:`~repro.core.router.ShardedStore.bulk_load`
+    keeps them out of its shards' bulk loads), so a disk backend's
+    bottom-up build never sees a sentinel upper.
     """
     from ..core.stores import create_store
     from ..core.temporal import UPPER_INF, UPPER_NOW
 
     store = create_store(args.backend, **json.loads(args.backend_opts))
-    sentinels = [r for r in records if r[1] in (UPPER_INF, UPPER_NOW)]
-    if (sentinels or now) and not hasattr(store, "advance_to"):
-        raise NotImplementedError(
-            f"backend {store.method_name!r} has no temporal support")
     if now:
         store.advance_to(now)
     finite = [r for r in records if r[1] not in (UPPER_INF, UPPER_NOW)]
     if finite:
         store.bulk_load(finite)
+    sentinels = [r for r in records if r[1] in (UPPER_INF, UPPER_NOW)]
     if sentinels:
         store.append_batch(sentinels)
     return store, lambda: None

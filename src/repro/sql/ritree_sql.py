@@ -768,7 +768,7 @@ class SQLRITree(IntervalStore):
         """The stored relation as ``(lower, upper, id)`` records.
 
         Sentinel uppers are materialised as in
-        :meth:`repro.core.temporal.TemporalRITree.stored_records`:
+        :meth:`repro.core.ritree.RITree.stored_records`:
         now-relative rows report the *effective* upper bound (the current
         clock), so an index-free consumer (the planner's sweep dispatch)
         joins the same pair set as the reserved-node scans; infinite rows

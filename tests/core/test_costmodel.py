@@ -7,7 +7,6 @@ from repro.core import (
     UPPER_NOW,
     RITree,
     RITreeCostModel,
-    TemporalRITree,
 )
 from repro.core.costmodel import (
     BoundSummary,
@@ -100,7 +99,7 @@ def test_temporal_index_statistics_use_effective_bounds():
     """Now-relative rows enter both the upper and the duration histogram
     at the clock, as ``stored_records()`` reports them (and as the HINT
     and router statistics read them); infinite rows keep the sentinel."""
-    tree = TemporalRITree(now=1_000)
+    tree = RITree(now=1_000)
     tree.bulk_load([(i * 7, i * 7 + 40, i) for i in range(60)])
     tree.append_batch(
         [(i * 11, UPPER_NOW, 100 + i) for i in range(20)] + [(500, UPPER_INF, 200)]

@@ -111,6 +111,29 @@ def test_domain_refit_preserves_answers(rng):
             oracle.intersection(lower, upper))
 
 
+#: A finite record 2**49 away from the first one: HINT's domain refit
+#: covers it, though it lies outside any RI-tree backbone's data space.
+FAR = (2**49, 2**49 + 5, 2)
+
+
+def test_insert_far_from_the_stored_rows_is_stored_once():
+    store = HintStore()
+    store.insert(0, 10, 1)
+    store.insert(*FAR)
+    assert store.interval_count == 2
+    assert store.intersection(2**49, 2**49 + 1) == [2]
+    assert store.verify().ok
+
+
+def test_append_batch_far_from_the_stored_rows_is_stored_whole():
+    store = HintStore()
+    store.append_batch([(5, 7, 3), FAR, (1, 3, 4)])
+    assert sorted(store.stored_records()) == [(1, 3, 4), (5, 7, 3), FAR]
+    report = store.verify()
+    assert report.ok, [i.as_dict() for i in report.issues]
+    assert sorted(store.intersection(0, 2**50)) == [2, 3, 4]
+
+
 def test_levels_parameter_is_validated():
     with pytest.raises(ValueError):
         HintStore(levels=0)

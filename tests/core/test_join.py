@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import run_join_batch
-from repro.core import UPPER_INF, UPPER_NOW, RITree, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, RITree
 from repro.core.join import (
     JOIN_STRATEGIES,
     AutoJoin,
@@ -165,7 +165,7 @@ def test_ritree_join_io_matches_per_probe_queries(rng):
 
 
 def test_join_pairs_against_prebuilt_temporal_tree():
-    tree = TemporalRITree(now=100)
+    tree = RITree(now=100)
     tree.insert(10, 20, interval_id=1)
     tree.insert(50, UPPER_NOW, interval_id=2)  # effectively [50, 100]
     tree.insert(80, UPPER_INF, interval_id=3)   # [80, oo)

@@ -1,7 +1,7 @@
 """Property tests: every join strategy always matches the brute oracle.
 
 Random workloads include degenerate (point) intervals, empty sides, and
--- through :class:`~repro.core.temporal.TemporalRITree` -- the Section
+-- through :class:`~repro.core.ritree.RITree` -- the Section
 4.6 ``now``/``infinity`` intervals, joined via the index strategy against
 a :class:`~repro.methods.memory.BruteForceIntervals` oracle fed the same
 temporal rows.
@@ -10,7 +10,7 @@ temporal rows.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import UPPER_INF, UPPER_NOW, RITree, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, RITree
 from repro.core.costmodel import DEFAULT_BUCKETS, choose_join_strategy
 from repro.core.join import (
     AutoJoin,
@@ -47,9 +47,9 @@ def _with_ids(intervals, offset):
 
 
 def _temporal_pair(inner_raw, infinite_lowers, now_lowers, now):
-    """A TemporalRITree and the oracle, fed the same finite, ``[s, oo)``
+    """An RITree and the oracle, fed the same finite, ``[s, oo)``
     and ``[s, now]`` rows at clock ``now``."""
-    tree = TemporalRITree(now=now)
+    tree = RITree(now=now)
     oracle = BruteForceIntervals()
     oracle.advance_to(now)
     rows = list(inner_raw)
@@ -95,7 +95,7 @@ def test_temporal_join_matches_oracle_on_effective_bounds(
 ):
     """now/infinity intervals join correctly through the reserved nodes.
 
-    The inner side is a TemporalRITree holding finite, ``[s, oo)`` and
+    The inner side is an RITree holding finite, ``[s, oo)`` and
     ``[s, now]`` intervals; the oracle holds the same rows, and the
     nested loop and the sweep run on its effective-bound relation.  All
     must agree.
@@ -164,7 +164,7 @@ def test_predicate_joins_handle_temporal_sentinels(
 ):
     """now/infinity rows join correctly under every predicate.
 
-    The inner side is a TemporalRITree holding finite, ``[s, oo)`` and
+    The inner side is an RITree holding finite, ``[s, oo)`` and
     ``[s, now]`` intervals; the oracle holds the same rows (``now``
     materialised to the clock, infinity as the ``UPPER_INF`` sentinel in
     ``stored_records``).  The index path must agree through the

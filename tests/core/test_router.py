@@ -163,6 +163,18 @@ def test_stored_records_deduplicate_replicas(straddle):
     assert sharded.replica_count > 0
 
 
+def test_insert_refused_by_the_statistics_backbone_writes_no_shard():
+    """The router's planner backbone refuses a record outside its data
+    space before any shard stores it."""
+    store = create_store("sharded", backend="hint", cuts=[100])
+    store.insert(0, 10, 1)
+    with pytest.raises(ValueError):
+        store.insert(2**49, 2**49 + 5, 2)
+    assert store.interval_count == 1
+    assert [shard.interval_count for shard in store.shards] == [1, 0]
+    assert store.verify().ok
+
+
 def test_verify_flags_router_level_corruption(straddle):
     _, sharded, _ = straddle
     assert sharded.verify().ok

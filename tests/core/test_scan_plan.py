@@ -3,7 +3,7 @@
 For every predicate, and for a parameterized family, the ranges the
 compiler returns are exactly the ranges the executor hands to the
 B+-trees, and the query answers agree with the brute-force oracle: on
-empty trees, on a plain ``RITree`` and on a ``TemporalRITree`` holding
+empty trees, on a tree of finite rows and on one also holding
 now-relative and infinite rows.
 """
 
@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from repro.core import RITree, TemporalRITree
+from repro.core import RITree
 from repro.core.predicates import PREDICATES, range_duration
 from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.engine.bptree import BPlusTree
@@ -48,12 +48,12 @@ def _stores():
     special = [(rng.choice(finite)[0], UPPER_NOW, 1_000 + i) for i in range(20)]
     special += [(rng.choice(finite)[1], UPPER_INF, 2_000 + i) for i in range(20)]
     special += [(NOW, UPPER_NOW, 3_000), (NOW, UPPER_INF, 3_001)]
-    temporal = TemporalRITree(now=NOW)
+    temporal = RITree(now=NOW)
     temporal.bulk_load(finite)
     temporal.append_batch(special)
     return [
         ("empty", RITree(), _oracle([]), []),
-        ("empty-temporal", TemporalRITree(now=NOW), _oracle([]), []),
+        ("empty-temporal", RITree(now=NOW), _oracle([]), []),
         ("ritree", tree, _oracle(plain), plain),
         ("temporal", temporal, _oracle(finite + special), finite + special),
     ]
@@ -117,7 +117,7 @@ def test_plans_are_the_scans_and_answer_as_the_oracle(
 
 
 def test_reserved_nodes_follow_the_live_rows():
-    tree = TemporalRITree(now=50)
+    tree = RITree(now=50)
     assert tree._reserved_nodes(0, 10) == ()
     tree.insert(5, UPPER_INF, interval_id=1)
     tree.insert(8, UPPER_NOW, interval_id=2)

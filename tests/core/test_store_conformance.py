@@ -33,7 +33,6 @@ from repro.core import (
     IntervalStore,
     RITree,
     ShardedStore,
-    TemporalRITree,
     create_store,
 )
 from repro.core.costmodel import JoinEstimate
@@ -46,6 +45,7 @@ from repro.core.predicates import (
 from repro.core.stores import available_backends
 from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.engine import Database, FaultInjector, SimulatedCrash
+from repro.methods.ist import ISTree
 from repro.methods.memory import BruteForceIntervals
 from repro.workloads import join_workload
 from repro.workloads.genomic import chromosome_cuts, duration_band, genomic
@@ -63,7 +63,6 @@ def clocked_oracle():
 
 STORE_FACTORIES = {
     "ritree": partial(create_store, "ritree"),
-    "temporal-ritree": partial(create_store, "temporal-ritree"),
     "sql-ritree": partial(create_store, "sql-ritree"),
     "hint": partial(create_store, "hint"),
     "brute-force": clocked_oracle,
@@ -159,8 +158,6 @@ def test_append_batch_empty_is_noop(store):
 
 
 def test_append_batch_temporal_rows_and_closes(store):
-    if not hasattr(store, "advance_to"):
-        pytest.skip("backend has no temporal rows")
     store.advance_to(100)
     store.append_batch([(5, 50, 1), (10, UPPER_NOW, 2), (20, UPPER_INF, 3)])
     report = store.verify()
@@ -177,8 +174,6 @@ def test_append_batch_temporal_rows_and_closes(store):
 
 
 def test_append_batch_temporal_equals_explicit_inserts(store, store_factory):
-    if not hasattr(store, "advance_to"):
-        pytest.skip("backend has no temporal rows")
     explicit = store_factory()
     for target in (store, explicit):
         target.advance_to(200)
@@ -209,12 +204,12 @@ def test_append_batch_temporal_equals_explicit_inserts(store, store_factory):
 # ----------------------------------------------------------------------
 #: Served backends the sentinel-write checks also drive through a
 #: RemoteStore (``insert`` frames and ``ingest_batch`` for batches).
-REMOTE_BACKENDS = ["hint", "sql-ritree", "temporal-ritree"]
+REMOTE_BACKENDS = ["hint", "ritree", "sql-ritree"]
 
 
 @pytest.fixture(params=STORE_NAMES + [f"remote-{b}" for b in REMOTE_BACKENDS])
 def any_store(request):
-    """Every suite store, plus served temporal backends over the wire."""
+    """Every suite store, plus served backends over the wire."""
     name = request.param
     if not name.startswith("remote-"):
         yield STORE_FACTORIES[name]()
@@ -236,9 +231,8 @@ SEED_ROWS = [(5, 50, 1), (20, 90, 2)]
 def _seed(store, clock):
     """Finite rows, plus one row of each temporal kind at ``clock``."""
     store.bulk_load(SEED_ROWS)
-    if hasattr(store, "advance_to"):
-        store.advance_to(clock)
-        store.append_batch([(10, UPPER_NOW, 3), (30, UPPER_INF, 4)])
+    store.advance_to(clock)
+    store.append_batch([(10, UPPER_NOW, 3), (30, UPPER_INF, 4)])
 
 
 def _write(store, write, record):
@@ -279,8 +273,6 @@ def test_sentinel_upper_stores_one_row_on_every_temporal_store(any_store, write)
     """``insert(l, UPPER_INF, id)`` is the ``[l, oo)`` row wherever it
     is written, however far ``l`` lies from the finite rows, and
     ``delete`` with the same sentinel removes it."""
-    if not hasattr(any_store, "advance_to"):
-        pytest.skip("backend has no temporal rows")
     _seed(any_store, 100)
     row = (UPPER_INF - 3, UPPER_INF, 7)
     _write(any_store, write, row)
@@ -315,8 +307,6 @@ OPEN_ROWS = [(40, UPPER_NOW, 5), (60, UPPER_NOW, 6), (10, UPPER_NOW, 7)]
 
 
 def _seed_open(store):
-    if not hasattr(store, "advance_to"):
-        pytest.skip("backend has no temporal rows")
     _seed(store, 100)
     store.append_batch(OPEN_ROWS)
     store.advance_to(200)
@@ -385,13 +375,14 @@ def test_append_batch_with_a_rejected_closure_writes_nothing(
     assert (10, 120, 3) in any_store.stored_records()
 
 
-def test_closes_on_a_plain_store_are_not_implemented(any_store):
-    if hasattr(any_store, "advance_to"):
-        pytest.skip("backend has temporal rows")
-    any_store.append_batch([], closes=[])
+def test_closes_on_a_plain_store_are_not_implemented():
+    """An access method without a clock (outside the registry) refuses
+    closures before it writes the batch's records."""
+    store = ISTree()
+    store.append_batch([], closes=[])
     with pytest.raises(NotImplementedError):
-        any_store.append_batch([(1, 2, 3)], closes=[(10, 3, 120)])
-    assert any_store.stored_records() == []
+        store.append_batch([(1, 2, 3)], closes=[(10, 3, 120)])
+    assert store.interval_count == 0
 
 
 def test_delete_removes_and_raises(store):
@@ -526,7 +517,6 @@ class StoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.store = factory()
         self.oracle = clocked_oracle()
-        self.temporal = hasattr(self.store, "advance_to")
         self.finite, self.open, self.infinite = [], [], []
         self.steps = 0
 
@@ -561,37 +551,33 @@ class StoreMachine(RuleBasedStateMachine):
         batch = list(rows)
         self.finite.extend(rows)
         closes = []
-        if self.temporal:
-            now = self.oracle.now
-            opened = [(min(lower, now), i) for lower, i in open_rows]
-            batch += [(lower, UPPER_NOW, i) for lower, i in opened]
-            batch += [(lower, UPPER_INF, i) for lower, i in infinite_rows]
-            self.open.extend(opened)
-            self.infinite.extend(infinite_rows)
-            for k, length in picks:
-                if not self.open:
-                    break
-                lower, interval_id = self.open[k % len(self.open)]
-                if any(c[:2] == (lower, interval_id) for c in closes):
-                    continue  # one open row is closed at most once per batch
-                self.open.remove((lower, interval_id))
-                closes.append((lower, interval_id, lower + length))
-            self.finite.extend((lower, upper, i) for lower, i, upper in closes)
+        now = self.oracle.now
+        opened = [(min(lower, now), i) for lower, i in open_rows]
+        batch += [(lower, UPPER_NOW, i) for lower, i in opened]
+        batch += [(lower, UPPER_INF, i) for lower, i in infinite_rows]
+        self.open.extend(opened)
+        self.infinite.extend(infinite_rows)
+        for k, length in picks:
+            if not self.open:
+                break
+            lower, interval_id = self.open[k % len(self.open)]
+            if any(c[:2] == (lower, interval_id) for c in closes):
+                continue  # one open row is closed at most once per batch
+            self.open.remove((lower, interval_id))
+            closes.append((lower, interval_id, lower + length))
+        self.finite.extend((lower, upper, i) for lower, i, upper in closes)
         self._both("append_batch", batch, closes)
 
-    @precondition(lambda self: self.temporal)
     @rule(delta=st.integers(0, 3_000))
     def advance_to(self, delta):
         self._both("advance_to", self.oracle.now + delta)
 
-    @precondition(lambda self: self.temporal)
     @rule(row=sentinel_row)
     def insert_open_row(self, row):
         lower, interval_id = min(row[0], self.oracle.now), row[1]
         self._both("insert", lower, UPPER_NOW, interval_id)
         self.open.append((lower, interval_id))
 
-    @precondition(lambda self: self.temporal)
     @rule(row=sentinel_row)
     def insert_infinite_row(self, row):
         lower, interval_id = row
@@ -739,7 +725,7 @@ def test_verify_after_every_mutation(store, rng):
 
 
 def test_verify_after_every_temporal_mutation():
-    tree = TemporalRITree(now=100)
+    tree = RITree(now=100)
     tree.bulk_load([(1, 5, 1), (3, 9, 2)])
     assert tree.verify().ok
     tree.insert(40, UPPER_INF, 3)
@@ -785,12 +771,8 @@ def _temporal_steps(tree):
 
 
 CRASH_CASES = {
-    "ritree": (lambda db: RITree(db), RITree, _ritree_steps),
-    "temporal": (
-        lambda db: TemporalRITree(db, now=100),
-        TemporalRITree,
-        _temporal_steps,
-    ),
+    "ritree": (lambda db: RITree(db), _ritree_steps),
+    "temporal": (lambda db: RITree(db, now=100), _temporal_steps),
 }
 
 
@@ -806,7 +788,7 @@ def _oracle_parity(recovered, oracle):
 
 @pytest.mark.parametrize("kind", sorted(CRASH_CASES))
 def test_crash_at_every_write_point_recovers_consistent(kind):
-    factory, store_cls, steps_for = CRASH_CASES[kind]
+    factory, steps_for = CRASH_CASES[kind]
 
     # Passive run: count the crash points and snapshot the oracle after
     # every atomic step -- its states are the only ones recovery may
@@ -815,7 +797,7 @@ def test_crash_at_every_write_point_recovers_consistent(kind):
     db = Database(wal=True, injector=passive)
     tree = factory(db)
     oracle = BruteForceIntervals()
-    oracle.advance_to(getattr(tree, "now", 0))
+    oracle.advance_to(tree.now)
     oracles = [deepcopy(oracle)]
     for step, mirrored in zip(steps_for(tree), steps_for(oracle)):
         step()
@@ -843,7 +825,7 @@ def test_crash_at_every_write_point_recovers_consistent(kind):
             # The crash hit the DDL batch: nothing durable yet.
             assert crashed, f"point {n}: no table but no crash either"
             continue
-        recovered = store_cls.attach(recovered_db)
+        recovered = RITree.attach(recovered_db)
         report = recovered.verify()
         assert report.ok, (n, [i.as_dict() for i in report.issues])
         state = sorted(recovered.stored_records())
@@ -883,8 +865,6 @@ def test_range_duration_by_name_with_params(store, rng):
 
 
 def test_range_duration_temporal_sentinel_rows(store):
-    if not hasattr(store, "advance_to"):
-        pytest.skip("backend has no temporal rows")
     store.advance_to(1000)
     store.bulk_load([(10, 110, 1), (50, 900, 2)])
     store.insert(400, UPPER_NOW, 3)  # effective [400, 1000], duration 600

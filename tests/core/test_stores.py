@@ -7,7 +7,6 @@ from repro.core import (
     IntervalStore,
     RITree,
     ShardedStore,
-    TemporalRITree,
     available_backends,
     create_store,
 )
@@ -18,14 +17,13 @@ from repro.core.join import interval_join
 
 def test_registry_lists_every_builtin_backend():
     names = available_backends()
-    for expected in ("hint", "ritree", "sharded", "sql-ritree",
-                     "temporal-ritree"):
+    for expected in ("hint", "ritree", "sharded", "sql-ritree"):
         assert expected in names
+    assert "temporal-ritree" not in names
 
 
 @pytest.mark.parametrize("name, cls", [
     ("ritree", RITree),
-    ("temporal-ritree", TemporalRITree),
     ("hint", HintStore),
 ])
 def test_create_store_builds_the_registered_class(name, cls):
@@ -105,7 +103,7 @@ def test_run_join_batch_forwards_store_opts():
 # ----------------------------------------------------------------------
 # keyword-only predicates, positional-or-keyword clock
 # ----------------------------------------------------------------------
-BACKENDS = ("hint", "sharded", "sql-ritree", "temporal-ritree")
+BACKENDS = ("hint", "ritree", "sharded", "sql-ritree")
 PROBES = [(100, 200, 7)]
 
 

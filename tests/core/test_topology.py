@@ -1,15 +1,15 @@
 """Allen's 13 interval relations on the disk RI-tree (paper Section 4.5).
 
-Every relation runs through ``query(predicate=...)`` on ``RITree`` and
-``TemporalRITree`` and must agree with the oracle store; the relations
-that pin one bound keep their O(h) exact-scan plans.
+Every relation runs through ``query(predicate=...)`` on ``RITree``, with
+and without Section 4.6 rows, and must agree with the oracle store; the
+relations that pin one bound keep their O(h) exact-scan plans.
 """
 
 import random
 
 import pytest
 
-from repro.core import RITree, TemporalRITree
+from repro.core import RITree
 from repro.core.predicates import ALLEN_RELATIONS, PREDICATES
 from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.methods.memory import BruteForceIntervals
@@ -48,7 +48,7 @@ def temporal_tree():
         (rng.choice(records)[rng.randrange(2)], UPPER_INF, 2000 + i) for i in range(40)
     ]
     special += [(NOW, UPPER_NOW, 3000), (NOW, UPPER_INF, 3001)]
-    tree = TemporalRITree(now=NOW)
+    tree = RITree(now=NOW)
     tree.bulk_load(records)
     tree.append_batch(special)
     oracle = BruteForceIntervals()
@@ -146,6 +146,6 @@ def test_unknown_relation_rejected(loaded_tree):
 
 
 def test_relations_on_empty_tree():
-    for tree in (RITree(), TemporalRITree(now=7)):
+    for tree in (RITree(), RITree(now=7)):
         for relation in ALLEN_RELATIONS:
             assert tree.query(5, 10, predicate=relation) == []

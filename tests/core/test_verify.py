@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ritree import RITree
-from repro.core.temporal import UPPER_INF, UPPER_NOW, TemporalRITree
+from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.core.verify import VerificationIssue, VerificationReport
 from repro.sql.ritree_sql import SQLRITree
 
@@ -48,7 +48,7 @@ def test_ritree_clean_store_verifies():
 
 
 def test_temporal_clean_store_verifies():
-    tree = TemporalRITree(now=100)
+    tree = RITree(now=100)
     tree.bulk_load([(1, 5, 1)])
     tree.insert(50, UPPER_INF, 2)
     tree.insert(40, UPPER_NOW, 3)
@@ -72,7 +72,6 @@ def test_sql_clean_store_verifies():
 
 def test_empty_stores_verify():
     assert RITree().verify().ok
-    assert TemporalRITree().verify().ok
     assert SQLRITree().verify().ok
 
 
@@ -102,7 +101,7 @@ def test_ritree_detects_entry_count_drift():
 
 
 def test_temporal_detects_reserved_count_drift():
-    tree = TemporalRITree(now=100)
+    tree = RITree(now=100)
     tree.insert(10, UPPER_NOW, 1)
     tree._now_count += 1  # counter drifts from the stored rows
     report = tree.verify()
@@ -111,7 +110,7 @@ def test_temporal_detects_reserved_count_drift():
 
 
 def test_temporal_detects_sentinel_on_regular_node():
-    tree = TemporalRITree(now=100)
+    tree = RITree(now=100)
     tree.insert(1, 5, 1)
     node = tree.backbone.fork_node(1, 9)
     tree.table.insert((node, 1, UPPER_NOW, 2))

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core.temporal import TemporalRITree
+from repro.core.ritree import RITree
 from repro.engine import Database, FaultInjector, SimulatedCrash
 from repro.ingest import StreamIngestor, StreamWorkload
 from repro.ingest.workload import StreamBatch
@@ -138,7 +138,7 @@ def test_drain_flushes_the_rest():
 
 def test_submit_forces_the_wal_once():
     db = Database(wal=True)
-    tree = TemporalRITree(db, now=0)
+    tree = RITree(db, now=0)
     ingestor = StreamIngestor(tree, flush_records=8)
     workload = StreamWorkload(seed=3, batches=20, batch_size=6, open_fraction=0.3)
     for item in workload:
@@ -177,9 +177,9 @@ def crash_workload() -> StreamWorkload:
     )
 
 
-def ingest(db: Database, observe=lambda tree: None) -> TemporalRITree:
+def ingest(db: Database, observe=lambda tree: None) -> RITree:
     """Stream into a fresh tree, observing it before and after every submit."""
-    tree = TemporalRITree(db, now=0)
+    tree = RITree(db, now=0)
     ingestor = StreamIngestor(tree, flush_records=8, checkpoint_batches=2)
     observe(tree)
     for item in crash_workload():
@@ -190,7 +190,7 @@ def ingest(db: Database, observe=lambda tree: None) -> TemporalRITree:
     return tree
 
 
-def state(tree: TemporalRITree) -> tuple:
+def state(tree: RITree) -> tuple:
     return tree.now, sorted(tree.stored_records())
 
 
@@ -215,6 +215,6 @@ def test_crash_at_every_write_point_recovers_a_whole_submit():
         recovered = db.recover()
         if not recovered.has_table("Intervals"):
             continue  # died before the table's DDL committed
-        tree = TemporalRITree.attach(recovered)
+        tree = RITree.attach(recovered)
         assert tree.verify().ok, point
         assert state(tree) in allowed, point

@@ -18,6 +18,7 @@ from repro.core.predicates import range_duration
 from repro.core.router import ShardedStore
 from repro.core.stores import create_store
 from repro.core.temporal import UPPER_INF, UPPER_NOW
+from repro.methods.ist import ISTree
 from repro.methods.memory import BruteForceIntervals
 from repro.service import protocol
 from repro.service.client import RemoteStore, ServiceClient
@@ -153,9 +154,9 @@ def test_remote_store_mutations_roundtrip():
         assert proxy.method_name == "remote(HINT)"
 
 
-#: Every backend a served test loads: the temporal and plain RI-trees,
-#: sqlite and HINT.
-SERVED_BACKENDS = ["hint", "ritree", "sql-ritree", "temporal-ritree"]
+#: Every backend a served test loads: the disk and sqlite RI-trees and
+#: HINT.
+SERVED_BACKENDS = ["hint", "ritree", "sql-ritree"]
 
 
 def served_store(backend):
@@ -211,10 +212,9 @@ def test_remote_batch_is_one_frame():
     assert ops["ingest_batch"]["count"] == 2
 
 
-@pytest.mark.parametrize("backend", ["ritree", "temporal-ritree"])
-def test_served_bulk_load_stores_a_batch_larger_than_the_old_chunk(backend):
+def test_served_bulk_load_stores_a_batch_larger_than_the_old_chunk():
     records = many_records()
-    with remote(served_store(backend)) as proxy:
+    with remote(served_store("ritree")) as proxy:
         proxy.bulk_load(records)
         assert proxy.interval_count == MANY
         assert proxy.intersection_count(0, 2 * MANY) == MANY
@@ -249,9 +249,10 @@ def test_a_batch_over_the_frame_limit_is_refused_before_sending(monkeypatch):
         assert sorted(proxy.stored_records()) == loaded
 
 
-def test_remote_temporal_entry_points():
-    with remote(seeded_store(now=10)) as proxy:
-        assert hasattr(proxy, "advance_to")
+@pytest.mark.parametrize("backend", SERVED_BACKENDS)
+def test_remote_temporal_entry_points(backend):
+    with remote(served_store(backend)) as proxy:
+        proxy.advance_to(10)
         proxy.insert(5, UPPER_INF, interval_id=1)
         proxy.insert(8, UPPER_NOW, interval_id=2)
         assert sorted(proxy.intersection(100, 200)) == [1]
@@ -289,13 +290,6 @@ def test_remote_sentinels_bulk_load_through_the_wire():
         assert proxy.intersection_count(40, 60) == 2
 
 
-def test_non_temporal_backend_has_no_temporal_attrs():
-    with remote(create_store("ritree")) as proxy:
-        assert not hasattr(proxy, "advance_to")
-        with pytest.raises(AttributeError):
-            proxy.advance_to(5)
-
-
 # ----------------------------------------------------------------------
 # error surface
 # ----------------------------------------------------------------------
@@ -308,18 +302,23 @@ def test_contract_errors_cross_the_wire():
 
 
 def test_temporal_op_on_plain_backend_is_not_implemented():
-    with served(create_store("ritree")) as (host, port):
+    """A served store without a clock (an access method outside the
+    registry) refuses the clock op, raw or through the proxy."""
+    with served(ISTree()) as (host, port):
         with ServiceClient(host, port) as client:
             with pytest.raises(NotImplementedError, match="temporal"):
                 client.call("advance_to", now=5)
+    with remote(ISTree()) as proxy:
+        with pytest.raises(NotImplementedError, match="temporal"):
+            proxy.advance_to(5)
 
 
 def test_closures_on_a_plain_backend_are_not_implemented():
-    with remote(create_store("ritree")) as proxy:
+    with remote(ISTree()) as proxy:
         proxy.append_batch([], closes=[])  # no frame, nothing to refuse
         with pytest.raises(NotImplementedError, match="temporal"):
             proxy.append_batch([(5, 9, 4)], closes=[(1, 2, 3)])
-        assert proxy.stored_records() == []
+        assert proxy.interval_count == 0
 
 
 def test_unknown_op_and_missing_field_are_value_errors():
@@ -372,15 +371,13 @@ def _assert_wire_refuses(backend, bads, error):
         before = sorted(proxy.stored_records())
         for bad in bads:
             for method, args in _calls_with_bad_integer(bad):
-                if not hasattr(proxy, method):
-                    continue  # a temporal op on a plain backend
                 with pytest.raises(error):
                     getattr(proxy, method)(*args)
         assert sorted(proxy.stored_records()) == before
         assert proxy.verify().ok
 
 
-BACKENDS = ["hint", "ritree", "sharded", "sql-ritree", "temporal-ritree"]
+BACKENDS = ["hint", "ritree", "sharded", "sql-ritree"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -693,7 +690,7 @@ def test_cli_roles_match_the_local_oracle(tmp_path, shards):
             raise
 
 
-@pytest.mark.parametrize("backend", ["temporal-ritree", "sql-ritree"])
+@pytest.mark.parametrize("backend", ["ritree", "sql-ritree"])
 def test_single_backend_cli_loads_sentinel_rows(tmp_path, backend):
     records, now = build_dataset(seed=8, n=300, domain=8_000, max_len=300)
     assert {UPPER_INF, UPPER_NOW} <= {upper for _, upper, _ in records}
@@ -713,20 +710,6 @@ def test_single_backend_cli_loads_sentinel_rows(tmp_path, backend):
         except subprocess.TimeoutExpired:  # pragma: no cover
             proc.kill()
             raise
-
-
-def test_single_backend_cli_refuses_sentinel_rows_without_temporal(tmp_path):
-    dataset = tmp_path / "dataset.json"
-    dataset.write_text(json.dumps(
-        {"records": [[1, 5, 1], [3, UPPER_INF, 2]], "now": 4}))
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    done = subprocess.run(
-        [sys.executable, "-m", "repro.service", "--port", "0",
-         "--backend", "ritree", "--dataset", str(dataset)],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode != 0
-    assert "LISTENING" not in done.stdout
-    assert "NotImplementedError: backend 'RI-tree'" in done.stderr
 
 
 def test_router_cli_serves_writes_and_temporal_rows(tmp_path):

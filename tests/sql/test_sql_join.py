@@ -16,8 +16,7 @@ import json
 
 import pytest
 
-from repro.core import RITree, RITreeCostModel
-from repro.core import UPPER_INF, UPPER_NOW, TemporalRITree
+from repro.core import UPPER_INF, UPPER_NOW, RITree, RITreeCostModel
 from repro.core.join import AutoJoin, NestedLoopJoin, SweepJoin
 from repro.core.predicates import JOIN_PREDICATES, PREDICATES
 from repro.methods.memory import BruteForceIntervals
@@ -206,7 +205,7 @@ def test_stored_records_materialise_temporal_bounds():
     """Sweep over stored_records must join the same pairs as the
     reserved-node scans, also for now-relative and infinite rows."""
     sql_tree = SQLRITree(now=100)
-    engine_tree = TemporalRITree(now=100)
+    engine_tree = RITree(now=100)
     oracle = _temporal_oracle(100)
     for store in (sql_tree, engine_tree, oracle):
         store.insert(0, 30, 3)
@@ -389,7 +388,7 @@ def test_sql_predicate_query_matches_engine_on_temporal_rows():
     rows present -- incl. the engine's clamped candidate ceiling (no
     duplicate ids from the reserved-node scans)."""
     sql_tree = SQLRITree(now=100)
-    engine_tree = TemporalRITree(now=100)
+    engine_tree = RITree(now=100)
     oracle = _temporal_oracle(100)
     for store in (sql_tree, engine_tree, oracle):
         store.insert(0, 30, 1)

@@ -9,7 +9,6 @@ import random
 from repro.core import (
     RITree,
     RITreeCostModel,
-    TemporalRITree,
     UPPER_INF,
     UPPER_NOW,
 )
@@ -21,7 +20,7 @@ from repro.workloads import d2, d4, range_queries
 
 def test_temporal_plus_topology_flow():
     """A valid-time table queried with Allen relations as time advances."""
-    table = TemporalRITree(now=100)
+    table = RITree(now=100)
     table.insert(0, 50, 1)
     table.insert(30, UPPER_NOW, 2)
     table.insert(60, UPPER_INF, 3)
