@@ -71,6 +71,11 @@ STORE_FACTORIES = {
     "sharded-hint": partial(
         create_store, "sharded", backend="hint", cuts=[16_000, 40_000]
     ),
+    # Every disk RI-tree shard has a clock, so the router over it takes
+    # Section 4.6 rows as well.
+    "sharded-ritree": partial(
+        create_store, "sharded", backend="ritree", cuts=[16_000, 40_000]
+    ),
 }
 
 STORE_NAMES = sorted(STORE_FACTORIES)
@@ -99,7 +104,8 @@ def test_both_backends_implement_the_protocol(store):
 
 
 def test_every_registered_backend_is_in_the_suite():
-    # "sharded" needs a backend and cuts; the suite runs it as sharded-hint.
+    # "sharded" needs a backend and cuts; the suite runs it as sharded-hint
+    # and sharded-ritree.
     assert set(available_backends()) - {"sharded"} <= set(STORE_FACTORIES)
 
 
