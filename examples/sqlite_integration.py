@@ -76,7 +76,7 @@ def main() -> None:
 
     # --- the Figure 10 execution plan -----------------------------------
     print("\nquery plan (cf. paper Figure 10):")
-    for line in tree.explain_intersection(1000, 1315):
+    for line in tree.explain_query(1000, 1315):
         print("   ", line)
 
     # --- persistence -----------------------------------------------------

@@ -788,16 +788,6 @@ class HintStore(IntervalStore):
                 if holds(lower, upper, s, e)])
         return pairs
 
-    def join_count(self, probes: Sequence[IntervalRecord], *,
-                   predicate=None) -> int:
-        pred = resolve_join_predicate(predicate)
-        if pred is None:
-            total = 0
-            for lower, upper, _ in probes:
-                total += self.intersection_count(lower, upper)
-            return total
-        return len(self.join_pairs(probes, predicate=predicate))
-
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------

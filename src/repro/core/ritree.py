@@ -53,7 +53,7 @@ from .temporal import (
     sentinel_node,
 )
 from .transient import QueryNodes, collect_query_nodes
-from .verify import VerificationReport, verify_engine_tree
+from .verify import VerificationReport, verify_engine_tree, verify_row
 
 #: A compiled scan range: (lo, hi) bounds padded to full index arity.
 ScanRange = tuple[tuple[int, ...], tuple[int, ...]]
@@ -244,32 +244,38 @@ class RITree(AccessMethod):
     def _row(self, lower: int, upper: int, interval_id: int) -> tuple:
         """The heap row of one record, validated before any change.
 
-        A sentinel upper selects its reserved fork node; every other
-        record registers on the backbone as in Figure 6.  The fork node
+        A finite record registers on the backbone as in Figure 6; a
+        sentinel upper selects its reserved fork node.  The fork node
         is computed arithmetically (no I/O).
         """
+        if upper != UPPER_INF and upper != UPPER_NOW:
+            return (self.backbone.register(lower, upper), lower, upper, interval_id)
         node = sentinel_node(lower, upper, self._now)
-        if node is None:
-            node = self.backbone.register(lower, upper)
-        elif self.backbone.offset is None:
+        if self.backbone.offset is None:
             # Sentinel rows bypass Figure 6's registration, but queries
             # still need the offset fixed; anchor it like a first insert.
             self.backbone.offset = lower
         return (node, lower, upper, interval_id)
 
-    def _note_row(self, node: int, lower: int, upper: int) -> None:
-        """Account one stored row: reserved-row counts and the envelope.
+    def _account(self, rows) -> None:
+        """Account stored rows: reserved-row counts and the envelope.
 
-        A sentinel row notes ``(lower, lower)`` for a now-relative row
-        and the :data:`UPPER_INF` sentinel for an infinite one; the
-        candidate extent clamps the latter (:meth:`_candidate_extent`).
+        A now-relative row notes ``(lower, lower)`` and an infinite one
+        the :data:`UPPER_INF` sentinel; the candidate extent clamps the
+        latter (:meth:`_candidate_extent`).
         """
-        if node == FORK_INF:
-            self._infinite_count += 1
-        elif node == FORK_NOW:
-            self._now_count += 1
-            upper = lower
-        self._note_bounds(lower, upper)
+        low, high = self._min_lower, self._max_upper
+        for node, lower, upper, _interval_id in rows:
+            if node == FORK_INF:
+                self._infinite_count += 1
+            elif node == FORK_NOW:
+                self._now_count += 1
+                upper = lower
+            if low is None or lower < low:
+                low = lower
+            if high is None or upper > high:
+                high = upper
+        self._min_lower, self._max_upper = low, high
 
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
         """Insert ``[lower, upper]`` with ``interval_id`` (O(log_b n) I/Os).
@@ -283,7 +289,7 @@ class RITree(AccessMethod):
         row = self._row(lower, upper, interval_id)
         with self.db.atomic():
             self.table.insert(row)
-            self._note_row(*row[:3])
+            self._account((row,))
             self._log_meta()
 
     def delete(self, lower: int, upper: int, interval_id: int) -> None:
@@ -321,11 +327,12 @@ class RITree(AccessMethod):
         """Bottom-up load of finite records: register all fork nodes,
         then build the indexes.  Sentinel rows go through
         :meth:`append_batch`."""
-        rows = []
-        for lower, upper, interval_id in intervals:
-            node = self.backbone.register(lower, upper)
-            rows.append((node, lower, upper, interval_id))
-            self._note_bounds(lower, upper)
+        register = self.backbone.register
+        rows = [
+            (register(lower, upper), lower, upper, interval_id)
+            for lower, upper, interval_id in intervals
+        ]
+        self._account(rows)
         with self.db.atomic():
             self.table.bulk_load(rows)
             self._log_meta()
@@ -376,9 +383,7 @@ class RITree(AccessMethod):
                 self.table.delete_many(rowids)
                 self._now_count -= len(rowids)
             self.table.insert_many(rows)
-            note = self._note_row
-            for node, lower, upper, _interval_id in rows:
-                note(node, lower, upper)
+            self._account(rows)
             self._log_meta()
 
     def _open_rowids(self, keys) -> dict[tuple[int, int], int]:
@@ -798,7 +803,16 @@ class RITree(AccessMethod):
                 stored_inf += 1
             elif node == FORK_NOW:
                 stored_now += 1
-            self._verify_row(report, rowid, node, lower, upper, interval_id)
+            verify_row(
+                report,
+                self.backbone,
+                self._now,
+                node,
+                lower,
+                upper,
+                f"row {rowid}",
+                {"rowid": rowid},
+            )
         if stored_inf != self._infinite_count:
             report.add_issue(
                 "reserved-count-mismatch",
@@ -831,64 +845,6 @@ class RITree(AccessMethod):
                 f"{len(rows)} stored rows but the backbone has no offset",
             )
 
-    def _verify_row(
-        self,
-        report: VerificationReport,
-        rowid: int,
-        node: int,
-        lower: int,
-        upper: int,
-        interval_id: int,
-    ) -> None:
-        """Per-row validator: a reserved row stores its sentinel upper
-        (and a now-relative one starts no later than the clock); an
-        ordinary row stores no sentinel and sits at its Figure 6 fork
-        node."""
-        if node == FORK_INF or node == FORK_NOW:
-            kind, sentinel = (("INF", UPPER_INF) if node == FORK_INF
-                              else ("NOW", UPPER_NOW))
-            if upper != sentinel:
-                report.add_issue(
-                    "reserved-row-upper",
-                    f"row {rowid} at FORK_{kind} stores upper {upper}, "
-                    f"expected the UPPER_{kind} sentinel",
-                    {"rowid": rowid},
-                )
-            if node == FORK_NOW and lower > self._now:
-                report.add_issue(
-                    "now-row-after-clock",
-                    f"now-relative row {rowid} starts at {lower}, after "
-                    f"now={self._now}",
-                    {"rowid": rowid},
-                )
-            return
-        if upper in (UPPER_INF, UPPER_NOW):
-            report.add_issue(
-                "sentinel-on-regular-node",
-                f"row {rowid} at ordinary node {node} stores a reserved "
-                f"sentinel upper bound",
-                {"rowid": rowid},
-            )
-            return
-        if self.backbone.is_empty:
-            return  # missing-offset already reported
-        try:
-            expected = self.backbone.fork_node(lower, upper)
-        except ValueError as exc:
-            report.add_issue(
-                "fork-node-unreachable",
-                f"heap row {rowid}: {exc}",
-                {"rowid": rowid},
-            )
-            return
-        if node != expected:
-            report.add_issue(
-                "fork-node-mismatch",
-                f"heap row {rowid} stored at node {node}, Figure 6 "
-                f"computes {expected} for ({lower}, {upper})",
-                {"rowid": rowid, "node": node, "expected": expected},
-            )
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
@@ -901,12 +857,6 @@ class RITree(AccessMethod):
     def max_upper(self) -> Optional[int]:
         """Largest upper bound ever inserted (conservative under deletes)."""
         return self._max_upper
-
-    def _note_bounds(self, lower: int, upper: int) -> None:
-        if self._min_lower is None or lower < self._min_lower:
-            self._min_lower = lower
-        if self._max_upper is None or upper > self._max_upper:
-            self._max_upper = upper
 
     @property
     def infinite_count(self) -> int:

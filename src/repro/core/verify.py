@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .temporal import FORK_INF, FORK_NOW, UPPER_INF, UPPER_NOW
+
 
 class VerificationIssue:
     """One violated invariant found by a store's ``verify()``.
@@ -132,3 +134,62 @@ def verify_engine_tree(report: VerificationReport, tree, label: str) -> None:
     report.add_check(f"bptree:{label}")
     for problem in tree.violations():
         report.add_issue("bptree-invariant", problem, {"index": label})
+
+
+def verify_row(
+    report: VerificationReport,
+    backbone,
+    now: int,
+    node: int,
+    lower: int,
+    upper: int,
+    label: str,
+    context: dict,
+) -> None:
+    """Per-row validator of both RI-tree backends (engine and sqlite).
+
+    A reserved Section 4.6 row stores its sentinel upper, and a
+    now-relative one starts no later than the clock ``now``; an
+    ordinary row stores no sentinel and sits at its Figure 6 fork node
+    on ``backbone``.  ``label`` names the row in messages (``"row 17"``)
+    and ``context`` pins it (``{"rowid": 17}``).  An empty backbone
+    skips the fork-node check: the caller reports the missing offset.
+    """
+    if node == FORK_INF or node == FORK_NOW:
+        kind, sentinel = ("INF", UPPER_INF) if node == FORK_INF else ("NOW", UPPER_NOW)
+        if upper != sentinel:
+            report.add_issue(
+                "reserved-row-upper",
+                f"{label} at FORK_{kind} stores upper {upper}, "
+                f"expected the UPPER_{kind} sentinel",
+                context,
+            )
+        if node == FORK_NOW and lower > now:
+            report.add_issue(
+                "now-row-after-clock",
+                f"now-relative {label} starts at {lower}, after now={now}",
+                context,
+            )
+        return
+    if upper == UPPER_INF or upper == UPPER_NOW:
+        report.add_issue(
+            "sentinel-on-regular-node",
+            f"{label} at ordinary node {node} stores a reserved sentinel "
+            "upper bound",
+            context,
+        )
+        return
+    if backbone.is_empty:
+        return
+    try:
+        expected = backbone.fork_node(lower, upper)
+    except ValueError as exc:
+        report.add_issue("fork-node-unreachable", f"{label}: {exc}", context)
+        return
+    if node != expected:
+        report.add_issue(
+            "fork-node-mismatch",
+            f"{label} stored at node {node}, Figure 6 computes {expected} "
+            f"for ({lower}, {upper})",
+            {**context, "node": node, "expected": expected},
+        )

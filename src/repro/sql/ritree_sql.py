@@ -35,8 +35,16 @@ unchanged on sqlite:
   memory residency), so the ``auto`` join strategy plans here exactly as
   on the simulated engine;
 * :meth:`query` compiles the shared interval predicates (``intersects``,
-  ``stab``, Allen's thirteen relations) to a WHERE-clause rewrite of the
-  Figure 9 statement over the predicate's candidate range.
+  ``stab``, Allen's thirteen relations) and query families to a
+  WHERE-clause rewrite of the Figure 9 statement over the predicate's
+  candidate range.
+
+One compiler builds each single-query statement with its binds
+(``SQLRITree._statement``), another each probe-batch statement
+(``SQLRITree._batch_statement``).  A query runs the statement, a count
+wraps it in ``COUNT(*)`` and :meth:`SQLRITree.explain_query` /
+:meth:`SQLRITree.explain_join` prefix ``EXPLAIN QUERY PLAN``, so an
+explained plan is always the plan that runs.
 
 The ``now``/``infinity`` handling of Section 4.6 rides along: reserved fork
 node values are injected into ``rightNodes`` at query time, with *no
@@ -51,16 +59,16 @@ from typing import Iterable, Optional, Sequence
 from ..core.access import IntervalRecord, IntervalStore
 from ..core.backbone import VirtualBackbone
 from ..core.interval import validate_interval
-from ..core.predicates import resolve_join_predicate
+from ..core.predicates import PREDICATES, compile_query, resolve_join_predicate
 from ..core.temporal import (
     FORK_INF,
     FORK_NOW,
-    UPPER_INF,
     UPPER_NOW,
     check_closures,
     sentinel_node,
 )
-from ..core.verify import VerificationReport
+from ..core.transient import collect_query_nodes
+from ..core.verify import VerificationReport, verify_row
 from ..engine.retry import RetryPolicy
 from . import schema
 
@@ -73,6 +81,13 @@ _BATCH_TABLES = ("batchProbes", "batchLeftNodes", "batchRightNodes")
 
 #: Rows per multi-row ``INSERT`` of a transient-table fill (``_insert_rows``).
 _INSERT_CHUNK = 100
+
+#: The predicate ``intersection`` and ``intersection_count`` compile.
+_INTERSECTS = PREDICATES["intersects"]
+#: Wrappers of a compiled statement: its count (same plan, aggregated
+#: in-engine) and its plan.
+_COUNT = "SELECT COUNT(*) FROM ({})"
+_EXPLAIN = "EXPLAIN QUERY PLAN {}"
 
 
 def sqlite_transient_classify(exc: BaseException) -> bool:
@@ -343,8 +358,71 @@ class SQLRITree(IntervalStore):
         self._now = now
 
     # ------------------------------------------------------------------
-    # queries (Figures 8 and 9)
+    # queries (Figures 8 and 9): one statement compiler
     # ------------------------------------------------------------------
+    def _statement(self, pred, lower: int, upper: int) -> Optional[tuple[str, dict]]:
+        """Compile one query to its Figure 9 statement and binds.
+
+        ``pred`` is ``intersects``, ``stab``, an Allen relation or a
+        compiled query family.  The transient tables are filled for the
+        predicate's *candidate range* (bound as ``:clower`` /
+        ``:cupper``) and the predicate's defining endpoint formula,
+        over the query bounds ``:lower`` / ``:upper``, is appended to
+        every branch -- the sqlite compilation of the shared predicate
+        layer of :mod:`repro.core.predicates`.  ``intersects`` and
+        ``stab`` have exact candidates and no formula, so theirs is the
+        plain Figure 9 statement.  Family binds (``CompiledQuery.
+        sql_binds``, e.g. the ``:dmin``/``:dmax`` duration band of
+        ``range_duration``) merge into the bind set.  Reserved Section
+        4.6 rows ride along ``rightNodes`` and refine with their
+        *effective* bounds: the formula reads the stored upper through
+        :data:`repro.sql.schema.EFFECTIVE_UPPER` (now-relative rows
+        against the clock, infinite rows via the ``UPPER_INF``
+        sentinel), exactly as the simulated engine materialises them.
+
+        Returns ``None`` when the answer is provably empty -- no
+        candidate range, or empty transient collections (an empty
+        backbone with no reserved rows) -- and then fills nothing.
+        """
+        validate_interval(lower, upper)
+        floor = ceiling = None
+        if pred.needs_extent:
+            floor, ceiling = self._candidate_extent()
+        candidate = pred.candidates(lower, upper, floor, ceiling)
+        if candidate is None:
+            return None
+        clower, cupper = candidate
+        left, right = self._transient_rows(clower, cupper)
+        if not left and not right:
+            return None
+        self._write_transient(left, right)
+        refine = pred.sql_refine or ""
+        statement = schema.figure9_sql(
+            self.name,
+            batch=False,
+            lower=":clower",
+            upper=":cupper",
+            refine=refine.replace('i."upper"', schema.EFFECTIVE_UPPER),
+        )
+        binds = {
+            "lower": lower,
+            "upper": upper,
+            "clower": clower,
+            "cupper": cupper,
+            "now": self._now,
+            **getattr(pred, "sql_binds", {}),
+        }
+        return statement, binds
+
+    def _run(self, pred, lower: int, upper: int, wrap: str = "{}"):
+        """Execute the compiled statement inside ``wrap``; ``None`` when
+        :meth:`_statement` proves the answer empty."""
+        compiled = self._statement(pred, lower, upper)
+        if compiled is None:
+            return None
+        statement, binds = compiled
+        return self.conn.execute(wrap.format(statement), binds)
+
     def intersection(self, lower: int, upper: int) -> list[int]:
         """Fill the transient tables, run the Figure 9 statement.
 
@@ -353,57 +431,34 @@ class SQLRITree(IntervalStore):
         without any transient-table round-trip, not even the ``DELETE``
         statements.
         """
-        validate_interval(lower, upper)
-        left, right = self._transient_rows(lower, upper)
-        if not left and not right:
-            return []
-        self._write_transient(left, right)
-        cursor = self.conn.execute(
-            schema.INTERSECTION_SQL.format(name=self.name),
-            {"lower": lower, "upper": upper},
-        )
-        return [row[0] for row in cursor]
+        cursor = self._run(_INTERSECTS, lower, upper)
+        return [] if cursor is None else [row[0] for row in cursor]
 
     def intersection_count(self, lower: int, upper: int) -> int:
-        """Result count of :meth:`intersection`, aggregated in-engine.
+        """Result count of :meth:`intersection`, aggregated in-engine:
+        the same statement wrapped in ``COUNT(*)``."""
+        cursor = self._run(_INTERSECTS, lower, upper, _COUNT)
+        return 0 if cursor is None else cursor.fetchone()[0]
 
-        Same transient fill, same Figure 9 statement, wrapped in
-        ``COUNT(*)`` so no id list crosses the DB-API boundary.
+    def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
+        """Predicates and families as ONE rewritten Figure 9 statement
+        (:meth:`_statement`)."""
+        cursor = self._run(pred, lower, upper)
+        return [] if cursor is None else [row[0] for row in cursor]
+
+    def explain_query(
+        self, lower: int, upper: int, predicate="intersects"
+    ) -> list[str]:
+        """The engine's plan for one query statement (cf. the paper's
+        Figure 10).
+
+        ``EXPLAIN QUERY PLAN`` over the statement and binds
+        :meth:`query` runs, from the same compiler.  An invalid interval
+        raises ``ValueError``; an empty candidate range or empty
+        transient collections run no statement and explain as ``[]``.
         """
-        validate_interval(lower, upper)
-        left, right = self._transient_rows(lower, upper)
-        if not left and not right:
-            return 0
-        self._write_transient(left, right)
-        cursor = self.conn.execute(
-            schema.INTERSECTION_COUNT_SQL.format(name=self.name),
-            {"lower": lower, "upper": upper},
-        )
-        return cursor.fetchone()[0]
-
-    def intersection_many(self, queries: Sequence[tuple[int, int]]) -> list[list[int]]:
-        """Answer a whole query batch with one set-at-a-time statement.
-
-        All transient node collections are computed and loaded in ONE
-        fill cycle of the batch TEMP tables, then a single Figure 9 form
-        joined against the probe relation returns ``(qid, id)`` rows for
-        every query at once.
-        """
-        results: list[list[int]] = [[] for _ in queries]
-        if not queries:
-            return results
-        rows = self._batch_cycle(
-            lambda: self._fill_batch_tables(queries),
-            lambda: list(
-                self.conn.execute(
-                    schema.BATCH_INTERSECTION_SQL.format(name=self.name)
-                )
-            ),
-            empty=[],
-        )
-        for qid, interval_id in rows:
-            results[qid].append(interval_id)
-        return results
+        cursor = self._run(compile_query(predicate), lower, upper, _EXPLAIN)
+        return [] if cursor is None else [row[-1] for row in cursor]
 
     def intersection_preliminary(self, lower: int, upper: int) -> list[int]:
         """The unsimplified three-branch OR query of Figure 8.
@@ -414,10 +469,11 @@ class SQLRITree(IntervalStore):
         validate_interval(lower, upper)
         if self.backbone.is_empty:
             return []
-        # Note: unlike the final form, the BETWEEN branch lives in the SQL
-        # itself, so the query must run even with empty transient tables.
-        left, right = self._transient_rows(lower, upper, fold_between=False)
-        self._write_transient(left, right)
+        # Unlike the final form, the BETWEEN branch lives in the SQL
+        # itself: drop the Section 4.3 fold row, and run the query even
+        # with empty transient tables.
+        left, right = self._transient_rows(lower, upper)
+        self._write_transient(left[:-1], right)
         cursor = self.conn.execute(
             schema.PRELIMINARY_INTERSECTION_SQL.format(name=self.name),
             {
@@ -430,39 +486,22 @@ class SQLRITree(IntervalStore):
         return [row[0] for row in cursor]
 
     def _transient_rows(
-        self,
-        lower: int,
-        upper: int,
-        fold_between: bool = True,
-        include_reserved: bool = True,
+        self, lower: int, upper: int
     ) -> tuple[list[tuple[int, int]], list[int]]:
-        """Descend the backbone, compute the leftNodes/rightNodes rows.
+        """The leftNodes/rightNodes rows of ``[lower, upper]``.
 
-        Pure arithmetic -- no SQL is issued; the caller decides whether
-        the collections are worth materialising.  For the final query
-        form, both empty means the result is provably empty and every
-        round-trip can be skipped.
+        :func:`~repro.core.transient.collect_query_nodes` plus the
+        reserved Section 4.6 fork nodes, which ride along rightNodes.
+        Pure arithmetic -- no SQL is issued; both empty means the
+        result is provably empty.
         """
-        left: list[tuple[int, int]] = []
-        right: list[int] = []
-        if not self.backbone.is_empty:
-            l = self.backbone.shift(lower)
-            u = self.backbone.shift(upper)
-            for node in self.backbone.walk_toward(l):
-                if node < l:
-                    left.append((node, node))
-            for node in self.backbone.walk_toward(u):
-                if node > u:
-                    right.append(node)
-            if fold_between:
-                left.append((l, u))
-        # Section 4.6: reserved fork nodes ride along rightNodes.
-        if include_reserved:
-            if self._has_infinite:
-                right.append(FORK_INF)
-            if self._has_now and lower <= self._now:
-                right.append(FORK_NOW)
-        return left, right
+        nodes = collect_query_nodes(self.backbone, lower, upper)
+        right = nodes.right
+        if self._has_infinite:
+            right.append(FORK_INF)
+        if self._has_now and lower <= self._now:
+            right.append(FORK_NOW)
+        return nodes.left, right
 
     def _write_transient(
         self, left: list[tuple[int, int]], right: list[int]
@@ -472,6 +511,114 @@ class SQLRITree(IntervalStore):
         self.conn.execute("DELETE FROM rightNodes")
         self._insert_rows("leftNodes", ("min", "max"), left)
         self._insert_rows("rightNodes", ("node",), [(node,) for node in right])
+
+    def _candidate_extent(self) -> tuple[Optional[int], Optional[int]]:
+        """``(floor, ceiling)`` for before/after candidate ranges.
+
+        The floor is the smallest stored lower bound (reserved rows
+        carry real lowers); the ceiling must cover every coordinate the
+        candidate scans have to reach -- the largest finite upper, the
+        largest reserved-row lower, and the clock for now-relative
+        rows.  Sentinel uppers never enter, so the scan plan's BETWEEN
+        fold stays clear of the reserved fork-node values.
+        """
+        floor, ceiling = self.conn.execute(
+            f'SELECT MIN("lower"), '
+            f'MAX(CASE WHEN "node" IN ({FORK_INF}, {FORK_NOW}) '
+            f'THEN "lower" ELSE "upper" END) FROM {self.name}'
+        ).fetchone()
+        if self._has_now and ceiling is not None:
+            ceiling = max(ceiling, self._now)
+        return floor, ceiling
+
+    # ------------------------------------------------------------------
+    # probe batches (set-at-a-time, Section 5 meets the join subsystem)
+    # ------------------------------------------------------------------
+    def _batch_statement(self, pred) -> tuple[str, dict]:
+        """The set-at-a-time statement of a probe batch and its binds.
+
+        The Figure 9 form joined against the probe relation
+        (``batchProbes``): each branch pairs a probe's own transient
+        rows with the bounds it scans, so the engine's optimizer drives
+        one nested-loop plan (probe relation outer, the two Figure 2
+        indexes inner) over the whole batch.  A join ``pred`` appends
+        its subject-swapped refinement
+        (:func:`repro.sql.schema.join_refine_fragment`) to every branch
+        and binds the clock and any family parameters.
+        :meth:`intersection_many`, :meth:`join_pairs`,
+        :meth:`join_count` and :meth:`explain_join` all read it.
+        """
+        refine = "" if pred is None else schema.join_refine_fragment(pred.sql_refine)
+        statement = schema.figure9_sql(
+            self.name, batch=True, lower='q."lower"', upper='q."upper"', refine=refine
+        )
+        return statement, {"now": self._now, **getattr(pred, "sql_binds", {})}
+
+    def _run_batch(self, pred, probes: Sequence, fetch, empty, wrap: str = "{}"):
+        """One fill cycle of ``probes`` running :meth:`_batch_statement`
+        inside ``wrap``; ``fetch`` reads the cursor."""
+        if not probes:
+            return empty
+        statement, binds = self._batch_statement(pred)
+        inverse = None if pred is None else pred.inverse
+        return self._batch_cycle(
+            lambda: self._fill_batch_tables(probes, inverse),
+            lambda: fetch(self.conn.execute(wrap.format(statement), binds)),
+            empty,
+        )
+
+    def intersection_many(self, queries: Sequence[tuple[int, int]]) -> list[list[int]]:
+        """Answer a whole query batch with one set-at-a-time statement.
+
+        All transient node collections are computed and loaded in ONE
+        fill cycle of the batch TEMP tables, then a single Figure 9 form
+        joined against the probe relation returns ``(qid, id)`` rows for
+        every query at once.
+        """
+        results: list[list[int]] = [[] for _ in queries]
+        for qid, interval_id in self._run_batch(None, queries, list, []):
+            results[qid].append(interval_id)
+        return results
+
+    def join_pairs(
+        self, probes: Sequence[IntervalRecord], *, predicate=None
+    ) -> list[tuple[int, int]]:
+        """The index-nested-loop interval join as ONE SQL statement.
+
+        The probe relation is loaded into a TEMP table and joined against
+        the Figure 9 form (:meth:`_batch_statement`), so the join is
+        evaluated set-at-a-time instead of one statement per probe.  A
+        join ``predicate`` keeps the one-statement shape: the per-probe
+        candidate ranges of the *inverse* relation fill the transient
+        tables and the refinement rides along in every branch.  Reserved
+        Section 4.6 rows participate with their effective bounds, as in
+        predicate queries.
+        """
+        pred = resolve_join_predicate(predicate)
+        ids = [probe_id for _lower, _upper, probe_id in probes]
+        rows = self._run_batch(pred, probes, list, [])
+        return [(ids[qid], interval_id) for qid, interval_id in rows]
+
+    def join_count(self, probes: Sequence[IntervalRecord], *, predicate=None) -> int:
+        """Size of :meth:`join_pairs`, aggregated by the engine: the same
+        fill cycle and statement, wrapped in ``COUNT(*)``."""
+        pred = resolve_join_predicate(predicate)
+        return self._run_batch(
+            pred, probes, lambda cursor: cursor.fetchone()[0], 0, _COUNT
+        )
+
+    def explain_join(
+        self, probes: Sequence[IntervalRecord], predicate=None
+    ) -> list[str]:
+        """The engine's plan for the statement :meth:`join_pairs` runs."""
+        pred = resolve_join_predicate(predicate)
+        statement, binds = self._batch_statement(pred)
+        try:
+            self._fill_batch_tables(probes, None if pred is None else pred.inverse)
+            cursor = self.conn.execute(_EXPLAIN.format(statement), binds)
+            return [row[-1] for row in cursor]
+        finally:
+            self._clear_batch_tables()
 
     def _fill_batch_tables(self, probes: Sequence, inverse=None) -> int:
         """One fill cycle of the batch transient tables for a probe batch.
@@ -578,166 +725,6 @@ class SQLRITree(IntervalStore):
                 raise
 
         return self.retry.call(attempt, classify=sqlite_transient_classify)
-
-    # ------------------------------------------------------------------
-    # joins (set-at-a-time, Section 5 meets the join subsystem)
-    # ------------------------------------------------------------------
-    def join_pairs(
-        self, probes: Sequence[IntervalRecord], *, predicate=None
-    ) -> list[tuple[int, int]]:
-        """The index-nested-loop interval join as ONE SQL statement.
-
-        The probe relation is loaded into a TEMP table and joined against
-        the Figure 9 form; sqlite's optimizer drives the
-        nested-loop plan (probe relation outer, the two Figure 2 indexes
-        inner), so the join is evaluated set-at-a-time instead of one
-        statement per probe.
-
-        A join ``predicate`` keeps the one-statement shape: the per-probe
-        candidate ranges of the *inverse* relation fill the transient
-        tables and the subject-swapped refinement fragment rides along in
-        every branch (:func:`repro.sql.schema.
-        predicate_batch_intersection_sql`).  Reserved Section 4.6 rows
-        participate with their effective bounds, as in predicate
-        queries.
-        """
-        pred = resolve_join_predicate(predicate)
-        if not probes:
-            return []
-        ids = [probe_id for _lower, _upper, probe_id in probes]
-        if pred is None:
-            rows = self._batch_cycle(
-                lambda: self._fill_batch_tables(probes),
-                lambda: list(
-                    self.conn.execute(
-                        schema.BATCH_INTERSECTION_SQL.format(name=self.name)
-                    )
-                ),
-                empty=[],
-            )
-        else:
-            statement = schema.predicate_batch_intersection_sql(
-                self.name, pred.sql_refine
-            )
-            binds = {"now": self._now, **getattr(pred, "sql_binds", {})}
-            rows = self._batch_cycle(
-                lambda: self._fill_batch_tables(probes, pred.inverse),
-                lambda: list(self.conn.execute(statement, binds)),
-                empty=[],
-            )
-        return [(ids[qid], interval_id) for qid, interval_id in rows]
-
-    def join_count(
-        self, probes: Sequence[IntervalRecord], *, predicate=None
-    ) -> int:
-        """Size of :meth:`join_pairs`, aggregated by the engine.
-
-        Identical fill cycle and statement, wrapped in ``COUNT(*)`` --
-        the pair list never leaves sqlite.
-        """
-        pred = resolve_join_predicate(predicate)
-        if not probes:
-            return 0
-        if pred is None:
-            return self._batch_cycle(
-                lambda: self._fill_batch_tables(probes),
-                lambda: self.conn.execute(
-                    schema.BATCH_COUNT_SQL.format(name=self.name)
-                ).fetchone()[0],
-                empty=0,
-            )
-        statement = schema.predicate_batch_count_sql(self.name, pred.sql_refine)
-        binds = {"now": self._now, **getattr(pred, "sql_binds", {})}
-        return self._batch_cycle(
-            lambda: self._fill_batch_tables(probes, pred.inverse),
-            lambda: self.conn.execute(statement, binds).fetchone()[0],
-            empty=0,
-        )
-
-    def explain_join(
-        self, probes: Sequence[IntervalRecord], predicate=None
-    ) -> list[str]:
-        """The engine's query plan for the set-at-a-time join statement."""
-        pred = resolve_join_predicate(predicate)
-        try:
-            if pred is None:
-                self._fill_batch_tables(probes)
-                statement = schema.BATCH_INTERSECTION_SQL.format(name=self.name)
-                params = {}
-            else:
-                self._fill_batch_tables(probes, pred.inverse)
-                statement = schema.predicate_batch_intersection_sql(
-                    self.name, pred.sql_refine
-                )
-                params = {"now": self._now, **getattr(pred, "sql_binds", {})}
-            cursor = self.conn.execute("EXPLAIN QUERY PLAN " + statement, params)
-            return [row[-1] for row in cursor]
-        finally:
-            self._clear_batch_tables()
-
-    # ------------------------------------------------------------------
-    # predicate queries (WHERE-clause rewrite of Figure 9)
-    # ------------------------------------------------------------------
-    def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
-        """Predicates and families as ONE rewritten Figure 9 statement.
-
-        The transient tables are filled for the predicate's *candidate
-        range* and the predicate's defining endpoint formula is appended
-        to the WHERE clause of every branch -- the sqlite compilation of
-        the shared predicate layer of :mod:`repro.core.predicates`.
-        Parameterized query families ride the same statement: their
-        extra named binds (``CompiledQuery.sql_binds``, e.g. the
-        ``:dmin``/``:dmax`` duration band of ``range_duration``) merge
-        into the bind set, so the duration fragment in every branch
-        stays one statement with the same two-index plan.
-        Reserved Section 4.6 fork rows participate with their
-        *effective* bounds: the refinement reads the stored upper
-        through :data:`repro.sql.schema.EFFECTIVE_UPPER` (now-relative
-        rows against the clock, infinite rows via the ``UPPER_INF``
-        sentinel), exactly as the simulated engine materialises them.
-        """
-        floor = ceiling = None
-        if pred.needs_extent:
-            floor, ceiling = self._candidate_extent()
-        candidate = pred.candidates(lower, upper, floor, ceiling)
-        if candidate is None:
-            return []
-        clower, cupper = candidate
-        left, right = self._transient_rows(clower, cupper)
-        if not left and not right:
-            return []
-        self._write_transient(left, right)
-        cursor = self.conn.execute(
-            schema.predicate_intersection_sql(self.name, pred.sql_refine),
-            {
-                "lower": lower,
-                "upper": upper,
-                "clower": clower,
-                "cupper": cupper,
-                "now": self._now,
-                **getattr(pred, "sql_binds", {}),
-            },
-        )
-        return [row[0] for row in cursor]
-
-    def _candidate_extent(self) -> tuple[Optional[int], Optional[int]]:
-        """``(floor, ceiling)`` for before/after candidate ranges.
-
-        The floor is the smallest stored lower bound (reserved rows
-        carry real lowers); the ceiling must cover every coordinate the
-        candidate scans have to reach -- the largest finite upper, the
-        largest reserved-row lower, and the clock for now-relative
-        rows.  Sentinel uppers never enter, so the scan plan's BETWEEN
-        fold stays clear of the reserved fork-node values.
-        """
-        floor, ceiling = self.conn.execute(
-            f'SELECT MIN("lower"), '
-            f'MAX(CASE WHEN "node" IN ({FORK_INF}, {FORK_NOW}) '
-            f'THEN "lower" ELSE "upper" END) FROM {self.name}'
-        ).fetchone()
-        if self._has_now and ceiling is not None:
-            ceiling = max(ceiling, self._now)
-        return floor, ceiling
 
     # ------------------------------------------------------------------
     # planning (Section 5: the cost model registered at the optimizer)
@@ -851,55 +838,24 @@ class SQLRITree(IntervalStore):
         ):
             if node == FORK_INF:
                 inf_rows += 1
-                if upper != UPPER_INF:
-                    report.add_issue(
-                        "reserved-row-upper",
-                        f"row id {interval_id} at FORK_INF stores upper "
-                        f"{upper}, expected the UPPER_INF sentinel",
-                        {"id": interval_id},
-                    )
-                continue
-            if node == FORK_NOW:
+            elif node == FORK_NOW:
                 now_rows += 1
-                if upper != UPPER_NOW:
-                    report.add_issue(
-                        "reserved-row-upper",
-                        f"row id {interval_id} at FORK_NOW stores upper "
-                        f"{upper}, expected the UPPER_NOW sentinel",
-                        {"id": interval_id},
-                    )
-                if lower > self._now:
-                    report.add_issue(
-                        "now-row-after-clock",
-                        f"now-relative row id {interval_id} starts at "
-                        f"{lower}, after now={self._now}",
-                        {"id": interval_id},
-                    )
-                continue
-            if self.backbone.is_empty:
+            elif self.backbone.is_empty:
                 report.add_issue(
                     "missing-offset",
-                    f"row id {interval_id} stored but the backbone has "
-                    "no offset",
+                    f"row id {interval_id} stored but the backbone has no offset",
                     {"id": interval_id},
                 )
-                continue
-            try:
-                expected = self.backbone.fork_node(lower, upper)
-            except ValueError as exc:
-                report.add_issue(
-                    "fork-node-unreachable",
-                    f"row id {interval_id}: {exc}",
-                    {"id": interval_id},
-                )
-                continue
-            if node != expected:
-                report.add_issue(
-                    "fork-node-mismatch",
-                    f"row id {interval_id} stored at node {node}, Figure 6 "
-                    f"computes {expected} for ({lower}, {upper})",
-                    {"id": interval_id, "node": node, "expected": expected},
-                )
+            verify_row(
+                report,
+                self.backbone,
+                self._now,
+                node,
+                lower,
+                upper,
+                f"row id {interval_id}",
+                {"id": interval_id},
+            )
         if inf_rows and not self._has_infinite:
             report.add_issue(
                 "reserved-flag",
@@ -972,63 +928,3 @@ class SQLRITree(IntervalStore):
     def index_entry_count(self) -> int:
         """Two index entries per interval (Figure 12: ``2n``)."""
         return 2 * self.interval_count
-
-    def explain_intersection(self, lower: int, upper: int) -> list[str]:
-        """The engine's query plan for Figure 9 (cf. the paper's Figure 10).
-
-        Explains exactly what :meth:`intersection` runs: an invalid
-        interval raises ``ValueError``, and when the transient
-        collections are empty no statement runs, so the plan is ``[]``.
-        """
-        validate_interval(lower, upper)
-        left, right = self._transient_rows(lower, upper)
-        if not left and not right:
-            return []
-        self._write_transient(left, right)
-        cursor = self.conn.execute(
-            "EXPLAIN QUERY PLAN " + schema.INTERSECTION_SQL.format(name=self.name),
-            {"lower": lower, "upper": upper},
-        )
-        return [row[-1] for row in cursor]
-
-    def explain_query(self, lower: int, upper: int,
-                      predicate="intersects") -> list[str]:
-        """The engine's plan for one predicate/family query statement.
-
-        The EXPLAIN twin of :meth:`_query_relation`: the same transient
-        fill, the same rewritten Figure 9 statement, the same bind set
-        (family binds such as ``range_duration``'s ``:dmin``/``:dmax``
-        included), so the reported plan is exactly what the query path
-        executes.  An empty candidate range or empty transient
-        collections explain nothing and return ``[]``.
-        """
-        from ..core.predicates import compile_query
-
-        pred = compile_query(predicate)
-        if pred.name in ("intersects", "stab"):
-            return self.explain_intersection(lower, upper)
-        validate_interval(lower, upper)
-        floor = ceiling = None
-        if pred.needs_extent:
-            floor, ceiling = self._candidate_extent()
-        candidate = pred.candidates(lower, upper, floor, ceiling)
-        if candidate is None:
-            return []
-        clower, cupper = candidate
-        left, right = self._transient_rows(clower, cupper)
-        if not left and not right:
-            return []
-        self._write_transient(left, right)
-        cursor = self.conn.execute(
-            "EXPLAIN QUERY PLAN "
-            + schema.predicate_intersection_sql(self.name, pred.sql_refine),
-            {
-                "lower": lower,
-                "upper": upper,
-                "clower": clower,
-                "cupper": cupper,
-                "now": self._now,
-                **getattr(pred, "sql_binds", {}),
-            },
-        )
-        return [row[-1] for row in cursor]

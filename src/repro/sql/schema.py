@@ -18,13 +18,15 @@ seek ``upperIndex (node=? AND upper>?)`` only for an equality on
 equality, the Section 4.3 fold row keeps the ``BETWEEN``, and the
 relations and results stay the paper's.
 
-Beyond the paper's single-query statements, this module carries the
-*set-at-a-time* variants used by the unified store API: the transient
+Beyond the paper's single-query statements, :func:`figure9_sql` builds
+the *set-at-a-time* variant used by the unified store API: the transient
 node tables gain batch twins keyed by a probe id, so a whole probe
 relation (an ``intersection_many`` batch, the outer side of an interval
 join) is answered by ONE statement -- the same Figure 9 form joined
 against the probe relation, leaving the nested-loop plan to the
-engine's own optimizer.
+engine's own optimizer.  :class:`~repro.sql.SQLRITree` compiles every
+query from these two functions; predicates refine the form with a
+WHERE fragment (:func:`join_refine_fragment` on the batch side).
 
 Column names are double-quoted because ``lower`` and ``upper`` collide with
 SQL function names on some engines.
@@ -147,24 +149,6 @@ def figure9_sql(
     )
 
 
-#: The final intersection query -- paper Figure 9, its left branch split
-#: by row shape so sqlite seeks ``(node, upper)`` (see :func:`figure9_sql`).
-INTERSECTION_SQL = figure9_sql("{name}", batch=False, lower=":lower", upper=":upper")
-
-#: Count-only form of the final query (same plan, aggregated in-engine).
-INTERSECTION_COUNT_SQL = "SELECT COUNT(*) FROM (" + INTERSECTION_SQL + ")"
-
-#: The set-at-a-time batch query: Figure 9 joined against the probe
-#: relation.  Each branch pairs a probe's own transient entries with the
-#: probe's bounds, so the engine's optimizer drives one nested-loop plan
-#: over the whole batch instead of Python looping statements.
-BATCH_INTERSECTION_SQL = figure9_sql(
-    "{name}", batch=True, lower='q."lower"', upper='q."upper"'
-)
-
-#: Count-only form of the batch query (the join's ``COUNT(*)``).
-BATCH_COUNT_SQL = "SELECT COUNT(*) FROM (" + BATCH_INTERSECTION_SQL + ")"
-
 #: The preliminary three-branch OR query -- paper Figure 8 (for the ablation
 #: benchmark comparing it with the final form above).
 PRELIMINARY_INTERSECTION_SQL = """
@@ -228,52 +212,4 @@ def join_refine_fragment(refine: str) -> str:
         .replace(":upper", "+" + EFFECTIVE_UPPER)
         .replace('\x00PL\x00', '+q."plower"')
         .replace('\x00PU\x00', '+q."pupper"')
-    )
-
-
-def predicate_batch_intersection_sql(name: str, refine: str) -> str:
-    """The set-at-a-time batch statement for a predicate join.
-
-    The batch Figure 9 form of :data:`BATCH_INTERSECTION_SQL`, except
-    that the per-probe ``lower``/``upper`` columns now hold the inverse
-    relation's *candidate range* and the subject-swapped refinement
-    fragment (:func:`join_refine_fragment`) is appended to every branch.
-    Still ONE statement for the whole probe batch, still driven through
-    both Figure 2 indexes by the engine's own optimizer.
-    """
-    return figure9_sql(
-        name,
-        batch=True,
-        lower='q."lower"',
-        upper='q."upper"',
-        refine=join_refine_fragment(refine),
-    )
-
-
-def predicate_batch_count_sql(name: str, refine: str) -> str:
-    """Count-only form of the predicate batch join (same plan)."""
-    return (
-        "SELECT COUNT(*) FROM ("
-        + predicate_batch_intersection_sql(name, refine)
-        + ")"
-    )
-
-
-def predicate_intersection_sql(name: str, refine: str | None) -> str:
-    """The Figure 9 statement rewritten for a predicate query.
-
-    The transient tables are filled for the predicate's *candidate
-    range* (bound as ``:clower`` / ``:cupper``) and the predicate's
-    defining endpoint formula -- referencing the original query bounds
-    ``:lower`` / ``:upper`` -- is appended to the WHERE clause of every
-    branch, with the stored upper bound read through
-    :data:`EFFECTIVE_UPPER` so reserved Section 4.6 rows participate
-    with their effective bounds.  ``refine=None`` means the candidates
-    are exact (the ``intersects`` / ``stab`` predicates) and the
-    statement degenerates to the plain Figure 9 form.
-    """
-    if refine:
-        refine = refine.replace('i."upper"', EFFECTIVE_UPPER)
-    return figure9_sql(
-        name, batch=False, lower=":clower", upper=":cupper", refine=refine or ""
     )

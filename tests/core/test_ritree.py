@@ -1,5 +1,7 @@
 """Unit tests for the engine-backed RI-tree."""
 
+import sys
+
 import pytest
 
 from repro.core import RITree
@@ -195,3 +197,27 @@ def test_min_lower_max_upper_tracking():
     tree.insert(-5, 8, 2)
     assert tree.min_lower == -5
     assert tree.max_upper == 20
+
+
+def test_finite_rows_register_without_sentinel_checks():
+    """A finite row registers on the backbone directly, and a batch
+    accounts its rows (bounds and reserved counts) in one call."""
+    tree = RITree()
+    tree.bulk_load([(i * 7, i * 7 + i % 50, i) for i in range(1_999)])
+    batch = [(14_000 + i, 14_050 + i, 10_000 + i) for i in range(100)]
+    calls = []
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        tree.append_batch(batch)
+    finally:
+        sys.setprofile(None)
+    assert "sentinel_node" not in calls
+    assert calls.count("register") == 100
+    assert calls.count("_account") == 1
+    assert (tree.min_lower, tree.max_upper) == (0, 14_149)
+    assert tree.verify().ok

@@ -109,11 +109,25 @@ def test_temporal_detects_reserved_count_drift():
     assert "reserved-count-mismatch" in codes
 
 
-def test_temporal_detects_sentinel_on_regular_node():
-    tree = RITree(now=100)
+def _insert_raw(tree, row) -> None:
+    """Store ``(node, lower, upper, id)`` behind the store's back."""
+    if isinstance(tree, SQLRITree):
+        tree.conn.execute(
+            f'INSERT INTO {tree.name} ("node", "lower", "upper", "id") '
+            f"VALUES (?, ?, ?, ?)",
+            row,
+        )
+    else:
+        tree.table.insert(row)
+
+
+@pytest.mark.parametrize("sentinel", [UPPER_NOW, UPPER_INF], ids=["now", "inf"])
+@pytest.mark.parametrize("backend", [RITree, SQLRITree])
+def test_temporal_detects_sentinel_on_regular_node(backend, sentinel):
+    tree = backend(now=100)
     tree.insert(1, 5, 1)
-    node = tree.backbone.fork_node(1, 9)
-    tree.table.insert((node, 1, UPPER_NOW, 2))
+    # The node a finite (1, 9) takes: Figure 6 maps (1, sentinel) there too.
+    _insert_raw(tree, (tree.backbone.fork_node(1, 9), 1, sentinel, 2))
     report = tree.verify()
     codes = {issue.code for issue in report.issues}
     assert "sentinel-on-regular-node" in codes

@@ -1,11 +1,12 @@
 """Tests for the sqlite3-backed RI-tree (paper Section 5)."""
 
+import re
 import sqlite3
 
 import pytest
 
 from repro.core.costmodel import BoundSummary
-from repro.core.predicates import range_duration
+from repro.core.predicates import PREDICATES, range_duration
 from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.methods.memory import BruteForceIntervals
 from repro.sql import SQLRITree
@@ -15,12 +16,11 @@ from ..conftest import make_intervals
 
 def test_figure2_schema_created():
     tree = SQLRITree()
-    tables = {row[0] for row in tree.conn.execute(
-        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    catalog = "SELECT name FROM sqlite_master WHERE type = ?"
+    tables = {row[0] for row in tree.conn.execute(catalog, ("table",))}
     assert "Intervals" in tables
     assert "Intervals_params" in tables
-    indexes = {row[0] for row in tree.conn.execute(
-        "SELECT name FROM sqlite_master WHERE type = 'index'")}
+    indexes = {row[0] for row in tree.conn.execute(catalog, ("index",))}
     assert "Intervals_lowerIndex" in indexes
     assert "Intervals_upperIndex" in indexes
 
@@ -47,8 +47,9 @@ def test_matches_brute_force(rng):
         lower = rng.randrange(0, 66_000)
         upper = lower + rng.randrange(0, 3000)
         got = sorted(tree.intersection(lower, upper))
-        expected = sorted(i for i, (s, e) in lookup.items()
-                          if s <= upper and e >= lower)
+        expected = sorted(
+            i for i, (s, e) in lookup.items() if s <= upper and e >= lower
+        )
         assert got == expected
 
 
@@ -59,8 +60,8 @@ def test_preliminary_query_equivalent(rng):
     for _ in range(40):
         lower = rng.randrange(0, 33_000)
         upper = lower + rng.randrange(0, 2000)
-        assert sorted(tree.intersection(lower, upper)) == \
-            sorted(tree.intersection_preliminary(lower, upper))
+        expected = sorted(tree.intersection(lower, upper))
+        assert sorted(tree.intersection_preliminary(lower, upper)) == expected
 
 
 def test_union_all_duplicate_free(rng):
@@ -116,7 +117,8 @@ def test_view_trigger_wrapping():
     view = tree.create_view()
     conn.executemany(
         f'INSERT INTO {view} ("lower", "upper", "id") VALUES (?, ?, ?)',
-        [(0, 10, 1), (5, 25, 2), (30, 40, 3)])
+        [(0, 10, 1), (5, 25, 2), (30, 40, 3)],
+    )
     tree.sync_params()
     assert sorted(tree.intersection(8, 35)) == [1, 2, 3]
     assert tree.intersection(26, 29) == []
@@ -140,7 +142,7 @@ def test_temporal_now_and_infinity():
 def test_query_plan_uses_both_indexes():
     tree = SQLRITree()
     tree.bulk_load([(i, i + 10, i) for i in range(100)])
-    plan = "\n".join(tree.explain_intersection(20, 40))
+    plan = "\n".join(tree.explain_query(20, 40))
     assert "upperIndex (node=? AND upper>?)" in plan
     assert "lowerIndex" in plan
     assert "AUTOMATIC" not in plan
@@ -161,24 +163,21 @@ def test_explain_query_families_use_both_indexes():
     tree = SQLRITree()
     records = [(i * 30, i * 30 + 20 + i % 40, i) for i in range(300)]
     tree.bulk_load(records)
-    plan = "\n".join(
-        tree.explain_query(100, 4_000,
-                           predicate=range_duration(0, 35)))
+    duration = range_duration(0, 35)
+    plan = "\n".join(tree.explain_query(100, 4_000, predicate=duration))
     assert "lowerIndex" in plan
     assert "upperIndex (node=? AND upper>?)" in plan
     assert "AUTOMATIC" not in plan
     assert "SCAN i" not in plan
     # Results match the refinement run for real.
     oracle = BruteForceIntervals(records)
-    assert sorted(tree.query(100, 4_000, predicate=range_duration(0, 35))) == (
-        sorted(oracle.query(100, 4_000, predicate=range_duration(0, 35))))
+    expected = sorted(oracle.query(100, 4_000, predicate=duration))
+    assert sorted(tree.query(100, 4_000, predicate=duration)) == expected
 
 
-def test_explain_query_delegates_and_gates():
+def test_explain_query_gates_an_empty_candidate_range():
     tree = SQLRITree()
     tree.bulk_load([(10, 50, 1), (40, 90, 2)])
-    assert (tree.explain_query(20, 60)
-            == tree.explain_intersection(20, 60))
     # An empty candidate range (before with nothing on the left) makes
     # the plan trivially empty.
     assert tree.explain_query(0, 5, predicate="before") == []
@@ -188,7 +187,6 @@ def test_explain_rejects_what_intersection_rejects():
     tree = SQLRITree()
     tree.bulk_load([(10, 50, 1), (40, 90, 2)])
     for explain in (
-        tree.explain_intersection,
         tree.explain_query,
         lambda lower, upper: tree.explain_query(lower, upper, predicate="during"),
     ):
@@ -199,12 +197,11 @@ def test_explain_rejects_what_intersection_rejects():
 
 
 def test_explain_on_empty_store_runs_no_statement():
-    """Like ``intersection``, the EXPLAIN twins skip a provably empty
+    """Like ``intersection``, ``explain_query`` skips a provably empty
     statement: no plan and not one statement reaches the connection."""
     tree = SQLRITree()
     statements = []
     tree.conn.set_trace_callback(statements.append)
-    assert tree.explain_intersection(20, 60) == []
     assert tree.explain_query(20, 60) == []
     assert tree.explain_query(20, 60, predicate="during") == []
     tree.conn.set_trace_callback(None)
@@ -260,5 +257,96 @@ def test_cost_model_counts_reserved_rows_as_stored_records():
     assert summary.duration_bounds == expected.duration_bounds
     tree.advance_to(400)
     moved = tree.cost_model(refresh=True).summary
-    assert moved.upper_bounds == BoundSummary.from_records(
-        tree.stored_records(), summary.buckets).upper_bounds
+    expected = BoundSummary.from_records(tree.stored_records(), summary.buckets)
+    assert moved.upper_bounds == expected.upper_bounds
+
+
+# ----------------------------------------------------------------------
+# explain reads the statement that runs
+# ----------------------------------------------------------------------
+def _sentinel_tree() -> SQLRITree:
+    """Finite rows plus one row of each Section 4.6 sentinel kind."""
+    tree = SQLRITree(now=900)
+    tree.bulk_load([(i * 7, i * 7 + i % 60, i) for i in range(400)])
+    tree.insert(300, UPPER_INF, 5_000)
+    tree.insert(600, UPPER_NOW, 5_001)
+    return tree
+
+
+class _Recorder:
+    """A connection that records every ``execute`` it forwards.
+
+    sqlite's trace callback never reports an ``EXPLAIN`` statement, so
+    the explain tests record statements and binds at the DB-API call.
+    """
+
+    def __init__(self, conn: sqlite3.Connection) -> None:
+        self.conn = conn
+        self.calls = []
+
+    def execute(self, sql, params=()):
+        self.calls.append((sql, params))
+        return self.conn.execute(sql, params)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def _executed(tree: SQLRITree, op) -> list[tuple]:
+    """The ``(statement, binds)`` pairs ``op`` executes on ``tree``."""
+    recorder = _Recorder(tree.conn)
+    tree.conn = recorder
+    try:
+        op()
+    finally:
+        tree.conn = recorder.conn
+    return recorder.calls
+
+
+def _explained(calls: list[tuple]) -> list[tuple]:
+    """``calls`` with their one Figure 9 statement explained."""
+    figure9 = [sql for sql, _binds in calls if sql.startswith("\nSELECT")]
+    assert len(figure9) == 1
+    return [
+        ("EXPLAIN QUERY PLAN " + sql if sql in figure9 else sql, binds)
+        for sql, binds in calls
+    ]
+
+
+def _used(calls: list[tuple]) -> list[tuple]:
+    """``calls`` with each bind set cut to the names its statement uses."""
+    used = []
+    for sql, binds in calls:
+        if isinstance(binds, dict):
+            binds = {k: v for k, v in binds.items() if re.search(f":{k}\\b", sql)}
+        used.append((sql, binds))
+    return used
+
+
+def _label(predicate) -> str:
+    return predicate if isinstance(predicate, str) else predicate.name
+
+
+#: Join predicates of the explain test: none, one per refinement shape.
+JOINS = ["intersects", "during", "before", range_duration(5, 40)]
+
+
+@pytest.mark.parametrize("predicate", [*PREDICATES, range_duration(5, 40)], ids=_label)
+def test_explain_query_explains_the_statement_query_runs(predicate):
+    """Same fills, same statement, same binds: ``stab`` included, whose
+    query runs ``intersection(lower, lower)``."""
+    tree = _sentinel_tree()
+    ran = _executed(tree, lambda: tree.query(500, 900, predicate=predicate))
+    explained = _executed(
+        tree, lambda: tree.explain_query(500, 900, predicate=predicate)
+    )
+    assert _used(explained) == _used(_explained(ran))
+
+
+@pytest.mark.parametrize("predicate", JOINS, ids=_label)
+def test_explain_join_explains_the_statement_join_pairs_runs(predicate):
+    tree = _sentinel_tree()
+    probes = [(i * 50, i * 50 + 10 + i % 30, i) for i in range(20)]
+    ran = _executed(tree, lambda: tree.join_pairs(probes, predicate=predicate))
+    explained = _executed(tree, lambda: tree.explain_join(probes, predicate=predicate))
+    assert explained == _explained(ran)

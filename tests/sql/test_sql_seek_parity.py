@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.predicates import range_duration
 from repro.core.temporal import UPPER_INF, UPPER_NOW
+from repro.core.transient import collect_query_nodes
 from repro.methods.memory import BruteForceIntervals
 from repro.sql import SQLRITree
 
@@ -76,9 +77,9 @@ def test_fixture_reaches_the_split_branches():
     tree, oracle = _stores(0)
     crowded = 'SELECT DISTINCT "node" FROM Intervals WHERE "id" < 1000'
     [(crowded_node,)] = tree.conn.execute(crowded).fetchall()
-    left, _right = tree._transient_rows(600, 640)
+    left = collect_query_nodes(tree.backbone, 600, 640).left
     assert (crowded_node, crowded_node) in left[:-1]
-    fold = tree._transient_rows(512, 512)[0][-1]
+    fold = collect_query_nodes(tree.backbone, 512, 512).left[-1]
     assert fold[0] == fold[1]
     # Every crowded row ends before the window: the seek skips them all.
     kept = set(oracle.intersection(600, 640)) & {k for _l, _u, k in CROWDED}

@@ -71,7 +71,7 @@ def test_busy_run_is_rolled_back_and_retried():
         if not failures:
             failures.append(1)
             raise sqlite3.OperationalError("database is locked")
-        return list(tree.conn.execute('SELECT COUNT(*) FROM batchProbes'))
+        return list(tree.conn.execute("SELECT COUNT(*) FROM batchProbes"))
 
     rows = tree._batch_cycle(
         lambda: tree._fill_batch_tables([(0, 10)]), flaky_run, empty=[]
@@ -187,9 +187,7 @@ def test_failed_cycle_spares_pending_single_statement_work():
 # ----------------------------------------------------------------------
 def test_real_lock_contention_roundtrip(tmp_path):
     path = str(tmp_path / "intervals.db")
-    tree = SQLRITree(
-        sqlite3.connect(path, timeout=0.05), retry=RetryPolicy(attempts=2)
-    )
+    tree = SQLRITree(sqlite3.connect(path, timeout=0.05), retry=RetryPolicy(attempts=2))
     tree.bulk_load([(1, 5, 1)])
     blocker = sqlite3.connect(path, timeout=0.05)
     blocker.execute("BEGIN IMMEDIATE")
