@@ -446,11 +446,11 @@ def range_duration(dmin: int = 0,
                 s <= u and e >= l and dmin <= u - l <= dmax,
             candidates=lambda l, u, floor, ceiling:
                 (l, u) if dmin <= u - l <= dmax else None,
-            sql_refine=None,
+            sql_refine='(:upper - :lower) BETWEEN :dmin AND :dmax',
             inverse_name=None,
             family_name="range_duration_by",
             params=params,
-            binds=(),
+            binds=params,
             inverse_factory=lambda: range_duration(dmin, dmax),
             estimator=_inverse_estimate,
         )

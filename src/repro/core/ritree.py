@@ -324,13 +324,12 @@ class RITree(AccessMethod):
         raise KeyError((lower, upper, interval_id))
 
     def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
-        """Bottom-up load of finite records: register all fork nodes,
-        then build the indexes.  Sentinel rows go through
-        :meth:`append_batch`."""
-        register = self.backbone.register
+        """Bottom-up load: build every row as :meth:`insert` does (a
+        finite record registers its fork node, a sentinel upper takes
+        its reserved one), then build the indexes."""
+        row = self._row
         rows = [
-            (register(lower, upper), lower, upper, interval_id)
-            for lower, upper, interval_id in intervals
+            row(lower, upper, interval_id) for lower, upper, interval_id in intervals
         ]
         self._account(rows)
         with self.db.atomic():

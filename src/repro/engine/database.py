@@ -13,24 +13,28 @@ DDL/DML statement and store-metadata update to a
 :class:`~repro.engine.errors.SimulatedCrash` at *any* point leaves a durable
 log whose committed prefix :meth:`Database.recover` replays into a fresh,
 consistent database -- uncommitted batches are rolled back by never being
-replayed.  :meth:`Database.checkpoint` bounds replay work by collapsing the
-log into one snapshot record.
+replayed.  :meth:`Database.checkpoint` bounds replay work by replacing the
+log with a snapshot: one block-image line per heap page and a small
+manifest.  The page lines are cached, so a checkpoint frames only the
+pages changed since the previous one.
 """
 
 from __future__ import annotations
 
+import base64
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence, Union
 
 from .buffer import DEFAULT_CACHE_BLOCKS, BufferPool
 from .errors import RecoveryError, SchemaError, WalError
 from .faults import FaultInjector
+from .heap import load_page
 from .retry import RetryPolicy
 from .stats import IoSnapshot, IoStats
 from .stats import measure as _measure
 from .storage import DEFAULT_BLOCK_SIZE, DiskManager
 from .table import Table
-from .wal import WriteAheadLog, encode_checkpoint, encode_rows
+from .wal import WriteAheadLog, encode_page, encode_record
 
 
 class Database:
@@ -88,9 +92,9 @@ class Database:
             self.wal = None
         self._tables: dict[str, Table] = {}
         self._wal_meta: dict[str, dict] = {}
-        #: Per table, the :func:`~repro.engine.wal.encode_rows` text of
+        #: Per table, the :func:`~repro.engine.wal.encode_page` line of
         #: each heap page as of the last checkpoint.
-        self._page_text: dict[str, list[str]] = {}
+        self._page_lines: dict[str, list[str]] = {}
         self._batch_depth = 0
         self._batch_seq = 0
         self._suppress_wal = False
@@ -213,40 +217,55 @@ class Database:
         return self._wal_meta.get(store)
 
     def checkpoint(self) -> None:
-        """Collapse the WAL into one snapshot record of the current state.
+        """Replace the WAL with a snapshot of the current state.
 
         Flushes dirty pages first (so the simulated disk matches too),
-        then atomically replaces the log contents with one ``ckpt`` line
-        (one :meth:`WriteAheadLog.checkpoint` call).  Bounds recovery
-        replay to the work since the last checkpoint.
+        then atomically replaces the log contents with one ``page`` line
+        per heap page and one ``ckpt`` manifest line (one
+        :meth:`WriteAheadLog.checkpoint` call).  Bounds recovery replay
+        to the work since the last checkpoint.
 
-        The snapshot's row text is cached per heap page: only the pages
-        the heap reports changed since the previous checkpoint (every
-        page, on a table's first one) are read and re-encoded, so the
-        page reads and encoding scale with the change, not the table.
-        The line equals the encoding of a full-scan snapshot byte for
-        byte.
+        The page lines are cached: only the pages the heap reports
+        changed since the previous checkpoint (every page, on a table's
+        first one) are read and framed, and only those lines and the
+        manifest are written, so the page reads and the log bytes scale
+        with the change, not the table.
         """
         if self.wal is None:
             raise WalError("checkpoint requires a write-ahead log")
         if self._batch_depth:
             raise WalError("checkpoint inside an atomic batch")
         self.pool.flush_all()
-        tables = []
+        lines: list[str] = []
+        fresh: list[str] = []
+        specs = []
         for table in self._tables.values():
-            heap = table.heap
-            pages = self._page_text.setdefault(table.name, [])
-            pages.extend([""] * (heap.page_count - len(pages)))
+            name, heap = table.name, table.heap
+            cached = self._page_lines.setdefault(name, [])
+            cached.extend([""] * (heap.page_count - len(cached)))
             for page_index in heap.changed_pages():
-                pages[page_index] = encode_rows(heap.live_rows(page_index))
-            heap.mark_clean()
+                line = encode_page(name, page_index, heap.page(page_index).to_bytes())
+                cached[page_index] = line
+                fresh.append(line)
+            lines += cached
             indexes = [
                 {"name": index.name, "key": list(index.columns)}
                 for index in table.indexes.values()
             ]
-            rows_text = ",".join(text for text in pages if text)
-            tables.append((table.name, list(table.columns), indexes, rows_text))
-        self.wal.checkpoint(encode_checkpoint(tables, self._wal_meta))
+            specs.append(
+                {
+                    "name": name,
+                    "columns": list(table.columns),
+                    "indexes": indexes,
+                    "pages": heap.page_count,
+                }
+            )
+        manifest = encode_record({"t": "ckpt", "tables": specs, "meta": self._wal_meta})
+        lines.append(manifest)
+        fresh.append(manifest)
+        self.wal.checkpoint(lines, fresh)
+        for table in self._tables.values():
+            table.heap.mark_clean()
 
     def recover(self) -> "Database":
         """Rebuild a consistent database from the durable WAL prefix.
@@ -324,15 +343,25 @@ class Database:
     def _replay_checkpoint(
         self, record: dict, content: dict[tuple[str, tuple], list[int]]
     ) -> None:
+        """Bulk-load each table with the live rows of the page images the
+        manifest lists, in (page, slot) order."""
         if self._tables:
             raise RecoveryError("checkpoint record after table records")
+        images = record["images"]
         for spec in record["tables"]:
-            table = self.create_table(spec["name"], spec["columns"])
+            name = spec["name"]
+            table = self.create_table(name, spec["columns"])
             for index in spec["indexes"]:
                 table.create_index(index["name"], index["key"])
-            rows = [tuple(row) for row in spec["rows"]]
+            rows = []
+            for page_index in range(spec["pages"]):
+                image = images.get((name, page_index))
+                if image is None:
+                    raise RecoveryError(f"no image of page {page_index} of {name}")
+                page = load_page(table.heap.codec, base64.b64decode(image))
+                rows += [row for _slot, row in page.live_slots()]
             if rows:
-                _note_rows(content, spec["name"], rows, table.bulk_load(rows))
+                _note_rows(content, name, rows, table.bulk_load(rows))
         self._wal_meta.update(record.get("meta", {}))
 
     def _replay_delete(
@@ -376,20 +405,25 @@ def _committed_records(records: list[dict]) -> list[dict]:
     """Filter a raw record stream down to the committed, applicable ops.
 
     The last ``ckpt`` record resets the stream (everything before it is
-    already folded into the snapshot).  A ``begin`` opens a pending batch;
-    its records apply only when the matching ``commit`` arrives.  A
-    trailing batch with no commit -- the crash case -- is rolled back by
-    omission.
+    already folded into the snapshot) and takes the ``page`` images
+    before it as its ``images``, keyed by ``(table, page)``.  A
+    ``begin`` opens a pending batch; its records apply only when the
+    matching ``commit`` arrives.  A trailing batch with no commit -- the
+    crash case -- is rolled back by omission.
     """
     applied: list[dict] = []
+    images: dict[tuple[str, int], str] = {}
     pending: Optional[list[dict]] = None
     pending_id: Optional[int] = None
     for record in records:
         kind = record["t"]
-        if kind == "ckpt":
-            if pending is not None:
-                raise RecoveryError("checkpoint inside an open batch")
-            applied = [record]
+        if kind in ("page", "ckpt") and pending is not None:
+            raise RecoveryError(f"{kind} record inside an open batch")
+        if kind == "page":
+            images[record["table"], record["page"]] = record["image"]
+        elif kind == "ckpt":
+            applied = [{**record, "images": images}]
+            images = {}
         elif kind == "begin":
             if pending is not None:
                 raise RecoveryError("nested begin records in the WAL")

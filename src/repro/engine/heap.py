@@ -27,7 +27,9 @@ is used by the benchmarks (build, query, discard).
 
 From its first checkpoint on (:meth:`HeapFile.mark_clean`), a heap also
 remembers which pages ``insert_many``, ``delete`` and ``bulk_append``
-changed since the last one, so a checkpoint re-encodes only those pages.
+changed since the last one, so a checkpoint logs the block image
+(:meth:`HeapPage.to_bytes`) of only those pages, and recovery reads a
+logged image back with :func:`load_page` and :meth:`HeapPage.live_slots`.
 A heap that is never checkpointed tracks nothing.
 """
 
@@ -85,6 +87,11 @@ class HeapPage:
     def to_bytes(self) -> bytes:
         header = pack_header(PAGE_HEAP, len(self.values) // self.codec.arity, 0)
         return header + values_to_bytes(self.values)
+
+    def live_slots(self) -> list[tuple[int, tuple[int, ...]]]:
+        """``(slot, row)`` for the live slots, in slot order."""
+        slots = self.codec.native.iter_unpack(self.values)
+        return [(slot, row[1:]) for slot, row in enumerate(slots) if row[0] == LIVE]
 
 
 def load_page(codec: IntTupleCodec, data: bytes) -> HeapPage:
@@ -176,13 +183,9 @@ class HeapFile:
     # ------------------------------------------------------------------
     # page access
     # ------------------------------------------------------------------
-    def _values(self, page_index: int) -> array:
-        return self._read(self._page_ids[page_index]).values
-
-    def _live_slots(self, page_index: int) -> list[tuple[int, tuple[int, ...]]]:
-        """``(slot, row)`` for the live slots of one page (one request)."""
-        slots = self.codec.native.iter_unpack(self._values(page_index))
-        return [(slot, row[1:]) for slot, row in enumerate(slots) if row[0] == LIVE]
+    def page(self, page_index: int) -> HeapPage:
+        """One page of the heap (one page request)."""
+        return self._read(self._page_ids[page_index])
 
     # ------------------------------------------------------------------
     # operations
@@ -210,7 +213,7 @@ class HeapFile:
         width = self.width
         while position < total and self._pages_with_space:
             page_index = min(self._pages_with_space)
-            values = self._values(page_index)
+            values = self.page(page_index).values
             base = page_index * slots_per_page
             start = position
             for slot, flag in enumerate(values[::width]):
@@ -342,7 +345,7 @@ class HeapFile:
             page_index, slot = divmod(rowid, slots_per_page)
             if page_index != current_index:
                 self._check_page(page_index, rowid)
-                values = self._values(page_index)
+                values = self.page(page_index).values
                 current_index = page_index
             start = slot * width
             if start >= len(values) or values[start] != LIVE:
@@ -372,7 +375,8 @@ class HeapFile:
         """
         for page_index in range(len(self._page_ids)):
             base = page_index * self.slots_per_page
-            batch = [(base + slot, row) for slot, row in self._live_slots(page_index)]
+            slots = self.page(page_index).live_slots()
+            batch = [(base + slot, row) for slot, row in slots]
             if batch:
                 yield batch
 
@@ -421,10 +425,6 @@ class HeapFile:
     def mark_clean(self) -> None:
         """Forget the changed pages; track changes from here on."""
         self._changed = set()
-
-    def live_rows(self, page_index: int) -> list[tuple[int, ...]]:
-        """The live rows of one page in slot order (one page request)."""
-        return [row for _slot, row in self._live_slots(page_index)]
 
     # ------------------------------------------------------------------
     # internals

@@ -12,15 +12,18 @@ Durability therefore follows the classic logical-redo recipe:
 * a batch commits by appending a ``commit`` record and **forcing** the
   tail (group commit -- one force per batch, accounted in whole blocks as
   ``wal_writes``);
-* a **checkpoint** atomically replaces the whole log with one snapshot
-  record, bounding replay work; the snapshot is assembled from row text
-  encoded per heap page (:func:`encode_rows`), so a checkpoint
-  re-encodes only the pages changed since the previous one
-  (:func:`encode_checkpoint`);
+* a **checkpoint** atomically replaces the whole log with a snapshot,
+  bounding replay work: one ``page`` line per heap page holding its
+  block image (:func:`encode_page`), then one small ``ckpt`` manifest
+  line (each table's schema and page count, and the store metadata).
+  A page line is written once and referenced by every later snapshot
+  until its page changes, so a checkpoint writes the lines of the pages
+  changed since the previous one plus the manifest, not the table
+  (:meth:`WriteAheadLog.checkpoint`);
 * **recovery** scans the durable prefix (accounted as ``wal_reads``),
-  applies the checkpoint snapshot and replays every *committed* batch in
-  order; a batch whose ``commit`` never became durable is rolled back by
-  simply not replaying it.
+  loads the rows of the page images the last manifest lists and replays
+  every *committed* batch in order; a batch whose ``commit`` never
+  became durable is rolled back by simply not replaying it.
 
 Records are JSON lines protected by a CRC-32 prefix.  The "disk" behind
 the log is modeled the same way as the data disk: whatever was forced
@@ -33,6 +36,7 @@ and ``fsync()``.
 
 from __future__ import annotations
 
+import base64
 import json
 import zlib
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -54,6 +58,7 @@ RECORD_KINDS = (
     "delete",
     "bulk",
     "meta",
+    "page",
     "ckpt",
 )
 
@@ -74,30 +79,17 @@ def encode_record(record: dict) -> str:
     return _frame(_dumps(record))
 
 
-def encode_rows(rows: Sequence[Sequence[int]]) -> str:
-    """The JSON text of ``rows`` without the enclosing list brackets.
+def encode_page(table: str, page: int, image: bytes) -> str:
+    """The ``page`` line of one heap page's block image (base64).
 
-    Texts of consecutive row runs joined with ``","`` (empty texts
-    skipped) are the text of the concatenated run.
+    Byte for byte ``encode_record({"t": "page", "table": table, "page":
+    page, "image": base64})``, written without the JSON encoder: a
+    base64 text needs no escaping, and the encoder's scan of it was most
+    of a checkpoint's framing work.
     """
-    return _dumps(rows)[1:-1]
-
-
-def encode_checkpoint(tables: Sequence[tuple[str, list, list, str]], meta: dict) -> str:
-    """Build a ``ckpt`` line from tables whose rows are already text.
-
-    Each table is ``(name, columns, indexes, rows_text)`` with
-    ``rows_text`` from :func:`encode_rows`.  The line is byte for byte
-    ``encode_record({"t": "ckpt", "tables": [{"name": name, "columns":
-    columns, "indexes": indexes, "rows": rows}, ...], "meta": meta})``:
-    the keys are written in sorted order.
-    """
-    specs = ",".join(
-        f'{{"columns":{_dumps(columns)},"indexes":{_dumps(indexes)},'
-        f'"name":{_dumps(name)},"rows":[{rows_text}]}}'
-        for name, columns, indexes, rows_text in tables
-    )
-    return _frame(f'{{"meta":{_dumps(meta)},"t":"ckpt","tables":[{specs}]}}')
+    text = base64.b64encode(image).decode("ascii")
+    name = _dumps(table)
+    return _frame(f'{{"image":"{text}","page":{page:d},"t":"page","table":{name}}}')
 
 
 def decode_record(line: str) -> dict:
@@ -175,21 +167,25 @@ class WriteAheadLog:
         self._tail.clear()
         self.forces += 1
 
-    def checkpoint(self, line: str) -> None:
-        """Atomically replace the log contents with one snapshot record.
+    def checkpoint(self, lines: list[str], fresh: Sequence[str]) -> None:
+        """Atomically replace the log contents with a snapshot.
 
-        ``line`` is the encoded ``ckpt`` record
-        (:func:`encode_checkpoint`).  Models writing the snapshot to a
-        side file and atomically switching the log anchor to it: the
-        injector's write point fires before the switch, so a crash
-        injected here leaves the *old* log intact and recovery simply
-        replays more.  Accounted as one force and ``wal_writes`` in whole
-        blocks of the line.
+        ``lines`` is the whole snapshot: the ``page`` lines
+        (:func:`encode_page`) then the ``ckpt`` manifest; the log takes
+        the list over.  ``fresh`` are the lines of ``lines`` written by
+        this checkpoint; the others are already on the log disk from an
+        earlier one, and the new log anchor references them in place.
+        Models writing the fresh lines to a side file and atomically
+        switching the anchor: the injector's write point fires before
+        the switch, so a crash injected here leaves the *old* log intact
+        and recovery simply replays more.  Accounted as one force and
+        ``wal_writes`` in whole blocks of the fresh lines.
         """
         if self.injector is not None:
             self.injector.on_wal_force()
-        self.stats.wal_writes += -(-(len(line) + 1) // self.block_size)
-        self._durable = [line]
+        written = sum(len(line) + 1 for line in fresh)
+        self.stats.wal_writes += -(-written // self.block_size)
+        self._durable = lines
         self._tail.clear()
         self.forces += 1
         self.checkpoints += 1

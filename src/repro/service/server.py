@@ -454,25 +454,14 @@ def load_dataset(path: str) -> tuple[list[tuple[int, int, int]], int]:
 
 def _build_single(args, records: Sequence[tuple[int, int, int]],
                   now: int):
-    """One backend holding ``records``.
-
-    Finite rows go through ``bulk_load`` and sentinel rows through
-    ``append_batch`` (as :meth:`~repro.core.router.ShardedStore.bulk_load`
-    keeps them out of its shards' bulk loads), so a disk backend's
-    bottom-up build never sees a sentinel upper.
-    """
+    """One backend holding ``records``, Section 4.6 rows included."""
     from ..core.stores import create_store
-    from ..core.temporal import UPPER_INF, UPPER_NOW
 
     store = create_store(args.backend, **json.loads(args.backend_opts))
     if now:
         store.advance_to(now)
-    finite = [r for r in records if r[1] not in (UPPER_INF, UPPER_NOW)]
-    if finite:
-        store.bulk_load(finite)
-    sentinels = [r for r in records if r[1] in (UPPER_INF, UPPER_NOW)]
-    if sentinels:
-        store.append_batch(sentinels)
+    if records:
+        store.bulk_load(records)
     return store, lambda: None
 
 

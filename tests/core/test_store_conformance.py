@@ -870,6 +870,19 @@ def test_range_duration_by_name_with_params(store, rng):
         )
 
 
+def test_range_duration_by_join_matches_oracle(store, rng):
+    # The inverse family as a join predicate: the stored row is the
+    # reference, so its duration decides the band.
+    records = make_intervals(rng, 200, domain=30_000, mean_length=60)
+    probes = make_intervals(rng, 20, domain=30_000, mean_length=2_000)
+    store.bulk_load(records)
+    pred = compile_query("range_duration_by", {"dmin": 5, "dmax": 40})
+    expected = sorted(BruteForceIntervals(records).join_pairs(probes, predicate=pred))
+    assert expected
+    assert sorted(store.join_pairs(probes, predicate=pred)) == expected
+    assert store.join_count(probes, predicate=pred) == len(expected)
+
+
 def test_range_duration_temporal_sentinel_rows(store):
     store.advance_to(1000)
     store.bulk_load([(10, 110, 1), (50, 900, 2)])

@@ -152,6 +152,30 @@ def test_mixed_database_against_brute_force(rng):
         assert sorted(tree.intersection(lower, upper)) == expected, (lower, upper)
 
 
+def test_bulk_load_takes_sentinel_rows_like_hint(rng):
+    from repro.core import HintStore
+
+    records = []
+    for interval_id in range(300):
+        lower = rng.randrange(0, 40_000)
+        upper = rng.choice([lower + rng.randrange(0, 2000), UPPER_INF, UPPER_NOW])
+        records.append((lower, upper, interval_id))
+    tree, hint = RITree(now=50_000), HintStore(now=50_000)
+    tree.bulk_load(records)
+    hint.bulk_load(records)
+    assert tree.verify().ok
+    assert (tree.infinite_count, tree.now_relative_count) == (
+        sum(upper == UPPER_INF for _, upper, _ in records),
+        sum(upper == UPPER_NOW for _, upper, _ in records),
+    )
+    for _ in range(100):
+        lower = rng.randrange(0, 60_000)
+        upper = lower + rng.randrange(0, 5000)
+        expected = sorted(hint.intersection(lower, upper))
+        assert sorted(tree.intersection(lower, upper)) == expected, (lower, upper)
+    assert sorted(tree.stored_records()) == sorted(hint.stored_records())
+
+
 def test_advancing_clock_updates_effective_uppers(rng):
     tree = RITree(now=1000)
     tree.insert(500, UPPER_NOW, 1)

@@ -132,7 +132,8 @@ def test_insert_many_matches_the_per_row_loop_over_holes():
     assert batched.page_count == looped.page_count
     assert batched.row_count == looped.row_count == 60 - len(holes) + len(rows)
     for page_index in range(looped.page_count):
-        assert batched.live_rows(page_index) == looped.live_rows(page_index)
+        slots = looped.page(page_index).live_slots()
+        assert batched.page(page_index).live_slots() == slots
     assert list(batched.changed_pages()) == list(looped.changed_pages())
     # Both directories agree: the next row lands in the same slot.
     assert batched.insert((0, 0, 0)) == looped.insert((0, 0, 0))
@@ -162,7 +163,7 @@ def test_delete_many_kills_a_page_run_with_one_request():
     ]
     assert stats.logical_reads - before == 3
     assert heap.row_count == 14 - 8
-    assert heap.live_rows(0) == [(6, -6, 0)]
+    assert heap.page(0).live_slots() == [(6, (6, -6, 0))]
     with pytest.raises(BlockError):
         heap.fetch(rowids[3])
 
@@ -173,7 +174,7 @@ def test_delete_many_raises_on_a_dead_row_after_the_rows_before_it():
     heap.delete(rowids[2])
     with pytest.raises(BlockError):
         heap.delete_many([rowids[0], rowids[2], rowids[4]])
-    assert heap.live_rows(0) == [(1, 1, 1), (3, 3, 3), (4, 4, 4)]
+    assert heap.page(0).live_slots() == [(1, (1, 1, 1)), (3, (3, 3, 3)), (4, (4, 4, 4))]
     assert heap.row_count == 3
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import random
 
 import pytest
@@ -15,12 +16,7 @@ from repro.engine import (
     WalError,
     WriteAheadLog,
 )
-from repro.engine.wal import (
-    decode_record,
-    encode_checkpoint,
-    encode_record,
-    encode_rows,
-)
+from repro.engine.wal import decode_record, encode_page, encode_record
 
 
 # ----------------------------------------------------------------------
@@ -52,26 +48,14 @@ def test_encoding_is_canonical():
     assert a == b
 
 
-def test_checkpoint_line_is_the_record_encoding():
-    rows = [(1, -2), (3, 2**62)]
-    meta = {"S": {"b": [None, True], "a": "\u00e4\n"}}
-    indexes = [{"name": "ix", "key": ["b"]}]
-    specs = [
-        ("T\u00e4", ["a", "b"], indexes, encode_rows(rows)),
-        ("E", ["z"], [], ""),
-    ]
-    line = encode_checkpoint(specs, meta)
-    tables = [
-        {"name": "T\u00e4", "columns": ["a", "b"], "indexes": indexes, "rows": rows},
-        {"name": "E", "columns": ["z"], "indexes": [], "rows": []},
-    ]
-    assert line == encode_record({"t": "ckpt", "tables": tables, "meta": meta})
-
-
-def test_encoded_row_runs_join_with_commas():
-    rows = [(1, 2), (3, 4), (5, 6)]
-    texts = [encode_rows(rows[:1]), encode_rows([]), encode_rows(rows[1:])]
-    assert ",".join(text for text in texts if text) == encode_rows(rows)
+def test_page_line_is_the_record_encoding():
+    image = bytes(range(256)) * 3
+    line = encode_page("T\u00e4\n", 7, image)
+    record = decode_record(line)
+    assert base64.b64decode(record["image"]) == image
+    assert line == encode_record(
+        {"t": "page", "table": "T\u00e4\n", "page": 7, "image": record["image"]}
+    )
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +281,7 @@ def test_checkpoint_bounds_replay():
     for i in range(10):
         table.insert((i,))
     db.checkpoint()
-    assert db.wal.durable_records == 1
+    assert db.wal.durable_records == table.heap.page_count + 1  # pages + manifest
     table.insert((99,))
     recovered = db.recover()
     rows = sorted(row for _, row in recovered.table("T").scan())
@@ -370,32 +354,38 @@ def test_wal_off_has_zero_wal_traffic():
 # incremental checkpoints
 # ----------------------------------------------------------------------
 class CapturingLog(WriteAheadLog):
-    """A log that keeps every checkpoint line it is handed."""
+    """A log that keeps the contents of every checkpoint it is handed."""
 
     def __init__(self) -> None:
         super().__init__(block_size=256)
-        self.lines: list[str] = []
+        self.snapshots: list[list[str]] = []
 
-    def checkpoint(self, line: str) -> None:
-        self.lines.append(line)
-        super().checkpoint(line)
+    def checkpoint(self, lines, fresh) -> None:
+        self.snapshots.append(list(lines))
+        super().checkpoint(lines, fresh)
 
 
-def full_scan_checkpoint(db: Database) -> str:
-    """The reference: a snapshot of every table built by a full scan."""
-    tables = [
-        {
-            "name": table.name,
-            "columns": list(table.columns),
-            "indexes": [
-                {"name": index.name, "key": list(index.columns)}
-                for index in table.indexes.values()
-            ],
-            "rows": [list(row) for _, row in table.scan()],
-        }
+def full_scan_state(db: Database) -> dict:
+    """The reference: each table's schema and row multiset by a full
+    scan, and the store metadata."""
+    tables = {
+        table.name: (
+            list(table.columns),
+            [(index.name, list(index.columns)) for index in table.indexes.values()],
+            sorted(row for _, row in table.scan()),
+        )
         for table in db.tables()
-    ]
-    return encode_record({"t": "ckpt", "tables": tables, "meta": dict(db._wal_meta)})
+    }
+    return {"tables": tables, "meta": dict(db._wal_meta)}
+
+
+def recovered_state(lines: list[str]) -> dict:
+    """The state a database recovers from a log holding ``lines``."""
+    wal = WriteAheadLog(block_size=256)
+    for line in lines:
+        wal.append(decode_record(line))
+    wal.force()
+    return full_scan_state(Database(block_size=256, wal=wal).recover())
 
 
 def mutate(db: Database, rng: random.Random) -> None:
@@ -413,12 +403,14 @@ def mutate(db: Database, rng: random.Random) -> None:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_incremental_checkpoint_matches_full_scan_encoding(seed):
+    """After every checkpoint and every recovery, the log recovers the
+    state a full scan reads: schemas, row multisets and metadata."""
     rng = random.Random(seed)
     log = CapturingLog()
     db = Database(block_size=256, cache_blocks=8, wal=log)
     db.create_table("A", ["k", "v"]).create_index("ik", ["k"])
     db.create_table("B", ["k", "v"])
-    expected = []
+    checked = 0
     for _ in range(300):
         roll = rng.random()
         if roll < 0.6:
@@ -429,14 +421,36 @@ def test_incremental_checkpoint_matches_full_scan_encoding(seed):
                     mutate(db, rng)
         elif roll < 0.8:
             db.log_meta("S", {"clock": rng.randrange(1000)})
-        elif roll < 0.95:
-            expected.append(full_scan_checkpoint(db))
-            db.checkpoint()
         else:
-            db = db.recover()  # checkpoints the replayed state
-            expected.append(full_scan_checkpoint(db))
-    assert len(expected) > 10
-    assert log.lines == expected
+            expected = full_scan_state(db)
+            if roll < 0.95:
+                db.checkpoint()
+            else:
+                db = db.recover()  # checkpoints the replayed state
+                assert full_scan_state(db) == expected
+            assert recovered_state(log.snapshots[-1]) == expected
+            checked += 1
+    assert checked > 10
+
+
+def test_checkpoint_writes_only_the_changed_page_lines():
+    db = Database(block_size=256, wal=True)
+    table = db.create_table("T", ["a", "b"])
+    table.create_index("ia", ["a"])
+    heap = table.heap
+    table.bulk_load([(i, i) for i in range(100 * heap.slots_per_page)])
+    assert heap.page_count == 100
+    with db.measure() as first:
+        db.checkpoint()
+    table.insert((-1, -1))
+    assert heap.page_count == 101  # the full pages leave it a new one
+    with db.measure() as after_insert:
+        db.checkpoint()
+    page_line = encode_page("T", 100, heap.page(100).to_bytes())
+    manifest = encode_record(db.wal.records()[-1])
+    written = len(page_line) + 1 + len(manifest) + 1
+    assert after_insert.wal_writes <= -(-written // 256)
+    assert after_insert.wal_writes * 20 < first.wal_writes
 
 
 def test_checkpoint_reads_only_changed_heap_pages():
