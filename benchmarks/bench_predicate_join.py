@@ -40,10 +40,6 @@ from repro.workloads import joins as join_gen
 #: that measured cheaper (by physical reads).  The acceptance gate.
 ACCURACY_FLOOR = 0.9
 
-#: Relations whose candidate ranges need the stored extent, and
-#: therefore issue one extra MIN/MAX aggregate on the sqlite backend.
-EXTENT_RELATIONS = ("before", "after")
-
 
 def _parity_leg(workload):
     """All four strategies x all 14 predicates, one pair set each."""
@@ -121,13 +117,8 @@ def _sql_leg(workload):
         sql_tree.conn.set_trace_callback(None)
         if sql_pairs != sorted(engine_tree.join_pairs(outer, predicate=name)):
             raise SystemExit(f"sqlite vs engine pair sets diverge on {name!r}")
-        batch_selects = [
-            s for s in statements
-            if s.lstrip().startswith("SELECT") and "batchProbes" in s
-        ]
-        extra_allowed = 1 if name in EXTENT_RELATIONS else 0
         selects = [s for s in statements if s.lstrip().startswith("SELECT")]
-        if len(batch_selects) != 1 or len(selects) > 1 + extra_allowed:
+        if len(selects) != 1 or "batchProbes" not in selects[0]:
             one_statement = False
         if not figure10_plan(sql_tree.explain_join(outer[:16], predicate=name)):
             plans_clean = False

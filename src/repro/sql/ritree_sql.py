@@ -4,7 +4,10 @@
 relational DBMS featuring a procedural query language."  This module proves
 the claim on stdlib :mod:`sqlite3`:
 
-* the relation and indexes are the literal Figure 2 DDL;
+* the relation is Figure 2's; its two indexes keep Figure 2's key
+  prefixes and carry ``id`` (Section 4.3) and the other bound, so every
+  predicate refinement is answered inside the index
+  (:data:`repro.sql.schema.INDEX_COLUMNS`);
 * insertion executes the single SQL statement of Figure 5 after the
   arithmetic-only fork computation of Figure 6;
 * an intersection query fills the two transient (TEMP) tables and runs the
@@ -150,12 +153,21 @@ class SQLRITree(IntervalStore):
         self._now = now
         self._has_infinite = False
         self._has_now = False
+        #: The before/after envelope (:meth:`_candidate_extent`), widened
+        #: by :meth:`_row`; deletes leave it wide, a superset of the truth.
+        self._floor: Optional[int] = None
+        self._ceiling: Optional[int] = None
         #: Last persisted parameter tuple (the dirty flag: ``_save_params``
         #: writes the dictionary only when this snapshot goes stale).
         self._persisted: Optional[tuple] = None
         self._cost_model = None
         if attach:
             self._load_params()
+            self._floor, self._ceiling = self.conn.execute(
+                f'SELECT MIN("lower"), '
+                f'MAX(CASE WHEN "node" IN ({FORK_INF}, {FORK_NOW}) '
+                f'THEN "lower" ELSE "upper" END) FROM {self.name}'
+            ).fetchone()
         else:
             for statement in schema.create_interval_table(name):
                 self.conn.execute(statement)
@@ -205,9 +217,7 @@ class SQLRITree(IntervalStore):
         self._persisted = values
 
     def _load_params(self) -> None:
-        rows = dict(
-            self.conn.execute(f'SELECT "key", "value" FROM {self.name}_params')
-        )
+        rows = dict(self.conn.execute(f'SELECT "key", "value" FROM {self.name}_params'))
         if not rows:
             raise ValueError(f"no persisted parameters for RI-tree {self.name!r}")
         self.backbone.offset = rows.get("offset")
@@ -226,9 +236,12 @@ class SQLRITree(IntervalStore):
 
         A sentinel upper selects its reserved fork node (Section 4.6)
         and raises the matching reserved-row flag; every other record
-        registers on the backbone as in Figure 6.
+        registers on the backbone as in Figure 6.  The row widens the
+        before/after envelope (:meth:`_candidate_extent`) by its lower
+        bound and by its upper bound, or its lower for a reserved row.
         """
         node = sentinel_node(lower, upper, self._now)
+        high = upper
         if node is None:
             node = self.backbone.register(lower, upper)
         else:
@@ -238,8 +251,12 @@ class SQLRITree(IntervalStore):
                 self._has_infinite = True
             else:
                 self._has_now = True
-        return {"node": node, "lower": lower, "upper": upper,
-                "id": interval_id}
+            high = lower
+        if self._floor is None or lower < self._floor:
+            self._floor = lower
+        if self._ceiling is None or high > self._ceiling:
+            self._ceiling = high
+        return {"node": node, "lower": lower, "upper": upper, "id": interval_id}
 
     def insert(self, lower: int, upper: int, interval_id: int) -> None:
         """Fork computation (no I/O) + the single INSERT of Figure 5;
@@ -520,13 +537,12 @@ class SQLRITree(IntervalStore):
         candidate scans have to reach -- the largest finite upper, the
         largest reserved-row lower, and the clock for now-relative
         rows.  Sentinel uppers never enter, so the scan plan's BETWEEN
-        fold stays clear of the reserved fork-node values.
+        fold stays clear of the reserved fork-node values.  Both are
+        kept in memory (:meth:`_row`), read from the relation once on
+        attach; rows deleted or refused leave the envelope wide, which
+        still covers every stored row, so answers do not change.
         """
-        floor, ceiling = self.conn.execute(
-            f'SELECT MIN("lower"), '
-            f'MAX(CASE WHEN "node" IN ({FORK_INF}, {FORK_NOW}) '
-            f'THEN "lower" ELSE "upper" END) FROM {self.name}'
-        ).fetchone()
+        floor, ceiling = self._floor, self._ceiling
         if self._has_now and ceiling is not None:
             ceiling = max(ceiling, self._now)
         return floor, ceiling
@@ -777,7 +793,8 @@ class SQLRITree(IntervalStore):
         """Structural validators for the sqlite backend.
 
         Checks, in order: sqlite's own ``PRAGMA integrity_check``,
-        presence and column order of the Figure 2 covering indexes, the
+        presence and column order of the two covering indexes
+        (:data:`repro.sql.schema.INDEX_COLUMNS`), the
         persisted parameter dictionary against the in-memory backbone,
         Figure 6 fork-node consistency, the reserved Section 4.6 rows
         against their sentinel uppers and flags, and that no batch fill
@@ -790,8 +807,8 @@ class SQLRITree(IntervalStore):
                 report.add_issue("sqlite-integrity", line)
         report.add_check("figure2-indexes")
         expected_indexes = {
-            f"{self.name}_lowerIndex": ["node", "lower", "id"],
-            f"{self.name}_upperIndex": ["node", "upper", "id"],
+            f"{self.name}_{suffix}": list(columns)
+            for suffix, columns in schema.INDEX_COLUMNS.items()
         }
         present = {
             row[1] for row in self.conn.execute(f"PRAGMA index_list({self.name})")
@@ -811,7 +828,7 @@ class SQLRITree(IntervalStore):
             if columns != key_columns:
                 report.add_issue(
                     "index-columns",
-                    f"{index_name} covers {columns}, Figure 2 expects "
+                    f"{index_name} covers {columns}, the schema expects "
                     f"{key_columns}",
                     {"index": index_name},
                 )
@@ -883,7 +900,7 @@ class SQLRITree(IntervalStore):
     # ------------------------------------------------------------------
     def _register_udf(self) -> None:
         def fork_node(lower: int, upper: int) -> int:
-            return self.backbone.register(lower, upper)
+            return self._row(lower, upper, None)["node"]
 
         self.conn.create_function(f"ritree_fork_{self.name}", 2, fork_node)
 

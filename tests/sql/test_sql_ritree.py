@@ -6,10 +6,16 @@ import sqlite3
 import pytest
 
 from repro.core.costmodel import BoundSummary
-from repro.core.predicates import PREDICATES, range_duration
+from repro.core.predicates import (
+    FAMILIES,
+    JOIN_PREDICATES,
+    PREDICATES,
+    compile_query,
+    range_duration,
+)
 from repro.core.temporal import UPPER_INF, UPPER_NOW
 from repro.methods.memory import BruteForceIntervals
-from repro.sql import SQLRITree
+from repro.sql import SQLRITree, schema
 
 from ..conftest import make_intervals
 
@@ -122,6 +128,9 @@ def test_view_trigger_wrapping():
     tree.sync_params()
     assert sorted(tree.intersection(8, 35)) == [1, 2, 3]
     assert tree.intersection(26, 29) == []
+    # View inserts widen the before/after envelope too.
+    assert sorted(tree.query(26, 29, predicate="before")) == [1, 2]
+    assert tree.query(26, 29, predicate="after") == [3]
 
 
 def test_temporal_now_and_infinity():
@@ -261,6 +270,30 @@ def test_cost_model_counts_reserved_rows_as_stored_records():
     assert moved.upper_bounds == expected.upper_bounds
 
 
+def test_before_after_envelope_outlives_deletes_and_refused_batches():
+    """The in-memory envelope only widens: deleted rows and a refused
+    batch leave it a superset of the stored rows, so answers stay exact,
+    and no query reads the envelope from the relation."""
+    tree = SQLRITree(now=100)
+    oracle = BruteForceIntervals()
+    oracle.advance_to(100)
+    for store in (tree, oracle):
+        store.append_batch([(10, 20, 1), (30, 40, 2), (50, 60, 3)])
+        store.insert(70, UPPER_NOW, 4)
+        store.delete(10, 20, 1)
+        store.delete(50, 60, 3)
+    with pytest.raises(KeyError):
+        tree.append_batch([(0, 500, 9)], closes=[(99, 99, 120)])
+    statements = []
+    tree.conn.set_trace_callback(statements.append)
+    for name in ("before", "after"):
+        for lower, upper in ((0, 5), (25, 35), (45, 65), (101, 120), (600, 700)):
+            expected = sorted(oracle.query(lower, upper, predicate=name))
+            assert sorted(tree.query(lower, upper, predicate=name)) == expected
+    tree.conn.set_trace_callback(None)
+    assert not [s for s in statements if "MIN(" in s]
+
+
 # ----------------------------------------------------------------------
 # explain reads the statement that runs
 # ----------------------------------------------------------------------
@@ -350,3 +383,90 @@ def test_explain_join_explains_the_statement_join_pairs_runs(predicate):
     ran = _executed(tree, lambda: tree.join_pairs(probes, predicate=predicate))
     explained = _executed(tree, lambda: tree.explain_join(probes, predicate=predicate))
     assert explained == _explained(ran)
+
+
+# ----------------------------------------------------------------------
+# covering indexes: refinements read the index, not the table
+# ----------------------------------------------------------------------
+def _searches(plan: list[str]) -> list[str]:
+    """The seeks into the interval relation, one per Figure 9 branch."""
+    searches = [line for line in plan if line.startswith("SEARCH i ")]
+    assert len(searches) == 3, plan
+    return searches
+
+
+def _assert_covering(searches: list[str]) -> None:
+    """Each seek reads an index alone, never the table."""
+    assert all(" USING COVERING INDEX " in line for line in searches), searches
+
+
+@pytest.mark.parametrize("predicate", [*PREDICATES, range_duration(5, 40)], ids=_label)
+def test_query_plans_are_covering(predicate):
+    """Both bounds are in both indexes, so each predicate and family
+    refinement is answered without a table seek per candidate."""
+    tree = _sentinel_tree()
+    pred = compile_query(predicate)
+    searches = _searches(tree.explain_query(500, 900, predicate=pred))
+    if pred.pinned is not None:
+        # A pinned relation scans one point, whose transient rows are
+        # all single nodes: the fold branch (node BETWEEN, the second
+        # seek) receives no row and never runs.
+        clower, cupper = pred.candidates(500, 900, None, None)
+        left, _right = tree._transient_rows(clower, cupper)
+        assert clower == cupper and all(mn == mx for mn, mx in left)
+        del searches[1]
+    _assert_covering(searches)
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    [
+        *JOIN_PREDICATES,
+        range_duration(5, 40),
+        compile_query("range_duration_by", {"dmin": 5, "dmax": 40}),
+    ],
+    ids=_label,
+)
+def test_join_plans_are_covering(predicate):
+    tree = _sentinel_tree()
+    probes = [(i * 50, i * 50 + 10 + i % 30, i) for i in range(20)]
+    _assert_covering(_searches(tree.explain_join(probes, predicate=predicate)))
+
+
+def test_attach_to_an_older_index_layout(tmp_path):
+    """A relation written with the three-column Section 4.3 indexes
+    attaches unchanged: it answers every predicate and family, and
+    ``verify()`` names the layout it lacks."""
+    path = tmp_path / "older.db"
+    conn = sqlite3.connect(path)
+    writer = SQLRITree(conn, name="Old", now=900)
+    records = [(i * 7, i * 7 + i % 60, i) for i in range(400)]
+    writer.bulk_load(records + [(300, UPPER_INF, 5_000), (600, UPPER_NOW, 5_001)])
+    for suffix, bound in (("lowerIndex", "lower"), ("upperIndex", "upper")):
+        conn.execute(f"DROP INDEX Old_{suffix}")
+        conn.execute(f'CREATE INDEX Old_{suffix} ON Old ("node", "{bound}", "id")')
+    conn.commit()
+    conn.close()
+
+    tree = SQLRITree(sqlite3.connect(path), name="Old", attach=True, now=900)
+    oracle = BruteForceIntervals(records)
+    oracle.advance_to(900)
+    oracle.insert(300, UPPER_INF, 5_000)
+    oracle.insert(600, UPPER_NOW, 5_001)
+    families = [
+        compile_query(name, {"dmin": 5, "dmax": 40} if family.parameters else None)
+        for name, family in FAMILIES.items()
+    ]
+    for pred in families:
+        for lower, upper in ((-50, 10), (500, 900), (1_000, 2_900), (2_795, 2_795)):
+            got = sorted(tree.query(lower, upper, predicate=pred))
+            assert got == sorted(oracle.query(lower, upper, predicate=pred)), (
+                pred.name,
+                lower,
+                upper,
+            )
+    issues = [issue for issue in tree.verify().issues if issue.code == "index-columns"]
+    assert len(issues) == 2
+    for issue in issues:
+        suffix = issue.context["index"].removeprefix("Old_")
+        assert str(list(schema.INDEX_COLUMNS[suffix])) in issue.message
