@@ -47,14 +47,11 @@ from .predicates import (
     FAMILIES,
     JOIN_PREDICATES,
     PREDICATES,
-    CompiledQuery,
     IntervalPredicate,
     QueryFamily,
     compile_query,
     get_family,
-    get_predicate,
     range_duration,
-    register_family,
 )
 from .join import (
     JOIN_STRATEGIES,
@@ -96,12 +93,9 @@ __all__ = [
     "IntervalPredicate",
     "IntervalRecord",
     "IntervalStore",
-    "get_predicate",
     "get_family",
     "compile_query",
     "range_duration",
-    "register_family",
-    "CompiledQuery",
     "QueryFamily",
     "FAMILIES",
     "JOIN_PREDICATES",

@@ -246,10 +246,11 @@ class IntervalStore(ABC):
         range_duration` -- evaluated with the stored interval as the
         subject: ``query(l, u, predicate="before")`` returns intervals
         that lie *before* ``[l, u]``; omitting ``upper`` makes it a
-        point query.  ``intersects`` and ``stab`` run every backend's
-        native intersection machinery directly; relational predicates
-        and parameterized families go through :meth:`_query_relation`,
-        the per-backend compilation hook.  The bounds are validated
+        point query.  A predicate whose atoms are exactly its candidate
+        range's intersection (``intersects``, ``stab``) runs every
+        backend's native intersection machinery directly; relational
+        predicates and parameterized families go through
+        :meth:`_query_relation`, the per-backend compilation hook.  The bounds are validated
         here, once, before that dispatch, so every backend refuses
         reversed or non-integer bounds alike.
         """
@@ -257,10 +258,8 @@ class IntervalStore(ABC):
         if upper is None:
             upper = lower
         validate_interval(lower, upper)
-        if pred.name == "intersects":
-            return self.intersection(lower, upper)
-        if pred.name == "stab":
-            return self.stab(lower)
+        if not pred.family.residual:
+            return self.intersection(*pred.candidates(lower, upper, None, None))
         return self._query_relation(pred, lower, upper)
 
     def _query_relation(self, pred, lower: int, upper: int) -> list[int]:

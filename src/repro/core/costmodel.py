@@ -146,8 +146,7 @@ def _page_capacities(key_columns: int, block_size: int) -> tuple[int, int]:
     """
     entry_bytes = _INT_BYTES * (key_columns + 1)
     leaf_capacity = max(4, (block_size - PAGE_HEADER_SIZE) // entry_bytes)
-    internal_capacity = max(
-        4, (block_size - PAGE_HEADER_SIZE - 8) // (entry_bytes + 8))
+    internal_capacity = max(4, (block_size - PAGE_HEADER_SIZE - 8) // (entry_bytes + 8))
     return leaf_capacity, internal_capacity
 
 
@@ -157,8 +156,7 @@ def index_geometry(
     """``(height, leaf_capacity)`` of a B+-tree index without building it,
     so the engine-free planner prices descents with the same geometry the
     engine would realise."""
-    leaf_capacity, internal_capacity = _page_capacities(
-        key_columns, block_size)
+    leaf_capacity, internal_capacity = _page_capacities(key_columns, block_size)
     height = 1
     pages = -(-max(entries, 1) // leaf_capacity)
     while pages > 1:
@@ -188,8 +186,7 @@ class BoundSummary:
     over either bound distribution.
     """
 
-    __slots__ = ("count", "buckets", "lower_bounds", "upper_bounds",
-                 "duration_bounds")
+    __slots__ = ("count", "buckets", "lower_bounds", "upper_bounds", "duration_bounds")
 
     def __init__(
         self,
@@ -218,7 +215,8 @@ class BoundSummary:
 
     @classmethod
     def from_records(
-        cls, records: Sequence[IntervalRecord],
+        cls,
+        records: Sequence[IntervalRecord],
         buckets: int = DEFAULT_BUCKETS,
     ) -> "BoundSummary":
         """Summarise ``(lower, upper, id)`` records (one sorting pass)."""
@@ -262,8 +260,7 @@ class BoundSummary:
         if len(values) <= self.buckets:
             return list(values)
         last = len(values) - 1
-        return [values[(i * last) // self.buckets]
-                for i in range(self.buckets + 1)]
+        return [values[(i * last) // self.buckets] for i in range(self.buckets + 1)]
 
     # ------------------------------------------------------------------
     # lookups
@@ -314,8 +311,11 @@ class BoundSummary:
         """
         if not self.duration_bounds:
             return 1.0
-        return max(0.0, self._cdf(self.duration_bounds, dmax)
-                   - self._cdf(self.duration_bounds, dmin - 1))
+        return max(
+            0.0,
+            self._cdf(self.duration_bounds, dmax)
+            - self._cdf(self.duration_bounds, dmin - 1),
+        )
 
     def point_lower(self, value: int) -> float:
         """Estimated mass of ``lower == value`` (one quantile-width step)."""
@@ -325,71 +325,13 @@ class BoundSummary:
         """Estimated mass of ``upper == value`` (one quantile-width step)."""
         return max(0.0, self.cdf_upper(value) - self.cdf_upper(value - 1))
 
-    def relation_count(self, relation: str, lower: int, upper: int) -> float:
-        """Expected intervals standing in ``relation`` to ``[lower, upper]``.
-
-        Per-relation selectivity from the two bound marginals alone:
-
-        * ``before``/``after`` are CDF prefix masses (``#{upper < l}`` /
-          ``#{lower > u}``) -- exact up to histogram resolution;
-        * the equality-pinning relations (``meets``, ``starts``,
-          ``equals``, ...) get quantile-width point masses of the pinned
-          bound.  Their strict side conditions are dropped: on proper
-          intervals they are implied at the pinned bound, and the
-          planner needs order-of-magnitude fidelity, not unbiasedness;
-        * the containment/overlap relations multiply the two marginal
-          masses (an independence approximation) clamped by their
-          candidate-range intersection count, which is an upper bound
-          by construction.
-        """
-        n = self.count
-        if n == 0:
-            return 0.0
-        if relation == "intersects":
-            return self.intersecting(lower, upper)
-        if relation == "stab":
-            return self.intersecting(lower, lower)
-        if relation == "before":
-            return n * self.cdf_upper(lower - 1)
-        if relation == "after":
-            return n * (1.0 - self.cdf_lower(upper))
-        if relation == "meets":
-            return n * self.point_upper(lower)
-        if relation == "met_by":
-            return n * self.point_lower(upper)
-        if relation in ("starts", "started_by"):
-            return n * self.point_lower(lower)
-        if relation in ("finishes", "finished_by"):
-            return n * self.point_upper(upper)
-        if relation == "equals":
-            return n * min(self.point_lower(lower), self.point_upper(upper))
-        if relation == "during":
-            mass = (1.0 - self.cdf_lower(lower)) * self.cdf_upper(upper - 1)
-            return min(n * mass, self.intersecting(lower, upper))
-        if relation == "contains":
-            mass = self.cdf_lower(lower - 1) * (1.0 - self.cdf_upper(upper))
-            return min(n * mass, self.intersecting(lower, lower))
-        if relation == "overlaps":
-            ends_inside = max(
-                0.0, self.cdf_upper(upper - 1) - self.cdf_upper(lower))
-            mass = self.cdf_lower(lower - 1) * ends_inside
-            return min(n * mass, self.intersecting(lower, lower))
-        if relation == "overlapped_by":
-            starts_inside = max(
-                0.0, self.cdf_lower(upper - 1) - self.cdf_lower(lower))
-            mass = starts_inside * (1.0 - self.cdf_upper(upper))
-            return min(n * mass, self.intersecting(upper, upper))
-        raise ValueError(f"unknown relation {relation!r}")
-
     def extent(self) -> tuple[Optional[int], Optional[int]]:
         """``(floor, ceiling)``: smallest lower / largest upper boundary."""
         floor = self.lower_bounds[0] if self.lower_bounds else None
         ceiling = self.upper_bounds[-1] if self.upper_bounds else None
         return floor, ceiling
 
-    def _mean(
-        self, boundaries: list[int], func: Callable[[int], float]
-    ) -> float:
+    def _mean(self, boundaries: list[int], func: Callable[[int], float]) -> float:
         """Bucket-weighted mean of ``func`` over one bound distribution.
 
         Equi-depth boundaries carry equal probability mass per bucket, so
@@ -405,8 +347,10 @@ class BoundSummary:
             return sum(func(v) for v in boundaries) / len(boundaries)
         samples = [func(v) for v in boundaries]
         bucket_count = len(boundaries) - 1
-        return sum((samples[i] + samples[i + 1]) / 2.0
-                   for i in range(bucket_count)) / bucket_count
+        return (
+            sum((samples[i] + samples[i + 1]) / 2.0 for i in range(bucket_count))
+            / bucket_count
+        )
 
     def mean_over_lowers(self, func: Callable[[int], float]) -> float:
         """E[func(X)] with X drawn from the lower-bound distribution."""
@@ -441,27 +385,17 @@ def expected_predicate_pairs(
 ) -> float:
     """Expected predicate-join pair count from the inner marginals.
 
-    Samples the outer side and averages the inner side's per-relation
-    selectivity of the predicate's *inverse* (the stored record is the
-    subject of each probe's question): before/after reduce to CDF prefix
-    masses, the equality-pinning relations to quantile-width masses --
-    exactly :meth:`BoundSummary.relation_count` per sampled probe.
+    Samples the outer side and averages the inner side's estimate of
+    the predicate's *inverse* (the stored record is the subject of each
+    probe's question, :meth:`~repro.core.predicates.IntervalPredicate.
+    estimate`) per sampled probe.
     """
     if not outer or inner.count == 0:
         return 0.0
-    inverse = pred.inverse
-    estimator = getattr(inverse, "estimator", None)
+    estimate = pred.inverse.estimate
     step = max(1, len(outer) // sample)
     chosen = outer[::step]
-    if estimator is not None:
-        # Compiled families price each sampled probe through their own
-        # hook (range_duration: a probe outside the duration band
-        # contributes exactly zero pairs).
-        total = sum(max(0.0, estimator(inner, lower, upper))
-                    for lower, upper, _ in chosen)
-    else:
-        total = sum(inner.relation_count(inverse.name, lower, upper)
-                    for lower, upper, _ in chosen)
+    total = sum(estimate(inner, lower, upper) for lower, upper, _ in chosen)
     return total / len(chosen) * len(outer)
 
 
@@ -494,7 +428,8 @@ def predicate_probe_statistics(
         rows += inner.intersecting(candidate[0], candidate[1])
         if not backbone.is_empty:
             transient += collect_query_nodes(
-                backbone, candidate[0], candidate[1]).total_entries
+                backbone, candidate[0], candidate[1]
+            ).total_entries
     scale = len(outer) / len(chosen)
     return transient / len(chosen), rows * scale
 
@@ -607,9 +542,11 @@ def _index_join_cost(
         blocks=leaf_blocks,
         cache_blocks=cache_blocks,
     )
-    frames = (probes * INDEX_FRAMES_PER_PROBE
-              + scans * INDEX_FRAMES_PER_SCAN
-              + result_leaves * INDEX_FRAMES_PER_LEAF)
+    frames = (
+        probes * INDEX_FRAMES_PER_PROBE
+        + scans * INDEX_FRAMES_PER_SCAN
+        + result_leaves * INDEX_FRAMES_PER_LEAF
+    )
     return JoinStrategyCost(
         strategy="index-nested-loop",
         logical_reads=logical,
@@ -660,13 +597,19 @@ def _index_predicate_join_cost(
     relation covers both regimes.
     """
     index = _index_join_cost(
-        probes, avg_transient, candidate_rows, height, leaf_capacity,
-        leaf_blocks, internal_blocks, cache_blocks, cache_residency,
+        probes,
+        avg_transient,
+        candidate_rows,
+        height,
+        leaf_capacity,
+        leaf_blocks,
+        internal_blocks,
+        cache_blocks,
+        cache_residency,
         leaf_distinct=PREDICATE_SCAN_LEAF_DISTINCT,
     )
     blocks_t = float(max(table_blocks, 1))
-    heap_touches = blocks_t * (
-        1.0 - (1.0 - 1.0 / blocks_t) ** max(candidate_rows, 0.0))
+    heap_touches = blocks_t * (1.0 - (1.0 - 1.0 / blocks_t) ** max(candidate_rows, 0.0))
     heap_misses = _lru_block_misses(
         touches=heap_touches,
         yao_accesses=heap_touches,
@@ -677,8 +620,7 @@ def _index_predicate_join_cost(
         strategy="index-nested-loop",
         logical_reads=index.logical_reads + heap_touches,
         physical_reads=index.physical_reads + heap_misses,
-        frame_cost=(index.frame_cost
-                    + candidate_rows * INDEX_FRAMES_PER_CANDIDATE),
+        frame_cost=(index.frame_cost + candidate_rows * INDEX_FRAMES_PER_CANDIDATE),
     )
 
 
@@ -692,10 +634,12 @@ def _sweep_join_cost(
     endpoint merge -- a few frames per input record plus one per emitted
     pair.
     """
-    scan_blocks = (heap_scan_blocks(outer_n, 3, block_size)
-                   + heap_scan_blocks(inner_n, 3, block_size))
-    frames = (SWEEP_FRAMES_PER_INPUT * (outer_n + inner_n)
-              + SWEEP_FRAMES_PER_PAIR * pairs)
+    scan_blocks = heap_scan_blocks(outer_n, 3, block_size) + heap_scan_blocks(
+        inner_n, 3, block_size
+    )
+    frames = (
+        SWEEP_FRAMES_PER_INPUT * (outer_n + inner_n) + SWEEP_FRAMES_PER_PAIR * pairs
+    )
     return JoinStrategyCost(
         strategy="sweep",
         logical_reads=float(scan_blocks),
@@ -718,8 +662,10 @@ def average_transient_entries(
         return 0.0
     step = max(1, len(probes) // sample)
     chosen = probes[::step]
-    total = sum(collect_query_nodes(backbone, lower, upper).total_entries
-                for lower, upper, _ in chosen)
+    total = sum(
+        collect_query_nodes(backbone, lower, upper).total_entries
+        for lower, upper, _ in chosen
+    )
     return total / len(chosen)
 
 
@@ -796,8 +742,8 @@ def analytic_geometry(
         height=height,
         leaf_capacity=leaf_capacity,
         leaf_blocks=2.0 * math.ceil(max(count, 1) / leaf_capacity),
-        internal_blocks=2.0 * index_internal_blocks(
-            count, leaf_capacity, internal_capacity),
+        internal_blocks=2.0
+        * index_internal_blocks(count, leaf_capacity, internal_capacity),
         cache_blocks=cache_blocks,
         block_size=block_size,
         table_blocks=heap_scan_blocks(count, 4, block_size),
@@ -850,18 +796,18 @@ class _EngineTreeStatistics:
         sentinel.
         """
         now = self.tree.now
-        lower_entries = list(
-            self.tree.table.index("lowerIndex").tree.scan_all())
+        lower_entries = list(self.tree.table.index("lowerIndex").tree.scan_all())
         lower_of = {entry[-1]: entry[1] for entry in lower_entries}
-        uppers = [(now if entry[1] == UPPER_NOW else entry[1], entry[-1])
-                  for entry in self.tree.table.index("upperIndex")
-                  .tree.scan_all()]
+        uppers = [
+            (now if entry[1] == UPPER_NOW else entry[1], entry[-1])
+            for entry in self.tree.table.index("upperIndex").tree.scan_all()
+        ]
         return BoundSummary(
             sorted(entry[1] for entry in lower_entries),
             sorted(upper for upper, _rowid in uppers),
             buckets,
-            sorted_durations=sorted(
-                upper - lower_of[rowid] for upper, rowid in uppers))
+            sorted_durations=sorted(upper - lower_of[rowid] for upper, rowid in uppers),
+        )
 
     def geometry(self, count: int) -> StoreGeometry:
         """Read the realised index shape off the live B+-trees."""
@@ -870,10 +816,11 @@ class _EngineTreeStatistics:
         return StoreGeometry(
             height=index.height,
             leaf_capacity=index.leaf_capacity,
-            leaf_blocks=2.0 * math.ceil(
-                max(count, 1) / max(1, index.leaf_capacity)),
-            internal_blocks=2.0 * index_internal_blocks(
-                count, index.leaf_capacity, index.internal_capacity),
+            leaf_blocks=2.0 * math.ceil(max(count, 1) / max(1, index.leaf_capacity)),
+            internal_blocks=2.0
+            * index_internal_blocks(
+                count, index.leaf_capacity, index.internal_capacity
+            ),
             cache_blocks=db.pool.capacity,
             block_size=db.disk.block_size,
             table_blocks=self.tree.table.heap.page_count,
@@ -922,18 +869,22 @@ class _SQLStoreStatistics:
     def summarize(self, buckets: int) -> BoundSummary:
         conn, name = self.store.conn, self.store.name
         self._read_geometry(conn, name)
-        count = conn.execute(f'SELECT COUNT(*) FROM {name}').fetchone()[0]
+        count = conn.execute(f"SELECT COUNT(*) FROM {name}").fetchone()[0]
         if count == 0:
             return BoundSummary([], [], buckets)
         upper = self._upper
         duration = f'{upper} - "lower"'
         if count <= buckets:
             lowers, uppers, durations = (
-                [row[0] for row in conn.execute(
-                    f'SELECT {expr} AS "b" FROM {name} ORDER BY "b"')]
-                for expr in ('"lower"', upper, duration))
-            return BoundSummary(lowers, uppers, buckets,
-                                sorted_durations=durations)
+                [
+                    row[0]
+                    for row in conn.execute(
+                        f'SELECT {expr} AS "b" FROM {name} ORDER BY "b"'
+                    )
+                ]
+                for expr in ('"lower"', upper, duration)
+            )
+            return BoundSummary(lowers, uppers, buckets, sorted_durations=durations)
         return BoundSummary.from_boundaries(
             count,
             self._quantiles(conn, name, '"lower"', buckets),
@@ -942,21 +893,20 @@ class _SQLStoreStatistics:
             duration_bounds=self._quantiles(conn, name, duration, buckets),
         )
 
-    def _quantiles(
-        self, conn, name: str, expr: str, buckets: int
-    ) -> list[int]:
+    def _quantiles(self, conn, name: str, expr: str, buckets: int) -> list[int]:
         """Equi-depth boundaries q_0..q_B of one bound expression, in SQL.
 
         ``expr`` is a quoted column or an arithmetic expression over the
         bound columns (the duration histogram passes the effective upper
         minus ``"lower"``); one NTILE window pass either way.
         """
-        floor = conn.execute(f'SELECT MIN({expr}) FROM {name}').fetchone()[0]
+        floor = conn.execute(f"SELECT MIN({expr}) FROM {name}").fetchone()[0]
         tiles = conn.execute(
             f'SELECT MAX("b") FROM (SELECT {expr} AS "b", '
             f'NTILE(?) OVER (ORDER BY {expr}) AS "t" '
             f'FROM {name}) GROUP BY "t" ORDER BY "t"',
-            (buckets,))
+            (buckets,),
+        )
         return [floor] + [row[0] for row in tiles]
 
     def _read_geometry(self, conn, name: str) -> None:
@@ -969,25 +919,30 @@ class _SQLStoreStatistics:
             self._cache_blocks = max(1, (-cache * 1024) // self._page_size)
         self._memory_resident = any(
             db == "main" and not path
-            for _, db, path in conn.execute("PRAGMA database_list"))
+            for _, db, path in conn.execute("PRAGMA database_list")
+        )
         try:
-            pages = dict(conn.execute(
-                "SELECT name, COUNT(*) FROM dbstat "
-                "WHERE name IN (?, ?, ?) GROUP BY name",
-                (name, f"{name}_lowerIndex", f"{name}_upperIndex")))
+            pages = dict(
+                conn.execute(
+                    "SELECT name, COUNT(*) FROM dbstat "
+                    "WHERE name IN (?, ?, ?) GROUP BY name",
+                    (name, f"{name}_lowerIndex", f"{name}_upperIndex"),
+                )
+            )
         except sqlite3.Error:
             pages = {}
-        self._index_pages = (pages.get(f"{name}_lowerIndex", 0)
-                             + pages.get(f"{name}_upperIndex", 0))
+        self._index_pages = pages.get(f"{name}_lowerIndex", 0) + pages.get(
+            f"{name}_upperIndex", 0
+        )
         self._table_pages = pages.get(name, 0)
 
     def geometry(self, count: int) -> StoreGeometry:
-        geometry = analytic_geometry(count, self._page_size,
-                                     self._cache_blocks)
+        geometry = analytic_geometry(count, self._page_size, self._cache_blocks)
         geometry.memory_resident = self._memory_resident
         if self._index_pages:
             geometry.leaf_blocks = max(
-                float(self._index_pages) - geometry.internal_blocks, 2.0)
+                float(self._index_pages) - geometry.internal_blocks, 2.0
+            )
         if self._table_pages:
             geometry.table_blocks = self._table_pages
         return geometry
@@ -1021,8 +976,7 @@ class RITreeCostModel:
     ) -> None:
         if statistics is None:
             if tree is None:
-                raise ValueError("need a tree or an explicit statistics "
-                                 "provider")
+                raise ValueError("need a tree or an explicit statistics provider")
             statistics = _EngineTreeStatistics(tree)
         if buckets < 2:
             raise ValueError(f"need at least 2 buckets, got {buckets}")
@@ -1035,7 +989,9 @@ class RITreeCostModel:
 
     @classmethod
     def from_sql_tree(
-        cls, store, buckets: int = DEFAULT_BUCKETS,
+        cls,
+        store,
+        buckets: int = DEFAULT_BUCKETS,
         cache_residency: float = 0.9,
     ) -> "RITreeCostModel":
         """Model a :class:`~repro.sql.SQLRITree` -- the planner port.
@@ -1046,11 +1002,14 @@ class RITreeCostModel:
         cache size and memory residency from sqlite's page counts and
         pragmas (``dbstat`` / ``PRAGMA``), all read once per ANALYZE.
         The returned model exposes the identical planning surface
-        (:meth:`estimate_join`), so the ``auto`` join strategy plans on the sqlite backend exactly as it
-        does on the simulated engine.
+        (:meth:`estimate_join`), so the ``auto`` join strategy plans on
+        the sqlite backend exactly as it does on the simulated engine.
         """
-        return cls(buckets=buckets, cache_residency=cache_residency,
-                   statistics=_SQLStoreStatistics(store))
+        return cls(
+            buckets=buckets,
+            cache_residency=cache_residency,
+            statistics=_SQLStoreStatistics(store),
+        )
 
     # ------------------------------------------------------------------
     # statistics maintenance (ANALYZE)
@@ -1086,8 +1045,7 @@ class RITreeCostModel:
         if pred is None:
             outer_summary = BoundSummary.from_records(outer, self.buckets)
             pairs = expected_join_pairs(outer_summary, self.summary)
-            avg_transient = average_transient_entries(
-                self.stats.backbone, outer)
+            avg_transient = average_transient_entries(self.stats.backbone, outer)
             index_cost = _index_join_cost(
                 probes=len(outer),
                 avg_transient=avg_transient,
@@ -1102,7 +1060,8 @@ class RITreeCostModel:
         else:
             pairs = expected_predicate_pairs(outer, self.summary, pred)
             avg_transient, candidate_rows = predicate_probe_statistics(
-                outer, self.summary, self.stats.backbone, pred.inverse)
+                outer, self.summary, self.stats.backbone, pred.inverse
+            )
             index_cost = _index_predicate_join_cost(
                 probes=len(outer),
                 avg_transient=avg_transient,
@@ -1160,8 +1119,11 @@ def choose_join_strategy(
         validate_interval(lower, upper)
         backbone.register(lower, upper)
     statistics = RecordStatistics(
-        lambda: inner, backbone,
-        lambda count: analytic_geometry(count, block_size, cache_blocks))
-    model = RITreeCostModel(buckets=buckets, cache_residency=cache_residency,
-                            statistics=statistics)
+        lambda: inner,
+        backbone,
+        lambda count: analytic_geometry(count, block_size, cache_blocks),
+    )
+    model = RITreeCostModel(
+        buckets=buckets, cache_residency=cache_residency, statistics=statistics
+    )
     return model.estimate_join(outer, predicate=predicate)

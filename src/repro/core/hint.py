@@ -76,13 +76,13 @@ HINT_FRAMES_PER_PROBE = 4.0
 HINT_FRAMES_PER_LEVEL = 1.5
 HINT_FRAMES_PER_PAIR = 0.05
 
-#: The relations whose candidate window runs to the stored extent; the
-#: store answers them with bisect slices instead of a refine.
-_OPEN_ENDED = ("before", "after")
-
 #: Frames per candidate record of a predicate join's refinement: one
 #: ``holds`` activation each, same regime as the RI-tree's leaf slices.
 HINT_FRAMES_PER_CANDIDATE = 1.2
+
+
+def _is_sorted(values: list[int]) -> bool:
+    return all(x <= y for x, y in zip(values, values[1:]))
 
 
 class _Bucket:
@@ -95,8 +95,7 @@ class _Bucket:
     view, "all records with ``lower <= u``" a head of the ``s_*`` view.
     """
 
-    __slots__ = ("s_lowers", "s_uppers", "s_ids",
-                 "e_uppers", "e_lowers", "e_ids")
+    __slots__ = ("s_lowers", "s_uppers", "s_ids", "e_uppers", "e_lowers", "e_ids")
 
     def __init__(self) -> None:
         self.s_lowers: list[int] = []
@@ -152,10 +151,12 @@ class _Bucket:
         self.e_ids = [i for _, _, i in by_end]
 
     def remove(self, lower: int, upper: int, interval_id: int) -> None:
-        self._remove_from(self.s_lowers, self.s_uppers, self.s_ids,
-                          lower, upper, interval_id)
-        self._remove_from(self.e_uppers, self.e_lowers, self.e_ids,
-                          upper, lower, interval_id)
+        self._remove_from(
+            self.s_lowers, self.s_uppers, self.s_ids, lower, upper, interval_id
+        )
+        self._remove_from(
+            self.e_uppers, self.e_lowers, self.e_ids, upper, lower, interval_id
+        )
 
     @staticmethod
     def _remove_from(keys, others, ids, key, other, interval_id):
@@ -202,8 +203,7 @@ class HintStore(IntervalStore):
         self._size = 1 << levels
         # One dict of partitions per level; populated lazily, pruned on
         # delete, so empty regions cost nothing to walk past.
-        self._levels: list[dict[int, _Partition]] = [
-            {} for _ in range(levels + 1)]
+        self._levels: list[dict[int, _Partition]] = [{} for _ in range(levels + 1)]
         # Finite-record registry with multiplicity (duplicate records are
         # legal; ids are only unique per (lower, upper, id) triple).
         self._finite: Counter[IntervalRecord] = Counter()
@@ -254,8 +254,7 @@ class HintStore(IntervalStore):
         if self._offset is None:
             self._set_domain(lower, upper)
             return
-        if (lower >= self._offset
-                and (upper - self._offset) >> self._shift < self._size):
+        if lower >= self._offset and (upper - self._offset) >> self._shift < self._size:
             return
         lo = lower if self._fin_lo is None else min(self._fin_lo, lower)
         hi = upper if self._fin_hi is None else max(self._fin_hi, upper)
@@ -441,8 +440,7 @@ class HintStore(IntervalStore):
     def advance_to(self, now: int) -> None:
         """Move the clock forward; time never runs backwards."""
         if now < self._now:
-            raise ValueError(
-                f"clock moves forward only: {now} < now={self._now}")
+            raise ValueError(f"clock moves forward only: {now} < now={self._now}")
         self._mutations += 1
         self._now = now
 
@@ -492,13 +490,11 @@ class HintStore(IntervalStore):
     # ------------------------------------------------------------------
     @property
     def interval_count(self) -> int:
-        return (self._finite_count + len(self._inf_ids)
-                + len(self._now_ids))
+        return self._finite_count + len(self._inf_ids) + len(self._now_ids)
 
     @property
     def index_entry_count(self) -> int:
-        return (self._finite_entries + len(self._inf_ids)
-                + len(self._now_ids))
+        return self._finite_entries + len(self._inf_ids) + len(self._now_ids)
 
     @property
     def partition_count(self) -> int:
@@ -545,14 +541,18 @@ class HintStore(IntervalStore):
                 if part is not None:
                     for b in part:
                         k = bisect_left(b.e_uppers, lower)
-                        out.extend([i for s, i in
-                                    zip(b.e_lowers[k:], b.e_ids[k:])
-                                    if s <= upper])
+                        out.extend(
+                            [
+                                i
+                                for s, i in zip(b.e_lowers[k:], b.e_ids[k:])
+                                if s <= upper
+                            ]
+                        )
                 continue
             part = parts.get(f)
             if part is not None:
                 for b in part:
-                    out.extend(b.e_ids[bisect_left(b.e_uppers, lower):])
+                    out.extend(b.e_ids[bisect_left(b.e_uppers, lower) :])
             for pid in range(f + 1, t):
                 part = parts.get(pid)
                 if part is not None:
@@ -560,16 +560,15 @@ class HintStore(IntervalStore):
             part = parts.get(t)
             if part is not None:
                 b = part[0]
-                out.extend(b.s_ids[:bisect_right(b.s_lowers, upper)])
+                out.extend(b.s_ids[: bisect_right(b.s_lowers, upper)])
 
     def intersection(self, lower: int, upper: int) -> list[int]:
         validate_interval(lower, upper)
         out: list[int] = []
         self._finite_ids(lower, upper, out)
-        out.extend(self._inf_ids[:bisect_right(self._inf_lowers, upper)])
+        out.extend(self._inf_ids[: bisect_right(self._inf_lowers, upper)])
         if lower <= self._now:
-            out.extend(
-                self._now_ids[:bisect_right(self._now_lowers, upper)])
+            out.extend(self._now_ids[: bisect_right(self._now_lowers, upper)])
         return out
 
     def intersection_count(self, lower: int, upper: int) -> int:
@@ -596,14 +595,14 @@ class HintStore(IntervalStore):
                         # excluded sets are disjoint, so the count is a
                         # difference of two bisects.
                         for b in part:
-                            total += (bisect_right(b.s_lowers, upper)
-                                      - bisect_left(b.e_uppers, lower))
+                            total += bisect_right(b.s_lowers, upper) - bisect_left(
+                                b.e_uppers, lower
+                            )
                     continue
                 part = parts.get(f)
                 if part is not None:
                     for b in part:
-                        total += (len(b.e_uppers)
-                                  - bisect_left(b.e_uppers, lower))
+                        total += len(b.e_uppers) - bisect_left(b.e_uppers, lower)
                 for pid in range(f + 1, t):
                     part = parts.get(pid)
                     if part is not None:
@@ -649,18 +648,21 @@ class HintStore(IntervalStore):
                     if part is not None:
                         for b in part:
                             k = bisect_left(b.e_uppers, lower)
-                            out.extend([
-                                (s, e, i) for s, e, i in
-                                zip(b.e_lowers[k:], b.e_uppers[k:],
-                                    b.e_ids[k:])
-                                if s <= upper])
+                            out.extend(
+                                [
+                                    (s, e, i)
+                                    for s, e, i in zip(
+                                        b.e_lowers[k:], b.e_uppers[k:], b.e_ids[k:]
+                                    )
+                                    if s <= upper
+                                ]
+                            )
                     continue
                 part = parts.get(f)
                 if part is not None:
                     for b in part:
                         k = bisect_left(b.e_uppers, lower)
-                        out.extend(zip(b.e_lowers[k:], b.e_uppers[k:],
-                                       b.e_ids[k:]))
+                        out.extend(zip(b.e_lowers[k:], b.e_uppers[k:], b.e_ids[k:]))
                 for pid in range(f + 1, t):
                     part = parts.get(pid)
                     if part is not None:
@@ -670,15 +672,12 @@ class HintStore(IntervalStore):
                 if part is not None:
                     b = part[0]
                     k = bisect_right(b.s_lowers, upper)
-                    out.extend(zip(b.s_lowers[:k], b.s_uppers[:k],
-                                   b.s_ids[:k]))
+                    out.extend(zip(b.s_lowers[:k], b.s_uppers[:k], b.s_ids[:k]))
         k = bisect_right(self._inf_lowers, upper)
-        out.extend(zip(self._inf_lowers[:k], repeat(UPPER_INF),
-                       self._inf_ids[:k]))
+        out.extend(zip(self._inf_lowers[:k], repeat(UPPER_INF), self._inf_ids[:k]))
         if lower <= self._now:
             k = bisect_right(self._now_lowers, upper)
-            out.extend(zip(self._now_lowers[:k], repeat(self._now),
-                           self._now_ids[:k]))
+            out.extend(zip(self._now_lowers[:k], repeat(self._now), self._now_ids[:k]))
         return out
 
     def _candidate_window(self, pred, lower: int, upper: int):
@@ -689,10 +688,14 @@ class HintStore(IntervalStore):
                 return None
         return pred.candidates(lower, upper, floor, ceiling)
 
-    def _open_ended_ids(self, name: str, lower: int, upper: int,
-                        window: tuple[int, int]) -> list[int]:
+    def _open_ended_ids(
+        self, bound: str, lower: int, upper: int, window: tuple[int, int]
+    ) -> list[int]:
         """Ids of records standing ``before``/``after`` ``[lower,
         upper]``, given the relation's candidate ``window``.
+
+        ``bound`` is the predicate's ``disjoint`` side: ``"upper"`` for
+        a single ``e < l`` atom (``before``), ``"lower"`` for ``s > u``.
 
         The window spans every stored lower bound a match can have, so
         each match's *original* partition lies on the level walk over
@@ -706,7 +709,7 @@ class HintStore(IntervalStore):
         anything, ``[s, now]`` rows are before ``[lower, upper]`` iff
         the clock is.
         """
-        before = name == "before"
+        before = bound == "upper"
         out: list[int] = []
         if self._offset is not None:
             pl = self._pos(window[0])
@@ -722,34 +725,36 @@ class HintStore(IntervalStore):
                     if part is not None:
                         b = part[0]
                         if before:
-                            out.extend(
-                                b.e_ids[:bisect_left(b.e_uppers, lower)])
+                            out.extend(b.e_ids[: bisect_left(b.e_uppers, lower)])
                         else:
-                            out.extend(
-                                b.s_ids[bisect_right(b.s_lowers, upper):])
+                            out.extend(b.s_ids[bisect_right(b.s_lowers, upper) :])
         if before:
             if self._now < lower:
                 out.extend(self._now_ids)
         else:
-            out.extend(self._inf_ids[bisect_right(self._inf_lowers, upper):])
-            out.extend(self._now_ids[bisect_right(self._now_lowers, upper):])
+            out.extend(self._inf_ids[bisect_right(self._inf_lowers, upper) :])
+            out.extend(self._now_ids[bisect_right(self._now_lowers, upper) :])
         return out
 
     def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
         window = self._candidate_window(pred, lower, upper)
         if window is None:
             return []
-        if pred.name in _OPEN_ENDED:
-            return self._open_ended_ids(pred.name, lower, upper, window)
+        if pred.disjoint:
+            return self._open_ended_ids(pred.disjoint, lower, upper, window)
         holds = pred.holds
-        return [i for s, e, i in self._candidate_records(*window)
-                if holds(s, e, lower, upper)]
+        return [
+            i
+            for s, e, i in self._candidate_records(*window)
+            if holds(s, e, lower, upper)
+        ]
 
     # ------------------------------------------------------------------
     # joins
     # ------------------------------------------------------------------
-    def join_pairs(self, probes: Sequence[IntervalRecord], *,
-                   predicate=None) -> list[tuple[int, int]]:
+    def join_pairs(
+        self, probes: Sequence[IntervalRecord], *, predicate=None
+    ) -> list[tuple[int, int]]:
         pred = resolve_join_predicate(predicate)
         pairs: list[tuple[int, int]] = []
         if pred is None:
@@ -759,10 +764,9 @@ class HintStore(IntervalStore):
                 validate_interval(lower, upper)
                 ids: list[int] = []
                 self._finite_ids(lower, upper, ids)
-                ids.extend(self._inf_ids[:bisect_right(inf_lowers, upper)])
+                ids.extend(self._inf_ids[: bisect_right(inf_lowers, upper)])
                 if lower <= self._now:
-                    ids.extend(
-                        self._now_ids[:bisect_right(now_lowers, upper)])
+                    ids.extend(self._now_ids[: bisect_right(now_lowers, upper)])
                 pairs.extend(zip(repeat(probe_id), ids))
             return pairs
         inverse = pred.inverse
@@ -772,20 +776,22 @@ class HintStore(IntervalStore):
             floor, ceiling = self._candidate_extent()
             if floor is None:
                 return []
-        open_ended = inverse.name in _OPEN_ENDED
         for lower, upper, probe_id in probes:
             validate_interval(lower, upper)
             window = inverse.candidates(lower, upper, floor, ceiling)
             if window is None:
                 continue
-            if open_ended:
-                ids = self._open_ended_ids(inverse.name, lower, upper, window)
+            if inverse.disjoint:
+                ids = self._open_ended_ids(inverse.disjoint, lower, upper, window)
                 pairs.extend(zip(repeat(probe_id), ids))
                 continue
-            pairs.extend([
-                (probe_id, interval_id)
-                for s, e, interval_id in self._candidate_records(*window)
-                if holds(lower, upper, s, e)])
+            pairs.extend(
+                [
+                    (probe_id, interval_id)
+                    for s, e, interval_id in self._candidate_records(*window)
+                    if holds(lower, upper, s, e)
+                ]
+            )
         return pairs
 
     # ------------------------------------------------------------------
@@ -797,18 +803,19 @@ class HintStore(IntervalStore):
         out: list[IntervalRecord] = []
         for record, mult in self._finite.items():
             out.extend(repeat(record, mult))
-        out.extend(zip(self._inf_lowers, repeat(UPPER_INF),
-                       self._inf_ids))
-        out.extend(zip(self._now_lowers, repeat(self._now),
-                       self._now_ids))
+        out.extend(zip(self._inf_lowers, repeat(UPPER_INF), self._inf_ids))
+        out.extend(zip(self._now_lowers, repeat(self._now), self._now_ids))
         return out
 
     # ------------------------------------------------------------------
     # cost model
     # ------------------------------------------------------------------
     def cost_model(self, refresh: bool = False) -> "HintCostModel":
-        if (self._cost_model is None or refresh
-                or self._cost_model_version != self._mutations):
+        if (
+            self._cost_model is None
+            or refresh
+            or self._cost_model_version != self._mutations
+        ):
             self._cost_model = HintCostModel(self)
             self._cost_model_version = self._mutations
         return self._cost_model
@@ -823,24 +830,25 @@ class HintStore(IntervalStore):
         self._verify_side_lists(report)
         report.add_check("index-entry-count")
         placed = sum(
-            len(p[0]) + len(p[1])
-            for parts in self._levels for p in parts.values())
+            len(p[0]) + len(p[1]) for parts in self._levels for p in parts.values()
+        )
         expected_entries = placed + len(self._inf_ids) + len(self._now_ids)
         if expected_entries != self.index_entry_count:
             report.add_issue(
                 "entry-count-mismatch",
                 f"partitions hold {placed} entries but the store "
                 f"accounts {self.index_entry_count}",
-                {"placed": placed, "accounted": self.index_entry_count})
+                {"placed": placed, "accounted": self.index_entry_count},
+            )
 
     def _verify_domain(self, report: VerificationReport) -> None:
         report.add_check("partition-domain")
         if self._finite and self._offset is None:
             report.add_issue(
-                "domain-unset",
-                "finite records stored but no domain mapping fitted")
+                "domain-unset", "finite records stored but no domain mapping fitted"
+            )
             return
-        for (lower, upper, interval_id) in self._finite:
+        for lower, upper, interval_id in self._finite:
             if self._offset is None:
                 break
             a = (lower - self._offset) >> self._shift
@@ -850,7 +858,8 @@ class HintStore(IntervalStore):
                     "record-outside-domain",
                     f"record ({lower}, {upper}, {interval_id}) maps to "
                     f"cells [{a}, {b}] outside [0, {self._size - 1}]",
-                    {"record": [lower, upper, interval_id]})
+                    {"record": [lower, upper, interval_id]},
+                )
 
     def _verify_partitions(self, report: VerificationReport) -> None:
         report.add_check("partition-assignment")
@@ -863,14 +872,14 @@ class HintStore(IntervalStore):
             a = (lower - self._offset) >> self._shift
             b = (upper - self._offset) >> self._shift
             assignments = self._assignments(a, b)
-            originals = [(level, pid) for level, pid, orig in assignments
-                         if orig]
+            originals = [(level, pid) for level, pid, orig in assignments if orig]
             if len(originals) != 1:
                 report.add_issue(
                     "replication-dedup",
                     f"record ({lower}, {upper}, {interval_id}) has "
                     f"{len(originals)} original assignments, expected 1",
-                    {"record": [lower, upper, interval_id]})
+                    {"record": [lower, upper, interval_id]},
+                )
             else:
                 level, pid = originals[0]
                 if a >> (self.levels - level) != pid:
@@ -879,45 +888,48 @@ class HintStore(IntervalStore):
                         f"original partition {pid} at level {level} does "
                         f"not contain the start cell of record "
                         f"({lower}, {upper}, {interval_id})",
-                        {"record": [lower, upper, interval_id]})
+                        {"record": [lower, upper, interval_id]},
+                    )
             for level, pid, orig in assignments:
-                expected[(level, pid, orig,
-                          (lower, upper, interval_id))] += mult
+                expected[(level, pid, orig, (lower, upper, interval_id))] += mult
         actual: Counter = Counter()
         for level, parts in enumerate(self._levels):
             for pid, part in parts.items():
                 for orig, bucket in ((True, part[0]), (False, part[1])):
                     n = len(bucket.s_ids)
-                    lists = (bucket.s_lowers, bucket.s_uppers,
-                             bucket.e_uppers, bucket.e_lowers,
-                             bucket.e_ids)
+                    lists = (
+                        bucket.s_lowers,
+                        bucket.s_uppers,
+                        bucket.e_uppers,
+                        bucket.e_lowers,
+                        bucket.e_ids,
+                    )
                     if any(len(lst) != n for lst in lists):
                         report.add_issue(
                             "partition-sort-order",
-                            f"ragged parallel arrays in level {level} "
-                            f"partition {pid}",
-                            {"level": level, "partition": pid})
+                            f"ragged parallel arrays in level {level} partition {pid}",
+                            {"level": level, "partition": pid},
+                        )
                         continue
-                    if (any(x > y for x, y in
-                            zip(bucket.s_lowers, bucket.s_lowers[1:]))
-                            or any(x > y for x, y in
-                                   zip(bucket.e_uppers,
-                                       bucket.e_uppers[1:]))):
+                    if not all(map(_is_sorted, (bucket.s_lowers, bucket.e_uppers))):
                         report.add_issue(
                             "partition-sort-order",
-                            f"unsorted view in level {level} partition "
-                            f"{pid}",
-                            {"level": level, "partition": pid})
-                    by_start = Counter(zip(bucket.s_lowers,
-                                           bucket.s_uppers, bucket.s_ids))
-                    by_end = Counter(zip(bucket.e_lowers, bucket.e_uppers,
-                                         bucket.e_ids))
+                            f"unsorted view in level {level} partition {pid}",
+                            {"level": level, "partition": pid},
+                        )
+                    by_start = Counter(
+                        zip(bucket.s_lowers, bucket.s_uppers, bucket.s_ids)
+                    )
+                    by_end = Counter(
+                        zip(bucket.e_lowers, bucket.e_uppers, bucket.e_ids)
+                    )
                     if by_start != by_end:
                         report.add_issue(
                             "partition-sort-order",
                             f"by-start and by-end views disagree in "
                             f"level {level} partition {pid}",
-                            {"level": level, "partition": pid})
+                            {"level": level, "partition": pid},
+                        )
                     for record, count in by_start.items():
                         actual[(level, pid, orig, record)] += count
         if expected != actual:
@@ -928,29 +940,29 @@ class HintStore(IntervalStore):
                 f"partition contents disagree with the assignment rule: "
                 f"{sum(missing.values())} entries missing, "
                 f"{sum(extra.values())} unexpected",
-                {"missing": sum(missing.values()),
-                 "extra": sum(extra.values())})
+                {"missing": sum(missing.values()), "extra": sum(extra.values())},
+            )
 
     def _verify_side_lists(self, report: VerificationReport) -> None:
         report.add_check("temporal-rows")
         for label, lowers, ids in (
-                ("infinite", self._inf_lowers, self._inf_ids),
-                ("now", self._now_lowers, self._now_ids)):
+            ("infinite", self._inf_lowers, self._inf_ids),
+            ("now", self._now_lowers, self._now_ids),
+        ):
             if len(lowers) != len(ids):
                 report.add_issue(
-                    "temporal-rows",
-                    f"ragged {label} side list",
-                    {"side": label})
+                    "temporal-rows", f"ragged {label} side list", {"side": label}
+                )
             if any(x > y for x, y in zip(lowers, lowers[1:])):
                 report.add_issue(
-                    "temporal-rows",
-                    f"unsorted {label} side list",
-                    {"side": label})
+                    "temporal-rows", f"unsorted {label} side list", {"side": label}
+                )
         if any(lower > self._now for lower in self._now_lowers):
             report.add_issue(
                 "temporal-rows",
                 f"now-relative row starts after the clock ({self._now})",
-                {"side": "now"})
+                {"side": "now"},
+            )
 
 
 class HintCostModel(RITreeCostModel):
@@ -969,32 +981,35 @@ class HintCostModel(RITreeCostModel):
     and frames this model replaces.
     """
 
-    def __init__(self, store: HintStore,
-                 buckets: int = DEFAULT_BUCKETS) -> None:
+    def __init__(self, store: HintStore, buckets: int = DEFAULT_BUCKETS) -> None:
         self.store = store
         statistics = RecordStatistics(
-            store.stored_records, VirtualBackbone(),
+            store.stored_records,
+            VirtualBackbone(),
             lambda count: replace(
                 memory_resident_geometry(count, store.partition_count),
-                memory_resident=True))
-        super().__init__(statistics=statistics, buckets=buckets,
-                         cache_residency=1.0)
+                memory_resident=True,
+            ),
+        )
+        super().__init__(statistics=statistics, buckets=buckets, cache_residency=1.0)
 
-    def estimate_join(self, outer: Sequence[IntervalRecord],
-                      predicate=None) -> JoinEstimate:
+    def estimate_join(
+        self, outer: Sequence[IntervalRecord], predicate=None
+    ) -> JoinEstimate:
         estimate = super().estimate_join(outer, predicate=predicate)
         estimate.index = replace(
             estimate.index,
             logical_reads=0.0,
-            frame_cost=self._hint_frames(
-                len(outer), estimate.result_count, predicate))
+            frame_cost=self._hint_frames(len(outer), estimate.result_count, predicate),
+        )
         return estimate
 
-    def _hint_frames(self, probes: int, pairs: float,
-                     predicate) -> float:
-        name = getattr(predicate, "name", predicate)
-        per_probe = (HINT_FRAMES_PER_PROBE
-                     + HINT_FRAMES_PER_LEVEL * (self.store.levels + 1))
-        per_pair = (HINT_FRAMES_PER_PAIR if name in (None, "intersects")
-                    else HINT_FRAMES_PER_CANDIDATE)
+    def _hint_frames(self, probes: int, pairs: float, predicate) -> float:
+        levels = self.store.levels + 1
+        per_probe = HINT_FRAMES_PER_PROBE + HINT_FRAMES_PER_LEVEL * levels
+        per_pair = (
+            HINT_FRAMES_PER_PAIR
+            if resolve_join_predicate(predicate) is None
+            else HINT_FRAMES_PER_CANDIDATE
+        )
         return probes * per_probe + pairs * per_pair

@@ -141,13 +141,15 @@ class SweepJoin(JoinStrategy):
     event of its later-starting tuple (outer first on ties).
 
     Allen-relation join predicates (``predicate=``) are supported in the
-    style of Piatov et al.'s extended-predicate sweeps: every relation
-    except ``before``/``after`` implies closed-interval overlap, so those
-    pairs are produced by the same single merge pass with the defining
-    endpoint formula applied at emission (active lists then carry full
-    records); ``before``/``after`` pairs are enumerated from the sorted
-    endpoint arrays directly (one prefix of outers ordered by upper bound
-    per inner tuple), with the count computed by bisection alone.
+    style of Piatov et al.'s extended-predicate sweeps: every predicate
+    but a single ``e < l`` or ``s > u`` atom (``disjoint``) has a
+    candidate window inside the reference, so it implies closed-interval
+    overlap and its pairs are produced by the same single merge pass
+    with the defining endpoint formula applied at emission (active lists
+    then carry full records); ``disjoint`` pairs (``before``/``after``)
+    are enumerated from the sorted endpoint arrays directly (one prefix
+    of outers ordered by upper bound per inner tuple), with the count
+    computed by bisection alone.
     """
 
     strategy_name = "sweep"
@@ -163,12 +165,10 @@ class SweepJoin(JoinStrategy):
         results: list[JoinPair] = []
         if self.predicate is None:
             self._sweep(outer, inner, results.append)
-        elif self.predicate.name in ("before", "after"):
-            self._sorted_disjoint(outer, inner, self.predicate.name,
-                                  results.append)
+        elif self.predicate.disjoint:
+            self._sorted_disjoint(outer, inner, self.predicate.disjoint, results.append)
         else:
-            self._sweep_refined(outer, inner, self.predicate.holds,
-                                results.append)
+            self._sweep_refined(outer, inner, self.predicate.holds, results.append)
         return results
 
     def count(
@@ -176,9 +176,8 @@ class SweepJoin(JoinStrategy):
         outer: Sequence[IntervalRecord],
         inner: Sequence[IntervalRecord],
     ) -> int:
-        if self.predicate is not None \
-                and self.predicate.name in ("before", "after"):
-            return self._count_disjoint(outer, inner, self.predicate.name)
+        if self.predicate is not None and self.predicate.disjoint:
+            return self._count_disjoint(outer, inner, self.predicate.disjoint)
         counter = _PairCounter()
         if self.predicate is None:
             self._sweep(outer, inner, counter)
@@ -190,21 +189,24 @@ class SweepJoin(JoinStrategy):
     def _sorted_disjoint(
         outer: Sequence[IntervalRecord],
         inner: Sequence[IntervalRecord],
-        relation: str,
+        bound: str,
         emit: Callable[[JoinPair], None],
     ) -> None:
-        """Enumerate before/after pairs from the sorted endpoint arrays.
+        """Enumerate the pairs of a single ``e < l`` or ``s > u`` atom
+        from the sorted endpoint arrays.
 
-        ``r before s`` iff ``r.upper < s.lower``: with outers sorted by
-        upper bound, each inner tuple's partners are exactly one prefix,
-        found by bisection -- O(n log n) sort plus O(output) emission.
-        ``after`` mirrors it on the opposite bounds.
+        ``bound`` is the predicate's ``disjoint`` side.  ``"upper"``
+        (``before``) holds iff ``r.upper < s.lower``: with outers sorted
+        by upper bound, each inner tuple's partners are exactly one
+        prefix, found by bisection -- O(n log n) sort plus O(output)
+        emission.  ``"lower"`` (``after``) mirrors it on the opposite
+        bounds.
         """
         for lower, upper, _ in outer:
             validate_interval(lower, upper)
         for lower, upper, _ in inner:
             validate_interval(lower, upper)
-        if relation == "before":
+        if bound == "upper":
             by_bound = sorted((upper, r_id) for _, upper, r_id in outer)
             bounds = [upper for upper, _ in by_bound]
             for s_lower, _s_upper, s_id in inner:
@@ -221,20 +223,21 @@ class SweepJoin(JoinStrategy):
     def _count_disjoint(
         outer: Sequence[IntervalRecord],
         inner: Sequence[IntervalRecord],
-        relation: str,
+        bound: str,
     ) -> int:
-        """Size of the before/after join by bisection, O((n+m) log n)."""
+        """Size of a :meth:`_sorted_disjoint` join by bisection,
+        O((n+m) log n)."""
         for lower, upper, _ in outer:
             validate_interval(lower, upper)
         for lower, upper, _ in inner:
             validate_interval(lower, upper)
-        if relation == "before":
+        if bound == "upper":
             uppers = sorted(upper for _, upper, _ in outer)
-            return sum(bisect_left(uppers, s_lower)
-                       for s_lower, _, _ in inner)
+            return sum(bisect_left(uppers, s_lower) for s_lower, _, _ in inner)
         lowers = sorted(lower for lower, _, _ in outer)
-        return sum(len(lowers) - bisect_right(lowers, s_upper)
-                   for _, s_upper, _ in inner)
+        return sum(
+            len(lowers) - bisect_right(lowers, s_upper) for _, s_upper, _ in inner
+        )
 
     @staticmethod
     def _sweep_refined(
@@ -245,7 +248,7 @@ class SweepJoin(JoinStrategy):
     ) -> None:
         """The overlap sweep with a predicate refinement at emission.
 
-        Complete for every Allen relation other than before/after: such a
+        Complete for every predicate that is not ``disjoint``: such a
         pair shares at least one coordinate, so it overlaps under closed
         semantics and the standard merge visits it exactly once.  Active
         lists carry full records (the refinement needs both bounds), kept
@@ -403,16 +406,14 @@ class IndexNestedLoopJoin(JoinStrategy):
         outer: Sequence[IntervalRecord],
         inner: Sequence[IntervalRecord],
     ) -> list[JoinPair]:
-        return self._inner_method(inner).join_pairs(
-            outer, predicate=self.predicate)
+        return self._inner_method(inner).join_pairs(outer, predicate=self.predicate)
 
     def count(
         self,
         outer: Sequence[IntervalRecord],
         inner: Sequence[IntervalRecord],
     ) -> int:
-        return self._inner_method(inner).join_count(
-            outer, predicate=self.predicate)
+        return self._inner_method(inner).join_count(outer, predicate=self.predicate)
 
 
 class AutoJoin(JoinStrategy):
@@ -484,17 +485,16 @@ class AutoJoin(JoinStrategy):
         if self.method is not None:
             model = self.method.cost_model()
             if model is not None:
-                estimate = model.estimate_join(
-                    outer, predicate=self.predicate)
+                estimate = model.estimate_join(outer, predicate=self.predicate)
             else:
                 stored = self.method.stored_records()
                 estimate = choose_join_strategy(
-                    outer, inner if stored is None else stored,
+                    outer,
+                    inner if stored is None else stored,
                     predicate=self.predicate,
                 )
         else:
-            estimate = choose_join_strategy(
-                outer, inner, predicate=self.predicate)
+            estimate = choose_join_strategy(outer, inner, predicate=self.predicate)
         self.last_decision = estimate
         strategy: JoinStrategy
         records = inner
@@ -511,12 +511,14 @@ class AutoJoin(JoinStrategy):
                     # The method cannot enumerate its intervals: keep
                     # probing it, and report the dispatch truthfully.
                     strategy = IndexNestedLoopJoin(
-                        method=self.method, factory=self.factory,
+                        method=self.method,
+                        factory=self.factory,
                         predicate=self.predicate,
                     )
         else:
             strategy = IndexNestedLoopJoin(
-                method=self.method, factory=self.factory,
+                method=self.method,
+                factory=self.factory,
                 predicate=self.predicate,
             )
         self.last_dispatch = strategy.strategy_name
@@ -551,9 +553,9 @@ JOIN_STRATEGIES: dict[str, Callable[[], JoinStrategy]] = {
 
 #: Canonical strategy names for user-facing messages: one entry per
 #: distinct strategy, aliases deduplicated.
-STRATEGY_NAMES: tuple[str, ...] = tuple(sorted(
-    {cls.strategy_name for cls in JOIN_STRATEGIES.values()}
-))
+STRATEGY_NAMES: tuple[str, ...] = tuple(
+    sorted({cls.strategy_name for cls in JOIN_STRATEGIES.values()})
+)
 
 
 def interval_join(

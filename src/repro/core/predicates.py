@@ -1,207 +1,55 @@
-"""First-class interval query predicates, compiled per backend.
+"""Interval query predicates in one algebra, compiled per backend.
 
-The paper's Section 4.5 observes that beyond the intersection predicate
-"there are 13 more fine-grained temporal relationships between intervals
-... also queries based on these specialized predicates are efficiently
-supported by the Relational Interval Tree".  This module makes that
-family a first-class part of the store API: ``intersects``, ``stab``,
-and Allen's thirteen relations are value objects that every
-:class:`~repro.core.access.IntervalStore` backend compiles to its own
-plan --
+The paper's Section 4.5 notes that "13 more fine-grained temporal
+relationships between intervals" are "efficiently supported by the
+Relational Interval Tree".  Here every predicate -- ``intersects``,
+``stab``, Allen's thirteen relations and the parameterized families such
+as Ceccarello & Gamper's range-duration band -- is a :class:`QueryFamily`:
+a name, its parameter names and a conjunction of *atoms*.  An atom
+compares two terms: the subject bounds ``s``, ``e`` (a stored record, or
+a join's outer record), the reference bounds ``l``, ``u`` (the query, or
+the inner record), the durations ``e-s``, ``u-l``, or a parameter.
+``overlaps`` is ``s < l, e > l, e < u``; ``range_duration`` is
+``s <= u, e >= l, e-s >= dmin, e-s <= dmax``.
 
-* the simulated engine compiles each predicate to one scan plan for its
-  batched executor (:meth:`repro.core.ritree.RITree.plan`): a relation
-  that pins one subject bound (:attr:`IntervalPredicate.pinned`) gets
-  O(h) exact scans of that bound's index along the backbone path, every
-  other predicate the Figure 10 plan of its candidate range;
-* the sqlite backend rewrites the WHERE clause of the Figure 9
-  statement: the transient tables are filled for the predicate's
-  *candidate range* and the defining endpoint predicate is appended to
-  every branch (:data:`IntervalPredicate.sql_refine`);
-* any other store falls back to refining its enumerated records with
-  the pure predicate (:meth:`IntervalPredicate.filter`), the oracle the
-  compiled plans are tested against.
+Derived from the atoms once per family: ``holds`` (one Python function),
+``sql_refine`` (the atoms the candidate range does not imply, in
+sqlite's dialect), the candidate range and its ``needs_extent``,
+``disjoint`` and ``pinned`` shape, the inverse (``s`` swapped with
+``l``, ``e`` with ``u``, exact on every interval) and the cost model's
+:meth:`IntervalPredicate.estimate`.  Every backend evaluates a compiled
+:class:`IntervalPredicate` on its own index: the candidate range's scan
+plan refined by ``holds`` (:meth:`repro.core.ritree.RITree.plan`, the
+HINT partition walk), the Figure 9 statement refined by ``sql_refine``
+(sqlite), or :meth:`IntervalPredicate.filter` over enumerated records,
+the oracle the compiled plans are tested against.  Joins take the outer
+record as the subject and probe stores with the inverse.
 
-Semantics: a predicate relates a *subject* interval ``[s, e]`` (a stored
-record, or the outer record of a join pair) to a *reference* interval
-``[l, u]`` (the query interval, or the inner record).  ``holds(s, e, l,
-u)`` is the defining endpoint formula; for Allen relations on proper
-intervals it agrees with :func:`relate`, the classifier the tests use as
-ground truth.
-
-The join strategies of :mod:`repro.core.join` accept these predicates
-too (``interval_join(..., predicate="before")``), in the spirit of
-Piatov et al.'s sweeps for extended Allen relation predicates.  For the
-*index* strategies, every predicate also knows its :attr:`~
-IntervalPredicate.inverse` relation (before/after, meets/met_by,
-overlaps/overlapped_by, during/contains, starts/started_by,
-finishes/finished_by; intersects and equals are self-inverse): probing a
-store per outer tuple asks the *stored-subject* question, so the probe's
-candidate range is the inverse relation's.  On proper intervals the
-inverse identity ``p.holds(a, b, c, d) == p.inverse.holds(c, d, a, b)``
-is exact (Allen's algebra); degenerate (point) intervals may break the
-symmetry at shared endpoints, which is why the compiled join plans scan
-the inverse's *candidate range* but refine with the direct formula.
-
-Query families
---------------
-The fifteen relations above take exactly one reference interval ``[l,
-u]``.  Predicates with *extra* parameters -- the range-duration queries
-of Ceccarello & Gamper ("overlaps the window AND duration within a
-band") being the canonical example -- are modelled as
-:class:`QueryFamily` objects: a named, open-ended family whose
-:meth:`~QueryFamily.compile` binds a typed parameter bundle and returns
-a :class:`CompiledQuery`.  A compiled query IS an
-:class:`IntervalPredicate` (same ``holds`` / ``candidates`` /
-``sql_refine`` surface, so every backend's existing compilation hook
-runs it unchanged) plus the bundle itself: ``family_name`` and
-``param_dict`` travel over the service wire, ``sql_binds`` merges the
-extra bind parameters into the rewritten Figure 9 statements, and the
-optional ``estimator`` hook lets the join cost model price the family's
-selectivity beyond the two-bound histograms.  The fifteen classic
-relations are re-expressed as zero-parameter families in
-:data:`FAMILIES`, so ``compile_query(name, params)`` is the single
-resolution entry point for names, predicate objects, and parameterized
-families alike.
+:func:`compile_query` resolves relation names, family names with a
+parameter bundle and predicate objects; :func:`relate` classifies a pair
+of proper intervals independently of the atoms, as ground truth for the
+tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .interval import validate_interval
 
-#: The defining endpoint formula: holds(s, e, l, u).
-PredicateTest = Callable[[int, int, int, int], bool]
+#: One atom ``(left, op, right)``; ``left`` is a term, ``right`` a term
+#: or a parameter name.
+Atom = tuple[str, str, str]
 
-#: Candidate-range transform: (l, u, floor, ceiling) -> (lo, hi) or None.
-#: ``floor``/``ceiling`` are the store's smallest lower / largest upper
-#: bound (only ``before``/``after`` consult them); ``None`` means the
-#: result is provably empty without touching the store.
-CandidateRange = Callable[
-    [int, int, Optional[int], Optional[int]], Optional[tuple[int, int]]]
+#: Durations are at most ``UPPER_INF - lower`` (< 2**61); this stands
+#: in for "no upper duration bound" while keeping the bundle integral
+#: for the SQL binds and the service wire.
+DURATION_UNBOUNDED = 1 << 62
 
-
-@dataclass(frozen=True)
-class IntervalPredicate:
-    """One interval predicate as a backend-independent value object.
-
-    ``holds`` is the ground truth; ``candidates`` maps the query to the
-    intersection range whose result set provably contains every match
-    (so any backend's intersection machinery can produce candidates);
-    ``sql_refine`` is the residual WHERE fragment the sqlite backend
-    appends to the Figure 9 statement (``None`` means the candidates
-    are exact and no refinement is needed); ``inverse_name`` names the
-    relation with subject and reference swapped (``None`` for ``stab``,
-    which relates an interval to a point).
-
-    ``pinned`` names the subject bound (``"lower"`` or ``"upper"``) a
-    bound-equality relation fixes to the point its ``candidates``
-    return: ``meets``, ``finishes`` and ``finished_by`` pin the upper
-    bound (to ``l``, ``u`` and ``u``), ``starts``, ``started_by``,
-    ``equals`` and ``met_by`` the lower bound (to ``l``, ``l``, ``l``
-    and ``u``).  Every interval with a given bound has its fork node on
-    the backbone path toward that bound, so an index over the pinned
-    bound answers with O(h) exact scans.  ``needs_extent`` is set when
-    ``candidates`` consults the store's ``floor``/``ceiling`` extent
-    (``before``/``after``); backends resolve the extent only then.
-    """
-
-    name: str
-    holds: PredicateTest
-    candidates: CandidateRange
-    sql_refine: Optional[str]
-    inverse_name: Optional[str] = None
-    pinned: Optional[str] = None
-    needs_extent: bool = False
-
-    @property
-    def inverse(self) -> "IntervalPredicate":
-        """The subject-swapped relation: ``a p b`` iff ``b p.inverse a``.
-
-        Exact on proper intervals; a join plan probing a store per outer
-        tuple scans the inverse's candidate range (the stored record is
-        the subject there) and refines with the direct formula.
-        """
-        if self.inverse_name is None:
-            raise ValueError(f"predicate {self.name!r} has no inverse")
-        return PREDICATES[self.inverse_name]
-
-    def matches(self, subject: tuple[int, int], reference: tuple[int, int]
-                ) -> bool:
-        """Does ``subject`` stand in this relation to ``reference``?"""
-        s, e = subject
-        l, u = reference
-        return self.holds(s, e, l, u)
-
-    def filter(self, records: Sequence[tuple[int, int, int]],
-               lower: int, upper: int) -> list[int]:
-        """Refine ``(lower, upper, id)`` records by the pure predicate.
-
-        The brute-force evaluation every compiled plan must agree with;
-        also the generic fallback for stores without a native compile.
-        """
-        validate_interval(lower, upper)
-        holds = self.holds
-        return [interval_id for s, e, interval_id in records
-                if holds(s, e, lower, upper)]
-
-
-@dataclass(frozen=True)
-class CompiledQuery(IntervalPredicate):
-    """An :class:`IntervalPredicate` with a bound parameter bundle.
-
-    Produced by :meth:`QueryFamily.compile`.  Because it *is* a
-    predicate, every backend's compilation hook (`_query_relation`,
-    the Figure 9 rewrite, the HINT partition filter, the router
-    fan-out) runs it without modification; the extra fields carry what
-    the classic fifteen relations never needed:
-
-    ``family_name``/``params``
-        the wire-format identity -- ``compile_query(family_name,
-        param_dict)`` on the far side of the service protocol rebuilds
-        an equivalent compiled query (``params`` is a tuple of
-        ``(name, value)`` pairs so the object stays hashable).
-    ``binds``
-        extra named SQL bind parameters (e.g. ``:dmin``/``:dmax``)
-        merged into the rewritten one-statement plans; exposed as a
-        dict via :attr:`sql_binds`.
-    ``inverse_factory``
-        builds the subject-swapped compiled query (the classic
-        relations resolve inverses by name, which a parameterized
-        predicate cannot).
-    ``estimator``
-        optional cost-model hook ``estimator(summary, lower, upper)``
-        returning the expected number of matching stored records for
-        reference ``[lower, upper]``; lets the pair count of
-        :meth:`~repro.core.costmodel.RITreeCostModel.estimate_join`
-        (:func:`~repro.core.costmodel.expected_predicate_pairs`) price
-        parameter selectivity (duration bands) that the name-keyed
-        histogram formulas cannot see.
-    """
-
-    family_name: str = ""
-    params: tuple[tuple[str, int], ...] = ()
-    binds: tuple[tuple[str, int], ...] = ()
-    inverse_factory: Optional[Callable[[], "CompiledQuery"]] = None
-    estimator: Optional[Callable[..., float]] = None
-
-    @property
-    def param_dict(self) -> dict[str, int]:
-        """The parameter bundle as a dict (service wire format)."""
-        return dict(self.params)
-
-    @property
-    def sql_binds(self) -> dict[str, int]:
-        """Extra named bind parameters for the rewritten SQL plans."""
-        return dict(self.binds)
-
-    @property
-    def inverse(self) -> IntervalPredicate:
-        if self.inverse_factory is not None:
-            return self.inverse_factory()
-        return IntervalPredicate.inverse.fget(self)
+#: The subject-reference swap; its keys are the terms an atom compares.
+_SWAP = {"s": "l", "e": "u", "l": "s", "u": "e", "e-s": "u-l", "u-l": "e-s"}
+_FLIP = {"<": ">", "<=": ">=", "==": "==", ">=": "<=", ">": "<"}
 
 
 def _whole_query(l, u, floor, ceiling):
@@ -228,93 +76,434 @@ def _strictly_after(l, u, floor, ceiling):
     return (u + 1, ceiling)
 
 
-#: The fifteen predicates of the store API.  Candidate-range soundness:
-#: every relation except before/after forces the subject to intersect
-#: the listed range (bound-equality and containment relations pin a
-#: shared coordinate; ``during`` implies intersection with the query
-#: itself), and before/after intersect the data-space envelope clipped
-#: at the query bound.  A pinned relation's candidate range is the
-#: single point its pinned bound must equal.
-PREDICATES: dict[str, IntervalPredicate] = {
-    predicate.name: predicate for predicate in (
-        IntervalPredicate(
-            "intersects",
-            lambda s, e, l, u: s <= u and e >= l,
-            _whole_query, None, "intersects"),
-        IntervalPredicate(
-            "stab",
-            lambda s, e, l, u: s <= l and e >= l,
-            _stab_lower, None, None),
-        IntervalPredicate(
-            "before",
-            lambda s, e, l, u: e < l,
-            _strictly_before, 'i."upper" < :lower', "after",
-            needs_extent=True),
-        IntervalPredicate(
-            "after",
-            lambda s, e, l, u: s > u,
-            _strictly_after, 'i."lower" > :upper', "before",
-            needs_extent=True),
-        IntervalPredicate(
-            "meets",
-            lambda s, e, l, u: e == l and s < l,
-            _stab_lower, 'i."upper" = :lower AND i."lower" < :lower',
-            "met_by", pinned="upper"),
-        IntervalPredicate(
-            "met_by",
-            lambda s, e, l, u: s == u and e > u,
-            _stab_upper, 'i."lower" = :upper AND i."upper" > :upper',
-            "meets", pinned="lower"),
-        IntervalPredicate(
-            "overlaps",
-            lambda s, e, l, u: s < l < e < u,
-            _stab_lower,
-            'i."lower" < :lower AND i."upper" > :lower '
-            'AND i."upper" < :upper',
-            "overlapped_by"),
-        IntervalPredicate(
-            "overlapped_by",
-            lambda s, e, l, u: l < s < u < e,
-            _stab_upper,
-            'i."lower" > :lower AND i."lower" < :upper '
-            'AND i."upper" > :upper',
-            "overlaps"),
-        IntervalPredicate(
-            "during",
-            lambda s, e, l, u: l < s and e < u,
-            _whole_query, 'i."lower" > :lower AND i."upper" < :upper',
-            "contains"),
-        IntervalPredicate(
-            "contains",
-            lambda s, e, l, u: s < l and u < e,
-            _stab_lower, 'i."lower" < :lower AND i."upper" > :upper',
-            "during"),
-        IntervalPredicate(
-            "starts",
-            lambda s, e, l, u: s == l and e < u,
-            _stab_lower, 'i."lower" = :lower AND i."upper" < :upper',
-            "started_by", pinned="lower"),
-        IntervalPredicate(
-            "started_by",
-            lambda s, e, l, u: s == l and e > u,
-            _stab_lower, 'i."lower" = :lower AND i."upper" > :upper',
-            "starts", pinned="lower"),
-        IntervalPredicate(
-            "finishes",
-            lambda s, e, l, u: e == u and s > l,
-            _stab_upper, 'i."upper" = :upper AND i."lower" > :lower',
-            "finished_by", pinned="upper"),
-        IntervalPredicate(
-            "finished_by",
-            lambda s, e, l, u: e == u and s < l,
-            _stab_upper, 'i."upper" = :upper AND i."lower" < :lower',
-            "finishes", pinned="upper"),
-        IntervalPredicate(
-            "equals",
-            lambda s, e, l, u: s == l and e == u,
-            _stab_lower, 'i."lower" = :lower AND i."upper" = :upper',
-            "equals", pinned="lower"),
+#: The candidate ranges that need no store extent, narrowest first, and
+#: the atoms of the subject's intersection with the window they return.
+_WINDOWS = {
+    _stab_lower: (("s", "<=", "l"), ("e", ">=", "l")),
+    _stab_upper: (("s", "<=", "u"), ("e", ">=", "u")),
+    _whole_query: (("s", "<=", "u"), ("e", ">=", "l")),
+}
+
+#: ``(terms, parameter, equality, conjunction, band)`` of one dialect.
+_PYTHON = (
+    {"s": "s", "e": "e", "l": "l", "u": "u", "e-s": "e - s", "u-l": "u - l"},
+    "{}",
+    "==",
+    " and ",
+    "{1} <= {0} <= {2}",
+)
+_SQLITE = (
+    {
+        "s": 'i."lower"',
+        "e": 'i."upper"',
+        "l": ":lower",
+        "u": ":upper",
+        "e-s": '(i."upper" - i."lower")',
+        "u-l": "(:upper - :lower)",
+    },
+    ":{}",
+    "=",
+    " AND ",
+    "{0} BETWEEN {1} AND {2}",
+)
+
+
+def _render(atoms: Sequence[Atom], dialect) -> str:
+    """The conjunction of ``atoms`` as one expression of ``dialect``.
+
+    A ``>=`` atom followed by a ``<=`` atom on the same term renders as
+    one band (``a <= t <= b`` in Python, ``t BETWEEN a AND b`` in SQL).
+    """
+    terms, parameter, equality, conjunction, band = dialect
+
+    def term(name: str) -> str:
+        return terms[name] if name in terms else parameter.format(name)
+
+    parts = []
+    rest = list(atoms)
+    while rest:
+        left, op, right = rest.pop(0)
+        if op == ">=" and rest and rest[0][:2] == (left, "<="):
+            high = rest.pop(0)[2]
+            parts.append(band.format(term(left), term(right), term(high)))
+        else:
+            op = equality if op == "==" else op
+            parts.append(f"{term(left)} {op} {term(right)}")
+    return conjunction.join(parts)
+
+
+def _implies(atoms: Sequence[Atom], atom: Atom) -> bool:
+    """Do ``atoms`` (with ``s <= e`` and ``l <= u``) imply ``atom``?
+
+    Decided for the two atoms a window's intersection is made of,
+    ``s <= T`` and ``e >= T``; any other atom only by its presence.
+    Because ``s <= e``, either subject bound at most ``T`` puts ``s`` at
+    most ``T``, and either bound at least ``T`` puts ``e`` at least
+    ``T``; because ``l <= u``, a bound below ``l`` is below ``u``.
+    """
+    left, op, right = atom
+    if (left, op) == ("s", "<="):
+        ops, looser = ("<", "<=", "=="), ("l", "u")
+    elif (left, op) == ("e", ">="):
+        ops, looser = (">", ">=", "=="), ("u", "l")
+    else:
+        return atom in atoms
+    return any(
+        a_left in ("s", "e")
+        and a_op in ops
+        and (a_right == right or (a_right, right) == looser)
+        for a_left, a_op, a_right in atoms
     )
+
+
+def _limits(family: str, atoms: Sequence[Atom], inclusive: int) -> tuple:
+    """``(low, high)`` of one term, each ``(term, offset)`` or ``None``.
+
+    ``atoms`` all bound the same term, at most one from each side.  The
+    low is the largest value the term exceeds (``inclusive=0``, a CDF's
+    exclusive end) or the smallest it may take (``inclusive=1``); the
+    high is the largest value it may take.
+    """
+    lows = [(r, inclusive - (o != ">")) for _, o, r in atoms if o in (">", ">=", "==")]
+    highs = [(r, -(o == "<")) for _, o, r in atoms if o in ("<", "<=", "==")]
+    if len(lows) > 1 or len(highs) > 1:
+        raise ValueError(f"query family {family!r}: two limits on one side of a term")
+    return (lows or [None])[0], (highs or [None])[0]
+
+
+class QueryFamily:
+    """A named conjunction of atoms over the subject, the reference and
+    the parameters; :meth:`compile` binds the parameters.
+
+    Everything else is derived here, once per family: ``candidates``
+    (the rule-chosen candidate-range function), ``needs_extent`` (it
+    reads the store's ``floor``/``ceiling``), ``disjoint`` (the subject
+    bound that lies outside the reference in a single ``e < l``
+    (``"upper"``) or ``s > u`` (``"lower"``) atom; the sweep and HINT
+    answer those by bisection), ``pinned`` (the subject bound an
+    equality atom fixes to the candidate point), ``residual`` (the atoms
+    the candidate range's intersection does not imply), ``sql_refine``
+    (the residual in sqlite's dialect, ``None`` when the candidates are
+    exact) and :attr:`inverse`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        atoms: str | Sequence[Atom],
+        parameters: Sequence[str] = (),
+    ) -> None:
+        if isinstance(atoms, str):
+            atoms = [tuple(atom.split()) for atom in atoms.split(",")]
+        self.name = name
+        self.atoms: tuple[Atom, ...] = tuple(tuple(atom) for atom in atoms)
+        self.parameters = tuple(parameters)
+        bound, durations, reference = self._classify()
+        self.disjoint = None
+        self.pinned = None
+        pin = next((atom for atom in bound if atom[1] == "=="), None)
+        if self.atoms == (("e", "<", "l"),):
+            candidates, self.disjoint = _strictly_before, "upper"
+        elif self.atoms == (("s", ">", "u"),):
+            candidates, self.disjoint = _strictly_after, "lower"
+        elif pin is not None:
+            self.pinned = "lower" if pin[0] == "s" else "upper"
+            candidates = _stab_lower if pin[2] == "l" else _stab_upper
+        else:
+            for candidates, window in _WINDOWS.items():
+                if all(_implies(self.atoms, atom) for atom in window):
+                    break
+            else:
+                raise ValueError(
+                    f"query family {name!r}: the atoms imply no candidate range"
+                )
+        self.needs_extent = self.disjoint is not None
+        window = _WINDOWS.get(candidates, ())
+        self.residual = tuple(a for a in self.atoms if not _implies(window, a))
+        self.sql_refine = _render(self.residual, _SQLITE) if self.residual else None
+        # The estimate's plan: equality point masses, or per-bound CDF
+        # limits (lower bound first), and the duration band.
+        self._points = [
+            ("point_lower" if left == "s" else "point_upper", right)
+            for left, op, right in bound
+            if op == "=="
+        ]
+        self._exact = not any(atom in self.residual for atom in bound)
+        self._bounds = [
+            (cdf, *_limits(name, [a for a in bound if a[0] == side], 0))
+            for side, cdf in (("s", "cdf_lower"), ("e", "cdf_upper"))
+            if any(a[0] == side for a in bound) and not self._points
+        ]
+        # The parameters bound one duration: a low one defaults to 0, a
+        # high one to DURATION_UNBOUNDED, and the band must not be empty.
+        self._band = _limits(name, [a for a in self.atoms if a[2] in parameters], 1)
+        self._duration = bool(durations)
+        self._bind = self._render_bind(candidates, reference)
+        self._constant = None if self.parameters else self._compiled(())
+
+    def _classify(self) -> tuple[list, list, list]:
+        """The subject-bound, subject-duration and reference-only atoms;
+        an atom of no kind is refused."""
+        kinds: tuple[list, list, list] = ([], [], [])
+        for atom in self.atoms:
+            left, op, right = atom
+            param = right in self.parameters
+            if op not in _FLIP:
+                kind = None
+            elif left in ("s", "e") and right in ("l", "u"):
+                kind = 0
+            elif left == "e-s" and param:
+                kind = 1
+            elif left in ("l", "u", "u-l") and (param or right in ("l", "u")):
+                kind = 2
+            else:
+                kind = None
+            if kind is None:
+                raise ValueError(
+                    f"query family {self.name!r}: atom {' '.join(atom)!r} must "
+                    f"compare s or e with l or u, or e-s, u-l, l or u with a "
+                    f"parameter of {self.parameters}"
+                )
+            kinds[kind].append(atom)
+        named = {atom[2] for atom in self.atoms} - set(_SWAP)
+        if named != set(self.parameters):
+            raise ValueError(
+                f"query family {self.name!r}: parameters {self.parameters} "
+                f"differ from those its atoms name, {sorted(named)}"
+            )
+        return kinds
+
+    def _render_bind(self, candidates, reference: list) -> Callable:
+        """Compile ``bind(*values) -> (holds, candidates)`` once.
+
+        ``holds`` is the conjunction of every atom as one Python
+        function, so each call is one interpreter frame; reference-only
+        atoms also guard the candidate window, which is then inlined.
+        """
+        source = [
+            f"def bind({', '.join(self.parameters)}):",
+            "    def holds(s, e, l, u):",
+            f"        return {_render(self.atoms, _PYTHON)}",
+            "    return holds, candidates",
+        ]
+        if reference:
+            (_, _, hi), (_, _, lo) = _WINDOWS[candidates]
+            source[3:3] = [
+                "    def candidates(l, u, floor, ceiling):",
+                f"        if {_render(reference, _PYTHON)}:",
+                f"            return ({lo}, {hi})",
+                "        return None",
+            ]
+        namespace = {"candidates": candidates}
+        exec("\n".join(source), namespace)
+        return namespace["bind"]
+
+    def _compiled(self, values: tuple) -> IntervalPredicate:
+        name = f"{self.name}[{','.join(map(str, values))}]" if values else self.name
+        params = tuple(zip(self.parameters, values))
+        return IntervalPredicate(name, self, params, *self._bind(*values))
+
+    def compile(self, **params) -> IntervalPredicate:
+        """Bind ``params`` and return the compiled predicate.
+
+        A parameter left out (or ``None``) takes its band's open end:
+        ``0`` below, :data:`DURATION_UNBOUNDED` above.
+        """
+        if self._constant is not None and not params:
+            return self._constant
+        unknown = sorted(set(params) - set(self.parameters))
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {unknown} for query family "
+                f"{self.name!r}; accepted parameters: {list(self.parameters)}"
+            )
+        band = {}
+        for limit, default in zip(self._band, (0, DURATION_UNBOUNDED)):
+            if limit is not None:
+                value = params.get(limit[0])
+                band[limit[0]] = default if value is None else int(value)
+        if len(band) == 2:
+            (low, lo), (high, hi) = band.items()
+            if lo > hi:
+                raise ValueError(f"empty duration band: {low}={lo} exceeds {high}={hi}")
+        return self._compiled(tuple(map(band.__getitem__, self.parameters)))
+
+    @cached_property
+    def inverse(self) -> QueryFamily:
+        """The subject-swapped family: ``s`` with ``l``, ``e`` with ``u``.
+
+        The registered family with the same atoms (in any order) when
+        there is one -- ``before``/``after``, ``range_duration``/
+        ``range_duration_by`` -- else a new, unregistered family whose
+        inverse is this one.
+        """
+        atoms = []
+        for left, op, right in self.atoms:
+            left, right = _SWAP[left], _SWAP.get(right, right)
+            if right in ("s", "e"):
+                left, op, right = right, _FLIP[op], left
+            atoms.append((left, op, right))
+        swapped = set(atoms)
+        for family in FAMILIES.values():
+            if family.parameters == self.parameters and set(family.atoms) == swapped:
+                return family
+        inverse = QueryFamily(f"inverse({self.name})", atoms, self.parameters)
+        inverse.__dict__["inverse"] = self
+        return inverse
+
+
+class IntervalPredicate:
+    """One :class:`QueryFamily` bound to its parameter values.
+
+    ``holds`` is the ground truth; ``candidates`` maps the query to the
+    window whose intersecting records provably contain every match
+    (``None`` means provably empty); ``sql_refine``, ``pinned``,
+    ``needs_extent`` and ``disjoint`` are the family's derived fields,
+    copied here so the per-query code reads plain attributes.
+    ``params`` is the ``(name, value)`` bundle (a tuple, so the object
+    stays hashable): the service wire ships ``family.name`` with it, and
+    it is the set of extra SQL bind parameters.
+    """
+
+    __slots__ = (
+        "name",
+        "family",
+        "params",
+        "holds",
+        "candidates",
+        "sql_refine",
+        "pinned",
+        "needs_extent",
+        "disjoint",
+    )
+
+    def __init__(self, name, family, params, holds, candidates) -> None:
+        self.name = name
+        self.family = family
+        self.params = params
+        self.holds = holds
+        self.candidates = candidates
+        self.sql_refine = family.sql_refine
+        self.pinned = family.pinned
+        self.needs_extent = family.needs_extent
+        self.disjoint = family.disjoint
+
+    def __repr__(self) -> str:
+        return f"IntervalPredicate({self.name!r})"
+
+    @property
+    def inverse(self) -> IntervalPredicate:
+        """The subject-swapped predicate: ``a p b`` iff ``b p.inverse a``.
+
+        A join plan probing a store per outer tuple scans the inverse's
+        candidate range (the stored record is the subject there).
+        """
+        return self.family.inverse.compile(**dict(self.params))
+
+    def filter(
+        self, records: Sequence[tuple[int, int, int]], lower: int, upper: int
+    ) -> list[int]:
+        """Refine ``(lower, upper, id)`` records by the pure predicate.
+
+        The brute-force evaluation every compiled plan must agree with;
+        also the generic fallback for stores without a native compile.
+        """
+        validate_interval(lower, upper)
+        holds = self.holds
+        return [i for s, e, i in records if holds(s, e, lower, upper)]
+
+    def estimate(self, summary, lower: int, upper: int) -> float:
+        """Expected records of ``summary`` standing in this relation to
+        ``[lower, upper]``, from the bound marginals alone.
+
+        ``summary`` is a :class:`~repro.core.costmodel.BoundSummary`.  A
+        failed reference-only atom gives 0.  A pinned relation costs the
+        smallest point mass of its equality atoms (its strict side
+        conditions are dropped: the planner needs order-of-magnitude
+        fidelity, not unbiasedness).  When the atoms are exactly the
+        candidate range's intersection, the estimate is that
+        intersection count; otherwise it is the product of the per-bound
+        CDF masses (an independence approximation), capped at the
+        candidate intersection count unless the candidates read the
+        extent.  Duration atoms multiply by the duration histogram's
+        band fraction.
+        """
+        n = summary.count
+        if n == 0:
+            return 0.0
+        family = self.family
+        candidate = None
+        if not family.needs_extent:
+            candidate = self.candidates(lower, upper, None, None)
+            if candidate is None:
+                return 0.0
+        values = {"l": lower, "u": upper}
+        if self.params:
+            values.update(self.params)
+        if family.pinned is not None:
+            count = n * min(
+                getattr(summary, point)(values[term]) for point, term in family._points
+            )
+        elif family._exact:
+            count = summary.intersecting(*candidate)
+        else:
+            mass = 1.0
+            for cdf, low, high in family._bounds:
+                cdf = getattr(summary, cdf)
+                above = 1.0 if high is None else cdf(values[high[0]] + high[1])
+                below = 0.0 if low is None else cdf(values[low[0]] + low[1])
+                mass *= max(0.0, above - below)
+            count = n * mass
+            if candidate is not None:
+                count = min(count, summary.intersecting(*candidate))
+        if family._duration:
+            low, high = family._band
+            count *= summary.duration_fraction(
+                0 if low is None else values[low[0]] + low[1],
+                DURATION_UNBOUNDED if high is None else values[high[0]] + high[1],
+            )
+        return count
+
+
+#: Every registered query family: the fifteen classic relations as
+#: zero-parameter families, then the parameterized families.  Adding a
+#: family means adding its atom conjunction here.
+FAMILIES: dict[str, QueryFamily] = {
+    family.name: family
+    for family in (
+        QueryFamily("intersects", "s <= u, e >= l"),
+        QueryFamily("stab", "s <= l, e >= l"),
+        QueryFamily("before", "e < l"),
+        QueryFamily("after", "s > u"),
+        QueryFamily("meets", "e == l, s < l"),
+        QueryFamily("met_by", "s == u, e > u"),
+        QueryFamily("overlaps", "s < l, e > l, e < u"),
+        QueryFamily("overlapped_by", "s > l, s < u, e > u"),
+        QueryFamily("during", "s > l, e < u"),
+        QueryFamily("contains", "s < l, e > u"),
+        QueryFamily("starts", "s == l, e < u"),
+        QueryFamily("started_by", "s == l, e > u"),
+        QueryFamily("finishes", "e == u, s > l"),
+        QueryFamily("finished_by", "e == u, s < l"),
+        QueryFamily("equals", "s == l, e == u"),
+        # Intersects the window and lasts dmin to dmax; then its inverse,
+        # which intersects a reference lasting dmin to dmax.
+        QueryFamily(
+            "range_duration",
+            "s <= u, e >= l, e-s >= dmin, e-s <= dmax",
+            ("dmin", "dmax"),
+        ),
+        QueryFamily(
+            "range_duration_by",
+            "s <= u, e >= l, u-l >= dmin, u-l <= dmax",
+            ("dmin", "dmax"),
+        ),
+    )
+}
+
+#: The fifteen predicates of the store API, compiled once.
+PREDICATES: dict[str, IntervalPredicate] = {
+    name: family.compile() for name, family in FAMILIES.items() if not family.parameters
 }
 
 #: The predicates meaningful as join predicates (``stab`` relates an
@@ -344,8 +533,8 @@ def relate(s: int, e: int, l: int, u: int) -> str:
 
     Returns the unique Allen relation for proper intervals
     (``lower < upper``); the thirteen are mutually exclusive and jointly
-    exhaustive there.  Written independently of the ``holds`` formulas
-    so that tests can check them against it.
+    exhaustive there.  Written independently of the atoms so that tests
+    can check them against it.
     """
     if e < l:
         return "before"
@@ -366,153 +555,20 @@ def relate(s: int, e: int, l: int, u: int) -> str:
     return "during" if e < u else "overlapped_by"
 
 
-@dataclass(frozen=True)
-class QueryFamily:
-    """A named, parameterized family of interval predicates.
-
-    ``compile(**params)`` binds a typed parameter bundle and returns
-    the concrete :class:`IntervalPredicate` (usually a
-    :class:`CompiledQuery`) every backend then compiles natively.  The
-    fifteen classic relations are zero-parameter families, so the
-    family registry is the one open extension seam: a new query class
-    registers a factory here and rides through every backend, the
-    service wire, and the cost model without further per-layer work.
-    """
-
-    name: str
-    parameters: tuple[str, ...]
-    factory: Callable[..., IntervalPredicate]
-    description: str = ""
-
-    def compile(self, **params) -> IntervalPredicate:
-        """Bind ``params`` and return the compiled predicate."""
-        unknown = sorted(set(params) - set(self.parameters))
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) {unknown} for query family "
-                f"{self.name!r}; accepted parameters: "
-                f"{list(self.parameters)}")
-        return self.factory(**params)
-
-
-#: Durations are at most ``UPPER_INF - lower`` (< 2**61); this stands
-#: in for "no upper duration bound" while keeping the bundle integral
-#: for the SQL binds and the service wire.
-DURATION_UNBOUNDED = 1 << 62
-
-
-def range_duration(dmin: int = 0,
-                   dmax: Optional[int] = None) -> CompiledQuery:
+def range_duration(dmin: int = 0, dmax: Optional[int] = None) -> IntervalPredicate:
     """Compile a range-duration query: intersection plus duration band.
 
     The subject ``[s, e]`` matches reference ``[l, u]`` iff it
     intersects the window *and* ``dmin <= e - s <= dmax`` (Ceccarello &
-    Gamper's range-duration predicate).  Durations are evaluated on
-    *effective* bounds everywhere: now-relative rows materialize the
-    store clock, while still-open ``UPPER_INF`` rows keep the sentinel
-    and therefore only match unbounded (``dmax=None``) bands.
-
-    The candidate range is the whole query window -- duration is a
-    derived column the RI-tree does not index, so every backend fetches
-    the Figure 9/10 intersection candidates and refines with the band:
-    the engine trees filter fetched leaf slices, sqlite appends the
-    ``(upper - lower) BETWEEN :dmin AND :dmax`` fragment to both
-    branches of the one-statement plan, HINT filters its partition
-    slices.  The inverse (reference-subject) compiled query is exact at
-    candidate time: a probe whose own duration misses the band is
-    provably empty before touching the store.
+    Gamper's range-duration predicate); ``dmax=None`` is unbounded.
+    Durations are evaluated on *effective* bounds everywhere:
+    now-relative rows materialize the store clock, while still-open
+    ``UPPER_INF`` rows keep the sentinel and therefore only match
+    unbounded bands.  Duration is a derived column the RI-tree does not
+    index, so every backend fetches the intersection candidates of the
+    window and refines with the band.
     """
-    if dmax is None:
-        dmax = DURATION_UNBOUNDED
-    dmin, dmax = int(dmin), int(dmax)
-    if dmin > dmax:
-        raise ValueError(
-            f"empty duration band: dmin={dmin} exceeds dmax={dmax}")
-    params = (("dmin", dmin), ("dmax", dmax))
-
-    def _direct_estimate(summary, lower, upper):
-        return (summary.relation_count("intersects", lower, upper)
-                * summary.duration_fraction(dmin, dmax))
-
-    def _inverse_estimate(summary, lower, upper):
-        if dmin <= upper - lower <= dmax:
-            return summary.relation_count("intersects", lower, upper)
-        return 0.0
-
-    def _inverse() -> CompiledQuery:
-        return CompiledQuery(
-            name=f"range_duration_by[{dmin},{dmax}]",
-            holds=lambda s, e, l, u:
-                s <= u and e >= l and dmin <= u - l <= dmax,
-            candidates=lambda l, u, floor, ceiling:
-                (l, u) if dmin <= u - l <= dmax else None,
-            sql_refine='(:upper - :lower) BETWEEN :dmin AND :dmax',
-            inverse_name=None,
-            family_name="range_duration_by",
-            params=params,
-            binds=params,
-            inverse_factory=lambda: range_duration(dmin, dmax),
-            estimator=_inverse_estimate,
-        )
-
-    return CompiledQuery(
-        name=f"range_duration[{dmin},{dmax}]",
-        holds=lambda s, e, l, u:
-            s <= u and e >= l and dmin <= e - s <= dmax,
-        candidates=_whole_query,
-        sql_refine='(i."upper" - i."lower") BETWEEN :dmin AND :dmax',
-        inverse_name=None,
-        family_name="range_duration",
-        params=params,
-        binds=params,
-        inverse_factory=_inverse,
-        estimator=_direct_estimate,
-    )
-
-
-def _range_duration_by(dmin: int = 0,
-                       dmax: Optional[int] = None) -> CompiledQuery:
-    return range_duration(dmin, dmax).inverse
-
-
-def _constant_family(predicate: IntervalPredicate) -> QueryFamily:
-    return QueryFamily(
-        name=predicate.name,
-        parameters=(),
-        factory=lambda predicate=predicate: predicate,
-        description=f"the classic {predicate.name!r} relation",
-    )
-
-
-#: Every registered query family: the fifteen classic relations as
-#: zero-parameter families plus the parameterized families.  Keyed by
-#: family name; values resolve through :func:`compile_query`.
-FAMILIES: dict[str, QueryFamily] = {
-    name: _constant_family(predicate)
-    for name, predicate in PREDICATES.items()
-}
-FAMILIES["range_duration"] = QueryFamily(
-    name="range_duration",
-    parameters=("dmin", "dmax"),
-    factory=range_duration,
-    description="intersects the window AND duration within [dmin, dmax]",
-)
-FAMILIES["range_duration_by"] = QueryFamily(
-    name="range_duration_by",
-    parameters=("dmin", "dmax"),
-    factory=_range_duration_by,
-    description="intersects a reference whose duration is within "
-                "[dmin, dmax] (the range-duration inverse)",
-)
-
-
-def register_family(family: QueryFamily) -> QueryFamily:
-    """Register a new query family; returns it for decorator-ish use."""
-    if family.name in FAMILIES:
-        raise ValueError(
-            f"query family {family.name!r} is already registered")
-    FAMILIES[family.name] = family
-    return family
+    return FAMILIES["range_duration"].compile(dmin=dmin, dmax=dmax)
 
 
 def get_family(family) -> QueryFamily:
@@ -524,7 +580,8 @@ def get_family(family) -> QueryFamily:
     except (KeyError, TypeError):
         raise ValueError(
             f"unknown query family {family!r}; registered families: "
-            f"{sorted(FAMILIES)}") from None
+            f"{sorted(FAMILIES)}"
+        ) from None
 
 
 def compile_query(predicate, params=None) -> IntervalPredicate:
@@ -533,34 +590,22 @@ def compile_query(predicate, params=None) -> IntervalPredicate:
     ``predicate`` may be an :class:`IntervalPredicate` (returned as
     is), a classic relation name, or a family name; ``params`` is the
     optional parameter bundle (any mapping or pair iterable) bound via
-    the family's factory.  This is what the service ops use to rebuild
-    a compiled query from its wire form (``family_name`` +
-    ``param_dict``).
+    :meth:`QueryFamily.compile`.  This is what the service ops use to
+    rebuild a compiled query from its wire form (``family.name`` +
+    ``params``).
     """
     if isinstance(predicate, IntervalPredicate):
         if params:
             raise ValueError(
                 "compile_query() got both a predicate object and a "
-                "parameter bundle; pass the family name with params=")
+                "parameter bundle; pass the family name with params="
+            )
         return predicate
     if params:
         return get_family(predicate).compile(**dict(params))
     if isinstance(predicate, str) and predicate in PREDICATES:
         return PREDICATES[predicate]
     return get_family(predicate).compile()
-
-
-def get_predicate(predicate) -> IntervalPredicate:
-    """Resolve a predicate given by name or already as an object."""
-    if isinstance(predicate, IntervalPredicate):
-        return predicate
-    try:
-        return PREDICATES[predicate]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown interval predicate {predicate!r}; expected one of "
-            f"{sorted(PREDICATES)}, or a query family compiled from "
-            f"{sorted(FAMILIES)}") from None
 
 
 def resolve_join_predicate(predicate) -> Optional[IntervalPredicate]:
@@ -591,4 +636,3 @@ def resolve_join_predicate(predicate) -> Optional[IntervalPredicate]:
     if pred.name == "intersects":
         return None
     return pred
-

@@ -455,9 +455,7 @@ class RITree(AccessMethod):
         return collect_query_nodes(self.backbone, lower, upper)
 
     # -- plan construction ---------------------------------------------
-    def plan(
-        self, lower: int, upper: int, predicate=None
-    ) -> Optional[ScanPlan]:
+    def plan(self, lower: int, upper: int, predicate=None) -> Optional[ScanPlan]:
         """Compile one query into per-index scan ranges.
 
         Returns ``(upperIndex ranges, lowerIndex ranges)`` with bounds
@@ -619,9 +617,7 @@ class RITree(AccessMethod):
                        if holds(lower, upper, s, e))
         return pairs
 
-    def join_count(
-        self, probes: Sequence[IntervalRecord], *, predicate=None
-    ) -> int:
+    def join_count(self, probes: Sequence[IntervalRecord], *, predicate=None) -> int:
         """Size of :meth:`join_pairs`; predicate counts refine per slice."""
         pred = resolve_join_predicate(predicate)
         if pred is None:

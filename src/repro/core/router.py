@@ -70,7 +70,7 @@ from .costmodel import (
 )
 from .interval import validate_interval
 from .predicates import resolve_join_predicate
-from .temporal import FORK_INF, UPPER_INF, UPPER_NOW, sentinel_node
+from .temporal import FORK_INF, UPPER_INF, sentinel_node
 from .verify import VerificationReport
 
 
@@ -341,20 +341,11 @@ class ShardedStore(IntervalStore):
         return batches
 
     def bulk_load(self, intervals: Sequence[IntervalRecord]) -> None:
-        """Batch per shard: one backend ``bulk_load`` per slice.
-
-        Sentinel rows stay out of the shards' bulk loads (a disk
-        backend's bottom-up build has no reserved nodes) and follow as
-        one ``append_batch`` per shard that holds any.
-        """
+        """Batch per shard: one backend ``bulk_load`` per slice, Section
+        4.6 rows included."""
         batches = self._route(intervals, self._stat_inserts)
-        sentinels = (UPPER_INF, UPPER_NOW)
-        self._fan_out([(t, "bulk_load", rows) for t, rows in enumerate(
-            [r for r in batch if r[1] not in sentinels] for batch in batches)
-            if rows])
-        self._fan_out([(t, "append_batch", rows) for t, rows in enumerate(
-            [r for r in batch if r[1] in sentinels] for batch in batches)
-            if rows])
+        self._fan_out([(t, "bulk_load", batch)
+                       for t, batch in enumerate(batches) if batch])
 
     def append_batch(self, records: Sequence[IntervalRecord], closes=()) -> None:
         """Streaming append: one backend ``append_batch`` per touched shard.

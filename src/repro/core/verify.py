@@ -34,9 +34,7 @@ class VerificationIssue:
 
     __slots__ = ("code", "message", "context")
 
-    def __init__(
-        self, code: str, message: str, context: Optional[dict] = None
-    ) -> None:
+    def __init__(self, code: str, message: str, context: Optional[dict] = None) -> None:
         self.code = code
         self.message = message
         self.context = dict(context) if context else {}

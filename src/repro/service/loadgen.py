@@ -36,10 +36,11 @@ from ..core.temporal import UPPER_INF, UPPER_NOW
 from .ops import apply
 from .protocol import raise_for_response, read_frame_async, write_frame_async
 
-#: Allen relations drawn by the ``query`` op class (no intersects/stab:
-#: those have dedicated classes exercising the native paths).
+#: Allen relations drawn by the ``query`` op class: the predicates that
+#: refine their candidates (intersects/stab have dedicated classes
+#: exercising the native paths).
 RELATION_NAMES = tuple(
-    name for name in PREDICATES if name not in ("intersects", "stab"))
+    name for name, pred in PREDICATES.items() if pred.family.residual)
 
 #: Op-class weights of the default mixed workload.
 DEFAULT_MIX: dict[str, float] = {

@@ -80,10 +80,9 @@ def _tuples(rows) -> list[tuple]:
 
 def encode_predicate(predicate) -> dict:
     """A predicate's name, or a family's name plus its ``params``."""
-    family = getattr(predicate, "family_name", "")
-    if family:
-        return {"predicate": family,
-                "params": dict(getattr(predicate, "param_dict", {}))}
+    params = getattr(predicate, "params", ())
+    if params:
+        return {"predicate": predicate.family.name, "params": dict(params)}
     return {"predicate": getattr(predicate, "name", predicate)}
 
 

@@ -388,9 +388,9 @@ class SQLRITree(IntervalStore):
         every branch -- the sqlite compilation of the shared predicate
         layer of :mod:`repro.core.predicates`.  ``intersects`` and
         ``stab`` have exact candidates and no formula, so theirs is the
-        plain Figure 9 statement.  Family binds (``CompiledQuery.
-        sql_binds``, e.g. the ``:dmin``/``:dmax`` duration band of
-        ``range_duration``) merge into the bind set.  Reserved Section
+        plain Figure 9 statement.  Family parameters (``params``, e.g.
+        the ``:dmin``/``:dmax`` duration band of ``range_duration``)
+        merge into the bind set.  Reserved Section
         4.6 rows ride along ``rightNodes`` and refine with their
         *effective* bounds: the formula reads the stored upper through
         :data:`repro.sql.schema.EFFECTIVE_UPPER` (now-relative rows
@@ -427,7 +427,7 @@ class SQLRITree(IntervalStore):
             "clower": clower,
             "cupper": cupper,
             "now": self._now,
-            **getattr(pred, "sql_binds", {}),
+            **dict(pred.params),
         }
         return statement, binds
 
@@ -568,7 +568,8 @@ class SQLRITree(IntervalStore):
         statement = schema.figure9_sql(
             self.name, batch=True, lower='q."lower"', upper='q."upper"', refine=refine
         )
-        return statement, {"now": self._now, **getattr(pred, "sql_binds", {})}
+        params = () if pred is None else pred.params
+        return statement, {"now": self._now, **dict(params)}
 
     def _run_batch(self, pred, probes: Sequence, fetch, empty, wrap: str = "{}"):
         """One fill cycle of ``probes`` running :meth:`_batch_statement`

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    PREDICATES,
     UPPER_INF,
     UPPER_NOW,
     RITree,
@@ -233,7 +234,7 @@ def test_bound_summary_validation():
 # ----------------------------------------------------------------------
 # predicate selectivity (Section 4.5 meets the Section 5 cost model)
 # ----------------------------------------------------------------------
-def test_relation_count_prefix_masses_track_exact_counts(modelled_tree):
+def test_estimate_prefix_masses_track_exact_counts(modelled_tree):
     """before/after are CDF prefix masses: near-exact at histogram
     resolution on a generated workload."""
     workload, _tree, model = modelled_tree
@@ -242,42 +243,34 @@ def test_relation_count_prefix_masses_track_exact_counts(modelled_tree):
     for lower, upper in [(50_000, 60_000), (200_000, 400_000), (700_000, 700_500)]:
         exact_before = sum(1 for s, e, _ in records if e < lower)
         exact_after = sum(1 for s, e, _ in records if s > upper)
-        est_before = model.summary.relation_count("before", lower, upper)
-        est_after = model.summary.relation_count("after", lower, upper)
+        est_before = PREDICATES["before"].estimate(model.summary, lower, upper)
+        est_after = PREDICATES["after"].estimate(model.summary, lower, upper)
         assert est_before == pytest.approx(exact_before, abs=0.03 * n)
         assert est_after == pytest.approx(exact_after, abs=0.03 * n)
 
 
-def test_relation_count_containment_clamped_by_candidates(modelled_tree):
+def test_estimate_containment_clamped_by_candidates(modelled_tree):
     """Containment/overlap estimates never exceed their candidate sets."""
     _workload, _tree, model = modelled_tree
     summary = model.summary
     for lower, upper in [(100_000, 130_000), (0, 1_000_000)]:
-        assert summary.relation_count("during", lower, upper) <= (
-            summary.intersecting(lower, upper)
-        )
-        assert summary.relation_count("contains", lower, upper) <= (
-            summary.intersecting(lower, lower)
-        )
-        assert summary.relation_count("overlaps", lower, upper) <= (
-            summary.intersecting(lower, lower)
-        )
-        assert summary.relation_count("overlapped_by", lower, upper) <= (
-            summary.intersecting(upper, upper)
-        )
+        for name, window in [
+            ("during", (lower, upper)),
+            ("contains", (lower, lower)),
+            ("overlaps", (lower, lower)),
+            ("overlapped_by", (upper, upper)),
+        ]:
+            estimate = PREDICATES[name].estimate(summary, lower, upper)
+            assert estimate <= summary.intersecting(*window)
 
 
-def test_relation_count_covers_every_predicate(modelled_tree):
+def test_estimate_covers_every_predicate(modelled_tree):
     workload, _tree, model = modelled_tree
-    from repro.core.predicates import PREDICATES
-
-    for name in PREDICATES:
-        value = model.summary.relation_count(name, 100_000, 130_000)
-        assert 0.0 <= value <= model.summary.count, name
-    with pytest.raises(ValueError, match="unknown relation"):
-        model.summary.relation_count("sideways", 0, 1)
+    for pred in PREDICATES.values():
+        value = pred.estimate(model.summary, 100_000, 130_000)
+        assert 0.0 <= value <= model.summary.count, pred.name
     records = workload.records
-    during = model.summary.relation_count("during", 100_000, 160_000)
+    during = PREDICATES["during"].estimate(model.summary, 100_000, 160_000)
     exact = sum(1 for s, e, _ in records if 100_000 < s and e < 160_000)
     assert during == pytest.approx(exact, abs=0.05 * len(records))
 

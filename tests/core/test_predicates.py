@@ -17,15 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    FAMILIES,
     JOIN_PREDICATES,
-    CompiledQuery,
     PREDICATES,
     HintStore,
+    QueryFamily,
     RITree,
-    get_predicate,
+    compile_query,
 )
+from repro.core.costmodel import BoundSummary
 from repro.core.join import SweepJoin, interval_join
-from repro.core.predicates import ALLEN_RELATIONS, relate
+from repro.core.predicates import ALLEN_RELATIONS, range_duration, relate
 from repro.methods.memory import BruteForceIntervals
 from repro.methods.windowlist import WindowList
 from repro.sql import SQLRITree
@@ -141,52 +143,91 @@ EXPECTED_INVERSES = {
 }
 
 
-def test_inverse_table_is_pinned_and_involutive():
+def test_inverse_is_the_subject_swap_and_involutive():
+    """Swapping ``s``/``l`` and ``e``/``u`` gives the registered inverse
+    relation, except for meets/met_by: there the swap keeps the pinned
+    bound's own strict side (``s == u, s > l``), which differs from
+    ``met_by`` on point intervals."""
     for name, inverse_name in EXPECTED_INVERSES.items():
         pred = PREDICATES[name]
-        assert pred.inverse_name == inverse_name
-        assert pred.inverse is PREDICATES[inverse_name]
         assert pred.inverse.inverse is pred
-    with pytest.raises(ValueError, match="no inverse"):
-        PREDICATES["stab"].inverse
+        if name in ("meets", "met_by"):
+            assert pred.inverse.name == f"inverse({name})"
+            assert pred.inverse.name not in FAMILIES
+        else:
+            assert pred.inverse is PREDICATES[inverse_name]
+    assert PREDICATES["meets"].inverse.family.atoms == (
+        ("s", "==", "u"),
+        ("s", ">", "l"),
+    )
+    assert range_duration(3, 9).inverse.name == "range_duration_by[3,9]"
 
 
-def test_inverse_identity_exhaustive_on_proper_intervals():
-    """p.holds(a, b, c, d) == p.inverse.holds(c, d, a, b), exhaustively.
+def test_inverse_identity_exhaustive_with_degenerate_intervals():
+    """Exhaustive over a small domain, point intervals included.
 
-    Exact for every proper-interval pair over a small domain -- Allen's
-    algebra.  Degenerate (point) intervals may break the symmetry at
-    shared endpoints, which is why the compiled join plans refine with
-    the direct formula; pin one such asymmetry so the caveat stays real.
+    ``p.holds(a, b, c, d) == p.inverse.holds(c, d, a, b)`` for every
+    join predicate and both families; every candidate range is sound
+    (each match intersects it, and a pinned bound equals its point); and
+    the derived inverse agrees with the relation registered as the
+    inverse in candidate range, ``pinned`` bound and estimate.
     """
-    domain = range(7)
-    for name in JOIN_PREDICATES:
-        pred = PREDICATES[name]
+    domain = range(6)
+    intervals = [(a, b) for a in domain for b in domain if a <= b]
+    floor, ceiling = 0, 5
+    summary = BoundSummary.from_records(
+        [(a, b, i) for i, (a, b) in enumerate(intervals)], buckets=4
+    )
+    registered = {
+        name: PREDICATES[inverse] for name, inverse in EXPECTED_INVERSES.items()
+    }
+    predicates = {name: PREDICATES[name] for name in JOIN_PREDICATES}
+    for band in [(0, 0), (1, 3), (2, None)]:
+        pred = range_duration(*band)
+        predicates[pred.name] = pred
+        registered[pred.name] = FAMILIES["range_duration_by"].compile(
+            **dict(pred.params)
+        )
+        by = pred.inverse
+        predicates[by.name] = by
+        registered[by.name] = pred
+    for name, pred in predicates.items():
         inverse = pred.inverse
-        for a in domain:
-            for b in domain:
-                if a >= b:
+        assert inverse.pinned == registered[name].pinned, name
+        assert inverse.needs_extent == registered[name].needs_extent, name
+        for l, u in intervals:
+            window = pred.candidates(l, u, floor, ceiling)
+            assert inverse.candidates(l, u, floor, ceiling) == registered[
+                name
+            ].candidates(l, u, floor, ceiling), (name, l, u)
+            assert inverse.estimate(summary, l, u) == registered[name].estimate(
+                summary, l, u
+            ), (name, l, u)
+            for s, e in intervals:
+                holds = pred.holds(s, e, l, u)
+                assert holds == inverse.holds(l, u, s, e), (name, s, e, l, u)
+                if not holds:
                     continue
-                for c in domain:
-                    for d in domain:
-                        if c >= d:
-                            continue
-                        assert pred.holds(a, b, c, d) == \
-                            inverse.holds(c, d, a, b), (name, a, b, c, d)
-    # The documented degenerate asymmetry: a point meeting an interval.
+                assert window is not None and s <= window[1] and e >= window[0]
+                if pred.pinned is not None:
+                    assert window[0] == window[1]
+                    assert (s if pred.pinned == "lower" else e) == window[0]
+    # Where the registered inverse is not exact: a point meeting an
+    # interval.  The derived inverse keeps the identity.
     meets, met_by = PREDICATES["meets"], PREDICATES["met_by"]
     assert not meets.holds(5, 5, 5, 9)
     assert met_by.holds(5, 9, 5, 5)
+    assert not meets.inverse.holds(5, 9, 5, 5)
 
 
-def test_get_predicate_resolves_names_and_objects():
-    pred = get_predicate("during")
+def test_compile_query_resolves_names_and_objects():
+    pred = compile_query("during")
     assert pred.name == "during"
-    assert get_predicate(pred) is pred
+    assert compile_query(pred) is pred
     with pytest.raises(ValueError):
-        get_predicate("sideways")
+        compile_query("sideways")
     with pytest.raises(ValueError):
-        get_predicate(None)
+        compile_query(None)
 
 
 def test_holds_agrees_with_the_relate_partition(rng):
@@ -201,10 +242,8 @@ def test_holds_agrees_with_the_relate_partition(rng):
             assert PREDICATES[name].holds(s, e, l, u) == (relation == name)
 
 
-def test_matches_and_filter():
-    before = get_predicate("before")
-    assert before.matches((0, 5), (6, 10))
-    assert not before.matches((0, 6), (6, 10))
+def test_filter():
+    before = compile_query("before")
     records = [(0, 5, 1), (0, 6, 2), (7, 9, 3)]
     assert before.filter(records, 6, 10) == [1]
 
@@ -280,37 +319,24 @@ def test_join_strategies_match_the_oracle(name, rng):
         assert got == expected, (strategy, name)
 
 
-def _extent_family(name, inverse_name):
-    """``name`` as a family object: same formula and candidates, so only
-    its ``needs_extent`` flag says that the candidates read the extent."""
-    base = PREDICATES[name]
-    return CompiledQuery(
-        name=f"{name}_family",
-        holds=base.holds,
-        candidates=base.candidates,
-        sql_refine=base.sql_refine,
-        needs_extent=True,
-        family_name=f"{name}_family",
-        inverse_factory=lambda: _extent_family(inverse_name, name),
-    )
-
-
-@pytest.mark.parametrize("name, inverse_name",
-                         [("before", "after"), ("after", "before")])
-def test_backends_resolve_the_extent_from_the_flag(name, inverse_name, rng):
-    """Queries and joins of a family whose candidates read the extent."""
+@pytest.mark.parametrize("name", ["before", "after"])
+def test_backends_resolve_the_extent_from_the_flag(name, rng):
+    """Queries and joins of an unregistered family whose candidates read
+    the extent: ``needs_extent`` is derived from its atoms alone."""
     _anchors, records = shared_endpoint_records(rng, count=160)
     inner = records[:100]
     probes = [(s, e, 30_000 + i) for s, e, i in records[100:]]
-    family = _extent_family(name, inverse_name)
+    family = QueryFamily(f"{name}_family", PREDICATES[name].family.atoms).compile()
+    assert family.needs_extent and family.name not in FAMILIES
     oracle = BruteForceIntervals(inner)
     expected = sorted(oracle.join_pairs(probes, predicate=name))
     for store in (RITree(), SQLRITree(), HintStore()):
         store.bulk_load(inner)
         assert sorted(store.join_pairs(probes, predicate=family)) == expected
         for lower, upper, _ in probes[:10]:
-            assert sorted(store.query(lower, upper, predicate=family)) == \
-                sorted(oracle.query(lower, upper, predicate=name))
+            assert sorted(store.query(lower, upper, predicate=family)) == sorted(
+                oracle.query(lower, upper, predicate=name)
+            )
 
 
 @pytest.mark.parametrize("name", sorted(JOIN_PREDICATES))

@@ -6,7 +6,7 @@ through a single entry point (:func:`~repro.core.predicates.
 compile_query`).  These tests pin the registry contract, the
 range-duration semantics (including the sentinel conventions for
 now-relative and infinite rows), the inverse construction the join
-strategies rely on, and the cost-model estimator hook.
+strategies rely on, and the cost-model estimate.
 """
 
 import pytest
@@ -16,12 +16,11 @@ from repro.core.predicates import (
     DURATION_UNBOUNDED,
     FAMILIES,
     PREDICATES,
-    CompiledQuery,
+    IntervalPredicate,
     QueryFamily,
     compile_query,
     get_family,
     range_duration,
-    register_family,
     resolve_join_predicate,
 )
 from repro.core.ritree import RITree
@@ -59,25 +58,38 @@ def test_compile_query_rejects_object_plus_params():
         compile_query(pred, {"dmin": 0})
 
 
-def test_register_family_rejects_duplicates():
-    with pytest.raises(ValueError, match="already registered"):
-        register_family(FAMILIES["range_duration"])
-
-
-def test_register_and_resolve_a_new_family():
-    name = "test-only-family"
-    family = QueryFamily(
-        name=name,
-        parameters=("k",),
-        factory=lambda k=0: range_duration(k),
-        description="test fixture",
+def test_a_family_is_derived_from_its_atoms():
+    """An unregistered family: candidates, SQL, defaults and inverse all
+    come from the atom conjunction."""
+    family = QueryFamily("short", "s <= u, e >= l, e-s <= dmax", ("dmax",))
+    pred = family.compile(dmax=5)
+    assert pred.name == "short[5]"
+    assert pred.candidates(10, 20, None, None) == (10, 20)
+    assert pred.sql_refine == '(i."upper" - i."lower") <= :dmax'
+    assert pred.holds(0, 10, 8, 9) is False and pred.holds(5, 10, 8, 9) is True
+    assert dict(family.compile().params) == {"dmax": DURATION_UNBOUNDED}
+    inverse = pred.inverse
+    assert inverse.family.atoms == (
+        ("e", ">=", "l"),
+        ("s", "<=", "u"),
+        ("u-l", "<=", "dmax"),
     )
-    try:
-        assert register_family(family) is family
-        compiled = compile_query(name, {"k": 7})
-        assert compiled.param_dict == {"dmin": 7, "dmax": DURATION_UNBOUNDED}
-    finally:
-        del FAMILIES[name]
+    assert inverse.candidates(0, 9, None, None) is None
+    assert inverse.inverse.name == pred.name
+
+
+@pytest.mark.parametrize(
+    "atoms, parameters, message",
+    [
+        ("e-s >= dmin", ("dmin",), "no candidate range"),
+        ("s <= e", (), "must compare"),
+        ("s <= u, e >= l", ("k",), "differ"),
+        ("s ~ u", (), "must compare"),
+    ],
+)
+def test_a_family_outside_the_algebra_is_refused(atoms, parameters, message):
+    with pytest.raises(ValueError, match=message):
+        QueryFamily("refused", atoms, parameters)
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +111,7 @@ def test_range_duration_empty_band_rejected():
 
 def test_range_duration_default_band_is_unbounded():
     pred = range_duration()
-    assert pred.param_dict == {"dmin": 0, "dmax": DURATION_UNBOUNDED}
+    assert dict(pred.params) == {"dmin": 0, "dmax": DURATION_UNBOUNDED}
     # The UPPER_INF sentinel duration only fits the unbounded band.
     assert pred.holds(5, UPPER_INF, 0, 100)
     assert not range_duration(0, 10**9).holds(5, UPPER_INF, 0, 100)
@@ -107,11 +119,10 @@ def test_range_duration_default_band_is_unbounded():
 
 def test_range_duration_wire_identity_roundtrips():
     pred = range_duration(5, 500)
-    rebuilt = compile_query(pred.family_name, pred.param_dict)
-    assert isinstance(rebuilt, CompiledQuery)
+    rebuilt = compile_query(pred.family.name, dict(pred.params))
+    assert isinstance(rebuilt, IntervalPredicate)
     assert rebuilt.name == pred.name
-    assert rebuilt.params == pred.params
-    assert rebuilt.sql_binds == {"dmin": 5, "dmax": 500}
+    assert rebuilt.params == pred.params == (("dmin", 5), ("dmax", 500))
 
 
 def test_range_duration_inverse_gates_on_probe_duration():
@@ -157,15 +168,15 @@ def test_resolve_join_predicate_error_lists_families():
 
 
 # ----------------------------------------------------------------------
-# the cost-model estimator hook
+# the cost-model estimate
 # ----------------------------------------------------------------------
-def test_estimator_prices_duration_selectivity():
+def test_estimate_prices_duration_selectivity():
     records = [(i * 10, i * 10 + (5 if i % 2 else 500), i) for i in range(200)]
     tree = RITree()
     tree.bulk_load(records)
     summary = RITreeCostModel(tree).summary
-    narrow = range_duration(0, 10).estimator(summary, 0, 2500)
-    wide = range_duration(0, 1000).estimator(summary, 0, 2500)
+    narrow = range_duration(0, 10).estimate(summary, 0, 2500)
+    wide = range_duration(0, 1000).estimate(summary, 0, 2500)
     plain = summary.intersecting(0, 2500)
     # Half the records are short: the narrow band prices below the wide
     # one, and no band prices above the plain intersection.

@@ -14,6 +14,7 @@ name (plus options) here.
 """
 
 import sqlite3
+from contextlib import contextmanager
 from copy import deepcopy
 from functools import partial
 
@@ -38,6 +39,7 @@ from repro.core import (
 from repro.core.costmodel import JoinEstimate
 from repro.core.predicates import (
     ALLEN_RELATIONS,
+    JOIN_PREDICATES,
     PREDICATES,
     compile_query,
     range_duration,
@@ -213,10 +215,13 @@ def test_append_batch_temporal_equals_explicit_inserts(store, store_factory):
 REMOTE_BACKENDS = ["hint", "ritree", "sql-ritree"]
 
 
-@pytest.fixture(params=STORE_NAMES + [f"remote-{b}" for b in REMOTE_BACKENDS])
-def any_store(request):
-    """Every suite store, plus served backends over the wire."""
-    name = request.param
+ANY_STORE_NAMES = STORE_NAMES + [f"remote-{b}" for b in REMOTE_BACKENDS]
+
+
+@contextmanager
+def open_store(name):
+    """A suite store by name; ``remote-<backend>`` serves the backend
+    and yields its RemoteStore."""
     if not name.startswith("remote-"):
         yield STORE_FACTORIES[name]()
         return
@@ -229,6 +234,49 @@ def any_store(request):
     )
     with remote(create_store(backend, **opts)) as proxy:
         yield proxy
+
+
+@pytest.fixture(params=ANY_STORE_NAMES)
+def any_store(request):
+    """Every suite store, plus served backends over the wire."""
+    with open_store(request.param) as store:
+        yield store
+
+
+#: Section 4.6 rows on both sides of the sharded cuts, next to finite
+#: rows; the clock for them is :data:`TEMPORAL_CLOCK`.
+TEMPORAL_CLOCK = 45_000
+TEMPORAL_LOAD = (
+    [(10, 20, 1), (15, UPPER_INF, 2), (5, UPPER_NOW, 3)]
+    + [(i * 1_931 % 60_000, i * 1_931 % 60_000 + 40 * i, 10 + i) for i in range(40)]
+    + [(i * 7_919 % 44_000, UPPER_NOW, 100 + i) for i in range(6)]
+    + [(i * 6_007 % 60_000, UPPER_INF, 200 + i) for i in range(6)]
+)
+
+
+@pytest.mark.parametrize("name", ANY_STORE_NAMES)
+def test_bulk_load_with_temporal_rows_equals_insert_loop(name):
+    """``bulk_load`` takes Section 4.6 rows on every store, router and
+    wire included, and leaves the same store as inserting them."""
+    with open_store(name) as loaded, open_store(name) as looped:
+        for store in (loaded, looped):
+            store.advance_to(TEMPORAL_CLOCK)
+        loaded.bulk_load(TEMPORAL_LOAD)
+        for row in TEMPORAL_LOAD:
+            looped.insert(*row)
+        for clock in (TEMPORAL_CLOCK, TEMPORAL_CLOCK + 10_000):
+            for store in (loaded, looped):
+                store.advance_to(clock)
+            report = loaded.verify()
+            assert report.ok, [i.as_dict() for i in report.issues]
+            assert loaded.interval_count == looped.interval_count
+            assert sorted(loaded.stored_records()) == sorted(looped.stored_records())
+            for lower in range(0, 70_000, 4_000):
+                assert sorted(loaded.intersection(lower, lower + 1_500)) == sorted(
+                    looped.intersection(lower, lower + 1_500)
+                )
+                assert sorted(loaded.stab(lower)) == sorted(looped.stab(lower))
+        assert {1, 2, 3} <= set(loaded.intersection(10, 20))
 
 
 SEED_ROWS = [(5, 50, 1), (20, 90, 2)]
@@ -936,3 +984,47 @@ def test_range_duration_sharded_matches_unsharded(shard_count):
         assert sorted(sharded.query(lower, upper, predicate=pred)) == sorted(
             flat.query(lower, upper, predicate=pred)
         )
+
+
+# ----------------------------------------------------------------------
+# degenerate intervals: point intervals and shared endpoints
+# ----------------------------------------------------------------------
+#: Anchors 4,000 apart cross the sharded cuts; every anchor starts a
+#: point interval and two intervals ending on later anchors.
+ANCHORS = range(0, 60_000, 4_000)
+DEGENERATE_ROWS = [
+    (a, a + length, i)
+    for i, (a, length) in enumerate(
+        (a, length) for a in ANCHORS for length in (0, 4_000, 8_000)
+    )
+]
+DEGENERATE_WINDOWS = [(a, a) for a in ANCHORS[::2]] + [
+    (a, a + length) for a in ANCHORS[1::3] for length in (2_000, 4_000, 8_000)
+]
+
+
+def degenerate_predicates():
+    """Every join predicate and both families, on bands that admit and
+    refuse points."""
+    families = [range_duration(0, 0), range_duration(4_000, 8_000)]
+    return [PREDICATES[name] for name in JOIN_PREDICATES] + [
+        pred for family in families for pred in (family, family.inverse)
+    ]
+
+
+def test_degenerate_intervals_match_oracle(store):
+    """Queries and joins over point intervals and shared endpoints agree
+    with the oracle for every join predicate and both families."""
+    store.bulk_load(DEGENERATE_ROWS)
+    oracle = BruteForceIntervals(DEGENERATE_ROWS)
+    probes = [
+        (lower, upper, 1_000 + i) for i, (lower, upper) in enumerate(DEGENERATE_WINDOWS)
+    ]
+    for pred in degenerate_predicates():
+        for lower, upper in DEGENERATE_WINDOWS:
+            assert sorted(store.query(lower, upper, predicate=pred)) == sorted(
+                oracle.query(lower, upper, predicate=pred)
+            ), (pred.name, lower, upper)
+        expected = sorted(oracle.join_pairs(probes, predicate=pred))
+        assert sorted(store.join_pairs(probes, predicate=pred)) == expected, pred.name
+        assert store.join_count(probes, predicate=pred) == len(expected), pred.name
