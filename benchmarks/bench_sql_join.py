@@ -9,7 +9,7 @@ same join:
 
 * the simulated-engine RI-tree's batched index-nested-loop join,
 * the Piatov-style plane sweep over the SQL tree's ``stored_records``,
-* the ``auto`` strategy planning on ``RITreeCostModel.from_sql_tree``
+* the ``auto`` strategy planning on the store's ``analyze()``
   statistics (its dispatch must match the planner's published choice),
 * the independent ``searchsorted`` counting oracle.
 

@@ -7,8 +7,8 @@ Shows the RI-tree living entirely inside sqlite3 behind the unified
 * a whole query batch answered set-at-a-time (``intersection_many``:
   one transient-table fill cycle, ONE statement),
 * the interval join evaluated as a single SQL statement over a TEMP
-  probe relation, planned by ``RITreeCostModel.from_sql_tree``
-  statistics exactly like the simulated engine plans,
+  probe relation, planned from the store's ``analyze()`` statistics
+  exactly like the simulated engine plans,
 * Allen-relation predicate queries compiled to a WHERE-clause rewrite,
 * the persistent parameter dictionary surviving a database re-open,
 * an updatable view + trigger + user-defined function that hides all

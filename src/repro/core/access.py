@@ -283,11 +283,11 @@ class IntervalStore(ABC):
     def cost_model(self):
         """This store's optimizer cost model, or ``None``.
 
-        Backends that keep optimizer statistics (the RI-tree's bound
-        histograms of :mod:`repro.core.costmodel`, on either engine)
-        override this so planners -- the ``auto`` join strategy, the
-        harness's ``plan`` mode -- can price plans without executing
-        them.  The base class has no statistics and returns ``None``,
+        Backends that keep optimizer statistics take them in an
+        ``analyze()`` method (one :class:`~repro.core.costmodel.
+        StoreStatistics` snapshot) and override this so planners -- the
+        ``auto`` join strategy, the harness's ``plan`` mode -- can price
+        plans without executing them.  The base class has no statistics and returns ``None``,
         which planners treat as "fall back to record-level estimation".
         """
         return None

@@ -14,14 +14,15 @@ An interval intersects ``[l, u]`` iff ``lower <= u`` and ``upper >= l``, so
     r(l, u)  =  n - #{lower > u} - #{upper < l}
 
 which needs only the two marginal cumulative distributions of the bounds.
-The model keeps equi-depth histograms of both, refreshed by
-:meth:`RITreeCostModel.refresh` from the backend's *statistics
-provider*: a ``backbone``, ``summarize(buckets)`` returning the
-:class:`BoundSummary` and ``geometry(count)`` returning the
-:class:`StoreGeometry`.  There are three: the engine RI-tree reads the
-bound columns of its two composite indexes, the sqlite RI-tree
-aggregates them in SQL, and :class:`RecordStatistics` summarises any
-record source (in-memory stores and the engine-free planner).
+The model keeps equi-depth histograms of both.  It reads them, with the
+virtual backbone and the index geometry, from one
+:class:`StoreStatistics` snapshot that the store's own ``analyze()``
+method takes -- its ANALYZE pass.  The engine RI-tree reads the bound
+columns of its two composite indexes, the sqlite RI-tree aggregates them
+in SQL and reads sqlite's page counts, and the HINT store and the
+router summarise their stored records.  Every backend-specific fact
+lives in the module that owns the backend; the model is a pure function
+of the snapshot.
 
 The I/O model follows Section 4.4: each of the O(h) transient entries costs
 one index descent of ``ceil(log_b n)`` block reads, and the result blocks
@@ -43,8 +44,8 @@ distributions), and per-strategy cost formulas predict logical reads,
 physical reads, and Python-frame work for the index-nested-loop join
 against an RI-tree versus the sort-based plane sweep.  All pricing runs
 through :meth:`RITreeCostModel.estimate_join`; the engine-free
-:func:`choose_join_strategy` is that method over a
-:class:`RecordStatistics` provider with :func:`analytic_geometry`.  Both
+:func:`choose_join_strategy` is that method over a snapshot of the
+raw inner records with :func:`analytic_geometry`.  Both
 feed the ``auto`` strategy of :mod:`repro.core.join`, which dispatches
 to the predicted-cheaper strategy.  The physical model for repeated
 index probes is a two-regime LRU approximation in the spirit of Mackert
@@ -57,7 +58,6 @@ better than uniform).
 from __future__ import annotations
 
 import math
-import sqlite3
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -69,8 +69,6 @@ from .access import IntervalRecord
 from .backbone import VirtualBackbone
 from .interval import validate_interval
 from .predicates import resolve_join_predicate
-from .ritree import RITree
-from .temporal import FORK_NOW, UPPER_NOW
 from .transient import collect_query_nodes
 
 #: Default number of histogram buckets (equi-depth boundaries kept).
@@ -380,19 +378,19 @@ def expected_join_pairs(outer: BoundSummary, inner: BoundSummary) -> float:
 def expected_predicate_pairs(
     outer: Sequence[IntervalRecord],
     inner: BoundSummary,
-    pred,
+    inverse,
     sample: int = TRANSIENT_SAMPLE,
 ) -> float:
     """Expected predicate-join pair count from the inner marginals.
 
     Samples the outer side and averages the inner side's estimate of
-    the predicate's *inverse* (the stored record is the subject of each
-    probe's question, :meth:`~repro.core.predicates.IntervalPredicate.
-    estimate`) per sampled probe.
+    the predicate's ``inverse`` (the stored record is the subject of
+    each probe's question, :meth:`~repro.core.predicates.
+    IntervalPredicate.estimate`) per sampled probe.
     """
     if not outer or inner.count == 0:
         return 0.0
-    estimate = pred.inverse.estimate
+    estimate = inverse.estimate
     step = max(1, len(outer) // sample)
     chosen = outer[::step]
     total = sum(estimate(inner, lower, upper) for lower, upper, _ in chosen)
@@ -674,11 +672,11 @@ class StoreGeometry:
     """Physical shape of one backend's indexes, as the planner sees it.
 
     The strategy cost formulas above are engine-generic in these inputs;
-    a statistics provider realises them either from the live B+-trees of
+    a store's ANALYZE realises them either from the live B+-trees of
     the simulated engine or from sqlite's page counts, so the identical
     :class:`RITreeCostModel` plans over either backend.
 
-    ``memory_resident`` is a fact the provider reads off the store, not
+    ``memory_resident`` is a fact the ANALYZE reads off the store, not
     an option: a store whose pages never leave memory (an in-memory
     sqlite database, a HINT store) has no physical reads to price, so
     :meth:`RITreeCostModel.estimate_join` prices zero on both strategies.
@@ -733,7 +731,7 @@ def analytic_geometry(
 
     Two composite indexes of three key columns each plus the four-column
     base relation, laid out analytically under ``block_size`` -- the
-    engine-free planner's geometry, and the sqlite provider's where
+    engine-free planner's geometry, and the sqlite ANALYZE's where
     ``dbstat`` cannot report real page counts.
     """
     height, leaf_capacity = index_geometry(count, 3, block_size)
@@ -750,276 +748,46 @@ def analytic_geometry(
     )
 
 
-class RecordStatistics:
-    """Statistics provider over a record source -- the minimal one.
+@dataclass(frozen=True)
+class StoreStatistics:
+    """One store's ANALYZE snapshot: everything the cost model prices.
 
-    ``records`` is called on every ANALYZE and returns the stored
-    ``(lower, upper, id)`` records (temporal rows on effective bounds);
-    ``backbone`` is the store's virtual backbone and ``geometry(count)``
-    its :class:`StoreGeometry`.  In-memory stores and the engine-free
-    planner plan through this provider.
+    ``summary`` holds the bound histograms, ``backbone`` the virtual
+    backbone the transient-entry terms walk (pure arithmetic, no I/O) and
+    ``geometry`` the physical shape of the store's indexes.  Each store
+    that keeps statistics builds one in its ``analyze(buckets)`` method,
+    reading its own backend, so the model never reads a backend itself.
     """
 
-    def __init__(
-        self,
-        records: Callable[[], Sequence[IntervalRecord]],
-        backbone: VirtualBackbone,
-        geometry: Callable[[int], StoreGeometry],
-    ) -> None:
-        self.records = records
-        self.backbone = backbone
-        self.geometry = geometry
-
-    def summarize(self, buckets: int) -> BoundSummary:
-        return BoundSummary.from_records(self.records(), buckets)
-
-
-class _EngineTreeStatistics:
-    """Statistics provider over an engine-backed :class:`RITree`."""
-
-    def __init__(self, tree: RITree) -> None:
-        self.tree = tree
-
-    @property
-    def backbone(self) -> VirtualBackbone:
-        return self.tree.backbone
-
-    def summarize(self, buckets: int) -> BoundSummary:
-        """Collect both bound distributions from the composite indexes.
-
-        Entries are ``(node, bound, id, rowid)``: the bound columns
-        re-sort into the two global distributions, and the rowid pairs
-        the two bounds of one row back up for the duration histogram
-        (ids may repeat).  Now-relative sentinel rows contribute their
-        *effective* upper bound, the clock, as in ``stored_records()``
-        and the HINT and router statistics; infinite rows keep the
-        sentinel.
-        """
-        now = self.tree.now
-        lower_entries = list(self.tree.table.index("lowerIndex").tree.scan_all())
-        lower_of = {entry[-1]: entry[1] for entry in lower_entries}
-        uppers = [
-            (now if entry[1] == UPPER_NOW else entry[1], entry[-1])
-            for entry in self.tree.table.index("upperIndex").tree.scan_all()
-        ]
-        return BoundSummary(
-            sorted(entry[1] for entry in lower_entries),
-            sorted(upper for upper, _rowid in uppers),
-            buckets,
-            sorted_durations=sorted(upper - lower_of[rowid] for upper, rowid in uppers),
-        )
-
-    def geometry(self, count: int) -> StoreGeometry:
-        """Read the realised index shape off the live B+-trees."""
-        index = self.tree.table.indexes["lowerIndex"].tree
-        db = self.tree.db
-        return StoreGeometry(
-            height=index.height,
-            leaf_capacity=index.leaf_capacity,
-            leaf_blocks=2.0 * math.ceil(max(count, 1) / max(1, index.leaf_capacity)),
-            internal_blocks=2.0
-            * index_internal_blocks(
-                count, index.leaf_capacity, index.internal_capacity
-            ),
-            cache_blocks=db.pool.capacity,
-            block_size=db.disk.block_size,
-            table_blocks=self.tree.table.heap.page_count,
-        )
-
-
-class _SQLStoreStatistics:
-    """Statistics source over a sqlite3-backed RI-tree.
-
-    Histograms come from SQL aggregation (one ``NTILE`` window pass per
-    bound column -- the quantile computation runs inside the engine, not
-    in Python), geometry from sqlite's page counts: ``PRAGMA page_size``
-    and ``PRAGMA cache_size`` fix the block model, the ``dbstat``
-    virtual table supplies real per-index page counts where the build
-    ships it (falling back to the analytic B+-tree layout otherwise),
-    and ``PRAGMA database_list`` tells whether the ``main`` database is
-    memory-resident (an empty file name), in which case the planner
-    prices no physical reads.  Reserved Section 4.6 fork rows count as
-    ``stored_records()`` reports them: a now-relative row ends at the
-    clock, an infinite row at the ``UPPER_INF`` sentinel -- as in the
-    engine and HINT statistics.
-
-    Every one of these facts is ANALYZE-time statistics: :meth:`summarize`
-    reads them once (at construction and on ``refresh()``) and
-    :meth:`geometry` is arithmetic over the snapshot, so estimates issue
-    no SQL.  Like the histograms, the geometry goes stale under updates
-    until the next ``refresh()``.
-    """
-
-    def __init__(self, store) -> None:
-        self.store = store
-
-    @property
-    def backbone(self) -> VirtualBackbone:
-        return self.store.backbone
-
-    @property
-    def _upper(self) -> str:
-        """The effective upper bound: now-relative rows end at the clock
-        (a store without one has no such rows)."""
-        now = getattr(self.store, "now", None)
-        if now is None:
-            return '"upper"'
-        return f'CASE "node" WHEN {FORK_NOW} THEN {int(now)} ELSE "upper" END'
-
-    def summarize(self, buckets: int) -> BoundSummary:
-        conn, name = self.store.conn, self.store.name
-        self._read_geometry(conn, name)
-        count = conn.execute(f"SELECT COUNT(*) FROM {name}").fetchone()[0]
-        if count == 0:
-            return BoundSummary([], [], buckets)
-        upper = self._upper
-        duration = f'{upper} - "lower"'
-        if count <= buckets:
-            lowers, uppers, durations = (
-                [
-                    row[0]
-                    for row in conn.execute(
-                        f'SELECT {expr} AS "b" FROM {name} ORDER BY "b"'
-                    )
-                ]
-                for expr in ('"lower"', upper, duration)
-            )
-            return BoundSummary(lowers, uppers, buckets, sorted_durations=durations)
-        return BoundSummary.from_boundaries(
-            count,
-            self._quantiles(conn, name, '"lower"', buckets),
-            self._quantiles(conn, name, upper, buckets),
-            buckets,
-            duration_bounds=self._quantiles(conn, name, duration, buckets),
-        )
-
-    def _quantiles(self, conn, name: str, expr: str, buckets: int) -> list[int]:
-        """Equi-depth boundaries q_0..q_B of one bound expression, in SQL.
-
-        ``expr`` is a quoted column or an arithmetic expression over the
-        bound columns (the duration histogram passes the effective upper
-        minus ``"lower"``); one NTILE window pass either way.
-        """
-        floor = conn.execute(f"SELECT MIN({expr}) FROM {name}").fetchone()[0]
-        tiles = conn.execute(
-            f'SELECT MAX("b") FROM (SELECT {expr} AS "b", '
-            f'NTILE(?) OVER (ORDER BY {expr}) AS "t" '
-            f'FROM {name}) GROUP BY "t" ORDER BY "t"',
-            (buckets,),
-        )
-        return [floor] + [row[0] for row in tiles]
-
-    def _read_geometry(self, conn, name: str) -> None:
-        """Snapshot the physical facts :meth:`geometry` prices from."""
-        self._page_size = conn.execute("PRAGMA page_size").fetchone()[0]
-        cache = conn.execute("PRAGMA cache_size").fetchone()[0]
-        if cache >= 0:
-            self._cache_blocks = cache
-        else:
-            self._cache_blocks = max(1, (-cache * 1024) // self._page_size)
-        self._memory_resident = any(
-            db == "main" and not path
-            for _, db, path in conn.execute("PRAGMA database_list")
-        )
-        try:
-            pages = dict(
-                conn.execute(
-                    "SELECT name, COUNT(*) FROM dbstat "
-                    "WHERE name IN (?, ?, ?) GROUP BY name",
-                    (name, f"{name}_lowerIndex", f"{name}_upperIndex"),
-                )
-            )
-        except sqlite3.Error:
-            pages = {}
-        self._index_pages = pages.get(f"{name}_lowerIndex", 0) + pages.get(
-            f"{name}_upperIndex", 0
-        )
-        self._table_pages = pages.get(name, 0)
-
-    def geometry(self, count: int) -> StoreGeometry:
-        geometry = analytic_geometry(count, self._page_size, self._cache_blocks)
-        geometry.memory_resident = self._memory_resident
-        if self._index_pages:
-            geometry.leaf_blocks = max(
-                float(self._index_pages) - geometry.internal_blocks, 2.0
-            )
-        if self._table_pages:
-            geometry.table_blocks = self._table_pages
-        return geometry
+    summary: BoundSummary
+    backbone: VirtualBackbone
+    geometry: StoreGeometry
 
 
 class RITreeCostModel:
-    """Bound-histogram cost model over a loaded :class:`RITree`.
+    """Bound-histogram cost model over one store's ANALYZE snapshot.
 
     Parameters
     ----------
-    tree:
-        The tree to model.  Histograms are built by :meth:`refresh`.
-    buckets:
-        Histogram resolution; estimation error is O(n / buckets) counts.
+    statistics:
+        The :class:`StoreStatistics` a store's ``analyze()`` returned.
+        The model is a pure function of it: estimating reads no backend,
+        and a changed store is priced anew from a fresh snapshot (the
+        stores' ``cost_model(refresh=True)``).
     cache_residency:
         Fraction of non-leaf index reads expected to hit the buffer cache
         (0 = cold, 1 = fully cached upper levels).  The harness's
         batch-with-warm-cache protocol sits near 0.9.
-    statistics:
-        The statistics provider (``backbone``, ``summarize(buckets)``,
-        ``geometry(count)``); defaults to the composite-index provider
-        over ``tree``.
     """
 
     def __init__(
-        self,
-        tree: Optional[RITree] = None,
-        buckets: int = DEFAULT_BUCKETS,
-        cache_residency: float = 0.9,
-        statistics=None,
+        self, statistics: StoreStatistics, cache_residency: float = 0.9
     ) -> None:
-        if statistics is None:
-            if tree is None:
-                raise ValueError("need a tree or an explicit statistics provider")
-            statistics = _EngineTreeStatistics(tree)
-        if buckets < 2:
-            raise ValueError(f"need at least 2 buckets, got {buckets}")
         if not 0.0 <= cache_residency <= 1.0:
             raise ValueError(f"cache residency {cache_residency} not in [0,1]")
-        self.stats = statistics
-        self.buckets = buckets
+        self.statistics = statistics
+        self.summary = statistics.summary
         self.cache_residency = cache_residency
-        self.refresh()
-
-    @classmethod
-    def from_sql_tree(
-        cls,
-        store,
-        buckets: int = DEFAULT_BUCKETS,
-        cache_residency: float = 0.9,
-    ) -> "RITreeCostModel":
-        """Model a :class:`~repro.sql.SQLRITree` -- the planner port.
-
-        The cost model is engine-generic in its inputs; this constructor
-        realises them from sqlite: bound histograms through SQL
-        aggregation (``NTILE`` equi-depth quantiles), index geometry,
-        cache size and memory residency from sqlite's page counts and
-        pragmas (``dbstat`` / ``PRAGMA``), all read once per ANALYZE.
-        The returned model exposes the identical planning surface
-        (:meth:`estimate_join`), so the ``auto`` join strategy plans on
-        the sqlite backend exactly as it does on the simulated engine.
-        """
-        return cls(
-            buckets=buckets,
-            cache_residency=cache_residency,
-            statistics=_SQLStoreStatistics(store),
-        )
-
-    # ------------------------------------------------------------------
-    # statistics maintenance (ANALYZE)
-    # ------------------------------------------------------------------
-    def refresh(self) -> None:
-        """Rebuild the bound histograms -- the engine's ``ANALYZE`` pass.
-
-        Run after bulk loads or heavy update batches.
-        """
-        self.summary: BoundSummary = self.stats.summarize(self.buckets)
 
     # ------------------------------------------------------------------
     # join estimation (the planner path)
@@ -1041,11 +809,11 @@ class RITreeCostModel:
         refinement's table accesses (:func:`predicate_probe_statistics`).
         """
         pred = resolve_join_predicate(predicate)
-        geometry = self.stats.geometry(self.summary.count)
+        backbone, geometry = self.statistics.backbone, self.statistics.geometry
         if pred is None:
-            outer_summary = BoundSummary.from_records(outer, self.buckets)
+            outer_summary = BoundSummary.from_records(outer, self.summary.buckets)
             pairs = expected_join_pairs(outer_summary, self.summary)
-            avg_transient = average_transient_entries(self.stats.backbone, outer)
+            avg_transient = average_transient_entries(backbone, outer)
             index_cost = _index_join_cost(
                 probes=len(outer),
                 avg_transient=avg_transient,
@@ -1058,9 +826,10 @@ class RITreeCostModel:
                 cache_residency=self.cache_residency,
             )
         else:
-            pairs = expected_predicate_pairs(outer, self.summary, pred)
+            inverse = pred.inverse
+            pairs = expected_predicate_pairs(outer, self.summary, inverse)
             avg_transient, candidate_rows = predicate_probe_statistics(
-                outer, self.summary, self.stats.backbone, pred.inverse
+                outer, self.summary, backbone, inverse
             )
             index_cost = _index_predicate_join_cost(
                 probes=len(outer),
@@ -1107,7 +876,7 @@ def choose_join_strategy(
     The engine-free planner: a virtual backbone is populated by
     registering the inner records (pure arithmetic -- no relation, no
     I/O), and :meth:`RITreeCostModel.estimate_join` prices the join over
-    a :class:`RecordStatistics` provider on ``inner`` with the
+    a :class:`StoreStatistics` snapshot of ``inner`` with the
     :func:`analytic_geometry` an RI-tree *would* realise under the given
     block size.  Used by the ``auto`` join strategy before it decides
     whether building/probing an index is worth it at all.
@@ -1118,12 +887,10 @@ def choose_join_strategy(
     for lower, upper, _ in inner:
         validate_interval(lower, upper)
         backbone.register(lower, upper)
-    statistics = RecordStatistics(
-        lambda: inner,
+    statistics = StoreStatistics(
+        BoundSummary.from_records(inner, buckets),
         backbone,
-        lambda count: analytic_geometry(count, block_size, cache_blocks),
+        analytic_geometry(len(inner), block_size, cache_blocks),
     )
-    model = RITreeCostModel(
-        buckets=buckets, cache_residency=cache_residency, statistics=statistics
-    )
+    model = RITreeCostModel(statistics, cache_residency)
     return model.estimate_join(outer, predicate=predicate)

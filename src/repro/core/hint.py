@@ -35,7 +35,7 @@ the PR-5 inverse-candidate-range convention, ``join_pairs`` /
 ``join_count``, temporal sentinel handling (``[s, oo)`` and ``[s, now]``
 rows live in dedicated side lists, mirroring the reserved fork nodes of
 :class:`~repro.core.ritree.RITree`), and a structured
-``verify()``.  It plans over the cost model's records provider:
+``verify()``.  It plans from a snapshot of its stored records:
 :class:`HintCostModel` prices joins with a zero-physical-read term so
 :class:`~repro.core.join.AutoJoin` can plan memory-vs-disk, not just
 index-vs-sweep.
@@ -53,9 +53,10 @@ from .access import IntervalRecord, IntervalStore
 from .backbone import VirtualBackbone
 from .costmodel import (
     DEFAULT_BUCKETS,
+    BoundSummary,
     JoinEstimate,
-    RecordStatistics,
     RITreeCostModel,
+    StoreStatistics,
     memory_resident_geometry,
 )
 from .interval import validate_interval
@@ -810,13 +811,30 @@ class HintStore(IntervalStore):
     # ------------------------------------------------------------------
     # cost model
     # ------------------------------------------------------------------
+    def analyze(self, buckets: int = DEFAULT_BUCKETS) -> StoreStatistics:
+        """The ANALYZE pass: a snapshot of the stored records.
+
+        The geometry is ``memory_resident`` -- the store lives in
+        memory, so the shared model prices no physical reads.  The
+        virtual backbone is empty: the transient-entry terms it would
+        feed price only the logical reads and frames
+        :class:`HintCostModel` replaces.
+        """
+        records = self.stored_records()
+        geometry = memory_resident_geometry(len(records), self.partition_count)
+        return StoreStatistics(
+            BoundSummary.from_records(records, buckets),
+            VirtualBackbone(),
+            replace(geometry, memory_resident=True),
+        )
+
     def cost_model(self, refresh: bool = False) -> "HintCostModel":
         if (
             self._cost_model is None
             or refresh
             or self._cost_model_version != self._mutations
         ):
-            self._cost_model = HintCostModel(self)
+            self._cost_model = HintCostModel(self.analyze(), self.levels)
             self._cost_model_version = self._mutations
         return self._cost_model
 
@@ -969,29 +987,19 @@ class HintCostModel(RITreeCostModel):
     """Join planner over a main-memory HINT store.
 
     Reuses the RI-tree model's selectivity machinery (histogram
-    convolution, expected pair counts).  Its geometry is
-    ``memory_resident`` -- the store lives in memory, so the shared
-    model prices **zero physical reads** on both strategies -- and the
-    index path's frame term is replaced with the HINT walk's
-    O(levels)-per-probe shape.  With physical reads tied at zero,
+    convolution, expected pair counts) over the store's
+    :meth:`HintStore.analyze` snapshot, whose memory-resident geometry
+    prices **zero physical reads** on both strategies.  The index
+    path's frame term is replaced with the HINT walk's
+    O(``levels``)-per-probe shape.  With physical reads tied at zero,
     :class:`JoinEstimate`'s choice falls through to the Python-frame
     comparison: exactly the memory-vs-disk planning axis ``AutoJoin``
-    needs.  The statistics carry an empty virtual backbone: the
-    transient-entry terms it would feed price only the logical reads
-    and frames this model replaces.
+    needs.
     """
 
-    def __init__(self, store: HintStore, buckets: int = DEFAULT_BUCKETS) -> None:
-        self.store = store
-        statistics = RecordStatistics(
-            store.stored_records,
-            VirtualBackbone(),
-            lambda count: replace(
-                memory_resident_geometry(count, store.partition_count),
-                memory_resident=True,
-            ),
-        )
-        super().__init__(statistics=statistics, buckets=buckets, cache_residency=1.0)
+    def __init__(self, statistics: StoreStatistics, levels: int) -> None:
+        super().__init__(statistics, cache_residency=1.0)
+        self.levels = levels
 
     def estimate_join(
         self, outer: Sequence[IntervalRecord], predicate=None
@@ -1005,7 +1013,7 @@ class HintCostModel(RITreeCostModel):
         return estimate
 
     def _hint_frames(self, probes: int, pairs: float, predicate) -> float:
-        levels = self.store.levels + 1
+        levels = self.levels + 1
         per_probe = HINT_FRAMES_PER_PROBE + HINT_FRAMES_PER_LEVEL * levels
         per_pair = (
             HINT_FRAMES_PER_PAIR

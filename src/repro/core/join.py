@@ -59,6 +59,7 @@ from bisect import bisect_left, bisect_right
 
 from ..engine.database import Database
 from .access import AccessMethod, IntervalRecord
+from .costmodel import choose_join_strategy
 from .interval import validate_interval
 from .predicates import resolve_join_predicate as _resolve_join_predicate
 from .ritree import RITree
@@ -479,8 +480,6 @@ class AutoJoin(JoinStrategy):
         :class:`IndexNestedLoopJoin` ignores it).  The stored relation is
         recovered at most once per evaluation.
         """
-        from .costmodel import choose_join_strategy
-
         stored: Optional[list[IntervalRecord]] = None
         if self.method is not None:
             model = self.method.cost_model()

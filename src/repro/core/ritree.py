@@ -33,6 +33,7 @@ exist, so no query statement changes.
 
 from __future__ import annotations
 
+import math
 import struct
 from itertools import repeat
 from typing import Iterator, Optional, Sequence
@@ -42,6 +43,14 @@ from ..engine.errors import SchemaError
 from ..engine.serial import INT_MAX, INT_MIN
 from .access import AccessMethod, IntervalRecord
 from .backbone import MAX_ABS_BOUND, VirtualBackbone
+from .costmodel import (
+    DEFAULT_BUCKETS,
+    BoundSummary,
+    RITreeCostModel,
+    StoreGeometry,
+    StoreStatistics,
+    index_internal_blocks,
+)
 from .interval import validate_interval
 from .predicates import compile_query, resolve_join_predicate
 from .temporal import (
@@ -697,20 +706,56 @@ class RITree(AccessMethod):
     # ------------------------------------------------------------------
     # planning (Section 5)
     # ------------------------------------------------------------------
-    def cost_model(self, refresh: bool = False):
+    def analyze(self, buckets: int = DEFAULT_BUCKETS) -> StoreStatistics:
+        """The ANALYZE pass: one statistics snapshot for the cost model.
+
+        Both bound distributions come from the composite indexes, not
+        the base table.  Entries are ``(node, bound, id, rowid)``: the
+        bound columns re-sort into the two global distributions, and the
+        rowid pairs the two bounds of one row back up for the duration
+        histogram (ids may repeat).  Now-relative sentinel rows
+        contribute their *effective* upper bound, the clock, as in
+        ``stored_records()`` and the HINT and router statistics;
+        infinite rows keep the sentinel.  The geometry is the realised
+        shape of the live B+-trees, read in the same pass.
+        """
+        now = self._now
+        index = self.table.index("lowerIndex").tree
+        lower_entries = list(index.scan_all())
+        lower_of = {entry[-1]: entry[1] for entry in lower_entries}
+        uppers = [
+            (now if entry[1] == UPPER_NOW else entry[1], entry[-1])
+            for entry in self.table.index("upperIndex").tree.scan_all()
+        ]
+        durations = sorted(upper - lower_of[rowid] for upper, rowid in uppers)
+        summary = BoundSummary(
+            sorted(entry[1] for entry in lower_entries),
+            sorted(upper for upper, _rowid in uppers),
+            buckets,
+            sorted_durations=durations,
+        )
+        count, capacity = summary.count, index.leaf_capacity
+        internal = index_internal_blocks(count, capacity, index.internal_capacity)
+        geometry = StoreGeometry(
+            height=index.height,
+            leaf_capacity=capacity,
+            leaf_blocks=2.0 * math.ceil(max(count, 1) / max(1, capacity)),
+            internal_blocks=2.0 * internal,
+            cache_blocks=self.db.pool.capacity,
+            block_size=self.db.disk.block_size,
+            table_blocks=self.table.heap.page_count,
+        )
+        return StoreStatistics(summary, self.backbone, geometry)
+
+    def cost_model(self, refresh: bool = False) -> RITreeCostModel:
         """The tree's optimizer cost model, built lazily and cached.
 
-        Histograms are read from the already-loaded composite indexes
-        (the bound columns are right there in lowerIndex/upperIndex, no
-        base-table scan needed).  The cached model goes stale under
-        updates; pass ``refresh=True`` to re-run the ANALYZE pass, the
-        engine equivalent of refreshed optimizer statistics.
+        The model prices one :meth:`analyze` snapshot.  It goes stale
+        under updates; pass ``refresh=True`` to re-run the ANALYZE
+        pass, the engine equivalent of refreshed optimizer statistics.
         """
-        from .costmodel import RITreeCostModel
-        if self._cost_model is None:
-            self._cost_model = RITreeCostModel(self)
-        elif refresh:
-            self._cost_model.refresh()
+        if self._cost_model is None or refresh:
+            self._cost_model = RITreeCostModel(self.analyze())
         return self._cost_model
 
     def stored_records(self) -> list[IntervalRecord]:

@@ -64,8 +64,8 @@ from .backbone import VirtualBackbone
 from .costmodel import (
     DEFAULT_BUCKETS,
     BoundSummary,
-    RecordStatistics,
     RITreeCostModel,
+    StoreStatistics,
     memory_resident_geometry,
 )
 from .interval import validate_interval
@@ -636,13 +636,21 @@ class ShardedStore(IntervalStore):
             replicas[(lower, self._now, interval_id)] += n
         return replicas
 
+    def analyze(self, buckets: int = DEFAULT_BUCKETS) -> StoreStatistics:
+        """The ANALYZE pass over the logical (deduplicated) record
+        population, with the router's backbone and one partition per
+        shard."""
+        records = self.stored_records()
+        return StoreStatistics(
+            BoundSummary.from_records(records, buckets),
+            self._backbone,
+            memory_resident_geometry(len(records), self.shard_count),
+        )
+
     def cost_model(self):
-        """A router-level :class:`RITreeCostModel` over the logical
-        (deduplicated) record population."""
-        statistics = RecordStatistics(
-            self.stored_records, self._backbone,
-            lambda count: memory_resident_geometry(count, self.shard_count))
-        return RITreeCostModel(statistics=statistics, cache_residency=1.0)
+        """A fresh router-level :class:`RITreeCostModel` over
+        :meth:`analyze`."""
+        return RITreeCostModel(self.analyze(), cache_residency=1.0)
 
     # ------------------------------------------------------------------
     # accounting / observability

@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from ..core.access import IntervalStore
+from ..core.costmodel import BoundSummary
 from .ops import OPS, integer
 from .ops import records as wire_records
 from .protocol import (
@@ -469,7 +470,6 @@ def _build_router(args, records: Sequence[tuple[int, int, int]],
                   now: int):
     import subprocess
 
-    from ..core.costmodel import BoundSummary
     from ..core.router import ShardedStore, derive_cuts
     from .client import RemoteStore
 

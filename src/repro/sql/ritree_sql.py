@@ -33,10 +33,10 @@ unchanged on sqlite:
   ``INSERT`` statements, and joined against the Figure 9 form in ONE
   statement, so sqlite's own optimizer drives the nested-loop plan over
   the whole batch;
-* ``cost_model`` exposes :meth:`repro.core.costmodel.RITreeCostModel.
-  from_sql_tree` statistics (NTILE histograms, page-count geometry,
-  memory residency), so the ``auto`` join strategy plans here exactly as
-  on the simulated engine;
+* ``analyze`` takes the optimizer statistics (NTILE histograms,
+  page-count geometry, memory residency) that ``cost_model`` prices, so
+  the ``auto`` join strategy plans here exactly as on the simulated
+  engine;
 * :meth:`query` compiles the shared interval predicates (``intersects``,
   ``stab``, Allen's thirteen relations) and query families to a
   WHERE-clause rewrite of the Figure 9 statement over the predicate's
@@ -61,6 +61,13 @@ from typing import Iterable, Optional, Sequence
 
 from ..core.access import IntervalRecord, IntervalStore
 from ..core.backbone import VirtualBackbone
+from ..core.costmodel import (
+    DEFAULT_BUCKETS,
+    BoundSummary,
+    RITreeCostModel,
+    StoreStatistics,
+    analytic_geometry,
+)
 from ..core.interval import validate_interval
 from ..core.predicates import PREDICATES, compile_query, resolve_join_predicate
 from ..core.temporal import (
@@ -413,13 +420,20 @@ class SQLRITree(IntervalStore):
         if not left and not right:
             return None
         self._write_transient(left, right)
-        refine = pred.sql_refine or ""
+        refine = (pred.sql_refine or "").replace('i."upper"', schema.EFFECTIVE_UPPER)
+        # A pinned lower bound is a bare equality on i."lower", which the
+        # optimizer would chase into an AUTOMATIC index behind the fold
+        # branch's node range; unary + keeps it a residual filter there.
+        fold_refine = None
+        if pred.pinned == "lower":
+            fold_refine = refine.replace('i."lower"', '+i."lower"')
         statement = schema.figure9_sql(
             self.name,
             batch=False,
             lower=":clower",
             upper=":cupper",
-            refine=refine.replace('i."upper"', schema.EFFECTIVE_UPPER),
+            refine=refine,
+            fold_refine=fold_refine,
         )
         binds = {
             "lower": lower,
@@ -746,26 +760,111 @@ class SQLRITree(IntervalStore):
     # ------------------------------------------------------------------
     # planning (Section 5: the cost model registered at the optimizer)
     # ------------------------------------------------------------------
-    def cost_model(self, refresh: bool = False):
+    def analyze(self, buckets: int = DEFAULT_BUCKETS) -> StoreStatistics:
+        """The ANALYZE pass: one statistics snapshot for the cost model.
+
+        Histograms come from SQL aggregation (one ``NTILE`` window pass
+        per bound expression -- the quantile computation runs inside the
+        engine, not in Python), geometry from sqlite's page counts:
+        ``PRAGMA page_size`` and ``PRAGMA cache_size`` fix the block
+        model, the ``dbstat`` virtual table supplies real per-index page
+        counts where the build ships it (falling back to the analytic
+        B+-tree layout otherwise), and ``PRAGMA database_list`` tells
+        whether the ``main`` database is memory-resident (an empty file
+        name), in which case the planner prices no physical reads.
+        Reserved Section 4.6 fork rows count as ``stored_records()``
+        reports them: a now-relative row ends at the clock, an infinite
+        row at the ``UPPER_INF`` sentinel -- as in the engine and HINT
+        statistics.
+        """
+        conn, name = self.conn, self.name
+        page_size = conn.execute("PRAGMA page_size").fetchone()[0]
+        cache = conn.execute("PRAGMA cache_size").fetchone()[0]
+        if cache >= 0:
+            cache_blocks = cache
+        else:
+            cache_blocks = max(1, (-cache * 1024) // page_size)
+        memory_resident = any(
+            db == "main" and not path
+            for _, db, path in conn.execute("PRAGMA database_list")
+        )
+        try:
+            pages = dict(
+                conn.execute(
+                    "SELECT name, COUNT(*) FROM dbstat "
+                    "WHERE name IN (?, ?, ?) GROUP BY name",
+                    (name, f"{name}_lowerIndex", f"{name}_upperIndex"),
+                )
+            )
+        except sqlite3.Error:
+            pages = {}
+        count = conn.execute(f"SELECT COUNT(*) FROM {name}").fetchone()[0]
+        geometry = analytic_geometry(count, page_size, cache_blocks)
+        geometry.memory_resident = memory_resident
+        index_pages = pages.get(f"{name}_lowerIndex", 0) + pages.get(
+            f"{name}_upperIndex", 0
+        )
+        if index_pages:
+            geometry.leaf_blocks = max(
+                float(index_pages) - geometry.internal_blocks, 2.0
+            )
+        if pages.get(name, 0):
+            geometry.table_blocks = pages[name]
+        upper = f'CASE "node" WHEN {FORK_NOW} THEN {int(self._now)} ELSE "upper" END'
+        duration = f'{upper} - "lower"'
+        if count == 0:
+            summary = BoundSummary([], [], buckets)
+        elif count <= buckets:
+            lowers, uppers, durations = (
+                [
+                    row[0]
+                    for row in conn.execute(
+                        f'SELECT {expr} AS "b" FROM {name} ORDER BY "b"'
+                    )
+                ]
+                for expr in ('"lower"', upper, duration)
+            )
+            summary = BoundSummary(lowers, uppers, buckets, sorted_durations=durations)
+        else:
+            summary = BoundSummary.from_boundaries(
+                count,
+                self._quantiles('"lower"', buckets),
+                self._quantiles(upper, buckets),
+                buckets,
+                duration_bounds=self._quantiles(duration, buckets),
+            )
+        return StoreStatistics(summary, self.backbone, geometry)
+
+    def _quantiles(self, expr: str, buckets: int) -> list[int]:
+        """Equi-depth boundaries q_0..q_B of one bound expression, in SQL.
+
+        ``expr`` is a quoted column or an arithmetic expression over the
+        bound columns (the duration histogram passes the effective upper
+        minus ``"lower"``); one NTILE window pass either way.
+        """
+        floor = self.conn.execute(f"SELECT MIN({expr}) FROM {self.name}").fetchone()[0]
+        tiles = self.conn.execute(
+            f'SELECT MAX("b") FROM (SELECT {expr} AS "b", '
+            f'NTILE(?) OVER (ORDER BY {expr}) AS "t" '
+            f'FROM {self.name}) GROUP BY "t" ORDER BY "t"',
+            (buckets,),
+        )
+        return [floor] + [row[0] for row in tiles]
+
+    def cost_model(self, refresh: bool = False) -> RITreeCostModel:
         """Optimizer statistics over this relation, built lazily and cached.
 
-        A :meth:`~repro.core.costmodel.RITreeCostModel.from_sql_tree`
-        model: histograms by SQL aggregation, geometry from sqlite page
-        counts and pragmas.  An in-memory database (``:memory:``, an
-        empty ``main`` file name) is memory-resident, so joins are priced
-        with zero physical reads and the planner compares interpreter
-        work; a file-backed one is priced against its page cache.  All of
-        these statistics are read once per ANALYZE, so estimating issues
-        no SQL.  The cached model -- histograms and geometry alike -- goes
-        stale under updates; pass ``refresh=True`` to re-run the ANALYZE
-        pass.
+        The model prices one :meth:`analyze` snapshot.  An in-memory
+        database (``:memory:``, an empty ``main`` file name) is
+        memory-resident, so joins are priced with zero physical reads
+        and the planner compares interpreter work; a file-backed one is
+        priced against its page cache.  All of these statistics are read
+        once per ANALYZE, so estimating issues no SQL.  The cached model
+        -- histograms and geometry alike -- goes stale under updates;
+        pass ``refresh=True`` to re-run the ANALYZE pass.
         """
-        from ..core.costmodel import RITreeCostModel
-
-        if self._cost_model is None:
-            self._cost_model = RITreeCostModel.from_sql_tree(self)
-        elif refresh:
-            self._cost_model.refresh()
+        if self._cost_model is None or refresh:
+            self._cost_model = RITreeCostModel(self.analyze())
         return self._cost_model
 
     def stored_records(self) -> list[IntervalRecord]:

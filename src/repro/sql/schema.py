@@ -41,6 +41,8 @@ SQL function names on some engines.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..core.temporal import FORK_NOW
 
 #: The stored row's *effective* upper bound: now-relative rows (reserved
@@ -129,7 +131,13 @@ def create_batch_transient_tables() -> list[str]:
 
 
 def figure9_sql(
-    name: str, *, batch: bool, lower: str, upper: str, refine: str = ""
+    name: str,
+    *,
+    batch: bool,
+    lower: str,
+    upper: str,
+    refine: str = "",
+    fold_refine: Optional[str] = None,
 ) -> str:
     """The final intersection query of Figure 9 in sqlite's plannable form.
 
@@ -148,7 +156,8 @@ def figure9_sql(
     ``batch`` joins the probe relation (``batchProbes``, keyed by
     ``qid``) against its own transient rows and selects ``(qid, id)``.
     ``lower`` / ``upper`` are the SQL expressions the branches scan from;
-    ``refine``, when given, is ANDed into every branch.
+    ``refine``, when given, is ANDed into every branch; ``fold_refine``,
+    when given, replaces it in the fold branch.
     """
     if batch:
         columns = 'q."qid", i."id"'
@@ -161,6 +170,7 @@ def figure9_sql(
         left, right = "leftNodes l", "rightNodes r"
         left_key = right_key = ""
     extra = f"\n  AND {refine}" if refine else ""
+    fold_extra = extra if fold_refine is None else f"\n  AND {fold_refine}"
     return (
         f"\nSELECT {columns} FROM {name} i, {left}\n"
         f'WHERE {left_key}l."min" = l."max"\n'
@@ -169,7 +179,7 @@ def figure9_sql(
         f"SELECT {columns} FROM {name} i, {left}\n"
         f'WHERE {left_key}l."min" < l."max"\n'
         f'  AND i."node" BETWEEN l."min" AND l."max" AND i."upper" >= {lower}'
-        f"{extra}\n"
+        f"{fold_extra}\n"
         "UNION ALL\n"
         f"SELECT {columns} FROM {name} i, {right}\n"
         f'WHERE {right_key}i."node" = r."node" AND i."lower" <= {upper}{extra}\n'

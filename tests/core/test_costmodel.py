@@ -25,20 +25,20 @@ def modelled_tree():
     workload = d1(10_000, 2000, seed=3)
     tree = RITree()
     tree.bulk_load(workload.records)
-    model = RITreeCostModel(tree)
+    model = tree.cost_model()
     return workload, tree, model
 
 
 def test_validation():
     tree = RITree()
     with pytest.raises(ValueError):
-        RITreeCostModel(tree, buckets=1)
+        tree.analyze(buckets=1)
     with pytest.raises(ValueError):
-        RITreeCostModel(tree, cache_residency=1.5)
+        RITreeCostModel(tree.analyze(), cache_residency=1.5)
 
 
 def test_empty_tree_estimates_zero():
-    model = RITreeCostModel(RITree())
+    model = RITree().cost_model()
     assert model.summary.intersecting(0, 100) == 0.0
 
 
@@ -69,17 +69,17 @@ def test_refresh_after_updates():
     tree = RITree()
     for i in range(200):
         tree.insert(i * 10, i * 10 + 5, i)
-    model = RITreeCostModel(tree, buckets=16)
+    model = RITreeCostModel(tree.analyze(buckets=16))
     before = model.summary.intersecting(0, 2000)
     for i in range(200, 400):
         tree.insert(i * 10, i * 10 + 5, i)
-    model.refresh()
+    model = RITreeCostModel(tree.analyze(buckets=16))
     after_refresh = model.summary.intersecting(0, 4000)
     assert after_refresh > before
 
 
 # ----------------------------------------------------------------------
-# statistics providers and geometry helpers
+# ANALYZE snapshots and geometry helpers
 # ----------------------------------------------------------------------
 def test_index_statistics_pair_bounds_by_rowid():
     """ANALYZE over the composite indexes == a summary of the stored

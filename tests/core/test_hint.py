@@ -408,7 +408,9 @@ def test_cost_model_zeroes_physical_reads(rng):
     store.bulk_load(make_intervals(rng, 500, domain=40_000, mean_length=400))
     model = store.cost_model()
     assert isinstance(model, HintCostModel)
-    assert model.store is store
+    assert model.levels == store.levels
+    assert model.summary.count == store.interval_count == 500
+    assert model.statistics.geometry.memory_resident
     probes = make_intervals(rng, 40, domain=40_000, mean_length=800)
     for predicate in (None, "intersects", "during", "before"):
         estimate = model.estimate_join(probes, predicate=predicate)

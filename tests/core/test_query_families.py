@@ -11,7 +11,6 @@ strategies rely on, and the cost-model estimate.
 
 import pytest
 
-from repro.core.costmodel import RITreeCostModel
 from repro.core.predicates import (
     DURATION_UNBOUNDED,
     FAMILIES,
@@ -174,7 +173,7 @@ def test_estimate_prices_duration_selectivity():
     records = [(i * 10, i * 10 + (5 if i % 2 else 500), i) for i in range(200)]
     tree = RITree()
     tree.bulk_load(records)
-    summary = RITreeCostModel(tree).summary
+    summary = tree.analyze().summary
     narrow = range_duration(0, 10).estimate(summary, 0, 2500)
     wide = range_duration(0, 1000).estimate(summary, 0, 2500)
     plain = summary.intersecting(0, 2500)

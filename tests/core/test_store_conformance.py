@@ -36,7 +36,7 @@ from repro.core import (
     ShardedStore,
     create_store,
 )
-from repro.core.costmodel import JoinEstimate
+from repro.core.costmodel import BoundSummary, JoinEstimate
 from repro.core.predicates import (
     ALLEN_RELATIONS,
     JOIN_PREDICATES,
@@ -549,6 +549,28 @@ def test_cost_model_plans_on_every_backend(store, rng):
     assert isinstance(estimate, JoinEstimate)
     assert estimate.choice in ("index-nested-loop", "sweep")
     assert estimate.inner_n == len(records)
+
+
+#: Every store that plans: the oracle has no index structure.
+PLANNING_STORES = [name for name in STORE_NAMES if name != "brute-force"]
+
+
+@pytest.mark.parametrize("name", PLANNING_STORES)
+def test_analyze_snapshot_summarises_the_stored_records(name):
+    """Every planning store's ANALYZE summarises what ``stored_records()``
+    returns: now-relative rows at the advanced clock, infinite rows at the
+    sentinel, with every row's own duration."""
+    store = STORE_FACTORIES[name]()
+    store.advance_to(TEMPORAL_CLOCK)
+    store.bulk_load(TEMPORAL_LOAD)
+    store.advance_to(TEMPORAL_CLOCK + 10_000)
+    summary = store.analyze().summary
+    expected = BoundSummary.from_records(store.stored_records())
+    assert summary.count == expected.count == len(TEMPORAL_LOAD)
+    assert summary.lower_bounds == expected.lower_bounds
+    assert summary.upper_bounds == expected.upper_bounds
+    assert summary.duration_bounds == expected.duration_bounds
+    assert TEMPORAL_CLOCK + 10_000 in summary.upper_bounds
 
 
 # ----------------------------------------------------------------------

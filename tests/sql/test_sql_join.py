@@ -4,15 +4,17 @@ The acceptance surface of the protocol split: on randomized two-sided
 workloads the sqlite backend's set-at-a-time SQL join, the sweep over its
 enumerated relation, and the ``auto`` planner must be pair-set-identical
 to the simulated-engine strategies and the counting oracle, with the
-``auto`` dispatch consistent with ``RITreeCostModel.from_sql_tree``
-estimates; plus the update-path economies (dirty-flag parameter
-persistence, the empty-backbone fast path) observed at the statement
-level through sqlite's trace hook, and the planner's view of the store:
-an in-memory database prices no physical reads, a file-backed one keeps
-its disk pricing, and estimates read only ANALYZE-time statistics.
+``auto`` dispatch consistent with the estimates of the store's
+``analyze()`` snapshot; plus the update-path economies (dirty-flag
+parameter persistence, the empty-backbone fast path) observed at the
+statement level through sqlite's trace hook, and the planner's view of
+the store: an in-memory database prices no physical reads, a file-backed
+one keeps its disk pricing, and estimates read only ANALYZE-time
+statistics.
 """
 
 import json
+import sqlite3
 
 import pytest
 
@@ -79,11 +81,11 @@ def test_planner_decisions_across_regimes():
     assert many_probes.cost_model().estimate_join(outer).choice == "sweep"
 
 
-def test_from_sql_tree_estimates_track_reality(rng):
+def test_sql_analyze_estimates_track_reality(rng):
     records = make_intervals(rng, 2000, domain=100_000, mean_length=800)
     sql_tree = SQLRITree()
     sql_tree.bulk_load(records)
-    model = RITreeCostModel.from_sql_tree(sql_tree)
+    model = RITreeCostModel(sql_tree.analyze())
     assert model.summary.count == len(records)
     probes = make_intervals(rng, 150, domain=100_000, mean_length=1200)
     estimate = model.estimate_join(probes)
@@ -93,12 +95,12 @@ def test_from_sql_tree_estimates_track_reality(rng):
     assert estimate.result_count == pytest.approx(actual, rel=0.25)
 
 
-def test_from_sql_tree_quantiles_match_python_equidepth(rng):
+def test_sql_analyze_quantiles_match_python_equidepth(rng):
     """NTILE boundaries agree with BoundSummary's own quantiles ±1 rank."""
     records = make_intervals(rng, 1500, domain=50_000, mean_length=500)
     sql_tree = SQLRITree()
     sql_tree.bulk_load(records)
-    model = RITreeCostModel.from_sql_tree(sql_tree)
+    model = sql_tree.cost_model()
     for lower, upper in [(0, 500), (10_000, 12_000), (0, 55_000)]:
         sql_estimate = model.summary.intersecting(lower, upper)
         exact = sum(1 for s, e, _ in records if s <= upper and e >= lower)
@@ -489,12 +491,16 @@ def test_estimates_issue_no_statements_between_analyze_passes():
     model = tree.cost_model()
     statements = []
     tree.conn.set_trace_callback(statements.append)
+    # The cached model prices every predicate (none, during, before,
+    # range_duration) from its snapshot alone.
     for size in PROBE_SIZES:
         for pred in _predicates().values():
-            model.estimate_join(outer[:size], predicate=pred)
-    assert model.stats.geometry(model.summary.count).table_blocks > 0
+            tree.cost_model().estimate_join(outer[:size], predicate=pred)
+    assert tree.cost_model() is model
+    assert model.statistics.geometry.table_blocks > 0
     assert statements == []
-    assert tree.cost_model(refresh=True) is model
+    refreshed = tree.cost_model(refresh=True)
+    assert refreshed is not model and tree.cost_model() is refreshed
     tree.conn.set_trace_callback(None)
     pragmas = [s for s in statements if s.startswith("PRAGMA")]
     assert pragmas == [
@@ -503,37 +509,41 @@ def test_estimates_issue_no_statements_between_analyze_passes():
         "PRAGMA database_list",
     ]
     assert len([s for s in statements if "dbstat" in s]) == 1
+    # One COUNT, then one MIN and one NTILE pass per histogram (lower,
+    # effective upper, duration).
+    assert len([s for s in statements if s.startswith("SELECT COUNT(*)")]) == 1
+    assert len([s for s in statements if s.startswith("SELECT MIN(")]) == 3
+    assert len([s for s in statements if "NTILE" in s]) == 3
+
+
+class _NoDbstatConnection(sqlite3.Connection):
+    """A sqlite connection whose build ships no ``dbstat`` table."""
+
+    failures: list
+
+    def execute(self, sql, *args):
+        if "dbstat" in sql:
+            self.failures.append(sql)
+            raise sqlite3.OperationalError("no such table: dbstat")
+        return super().execute(sql, *args)
 
 
 def test_missing_dbstat_is_paid_once_per_analyze():
     """A build without ``dbstat`` prices the analytic B+-tree layout and
     pays its failed lookup once per ANALYZE, not once per estimate."""
-    import sqlite3
-    from types import SimpleNamespace
-
     from repro.core.costmodel import analytic_geometry
 
-    outer, _inner, tree = golden_sql_tree()
-    failures = []
-
-    class WithoutDbstat:
-        def execute(self, sql, *args):
-            if "dbstat" in sql:
-                failures.append(sql)
-                raise sqlite3.OperationalError("no such table: dbstat")
-            return tree.conn.execute(sql, *args)
-
-    store = SimpleNamespace(
-        conn=WithoutDbstat(), name=tree.name, backbone=tree.backbone
-    )
-    model = RITreeCostModel.from_sql_tree(store)
+    conn = sqlite3.connect(":memory:", factory=_NoDbstatConnection)
+    conn.failures = []
+    outer, _inner, tree = golden_sql_tree(conn)
+    model = tree.cost_model()
     for size in PROBE_SIZES:
         model.estimate_join(outer[:size])
-    assert len(failures) == 1
-    geometry = model.stats.geometry(INNER_N)
+    assert len(conn.failures) == 1
+    geometry = model.statistics.geometry
     analytic = analytic_geometry(INNER_N, geometry.block_size, geometry.cache_blocks)
     assert geometry.leaf_blocks == analytic.leaf_blocks
     assert geometry.table_blocks == analytic.table_blocks
     assert geometry.memory_resident
-    model.refresh()
-    assert len(failures) == 2
+    tree.cost_model(refresh=True)
+    assert len(conn.failures) == 2

@@ -168,20 +168,43 @@ def test_multiple_trees_share_connection():
     assert b.intersection(0, 200) == [2]
 
 
-def test_explain_query_families_use_both_indexes():
+#: Row 17 of the explain fixture is [510, 547]: each pinned-lower
+#: relation's query below matches it.
+PINNED_LOWER_QUERIES = {
+    "equals": (510, 547),
+    "met_by": (400, 510),
+    "starts": (510, 900),
+    "started_by": (510, 520),
+}
+
+
+@pytest.mark.parametrize(
+    "predicate, lower, upper, seek",
+    [(range_duration(0, 35), 100, 4_000, "upperIndex (node=? AND upper>?)")]
+    + [
+        (name, lower, upper, "lowerIndex (node=? AND lower=? AND upper>?)")
+        for name, (lower, upper) in PINNED_LOWER_QUERIES.items()
+    ],
+    ids=["range_duration"] + list(PINNED_LOWER_QUERIES),
+)
+def test_explain_query_families_use_both_indexes(predicate, lower, upper, seek):
+    """A single-node row seeks its Figure 10 key, the fold row scans its
+    node range, and no branch builds an AUTOMATIC index -- also where a
+    pinned lower bound puts an equality on ``i."lower"``."""
     tree = SQLRITree()
     records = [(i * 30, i * 30 + 20 + i % 40, i) for i in range(300)]
     tree.bulk_load(records)
-    duration = range_duration(0, 35)
-    plan = "\n".join(tree.explain_query(100, 4_000, predicate=duration))
+    plan = "\n".join(tree.explain_query(lower, upper, predicate=predicate))
     assert "lowerIndex" in plan
-    assert "upperIndex (node=? AND upper>?)" in plan
+    assert "upperIndex" in plan
+    assert seek in plan
     assert "AUTOMATIC" not in plan
     assert "SCAN i" not in plan
     # Results match the refinement run for real.
     oracle = BruteForceIntervals(records)
-    expected = sorted(oracle.query(100, 4_000, predicate=duration))
-    assert sorted(tree.query(100, 4_000, predicate=duration)) == expected
+    expected = sorted(oracle.query(lower, upper, predicate=predicate))
+    assert sorted(tree.query(lower, upper, predicate=predicate)) == expected
+    assert expected or predicate not in PINNED_LOWER_QUERIES
 
 
 def test_explain_query_gates_an_empty_candidate_range():
@@ -406,16 +429,7 @@ def test_query_plans_are_covering(predicate):
     refinement is answered without a table seek per candidate."""
     tree = _sentinel_tree()
     pred = compile_query(predicate)
-    searches = _searches(tree.explain_query(500, 900, predicate=pred))
-    if pred.pinned is not None:
-        # A pinned relation scans one point, whose transient rows are
-        # all single nodes: the fold branch (node BETWEEN, the second
-        # seek) receives no row and never runs.
-        clower, cupper = pred.candidates(500, 900, None, None)
-        left, _right = tree._transient_rows(clower, cupper)
-        assert clower == cupper and all(mn == mx for mn, mx in left)
-        del searches[1]
-    _assert_covering(searches)
+    _assert_covering(_searches(tree.explain_query(500, 900, predicate=pred)))
 
 
 @pytest.mark.parametrize(

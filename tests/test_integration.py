@@ -8,7 +8,6 @@ import random
 
 from repro.core import (
     RITree,
-    RITreeCostModel,
     UPPER_INF,
     UPPER_NOW,
 )
@@ -40,7 +39,7 @@ def test_workload_to_ritree_to_costmodel_pipeline():
     workload = d4(5000, 2000, seed=11)
     tree = RITree()
     tree.bulk_load(workload.records)
-    model = RITreeCostModel(tree)
+    model = tree.cost_model()
     queries = range_queries(workload, 0.01, 10, seed=5)
     for lower, upper in queries:
         measured = len(tree.intersection(lower, upper))
